@@ -76,8 +76,6 @@ func run(args []string, out, errOut io.Writer) int {
 		artifact    = fs.String("artifacts", "", "campaign artifact directory (default: OS temp dir)")
 		shardUnits  = fs.Int("max-shard-units", 1<<10, "largest unit batch accepted by POST /v1/shard")
 		batchMax    = fs.Int("batch-max", 0, "max queued requests one worker drains per wakeup (0 = default 16)")
-		cacheSh     = fs.Int("cache-shards", 0, "instance cache shard count (0 = default 8)")
-		metricsSh   = fs.Int("metrics-shards", 0, "latency histogram shard count (0 = default 8)")
 		respCache   = fs.Int("response-cache", 0, "response cache capacity in entries (0 = default 4096, negative disables)")
 		pprofAddr   = fs.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060; empty = off)")
 		joinURL     = fs.String("join", "", "register with this oracleherd fleet endpoint (its -listen address) and heartbeat until shutdown")
@@ -147,8 +145,6 @@ func run(args []string, out, errOut io.Writer) int {
 		ArtifactDir:           *artifact,
 		MaxShardUnits:         *shardUnits,
 		BatchMax:              *batchMax,
-		CacheShards:           *cacheSh,
-		MetricsShards:         *metricsSh,
 		ResponseCacheCapacity: *respCache,
 		Tenants:               registry,
 		TenantStore:           store,

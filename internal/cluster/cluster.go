@@ -223,7 +223,7 @@ type Stats struct {
 type Coordinator struct {
 	cfg   Config
 	fleet *fleet
-	m     *metrics
+	m     *coordMetrics
 	rng   *lockedRand
 
 	mu  sync.Mutex

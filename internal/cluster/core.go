@@ -25,7 +25,7 @@ import (
 // use.
 type Core struct {
 	cfg   Config
-	m     *metrics
+	m     *coordMetrics
 	st    *runState
 	fleet *fleet
 }

@@ -20,7 +20,7 @@ import (
 // histograms.
 type fleet struct {
 	cfg *Config
-	m   *metrics
+	m   *coordMetrics
 	rng *lockedRand
 
 	mu      sync.RWMutex
@@ -34,7 +34,7 @@ type fleet struct {
 
 // newFleet builds the initial fleet from cfg.Workers. An empty list is only
 // legal for an elastic coordinator (members join later).
-func newFleet(cfg *Config, m *metrics, rng *lockedRand) (*fleet, error) {
+func newFleet(cfg *Config, m *coordMetrics, rng *lockedRand) (*fleet, error) {
 	if len(cfg.Workers) == 0 && !cfg.Elastic {
 		return nil, fmt.Errorf("cluster: no workers configured")
 	}

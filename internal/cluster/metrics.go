@@ -1,37 +1,34 @@
 package cluster
 
 import (
-	"fmt"
 	"net/http"
 	"sort"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"oraclesize/internal/metrics"
 	"oraclesize/internal/warehouse"
 )
 
 // shardBuckets are the latency histogram bounds for shard dispatches, in
 // seconds — shards batch many units, so they run longer than single
 // requests.
-var shardBuckets = []float64{
+var shardBuckets = metrics.Bounds{
 	0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 30, 60, 120,
 }
 
 // workerMetrics accumulates one worker's dispatch outcomes and latency
-// histogram. Guarded by metrics.mu.
+// histogram.
 type workerMetrics struct {
-	ok      int64
-	failed  int64
-	buckets []int64
-	sum     float64
-	count   int64
+	ok, failed atomic.Int64
+	latency    *metrics.Histogram
 }
 
-// metrics is the coordinator's registry: lock-free counters bumped on the
-// dispatch path plus a mutex-guarded per-worker table the renderer reads.
-type metrics struct {
+// coordMetrics is the coordinator's registry: lock-free counters bumped on
+// the dispatch path plus a per-worker table. mu guards the table's rows
+// coming and going; the rows themselves update atomically.
+type coordMetrics struct {
 	retries       atomic.Int64
 	hedges        atomic.Int64
 	reassignments atomic.Int64
@@ -40,50 +37,41 @@ type metrics struct {
 	byWorker map[string]*workerMetrics
 }
 
-func newMetrics() *metrics {
-	return &metrics{byWorker: make(map[string]*workerMetrics)}
+func newMetrics() *coordMetrics {
+	return &coordMetrics{byWorker: make(map[string]*workerMetrics)}
 }
 
 // observeShard records one finished dispatch against the worker's
 // histogram.
-func (m *metrics) observeShard(worker string, ok bool, d time.Duration) {
-	secs := d.Seconds()
+func (m *coordMetrics) observeShard(worker string, ok bool, d time.Duration) {
 	m.mu.Lock()
-	defer m.mu.Unlock()
 	wm := m.byWorker[worker]
 	if wm == nil {
-		wm = &workerMetrics{buckets: make([]int64, len(shardBuckets))}
+		wm = &workerMetrics{latency: metrics.NewHistogram(&shardBuckets)}
 		m.byWorker[worker] = wm
 	}
+	m.mu.Unlock()
 	if ok {
-		wm.ok++
+		wm.ok.Add(1)
 	} else {
-		wm.failed++
+		wm.failed.Add(1)
 	}
-	wm.sum += secs
-	wm.count++
-	for i, ub := range shardBuckets {
-		if secs <= ub {
-			wm.buckets[i]++
-			break
-		}
-	}
+	wm.latency.Observe(d)
 }
 
 // retire drops a departed worker's dispatch counters and histogram so the
 // per-worker table is bounded by live membership, not by every worker ever
 // seen. A rejoining worker starts a fresh row.
-func (m *metrics) retire(worker string) {
+func (m *coordMetrics) retire(worker string) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	delete(m.byWorker, worker)
 }
 
-// handleMetrics renders the Prometheus text format, same hand-rolled
-// stdlib-only style as oracled's /metrics.
+// handleMetrics renders the coordinator's Prometheus text page.
 func (c *Coordinator) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	m := c.m
+	w.Header().Set("Content-Type", metrics.ContentType)
+	m, p := c.m, metrics.NewPage(w)
 
 	// live is the current fleet minus tombstones; per-worker gauges render
 	// one row per live member, so departed workers age out of the page.
@@ -115,86 +103,47 @@ func (c *Coordinator) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	}
 	c.mu.Unlock()
 
-	fmt.Fprintf(w, "# HELP oracleherd_shards_total Shards carved so far in the active run (not known in advance under adaptive sizing).\n")
-	fmt.Fprintf(w, "# TYPE oracleherd_shards_total gauge\n")
-	fmt.Fprintf(w, "oracleherd_shards_total %d\n", carved)
-	fmt.Fprintf(w, "# HELP oracleherd_shards_done Shards merged so far in the active run.\n")
-	fmt.Fprintf(w, "# TYPE oracleherd_shards_done gauge\n")
-	fmt.Fprintf(w, "oracleherd_shards_done %d\n", done)
-	fmt.Fprintf(w, "# HELP oracleherd_shards_inflight Shards currently leased to workers.\n")
-	fmt.Fprintf(w, "# TYPE oracleherd_shards_inflight gauge\n")
-	fmt.Fprintf(w, "oracleherd_shards_inflight %d\n", inflight)
-	fmt.Fprintf(w, "# HELP oracleherd_shards_pending Shards waiting for a lease.\n")
-	fmt.Fprintf(w, "# TYPE oracleherd_shards_pending gauge\n")
-	fmt.Fprintf(w, "oracleherd_shards_pending %d\n", pending)
-	fmt.Fprintf(w, "# HELP oracleherd_retries_total Failed shard dispatches that were requeued.\n")
-	fmt.Fprintf(w, "# TYPE oracleherd_retries_total counter\n")
-	fmt.Fprintf(w, "oracleherd_retries_total %d\n", m.retries.Load())
-	fmt.Fprintf(w, "# HELP oracleherd_hedges_total Speculative re-dispatches of straggling shards.\n")
-	fmt.Fprintf(w, "# TYPE oracleherd_hedges_total counter\n")
-	fmt.Fprintf(w, "oracleherd_hedges_total %d\n", m.hedges.Load())
-	fmt.Fprintf(w, "# HELP oracleherd_reassignments_total Requeued shards whose next lease went to a different worker.\n")
-	fmt.Fprintf(w, "# TYPE oracleherd_reassignments_total counter\n")
-	fmt.Fprintf(w, "oracleherd_reassignments_total %d\n", m.reassignments.Load())
-	fmt.Fprintf(w, "# HELP oracleherd_dedup_dropped_records_total Records dropped by the idempotent merge (hedge losers, resumed units).\n")
-	fmt.Fprintf(w, "# TYPE oracleherd_dedup_dropped_records_total counter\n")
-	fmt.Fprintf(w, "oracleherd_dedup_dropped_records_total %d\n", deduped)
-	fmt.Fprintf(w, "# HELP oracleherd_shard_size_units Carved shard sizes in the active run, by summary statistic.\n")
-	fmt.Fprintf(w, "# TYPE oracleherd_shard_size_units gauge\n")
-	fmt.Fprintf(w, "oracleherd_shard_size_units{stat=\"min\"} %d\n", sizeMin)
-	fmt.Fprintf(w, "oracleherd_shard_size_units{stat=\"median\"} %d\n", sizeMedian)
-	fmt.Fprintf(w, "oracleherd_shard_size_units{stat=\"max\"} %d\n", sizeMax)
-	fmt.Fprintf(w, "# HELP oracleherd_worker_unit_seconds EWMA of per-unit service time the adaptive sizer holds for each worker (0 before the first sample).\n")
-	fmt.Fprintf(w, "# TYPE oracleherd_worker_unit_seconds gauge\n")
+	p.Gauge("oracleherd_shards_total", "Shards carved so far in the active run (not known in advance under adaptive sizing).", int64(carved))
+	p.Gauge("oracleherd_shards_done", "Shards merged so far in the active run.", int64(done))
+	p.Gauge("oracleherd_shards_inflight", "Shards currently leased to workers.", int64(inflight))
+	p.Gauge("oracleherd_shards_pending", "Shards waiting for a lease.", int64(pending))
+	p.Counter("oracleherd_retries_total", "Failed shard dispatches that were requeued.", m.retries.Load())
+	p.Counter("oracleherd_hedges_total", "Speculative re-dispatches of straggling shards.", m.hedges.Load())
+	p.Counter("oracleherd_reassignments_total", "Requeued shards whose next lease went to a different worker.", m.reassignments.Load())
+	p.Counter("oracleherd_dedup_dropped_records_total", "Records dropped by the idempotent merge (hedge losers, resumed units).", int64(deduped))
+	p.Family("oracleherd_shard_size_units", "gauge", "Carved shard sizes in the active run, by summary statistic.")
+	p.Int("oracleherd_shard_size_units", int64(sizeMin), "stat", "min")
+	p.Int("oracleherd_shard_size_units", int64(sizeMedian), "stat", "median")
+	p.Int("oracleherd_shard_size_units", int64(sizeMax), "stat", "max")
+	p.Family("oracleherd_worker_unit_seconds", "gauge", "EWMA of per-unit service time the adaptive sizer holds for each worker (0 before the first sample).")
 	for _, wk := range live {
-		fmt.Fprintf(w, "oracleherd_worker_unit_seconds{worker=%q} %s\n", wk.url, formatFloat(perUnit[wk.url]))
+		p.Float("oracleherd_worker_unit_seconds", perUnit[wk.url], "worker", wk.url)
 	}
 
 	if whStats != nil {
-		fmt.Fprintf(w, "# HELP oracleherd_warehouse_segments Committed segments in the merge warehouse.\n")
-		fmt.Fprintf(w, "# TYPE oracleherd_warehouse_segments gauge\n")
-		fmt.Fprintf(w, "oracleherd_warehouse_segments %d\n", whStats.Segments)
-		fmt.Fprintf(w, "# HELP oracleherd_warehouse_wal_bytes Bytes in the warehouse's uncompacted write-ahead logs.\n")
-		fmt.Fprintf(w, "# TYPE oracleherd_warehouse_wal_bytes gauge\n")
-		fmt.Fprintf(w, "oracleherd_warehouse_wal_bytes %d\n", whStats.WALBytes)
-		fmt.Fprintf(w, "# HELP oracleherd_warehouse_compactions_total Segment commits since the warehouse was opened.\n")
-		fmt.Fprintf(w, "# TYPE oracleherd_warehouse_compactions_total counter\n")
-		fmt.Fprintf(w, "oracleherd_warehouse_compactions_total %d\n", whStats.Compactions)
-		fmt.Fprintf(w, "# HELP oracleherd_warehouse_records Records resting in the warehouse (segments plus WAL).\n")
-		fmt.Fprintf(w, "# TYPE oracleherd_warehouse_records gauge\n")
-		fmt.Fprintf(w, "oracleherd_warehouse_records %d\n", whStats.Records)
-		fmt.Fprintf(w, "# HELP oracleherd_warehouse_index_hit_rate Fraction of query blocks skipped via the sparse index.\n")
-		fmt.Fprintf(w, "# TYPE oracleherd_warehouse_index_hit_rate gauge\n")
-		fmt.Fprintf(w, "oracleherd_warehouse_index_hit_rate %s\n", formatFloat(indexHitRate(whStats.IndexSkips, whStats.IndexReads)))
+		p.Gauge("oracleherd_warehouse_segments", "Committed segments in the merge warehouse.", int64(whStats.Segments))
+		p.Gauge("oracleherd_warehouse_wal_bytes", "Bytes in the warehouse's uncompacted write-ahead logs.", whStats.WALBytes)
+		p.Counter("oracleherd_warehouse_compactions_total", "Segment commits since the warehouse was opened.", whStats.Compactions)
+		p.Gauge("oracleherd_warehouse_records", "Records resting in the warehouse (segments plus WAL).", int64(whStats.Records))
+		p.GaugeFloat("oracleherd_warehouse_index_hit_rate", "Fraction of query blocks skipped via the sparse index.", indexHitRate(whStats.IndexSkips, whStats.IndexReads))
 	}
 
-	fmt.Fprintf(w, "# HELP oracleherd_worker_up Latest health-probe outcome per worker.\n")
-	fmt.Fprintf(w, "# TYPE oracleherd_worker_up gauge\n")
-	for _, wk := range live {
-		up := 0
-		if wk.health().up {
-			up = 1
+	perWorker := func(name, help string, on func(*worker) bool) {
+		p.Family(name, "gauge", help)
+		for _, wk := range live {
+			v := int64(0)
+			if on(wk) {
+				v = 1
+			}
+			p.Int(name, v, "worker", wk.url)
 		}
-		fmt.Fprintf(w, "oracleherd_worker_up{worker=%q} %d\n", wk.url, up)
 	}
-	fmt.Fprintf(w, "# HELP oracleherd_breaker_open Whether the worker's circuit breaker currently refuses dispatches.\n")
-	fmt.Fprintf(w, "# TYPE oracleherd_breaker_open gauge\n")
-	for _, wk := range live {
-		open := 0
-		if wk.breakerOpen() {
-			open = 1
-		}
-		fmt.Fprintf(w, "oracleherd_breaker_open{worker=%q} %d\n", wk.url, open)
-	}
-	fmt.Fprintf(w, "# HELP oracleherd_worker_draining Whether the worker is draining: it keeps held leases but is handed no new ones.\n")
-	fmt.Fprintf(w, "# TYPE oracleherd_worker_draining gauge\n")
-	for _, wk := range live {
-		d := 0
-		if wk.isDraining() {
-			d = 1
-		}
-		fmt.Fprintf(w, "oracleherd_worker_draining{worker=%q} %d\n", wk.url, d)
-	}
+	perWorker("oracleherd_worker_up", "Latest health-probe outcome per worker.",
+		func(wk *worker) bool { return wk.health().up })
+	perWorker("oracleherd_breaker_open", "Whether the worker's circuit breaker currently refuses dispatches.",
+		(*worker).breakerOpen)
+	perWorker("oracleherd_worker_draining", "Whether the worker is draining: it keeps held leases but is handed no new ones.",
+		(*worker).isDraining)
 
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -204,33 +153,16 @@ func (c *Coordinator) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	}
 	sort.Strings(names)
 
-	fmt.Fprintf(w, "# HELP oracleherd_worker_shards_total Finished shard dispatches by worker and outcome.\n")
-	fmt.Fprintf(w, "# TYPE oracleherd_worker_shards_total counter\n")
+	p.Family("oracleherd_worker_shards_total", "counter", "Finished shard dispatches by worker and outcome.")
 	for _, name := range names {
 		wm := m.byWorker[name]
-		fmt.Fprintf(w, "oracleherd_worker_shards_total{worker=%q,outcome=\"ok\"} %d\n", name, wm.ok)
-		fmt.Fprintf(w, "oracleherd_worker_shards_total{worker=%q,outcome=\"error\"} %d\n", name, wm.failed)
+		p.Int("oracleherd_worker_shards_total", wm.ok.Load(), "worker", name, "outcome", "ok")
+		p.Int("oracleherd_worker_shards_total", wm.failed.Load(), "worker", name, "outcome", "error")
 	}
-
-	fmt.Fprintf(w, "# HELP oracleherd_shard_duration_seconds Shard dispatch latency by worker.\n")
-	fmt.Fprintf(w, "# TYPE oracleherd_shard_duration_seconds histogram\n")
+	p.Family("oracleherd_shard_duration_seconds", "histogram", "Shard dispatch latency by worker.")
 	for _, name := range names {
-		wm := m.byWorker[name]
-		var cum int64
-		for i, ub := range shardBuckets {
-			cum += wm.buckets[i]
-			fmt.Fprintf(w, "oracleherd_shard_duration_seconds_bucket{worker=%q,le=%q} %d\n",
-				name, formatFloat(ub), cum)
-		}
-		fmt.Fprintf(w, "oracleherd_shard_duration_seconds_bucket{worker=%q,le=\"+Inf\"} %d\n", name, wm.count)
-		fmt.Fprintf(w, "oracleherd_shard_duration_seconds_sum{worker=%q} %s\n", name, formatFloat(wm.sum))
-		fmt.Fprintf(w, "oracleherd_shard_duration_seconds_count{worker=%q} %d\n", name, wm.count)
+		p.Histogram("oracleherd_shard_duration_seconds", m.byWorker[name].latency, "worker", name)
 	}
-}
-
-// formatFloat renders a float the Prometheus way.
-func formatFloat(f float64) string {
-	return strconv.FormatFloat(f, 'g', -1, 64)
 }
 
 // indexHitRate is skips/(skips+reads), 0 before the first query.

@@ -89,7 +89,7 @@ type shardState struct {
 // mu briefly per dispatch; the metrics renderer reads the same counters.
 type runState struct {
 	sink  campaign.Store
-	m     *metrics
+	m     *coordMetrics
 	clock Clock
 
 	maxAttempts int
@@ -117,7 +117,7 @@ type runState struct {
 	doneClosed bool
 }
 
-func newRunState(cfg *Config, m *metrics, workers int, totalUnits int, done []bool, sink campaign.Store) *runState {
+func newRunState(cfg *Config, m *coordMetrics, workers int, totalUnits int, done []bool, sink campaign.Store) *runState {
 	cv := newCarver(totalUnits, done)
 	st := &runState{
 		sink:        sink,

@@ -63,7 +63,7 @@ func (e *DispatchError) Unwrap() error { return e.Err }
 type worker struct {
 	url string
 	cfg *Config
-	m   *metrics
+	m   *coordMetrics
 	rng *lockedRand
 
 	// completions counts shards this worker delivered first.
@@ -93,7 +93,7 @@ type worker struct {
 	trialInFlight bool
 }
 
-func newWorker(url string, cfg *Config, m *metrics, rng *lockedRand) *worker {
+func newWorker(url string, cfg *Config, m *coordMetrics, rng *lockedRand) *worker {
 	return &worker{url: url, cfg: cfg, m: m, rng: rng}
 }
 

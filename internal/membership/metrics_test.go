@@ -1,0 +1,68 @@
+package membership
+
+import (
+	"bytes"
+	"os"
+	"strings"
+	"testing"
+	"time"
+)
+
+// TestMetricsExposition pins the fleet section of oracleherd's /metrics
+// page for a fixed state against testdata/metrics.golden: three joins,
+// one leave, one eviction, a draining member, a member behind the
+// coordinator's tenant generation, and the advisor's recommendation.
+func TestMetricsExposition(t *testing.T) {
+	clk := newTableClock()
+	tab := NewTable(Config{TTL: 10 * time.Second, Now: clk.Now})
+	srv := &Server{
+		Table: tab,
+		Advise: func() Advice {
+			return Advice{BacklogUnits: 120, UnitSeconds: 0.375, TargetSeconds: 30, RecommendedWorkers: 2}
+		},
+		TenantGen: func() uint64 { return 7 },
+	}
+	for _, id := range []string{"http://w1:1", "http://w2:2", "http://w3:3"} {
+		if _, err := tab.Join(JoinRequest{ID: id, TenantGen: 7}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tab.Leave("http://w3:3")
+	if _, err := tab.Join(JoinRequest{ID: "http://silent:4"}); err != nil {
+		t.Fatal(err)
+	}
+	clk.Advance(8 * time.Second)
+	if _, err := tab.Beat("http://w1:1", Heartbeat{TenantGen: 7, Draining: true}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tab.Beat("http://w2:2", Heartbeat{TenantGen: 5}); err != nil {
+		t.Fatal(err)
+	}
+	clk.Advance(5 * time.Second)
+	if evicted := tab.Sweep(); len(evicted) != 1 {
+		t.Fatalf("swept %d members, want the silent one", len(evicted))
+	}
+
+	var buf bytes.Buffer
+	srv.WriteMetrics(&buf)
+	compareGolden(t, "testdata/metrics.golden", buf.String())
+}
+
+// compareGolden fails the test at the first line where got departs from
+// the golden file.
+func compareGolden(t *testing.T, path, got string) {
+	t.Helper()
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, w := strings.SplitAfter(got, "\n"), strings.SplitAfter(string(want), "\n")
+	for i := 0; i < len(g) && i < len(w); i++ {
+		if g[i] != w[i] {
+			t.Fatalf("%s: line %d differs\n got %q\nwant %q", path, i+1, g[i], w[i])
+		}
+	}
+	if len(g) != len(w) {
+		t.Fatalf("%s: got %d lines, want %d", path, len(g), len(w))
+	}
+}

@@ -6,7 +6,8 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"strconv"
+
+	"oraclesize/internal/metrics"
 )
 
 // Server is the coordinator-side HTTP skin over a Table:
@@ -173,21 +174,12 @@ func (s *Server) WriteMetrics(w io.Writer) {
 			draining++
 		}
 	}
-	fmt.Fprintf(w, "# HELP oracleherd_fleet_members Current live members of the elastic fleet.\n")
-	fmt.Fprintf(w, "# TYPE oracleherd_fleet_members gauge\n")
-	fmt.Fprintf(w, "oracleherd_fleet_members %d\n", len(members))
-	fmt.Fprintf(w, "# HELP oracleherd_fleet_draining Members currently draining (no new leases).\n")
-	fmt.Fprintf(w, "# TYPE oracleherd_fleet_draining gauge\n")
-	fmt.Fprintf(w, "oracleherd_fleet_draining %d\n", draining)
-	fmt.Fprintf(w, "# HELP oracleherd_fleet_joins_total Workers that registered since the coordinator started.\n")
-	fmt.Fprintf(w, "# TYPE oracleherd_fleet_joins_total counter\n")
-	fmt.Fprintf(w, "oracleherd_fleet_joins_total %d\n", joins)
-	fmt.Fprintf(w, "# HELP oracleherd_fleet_leaves_total Voluntary departures since the coordinator started.\n")
-	fmt.Fprintf(w, "# TYPE oracleherd_fleet_leaves_total counter\n")
-	fmt.Fprintf(w, "oracleherd_fleet_leaves_total %d\n", leaves)
-	fmt.Fprintf(w, "# HELP oracleherd_fleet_evictions_total Members evicted after going silent past the TTL.\n")
-	fmt.Fprintf(w, "# TYPE oracleherd_fleet_evictions_total counter\n")
-	fmt.Fprintf(w, "oracleherd_fleet_evictions_total %d\n", evictions)
+	p := metrics.NewPage(w)
+	p.Gauge("oracleherd_fleet_members", "Current live members of the elastic fleet.", int64(len(members)))
+	p.Gauge("oracleherd_fleet_draining", "Members currently draining (no new leases).", int64(draining))
+	p.Counter("oracleherd_fleet_joins_total", "Workers that registered since the coordinator started.", joins)
+	p.Counter("oracleherd_fleet_leaves_total", "Voluntary departures since the coordinator started.", leaves)
+	p.Counter("oracleherd_fleet_evictions_total", "Members evicted after going silent past the TTL.", evictions)
 	if s.TenantGen != nil {
 		gen := s.TenantGen()
 		skew := 0
@@ -196,23 +188,13 @@ func (s *Server) WriteMetrics(w io.Writer) {
 				skew++
 			}
 		}
-		fmt.Fprintf(w, "# HELP oracleherd_fleet_tenant_generation Tenant-policy generation the coordinator is pushing to the fleet.\n")
-		fmt.Fprintf(w, "# TYPE oracleherd_fleet_tenant_generation gauge\n")
-		fmt.Fprintf(w, "oracleherd_fleet_tenant_generation %d\n", gen)
-		fmt.Fprintf(w, "# HELP oracleherd_fleet_tenant_gen_skew Members serving a tenant-policy generation older than the coordinator's.\n")
-		fmt.Fprintf(w, "# TYPE oracleherd_fleet_tenant_gen_skew gauge\n")
-		fmt.Fprintf(w, "oracleherd_fleet_tenant_gen_skew %d\n", skew)
+		p.Gauge("oracleherd_fleet_tenant_generation", "Tenant-policy generation the coordinator is pushing to the fleet.", int64(gen))
+		p.Gauge("oracleherd_fleet_tenant_gen_skew", "Members serving a tenant-policy generation older than the coordinator's.", int64(skew))
 	}
 	if s.Advise != nil {
 		a := s.Advise()
-		fmt.Fprintf(w, "# HELP oracleherd_fleet_recommended_workers Fleet size the autoscaling advisor recommends for the target makespan.\n")
-		fmt.Fprintf(w, "# TYPE oracleherd_fleet_recommended_workers gauge\n")
-		fmt.Fprintf(w, "oracleherd_fleet_recommended_workers %d\n", a.RecommendedWorkers)
-		fmt.Fprintf(w, "# HELP oracleherd_fleet_backlog_units Runnable units not yet merged in the active run.\n")
-		fmt.Fprintf(w, "# TYPE oracleherd_fleet_backlog_units gauge\n")
-		fmt.Fprintf(w, "oracleherd_fleet_backlog_units %d\n", a.BacklogUnits)
-		fmt.Fprintf(w, "# HELP oracleherd_fleet_unit_seconds Mean per-unit service time behind the recommendation.\n")
-		fmt.Fprintf(w, "# TYPE oracleherd_fleet_unit_seconds gauge\n")
-		fmt.Fprintf(w, "oracleherd_fleet_unit_seconds %s\n", strconv.FormatFloat(a.UnitSeconds, 'g', -1, 64))
+		p.Gauge("oracleherd_fleet_recommended_workers", "Fleet size the autoscaling advisor recommends for the target makespan.", int64(a.RecommendedWorkers))
+		p.Gauge("oracleherd_fleet_backlog_units", "Runnable units not yet merged in the active run.", int64(a.BacklogUnits))
+		p.GaugeFloat("oracleherd_fleet_unit_seconds", "Mean per-unit service time behind the recommendation.", a.UnitSeconds)
 	}
 }

@@ -121,9 +121,7 @@ func (s *Server) instrumented(endpoint string, fn func(w http.ResponseWriter, r 
 		}
 		n := writeJSON(w, status, body)
 		em.observe(status, time.Since(start))
-		if status >= 0 && status < len(ts.codes) {
-			ts.codes[status].Add(1)
-		}
+		ts.codes.Observe(status)
 		// Usage ledger: every finished request counts — a 429 consumed
 		// admission work and response bytes just like a 200.
 		ts.ledger.requests.Add(1)

@@ -1,86 +1,42 @@
 package service
 
 import (
-	"fmt"
 	"net/http"
 	"sort"
-	"strconv"
 	"sync/atomic"
 	"time"
 
+	"oraclesize/internal/metrics"
 	"oraclesize/internal/sim"
 )
 
-// latencyBuckets are the fixed histogram bucket upper bounds, in seconds.
+// latencyBuckets are the request latency histogram bounds, in seconds.
 // They span sub-millisecond cache hits through multi-second campaigns.
-var latencyBuckets = [...]float64{
+var latencyBuckets = metrics.Bounds{
 	0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05,
 	0.1, 0.25, 0.5, 1, 2.5, 5, 10,
 }
 
-// histShard is one independently updated slice of an endpoint's latency
-// histogram. Eight clients observing concurrently land on different shards
-// and never serialize; the /metrics renderer sums across shards.
-type histShard struct {
-	bins  [len(latencyBuckets)]atomic.Int64
-	count atomic.Int64
-	sumNS atomic.Int64
-}
-
 // endpointMetrics accumulates one endpoint's request counts (by status
-// code) and a sharded latency histogram. Everything on the observe path
-// is an atomic add — no locks, no maps.
+// code) and latency histogram. Observing is atomic adds only — no locks,
+// no maps.
 type endpointMetrics struct {
-	// codes counts finished requests by HTTP status, indexed directly by
-	// code. 600 counters cost ~5 KiB per endpoint; in exchange the hot
-	// path is one bounds check and one atomic add.
-	codes  [600]atomic.Int64
-	shards []histShard
-	mask   uint64
+	codes   metrics.Codes
+	latency *metrics.Histogram
 }
 
-// observe records one finished request. The histogram shard is selected
-// from the duration's low bits — effectively random across requests, free
-// of shared state, and stable under the race detector.
+// observe records one finished request.
 func (em *endpointMetrics) observe(code int, d time.Duration) {
-	if code >= 0 && code < len(em.codes) {
-		em.codes[code].Add(1)
-	}
-	sh := &em.shards[uint64(d)&em.mask]
-	secs := d.Seconds()
-	for i, ub := range latencyBuckets {
-		if secs <= ub {
-			sh.bins[i].Add(1)
-			break
-		}
-	}
-	sh.count.Add(1)
-	sh.sumNS.Add(int64(d))
+	em.codes.Observe(code)
+	em.latency.Observe(d)
 }
 
-// binTotal sums one bucket across shards.
-func (em *endpointMetrics) binTotal(i int) int64 {
-	var t int64
-	for s := range em.shards {
-		t += em.shards[s].bins[i].Load()
-	}
-	return t
-}
-
-func (em *endpointMetrics) totals() (count int64, sumNS int64) {
-	for s := range em.shards {
-		count += em.shards[s].count.Load()
-		sumNS += em.shards[s].sumNS.Load()
-	}
-	return count, sumNS
-}
-
-// metrics is the server's metric registry. Every hot-path update — the
-// queue gauges, the per-endpoint request tables, the histogram bins — is
-// lock-free; the endpoints map is populated at route-construction time and
-// read-only afterwards, so the observe path is a plain map read plus
+// serverMetrics is the server's metric registry. Every hot-path update —
+// the queue gauges, the per-endpoint request tables, the histogram bins —
+// is lock-free; the endpoints map is populated at route-construction time
+// and read-only afterwards, so the observe path is a plain map read plus
 // atomic adds.
-type metrics struct {
+type serverMetrics struct {
 	queued     atomic.Int64 // jobs admitted and not yet picked up
 	dropped    atomic.Int64 // jobs discarded because their deadline lapsed in queue
 	executing  atomic.Int64 // jobs currently running on a worker
@@ -94,102 +50,51 @@ type metrics struct {
 	respMisses atomic.Int64 // cacheable requests that executed
 	reloads    atomic.Int64 // tenant control-plane swaps since boot
 
-	histShards int
-	endpoints  map[string]*endpointMetrics
-}
-
-func newMetrics(histShards int) *metrics {
-	if histShards < 1 {
-		histShards = 1
-	}
-	n := 1
-	for n < histShards {
-		n <<= 1
-	}
-	return &metrics{histShards: n, endpoints: make(map[string]*endpointMetrics)}
+	endpoints map[string]*endpointMetrics
 }
 
 // endpoint registers (or returns) the named endpoint's table. It is called
 // only while the route table is being built — never concurrently with
 // serving — which is what lets observe run without a lock.
-func (m *metrics) endpoint(name string) *endpointMetrics {
+func (m *serverMetrics) endpoint(name string) *endpointMetrics {
 	if em, ok := m.endpoints[name]; ok {
 		return em
 	}
-	em := &endpointMetrics{shards: make([]histShard, m.histShards), mask: uint64(m.histShards - 1)}
+	em := &endpointMetrics{latency: metrics.NewHistogram(&latencyBuckets)}
 	m.endpoints[name] = em
 	return em
 }
 
-// handleMetrics renders the Prometheus text exposition format by hand —
-// the repo is stdlib-only, and the subset we need (counters, gauges,
-// histograms) is a few fmt.Fprintf calls.
+// handleMetrics renders the Prometheus text page: server-wide gauges and
+// counters, then the per-endpoint and per-tenant families.
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	m := s.metrics
+	w.Header().Set("Content-Type", metrics.ContentType)
+	m, p := s.metrics, metrics.NewPage(w)
 
-	fmt.Fprintf(w, "# HELP oracled_queue_depth Jobs admitted to the work queue and not yet executing.\n")
-	fmt.Fprintf(w, "# TYPE oracled_queue_depth gauge\n")
-	fmt.Fprintf(w, "oracled_queue_depth %d\n", m.queued.Load())
-	fmt.Fprintf(w, "# HELP oracled_queue_capacity Configured work queue capacity.\n")
-	fmt.Fprintf(w, "# TYPE oracled_queue_capacity gauge\n")
-	fmt.Fprintf(w, "oracled_queue_capacity %d\n", s.cfg.QueueDepth)
-	fmt.Fprintf(w, "# HELP oracled_executing Jobs currently running on workers.\n")
-	fmt.Fprintf(w, "# TYPE oracled_executing gauge\n")
-	fmt.Fprintf(w, "oracled_executing %d\n", m.executing.Load())
-	fmt.Fprintf(w, "# HELP oracled_inflight_requests HTTP requests currently being served.\n")
-	fmt.Fprintf(w, "# TYPE oracled_inflight_requests gauge\n")
-	fmt.Fprintf(w, "oracled_inflight_requests %d\n", m.inflight.Load())
-	fmt.Fprintf(w, "# HELP oracled_shed_total Requests answered 503 under backpressure.\n")
-	fmt.Fprintf(w, "# TYPE oracled_shed_total counter\n")
-	fmt.Fprintf(w, "oracled_shed_total %d\n", m.shed.Load())
-	fmt.Fprintf(w, "# HELP oracled_throttled_total Requests answered 429 for per-tenant quota.\n")
-	fmt.Fprintf(w, "# TYPE oracled_throttled_total counter\n")
-	fmt.Fprintf(w, "oracled_throttled_total %d\n", m.throttled.Load())
-	fmt.Fprintf(w, "# HELP oracled_dropped_jobs_total Queued jobs discarded because their deadline lapsed before execution.\n")
-	fmt.Fprintf(w, "# TYPE oracled_dropped_jobs_total counter\n")
-	fmt.Fprintf(w, "oracled_dropped_jobs_total %d\n", m.dropped.Load())
-	fmt.Fprintf(w, "# HELP oracled_shard_units_total Campaign units executed through POST /v1/shard.\n")
-	fmt.Fprintf(w, "# TYPE oracled_shard_units_total counter\n")
-	fmt.Fprintf(w, "oracled_shard_units_total %d\n", m.shardUnits.Load())
-	fmt.Fprintf(w, "# HELP oracled_dispatch_batches_total Worker wakeups that drained at least one queued job.\n")
-	fmt.Fprintf(w, "# TYPE oracled_dispatch_batches_total counter\n")
-	fmt.Fprintf(w, "oracled_dispatch_batches_total %d\n", m.batches.Load())
-	fmt.Fprintf(w, "# HELP oracled_dispatch_jobs_total Jobs executed across all dispatch batches.\n")
-	fmt.Fprintf(w, "# TYPE oracled_dispatch_jobs_total counter\n")
-	fmt.Fprintf(w, "oracled_dispatch_jobs_total %d\n", m.dispatched.Load())
-	fmt.Fprintf(w, "# HELP oracled_response_cache_hits_total Requests served from the deterministic response cache.\n")
-	fmt.Fprintf(w, "# TYPE oracled_response_cache_hits_total counter\n")
-	fmt.Fprintf(w, "oracled_response_cache_hits_total %d\n", m.respHits.Load())
-	fmt.Fprintf(w, "# HELP oracled_response_cache_misses_total Cacheable requests that executed because no cached response existed.\n")
-	fmt.Fprintf(w, "# TYPE oracled_response_cache_misses_total counter\n")
-	fmt.Fprintf(w, "oracled_response_cache_misses_total %d\n", m.respMisses.Load())
+	p.Gauge("oracled_queue_depth", "Jobs admitted to the work queue and not yet executing.", m.queued.Load())
+	p.Gauge("oracled_queue_capacity", "Configured work queue capacity.", int64(s.cfg.QueueDepth))
+	p.Gauge("oracled_executing", "Jobs currently running on workers.", m.executing.Load())
+	p.Gauge("oracled_inflight_requests", "HTTP requests currently being served.", m.inflight.Load())
+	p.Counter("oracled_shed_total", "Requests answered 503 under backpressure.", m.shed.Load())
+	p.Counter("oracled_throttled_total", "Requests answered 429 for per-tenant quota.", m.throttled.Load())
+	p.Counter("oracled_dropped_jobs_total", "Queued jobs discarded because their deadline lapsed before execution.", m.dropped.Load())
+	p.Counter("oracled_shard_units_total", "Campaign units executed through POST /v1/shard.", m.shardUnits.Load())
+	p.Counter("oracled_dispatch_batches_total", "Worker wakeups that drained at least one queued job.", m.batches.Load())
+	p.Counter("oracled_dispatch_jobs_total", "Jobs executed across all dispatch batches.", m.dispatched.Load())
+	p.Counter("oracled_response_cache_hits_total", "Requests served from the deterministic response cache.", m.respHits.Load())
+	p.Counter("oracled_response_cache_misses_total", "Cacheable requests that executed because no cached response existed.", m.respMisses.Load())
 
 	ps := sim.ReadPoolStats()
-	fmt.Fprintf(w, "# HELP oracled_engine_pool_runs_total Simulations served through the pooled engine (process-wide).\n")
-	fmt.Fprintf(w, "# TYPE oracled_engine_pool_runs_total counter\n")
-	fmt.Fprintf(w, "oracled_engine_pool_runs_total %d\n", ps.Runs)
-	fmt.Fprintf(w, "# HELP oracled_engine_pool_created_total Engines constructed because the pool was empty (process-wide).\n")
-	fmt.Fprintf(w, "# TYPE oracled_engine_pool_created_total counter\n")
-	fmt.Fprintf(w, "oracled_engine_pool_created_total %d\n", ps.Created)
-	fmt.Fprintf(w, "# HELP oracled_engine_pool_hit_ratio Fraction of pooled runs that reused an engine.\n")
-	fmt.Fprintf(w, "# TYPE oracled_engine_pool_hit_ratio gauge\n")
-	fmt.Fprintf(w, "oracled_engine_pool_hit_ratio %s\n", formatFloat(ps.HitRatio()))
+	p.Counter("oracled_engine_pool_runs_total", "Simulations served through the pooled engine (process-wide).", ps.Runs)
+	p.Counter("oracled_engine_pool_created_total", "Engines constructed because the pool was empty (process-wide).", ps.Created)
+	p.GaugeFloat("oracled_engine_pool_hit_ratio", "Fraction of pooled runs that reused an engine.", ps.HitRatio())
 
 	cs := s.cache.Stats()
-	fmt.Fprintf(w, "# HELP oracled_instance_cache_hits_total Instance cache hits.\n")
-	fmt.Fprintf(w, "# TYPE oracled_instance_cache_hits_total counter\n")
-	fmt.Fprintf(w, "oracled_instance_cache_hits_total %d\n", cs.Hits)
-	fmt.Fprintf(w, "# HELP oracled_instance_cache_misses_total Instance cache misses.\n")
-	fmt.Fprintf(w, "# TYPE oracled_instance_cache_misses_total counter\n")
-	fmt.Fprintf(w, "oracled_instance_cache_misses_total %d\n", cs.Misses)
-	fmt.Fprintf(w, "# HELP oracled_instance_cache_hit_ratio Fraction of instance lookups served from cache.\n")
-	fmt.Fprintf(w, "# TYPE oracled_instance_cache_hit_ratio gauge\n")
-	fmt.Fprintf(w, "oracled_instance_cache_hit_ratio %s\n", formatFloat(cs.HitRatio()))
+	p.Counter("oracled_instance_cache_hits_total", "Instance cache hits.", cs.Hits)
+	p.Counter("oracled_instance_cache_misses_total", "Instance cache misses.", cs.Misses)
+	p.GaugeFloat("oracled_instance_cache_hit_ratio", "Fraction of instance lookups served from cache.", cs.HitRatio())
 
-	fmt.Fprintf(w, "# HELP oracled_campaigns_running Campaigns currently executing.\n")
-	fmt.Fprintf(w, "# TYPE oracled_campaigns_running gauge\n")
-	fmt.Fprintf(w, "oracled_campaigns_running %d\n", s.campaigns.running())
+	p.Gauge("oracled_campaigns_running", "Campaigns currently executing.", s.campaigns.running())
 
 	names := make([]string, 0, len(m.endpoints))
 	for name := range m.endpoints {
@@ -197,33 +102,16 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	}
 	sort.Strings(names)
 
-	fmt.Fprintf(w, "# HELP oracled_requests_total Finished HTTP requests by endpoint and status code.\n")
-	fmt.Fprintf(w, "# TYPE oracled_requests_total counter\n")
+	p.Family("oracled_requests_total", "counter", "Finished HTTP requests by endpoint and status code.")
 	for _, name := range names {
-		em := m.endpoints[name]
-		for code := range em.codes {
-			if n := em.codes[code].Load(); n > 0 {
-				fmt.Fprintf(w, "oracled_requests_total{endpoint=%q,code=\"%d\"} %d\n", name, code, n)
-			}
-		}
+		p.Codes("oracled_requests_total", &m.endpoints[name].codes, "endpoint", name)
 	}
 
-	s.writeTenantMetrics(w)
+	s.writeTenantMetrics(p)
 
-	fmt.Fprintf(w, "# HELP oracled_request_duration_seconds Request latency by endpoint.\n")
-	fmt.Fprintf(w, "# TYPE oracled_request_duration_seconds histogram\n")
+	p.Family("oracled_request_duration_seconds", "histogram", "Request latency by endpoint.")
 	for _, name := range names {
-		em := m.endpoints[name]
-		var cum int64
-		for i, ub := range latencyBuckets {
-			cum += em.binTotal(i)
-			fmt.Fprintf(w, "oracled_request_duration_seconds_bucket{endpoint=%q,le=%q} %d\n",
-				name, formatFloat(ub), cum)
-		}
-		count, sumNS := em.totals()
-		fmt.Fprintf(w, "oracled_request_duration_seconds_bucket{endpoint=%q,le=\"+Inf\"} %d\n", name, count)
-		fmt.Fprintf(w, "oracled_request_duration_seconds_sum{endpoint=%q} %s\n", name, formatFloat(float64(sumNS)/1e9))
-		fmt.Fprintf(w, "oracled_request_duration_seconds_count{endpoint=%q} %d\n", name, count)
+		p.Histogram("oracled_request_duration_seconds", m.endpoints[name].latency, "endpoint", name)
 	}
 }
 
@@ -251,39 +139,30 @@ func (s *Server) tenantStatesSorted() []*tenantState {
 // suppressed (like the per-endpoint status codes) so an idle tenant costs
 // no exposition bytes; the queue-depth gauge reports every tenant that has
 // ever queued work.
-func (s *Server) writeTenantMetrics(w http.ResponseWriter) {
+func (s *Server) writeTenantMetrics(p *metrics.Page) {
 	states := s.tenantStatesSorted()
-
-	fmt.Fprintf(w, "# HELP oracled_tenant_config_generation Policy generation of the live tenant table.\n")
-	fmt.Fprintf(w, "# TYPE oracled_tenant_config_generation gauge\n")
-	fmt.Fprintf(w, "oracled_tenant_config_generation %d\n", s.TenantGeneration())
-	fmt.Fprintf(w, "# HELP oracled_tenant_reloads_total Tenant control-plane swaps since boot.\n")
-	fmt.Fprintf(w, "# TYPE oracled_tenant_reloads_total counter\n")
-	fmt.Fprintf(w, "oracled_tenant_reloads_total %d\n", s.metrics.reloads.Load())
-
-	fmt.Fprintf(w, "# HELP oracled_tenant_requests_total Finished HTTP requests by tenant and status code.\n")
-	fmt.Fprintf(w, "# TYPE oracled_tenant_requests_total counter\n")
-	for _, ts := range states {
-		for code := range ts.codes {
-			if n := ts.codes[code].Load(); n > 0 {
-				fmt.Fprintf(w, "oracled_tenant_requests_total{tenant=%q,code=\"%d\"} %d\n", ts.name, code, n)
+	// perTenant writes one family with a sample for every tenant whose
+	// value is non-zero.
+	perTenant := func(name, typ, help string, value func(*tenantState) int64) {
+		p.Family(name, typ, help)
+		for _, ts := range states {
+			if n := value(ts); n > 0 {
+				p.Int(name, n, "tenant", ts.name)
 			}
 		}
 	}
-	fmt.Fprintf(w, "# HELP oracled_tenant_throttled_total Requests answered 429 by tenant.\n")
-	fmt.Fprintf(w, "# TYPE oracled_tenant_throttled_total counter\n")
+
+	p.Gauge("oracled_tenant_config_generation", "Policy generation of the live tenant table.", int64(s.TenantGeneration()))
+	p.Counter("oracled_tenant_reloads_total", "Tenant control-plane swaps since boot.", s.metrics.reloads.Load())
+
+	p.Family("oracled_tenant_requests_total", "counter", "Finished HTTP requests by tenant and status code.")
 	for _, ts := range states {
-		if n := ts.throttled.Load(); n > 0 {
-			fmt.Fprintf(w, "oracled_tenant_throttled_total{tenant=%q} %d\n", ts.name, n)
-		}
+		p.Codes("oracled_tenant_requests_total", &ts.codes, "tenant", ts.name)
 	}
-	fmt.Fprintf(w, "# HELP oracled_tenant_shed_total Requests answered 503 by tenant.\n")
-	fmt.Fprintf(w, "# TYPE oracled_tenant_shed_total counter\n")
-	for _, ts := range states {
-		if n := ts.shed.Load(); n > 0 {
-			fmt.Fprintf(w, "oracled_tenant_shed_total{tenant=%q} %d\n", ts.name, n)
-		}
-	}
+	perTenant("oracled_tenant_throttled_total", "counter", "Requests answered 429 by tenant.",
+		func(ts *tenantState) int64 { return ts.throttled.Load() })
+	perTenant("oracled_tenant_shed_total", "counter", "Requests answered 503 by tenant.",
+		func(ts *tenantState) int64 { return ts.shed.Load() })
 
 	depths := s.sched.Depths()
 	names := make([]string, 0, len(depths))
@@ -291,54 +170,26 @@ func (s *Server) writeTenantMetrics(w http.ResponseWriter) {
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	fmt.Fprintf(w, "# HELP oracled_tenant_queue_depth Queued jobs by tenant.\n")
-	fmt.Fprintf(w, "# TYPE oracled_tenant_queue_depth gauge\n")
+	p.Family("oracled_tenant_queue_depth", "gauge", "Queued jobs by tenant.")
 	for _, name := range names {
-		fmt.Fprintf(w, "oracled_tenant_queue_depth{tenant=%q} %d\n", name, depths[name])
+		p.Int("oracled_tenant_queue_depth", int64(depths[name]), "tenant", name)
 	}
 
-	fmt.Fprintf(w, "# HELP oracled_tenant_campaigns_running Campaigns currently executing by tenant.\n")
-	fmt.Fprintf(w, "# TYPE oracled_tenant_campaigns_running gauge\n")
-	for _, ts := range states {
-		if n := ts.campaigns.Load(); n > 0 {
-			fmt.Fprintf(w, "oracled_tenant_campaigns_running{tenant=%q} %d\n", ts.name, n)
-		}
-	}
+	perTenant("oracled_tenant_campaigns_running", "gauge", "Campaigns currently executing by tenant.",
+		func(ts *tenantState) int64 { return ts.campaigns.Load() })
 
 	// Usage ledger totals: cumulative across restarts when a tenant store is
 	// attached (seeded from it at boot), process-lifetime counters otherwise.
-	fmt.Fprintf(w, "# HELP oracled_tenant_usage_requests_total Finished requests charged to the tenant's usage ledger.\n")
-	fmt.Fprintf(w, "# TYPE oracled_tenant_usage_requests_total counter\n")
-	for _, ts := range states {
-		if n := ts.ledger.requests.Load(); n > 0 {
-			fmt.Fprintf(w, "oracled_tenant_usage_requests_total{tenant=%q} %d\n", ts.name, n)
-		}
-	}
-	fmt.Fprintf(w, "# HELP oracled_tenant_usage_units_total Simulation units executed for the tenant (runs, shard units, campaign units).\n")
-	fmt.Fprintf(w, "# TYPE oracled_tenant_usage_units_total counter\n")
-	for _, ts := range states {
-		if n := ts.ledger.units.Load(); n > 0 {
-			fmt.Fprintf(w, "oracled_tenant_usage_units_total{tenant=%q} %d\n", ts.name, n)
-		}
-	}
-	fmt.Fprintf(w, "# HELP oracled_tenant_usage_queue_seconds_total Seconds the tenant's jobs spent waiting in the work queue.\n")
-	fmt.Fprintf(w, "# TYPE oracled_tenant_usage_queue_seconds_total counter\n")
+	perTenant("oracled_tenant_usage_requests_total", "counter", "Finished requests charged to the tenant's usage ledger.",
+		func(ts *tenantState) int64 { return ts.ledger.requests.Load() })
+	perTenant("oracled_tenant_usage_units_total", "counter", "Simulation units executed for the tenant (runs, shard units, campaign units).",
+		func(ts *tenantState) int64 { return ts.ledger.units.Load() })
+	p.Family("oracled_tenant_usage_queue_seconds_total", "counter", "Seconds the tenant's jobs spent waiting in the work queue.")
 	for _, ts := range states {
 		if n := ts.ledger.queueNanos.Load(); n > 0 {
-			fmt.Fprintf(w, "oracled_tenant_usage_queue_seconds_total{tenant=%q} %s\n", ts.name, formatFloat(float64(n)/1e9))
+			p.Float("oracled_tenant_usage_queue_seconds_total", float64(n)/1e9, "tenant", ts.name)
 		}
 	}
-	fmt.Fprintf(w, "# HELP oracled_tenant_usage_bytes_total Request plus response body bytes moved for the tenant.\n")
-	fmt.Fprintf(w, "# TYPE oracled_tenant_usage_bytes_total counter\n")
-	for _, ts := range states {
-		if n := ts.ledger.bytes.Load(); n > 0 {
-			fmt.Fprintf(w, "oracled_tenant_usage_bytes_total{tenant=%q} %d\n", ts.name, n)
-		}
-	}
-}
-
-// formatFloat renders a float the Prometheus way: shortest representation,
-// no exponent for the magnitudes we emit.
-func formatFloat(f float64) string {
-	return strconv.FormatFloat(f, 'g', -1, 64)
+	perTenant("oracled_tenant_usage_bytes_total", "counter", "Request plus response body bytes moved for the tenant.",
+		func(ts *tenantState) int64 { return ts.ledger.bytes.Load() })
 }

@@ -85,14 +85,6 @@ type Config struct {
 	// on the first (blocking) receive, so unloaded latency is unchanged.
 	// 1 restores strict one-job-per-wakeup dispatch.
 	BatchMax int
-	// CacheShards partitions the shared instance cache into independently
-	// locked shards (default 8, rounded up to a power of two, at most
-	// CacheCapacity) so concurrent requests do not serialize on one mutex.
-	CacheShards int
-	// MetricsShards partitions each endpoint's latency histogram into
-	// independently updated shards (default 8, rounded up to a power of
-	// two). Request/status counters are always single atomics.
-	MetricsShards int
 	// ResponseCacheCapacity bounds the deterministic response cache, which
 	// memoizes encoded 200 responses for repeatable /v1/advice and /v1/run
 	// requests (queue engine only) and serves repeats without touching the
@@ -157,12 +149,6 @@ func (c Config) withDefaults() Config {
 	if c.BatchMax <= 0 {
 		c.BatchMax = 16
 	}
-	if c.CacheShards <= 0 {
-		c.CacheShards = 8
-	}
-	if c.MetricsShards <= 0 {
-		c.MetricsShards = 8
-	}
 	if c.ResponseCacheCapacity == 0 {
 		c.ResponseCacheCapacity = 4096
 	}
@@ -174,13 +160,18 @@ func (c Config) withDefaults() Config {
 
 func (c Config) maxMessageCeiling() int { return c.MaxMessageBudget }
 
+// cacheShards partitions the instance and response caches into
+// independently locked shards (at most one per cached entry), so
+// concurrent requests do not serialize on one mutex.
+const cacheShards = 8
+
 // Server is one oracled instance: a handler tree plus the worker set behind
 // the bounded queue. Construct with New, serve s.Handler(), and Stop when
 // the HTTP listener has drained.
 type Server struct {
 	cfg       Config
 	mux       *http.ServeMux
-	metrics   *metrics
+	metrics   *serverMetrics
 	cache     *campaign.Cache
 	responses *respCache // nil when ResponseCacheCapacity < 0
 	units     unitsCache
@@ -229,13 +220,13 @@ func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
 		cfg:     cfg,
-		metrics: newMetrics(cfg.MetricsShards),
-		cache:   campaign.NewShardedCache(cfg.CacheCapacity, cfg.CacheShards),
+		metrics: &serverMetrics{endpoints: make(map[string]*endpointMetrics)},
+		cache:   campaign.NewShardedCache(cfg.CacheCapacity, cacheShards),
 		sched:   tenant.NewScheduler[*job](cfg.QueueDepth),
 	}
 	s.initTenancy()
 	if cfg.ResponseCacheCapacity > 0 {
-		s.responses = newRespCache(cfg.ResponseCacheCapacity, cfg.CacheShards)
+		s.responses = newRespCache(cfg.ResponseCacheCapacity, cacheShards)
 	}
 	s.campaigns = newCampaignManager(s)
 	s.mux = s.routes()

@@ -523,8 +523,6 @@ func TestConfigDefaults(t *testing.T) {
 		{"MaxCampaignUnits", c.MaxCampaignUnits, 1 << 16},
 		{"CampaignHistory", c.CampaignHistory, 32},
 		{"BatchMax", c.BatchMax, 16},
-		{"CacheShards", c.CacheShards, 8},
-		{"MetricsShards", c.MetricsShards, 8},
 		{"ResponseCacheCapacity", c.ResponseCacheCapacity, 4096},
 	}
 	for _, tc := range checks {

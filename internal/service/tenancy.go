@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"oraclesize/internal/metrics"
 	"oraclesize/internal/tenant"
 )
 
@@ -108,7 +109,7 @@ type tenantState struct {
 	// codes counts finished requests by HTTP status, same layout as
 	// endpointMetrics.codes; throttled/shed break out the two rejection
 	// classes for direct alerting.
-	codes     [600]atomic.Int64
+	codes     metrics.Codes
 	throttled atomic.Int64
 	shed      atomic.Int64
 

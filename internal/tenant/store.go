@@ -3,17 +3,17 @@ package tenant
 import (
 	"bytes"
 	"crypto/sha256"
-	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
 	"sort"
 	"sync"
 	"time"
+
+	"oraclesize/internal/wal"
 )
 
 // Store is the durable, versioned tenant control plane behind a daemon's
@@ -22,11 +22,8 @@ import (
 // policy change — the version an elastic fleet converges on.
 //
 // On disk a store is a directory holding an atomic snapshot
-// (snapshot.json, written tmp+fsync+rename) plus an append-only
-// write-ahead log of CRC-framed JSON entries on the internal/warehouse
-// frame layout:
-//
-//	[4B big-endian payload length][4B big-endian CRC-32 (IEEE) of payload][payload]
+// (snapshot.json, committed with wal.Commit) plus an append-only
+// write-ahead log of JSON entries, one per internal/wal frame.
 //
 // Every entry carries a global sequence number and replay is
 // last-writer-wins per target (a tenant's spec, a tenant's ledger) under
@@ -132,10 +129,9 @@ type snapLedger struct {
 }
 
 const (
-	storeFormat      = "oraclesize/tenantstore/v1"
-	storeSnapName    = "snapshot.json"
-	storeWALName     = "wal.log"
-	storeFrameHeader = 8
+	storeFormat   = "oraclesize/tenantstore/v1"
+	storeSnapName = "snapshot.json"
+	storeWALName  = "wal.log"
 	// storeMaxPayload bounds one frame so a corrupt length prefix cannot
 	// trigger a giant allocation during replay; tenant entries are tiny.
 	storeMaxPayload = 1 << 20
@@ -212,50 +208,25 @@ func (st *Store) loadSnapshot() error {
 	return nil
 }
 
-// replayStoreWAL reads every intact frame from the WAL at path, returning
+// replayStoreWAL reads every intact entry from the WAL at path, returning
 // the decoded entries and the byte length of the valid prefix. Anything
 // past the first short, corrupt, or undecodable frame is a torn tail. A
 // missing file reads as empty.
 func replayStoreWAL(path string) (entries []storeEntry, validLen int64, err error) {
-	f, err := os.Open(path)
-	if os.IsNotExist(err) {
-		return nil, 0, nil
-	}
-	if err != nil {
-		return nil, 0, fmt.Errorf("tenant: opening store wal: %w", err)
-	}
-	defer f.Close()
-	return replayStoreFrames(f)
+	validLen, err = wal.ReplayFile(path, storeMaxPayload, collectEntries(&entries))
+	return entries, validLen, err
 }
 
-func replayStoreFrames(rd io.Reader) (entries []storeEntry, validLen int64, err error) {
-	var header [storeFrameHeader]byte
-	var payload []byte
-	for {
-		if _, err := io.ReadFull(rd, header[:]); err != nil {
-			return entries, validLen, nil // clean EOF or torn header
-		}
-		length := binary.BigEndian.Uint32(header[:4])
-		sum := binary.BigEndian.Uint32(header[4:])
-		if length == 0 || length > storeMaxPayload {
-			return entries, validLen, nil
-		}
-		if uint32(cap(payload)) < length {
-			payload = make([]byte, length)
-		}
-		payload = payload[:length]
-		if _, err := io.ReadFull(rd, payload); err != nil {
-			return entries, validLen, nil // torn payload
-		}
-		if crc32.ChecksumIEEE(payload) != sum {
-			return entries, validLen, nil // corrupt frame
-		}
+// collectEntries is the wal.Replay decoder for store entries: it appends
+// each to *entries and refuses a payload that is not one.
+func collectEntries(entries *[]storeEntry) func([]byte) bool {
+	return func(payload []byte) bool {
 		var e storeEntry
 		if err := json.Unmarshal(payload, &e); err != nil {
-			return entries, validLen, nil
+			return false
 		}
-		entries = append(entries, e)
-		validLen += int64(storeFrameHeader) + int64(length)
+		*entries = append(*entries, e)
+		return true
 	}
 }
 
@@ -344,11 +315,7 @@ func (st *Store) append(e storeEntry, sync bool) error {
 	if err != nil {
 		return fmt.Errorf("tenant: encoding store entry: %w", err)
 	}
-	st.buf = st.buf[:0]
-	st.buf = append(st.buf, 0, 0, 0, 0, 0, 0, 0, 0)
-	st.buf = append(st.buf, payload...)
-	binary.BigEndian.PutUint32(st.buf[:4], uint32(len(payload)))
-	binary.BigEndian.PutUint32(st.buf[4:8], crc32.ChecksumIEEE(payload))
+	st.buf = wal.AppendFrame(st.buf[:0], func(b []byte) []byte { return append(b, payload...) })
 	if _, err := st.w.Write(st.buf); err != nil {
 		return fmt.Errorf("tenant: appending store entry: %w", err)
 	}
@@ -374,7 +341,8 @@ func (st *Store) syncLocked() (bool, error) {
 	if _, err := st.r.Seek(st.off, io.SeekStart); err != nil {
 		return false, fmt.Errorf("tenant: seeking wal: %w", err)
 	}
-	entries, n, err := replayStoreFrames(st.r)
+	var entries []storeEntry
+	n, err := wal.Replay(st.r, storeMaxPayload, collectEntries(&entries))
 	if err != nil {
 		return false, err
 	}
@@ -492,14 +460,24 @@ func (st *Store) Put(sp StoredSpec) error {
 // PutKey upserts a tenant from a spec carrying a raw key (a keyfile entry
 // or an admin "add"): the key is digested immediately and never stored.
 func (st *Store) PutKey(sp Spec) (StoredSpec, error) {
+	stored, err := digestSpec(sp)
+	if err != nil {
+		return StoredSpec{}, err
+	}
+	if err := st.Put(stored); err != nil {
+		return StoredSpec{}, err
+	}
+	return stored, nil
+}
+
+// digestSpec turns a spec carrying a raw key into its stored form: the
+// key's length is checked, then the key is replaced by its digest.
+func digestSpec(sp Spec) (StoredSpec, error) {
 	if len(sp.Key) < minKeyLength {
 		return StoredSpec{}, fmt.Errorf("tenant %q: key shorter than %d bytes", sp.Name, minKeyLength)
 	}
 	stored := StoredSpec{Spec: sp, KeyDigest: DigestKey(sp.Key)}
 	stored.Spec.Key = ""
-	if err := st.Put(stored); err != nil {
-		return StoredSpec{}, err
-	}
 	return stored, nil
 }
 
@@ -607,10 +585,10 @@ func (st *Store) Registry() (*Registry, error) {
 	return NewStoredRegistry(st.Specs())
 }
 
-// Compact checkpoints the store: the full state is written to a fresh
-// snapshot (tmp + fsync + rename, atomic on POSIX) and the WAL is
-// truncated. An administrative operation — run it from the CLI while no
-// daemon holds the store.
+// Compact checkpoints the store: the full state is committed to a fresh
+// snapshot (wal.Commit, atomic on POSIX) and the WAL is truncated. An
+// administrative operation — run it from the CLI while no daemon holds
+// the store.
 func (st *Store) Compact() error {
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -627,24 +605,8 @@ func (st *Store) Compact() error {
 	if err != nil {
 		return fmt.Errorf("tenant: encoding snapshot: %w", err)
 	}
-	tmp := filepath.Join(st.dir, storeSnapName+".tmp")
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o600)
-	if err != nil {
+	if err := wal.Commit(filepath.Join(st.dir, storeSnapName), append(data, '\n'), 0o600); err != nil {
 		return fmt.Errorf("tenant: writing snapshot: %w", err)
-	}
-	if _, err := f.Write(append(data, '\n')); err != nil {
-		f.Close()
-		return fmt.Errorf("tenant: writing snapshot: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("tenant: syncing snapshot: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("tenant: closing snapshot: %w", err)
-	}
-	if err := os.Rename(tmp, filepath.Join(st.dir, storeSnapName)); err != nil {
-		return fmt.Errorf("tenant: installing snapshot: %w", err)
 	}
 	if err := os.Truncate(filepath.Join(st.dir, storeWALName), 0); err != nil {
 		return fmt.Errorf("tenant: truncating wal: %w", err)

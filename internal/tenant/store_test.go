@@ -10,6 +10,8 @@ import (
 	"reflect"
 	"testing"
 	"time"
+
+	"oraclesize/internal/wal"
 )
 
 func openTestStore(t *testing.T, dir string) *Store {
@@ -300,7 +302,7 @@ func frameEntries(t testing.TB, entries []storeEntry) []byte {
 		if err != nil {
 			t.Fatalf("marshal: %v", err)
 		}
-		var hdr [storeFrameHeader]byte
+		var hdr [wal.HeaderLen]byte
 		binary.BigEndian.PutUint32(hdr[:4], uint32(len(payload)))
 		binary.BigEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(payload))
 		buf = append(buf, hdr[:]...)

@@ -156,41 +156,18 @@ func normalizeSpec(sp Spec) (Spec, error) {
 	return sp, nil
 }
 
-// NewRegistry builds a registry from tenant specs, validating names,
-// keys, and uniqueness.
+// NewRegistry builds a registry from tenant specs carrying raw keys: each
+// key is length-checked and digested, then NewStoredRegistry applies the
+// rules both load paths share. Raw keys are never retained.
 func NewRegistry(specs []Spec) (*Registry, error) {
-	if len(specs) == 0 {
-		return nil, fmt.Errorf("tenant: registry needs at least one tenant")
-	}
-	if len(specs) > MaxTenants {
-		return nil, fmt.Errorf("tenant: %d tenants exceed the %d cap", len(specs), MaxTenants)
-	}
-	r := &Registry{now: time.Now}
-	names := make(map[string]bool, len(specs))
-	digests := make(map[[sha256.Size]byte]bool, len(specs))
-	for i := range specs {
-		sp, err := normalizeSpec(specs[i])
-		if err != nil {
+	stored := make([]StoredSpec, len(specs))
+	for i, sp := range specs {
+		var err error
+		if stored[i], err = digestSpec(sp); err != nil {
 			return nil, err
 		}
-		if names[sp.Name] {
-			return nil, fmt.Errorf("tenant: duplicate name %q", sp.Name)
-		}
-		names[sp.Name] = true
-		if len(sp.Key) < minKeyLength {
-			return nil, fmt.Errorf("tenant %q: key shorter than %d bytes", sp.Name, minKeyLength)
-		}
-		d := sha256.Sum256([]byte(sp.Key))
-		if digests[d] {
-			return nil, fmt.Errorf("tenant %q: key already registered to another tenant", sp.Name)
-		}
-		digests[d] = true
-		t := &Tenant{Spec: sp, keyDigest: d}
-		t.Spec.Key = "" // never retain the raw secret
-		t.bucket.tokens = t.Spec.Burst
-		r.tenants = append(r.tenants, t)
 	}
-	return r, nil
+	return NewStoredRegistry(stored)
 }
 
 // LoadKeyfile reads a JSON keyfile:

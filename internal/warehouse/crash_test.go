@@ -5,6 +5,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"oraclesize/internal/wal"
 )
 
 // activeWALPath is the first active WAL of a freshly created store —
@@ -71,7 +73,7 @@ func TestReplayStopsAtBadCRC(t *testing.T) {
 	var frameEnds []int
 	for i := 0; i < 3; i++ {
 		e := entry{index: int64(i), key: string(rune('a' + i)), lines: [][]byte{[]byte(`{"k":1}`)}}
-		buf = appendFrame(buf, e)
+		buf = wal.AppendFrame(buf, func(b []byte) []byte { return appendEntry(b, e) })
 		frameEnds = append(frameEnds, len(buf))
 	}
 	dir := t.TempDir()
@@ -88,7 +90,7 @@ func TestReplayStopsAtBadCRC(t *testing.T) {
 
 	// Flip a payload byte in frame 2 (after its header).
 	corrupt := append([]byte(nil), buf...)
-	corrupt[frameEnds[0]+frameHeaderLen+2] ^= 0xff
+	corrupt[frameEnds[0]+wal.HeaderLen+2] ^= 0xff
 	if err := os.WriteFile(path, corrupt, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +157,7 @@ func TestStaleWALAfterCompaction(t *testing.T) {
 }
 
 // TestCrashDuringSegmentWrite leaves temp files from an interrupted
-// commitFile behind; opening must ignore them and the next compaction
+// wal.Commit behind; opening must ignore them and the next compaction
 // must still commit cleanly.
 func TestCrashDuringSegmentWrite(t *testing.T) {
 	deposits, recs := quickDeposits(t)

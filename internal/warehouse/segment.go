@@ -12,6 +12,7 @@ import (
 	"sort"
 
 	"oraclesize/internal/campaign"
+	"oraclesize/internal/wal"
 )
 
 // Segments are the immutable, block-compressed resting place of
@@ -172,14 +173,14 @@ func writeSegment(dir, name string, entries []entry, blockSize int) (*segIndex, 
 		return nil, err
 	}
 
-	if err := commitFile(segPath(dir, name), file.Bytes()); err != nil {
+	if err := wal.Commit(segPath(dir, name), file.Bytes(), 0o644); err != nil {
 		return nil, err
 	}
 	sidecar, err := json.Marshal(idx)
 	if err != nil {
 		return nil, fmt.Errorf("warehouse: encoding segment index: %w", err)
 	}
-	if err := commitFile(idxPath(dir, name), sidecar); err != nil {
+	if err := wal.Commit(idxPath(dir, name), sidecar, 0o644); err != nil {
 		return nil, err
 	}
 	return idx, nil
@@ -236,35 +237,6 @@ func checkMagic(f io.ReaderAt) error {
 	}
 	if !bytes.Equal(head, segMagic) {
 		return fmt.Errorf("warehouse: bad segment magic %q", head)
-	}
-	return nil
-}
-
-// commitFile writes data to path atomically: temp file in the same
-// directory, fsync, rename.
-func commitFile(path string, data []byte) error {
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return fmt.Errorf("warehouse: %w", err)
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("warehouse: writing %s: %w", tmp, err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("warehouse: syncing %s: %w", tmp, err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("warehouse: closing %s: %w", tmp, err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("warehouse: committing %s: %w", path, err)
 	}
 	return nil
 }

@@ -1,85 +1,39 @@
 package warehouse
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
-	"io"
-	"os"
 	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
+
+	"oraclesize/internal/wal"
 )
 
-// The write-ahead log is a sequence of CRC-framed entries:
-//
-//	[4B big-endian payload length][4B big-endian CRC-32 (IEEE) of payload][payload = entry]
-//
-// A deposit appends exactly one frame with a single write call. Replay
-// reads frames until the file ends or a frame fails its length or
-// checksum — everything after that point is a torn tail from a killed
-// process and is truncated away, so an interrupted deposit never
-// surfaces as a half-written unit.
-
-const frameHeaderLen = 8
+// The write-ahead log is an internal/wal log with one entry per frame. A
+// deposit appends exactly one frame with a single write call; replay
+// stops at the first torn or corrupt frame, and everything after it is
+// the tail of a killed process, truncated away — so an interrupted
+// deposit never surfaces as a half-written unit.
 
 // maxFramePayload bounds one frame so a corrupt length prefix cannot
 // trigger a giant allocation during replay.
 const maxFramePayload = 1 << 28
 
-// appendFrame encodes one entry as a WAL frame into buf.
-func appendFrame(buf []byte, e entry) []byte {
-	start := len(buf)
-	buf = append(buf, 0, 0, 0, 0, 0, 0, 0, 0)
-	buf = appendEntry(buf, e)
-	payload := buf[start+frameHeaderLen:]
-	binary.BigEndian.PutUint32(buf[start:], uint32(len(payload)))
-	binary.BigEndian.PutUint32(buf[start+4:], crc32.ChecksumIEEE(payload))
-	return buf
-}
-
-// replayWAL reads every intact frame from the WAL at path. It returns
+// replayWAL reads every intact entry from the WAL at path. It returns
 // the decoded entries and the byte length of the valid frame prefix;
 // content past validLen is torn or corrupt and must be truncated before
 // the file is appended to again. A missing file reads as empty.
 func replayWAL(path string) (entries []entry, validLen int64, err error) {
-	f, err := os.Open(path)
-	if os.IsNotExist(err) {
-		return nil, 0, nil
-	}
-	if err != nil {
-		return nil, 0, fmt.Errorf("warehouse: opening wal: %w", err)
-	}
-	defer f.Close()
-	var header [frameHeaderLen]byte
-	var payload []byte
-	for {
-		if _, err := io.ReadFull(f, header[:]); err != nil {
-			return entries, validLen, nil // clean EOF or torn header
-		}
-		length := binary.BigEndian.Uint32(header[:4])
-		sum := binary.BigEndian.Uint32(header[4:])
-		if length == 0 || length > maxFramePayload {
-			return entries, validLen, nil
-		}
-		if uint32(cap(payload)) < length {
-			payload = make([]byte, length)
-		}
-		payload = payload[:length]
-		if _, err := io.ReadFull(f, payload); err != nil {
-			return entries, validLen, nil // torn payload
-		}
-		if crc32.ChecksumIEEE(payload) != sum {
-			return entries, validLen, nil // corrupt frame
-		}
+	validLen, err = wal.ReplayFile(path, maxFramePayload, func(payload []byte) bool {
 		e, rest, err := decodeEntry(payload)
 		if err != nil || len(rest) != 0 {
-			return entries, validLen, nil
+			return false
 		}
 		entries = append(entries, e)
-		validLen += int64(frameHeaderLen) + int64(length)
-	}
+		return true
+	})
+	return entries, validLen, err
 }
 
 // walName renders the WAL filename for a sequence number.

@@ -6,9 +6,9 @@
 // The shape is a small LSM tree specialized for write-once campaign
 // units:
 //
-//   - Deposits append CRC-framed entries to a write-ahead log; a killed
-//     process loses at most the torn tail of its last frame, never a
-//     half-written unit.
+//   - Deposits append CRC-framed entries to a write-ahead log (the
+//     internal/wal format); a killed process loses at most the torn
+//     tail of its last frame, never a half-written unit.
 //   - When the active WAL passes a size threshold it is rotated out and a
 //     background compactor folds the frozen logs into an immutable,
 //     block-compressed segment (DEFLATE blocks of ~BlockSize raw bytes).
@@ -37,6 +37,7 @@ import (
 	"sync/atomic"
 
 	"oraclesize/internal/campaign"
+	"oraclesize/internal/wal"
 )
 
 // Options tune an open warehouse. The zero value is ready for use.
@@ -253,7 +254,7 @@ func (w *Warehouse) commitManifest(man manifest) error {
 	if err != nil {
 		return fmt.Errorf("warehouse: encoding manifest: %w", err)
 	}
-	return commitFile(filepath.Join(w.dir, manifestName), data)
+	return wal.Commit(filepath.Join(w.dir, manifestName), data, 0o644)
 }
 
 // SpecHash returns the spec hash the store is pinned to ("" while empty
@@ -296,7 +297,7 @@ func (w *Warehouse) Deposit(index int, recs []campaign.Record) error {
 		}
 		e.lines = append(e.lines, line)
 	}
-	w.walBuf = appendFrame(w.walBuf[:0], e)
+	w.walBuf = wal.AppendFrame(w.walBuf[:0], func(b []byte) []byte { return appendEntry(b, e) })
 	if _, err := w.wal.Write(w.walBuf); err != nil {
 		return fmt.Errorf("warehouse: appending to wal: %w", err)
 	}
