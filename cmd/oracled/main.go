@@ -81,8 +81,8 @@ func run(args []string, out, errOut io.Writer) int {
 		joinURL     = fs.String("join", "", "register with this oracleherd fleet endpoint (its -listen address) and heartbeat until shutdown")
 		advertise   = fs.String("advertise", "", "base URL the coordinator should dispatch to (default derived from -addr)")
 		heartbeat   = fs.Duration("heartbeat", 2*time.Second, "membership heartbeat cadence when -join is set")
-		keyfile     = fs.String("keyfile", "", "tenant keyfile (JSON); enables API-key auth, per-tenant quotas, and weighted-fair scheduling")
-		tenantDir   = fs.String("tenant-store", "", "durable tenant store directory (snapshot + WAL); enables hot reload via SIGHUP and POST /v1/admin/tenants/reload, persistent usage ledgers, and key rotation. With -keyfile, an empty store is seeded from the keyfile once.")
+		keyfile     = fs.String("keyfile", "", "tenant keyfile (JSON), held in memory and re-read by SIGHUP and POST /v1/admin/tenants/reload; enables API-key auth, per-tenant quotas, and weighted-fair scheduling")
+		tenantDir   = fs.String("tenant-store", "", "durable tenant store directory (snapshot + WAL): persistent usage ledgers, key rotation, and policy shared with oracletenant and the fleet; SIGHUP and POST /v1/admin/tenants/reload fold in its changes. With -keyfile, an empty store is seeded from the keyfile once.")
 		tlsCert     = fs.String("tls-cert", "", "serve TLS with this certificate (PEM); also presented as client identity to the coordinator")
 		tlsKey      = fs.String("tls-key", "", "private key for -tls-cert")
 		tlsClientCA = fs.String("tls-client-ca", "", "require client certificates signed by this CA (mutual TLS)")
@@ -92,8 +92,10 @@ func run(args []string, out, errOut io.Writer) int {
 		return 2
 	}
 
-	var registry *tenant.Registry
-	var store *tenant.Store
+	// Tenancy is one store: -tenant-store opens a durable one (seeded once
+	// from -keyfile while empty), -keyfile alone loads the file into memory,
+	// and with neither the store is empty and the daemon serves anonymously.
+	store := tenant.NewMemStore()
 	switch {
 	case *tenantDir != "":
 		st, err := tenant.OpenStore(*tenantDir)
@@ -113,29 +115,16 @@ func run(args []string, out, errOut io.Writer) int {
 			}
 			fmt.Fprintf(out, "oracled: seeded tenant store %s with %d tenants from %s\n", *tenantDir, n, *keyfile)
 		}
-		if st.Len() > 0 {
-			r, err := st.Registry()
-			if err != nil {
-				fmt.Fprintf(errOut, "oracled: %v\n", err)
-				return 2
-			}
-			registry = r
-			fmt.Fprintf(out, "oracled: multi-tenant mode, %d tenants (store %s, generation %d)\n",
-				len(r.Tenants()), *tenantDir, st.Generation())
-		} else {
-			fmt.Fprintf(out, "oracled: tenant store %s is empty, serving anonymously until a reload\n", *tenantDir)
-		}
 	case *keyfile != "":
-		r, err := tenant.LoadKeyfile(*keyfile)
+		st, err := tenant.OpenKeyfile(*keyfile)
 		if err != nil {
 			fmt.Fprintf(errOut, "oracled: %v\n", err)
 			return 2
 		}
-		registry = r
-		fmt.Fprintf(out, "oracled: multi-tenant mode, %d tenants\n", len(r.Tenants()))
+		store = st
 	}
 
-	svc := service.New(service.Config{
+	svc, err := service.New(service.Config{
 		Workers:               *workers,
 		QueueDepth:            *queue,
 		RequestTimeout:        *timeout,
@@ -146,37 +135,32 @@ func run(args []string, out, errOut io.Writer) int {
 		MaxShardUnits:         *shardUnits,
 		BatchMax:              *batchMax,
 		ResponseCacheCapacity: *respCache,
-		Tenants:               registry,
 		TenantStore:           store,
 	})
+	if err != nil {
+		fmt.Fprintf(errOut, "oracled: %v\n", err)
+		return 2
+	}
+	if n := store.Len(); n > 0 {
+		fmt.Fprintf(out, "oracled: multi-tenant mode, %d tenants (generation %d)\n", n, svc.TenantGeneration())
+	} else if *tenantDir != "" {
+		fmt.Fprintf(out, "oracled: tenant store %s is empty, serving anonymously until a reload\n", *tenantDir)
+	}
 
 	// SIGHUP hot-reloads tenant policy without dropping in-flight requests:
-	// from the store when one is attached, by re-reading the keyfile
-	// otherwise. Errors keep the running table untouched.
+	// the store folds in what other processes appended, or re-reads its
+	// keyfile. Errors keep the running table untouched.
 	hup := make(chan os.Signal, 1)
 	signal.Notify(hup, syscall.SIGHUP)
 	defer signal.Stop(hup)
 	go func() {
 		for range hup {
-			switch {
-			case store != nil:
-				gen, n, err := svc.ReloadFromStore()
-				if err != nil {
-					fmt.Fprintf(errOut, "oracled: SIGHUP reload: %v (keeping current tenants)\n", err)
-					continue
-				}
-				fmt.Fprintf(out, "oracled: SIGHUP reload: %d tenants, generation %d\n", n, gen)
-			case *keyfile != "":
-				r, err := tenant.LoadKeyfile(*keyfile)
-				if err != nil {
-					fmt.Fprintf(errOut, "oracled: SIGHUP reload: %v (keeping current tenants)\n", err)
-					continue
-				}
-				svc.SwapTenants(r, svc.TenantGeneration()+1)
-				fmt.Fprintf(out, "oracled: SIGHUP reload: %d tenants from %s\n", len(r.Tenants()), *keyfile)
-			default:
-				fmt.Fprintln(errOut, "oracled: SIGHUP ignored (no -tenant-store or -keyfile)")
+			gen, n, err := svc.ReloadFromStore()
+			if err != nil {
+				fmt.Fprintf(errOut, "oracled: SIGHUP reload: %v (keeping current tenants)\n", err)
+				continue
 			}
+			fmt.Fprintf(out, "oracled: SIGHUP reload: %d tenants, generation %d\n", n, gen)
 		}
 	}()
 
@@ -265,11 +249,12 @@ func run(args []string, out, errOut io.Writer) int {
 			},
 			Logf: func(format string, a ...any) { fmt.Fprintf(errOut, format+"\n", a...) },
 		}
-		if store != nil {
+		if *tenantDir != "" {
 			// Heartbeat acks carry the coordinator's tenant-policy
 			// generation; falling behind triggers a store sync + reload, so
 			// a policy change on the coordinator reaches every fleet member
-			// within one heartbeat interval.
+			// within one heartbeat interval. Only a durable store shares its
+			// generations with the coordinator's.
 			agent.OnTenantGen = func(gen uint64) {
 				if gen <= svc.TenantGeneration() {
 					return

@@ -196,14 +196,18 @@ func run(args []string, out, errOut io.Writer) int {
 			cfg.ResponseCacheCapacity = -1
 		}
 		if *keyfile != "" {
-			reg, err := tenant.LoadKeyfile(*keyfile)
+			st, err := tenant.OpenKeyfile(*keyfile)
 			if err != nil {
 				fmt.Fprintf(errOut, "oracleload: %v\n", err)
 				return 1
 			}
-			cfg.Tenants = reg
+			cfg.TenantStore = st
 		}
-		svc := service.New(cfg)
+		svc, err := service.New(cfg)
+		if err != nil {
+			fmt.Fprintf(errOut, "oracleload: %v\n", err)
+			return 1
+		}
 		defer svc.Stop()
 		ts := httptest.NewServer(svc.Handler())
 		defer ts.Close()
@@ -633,19 +637,25 @@ func runMixed(cfg mixedConfig, out, errOut io.Writer) int {
 		bulkKey        = "bulk-mixed-load-key"
 		interactiveKey = "interactive-mixed-key"
 	)
-	reg, err := tenant.NewRegistry([]tenant.Spec{
+	st := tenant.NewMemStore()
+	for _, sp := range []tenant.Spec{
 		{Name: "bulk", Key: bulkKey, Weight: 1, RatePerSec: 2000, Burst: 2000},
 		{Name: "interactive", Key: interactiveKey, Weight: 8},
-	})
+	} {
+		if _, err := st.PutKey(sp); err != nil {
+			fmt.Fprintf(errOut, "oracleload: %v\n", err)
+			return 1
+		}
+	}
+	svcCfg := service.Config{TenantStore: st}
+	if cfg.noRespCache {
+		svcCfg.ResponseCacheCapacity = -1
+	}
+	svc, err := service.New(svcCfg)
 	if err != nil {
 		fmt.Fprintf(errOut, "oracleload: %v\n", err)
 		return 1
 	}
-	svcCfg := service.Config{Tenants: reg}
-	if cfg.noRespCache {
-		svcCfg.ResponseCacheCapacity = -1
-	}
-	svc := service.New(svcCfg)
 	defer svc.Stop()
 	ts := httptest.NewServer(svc.Handler())
 	defer ts.Close()

@@ -17,11 +17,14 @@ import (
 // (every probe and shard dispatch authenticated), while a keyless
 // coordinator is refused with 401s until its attempts run out.
 func TestDispatchCarriesAPIKey(t *testing.T) {
-	reg, err := tenant.NewRegistry([]tenant.Spec{{Name: "herd", Key: "herd-key-1234"}})
+	st := tenant.NewMemStore()
+	if _, err := st.PutKey(tenant.Spec{Name: "herd", Key: "herd-key-1234"}); err != nil {
+		t.Fatal(err)
+	}
+	srv, err := service.New(service.Config{Workers: 2, QueueDepth: 32, ArtifactDir: t.TempDir(), TenantStore: st})
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := service.New(service.Config{Workers: 2, QueueDepth: 32, ArtifactDir: t.TempDir(), Tenants: reg})
 	t.Cleanup(srv.Stop)
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)

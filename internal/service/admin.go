@@ -14,8 +14,7 @@ import (
 
 // requireAdmin gates an admin handler on the caller's admin grant.
 func requireAdmin(ts *tenantState) error {
-	lim := ts.lim.Load()
-	if lim.t == nil || !lim.admin {
+	if !ts.spec.Load().Admin {
 		return errForbidden
 	}
 	return nil
@@ -77,20 +76,19 @@ func (s *Server) handleTenantsShow(_ http.ResponseWriter, _ *http.Request, ts *t
 		Tenants:    make([]adminTenant, 0, len(states)),
 	}
 	for _, st := range states {
-		lim := st.lim.Load()
-		at := adminTenant{Name: st.name, Usage: st.ledger.totals()}
-		if lim.t != nil {
-			sp := lim.t.Spec
-			at.Weight = sp.Weight
-			at.RatePerSec = sp.RatePerSec
-			at.Burst = sp.Burst
-			at.MaxBodyBytes = sp.MaxBodyBytes
-			at.MaxUnits = sp.MaxCampaignUnits
-			at.MaxCampaigns = sp.MaxCampaigns
-			at.MaxSlots = sp.MaxQueueSlots
-			at.Admin = sp.Admin
-		}
-		resp.Tenants = append(resp.Tenants, at)
+		sp := st.spec.Load()
+		resp.Tenants = append(resp.Tenants, adminTenant{
+			Name:         st.name,
+			Weight:       sp.Weight,
+			RatePerSec:   sp.RatePerSec,
+			Burst:        sp.Burst,
+			MaxBodyBytes: sp.MaxBodyBytes,
+			MaxUnits:     sp.MaxCampaignUnits,
+			MaxCampaigns: sp.MaxCampaigns,
+			MaxSlots:     sp.MaxQueueSlots,
+			Admin:        sp.Admin,
+			Usage:        st.ledger.totals(),
+		})
 	}
 	return resp, nil
 }

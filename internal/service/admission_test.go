@@ -3,7 +3,7 @@ package service
 // The deterministic admission harness: table-driven scripts replay
 // (tenant, endpoint, virtual time) sequences against a real Server and
 // assert the exact status code and Retry-After value of every response.
-// The registry clock is faked, so token-bucket refill is a pure function
+// The server clock is faked, so token-bucket refill is a pure function
 // of the script timestamps — no sleeps, no flaky margins — and the
 // Retry-After math (ceil of the bucket deficit, or the configured hint
 // for slot/queue rejections) is pinned to the second.
@@ -48,18 +48,17 @@ func runBody(seed int) map[string]any {
 }
 
 func (sc admissionScript) run(t *testing.T) {
-	reg := testRegistry(t, sc.specs...)
 	base := time.Unix(20000, 0)
 	var clockMu sync.Mutex
 	now := base
-	reg.SetClock(func() time.Time {
+	cfg := sc.cfg
+	cfg.TenantStore = testStore(t, sc.specs...)
+	s := newTestServer(t, cfg)
+	s.now = func() time.Time {
 		clockMu.Lock()
 		defer clockMu.Unlock()
 		return now
-	})
-	cfg := sc.cfg
-	cfg.Tenants = reg
-	s := newTestServer(t, cfg)
+	}
 	for i, step := range sc.steps {
 		clockMu.Lock()
 		now = base.Add(step.at)
@@ -259,19 +258,27 @@ func TestAdmissionScripts(t *testing.T) {
 // generations without the server restarting, and its bucket level carries
 // across the swap (tightening the rate does not mint fresh tokens).
 func TestAdmissionScriptQuotaReload(t *testing.T) {
-	reg := testRegistry(t,
+	st := testStore(t,
 		tenant.Spec{Name: "elastic", Key: "elastic-key-0", RatePerSec: 100, Burst: 3},
 	)
 	base := time.Unix(30000, 0)
 	var clockMu sync.Mutex
 	now := base
-	clock := func() time.Time {
+	s := newTestServer(t, Config{TenantStore: st})
+	s.now = func() time.Time {
 		clockMu.Lock()
 		defer clockMu.Unlock()
 		return now
 	}
-	reg.SetClock(clock)
-	s := newTestServer(t, Config{Tenants: reg})
+	reload := func(sp tenant.Spec) {
+		t.Helper()
+		if _, err := st.PutKey(sp); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := s.ReloadFromStore(); err != nil {
+			t.Fatal(err)
+		}
+	}
 
 	// Generation 1: burst 3 admits three back-to-back requests.
 	for i := 0; i < 3; i++ {
@@ -280,14 +287,10 @@ func TestAdmissionScriptQuotaReload(t *testing.T) {
 		}
 	}
 
-	// Tighten to rate 0.5/s burst 1 and hot-swap. AdoptBuckets carries the
-	// drained bucket: the next request must still be refused, now with the
-	// slower rate's deficit (1 token / 0.5 per s = 2s).
-	tight := testRegistry(t,
-		tenant.Spec{Name: "elastic", Key: "elastic-key-0", RatePerSec: 0.5, Burst: 1},
-	)
-	tight.SetClock(clock)
-	s.SwapTenants(tight, s.TenantGeneration()+1)
+	// Tighten to rate 0.5/s burst 1 and hot-reload. The drained bucket
+	// rides on the tenant's state: the next request must still be refused,
+	// now with the slower rate's deficit (1 token / 0.5 per s = 2s).
+	reload(tenant.Spec{Name: "elastic", Key: "elastic-key-0", RatePerSec: 0.5, Burst: 1})
 	w := postJSONKey(t, s.Handler(), "/v1/run", "elastic-key-0", tenantRunBody)
 	if w.Code != http.StatusTooManyRequests {
 		t.Fatalf("post-tighten status %d, want 429: %s", w.Code, w.Body.String())
@@ -310,28 +313,24 @@ func TestAdmissionScriptQuotaReload(t *testing.T) {
 
 	// Loosening back up takes effect the same way — and the counter state
 	// (requests served) survived both swaps.
-	loose := testRegistry(t,
-		tenant.Spec{Name: "elastic", Key: "elastic-key-0"},
-	)
-	loose.SetClock(clock)
-	s.SwapTenants(loose, s.TenantGeneration()+1)
+	reload(tenant.Spec{Name: "elastic", Key: "elastic-key-0"})
 	for i := 0; i < 5; i++ {
 		if w := postJSONKey(t, s.Handler(), "/v1/run", "elastic-key-0", tenantRunBody); w.Code != http.StatusOK {
 			t.Fatalf("post-loosen request %d: status %d", i, w.Code)
 		}
 	}
-	st := s.table().states["elastic"]
-	if st == nil {
+	ts := s.table().states["elastic"]
+	if ts == nil {
 		t.Fatal("elastic state missing after two swaps")
 	}
 	var total int64
-	for code := range st.codes {
-		total += st.codes[code].Load()
+	for code := range ts.codes {
+		total += ts.codes[code].Load()
 	}
 	if total != 11 { // 3 + 1(429) + 1 + 1(429) + 5
 		t.Errorf("elastic request count across generations = %d, want 11", total)
 	}
-	if gen := s.TenantGeneration(); gen != 2 {
-		t.Errorf("generation = %d, want 2 after two swaps from 0", gen)
+	if gen := s.TenantGeneration(); gen != st.Generation() || gen < 3 {
+		t.Errorf("generation = %d, want the store's %d after two policy changes", gen, st.Generation())
 	}
 }

@@ -12,7 +12,7 @@ import (
 // measuring the full server-side request cost: decode, queue hand-off,
 // execution, encode.
 func benchServe(b *testing.B, path string, body map[string]any) {
-	s := New(Config{ArtifactDir: b.TempDir()})
+	s := mustNew(b, Config{ArtifactDir: b.TempDir()})
 	defer s.Stop()
 	data, err := json.Marshal(body)
 	if err != nil {
@@ -60,7 +60,7 @@ func BenchmarkServeAdvice256(b *testing.B) {
 // goroutines hammering /v1/run concurrently, the shape 8 closed-loop
 // clients produce.
 func BenchmarkServeRunParallel(b *testing.B) {
-	s := New(Config{ArtifactDir: b.TempDir()})
+	s := mustNew(b, Config{ArtifactDir: b.TempDir()})
 	defer s.Stop()
 	data, err := json.Marshal(map[string]any{
 		"family": "random-sparse", "n": 256, "seed": 1, "task": "broadcast",

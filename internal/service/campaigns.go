@@ -117,7 +117,7 @@ func (cm *campaignManager) submit(ts *tenantState, spec *campaign.Spec, units in
 	}
 
 	cm.mu.Lock()
-	if max := ts.lim.Load().maxCampaigns; max > 0 && ts.campaigns.Load() >= int64(max) {
+	if max := ts.spec.Load().MaxCampaigns; max > 0 && ts.campaigns.Load() >= int64(max) {
 		cm.mu.Unlock()
 		return nil, &throttleError{
 			retryAfter: cm.s.cfg.RetryAfter,

@@ -15,7 +15,7 @@ import (
 // bounded by the request deadline, while the endpoint itself keeps
 // answering 200 (a draining worker is reachable, just not leasable).
 func TestBeginDrainFlipsHealthz(t *testing.T) {
-	srv := New(Config{Workers: 1, QueueDepth: 4, RequestTimeout: 30 * time.Second, ArtifactDir: t.TempDir()})
+	srv := mustNew(t, Config{Workers: 1, QueueDepth: 4, RequestTimeout: 30 * time.Second, ArtifactDir: t.TempDir()})
 	t.Cleanup(srv.Stop)
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
@@ -62,7 +62,7 @@ func TestBeginDrainFlipsHealthz(t *testing.T) {
 // TestObserveUnitSeconds checks the worker-side EWMA: first sample taken
 // verbatim, later samples folded at the sizer's alpha, junk ignored.
 func TestObserveUnitSeconds(t *testing.T) {
-	srv := New(Config{Workers: 1, QueueDepth: 4, ArtifactDir: t.TempDir()})
+	srv := mustNew(t, Config{Workers: 1, QueueDepth: 4, ArtifactDir: t.TempDir()})
 	t.Cleanup(srv.Stop)
 
 	if got := srv.UnitSeconds(); got != 0 {

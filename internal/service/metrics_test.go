@@ -18,8 +18,16 @@ var enginePoolSample = regexp.MustCompile(`(?m)^(oracled_engine_pool_\w+) .*$`)
 // scrapes and CI greps, the family order, label quoting, zero
 // suppression and the cumulative histogram layout.
 func TestMetricsExposition(t *testing.T) {
-	s := newTestServer(t, Config{Workers: 1, QueueDepth: 8})
-	s.SwapTenants(testRegistry(t), 3) // tenants "interactive" and "bulk"
+	st := testStore(t) // tenants "interactive" and "bulk" at generation 2
+	s := newTestServer(t, Config{Workers: 1, QueueDepth: 8, TenantStore: st})
+	// Re-putting a spec bumps the generation; one reload serves it.
+	bulkSpec, _ := st.Get("bulk")
+	if err := st.Put(bulkSpec); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := s.ReloadFromStore(); err != nil {
+		t.Fatal(err)
+	}
 	tbl := s.table()
 	interactive, bulk := tbl.states["interactive"], tbl.states["bulk"]
 

@@ -1,13 +1,17 @@
 package service
 
 // Hot-reload tests: swapping the tenant control plane under live load
-// drops nothing (run with -race), key rotation honors the overlap window
-// exactly, usage ledgers survive a daemon restart byte-exactly, and the
-// admin endpoints enforce the admin bit.
+// drops nothing (run with -race), concurrent reloads publish each
+// generation with its own policy, key rotation honors the overlap window
+// exactly, usage ledgers survive a daemon restart byte-exactly, the admin
+// endpoints enforce the admin bit, a keyfile store reloads like a durable
+// one, and a store that cannot build a registry fails closed.
 
 import (
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -29,15 +33,6 @@ func openTestStore(t *testing.T, specs ...tenant.Spec) *tenant.Store {
 		}
 	}
 	return st
-}
-
-func storeRegistry(t *testing.T, st *tenant.Store) *tenant.Registry {
-	t.Helper()
-	reg, err := st.Registry()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return reg
 }
 
 // reqKey issues a request with an API key and no body.
@@ -63,7 +58,7 @@ func TestReloadUnderLoad(t *testing.T) {
 		tenant.Spec{Name: "alpha", Key: "alpha-key-0000", Weight: 2},
 		tenant.Spec{Name: "beta", Key: "beta-key-00000"},
 	)
-	s := newTestServer(t, Config{Tenants: storeRegistry(t, st), TenantStore: st, LedgerFlushInterval: time.Hour})
+	s := newTestServer(t, Config{TenantStore: st})
 
 	const clients, perClient = 4, 150
 	keys := []string{"alpha-key-0000", "beta-key-00000"}
@@ -129,7 +124,6 @@ func TestReloadUnderLoad(t *testing.T) {
 // overlap cuts over immediately.
 func TestRotationOverlapWindow(t *testing.T) {
 	st := openTestStore(t, tenant.Spec{Name: "rot", Key: "rot-key-000001"})
-	reg := storeRegistry(t, st)
 	base := time.Unix(40000, 0)
 	var clockMu sync.Mutex
 	now := base
@@ -143,8 +137,8 @@ func TestRotationOverlapWindow(t *testing.T) {
 		now = at
 		clockMu.Unlock()
 	}
-	reg.SetClock(clock)
-	s := newTestServer(t, Config{Tenants: reg, TenantStore: st})
+	s := newTestServer(t, Config{TenantStore: st})
+	s.now = clock
 
 	check := func(key string, want int, when string) {
 		t.Helper()
@@ -154,9 +148,8 @@ func TestRotationOverlapWindow(t *testing.T) {
 	}
 	check("rot-key-000001", http.StatusOK, "before rotation")
 
-	// Rotate with a 10-minute overlap and hot-reload. AdoptBuckets carries
-	// the fake clock into the rebuilt registry, so the window is measured
-	// in virtual time.
+	// Rotate with a 10-minute overlap and hot-reload. The clock is the
+	// server's, so the window is measured in virtual time.
 	if _, err := st.Rotate("rot", "rot-key-000002", 10*time.Minute, base); err != nil {
 		t.Fatal(err)
 	}
@@ -195,9 +188,7 @@ func TestRotationOverlapWindow(t *testing.T) {
 func TestLedgerSurvivesRestart(t *testing.T) {
 	st := openTestStore(t, tenant.Spec{Name: "meter", Key: "meter-key-0000"})
 	cfg := Config{TenantStore: st, ArtifactDir: t.TempDir()}
-
-	cfg.Tenants = storeRegistry(t, st)
-	s1 := New(cfg)
+	s1 := mustNew(t, cfg)
 	var stop1 sync.Once
 	t.Cleanup(func() { stop1.Do(s1.Stop) })
 	for i := 0; i < 5; i++ {
@@ -218,8 +209,7 @@ func TestLedgerSurvivesRestart(t *testing.T) {
 
 	// Second life: the seeded in-memory totals equal the persisted ledger
 	// exactly — nothing lost, nothing invented.
-	cfg.Tenants = storeRegistry(t, st)
-	s2 := New(cfg)
+	s2 := mustNew(t, cfg)
 	var stop2 sync.Once
 	t.Cleanup(func() { stop2.Do(s2.Stop) })
 	if seeded := s2.table().states["meter"].ledger.totals(); seeded != l1 {
@@ -251,7 +241,7 @@ func TestAdminEndpoints(t *testing.T) {
 		tenant.Spec{Name: "root", Key: "root-key-00000", Admin: true},
 		tenant.Spec{Name: "peon", Key: "peon-key-00000"},
 	)
-	s := newTestServer(t, Config{Tenants: storeRegistry(t, st), TenantStore: st})
+	s := newTestServer(t, Config{TenantStore: st})
 
 	// Authorization ladder on both admin endpoints.
 	for _, ep := range []struct{ method, path string }{
@@ -318,10 +308,148 @@ func TestAdminEndpoints(t *testing.T) {
 		t.Fatalf("peon after tightening: status %d, want 413: %s", w.Code, w.Body.String())
 	}
 
-	// Reload on a store-less server reports a conflict rather than lying.
-	plain := newTestServer(t, Config{Tenants: testRegistry(t,
-		tenant.Spec{Name: "root", Key: "root-key-00000", Admin: true})})
-	if w := reqKey(t, plain.Handler(), "POST", "/v1/admin/tenants/reload", "root-key-00000"); w.Code != http.StatusConflict {
-		t.Errorf("store-less reload: status %d, want 409: %s", w.Code, w.Body.String())
+	// Reloading an emptied store reports a conflict rather than locking
+	// everyone out: the old table keeps serving.
+	for _, name := range []string{"root", "peon"} {
+		if err := st.Delete(name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if w := reqKey(t, s.Handler(), "POST", "/v1/admin/tenants/reload", "root-key-00000"); w.Code != http.StatusConflict {
+		t.Errorf("reload of an emptied store: status %d, want 409: %s", w.Code, w.Body.String())
+	}
+	if w := postJSONKey(t, s.Handler(), "/v1/run", "peon-key-00000", tenantRunBody); w.Code != http.StatusRequestEntityTooLarge {
+		t.Errorf("peon after the failed reload: status %d, want 413 from the old table", w.Code)
+	}
+}
+
+// TestConcurrentReloadsPublishOwnGeneration races four reloaders against
+// a writer that sets MaxBodyBytes = k at store generation k. Every table
+// a reload publishes must serve the policy of the generation it is
+// labelled with: a reload that built generation k's registry while the
+// writer moved the store to k+1 must not publish it as k+1, or a fleet
+// member at "k+1" would skip the reload that brings its policy up to date.
+func TestConcurrentReloadsPublishOwnGeneration(t *testing.T) {
+	st := openTestStore(t, tenant.Spec{Name: "subject", Key: "subject-key-01", MaxBodyBytes: 1})
+	s := newTestServer(t, Config{TenantStore: st})
+
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				if _, _, err := s.ReloadFromStore(); err != nil {
+					t.Errorf("reload: %v", err)
+					return
+				}
+				tbl := s.table()
+				if got := tbl.registry.Tenants()[0].Spec.MaxBodyBytes; got != int64(tbl.gen) {
+					t.Errorf("table at generation %d serves MaxBodyBytes %d, want %d", tbl.gen, got, tbl.gen)
+					return
+				}
+			}
+		}()
+	}
+	sp, _ := st.Get("subject")
+	for k := int64(2); k <= 200; k++ {
+		sp.MaxBodyBytes = k
+		if err := st.Put(sp); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(done)
+	wg.Wait()
+}
+
+// TestKeyfileStoreReload drives a server over tenant.OpenKeyfile through
+// a keyfile edit and the admin reload: a removed key is refused, an added
+// key serves and a tightened quota applies. An invalid edit is a 409 that
+// leaves the old table serving.
+func TestKeyfileStoreReload(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "tenants.json")
+	write := func(doc string) {
+		t.Helper()
+		if err := os.WriteFile(path, []byte(doc), 0o600); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write(`{"tenants": [
+		{"name": "root", "key": "root-key-00000", "admin": true},
+		{"name": "gone", "key": "gone-key-00000"},
+		{"name": "tight", "key": "tight-key-0000"}
+	]}`)
+	st, err := tenant.OpenKeyfile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := newTestServer(t, Config{TenantStore: st})
+	status := func(key string) int {
+		t.Helper()
+		return postJSONKey(t, s.Handler(), "/v1/run", key, tenantRunBody).Code
+	}
+	for key, want := range map[string]int{"gone-key-00000": 200, "tight-key-0000": 200, "added-key-0000": 401} {
+		if got := status(key); got != want {
+			t.Errorf("before the edit: key %s status %d, want %d", key, got, want)
+		}
+	}
+
+	write(`{"tenants": [
+		{"name": "root", "key": "root-key-00000", "admin": true},
+		{"name": "tight", "key": "tight-key-0000", "max_body_bytes": 16},
+		{"name": "added", "key": "added-key-0000"}
+	]}`)
+	w := reqKey(t, s.Handler(), "POST", "/v1/admin/tenants/reload", "root-key-00000")
+	if w.Code != http.StatusOK {
+		t.Fatalf("admin reload: status %d: %s", w.Code, w.Body.String())
+	}
+	if ack := decode[reloadResponse](t, w); ack.Tenants != 3 || ack.Generation != st.Generation() {
+		t.Errorf("reload ack %+v, want 3 tenants at generation %d", ack, st.Generation())
+	}
+	after := map[string]int{"gone-key-00000": 401, "added-key-0000": 200, "tight-key-0000": 413}
+	for key, want := range after {
+		if got := status(key); got != want {
+			t.Errorf("after the edit: key %s status %d, want %d", key, got, want)
+		}
+	}
+
+	for name, doc := range map[string]string{
+		"unknown field": `{"tenants": [{"name": "root", "key": "root-key-00000", "admin": true, "rate_per_second": 5}]}`,
+		"duplicate key": `{"tenants": [{"name": "root", "key": "root-key-00000", "admin": true},
+			{"name": "twin", "key": "root-key-00000"}]}`,
+	} {
+		write(doc)
+		if w := reqKey(t, s.Handler(), "POST", "/v1/admin/tenants/reload", "root-key-00000"); w.Code != http.StatusConflict {
+			t.Errorf("%s: reload status %d, want 409: %s", name, w.Code, w.Body.String())
+		}
+		for key, want := range after {
+			if got := status(key); got != want {
+				t.Errorf("%s: key %s status %d, want %d from the old table", name, key, got, want)
+			}
+		}
+	}
+}
+
+// TestNewRefusesUnbuildableStore: a store with tenants that does not
+// build a registry (here two tenants share one key) must fail New, never
+// come up serving anonymously.
+func TestNewRefusesUnbuildableStore(t *testing.T) {
+	st := openTestStore(t,
+		tenant.Spec{Name: "one", Key: "shared-key-000"},
+		tenant.Spec{Name: "two", Key: "shared-key-000"},
+	)
+	s, err := New(Config{TenantStore: st, ArtifactDir: t.TempDir()})
+	if err == nil {
+		s.Stop()
+		t.Fatal("New accepted a store whose tenants share a key digest")
+	}
+	if s != nil {
+		t.Fatal("New returned a server alongside its error")
 	}
 }

@@ -90,20 +90,17 @@ type Config struct {
 	// requests (queue engine only) and serves repeats without touching the
 	// work queue. Default 4096 entries; negative disables the cache.
 	ResponseCacheCapacity int
-	// Tenants enables multi-tenant mode: requests must authenticate with a
-	// registered API key, per-tenant quotas apply at admission, and the work
-	// queue drains tenants in weighted-fair order. Nil (the default) serves
-	// anonymously with no auth or quota work on the request path.
-	Tenants *tenant.Registry
-	// TenantStore, when set, is the durable control plane behind Tenants:
-	// usage ledgers are seeded from it at boot and flushed back to it
-	// periodically, and ReloadFromStore rebuilds the registry from its
-	// current contents. The Server does not own the store — the caller
-	// closes it after Stop.
+	// TenantStore is the tenant control plane: a durable store
+	// (tenant.OpenStore) or a memory store (tenant.OpenKeyfile,
+	// tenant.NewMemStore). With tenants in it, requests must authenticate
+	// with a registered API key, per-tenant quotas apply at admission, and
+	// the work queue drains tenants in weighted-fair order; with none (nil
+	// means an empty memory store) the server serves anonymously with no
+	// auth or quota work on the request path. Usage ledgers are seeded from
+	// it at boot and flushed back to it periodically, and ReloadFromStore
+	// rebuilds the registry from its current contents. The Server does not
+	// own the store — the caller closes it after Stop.
 	TenantStore *tenant.Store
-	// LedgerFlushInterval is how often usage ledgers are persisted to
-	// TenantStore (default 5s). Ignored without a store.
-	LedgerFlushInterval time.Duration
 }
 
 func (c Config) withDefaults() Config {
@@ -152,9 +149,6 @@ func (c Config) withDefaults() Config {
 	if c.ResponseCacheCapacity == 0 {
 		c.ResponseCacheCapacity = 4096
 	}
-	if c.LedgerFlushInterval <= 0 {
-		c.LedgerFlushInterval = 5 * time.Second
-	}
 	return c
 }
 
@@ -177,6 +171,8 @@ type Server struct {
 	units     unitsCache
 	campaigns *campaignManager
 
+	// store is the tenant control plane the table is built from.
+	store *tenant.Store
 	// tenants is the live tenant control plane — registry, per-tenant
 	// limits, policy generation — behind one atomic pointer so a hot reload
 	// is a lock-free swap; see tenancy.go. anonymous serves registry-less
@@ -185,7 +181,10 @@ type Server struct {
 	tenants   atomic.Pointer[tenantTable]
 	anonymous *tenantState
 	unknown   *tenantState
-	// reloadMu serializes table swaps (reloads), never reads.
+	// now is the clock behind key-rotation windows and rate buckets;
+	// tests in this package substitute it.
+	now func() time.Time
+	// reloadMu serializes reloads, never reads.
 	reloadMu sync.Mutex
 	// flushMu guards flushed, the last ledger totals persisted per tenant —
 	// the dedup that keeps an idle server from appending to the store.
@@ -215,31 +214,37 @@ type Server struct {
 	testHook func()
 }
 
-// New builds a server and starts its workers.
-func New(cfg Config) *Server {
+// New builds a server and starts its workers. It fails when the tenant
+// store holds tenants but does not build a registry: such a server must
+// not fall back to serving anonymously.
+func New(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
 	s := &Server{
-		cfg:     cfg,
-		metrics: &serverMetrics{endpoints: make(map[string]*endpointMetrics)},
-		cache:   campaign.NewShardedCache(cfg.CacheCapacity, cacheShards),
-		sched:   tenant.NewScheduler[*job](cfg.QueueDepth),
+		cfg:       cfg,
+		metrics:   &serverMetrics{endpoints: make(map[string]*endpointMetrics)},
+		cache:     campaign.NewShardedCache(cfg.CacheCapacity, cacheShards),
+		sched:     tenant.NewScheduler[*job](cfg.QueueDepth),
+		store:     cfg.TenantStore,
+		now:       time.Now,
+		flushStop: make(chan struct{}),
 	}
-	s.initTenancy()
+	if s.store == nil {
+		s.store = tenant.NewMemStore()
+	}
+	if err := s.initTenancy(); err != nil {
+		return nil, err
+	}
 	if cfg.ResponseCacheCapacity > 0 {
 		s.responses = newRespCache(cfg.ResponseCacheCapacity, cacheShards)
 	}
 	s.campaigns = newCampaignManager(s)
 	s.mux = s.routes()
-	s.workers.Add(cfg.Workers)
+	s.workers.Add(cfg.Workers + 1)
 	for i := 0; i < cfg.Workers; i++ {
 		go s.worker()
 	}
-	if cfg.TenantStore != nil {
-		s.flushStop = make(chan struct{})
-		s.workers.Add(1)
-		go s.ledgerFlusher(cfg.LedgerFlushInterval)
-	}
-	return s
+	go s.ledgerFlusher()
+	return s, nil
 }
 
 // Handler returns the HTTP handler tree. All endpoints are instrumented.
@@ -252,9 +257,7 @@ func (s *Server) Handler() http.Handler { return s.mux }
 func (s *Server) Stop() {
 	s.draining.Store(true)
 	s.sched.Close()
-	if s.flushStop != nil {
-		close(s.flushStop)
-	}
+	close(s.flushStop)
 	s.workers.Wait()
 	// Final flush so ledger totals survive the restart byte-exactly.
 	s.FlushLedgers()
@@ -296,9 +299,9 @@ type ctxDone interface {
 // sheds load with 503. A tenant over its own queue-slot quota while global
 // capacity remains is throttled with 429 instead.
 func (s *Server) enqueue(ts *tenantState, j *job) error {
-	lim := ts.lim.Load()
+	sp := ts.spec.Load()
 	j.ts, j.enq = ts, time.Now()
-	switch err := s.sched.Enqueue(ts.name, lim.weight, lim.slots, j); err {
+	switch err := s.sched.Enqueue(ts.name, sp.Weight, sp.MaxQueueSlots, j); err {
 	case nil:
 		s.metrics.queued.Add(1)
 		return nil

@@ -25,8 +25,18 @@ func newTestServer(t *testing.T, cfg Config) *Server {
 	if cfg.ArtifactDir == "" {
 		cfg.ArtifactDir = t.TempDir()
 	}
-	s := New(cfg)
+	s := mustNew(t, cfg)
 	t.Cleanup(s.Stop)
+	return s
+}
+
+// mustNew is New for configurations that must build.
+func mustNew(tb testing.TB, cfg Config) *Server {
+	tb.Helper()
+	s, err := New(cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
 	return s
 }
 
@@ -232,7 +242,7 @@ func TestDeadlineReturns504(t *testing.T) {
 // TestStopDrainsQueuedWork verifies graceful shutdown: jobs admitted
 // before Stop all produce responses, and submissions after Stop shed.
 func TestStopDrainsQueuedWork(t *testing.T) {
-	s := New(Config{Workers: 1, QueueDepth: 8, ArtifactDir: t.TempDir()})
+	s := mustNew(t, Config{Workers: 1, QueueDepth: 8, ArtifactDir: t.TempDir()})
 	entered := make(chan struct{}, 8)
 	gate := make(chan struct{})
 	s.testHook = func() {

@@ -1,7 +1,6 @@
 package service
 
 import (
-	"fmt"
 	"net/http"
 	"strings"
 	"sync/atomic"
@@ -15,16 +14,17 @@ import (
 // request to a tenantState (authentication), spends a rate token, and only
 // then calls the handler — so the response-cache fast lane, which lives
 // inside the handlers, can never answer an unauthenticated or over-quota
-// request. With no registry configured (Config.Tenants == nil) every
-// request resolves to the shared anonymous state with no extra work on the
-// hot path: no header parsing, no hashing, no token bucket.
+// request. While the tenant store holds no tenants there is no registry:
+// every request resolves to the shared anonymous state with no extra work
+// on the hot path: no header parsing, no hashing, no token bucket.
 //
-// The whole control plane — registry, per-tenant limits, generation — lives
+// The whole control plane — registry, per-tenant specs, generation — lives
 // behind one atomic pointer (Server.tenants) so a hot reload is a single
 // pointer swap: requests in flight keep the table they resolved against,
 // new requests see the new one, and nothing blocks or drops. Counter state
-// (metrics, usage ledgers) lives on tenantState objects that are carried
-// across reloads by name, so totals never reset when policy changes.
+// (metrics, usage ledgers, rate buckets) lives on tenantState objects that
+// are carried across reloads by name, so totals never reset when policy
+// changes.
 //
 // The 429/503 split is deliberate and load-bearing for clients: 429 means
 // *this tenant* is over its own quota (rate, queue slots, concurrent
@@ -36,39 +36,16 @@ import (
 // Reloads build a fresh table and swap the Server's pointer; the table
 // itself is never mutated after publication.
 type tenantTable struct {
-	// gen is the policy version this table was built from — the store
-	// generation, or a local counter for keyfile reloads.
+	// gen is the store generation this table was built from.
 	gen uint64
-	// registry answers authentication; nil serves anonymously.
+	// registry answers authentication; nil (no tenants) serves anonymously.
 	registry *tenant.Registry
 	// states maps registered tenant names to their (reload-stable) states.
 	states map[string]*tenantState
 }
 
-// tenantLimits is the swappable half of a tenantState: the resolved quota
-// limits plus the registry identity behind them. A reload publishes a new
-// limits value atomically; requests read whichever value was current when
-// they loaded it, so limit changes apply mid-flight without tearing.
-type tenantLimits struct {
-	// t is the registry identity behind the state; nil for the reserved
-	// anonymous/unknown states, which have no key and no quotas. reg is the
-	// registry t belongs to — it owns the rate-limit clock, so admission
-	// always charges t's bucket against the clock of t's own generation.
-	t      *tenant.Tenant
-	reg    *tenant.Registry
-	weight int
-	slots  int
-	// maxBody/maxUnits/maxCampaigns are the tenant's caps (0 = inherit the
-	// server-wide cap alone).
-	maxBody      int64
-	maxUnits     int
-	maxCampaigns int
-	// admin grants the /v1/admin endpoints.
-	admin bool
-}
-
 // ledgerCounters are one tenant's cumulative usage totals: seeded from the
-// durable store at construction, advanced by atomic adds on the request
+// tenant store at construction, advanced by atomic adds on the request
 // path, flushed back as absolute totals. See tenant.Ledger for the fields.
 type ledgerCounters struct {
 	requests   atomic.Int64
@@ -94,16 +71,20 @@ func (lc *ledgerCounters) seed(l tenant.Ledger) {
 }
 
 // tenantState is the server-side face of one identity: the (atomically
-// swappable) quota limits plus this tenant's metric counters and usage
-// ledger. One state exists per registered tenant, plus the two reserved
-// states "anonymous" (no registry, or open endpoints) and "unknown"
-// (failed authentication) — so metric label cardinality is bounded by the
-// registry size + 2, never by what clients send. States survive reloads:
-// a rebuilt table reuses the existing state for a still-registered name,
-// so counters and ledgers accumulate across policy generations.
+// swappable) quota spec plus this tenant's rate bucket, metric counters
+// and usage ledger. One state exists per registered tenant, plus the two
+// reserved states "anonymous" (no registry, or open endpoints) and
+// "unknown" (failed authentication) — so metric label cardinality is
+// bounded by the registry size + 2, never by what clients send. States
+// survive reloads: a rebuilt table reuses the existing state for a
+// still-registered name, so counters, ledgers and spent tokens carry
+// across policy generations.
 type tenantState struct {
 	name string
-	lim  atomic.Pointer[tenantLimits]
+	// spec holds the tenant's limits (a zero limit is none); a reload
+	// stores a new one atomically, so changes apply without tearing.
+	spec   atomic.Pointer[tenant.Spec]
+	bucket tenant.Bucket
 
 	campaigns atomic.Int64 // this tenant's running campaigns
 	// codes counts finished requests by HTTP status, same layout as
@@ -116,27 +97,20 @@ type tenantState struct {
 	ledger ledgerCounters
 }
 
-// reservedLimits is the shared no-quota limits value for the anonymous and
+// reservedSpec is the shared no-quota, no-admin spec of the anonymous and
 // unknown states.
-var reservedLimits = &tenantLimits{weight: 1}
+var reservedSpec = &tenant.Spec{}
 
-func newTenantState(name string) *tenantState {
+// newTenantState returns a state with no quotas whose ledger continues
+// the store's totals for name, recorded as already flushed.
+func (s *Server) newTenantState(name string) *tenantState {
 	ts := &tenantState{name: name}
-	ts.lim.Store(reservedLimits)
+	ts.spec.Store(reservedSpec)
+	ts.ledger.seed(s.store.Ledger(name))
+	s.flushMu.Lock()
+	s.flushed[name] = ts.ledger.totals()
+	s.flushMu.Unlock()
 	return ts
-}
-
-func limitsFor(reg *tenant.Registry, t *tenant.Tenant) *tenantLimits {
-	return &tenantLimits{
-		t:            t,
-		reg:          reg,
-		weight:       t.Spec.Weight,
-		slots:        t.Spec.MaxQueueSlots,
-		maxBody:      t.Spec.MaxBodyBytes,
-		maxUnits:     t.Spec.MaxCampaignUnits,
-		maxCampaigns: t.Spec.MaxCampaigns,
-		admin:        t.Spec.Admin,
-	}
 }
 
 // table is the current tenant control plane. Never nil after New.
@@ -147,26 +121,30 @@ func (s *Server) table() *tenantTable { return s.tenants.Load() }
 // config skew is observable.
 func (s *Server) TenantGeneration() uint64 { return s.table().gen }
 
-// initTenancy builds the initial tenant table from the configured
-// registry, seeding ledgers from the durable store when one is attached.
-func (s *Server) initTenancy() {
-	s.anonymous = newTenantState("anonymous")
-	s.unknown = newTenantState("unknown")
+// initTenancy builds the initial tenant table from the store, seeding the
+// reserved states' ledgers from it. A store with tenants must build a
+// registry: failing that, the server refuses to start rather than fall
+// back to serving anonymously.
+func (s *Server) initTenancy() error {
 	s.flushed = make(map[string]tenant.Ledger)
-	var gen uint64
-	if st := s.cfg.TenantStore; st != nil {
-		gen = st.Generation()
-		s.anonymous.ledger.seed(st.Ledger("anonymous"))
-		s.unknown.ledger.seed(st.Ledger("unknown"))
-		s.flushed["anonymous"] = s.anonymous.ledger.totals()
-		s.flushed["unknown"] = s.unknown.ledger.totals()
+	s.anonymous = s.newTenantState("anonymous")
+	s.unknown = s.newTenantState("unknown")
+	var reg *tenant.Registry
+	gen := s.store.Generation()
+	if s.store.Len() > 0 {
+		var err error
+		if reg, gen, err = s.store.Registry(); err != nil {
+			return err
+		}
 	}
-	s.tenants.Store(s.buildTable(s.cfg.Tenants, gen, nil))
+	s.tenants.Store(s.buildTable(reg, gen, nil))
+	return nil
 }
 
 // buildTable assembles a tenant table for reg at generation gen, carrying
-// tenant states over from old by name so counters and ledgers persist
-// across reloads. New names get fresh states seeded from the store.
+// tenant states over from old by name so counters, ledgers and rate
+// buckets persist across reloads. New names get fresh states seeded from
+// the store.
 func (s *Server) buildTable(reg *tenant.Registry, gen uint64, old *tenantTable) *tenantTable {
 	tbl := &tenantTable{gen: gen, registry: reg}
 	if reg == nil {
@@ -180,67 +158,43 @@ func (s *Server) buildTable(reg *tenant.Registry, gen uint64, old *tenantTable) 
 			ts = old.states[t.Spec.Name]
 		}
 		if ts == nil {
-			ts = newTenantState(t.Spec.Name)
-			if st := s.cfg.TenantStore; st != nil {
-				ts.ledger.seed(st.Ledger(t.Spec.Name))
-				s.flushMu.Lock()
-				s.flushed[t.Spec.Name] = ts.ledger.totals()
-				s.flushMu.Unlock()
-			}
+			ts = s.newTenantState(t.Spec.Name)
 		}
-		ts.lim.Store(limitsFor(reg, t))
+		ts.bucket.Refit(t.Spec.RatePerSec, t.Spec.Burst)
+		ts.spec.Store(&t.Spec)
 		tbl.states[t.Spec.Name] = ts
 	}
 	return tbl
 }
 
-// SwapTenants atomically replaces the tenant control plane with reg at
-// policy generation gen. In-flight requests finish against whichever
-// table they resolved; nothing is dropped. Rate-bucket state carries over
-// for same-name tenants (clamped to new burst), counter/ledger state
-// carries over by name, and scheduler weights converge on the next
-// enqueue. A nil reg switches the server to anonymous mode.
-func (s *Server) SwapTenants(reg *tenant.Registry, gen uint64) {
+// ReloadFromStore is the one reload path — SIGHUP, the admin endpoint and
+// the fleet hook all land here. It flushes the current ledger totals (so
+// a tenant removed by the reload keeps its usage history), folds in store
+// changes (Sync), rebuilds the registry and atomically swaps the tenant
+// table. In-flight requests finish against whichever table they resolved;
+// nothing is dropped. reloadMu holds the four steps together, so
+// concurrent reloads publish generations in order, each with its own
+// policy. On any error the running table stays untouched.
+func (s *Server) ReloadFromStore() (gen uint64, tenants int, err error) {
 	s.reloadMu.Lock()
 	defer s.reloadMu.Unlock()
-	old := s.table()
-	if reg != nil {
-		reg.AdoptBuckets(old.registry)
-	}
-	s.tenants.Store(s.buildTable(reg, gen, old))
-	s.metrics.reloads.Add(1)
-}
-
-// ReloadFromStore folds in any store mutations appended since the last
-// reload (Sync), rebuilds the registry, and swaps it in. The current
-// ledger totals are flushed first so a tenant removed by the reload keeps
-// its usage history. On any error the running registry stays untouched.
-func (s *Server) ReloadFromStore() (gen uint64, tenants int, err error) {
-	st := s.cfg.TenantStore
-	if st == nil {
-		return 0, 0, fmt.Errorf("service: no tenant store attached")
-	}
 	s.FlushLedgers()
-	if _, err := st.Sync(); err != nil {
+	if _, err := s.store.Sync(); err != nil {
 		return 0, 0, err
 	}
-	reg, err := st.Registry()
+	reg, gen, err := s.store.Registry()
 	if err != nil {
 		return 0, 0, err
 	}
-	s.SwapTenants(reg, st.Generation())
-	return st.Generation(), len(reg.Tenants()), nil
+	s.tenants.Store(s.buildTable(reg, gen, s.table()))
+	s.metrics.reloads.Add(1)
+	return gen, len(reg.Tenants()), nil
 }
 
-// FlushLedgers persists every tenant's current usage totals to the
-// attached store. Totals unchanged since the last flush are skipped, so
-// an idle server appends nothing. Safe to call concurrently with serving;
-// a no-op without a store.
+// FlushLedgers persists every tenant's current usage totals to the store.
+// Totals unchanged since the last flush are skipped, so an idle server
+// appends nothing. Safe to call concurrently with serving.
 func (s *Server) FlushLedgers() {
-	st := s.cfg.TenantStore
-	if st == nil {
-		return
-	}
 	tbl := s.table()
 	states := make([]*tenantState, 0, len(tbl.states)+2)
 	for _, ts := range tbl.states {
@@ -254,17 +208,21 @@ func (s *Server) FlushLedgers() {
 		if totals.IsZero() || totals == s.flushed[ts.name] {
 			continue
 		}
-		if err := st.WriteLedger(ts.name, totals); err != nil {
+		if err := s.store.WriteLedger(ts.name, totals); err != nil {
 			return // disk trouble; retry whole flush next interval
 		}
 		s.flushed[ts.name] = totals
 	}
 }
 
+// ledgerFlushInterval is how often usage ledgers reach the store; a crash
+// loses at most this much accrual.
+const ledgerFlushInterval = 5 * time.Second
+
 // ledgerFlusher periodically persists usage totals until Stop.
-func (s *Server) ledgerFlusher(interval time.Duration) {
+func (s *Server) ledgerFlusher() {
 	defer s.workers.Done()
-	t := time.NewTicker(interval)
+	t := time.NewTicker(ledgerFlushInterval)
 	defer t.Stop()
 	for {
 		select {
@@ -308,7 +266,7 @@ func (s *Server) tenantFor(r *http.Request) (*tenantState, error) {
 	if key == "" {
 		return s.unknown, errUnauthorized
 	}
-	t, ok := tbl.registry.Authenticate(key)
+	t, ok := tbl.registry.Authenticate(key, s.now())
 	if !ok {
 		return s.unknown, errUnauthorized
 	}
@@ -327,15 +285,15 @@ type throttleError struct {
 
 func (e *throttleError) Error() string { return e.msg }
 
-// admit spends one rate token for the tenant, converting refusal into the
-// 429 the instrument layer renders. Reserved states have no bucket and
-// always admit.
+// admit spends one rate token from the tenant's bucket, converting
+// refusal into the 429 the instrument layer renders. Unlimited tenants and
+// the reserved states (rate 0) admit without touching the bucket.
 func (s *Server) admit(ts *tenantState) error {
-	lim := ts.lim.Load()
-	if lim.t == nil {
+	sp := ts.spec.Load()
+	if sp.RatePerSec <= 0 {
 		return nil
 	}
-	ok, retry := lim.reg.Allow(lim.t)
+	ok, retry := ts.bucket.Take(sp.RatePerSec, sp.Burst, s.now())
 	if !ok {
 		return &throttleError{retryAfter: retry, msg: "tenant rate limit exceeded"}
 	}
@@ -346,7 +304,7 @@ func (s *Server) admit(ts *tenantState) error {
 // cap, tightened by the tenant's own cap when one is set.
 func (s *Server) bodyLimit(ts *tenantState) int64 {
 	limit := s.cfg.MaxBodyBytes
-	if max := ts.lim.Load().maxBody; max > 0 && max < limit {
+	if max := ts.spec.Load().MaxBodyBytes; max > 0 && max < limit {
 		limit = max
 	}
 	return limit
@@ -355,7 +313,7 @@ func (s *Server) bodyLimit(ts *tenantState) int64 {
 // unitLimit is the effective campaign-unit cap for the tenant.
 func (s *Server) unitLimit(ts *tenantState) int {
 	limit := s.cfg.MaxCampaignUnits
-	if max := ts.lim.Load().maxUnits; max > 0 && max < limit {
+	if max := ts.spec.Load().MaxCampaignUnits; max > 0 && max < limit {
 		limit = max
 	}
 	return limit

@@ -14,9 +14,10 @@ import (
 	"oraclesize/internal/tenant"
 )
 
-// testRegistry builds a two-tenant registry: "interactive" (unlimited rate,
-// weight 4) and "bulk" (rate-limited, weight 1).
-func testRegistry(t *testing.T, specs ...tenant.Spec) *tenant.Registry {
+// testStore builds an in-memory tenant store holding specs, by default
+// two tenants: "interactive" (unlimited rate, weight 4) and "bulk"
+// (rate-limited, weight 1).
+func testStore(t *testing.T, specs ...tenant.Spec) *tenant.Store {
 	t.Helper()
 	if specs == nil {
 		specs = []tenant.Spec{
@@ -24,11 +25,13 @@ func testRegistry(t *testing.T, specs ...tenant.Spec) *tenant.Registry {
 			{Name: "bulk", Key: "bulk-key-0000", Weight: 1, RatePerSec: 1, Burst: 2},
 		}
 	}
-	r, err := tenant.NewRegistry(specs)
-	if err != nil {
-		t.Fatal(err)
+	st := tenant.NewMemStore()
+	for _, sp := range specs {
+		if _, err := st.PutKey(sp); err != nil {
+			t.Fatal(err)
+		}
 	}
-	return r
+	return st
 }
 
 // postJSONKey is postJSON plus an API key header.
@@ -50,7 +53,7 @@ func postJSONKey(t *testing.T, h http.Handler, path, key string, body any) *http
 var tenantRunBody = map[string]any{"family": "random-sparse", "n": 16, "seed": 1, "task": "wakeup"}
 
 func TestTenantAuthRequired(t *testing.T) {
-	s := newTestServer(t, Config{Tenants: testRegistry(t)})
+	s := newTestServer(t, Config{TenantStore: testStore(t)})
 
 	// No key, wrong key: 401 on every authenticated endpoint.
 	for _, key := range []string{"", "wrong-key-123"} {
@@ -100,10 +103,9 @@ func TestAnonymousModeUnchanged(t *testing.T) {
 // a fake clock and checks the 429 + Retry-After contract, and that the
 // other tenant is untouched.
 func TestTenantRateLimit429(t *testing.T) {
-	reg := testRegistry(t)
 	now := time.Unix(5000, 0)
-	reg.SetClock(func() time.Time { return now })
-	s := newTestServer(t, Config{Tenants: reg})
+	s := newTestServer(t, Config{TenantStore: testStore(t)})
+	s.now = func() time.Time { return now }
 
 	// bulk has burst 2: two admits, then 429.
 	for i := 0; i < 2; i++ {
@@ -144,10 +146,9 @@ func TestTenantRateLimit429(t *testing.T) {
 // cached for an authenticated tenant must never be replayed to an
 // unauthenticated or over-quota request.
 func TestResponseCacheRequiresAuth(t *testing.T) {
-	reg := testRegistry(t)
 	now := time.Unix(5000, 0)
-	reg.SetClock(func() time.Time { return now })
-	s := newTestServer(t, Config{Tenants: reg})
+	s := newTestServer(t, Config{TenantStore: testStore(t)})
+	s.now = func() time.Time { return now }
 
 	// Prime the response cache through the interactive tenant.
 	if w := postJSONKey(t, s.Handler(), "/v1/run", "interactive-key", tenantRunBody); w.Code != http.StatusOK {
@@ -186,11 +187,11 @@ func TestResponseCacheRequiresAuth(t *testing.T) {
 // its own slot cap is throttled while the other tenant still admits, and
 // only a globally full queue sheds.
 func TestTenantQueueSlots429(t *testing.T) {
-	reg := testRegistry(t,
+	st := testStore(t,
 		tenant.Spec{Name: "capped", Key: "capped-key-0", MaxQueueSlots: 1},
 		tenant.Spec{Name: "free", Key: "free-key-0000"},
 	)
-	s := newTestServer(t, Config{Workers: 1, QueueDepth: 4, Tenants: reg})
+	s := newTestServer(t, Config{Workers: 1, QueueDepth: 4, TenantStore: st})
 	entered := make(chan struct{}, 8)
 	gate := make(chan struct{})
 	var release sync.Once
@@ -241,11 +242,11 @@ func TestTenantQueueSlots429(t *testing.T) {
 }
 
 func TestTenantBodyLimit(t *testing.T) {
-	reg := testRegistry(t,
+	st := testStore(t,
 		tenant.Spec{Name: "tiny", Key: "tiny-key-0000", MaxBodyBytes: 16},
 		tenant.Spec{Name: "roomy", Key: "roomy-key-000"},
 	)
-	s := newTestServer(t, Config{Tenants: reg})
+	s := newTestServer(t, Config{TenantStore: st})
 	// The same body passes for roomy and is over tiny's tighter cap.
 	if w := postJSONKey(t, s.Handler(), "/v1/run", "roomy-key-000", tenantRunBody); w.Code != http.StatusOK {
 		t.Fatalf("roomy: status %d: %s", w.Code, w.Body.String())
@@ -256,11 +257,11 @@ func TestTenantBodyLimit(t *testing.T) {
 }
 
 func TestTenantCampaignQuotas(t *testing.T) {
-	reg := testRegistry(t,
+	st := testStore(t,
 		tenant.Spec{Name: "small", Key: "small-key-000", MaxCampaignUnits: 2, MaxCampaigns: 1},
 		tenant.Spec{Name: "big", Key: "big-key-00000"},
 	)
-	s := newTestServer(t, Config{MaxCampaigns: 4, Tenants: reg})
+	s := newTestServer(t, Config{MaxCampaigns: 4, TenantStore: st})
 	spec := map[string]any{
 		"name": "t", "trials": 1, "seed": 1,
 		"tasks":    []map[string]any{{"task": "broadcast", "schemes": []string{"flooding"}}},
@@ -299,7 +300,7 @@ func TestTenantCampaignQuotas(t *testing.T) {
 // and verifies they all collapse into the single reserved "unknown" label —
 // the per-tenant series count stays bounded by the registry size.
 func TestTenantMetricsCardinality(t *testing.T) {
-	s := newTestServer(t, Config{Tenants: testRegistry(t)})
+	s := newTestServer(t, Config{TenantStore: testStore(t)})
 	for i := 0; i < 50; i++ {
 		w := postJSONKey(t, s.Handler(), "/v1/run", fmt.Sprintf("bogus-key-%d", i), tenantRunBody)
 		if w.Code != http.StatusUnauthorized {
@@ -351,7 +352,7 @@ func grepLines(s, substr string) string {
 // TestTenantQueueDepthMetric checks the per-tenant queue gauge while jobs
 // are parked behind a gated worker.
 func TestTenantQueueDepthMetric(t *testing.T) {
-	s := newTestServer(t, Config{Workers: 1, QueueDepth: 4, Tenants: testRegistry(t)})
+	s := newTestServer(t, Config{Workers: 1, QueueDepth: 4, TenantStore: testStore(t)})
 	entered := make(chan struct{}, 8)
 	gate := make(chan struct{})
 	var release sync.Once
@@ -386,11 +387,11 @@ func TestTenantQueueDepthMetric(t *testing.T) {
 // request admitted afterwards executes within one DRR rotation — it does
 // not wait behind the whole bulk backlog.
 func TestServiceFairnessUnderBulkLoad(t *testing.T) {
-	reg := testRegistry(t,
+	st := testStore(t,
 		tenant.Spec{Name: "bulkload", Key: "bulkload-key0", Weight: 1},
 		tenant.Spec{Name: "inter", Key: "inter-key-000", Weight: 4},
 	)
-	s := newTestServer(t, Config{Workers: 1, QueueDepth: 64, BatchMax: 4, Tenants: reg})
+	s := newTestServer(t, Config{Workers: 1, QueueDepth: 64, BatchMax: 4, TenantStore: st})
 
 	var mu sync.Mutex
 	var order []string

@@ -6,15 +6,14 @@ import (
 )
 
 func TestBucketRefillIsContinuous(t *testing.T) {
-	var b bucket
-	b.tokens = 1
+	var b Bucket // starts full: one token at burst 1
 	now := time.Unix(0, 0)
-	if ok, _ := b.take(2, 1, now); !ok {
-		t.Fatal("seeded token refused")
+	if ok, _ := b.Take(2, 1, now); !ok {
+		t.Fatal("first token refused")
 	}
 	// 2 tokens/s: after 250ms only half a token has refilled.
 	now = now.Add(250 * time.Millisecond)
-	ok, retry := b.take(2, 1, now)
+	ok, retry := b.Take(2, 1, now)
 	if ok {
 		t.Fatal("half a token admitted a request")
 	}
@@ -22,39 +21,38 @@ func TestBucketRefillIsContinuous(t *testing.T) {
 		t.Fatalf("retryAfter = %v, want %v", retry, want)
 	}
 	now = now.Add(250 * time.Millisecond)
-	if ok, _ := b.take(2, 1, now); !ok {
+	if ok, _ := b.Take(2, 1, now); !ok {
 		t.Fatal("full token refused")
 	}
 }
 
 func TestBucketClockSkewBackwards(t *testing.T) {
-	var b bucket
-	b.tokens = 1
+	var b Bucket // starts full: one token at burst 1
 	now := time.Unix(100, 0)
-	if ok, _ := b.take(1, 1, now); !ok {
-		t.Fatal("seeded token refused")
+	if ok, _ := b.Take(1, 1, now); !ok {
+		t.Fatal("first token refused")
 	}
 	// A clock step backwards must not mint tokens or panic.
-	if ok, _ := b.take(1, 1, now.Add(-time.Minute)); ok {
+	if ok, _ := b.Take(1, 1, now.Add(-time.Minute)); ok {
 		t.Fatal("backwards clock minted a token")
 	}
 	// ...and must not poison future refill: from the (earlier) last stamp,
 	// a full second forward refills one token.
-	if ok, _ := b.take(1, 1, now.Add(time.Second)); !ok {
+	if ok, _ := b.Take(1, 1, now.Add(time.Second)); !ok {
 		t.Fatal("refill after skew refused")
 	}
 }
 
 func TestBucketConcurrentTakes(t *testing.T) {
-	var b bucket
-	b.tokens = 100
+	// A frozen clock refills nothing, so the 100-token burst is all there is.
+	var b Bucket
 	now := time.Unix(0, 0)
 	done := make(chan int)
 	for g := 0; g < 8; g++ {
 		go func() {
 			granted := 0
 			for i := 0; i < 50; i++ {
-				if ok, _ := b.take(0, 100, now); ok {
+				if ok, _ := b.Take(1, 100, now); ok {
 					granted++
 				}
 			}

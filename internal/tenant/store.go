@@ -1,7 +1,6 @@
 package tenant
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -38,11 +37,15 @@ import (
 // interleave without tearing; each process calls Sync to fold in frames
 // the other appended. Compact rewrites the directory and is an exclusive
 // administrative operation.
+//
+// A memory store (NewMemStore, OpenKeyfile) has no directory: writes only
+// update its state.
 type Store struct {
-	mu  sync.Mutex
-	dir string
+	mu      sync.Mutex
+	dir     string
+	keyfile string // the file a memory store's Sync re-reads, if any
 
-	w       *os.File // O_APPEND write handle
+	w       *os.File // O_APPEND write handle; nil for a memory store
 	r       *os.File // read handle for Sync; offset tracks replayed bytes
 	off     int64
 	buf     []byte
@@ -144,12 +147,8 @@ func OpenStore(dir string) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("tenant: creating store dir: %w", err)
 	}
-	st := &Store{
-		dir:     dir,
-		specs:   make(map[string]*storedAt),
-		tombs:   make(map[string]uint64),
-		ledgers: make(map[string]*ledgerAt),
-	}
+	st := NewMemStore()
+	st.dir = dir
 	if err := st.loadSnapshot(); err != nil {
 		return nil, err
 	}
@@ -181,6 +180,49 @@ func OpenStore(dir string) (*Store, error) {
 		return nil, fmt.Errorf("tenant: seeking wal: %w", err)
 	}
 	return st, nil
+}
+
+// NewMemStore returns an empty store held only in memory.
+func NewMemStore() *Store {
+	return &Store{
+		specs:   make(map[string]*storedAt),
+		tombs:   make(map[string]uint64),
+		ledgers: make(map[string]*ledgerAt),
+	}
+}
+
+// OpenKeyfile loads a JSON keyfile into a memory store whose Sync
+// re-reads the file, so an edit reaches a running server through the
+// same reload as a durable store's change.
+func OpenKeyfile(path string) (*Store, error) {
+	st := NewMemStore()
+	st.keyfile = path
+	if _, err := st.Sync(); err != nil {
+		return nil, err
+	}
+	return st, nil
+}
+
+// syncKeyfile replaces a memory store's tenants with its keyfile's, as
+// one new generation. The whole file must build a registry first, so an
+// invalid edit (a typoed field, a duplicate key) changes nothing.
+func (st *Store) syncKeyfile() (bool, error) {
+	specs, err := readKeyfile(st.keyfile)
+	if err != nil {
+		return false, err
+	}
+	if _, err := NewRegistry(specs); err != nil {
+		return false, fmt.Errorf("%w (keyfile %s)", err, st.keyfile)
+	}
+	st.seq++
+	st.gen = st.seq
+	clear(st.specs)
+	for _, sp := range specs {
+		stored, _ := digestSpec(sp)
+		stored, _ = validateStored(stored)
+		st.specs[sp.Name] = &storedAt{spec: stored, seq: st.seq}
+	}
+	return true, nil
 }
 
 func (st *Store) loadSnapshot() error {
@@ -311,17 +353,19 @@ func (st *Store) apply(e storeEntry) {
 // survive a crash; ledger flushes are periodic and tolerate losing the
 // last interval.
 func (st *Store) append(e storeEntry, sync bool) error {
-	payload, err := json.Marshal(e)
-	if err != nil {
-		return fmt.Errorf("tenant: encoding store entry: %w", err)
-	}
-	st.buf = wal.AppendFrame(st.buf[:0], func(b []byte) []byte { return append(b, payload...) })
-	if _, err := st.w.Write(st.buf); err != nil {
-		return fmt.Errorf("tenant: appending store entry: %w", err)
-	}
-	if sync {
-		if err := st.w.Sync(); err != nil {
-			return fmt.Errorf("tenant: syncing store wal: %w", err)
+	if st.w != nil {
+		payload, err := json.Marshal(e)
+		if err != nil {
+			return fmt.Errorf("tenant: encoding store entry: %w", err)
+		}
+		st.buf = wal.AppendFrame(st.buf[:0], func(b []byte) []byte { return append(b, payload...) })
+		if _, err := st.w.Write(st.buf); err != nil {
+			return fmt.Errorf("tenant: appending store entry: %w", err)
+		}
+		if sync {
+			if err := st.w.Sync(); err != nil {
+				return fmt.Errorf("tenant: syncing store wal: %w", err)
+			}
 		}
 	}
 	st.apply(e)
@@ -330,14 +374,21 @@ func (st *Store) append(e storeEntry, sync bool) error {
 
 // Sync folds in WAL frames appended by other processes (the admin CLI
 // mutating specs while a daemon holds the store, or vice versa) since the
-// last open or Sync. It reports whether anything new was applied.
+// last open or Sync; a keyfile store re-reads its keyfile instead. It
+// reports whether anything new was applied.
 func (st *Store) Sync() (changed bool, err error) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
+	if st.keyfile != "" {
+		return st.syncKeyfile()
+	}
 	return st.syncLocked()
 }
 
 func (st *Store) syncLocked() (bool, error) {
+	if st.r == nil {
+		return false, nil // a memory store has no other writers
+	}
 	if _, err := st.r.Seek(st.off, io.SeekStart); err != nil {
 		return false, fmt.Errorf("tenant: seeking wal: %w", err)
 	}
@@ -385,6 +436,10 @@ func (st *Store) Dir() string { return st.dir }
 func (st *Store) Specs() []StoredSpec {
 	st.mu.Lock()
 	defer st.mu.Unlock()
+	return st.specsLocked()
+}
+
+func (st *Store) specsLocked() []StoredSpec {
 	out := make([]StoredSpec, 0, len(st.specs))
 	for _, s := range st.specs {
 		out = append(out, s.spec)
@@ -481,27 +536,20 @@ func digestSpec(sp Spec) (StoredSpec, error) {
 	return stored, nil
 }
 
-// ImportKeyfile upserts every tenant of a JSON keyfile (the format
-// LoadKeyfile reads) into the store, digesting the raw keys immediately.
-// It returns the number imported — the migration path from a static
-// keyfile deployment to the durable store.
+// ImportKeyfile upserts every tenant of a JSON keyfile into the store,
+// digesting the raw keys immediately. It returns the number imported —
+// the migration path from a keyfile deployment to the durable store.
 func (st *Store) ImportKeyfile(path string) (int, error) {
-	data, err := os.ReadFile(path)
+	specs, err := readKeyfile(path)
 	if err != nil {
-		return 0, fmt.Errorf("tenant: reading keyfile: %w", err)
+		return 0, err
 	}
-	var kf keyfile
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&kf); err != nil {
-		return 0, fmt.Errorf("tenant: parsing keyfile %s: %w", path, err)
-	}
-	for _, sp := range kf.Tenants {
+	for _, sp := range specs {
 		if _, err := st.PutKey(sp); err != nil {
 			return 0, fmt.Errorf("%w (keyfile %s)", err, path)
 		}
 	}
-	return len(kf.Tenants), nil
+	return len(specs), nil
 }
 
 // Rotate installs a new key for the tenant. The old key's digest stays
@@ -578,11 +626,17 @@ func (st *Store) WriteLedger(name string, l Ledger) error {
 	return st.append(storeEntry{Seq: st.nextSeq(), Op: "ledger", Name: name, Ledger: &l}, false)
 }
 
-// Registry builds a Registry from the stored specs. It fails on an empty
+// Registry builds a Registry from the stored specs and returns their
+// generation, both read under one lock so a concurrent writer cannot pair
+// one generation's policy with another's number. It fails on an empty
 // store — a registry that authenticates nobody would lock out the whole
 // service, so callers keep their previous registry instead.
-func (st *Store) Registry() (*Registry, error) {
-	return NewStoredRegistry(st.Specs())
+func (st *Store) Registry() (*Registry, uint64, error) {
+	st.mu.Lock()
+	specs, gen := st.specsLocked(), st.gen
+	st.mu.Unlock()
+	reg, err := NewStoredRegistry(specs)
+	return reg, gen, err
 }
 
 // Compact checkpoints the store: the full state is committed to a fresh
@@ -646,7 +700,7 @@ func NewStoredRegistry(specs []StoredSpec) (*Registry, error) {
 	if len(specs) > MaxTenants {
 		return nil, fmt.Errorf("tenant: %d tenants exceed the %d cap", len(specs), MaxTenants)
 	}
-	r := &Registry{now: time.Now}
+	r := &Registry{}
 	names := make(map[string]bool, len(specs))
 	digests := make(map[[32]byte]bool, len(specs))
 	for i := range specs {
@@ -670,7 +724,6 @@ func NewStoredRegistry(specs []StoredSpec) (*Registry, error) {
 			t.prevValid = true
 			t.prevExpiry = sp.PrevKeyExpiry
 		}
-		t.bucket.tokens = t.Spec.Burst
 		r.tenants = append(r.tenants, t)
 	}
 	return r, nil

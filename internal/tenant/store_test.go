@@ -128,23 +128,22 @@ func TestStoreRotateOverlapWindow(t *testing.T) {
 		t.Fatalf("overlap expiry = %v", sp.PrevKeyExpiry)
 	}
 
-	reg, err := st.Registry()
+	reg, _, err := st.Registry()
 	if err != nil {
 		t.Fatalf("Registry: %v", err)
 	}
 	clock := now
-	reg.SetClock(func() time.Time { return clock })
-	if _, ok := reg.Authenticate("new-secret-2"); !ok {
+	if _, ok := reg.Authenticate("new-secret-2", clock); !ok {
 		t.Fatalf("new key rejected inside overlap window")
 	}
-	if _, ok := reg.Authenticate("old-secret-1"); !ok {
+	if _, ok := reg.Authenticate("old-secret-1", clock); !ok {
 		t.Fatalf("old key rejected inside overlap window")
 	}
 	clock = now.Add(10*time.Minute + time.Second)
-	if _, ok := reg.Authenticate("old-secret-1"); ok {
+	if _, ok := reg.Authenticate("old-secret-1", clock); ok {
 		t.Fatalf("old key accepted after overlap window closed")
 	}
-	if _, ok := reg.Authenticate("new-secret-2"); !ok {
+	if _, ok := reg.Authenticate("new-secret-2", clock); !ok {
 		t.Fatalf("new key rejected after overlap window closed")
 	}
 
@@ -273,7 +272,7 @@ func TestStoreTornTailTruncates(t *testing.T) {
 
 func TestStoreRegistryEmptyFails(t *testing.T) {
 	st := openTestStore(t, t.TempDir())
-	if _, err := st.Registry(); err == nil {
+	if _, _, err := st.Registry(); err == nil {
 		t.Fatalf("Registry on empty store succeeded; a reload must keep the old registry instead")
 	}
 }

@@ -1,8 +1,9 @@
 // Package tenant is the multi-tenant hardening layer for oracled and
 // oracleherd: identity, admission quotas, and scheduling fairness.
 //
-// Identity is API-key based. A Registry is loaded from a static JSON
-// keyfile mapping secret keys to named tenants; authentication hashes the
+// Identity is API-key based. A Registry is built from a Store's tenant
+// specs — a durable store, or a memory store loaded from a JSON keyfile —
+// mapping secret keys to named tenants; authentication hashes the
 // presented key with SHA-256 and compares the digest against every
 // registered tenant with a constant-time comparison, so neither the
 // lookup nor the match leaks key bytes through timing. The raw keys are
@@ -84,8 +85,8 @@ type Spec struct {
 	Labels map[string]string `json:"labels,omitempty"`
 }
 
-// Tenant is one authenticated identity with its quota state. Tenants are
-// immutable after registry construction except for the rate bucket.
+// Tenant is one authenticated identity with its quota spec. Tenants are
+// immutable after registry construction.
 //
 // During a key rotation a tenant may hold a second, previous digest that
 // stays valid until prevExpiry — the overlap window that lets every client
@@ -96,7 +97,6 @@ type Tenant struct {
 	prevDigest [sha256.Size]byte
 	prevValid  bool
 	prevExpiry time.Time
-	bucket     bucket
 }
 
 // keyfile is the on-disk document shape.
@@ -107,8 +107,6 @@ type keyfile struct {
 // Registry holds the tenant set and answers authentication queries.
 type Registry struct {
 	tenants []*Tenant
-	// now is the clock behind rate-limit refill; tests substitute it.
-	now func() time.Time
 }
 
 // reserved names collide with the built-in metric labels for
@@ -170,14 +168,14 @@ func NewRegistry(specs []Spec) (*Registry, error) {
 	return NewStoredRegistry(stored)
 }
 
-// LoadKeyfile reads a JSON keyfile:
+// readKeyfile reads a JSON keyfile:
 //
 //	{"tenants": [{"name": "research", "key": "...", "weight": 4,
 //	              "rate_per_sec": 100, "burst": 200, ...}]}
 //
 // Unknown fields are rejected so a typoed limit cannot silently grant
 // "unlimited".
-func LoadKeyfile(path string) (*Registry, error) {
+func readKeyfile(path string) ([]Spec, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("tenant: reading keyfile: %w", err)
@@ -188,11 +186,7 @@ func LoadKeyfile(path string) (*Registry, error) {
 	if err := dec.Decode(&kf); err != nil {
 		return nil, fmt.Errorf("tenant: parsing keyfile %s: %w", path, err)
 	}
-	r, err := NewRegistry(kf.Tenants)
-	if err != nil {
-		return nil, fmt.Errorf("%w (keyfile %s)", err, path)
-	}
-	return r, nil
+	return kf.Tenants, nil
 }
 
 // Authenticate resolves an API key to its tenant. The comparison is
@@ -201,11 +195,10 @@ func LoadKeyfile(path string) (*Registry, error) {
 // crypto/subtle, with no early exit, so response timing reveals neither
 // how close a guess came nor which tenant matched. A tenant mid-rotation
 // matches on either its current or its previous digest while the overlap
-// window is open; the window check depends only on the clock, never on
-// key material, so it does not perturb the timing contract.
-func (r *Registry) Authenticate(key string) (*Tenant, bool) {
+// window is open at now; the window check depends only on the clock,
+// never on key material, so it does not perturb the timing contract.
+func (r *Registry) Authenticate(key string, now time.Time) (*Tenant, bool) {
 	d := sha256.Sum256([]byte(key))
-	now := r.now()
 	idx := -1
 	for i := range r.tenants {
 		t := r.tenants[i]
@@ -222,55 +215,7 @@ func (r *Registry) Authenticate(key string) (*Tenant, bool) {
 	return r.tenants[idx], true
 }
 
-// AdoptBuckets carries rate-limit bucket state from an old registry into
-// this one for same-name tenants, clamped to the new burst ceiling. A hot
-// reload calls it so tightening a quota takes effect against the tokens
-// the tenant has already spent — a reload is a policy change, not a free
-// bucket refill — and so a fake clock installed with SetClock survives
-// the swap.
-func (r *Registry) AdoptBuckets(old *Registry) {
-	if old == nil {
-		return
-	}
-	prev := make(map[string]*Tenant, len(old.tenants))
-	for _, t := range old.tenants {
-		prev[t.Spec.Name] = t
-	}
-	for _, t := range r.tenants {
-		o := prev[t.Spec.Name]
-		if o == nil || o.Spec.RatePerSec <= 0 {
-			// No prior bucket history to carry: a previously unlimited
-			// tenant never spent tokens, so a newly tightened policy starts
-			// it with the full burst rather than a spuriously empty bucket.
-			continue
-		}
-		o.bucket.mu.Lock()
-		tokens, last := o.bucket.tokens, o.bucket.last
-		o.bucket.mu.Unlock()
-		if t.Spec.Burst > 0 && tokens > t.Spec.Burst {
-			tokens = t.Spec.Burst
-		}
-		t.bucket.mu.Lock()
-		t.bucket.tokens, t.bucket.last = tokens, last
-		t.bucket.mu.Unlock()
-	}
-	r.now = old.now
-}
-
-// Tenants returns the registered tenants in keyfile order. The slice is
-// shared; callers must not mutate it.
+// Tenants returns the registered tenants in construction order (a
+// store's registry lists them by name). The slice is shared; callers
+// must not mutate it.
 func (r *Registry) Tenants() []*Tenant { return r.tenants }
-
-// SetClock substitutes the rate-limit clock. Tests only.
-func (r *Registry) SetClock(now func() time.Time) { r.now = now }
-
-// Allow takes one admission token from the tenant's rate bucket. It
-// returns ok=true when the request may proceed; otherwise retryAfter is
-// the wait until a token will be available. Tenants with no configured
-// rate always admit.
-func (r *Registry) Allow(t *Tenant) (ok bool, retryAfter time.Duration) {
-	if t.Spec.RatePerSec <= 0 {
-		return true, 0
-	}
-	return t.bucket.take(t.Spec.RatePerSec, t.Spec.Burst, r.now())
-}

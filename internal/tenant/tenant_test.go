@@ -92,13 +92,13 @@ func TestAuthenticate(t *testing.T) {
 		{"alpha-secret", "alpha"},
 		{"beta-secret-key", "beta"},
 	} {
-		got, ok := r.Authenticate(tc.key)
+		got, ok := r.Authenticate(tc.key, time.Time{})
 		if !ok || got.Spec.Name != tc.want {
 			t.Fatalf("Authenticate(%q) = %v, %v; want %s", tc.key, got, ok, tc.want)
 		}
 	}
 	for _, bad := range []string{"", "alpha-secret ", "Alpha-secret", "alpha-secre", "alpha-secrets"} {
-		if got, ok := r.Authenticate(bad); ok {
+		if got, ok := r.Authenticate(bad, time.Time{}); ok {
 			t.Fatalf("Authenticate(%q) matched tenant %s", bad, got.Spec.Name)
 		}
 	}
@@ -120,7 +120,7 @@ func TestAuthenticateScansAllTenants(t *testing.T) {
 	}
 	// First, last, and middle positions must all resolve identically.
 	for _, i := range []int{0, 31, 63} {
-		got, ok := r.Authenticate("secret-key-" + itoa(i))
+		got, ok := r.Authenticate("secret-key-"+itoa(i), time.Time{})
 		if !ok || got.Spec.Name != "t"+itoa(i) {
 			t.Fatalf("position %d failed to authenticate", i)
 		}
@@ -137,18 +137,22 @@ func TestLoadKeyfile(t *testing.T) {
 	if err := os.WriteFile(path, []byte(doc), 0o600); err != nil {
 		t.Fatal(err)
 	}
-	r, err := LoadKeyfile(path)
+	st, err := OpenKeyfile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(r.Tenants()) != 2 {
-		t.Fatalf("loaded %d tenants, want 2", len(r.Tenants()))
+	r, gen, err := st.Registry()
+	if err != nil {
+		t.Fatal(err)
 	}
-	research, ok := r.Authenticate("research-key-1")
+	if len(r.Tenants()) != 2 || gen != 1 {
+		t.Fatalf("loaded %d tenants at generation %d, want 2 at 1", len(r.Tenants()), gen)
+	}
+	research, ok := r.Authenticate("research-key-1", time.Time{})
 	if !ok || research.Spec.Weight != 4 || research.Spec.Labels["team"] != "theory" {
 		t.Fatalf("research tenant mis-loaded: %+v", research)
 	}
-	ci, ok := r.Authenticate("ci-key-00000")
+	ci, ok := r.Authenticate("ci-key-00000", time.Time{})
 	if !ok || ci.Spec.MaxQueueSlots != 8 {
 		t.Fatalf("ci tenant mis-loaded: %+v", ci)
 	}
@@ -161,33 +165,29 @@ func TestLoadKeyfileRejectsUnknownFields(t *testing.T) {
 	if err := os.WriteFile(path, []byte(doc), 0o600); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadKeyfile(path); err == nil {
+	if _, err := OpenKeyfile(path); err == nil {
 		t.Fatal("typoed field accepted; want unknown-field error")
 	}
 }
 
 func TestLoadKeyfileMissing(t *testing.T) {
-	if _, err := LoadKeyfile(filepath.Join(t.TempDir(), "nope.json")); err == nil {
+	if _, err := OpenKeyfile(filepath.Join(t.TempDir(), "nope.json")); err == nil {
 		t.Fatal("missing keyfile accepted")
 	}
 }
 
 func TestAllowRateLimit(t *testing.T) {
-	r, err := NewRegistry([]Spec{{Name: "a", Key: "long-enough", RatePerSec: 10, Burst: 2}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	var b Bucket
+	const rate, burst = 10, 2
 	now := time.Unix(1000, 0)
-	r.SetClock(func() time.Time { return now })
-	tn := r.Tenants()[0]
 
 	// Burst of 2 admits two back-to-back, then refuses.
 	for i := 0; i < 2; i++ {
-		if ok, _ := r.Allow(tn); !ok {
+		if ok, _ := b.Take(rate, burst, now); !ok {
 			t.Fatalf("request %d within burst refused", i)
 		}
 	}
-	ok, retry := r.Allow(tn)
+	ok, retry := b.Take(rate, burst, now)
 	if ok {
 		t.Fatal("third instantaneous request admitted over burst")
 	}
@@ -197,84 +197,73 @@ func TestAllowRateLimit(t *testing.T) {
 
 	// After the advertised wait, exactly one token is back.
 	now = now.Add(retry)
-	if ok, _ := r.Allow(tn); !ok {
+	if ok, _ := b.Take(rate, burst, now); !ok {
 		t.Fatal("request refused after waiting the advertised Retry-After")
 	}
-	if ok, _ := r.Allow(tn); ok {
+	if ok, _ := b.Take(rate, burst, now); ok {
 		t.Fatal("second request admitted without further refill")
 	}
 
 	// A long idle period refills only to burst, not beyond.
 	now = now.Add(time.Hour)
 	for i := 0; i < 2; i++ {
-		if ok, _ := r.Allow(tn); !ok {
+		if ok, _ := b.Take(rate, burst, now); !ok {
 			t.Fatalf("request %d within refilled burst refused", i)
 		}
 	}
-	if ok, _ := r.Allow(tn); ok {
+	if ok, _ := b.Take(rate, burst, now); ok {
 		t.Fatal("burst ceiling not enforced after idle refill")
 	}
 }
 
 // TestAdoptBucketsCarriesSpentTokens pins the hot-reload bucket contract:
-// a rate-limited tenant's spent tokens survive the swap (a reload is not
-// a free refill), clamped to the new burst, while a previously unlimited
-// tenant starts a newly tightened policy with its full burst — it has no
-// spend history to carry.
+// a rate-limited tenant's spent tokens survive Refit (a reload is not a
+// free refill), clamped to the new burst, while a tenant that was
+// unlimited before the reload starts the newly tightened policy with its
+// full burst — it has no spend history to carry.
 func TestAdoptBucketsCarriesSpentTokens(t *testing.T) {
 	now := time.Unix(2000, 0)
-	clock := func() time.Time { return now }
-	old, err := NewRegistry([]Spec{
-		{Name: "spent", Key: "spent-key-000", RatePerSec: 1, Burst: 4},
-		{Name: "fresh", Key: "fresh-key-000"},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	old.SetClock(clock)
+	var spent, fresh Bucket
 	for i := 0; i < 4; i++ {
-		if ok, _ := old.Allow(old.Tenants()[0]); !ok {
+		if ok, _ := spent.Take(1, 4, now); !ok {
 			t.Fatalf("request %d within burst refused", i)
 		}
 	}
-
-	next, err := NewRegistry([]Spec{
-		{Name: "spent", Key: "spent-key-000", RatePerSec: 1, Burst: 2},
-		{Name: "fresh", Key: "fresh-key-000", RatePerSec: 1, Burst: 2},
-	})
-	if err != nil {
-		t.Fatal(err)
+	// fresh spent a token under an earlier limit, then went unlimited.
+	if ok, _ := fresh.Take(1, 2, now); !ok {
+		t.Fatal("fresh tenant's first request refused")
 	}
-	next.AdoptBuckets(old)
+	fresh.Refit(0, 0)
 
-	// spent drained its bucket before the swap: still refused.
-	if ok, _ := next.Allow(next.Tenants()[0]); ok {
+	// The reload: both tenants now run at rate 1, burst 2.
+	spent.Refit(1, 2)
+	fresh.Refit(1, 2)
+
+	// spent drained its bucket before the reload: still refused.
+	if ok, _ := spent.Take(1, 2, now); ok {
 		t.Error("drained bucket refilled by reload")
 	}
 	// fresh was unlimited before: the tightened policy starts at burst.
 	for i := 0; i < 2; i++ {
-		if ok, _ := next.Allow(next.Tenants()[1]); !ok {
+		if ok, _ := fresh.Take(1, 2, now); !ok {
 			t.Fatalf("newly limited tenant refused request %d within its first burst", i)
 		}
 	}
-	if ok, _ := next.Allow(next.Tenants()[1]); ok {
+	if ok, _ := fresh.Take(1, 2, now); ok {
 		t.Error("newly limited tenant exceeded its burst")
 	}
-	// The fake clock rode along with the buckets.
+	// Refill continues from the spend history under the new policy.
 	now = now.Add(time.Second)
-	if ok, _ := next.Allow(next.Tenants()[0]); !ok {
-		t.Error("spent tenant refused after one virtual second of refill")
+	if ok, _ := spent.Take(1, 2, now); !ok {
+		t.Error("spent tenant refused after one second of refill")
 	}
 }
 
 func TestAllowUnlimited(t *testing.T) {
-	r, err := NewRegistry([]Spec{{Name: "a", Key: "long-enough"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tn := r.Tenants()[0]
+	var b Bucket
+	now := time.Unix(3000, 0)
 	for i := 0; i < 1000; i++ {
-		if ok, _ := r.Allow(tn); !ok {
+		if ok, _ := b.Take(0, 0, now); !ok {
 			t.Fatal("unlimited tenant throttled")
 		}
 	}
