@@ -151,69 +151,28 @@ func cmdRun(args []string, resume bool, out, errOut io.Writer) int {
 
 	var store campaign.Store
 	var wh *warehouse.Warehouse
-	done := map[string]bool{}
+	var done map[string]bool
 	switch {
 	case *whDir != "":
-		// The warehouse pins its spec hash at creation, so opening with
-		// this spec's hash doubles as the refusing-to-resume check.
-		wh, err = warehouse.Open(*whDir, warehouse.Options{SpecHash: spec.Hash()})
-		if err != nil {
+		if wh, done, err = warehouse.OpenRun(*whDir, spec, resume); err != nil {
 			fmt.Fprintln(errOut, err)
 			return 1
 		}
 		defer wh.Close()
-		if resume {
-			// Index-backed fast path: the done set comes straight off the
-			// segment sidecars and WAL replay; no record is decoded.
-			done = wh.SeenUnits()
-		} else if wh.Units() > 0 {
-			fmt.Fprintf(errOut, "campaign: warehouse %s already holds %d units — use resume or a new directory\n",
-				*whDir, wh.Units())
+		store = wh
+	case *outPath != "":
+		f, d, err := campaign.OpenJSONL(*outPath, spec, resume)
+		if err != nil {
+			fmt.Fprintln(errOut, err)
 			return 1
 		}
-		store = wh
+		defer f.Close()
+		store, done = campaign.NewSink(f), d
+	case resume:
+		fmt.Fprintln(errOut, "campaign: resume requires -out or -warehouse")
+		return 1
 	default:
-		var validLen int64
-		if resume {
-			if *outPath == "" {
-				fmt.Fprintln(errOut, "campaign: resume requires -out or -warehouse")
-				return 1
-			}
-			// Streaming fast path: one pass for unit keys and the spec
-			// hash, no record slice.
-			var specHash string
-			done, specHash, validLen, err = campaign.ScanDoneFile(*outPath)
-			if err != nil {
-				fmt.Fprintln(errOut, err)
-				return 1
-			}
-			if hash := spec.Hash(); specHash != "" && specHash != hash {
-				fmt.Fprintf(errOut, "campaign: %s was produced by spec %s, not %s — refusing to resume\n",
-					*outPath, specHash, hash)
-				return 1
-			}
-		}
-		var sinkW io.Writer = out
-		if *outPath != "" {
-			f, err := os.OpenFile(*outPath, os.O_CREATE|os.O_WRONLY, 0o644)
-			if err != nil {
-				fmt.Fprintln(errOut, err)
-				return 1
-			}
-			defer f.Close()
-			// Resume drops any torn final line before appending; a fresh run
-			// starts over.
-			if err := f.Truncate(validLen); err != nil {
-				fmt.Fprintln(errOut, err)
-				return 1
-			}
-			if _, err := f.Seek(validLen, io.SeekStart); err != nil {
-				fmt.Fprintln(errOut, err)
-				return 1
-			}
-			sinkW = f
-		}
-		store = campaign.NewSink(sinkW)
+		store = campaign.NewSink(out)
 	}
 
 	start := time.Now()

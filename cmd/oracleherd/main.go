@@ -6,13 +6,17 @@
 //
 //	oracleherd -workers http://a:8080,http://b:8080 (-quick | -spec spec.json)
 //	           (-out results.jsonl | -warehouse dir) [-resume] [-seed S]
-//	           [-shard-size 0] [-shard-min 4] [-shard-max 512] [-shard-target 2s]
+//	           [-shard-min 4] [-shard-max 512] [-shard-target 2s]
 //	           [-slots 2] [-lease 2m] [-hedge-after 30s]
 //	           [-retries 8] [-allow-skew] [-metrics :9090]
 //	           [-listen :8090] [-member-ttl 10s] [-target-makespan 0]
 //	           [-spawn-cmd CMD] [-spawn-max 8]
 //	           [-api-key KEY] [-tls-cert c.pem -tls-key k.pem]
 //	           [-tls-ca ca.pem] [-tls-client-ca ca.pem]
+//
+// One oracleherd drives one campaign. To run several over one fleet, start
+// one oracleherd per campaign and give each a -slots share in proportion to
+// its weight.
 //
 // With -listen the fleet is elastic: oracled workers self-register over
 // POST /v1/fleet/join (oracled -join) and heartbeat; joins admit workers
@@ -30,18 +34,11 @@
 // endpoint over TLS — add -tls-client-ca to require joining workers to
 // present certificates of their own. See docs/TENANCY.md.
 //
-// -spec repeats: `-spec a.json@3 -spec b.json -out a.jsonl -out b.jsonl`
-// runs several campaigns at once over one shared static fleet, giving each
-// campaign a weighted share of every worker's -slots budget (3:1 here) —
-// coordinator-side weighted fairness mirroring the per-tenant scheduler
-// inside oracled. Multi-spec runs are static JSONL only: no -listen,
-// -warehouse, or -metrics.
-//
 // Shard sizes adapt by default: the coordinator tracks an EWMA of each
 // worker's per-unit service time and carves leases aiming at -shard-target
 // of work, clamped to [-shard-min, -shard-max] and shrunk near the
-// campaign tail so no worker holds a long lease while others idle. Pass
-// -shard-size N to pin the old fixed sizing instead.
+// campaign tail so no worker holds a long lease while others idle. Set
+// -shard-min and -shard-max equal to pin every shard at that size.
 //
 // The fleet may be unreliable: failed dispatches retry with backoff
 // honoring Retry-After, repeatedly failing workers are circuit-broken,
@@ -52,7 +49,8 @@
 // With -warehouse the merge deposits into an embedded warehouse (see
 // internal/warehouse) instead of flat JSONL, with the same
 // idempotent-dedup guarantee; `campaign export` recovers the canonical
-// JSONL byte for byte.
+// JSONL byte for byte. -resume opens either artifact through the same
+// helpers `campaign resume` uses (campaign.OpenJSONL, warehouse.OpenRun).
 package main
 
 import (
@@ -65,9 +63,7 @@ import (
 	"os"
 	"os/signal"
 	"sort"
-	"strconv"
 	"strings"
-	"sync"
 	"syscall"
 	"time"
 
@@ -92,11 +88,10 @@ func run(args []string, out, errOut io.Writer) int {
 		whDir       = fs.String("warehouse", "", "merge into this warehouse directory instead of JSONL")
 		resume      = fs.Bool("resume", false, "resume the artifact: dispatch only the units it is missing")
 		seed        = fs.Int64("seed", 0, "override the spec seed")
-		shardSize   = fs.Int("shard-size", 0, "fixed units per shard; 0 sizes shards adaptively from worker latency")
-		shardMin    = fs.Int("shard-min", 4, "adaptive sizing: smallest shard carved (also the first probe lease)")
+		shardMin    = fs.Int("shard-min", 4, "adaptive sizing: smallest shard carved (also the first probe lease); equal to -shard-max pins a fixed size")
 		shardMax    = fs.Int("shard-max", 512, "adaptive sizing: largest shard carved")
 		shardTarget = fs.Duration("shard-target", 2*time.Second, "adaptive sizing: wall-clock of work to aim at per lease")
-		slots       = fs.Int("slots", 2, "shards leased to one worker at a time (multi-spec: split among specs by weight)")
+		slots       = fs.Int("slots", 2, "shards leased to one worker at a time; concurrent campaigns split the fleet in proportion to their -slots")
 		lease       = fs.Duration("lease", 2*time.Minute, "per-shard lease; an expired lease is reassigned")
 		hedgeAfter  = fs.Duration("hedge-after", 30*time.Second, "re-dispatch a shard in flight this long (negative disables)")
 		retries     = fs.Int("retries", 8, "per-shard dispatch attempts before the run fails")
@@ -114,27 +109,31 @@ func run(args []string, out, errOut io.Writer) int {
 		tlsCA       = fs.String("tls-ca", "", "trust worker certificates signed by this CA when dispatching and probing over https")
 		tlsClientCA = fs.String("tls-client-ca", "", "with -listen: require joining workers to present client certificates signed by this CA")
 	)
-	var specArgs, outPaths []string
-	fs.Func("spec", "campaign spec file (JSON); repeatable as path@weight to interleave campaigns weighted-fairly over one fleet", func(v string) error {
-		specArgs = append(specArgs, v)
-		return nil
-	})
-	fs.Func("out", "merged results JSONL file (-out or -warehouse required); repeat to pair one artifact with each -spec", func(v string) error {
-		outPaths = append(outPaths, v)
-		return nil
-	})
+	var specPath, outPath string
+	fs.Func("spec", "campaign spec file (JSON)", setOnce(&specPath))
+	fs.Func("out", "merged results JSONL file (-out or -warehouse required)", setOnce(&outPath))
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
+	set := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
 	if *workers == "" && *listen == "" {
 		fmt.Fprintln(errOut, "oracleherd: need -workers, -listen, or both")
 		return 2
+	}
+	if *listen == "" {
+		for _, name := range []string{"member-ttl", "target-makespan", "tenant-store", "tls-client-ca"} {
+			if set[name] {
+				fmt.Fprintf(errOut, "oracleherd: -%s requires -listen\n", name)
+				return 2
+			}
+		}
 	}
 	if *spawnCmd != "" && (*listen == "" || *targetSpan <= 0) {
 		fmt.Fprintln(errOut, "oracleherd: -spawn-cmd requires -listen and -target-makespan")
 		return 2
 	}
-	if (len(outPaths) == 0) == (*whDir == "") {
+	if (outPath == "") == (*whDir == "") {
 		fmt.Fprintln(errOut, "oracleherd: exactly one of -out and -warehouse is required")
 		return 2
 	}
@@ -144,12 +143,6 @@ func run(args []string, out, errOut io.Writer) int {
 			urls = append(urls, strings.TrimRight(u, "/"))
 		}
 	}
-	seedSet := false
-	fs.Visit(func(f *flag.Flag) {
-		if f.Name == "seed" {
-			seedSet = true
-		}
-	})
 
 	// One transport serves every worker-bound call (dispatch and probes):
 	// plain HTTP by default, mTLS when the certificate flags are set. The
@@ -168,64 +161,10 @@ func run(args []string, out, errOut io.Writer) int {
 		probeClient.Transport = tr
 	}
 
-	baseCfg := cluster.Config{
-		Workers:             urls,
-		ShardSize:           *shardSize,
-		MinShardSize:        *shardMin,
-		MaxShardSize:        *shardMax,
-		TargetShardDuration: *shardTarget,
-		Slots:               *slots,
-		LeaseTimeout:        *lease,
-		HedgeAfter:          *hedgeAfter,
-		MaxAttempts:         *retries,
-		AllowSkew:           *allowSkew,
-		Client:              httpClient,
-		APIKey:              *apiKey,
-	}
-
-	// Several -spec flags: weighted multi-campaign interleaving over one
-	// shared static fleet. Each campaign gets its own coordinator and
-	// artifact; the elastic/warehouse/metrics machinery stays single-spec.
-	if len(specArgs) > 1 {
-		switch {
-		case *quick:
-			fmt.Fprintln(errOut, "oracleherd: -quick cannot be combined with repeated -spec flags")
-			return 2
-		case *whDir != "":
-			fmt.Fprintln(errOut, "oracleherd: repeated -spec flags need one -out per spec; -warehouse is single-spec")
-			return 2
-		case *listen != "" || *metrics != "":
-			fmt.Fprintln(errOut, "oracleherd: repeated -spec flags run over a static fleet: drop -listen/-metrics and pass -workers")
-			return 2
-		case len(urls) == 0:
-			fmt.Fprintln(errOut, "oracleherd: repeated -spec flags need -workers")
-			return 2
-		case len(outPaths) != len(specArgs):
-			fmt.Fprintf(errOut, "oracleherd: %d -spec flags need %d -out flags, got %d\n",
-				len(specArgs), len(specArgs), len(outPaths))
-			return 2
-		}
-		jobs := make([]*specJob, len(specArgs))
-		for i, arg := range specArgs {
-			path, weight, err := parseSpecArg(arg)
-			if err != nil {
-				fmt.Fprintln(errOut, err)
-				return 2
-			}
-			jobs[i] = &specJob{path: path, weight: weight, out: outPaths[i]}
-		}
-		return runMulti(jobs, baseCfg, *resume, seedSet, *seed, out, errOut)
-	}
-
 	var spec *campaign.Spec
 	switch {
-	case len(specArgs) == 1:
-		path, _, err := parseSpecArg(specArgs[0])
-		if err != nil {
-			fmt.Fprintln(errOut, err)
-			return 2
-		}
-		s, err := campaign.LoadSpec(path)
+	case specPath != "":
+		s, err := campaign.LoadSpec(specPath)
 		if err != nil {
 			fmt.Fprintln(errOut, err)
 			return 1
@@ -237,52 +176,49 @@ func run(args []string, out, errOut io.Writer) int {
 		fmt.Fprintln(errOut, "oracleherd: need -spec file or -quick")
 		return 2
 	}
-	if seedSet {
+	if set["seed"] {
 		spec.Seed = *seed
 	}
-	if len(outPaths) > 1 {
-		fmt.Fprintln(errOut, "oracleherd: repeated -out flags need a matching number of -spec flags")
-		return 2
-	}
 
-	// Resume mirrors `campaign resume`: load the done set, verify the
-	// artifact belongs to this spec, and (for JSONL) drop any torn final
-	// line before appending. The warehouse's done set is an index lookup.
-	done := map[string]bool{}
+	// The artifact opens exactly as under `campaign run|resume`: the same
+	// helpers load the done set, refuse another spec's artifact, and drop
+	// a torn JSONL tail or refuse a fresh run into a non-empty warehouse.
 	var store campaign.Store
 	var wh *warehouse.Warehouse
+	var done map[string]bool
 	if *whDir != "" {
 		var err error
-		wh, err = warehouse.Open(*whDir, warehouse.Options{SpecHash: spec.Hash()})
-		if err != nil {
+		if wh, done, err = warehouse.OpenRun(*whDir, spec, *resume); err != nil {
 			fmt.Fprintln(errOut, err)
 			return 1
 		}
 		defer wh.Close()
-		if *resume {
-			done = wh.SeenUnits()
-		} else if wh.Units() > 0 {
-			fmt.Fprintf(errOut, "oracleherd: warehouse %s already holds %d units — use -resume or a new directory\n",
-				*whDir, wh.Units())
-			return 1
-		}
 		store = wh
 	} else {
-		st, d, f, err := openJSONL(outPaths[0], *resume, spec)
+		f, d, err := campaign.OpenJSONL(outPath, spec, *resume)
 		if err != nil {
 			fmt.Fprintln(errOut, err)
 			return 1
 		}
 		defer f.Close()
-		store, done = st, d
+		store, done = campaign.NewSink(f), d
 	}
 
-	cfg := baseCfg
-	cfg.Elastic = *listen != ""
-	cfg.Logf = func(format string, a ...any) {
-		fmt.Fprintf(errOut, format+"\n", a...)
-	}
-	coord, err := cluster.New(cfg)
+	coord, err := cluster.New(cluster.Config{
+		Workers:             urls,
+		Elastic:             *listen != "",
+		MinShardSize:        *shardMin,
+		MaxShardSize:        *shardMax,
+		TargetShardDuration: *shardTarget,
+		Slots:               *slots,
+		LeaseTimeout:        *lease,
+		HedgeAfter:          *hedgeAfter,
+		MaxAttempts:         *retries,
+		AllowSkew:           *allowSkew,
+		Client:              httpClient,
+		APIKey:              *apiKey,
+		Logf:                func(format string, a ...any) { fmt.Fprintf(errOut, format+"\n", a...) },
+	})
 	if err != nil {
 		fmt.Fprintln(errOut, err)
 		return 1
@@ -472,113 +408,11 @@ func run(args []string, out, errOut io.Writer) int {
 			return 1
 		}
 	}
-	printStats(out, errOut, spec, stats, time.Since(start))
-	if wh != nil {
-		s := wh.Stats()
-		fmt.Fprintf(errOut, "warehouse: %d units, %d records (%d in %d segments, %d in WAL), WAL %d bytes, %d compactions\n",
-			s.Units, s.Records, s.SegmentRecords, s.Segments, s.WALRecords, s.WALBytes, s.Compactions)
-	}
-	return 0
-}
-
-// specJob pairs one campaign spec with its artifact and fair-share weight.
-type specJob struct {
-	path   string
-	weight int
-	out    string
-	spec   *campaign.Spec
-}
-
-// parseSpecArg splits an optional @weight suffix off a -spec argument. A
-// suffix that does not parse as an integer is taken as part of the path.
-func parseSpecArg(arg string) (string, int, error) {
-	if i := strings.LastIndex(arg, "@"); i >= 0 {
-		if w, err := strconv.Atoi(arg[i+1:]); err == nil {
-			if w < 1 {
-				return "", 0, fmt.Errorf("oracleherd: spec weight must be >= 1 in %q", arg)
-			}
-			return arg[:i], w, nil
-		}
-	}
-	return arg, 1, nil
-}
-
-// partitionSlots splits the per-worker slot budget among specs in weight
-// proportion (largest remainder), then lifts every share to at least one
-// slot so no campaign starves outright — mirroring how the per-tenant
-// scheduler inside oracled never zeroes a tenant's quantum.
-func partitionSlots(total int, weights []int) []int {
-	sum := 0
-	for _, w := range weights {
-		sum += w
-	}
-	shares := make([]int, len(weights))
-	fracs := make([]float64, len(weights))
-	assigned := 0
-	for i, w := range weights {
-		exact := float64(total) * float64(w) / float64(sum)
-		shares[i] = int(exact)
-		fracs[i] = exact - float64(shares[i])
-		assigned += shares[i]
-	}
-	order := make([]int, len(weights))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool { return fracs[order[a]] > fracs[order[b]] })
-	for k := 0; assigned < total && k < len(order); k++ {
-		shares[order[k]]++
-		assigned++
-	}
-	for i := range shares {
-		if shares[i] < 1 {
-			shares[i] = 1
-		}
-	}
-	return shares
-}
-
-// openJSONL opens one JSONL artifact for appending, handling -resume the
-// same way `campaign resume` does: load the done set, verify the artifact
-// belongs to this spec, and drop any torn final line before appending.
-func openJSONL(path string, resume bool, spec *campaign.Spec) (campaign.Store, map[string]bool, *os.File, error) {
-	done := map[string]bool{}
-	var validLen int64
-	if resume {
-		var specHash string
-		var err error
-		done, specHash, validLen, err = campaign.ScanDoneFile(path)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		if hash := spec.Hash(); specHash != "" && specHash != hash {
-			return nil, nil, nil, fmt.Errorf("oracleherd: %s was produced by spec %s, not %s — refusing to resume",
-				path, specHash, hash)
-		}
-	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY, 0o644)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	if err := f.Truncate(validLen); err != nil {
-		f.Close()
-		return nil, nil, nil, err
-	}
-	if _, err := f.Seek(validLen, io.SeekStart); err != nil {
-		f.Close()
-		return nil, nil, nil, err
-	}
-	return campaign.NewSink(f), done, f, nil
-}
-
-// printStats writes the one-line run summary (stderr) and the per-worker
-// shard counts (stdout) a single-spec run has always produced.
-func printStats(out, errOut io.Writer, spec *campaign.Spec, stats cluster.Stats, elapsed time.Duration) {
 	fmt.Fprintf(errOut, "oracleherd %s %s: %d units in %d shards (%d resumed), sizes %d/%d/%d min/med/max, %d records, %d retries, %d hedges, %d reassignments, %d dedup drops, wall %v\n",
 		spec.Name, spec.Hash(), stats.Units, stats.Shards, stats.Skipped,
 		stats.ShardSizeMin, stats.ShardSizeMedian, stats.ShardSizeMax, stats.Records,
 		stats.Retries, stats.Hedges, stats.Reassignments, stats.DedupDropped,
-		elapsed.Round(time.Millisecond))
+		time.Since(start).Round(time.Millisecond))
 	names := make([]string, 0, len(stats.WorkerShards))
 	for u := range stats.WorkerShards {
 		names = append(names, u)
@@ -587,78 +421,23 @@ func printStats(out, errOut io.Writer, spec *campaign.Spec, stats cluster.Stats,
 	for _, u := range names {
 		fmt.Fprintf(out, "  %s: %d shards\n", u, stats.WorkerShards[u])
 	}
-}
-
-// runMulti drives several campaigns concurrently over one shared static
-// fleet: each spec gets its own coordinator whose per-worker slot count is
-// its weighted share of -slots, so every worker interleaves shards from
-// all campaigns in weight proportion.
-func runMulti(jobs []*specJob, cfg cluster.Config, resume, seedSet bool, seed int64, out, errOut io.Writer) int {
-	weights := make([]int, len(jobs))
-	for i, j := range jobs {
-		weights[i] = j.weight
-	}
-	shares := partitionSlots(cfg.Slots, weights)
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	var wg sync.WaitGroup
-	var mu sync.Mutex // serializes summary output and failure collection
-	failed := false
-	for i, job := range jobs {
-		spec, err := campaign.LoadSpec(job.path)
-		if err != nil {
-			fmt.Fprintln(errOut, err)
-			return 1
-		}
-		if seedSet {
-			spec.Seed = seed
-		}
-		job.spec = spec
-		store, done, f, err := openJSONL(job.out, resume, spec)
-		if err != nil {
-			fmt.Fprintln(errOut, err)
-			return 1
-		}
-		defer f.Close()
-
-		jc := cfg
-		jc.Slots = shares[i]
-		name := spec.Name
-		jc.Logf = func(format string, a ...any) {
-			mu.Lock()
-			fmt.Fprintf(errOut, "["+name+"] "+format+"\n", a...)
-			mu.Unlock()
-		}
-		coord, err := cluster.New(jc)
-		if err != nil {
-			fmt.Fprintln(errOut, err)
-			return 1
-		}
-		fmt.Fprintf(errOut, "oracleherd: campaign %s (%s): weight %d -> %d slot(s) per worker\n",
-			name, job.path, job.weight, shares[i])
-
-		wg.Add(1)
-		go func(job *specJob) {
-			defer wg.Done()
-			start := time.Now()
-			stats, err := coord.Run(ctx, job.spec, store, done)
-			mu.Lock()
-			defer mu.Unlock()
-			if err != nil {
-				// This campaign's artifact still holds a valid prefix;
-				// -resume completes it. The sibling campaigns run on.
-				fmt.Fprintln(errOut, err)
-				failed = true
-				return
-			}
-			printStats(out, errOut, job.spec, stats, time.Since(start))
-		}(job)
-	}
-	wg.Wait()
-	if failed {
-		return 1
+	if wh != nil {
+		s := wh.Stats()
+		fmt.Fprintf(errOut, "warehouse: %d units, %d records (%d in %d segments, %d in WAL), WAL %d bytes, %d compactions\n",
+			s.Units, s.Records, s.SegmentRecords, s.Segments, s.WALRecords, s.WALBytes, s.Compactions)
 	}
 	return 0
+}
+
+// setOnce returns a flag setter that refuses a second value: oracleherd
+// drives exactly one campaign and writes exactly one artifact.
+func setOnce(dst *string) func(string) error {
+	given := false
+	return func(v string) error {
+		if given {
+			return errors.New("given twice: oracleherd drives one campaign; run one oracleherd per campaign, with -slots split by weight")
+		}
+		*dst, given = v, true
+		return nil
+	}
 }

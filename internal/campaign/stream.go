@@ -132,3 +132,37 @@ func ScanDoneFile(path string) (done map[string]bool, specHash string, validLen 
 	defer f.Close()
 	return ScanDone(f)
 }
+
+// OpenJSONL opens the JSONL artifact at path for a run of spec, positioned
+// for appending. A fresh run truncates it. A resume loads the done set with
+// ScanDoneFile, refuses an artifact another spec produced, and drops any
+// torn final line so the first appended record starts on a line of its
+// own. The caller wraps the file in a Sink and closes it.
+func OpenJSONL(path string, spec *Spec, resume bool) (*os.File, map[string]bool, error) {
+	var done map[string]bool
+	var validLen int64
+	if resume {
+		var specHash string
+		var err error
+		if done, specHash, validLen, err = ScanDoneFile(path); err != nil {
+			return nil, nil, err
+		}
+		if hash := spec.Hash(); specHash != "" && specHash != hash {
+			return nil, nil, fmt.Errorf("campaign: %s was produced by spec %s, not %s — refusing to resume",
+				path, specHash, hash)
+		}
+	}
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY, 0o644)
+	if err != nil {
+		return nil, nil, err
+	}
+	if err := f.Truncate(validLen); err != nil {
+		f.Close()
+		return nil, nil, err
+	}
+	if _, err := f.Seek(validLen, io.SeekStart); err != nil {
+		f.Close()
+		return nil, nil, err
+	}
+	return f, done, nil
+}

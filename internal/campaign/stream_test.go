@@ -3,6 +3,9 @@ package campaign
 import (
 	"bytes"
 	"fmt"
+	"io"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -123,6 +126,56 @@ func TestScanDoneFileMissingReadsEmpty(t *testing.T) {
 	done, specHash, validLen, err := ScanDoneFile(t.TempDir() + "/absent.jsonl")
 	if err != nil || len(done) != 0 || specHash != "" || validLen != 0 {
 		t.Errorf("missing file: done=%v hash=%q len=%d err=%v", done, specHash, validLen, err)
+	}
+}
+
+// TestOpenJSONL pins the one open path `campaign run|resume` and
+// oracleherd share: a fresh run starts the file over, a resume keeps the
+// valid prefix and drops a torn final line, and another spec's artifact
+// is refused. The file is always positioned at its end.
+func TestOpenJSONL(t *testing.T) {
+	spec := QuickSpec()
+	var buf bytes.Buffer
+	if _, err := Run(spec, NewSink(&buf), RunOptions{Workers: 2}); err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+	path := filepath.Join(t.TempDir(), "r.jsonl")
+	open := func(content []byte, s *Spec, resume bool) (map[string]bool, int64, error) {
+		t.Helper()
+		if err := os.WriteFile(path, content, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		f, done, err := OpenJSONL(path, s, resume)
+		if err != nil {
+			return nil, 0, err
+		}
+		defer f.Close()
+		off, err := f.Seek(0, io.SeekCurrent)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fi, err := f.Stat()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fi.Size() != off {
+			t.Fatalf("positioned at %d, but the file holds %d bytes", off, fi.Size())
+		}
+		return done, off, nil
+	}
+
+	if done, off, err := open(append(append([]byte(nil), data...), data...), spec, false); err != nil || len(done) != 0 || off != 0 {
+		t.Errorf("fresh open: %d done, offset %d, err %v; want an empty file", len(done), off, err)
+	}
+	torn := append(append([]byte(nil), data...), data[:25]...)
+	if done, off, err := open(torn, spec, true); err != nil || len(done) != len(spec.Units()) || off != int64(len(data)) {
+		t.Errorf("resume: %d done, offset %d, err %v; want %d done at %d", len(done), off, err, len(spec.Units()), len(data))
+	}
+	other := QuickSpec()
+	other.Seed = 77
+	if _, _, err := open(data, other, true); err == nil || !strings.Contains(err.Error(), "refusing to resume") {
+		t.Errorf("resume under another seed: err %v", err)
 	}
 }
 

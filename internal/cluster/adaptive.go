@@ -11,12 +11,12 @@ import (
 const ewmaAlpha = 0.4
 
 // sizer chooses how many units the next lease carved for a worker should
-// hold. In fixed mode (Config.ShardSize > 0) it always answers ShardSize —
-// the pre-adaptive behavior. In adaptive mode it keeps an EWMA of each
-// worker's observed per-unit service time and sizes the lease so one shard
-// takes about TargetShardDuration on that worker: fast workers get big
-// shards (fewer round trips, better units-cache amortization), slow
-// workers get small ones (cheap retries, early straggler detection).
+// hold. It keeps an EWMA of each worker's observed per-unit service time
+// and sizes the lease so one shard takes about TargetShardDuration on that
+// worker: fast workers get big shards (fewer round trips, better
+// units-cache amortization), slow workers get small ones (cheap retries,
+// early straggler detection). With min == max every lease is that size:
+// the probe, the clamp and the tail guard's floor all answer min.
 //
 // Two guards bound the feedback loop:
 //
@@ -31,7 +31,6 @@ const ewmaAlpha = 0.4
 // units compute or the order the sink flushes them, so the merged artifact
 // stays byte-identical to a local run whatever the controller decides.
 type sizer struct {
-	fixed  int           // > 0 pins fixed sizing
 	min    int           // adaptive floor
 	max    int           // adaptive ceiling
 	target time.Duration // aimed-for shard service time
@@ -47,7 +46,6 @@ func newSizer(cfg *Config, workers int) *sizer {
 		slots = 1
 	}
 	return &sizer{
-		fixed:  cfg.ShardSize,
 		min:    cfg.MinShardSize,
 		max:    cfg.MaxShardSize,
 		target: cfg.TargetShardDuration,
@@ -77,9 +75,6 @@ func (z *sizer) observe(worker string, units int, d time.Duration) {
 // sizeFor picks the next lease size for worker given how many uncarved
 // runnable units remain.
 func (z *sizer) sizeFor(worker string, remaining int) int {
-	if z.fixed > 0 {
-		return z.fixed
-	}
 	z.mu.Lock()
 	per, ok := z.ewma[worker]
 	slots := z.slots

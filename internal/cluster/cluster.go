@@ -13,7 +13,8 @@
 // each worker's per-unit service time and sizes every lease so one shard
 // takes about TargetShardDuration on that worker, shrinking toward a floor
 // near the campaign tail so a slow worker never holds the makespan hostage
-// with one oversized final shard. ShardSize > 0 pins the old fixed sizing.
+// with one oversized final shard. MinShardSize == MaxShardSize pins every
+// shard at that size.
 //
 // The coordinator is built for an unreliable fleet:
 //
@@ -59,13 +60,10 @@ type Config struct {
 	// driven by the membership subsystem. An elastic Probe tolerates zero
 	// reachable workers — the run blocks until joined members finish it.
 	Elastic bool
-	// ShardSize, when > 0, pins fixed sizing: every shard holds this many
-	// consecutive units. 0 (the default) selects adaptive sizing driven by
-	// MinShardSize, MaxShardSize and TargetShardDuration.
-	ShardSize int
 	// MinShardSize is the adaptive floor (default 4): the first lease to a
 	// worker with no latency history, and the smallest shard the tail
-	// guard shrinks to.
+	// guard shrinks to. Setting it equal to MaxShardSize pins every shard
+	// at that size.
 	MinShardSize int
 	// MaxShardSize is the adaptive ceiling (default 512 — stay under
 	// oracled's default -max-shard-units of 1024).
@@ -126,9 +124,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.ShardSize < 0 {
-		c.ShardSize = 0
-	}
 	if c.MinShardSize <= 0 {
 		c.MinShardSize = 4
 	}
@@ -193,9 +188,8 @@ type Stats struct {
 	Shards  int
 	Skipped int
 	// ShardSizeMin, ShardSizeMedian and ShardSizeMax summarize the carved
-	// shard sizes: under fixed sizing all three equal ShardSize (the final
-	// short shard aside); under adaptive sizing they show the controller's
-	// spread.
+	// shard sizes: the controller's spread, or all three equal when
+	// MinShardSize == MaxShardSize (the final short shard aside).
 	ShardSizeMin    int
 	ShardSizeMedian int
 	ShardSizeMax    int
@@ -336,12 +330,9 @@ func (c *Coordinator) Run(ctx context.Context, spec *campaign.Spec, sink campaig
 
 	st := newRunState(&c.cfg, c.m, c.fleet.liveCount(), len(units), doneIdx, sink)
 	core := &Core{cfg: c.cfg, m: c.m, st: st, fleet: c.fleet}
-	sizing := "adaptive"
-	if c.cfg.ShardSize > 0 {
-		sizing = fmt.Sprintf("fixed %d units/shard", c.cfg.ShardSize)
-	}
-	c.cfg.Logf("cluster: %s %s: %d units (%d to run, %d resumed) across %d workers, %s sizing",
-		spec.Name, spec.Hash(), len(units), st.unitsLeft, st.skipped, c.fleet.liveCount(), sizing)
+	c.cfg.Logf("cluster: %s %s: %d units (%d to run, %d resumed) across %d workers, %d-%d units/shard",
+		spec.Name, spec.Hash(), len(units), st.unitsLeft, st.skipped, c.fleet.liveCount(),
+		c.cfg.MinShardSize, c.cfg.MaxShardSize)
 
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()

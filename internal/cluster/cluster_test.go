@@ -90,7 +90,8 @@ func (fakeTimer) Stop() bool          { return true }
 func fastConfig(workers ...string) Config {
 	return Config{
 		Workers:          workers,
-		ShardSize:        5,
+		MinShardSize:     5,
+		MaxShardSize:     5,
 		Slots:            1,
 		LeaseTimeout:     30 * time.Second,
 		HedgeAfter:       -1, // tests opt in explicitly
@@ -147,7 +148,6 @@ func TestAdaptiveDistributedMatchesLocal(t *testing.T) {
 
 	urls := []string{newWorkerServer(t, nil).URL, newWorkerServer(t, nil).URL}
 	cfg := fastConfig(urls...)
-	cfg.ShardSize = 0 // adaptive sizing
 	cfg.MinShardSize = 2
 	cfg.MaxShardSize = 16
 	cfg.TargetShardDuration = 50 * time.Millisecond
@@ -168,6 +168,59 @@ func TestAdaptiveDistributedMatchesLocal(t *testing.T) {
 	}
 	if stats.Units != len(spec.Units()) || stats.Skipped != 0 {
 		t.Fatalf("stats = %+v, want %d units, 0 skipped", stats, len(spec.Units()))
+	}
+}
+
+// TestTwoCoordinatorsShareWorkers runs two campaigns at once over the same
+// workers, as two oracleherd processes at -slots 1 and -slots 3 do: each
+// merged artifact must still equal its own local run. The throughput
+// split depends on timing, so it is logged, not asserted.
+func TestTwoCoordinatorsShareWorkers(t *testing.T) {
+	urls := []string{newWorkerServer(t, nil).URL, newWorkerServer(t, nil).URL}
+	type job struct {
+		spec  *campaign.Spec
+		coord *Coordinator
+		buf   bytes.Buffer
+		sink  *campaign.Sink
+		err   error
+	}
+	runs := make([]*job, 2)
+	for i, slots := range []int{1, 3} {
+		r := &job{spec: campaign.QuickSpec()}
+		r.spec.Seed = int64(i + 1)
+		r.sink = campaign.NewSink(&r.buf)
+		cfg := fastConfig(urls...)
+		cfg.MinShardSize, cfg.MaxShardSize = 2, 2
+		cfg.Slots = slots
+		c, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.coord = c
+		runs[i] = r
+	}
+
+	var wg sync.WaitGroup
+	var first sync.Once
+	for i, r := range runs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, r.err = r.coord.Run(context.Background(), r.spec, r.sink, nil)
+			first.Do(func() {
+				t.Logf("campaign %d finished first; units merged then: %d at 1 slot, %d at 3 slots",
+					i, runs[0].sink.Flushed(), runs[1].sink.Flushed())
+			})
+		}()
+	}
+	wg.Wait()
+	for i, r := range runs {
+		if r.err != nil {
+			t.Fatalf("campaign %d: %v", i, r.err)
+		}
+		if want := localRun(t, r.spec, nil); stripWall(r.buf.Bytes()) != stripWall(want.Bytes()) {
+			t.Errorf("campaign %d: merged artifact differs from its local run", i)
+		}
 	}
 }
 
@@ -491,7 +544,7 @@ func TestHedgedStraggler(t *testing.T) {
 	fast := newWorkerServer(t, nil)
 
 	cfg := fastConfig(slow.URL, fast.URL)
-	cfg.ShardSize = 16 // two shards: one straggles, one runs normally
+	cfg.MinShardSize, cfg.MaxShardSize = 16, 16 // two shards: one straggles, one runs normally
 	cfg.HedgeAfter = 30 * time.Millisecond
 	c, err := New(cfg)
 	if err != nil {

@@ -29,11 +29,11 @@ import (
 func TestMembershipChurnBoundsWorkerState(t *testing.T) {
 	const churns = 50
 	cfg := fastConfig("seed-0", "seed-1", "seed-2")
-	cfg.ShardSize = 2
+	cfg.MinShardSize, cfg.MaxShardSize = 2, 2
 	var buf bytes.Buffer
 	// 2 fresh carves per churn cycle at 2 units each consumes the campaign
 	// exactly.
-	totalUnits := churns * 2 * cfg.ShardSize
+	totalUnits := churns * 2 * cfg.MinShardSize
 	core, err := NewCore(cfg, totalUnits, nil, campaign.NewSink(&buf))
 	if err != nil {
 		t.Fatal(err)
@@ -181,7 +181,7 @@ func TestMixedStaticDynamicFleet(t *testing.T) {
 	})
 
 	cfg := fastConfig(staticA.URL, staticB.URL)
-	cfg.ShardSize = 1 // many shards, so joiners find work
+	cfg.MinShardSize, cfg.MaxShardSize = 1, 1 // many shards, so joiners find work
 	c, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)

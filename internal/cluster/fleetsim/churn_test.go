@@ -27,7 +27,8 @@ func TestElasticZeroFounderCampaign(t *testing.T) {
 		MemberTTL: 20 * time.Millisecond,
 		Spec:      spec,
 		Config: cluster.Config{
-			ShardSize:    8,
+			MinShardSize: 8,
+			MaxShardSize: 8,
 			Slots:        1,
 			LeaseTimeout: time.Hour, // only eviction can recover the hung leases
 			HedgeAfter:   -1,
@@ -81,7 +82,8 @@ func TestEvictionBeatsLeaseTimeout(t *testing.T) {
 		},
 		Spec: spec,
 		Config: cluster.Config{
-			ShardSize:    4,
+			MinShardSize: 4,
+			MaxShardSize: 4,
 			Slots:        1,
 			LeaseTimeout: 300 * time.Millisecond,
 			HedgeAfter:   -1,
@@ -131,7 +133,8 @@ func TestGracefulLeaveRequeuesImmediately(t *testing.T) {
 		},
 		Spec: spec,
 		Config: cluster.Config{
-			ShardSize:    8,
+			MinShardSize: 8,
+			MaxShardSize: 8,
 			Slots:        1,
 			LeaseTimeout: time.Hour,
 			HedgeAfter:   -1,
@@ -169,7 +172,8 @@ func TestBoundedWorkerQueuesAndSheds(t *testing.T) {
 		},
 		Spec: spec,
 		Config: cluster.Config{
-			ShardSize:    4,
+			MinShardSize: 4,
+			MaxShardSize: 4,
 			Slots:        3,
 			LeaseTimeout: time.Hour,
 			HedgeAfter:   -1,
@@ -206,7 +210,8 @@ func TestLeaseCoversQueueWait(t *testing.T) {
 		},
 		Spec: spec,
 		Config: cluster.Config{
-			ShardSize:    5,
+			MinShardSize: 5,
+			MaxShardSize: 5,
 			Slots:        2,
 			LeaseTimeout: 8 * time.Millisecond,
 			HedgeAfter:   -1,
@@ -236,7 +241,8 @@ func TestJitterIsDeterministic(t *testing.T) {
 		},
 		Spec: spec,
 		Config: cluster.Config{
-			ShardSize:    4,
+			MinShardSize: 4,
+			MaxShardSize: 4,
 			Slots:        1,
 			LeaseTimeout: time.Hour,
 			HedgeAfter:   -1,
@@ -285,7 +291,8 @@ func TestAutoscaleGrowsFleetToTarget(t *testing.T) {
 			Template: &fleetsim.Worker{UnitTime: 2 * time.Millisecond},
 		},
 		Config: cluster.Config{
-			ShardSize:    4,
+			MinShardSize: 4,
+			MaxShardSize: 4,
 			Slots:        1,
 			LeaseTimeout: time.Hour,
 			HedgeAfter:   -1,

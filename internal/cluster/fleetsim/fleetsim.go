@@ -134,10 +134,10 @@ type Scenario struct {
 	// Spec is the campaign to run.
 	Spec *campaign.Spec
 	// Config configures the scheduling core. Workers and Clock are owned
-	// by the simulator and overwritten; everything else — ShardSize,
-	// MinShardSize, MaxShardSize, TargetShardDuration, Slots, LeaseTimeout,
-	// HedgeAfter, MaxAttempts, backoff and breaker settings — is honored
-	// with the usual cluster defaults.
+	// by the simulator and overwritten; everything else — MinShardSize,
+	// MaxShardSize, TargetShardDuration, Slots, LeaseTimeout, HedgeAfter,
+	// MaxAttempts, backoff and breaker settings — is honored with the usual
+	// cluster defaults.
 	Config cluster.Config
 	// MemberTTL, when positive, simulates the heartbeat TTL sweeper: a
 	// worker that goes silent is evicted at SilentFrom+MemberTTL and its

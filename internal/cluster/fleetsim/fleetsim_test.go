@@ -57,7 +57,7 @@ func mustRun(t *testing.T, sc fleetsim.Scenario) *fleetsim.Result {
 
 // TestAdaptiveBeatsFixedWithSlowWorker is the controller's acceptance
 // test: with one worker 10x slower than the other, adaptive sizing must
-// beat the fixed -shard-size makespan on virtual time — while both
+// beat fixed sizing (min = max = units/5) on virtual time — while both
 // artifacts stay identical, in canonical form, to a local single-process
 // run of the same spec.
 func TestAdaptiveBeatsFixedWithSlowWorker(t *testing.T) {
@@ -76,7 +76,7 @@ func TestAdaptiveBeatsFixedWithSlowWorker(t *testing.T) {
 	}
 
 	fixedCfg := base
-	fixedCfg.ShardSize = units / 5
+	fixedCfg.MinShardSize, fixedCfg.MaxShardSize = units/5, units/5
 	fixed := mustRun(t, fleetsim.Scenario{Workers: fleet, Spec: spec, Config: fixedCfg})
 
 	adaptCfg := base
@@ -156,7 +156,8 @@ func TestCrashedWorkerShardsAreReassigned(t *testing.T) {
 		},
 		Spec: spec,
 		Config: cluster.Config{
-			ShardSize:        4,
+			MinShardSize:     4,
+			MaxShardSize:     4,
 			Slots:            1,
 			LeaseTimeout:     time.Hour,
 			HedgeAfter:       -1,
@@ -196,7 +197,8 @@ func TestStormRetryAfterIsHonored(t *testing.T) {
 		},
 		Spec: spec,
 		Config: cluster.Config{
-			ShardSize:    4,
+			MinShardSize: 4,
+			MaxShardSize: 4,
 			Slots:        1,
 			LeaseTimeout: time.Hour,
 			HedgeAfter:   -1,
@@ -232,7 +234,8 @@ func TestLeaseExpiryExhaustsAttemptBudget(t *testing.T) {
 		Workers: []fleetsim.Worker{{Name: "w", UnitTime: 10 * time.Millisecond}},
 		Spec:    campaign.QuickSpec(),
 		Config: cluster.Config{
-			ShardSize:    8, // 80ms of service against a 50ms lease
+			MinShardSize: 8, // 80ms of service against a 50ms lease
+			MaxShardSize: 8,
 			Slots:        1,
 			LeaseTimeout: 50 * time.Millisecond,
 			HedgeAfter:   -1,
@@ -260,7 +263,8 @@ func TestHedgeRescuesStraggler(t *testing.T) {
 		},
 		Spec: spec,
 		Config: cluster.Config{
-			ShardSize:    4,
+			MinShardSize: 4,
+			MaxShardSize: 4,
 			Slots:        1,
 			LeaseTimeout: time.Hour,
 			HedgeAfter:   40 * time.Millisecond,
@@ -344,7 +348,8 @@ func TestResumeNeverRedispatchesDoneUnits(t *testing.T) {
 		Spec:    spec,
 		Done:    done,
 		Config: cluster.Config{
-			ShardSize:    6, // straddles the done range: shards must end early at its edge
+			MinShardSize: 6, // straddles the done range: shards must end early at its edge
+			MaxShardSize: 6,
 			Slots:        1,
 			LeaseTimeout: time.Hour,
 			HedgeAfter:   -1,

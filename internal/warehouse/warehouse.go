@@ -237,6 +237,25 @@ func Open(dir string, opts Options) (*Warehouse, error) {
 	return w, nil
 }
 
+// OpenRun opens the warehouse in dir for a run of spec, pinned to the
+// spec's hash so another spec's store is refused. A resume returns the
+// done set straight off the unit index (no record is decoded); a fresh run
+// refuses a warehouse that already holds units.
+func OpenRun(dir string, spec *campaign.Spec, resume bool) (*Warehouse, map[string]bool, error) {
+	w, err := Open(dir, Options{SpecHash: spec.Hash()})
+	if err != nil {
+		return nil, nil, err
+	}
+	if resume {
+		return w, w.SeenUnits(), nil
+	}
+	if n := w.Units(); n > 0 {
+		w.Close()
+		return nil, nil, fmt.Errorf("warehouse: %s already holds %d units — resume it or use a new directory", dir, n)
+	}
+	return w, nil, nil
+}
+
 // openActiveWAL starts a fresh log at the current sequence number.
 func (w *Warehouse) openActiveWAL() error {
 	f, err := os.OpenFile(filepath.Join(w.dir, walName(w.walSeq)), os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
