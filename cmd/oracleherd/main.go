@@ -10,7 +10,6 @@
 //	           [-slots 2] [-lease 2m] [-hedge-after 30s]
 //	           [-retries 8] [-allow-skew] [-metrics :9090]
 //	           [-listen :8090] [-member-ttl 10s] [-target-makespan 0]
-//	           [-spawn-cmd CMD] [-spawn-max 8]
 //	           [-api-key KEY] [-tls-cert c.pem -tls-key k.pem]
 //	           [-tls-ca ca.pem] [-tls-client-ca ca.pem]
 //
@@ -20,12 +19,12 @@
 //
 // With -listen the fleet is elastic: oracled workers self-register over
 // POST /v1/fleet/join (oracled -join) and heartbeat; joins admit workers
-// mid-campaign, heartbeat loss evicts them after -member-ttl with their
-// leases requeued immediately, and a draining worker keeps its leases but
-// is handed no new ones. -workers may then be empty — the run waits for
-// members. GET /v1/fleet lists members plus the autoscaling advice for
-// -target-makespan, and -spawn-cmd turns that advice into local worker
-// processes. See docs/FLEET.md.
+// before or during the campaign, heartbeat loss evicts them after
+// -member-ttl with their leases requeued immediately, and a draining
+// worker keeps its leases but is handed no new ones. -workers may then be
+// empty — the run waits for members. GET /v1/fleet lists members plus the
+// autoscaling advice for -target-makespan, for an external provisioner to
+// act on. See docs/FLEET.md.
 //
 // Multi-tenant fleets (oracled -keyfile) meter the coordinator like any
 // other tenant: -api-key rides every dispatch and fleet call as X-API-Key.
@@ -101,8 +100,6 @@ func run(args []string, out, errOut io.Writer) int {
 		memberTTL   = fs.Duration("member-ttl", 10*time.Second, "evict a fleet member this long after its last heartbeat")
 		tenantDir   = fs.String("tenant-store", "", "with -listen: watch this tenant store and push its generation to workers in join/heartbeat acks, so the fleet converges on one policy")
 		targetSpan  = fs.Duration("target-makespan", 0, "autoscaling advisor target for the remaining campaign (0 disables the recommendation)")
-		spawnCmd    = fs.String("spawn-cmd", "", "sh -c template launched per recommended worker (FLEET_INDEX set); requires -listen and -target-makespan")
-		spawnMax    = fs.Int("spawn-max", 8, "most workers -spawn-cmd may run at once")
 		apiKey      = fs.String("api-key", "", "tenant API key sent as X-API-Key on every worker call (multi-tenant oracled)")
 		tlsCert     = fs.String("tls-cert", "", "client certificate presented to mTLS workers; with -listen, also serves the fleet endpoint over TLS")
 		tlsKey      = fs.String("tls-key", "", "private key for -tls-cert")
@@ -128,10 +125,6 @@ func run(args []string, out, errOut io.Writer) int {
 				return 2
 			}
 		}
-	}
-	if *spawnCmd != "" && (*listen == "" || *targetSpan <= 0) {
-		fmt.Fprintln(errOut, "oracleherd: -spawn-cmd requires -listen and -target-makespan")
-		return 2
 	}
 	if (outPath == "") == (*whDir == "") {
 		fmt.Fprintln(errOut, "oracleherd: exactly one of -out and -warehouse is required")
@@ -218,7 +211,7 @@ func run(args []string, out, errOut io.Writer) int {
 		Client:              httpClient,
 		APIKey:              *apiKey,
 		Logf:                func(format string, a ...any) { fmt.Fprintf(errOut, format+"\n", a...) },
-	})
+	}, spec, store, done)
 	if err != nil {
 		fmt.Fprintln(errOut, err)
 		return 1
@@ -229,7 +222,7 @@ func run(args []string, out, errOut io.Writer) int {
 	// the coordinator (join -> admit mid-run, drain -> no new leases,
 	// leave/evict -> requeue leases immediately), a sweeper evicts members
 	// whose heartbeats stop, and the advisor recommends a fleet size for
-	// -target-makespan — optionally acted on by -spawn-cmd.
+	// -target-makespan, for an external provisioner to act on.
 	fleetCtx, fleetStop := context.WithCancel(context.Background())
 	defer fleetStop()
 	if *listen != "" {
@@ -257,10 +250,11 @@ func run(args []string, out, errOut io.Writer) int {
 			Logf: func(format string, a ...any) { fmt.Fprintf(errOut, format+"\n", a...) },
 		})
 		advise := func() membership.Advice {
-			backlog, unitSec, _ := coord.RunSignals()
+			core := coord.Core()
+			backlog, unitSec := core.Backlog(), core.MeanUnitSeconds()
 			if unitSec <= 0 {
-				// Before the sizer has samples (or between runs), fall back
-				// to what the workers themselves report in heartbeats.
+				// Before the sizer has samples, fall back to what the
+				// workers themselves report in heartbeats.
 				unitSec = table.MeanUnitSeconds()
 			}
 			a := membership.Advice{BacklogUnits: backlog, UnitSeconds: unitSec}
@@ -346,37 +340,6 @@ func run(args []string, out, errOut io.Writer) int {
 				}
 			}
 		}()
-
-		if *spawnCmd != "" {
-			spawner := &membership.Spawner{
-				Command: *spawnCmd,
-				Max:     *spawnMax,
-				Logf:    func(format string, a ...any) { fmt.Fprintf(errOut, format+"\n", a...) },
-			}
-			defer spawner.StopAll(5 * time.Second)
-			go func() {
-				t := time.NewTicker(sweepEvery)
-				defer t.Stop()
-				for {
-					select {
-					case <-fleetCtx.Done():
-						return
-					case <-t.C:
-					}
-					if _, _, active := coord.RunSignals(); !active {
-						continue
-					}
-					a := advise()
-					// Scale only the spawner's own share: externally joined
-					// workers count toward the recommendation but are never
-					// terminated by it.
-					external := coord.LiveWorkers() - spawner.Alive()
-					if _, err := spawner.Scale(a.RecommendedWorkers - external); err != nil {
-						fmt.Fprintf(errOut, "oracleherd: %v\n", err)
-					}
-				}
-			}()
-		}
 	}
 
 	if *metrics != "" {
@@ -396,7 +359,7 @@ func run(args []string, out, errOut io.Writer) int {
 	defer stop()
 
 	start := time.Now()
-	stats, err := coord.Run(ctx, spec, store, done)
+	stats, err := coord.Run(ctx)
 	if err != nil {
 		// The artifact still holds a valid prefix; -resume completes it.
 		fmt.Fprintln(errOut, err)

@@ -171,7 +171,7 @@ func TestFlagErrors(t *testing.T) {
 		{"no sink", []string{"-workers", w, "-quick"}, "exactly one of -out and -warehouse"},
 		{"spec twice", []string{"-workers", w, "-spec", "a.json", "-spec", "b.json", "-out", out}, "one oracleherd per campaign"},
 		{"out twice", []string{"-workers", w, "-quick", "-out", out, "-out", filepath.Join(dir, "b.jsonl")}, "one oracleherd per campaign"},
-		{"spawn-cmd", []string{"-workers", w, "-quick", "-out", out, "-spawn-cmd", "true"}, "-spawn-cmd requires -listen"},
+		{"spawn-cmd", []string{"-workers", w, "-quick", "-out", out, "-spawn-cmd", "true"}, "flag provided but not defined: -spawn-cmd"},
 		{"member-ttl", []string{"-workers", w, "-quick", "-out", out, "-member-ttl", "5s"}, "-member-ttl requires -listen"},
 		{"target-makespan", []string{"-workers", w, "-quick", "-out", out, "-target-makespan", "1m"}, "-target-makespan requires -listen"},
 		{"tenant-store", []string{"-workers", w, "-quick", "-out", out, "-tenant-store", filepath.Join(dir, "ts")}, "-tenant-store requires -listen"},

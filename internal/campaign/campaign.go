@@ -6,9 +6,10 @@
 // self-describing JSONL Record per completed unit (per table row for
 // experiment units) to an order-preserving Sink, so two runs with the same
 // spec and seed are byte-identical apart from wall-time fields. Runs are
-// resumable: diffing a partial sink against the unit list (see LoadDone)
-// yields exactly the missing units. The aggregator folds JSONL back into
-// experiments.Table renderers and diffs a run against a baseline file.
+// resumable: diffing a partial sink against the unit list (see ScanDone
+// and OpenJSONL) yields exactly the missing units. The aggregator folds
+// JSONL back into experiments.Table renderers and diffs a run against a
+// baseline file.
 package campaign
 
 import (

@@ -81,20 +81,32 @@ func TestRunRecordsValidate(t *testing.T) {
 	}
 }
 
+// TestResumeCompletesExactlyMissingUnits simulates a run killed mid-write:
+// the artifact holds whole lines plus a torn one. ScanDoneFile must report
+// the whole lines' units as done and a valid prefix that excludes the torn
+// line, and a resume from that prefix must complete the artifact to the
+// bytes of an uninterrupted run (modulo wall_ns).
 func TestResumeCompletesExactlyMissingUnits(t *testing.T) {
 	spec := QuickSpec()
 	full, _ := runToBuffer(t, spec, RunOptions{Workers: 4})
-	fullLines := strings.Split(strings.TrimRight(full.String(), "\n"), "\n")
+	fullLines := strings.SplitAfter(full.String(), "\n")
 
-	// Simulated kill: keep the first 7 complete lines (quick spec task
-	// units emit exactly one line each).
-	partial := strings.Join(fullLines[:7], "\n") + "\n"
-	done, partialRecs, err := LoadDone(strings.NewReader(partial))
-	if err != nil {
-		t.Fatalf("LoadDone: %v", err)
+	// Simulated kill: the first 7 complete lines (quick spec task units
+	// emit exactly one line each), then 10 bytes of the 8th.
+	partial := strings.Join(fullLines[:7], "")
+	path := t.TempDir() + "/results.jsonl"
+	if err := os.WriteFile(path, []byte(partial+fullLines[7][:10]), 0o644); err != nil {
+		t.Fatal(err)
 	}
-	if len(done) != 7 || len(partialRecs) != 7 {
-		t.Fatalf("partial sink: %d keys, %d records", len(done), len(partialRecs))
+	done, _, validLen, err := ScanDoneFile(path)
+	if err != nil {
+		t.Fatalf("ScanDoneFile: %v", err)
+	}
+	if len(done) != 7 {
+		t.Fatalf("torn artifact: %d done keys, want 7", len(done))
+	}
+	if validLen != int64(len(partial)) {
+		t.Fatalf("validLen = %d, want %d (torn tail must be excluded)", validLen, len(partial))
 	}
 
 	var resumed bytes.Buffer
@@ -114,7 +126,7 @@ func TestResumeCompletesExactlyMissingUnits(t *testing.T) {
 func TestResumeWithEverythingDoneRunsNothing(t *testing.T) {
 	spec := QuickSpec()
 	full, _ := runToBuffer(t, spec, RunOptions{Workers: 2})
-	done, _, err := LoadDone(bytes.NewReader(full.Bytes()))
+	done, _, _, err := ScanDone(bytes.NewReader(full.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,20 +140,28 @@ func TestResumeWithEverythingDoneRunsNothing(t *testing.T) {
 	}
 }
 
+// TestLoadDoneToleratesTornLine checks that loading the done set of a sink
+// cut mid-record keeps the whole records and drops the torn one.
 func TestLoadDoneToleratesTornLine(t *testing.T) {
 	spec := QuickSpec()
 	full, _ := runToBuffer(t, spec, RunOptions{Workers: 2})
 	lines := strings.SplitAfter(full.String(), "\n")
 	torn := strings.Join(lines[:3], "") + lines[3][:10] // cut mid-record
-	done, recs, err := LoadDone(strings.NewReader(torn))
+	done, specHash, _, err := ScanDone(strings.NewReader(torn))
 	if err != nil {
-		t.Fatalf("LoadDone on torn sink: %v", err)
+		t.Fatalf("ScanDone on torn sink: %v", err)
 	}
-	if len(recs) != 3 || len(done) != 3 {
-		t.Errorf("torn sink: %d records, %d keys, want 3 each", len(recs), len(done))
+	if len(done) != 3 {
+		t.Errorf("torn sink: %d keys, want 3", len(done))
+	}
+	if specHash != spec.Hash() {
+		t.Errorf("torn sink: spec hash %q, want %q", specHash, spec.Hash())
 	}
 }
 
+// TestLoadDoneFileReportsValidPrefix checks the file form of the done-set
+// loader: the valid prefix ends before a torn line, and a missing file
+// reads as empty.
 func TestLoadDoneFileReportsValidPrefix(t *testing.T) {
 	spec := QuickSpec()
 	full, _ := runToBuffer(t, spec, RunOptions{Workers: 2})
@@ -153,21 +173,21 @@ func TestLoadDoneFileReportsValidPrefix(t *testing.T) {
 	if err := os.WriteFile(path, []byte(torn), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	done, recs, validLen, err := LoadDoneFile(path)
+	done, specHash, validLen, err := ScanDoneFile(path)
 	if err != nil {
-		t.Fatalf("LoadDoneFile: %v", err)
+		t.Fatalf("ScanDoneFile: %v", err)
 	}
-	if len(done) != 4 || len(recs) != 4 {
-		t.Errorf("done=%d recs=%d, want 4", len(done), len(recs))
+	if len(done) != 4 || specHash != spec.Hash() {
+		t.Errorf("done=%d hash=%q, want 4 and %q", len(done), specHash, spec.Hash())
 	}
 	if validLen != int64(len(keep)) {
 		t.Errorf("validLen=%d, want %d (torn tail must be excluded)", validLen, len(keep))
 	}
 
 	// Missing file reads as empty.
-	done, recs, validLen, err = LoadDoneFile(path + ".nonexistent")
-	if err != nil || len(done) != 0 || recs != nil || validLen != 0 {
-		t.Errorf("missing file: done=%v recs=%v len=%d err=%v", done, recs, validLen, err)
+	done, specHash, validLen, err = ScanDoneFile(path + ".nonexistent")
+	if err != nil || len(done) != 0 || specHash != "" || validLen != 0 {
+		t.Errorf("missing file: done=%v hash=%q len=%d err=%v", done, specHash, validLen, err)
 	}
 }
 

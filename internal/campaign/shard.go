@@ -3,9 +3,9 @@ package campaign
 import "fmt"
 
 // Shard is a contiguous range [Start, End) of a spec's compiled unit list.
-// Shards are the unit of distribution: a coordinator leases whole shards to
-// workers, and because shard boundaries are a pure function of (unit count,
-// shard size), every party that agrees on the spec agrees on the shards.
+// Shards are the unit of distribution: a coordinator carves them and leases
+// whole shards to workers, and because a shard names its units by index,
+// every party that agrees on the spec agrees on what a shard computes.
 type Shard struct {
 	// Index is the shard's ordinal in the partition.
 	Index int `json:"index"`
@@ -20,56 +20,6 @@ func (sh Shard) Len() int { return sh.End - sh.Start }
 // String renders the shard for logs: "shard 3 [96,128)".
 func (sh Shard) String() string {
 	return fmt.Sprintf("shard %d [%d,%d)", sh.Index, sh.Start, sh.End)
-}
-
-// Shards partitions total units into consecutive shards of at most size
-// units each (the final shard may be short). size < 1 selects one unit per
-// shard; total <= 0 yields no shards.
-func Shards(total, size int) []Shard {
-	if total <= 0 {
-		return nil
-	}
-	if size < 1 {
-		size = 1
-	}
-	shards := make([]Shard, 0, (total+size-1)/size)
-	for start := 0; start < total; start += size {
-		end := start + size
-		if end > total {
-			end = total
-		}
-		shards = append(shards, Shard{Index: len(shards), Start: start, End: end})
-	}
-	return shards
-}
-
-// ShardSeq partitions total units into consecutive shards whose sizes
-// follow sizes in order — the shape a dynamic sizing controller produces,
-// where every lease may be a different length. Entries < 1 read as 1; once
-// sizes is exhausted the last entry repeats (an empty sizes reads as all
-// ones). Like Shards, the result covers [0, total) exactly, each unit in
-// exactly one shard, shards indexed in order.
-func ShardSeq(total int, sizes []int) []Shard {
-	if total <= 0 {
-		return nil
-	}
-	var shards []Shard
-	size := 1
-	for start, i := 0, 0; start < total; i++ {
-		if i < len(sizes) {
-			size = sizes[i]
-		}
-		if size < 1 {
-			size = 1
-		}
-		end := start + size
-		if end > total {
-			end = total
-		}
-		shards = append(shards, Shard{Index: len(shards), Start: start, End: end})
-		start = end
-	}
-	return shards
 }
 
 // RunShard executes the shard's units sequentially and returns one record

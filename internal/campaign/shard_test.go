@@ -6,33 +6,6 @@ import (
 	"testing"
 )
 
-func TestShardsPartitionExactly(t *testing.T) {
-	cases := []struct{ total, size, want int }{
-		{0, 4, 0}, {-1, 4, 0}, {1, 4, 1}, {4, 4, 1}, {5, 4, 2},
-		{16, 4, 4}, {17, 4, 5}, {7, 0, 7}, {7, -3, 7},
-	}
-	for _, c := range cases {
-		shards := Shards(c.total, c.size)
-		if len(shards) != c.want {
-			t.Errorf("Shards(%d,%d): %d shards, want %d", c.total, c.size, len(shards), c.want)
-			continue
-		}
-		covered := 0
-		for i, sh := range shards {
-			if sh.Index != i {
-				t.Errorf("Shards(%d,%d): shard %d has Index %d", c.total, c.size, i, sh.Index)
-			}
-			if sh.Start != covered || sh.Len() < 1 {
-				t.Errorf("Shards(%d,%d): %v does not continue at %d", c.total, c.size, sh, covered)
-			}
-			covered = sh.End
-		}
-		if c.total > 0 && covered != c.total {
-			t.Errorf("Shards(%d,%d): covered %d units", c.total, c.size, covered)
-		}
-	}
-}
-
 // TestRunShardMatchesRun is the distribution determinism contract at the
 // package level: executing a spec shard by shard — any shard size, any
 // completion order, with duplicate deliveries — merges to the same bytes
@@ -43,7 +16,10 @@ func TestRunShardMatchesRun(t *testing.T) {
 
 	units := spec.Units()
 	for _, size := range []int{1, 3, len(units)} {
-		shards := Shards(len(units), size)
+		var shards []Shard
+		for start := 0; start < len(units); start += size {
+			shards = append(shards, Shard{Index: len(shards), Start: start, End: min(start+size, len(units))})
+		}
 		rng := rand.New(rand.NewSource(int64(size)))
 		rng.Shuffle(len(shards), func(i, j int) { shards[i], shards[j] = shards[j], shards[i] })
 

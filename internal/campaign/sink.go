@@ -1,10 +1,8 @@
 package campaign
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"sync"
 )
 
@@ -94,62 +92,4 @@ func (s *Sink) Deduped() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.deduped
-}
-
-// LoadDone reads an existing results stream and returns the set of unit
-// keys already present plus the decoded records. A torn final line (from a
-// killed run) is tolerated: complete leading records are kept and the unit
-// owning the torn line is treated as not done, so resume re-runs it.
-func LoadDone(r io.Reader) (map[string]bool, []Record, error) {
-	recs, err := DecodeRecords(r)
-	if err != nil && len(recs) == 0 {
-		return nil, nil, err
-	}
-	done := make(map[string]bool, len(recs))
-	for _, rec := range recs {
-		done[rec.Unit] = true
-	}
-	return done, recs, nil
-}
-
-// LoadDoneFile is LoadDone over a file, in one streaming pass that never
-// holds the raw file bytes. It additionally returns the byte length of
-// the valid JSONL prefix: a resume must truncate the file to that length
-// before appending, or a torn final line from a killed run would
-// concatenate with the first appended record. A missing file reads as
-// empty. Callers that only need the done set should prefer ScanDoneFile,
-// which skips decoding and retaining the records entirely.
-func LoadDoneFile(path string) (map[string]bool, []Record, int64, error) {
-	f, err := os.Open(path)
-	if os.IsNotExist(err) {
-		return map[string]bool{}, nil, 0, nil
-	}
-	if err != nil {
-		return nil, nil, 0, fmt.Errorf("campaign: reading results: %w", err)
-	}
-	defer f.Close()
-	done := map[string]bool{}
-	var recs []Record
-	var validLen int64
-	ls := newLineScanner(f)
-	for {
-		line, terminated, err := ls.next()
-		if err != nil {
-			return nil, nil, 0, err
-		}
-		if line == nil || !terminated {
-			return done, recs, validLen, nil
-		}
-		if len(line) > 0 {
-			var rec Record
-			if err := json.Unmarshal(line, &rec); err != nil {
-				// Torn or malformed tail: keep the valid prefix, the unit
-				// owning this line re-runs on resume.
-				return done, recs, validLen, nil
-			}
-			recs = append(recs, rec)
-			done[rec.Unit] = true
-		}
-		validLen = ls.offset
-	}
 }

@@ -92,7 +92,7 @@ type seenRecord struct {
 // first record's spec hash, without decoding measurement fields or
 // retaining records. It returns the byte length of the valid JSONL
 // prefix; a torn or malformed tail (from a killed run) is tolerated and
-// simply ends the scan, exactly like LoadDone treats it.
+// simply ends the scan, so the unit owning it re-runs on resume.
 func ScanDone(r io.Reader) (done map[string]bool, specHash string, validLen int64, err error) {
 	done = map[string]bool{}
 	ls := newLineScanner(r)
@@ -119,8 +119,6 @@ func ScanDone(r io.Reader) (done map[string]bool, specHash string, validLen int6
 }
 
 // ScanDoneFile is ScanDone over a file; a missing file reads as empty.
-// It is the index-shaped replacement for LoadDoneFile on the resume
-// path: same done set and valid prefix length, no record slice.
 func ScanDoneFile(path string) (done map[string]bool, specHash string, validLen int64, err error) {
 	f, err := os.Open(path)
 	if os.IsNotExist(err) {

@@ -34,12 +34,12 @@ func TestDispatchCarriesAPIKey(t *testing.T) {
 
 	cfg := fastConfig(ts.URL)
 	cfg.APIKey = "herd-key-1234"
-	c, err := New(cfg)
+	var buf bytes.Buffer
+	c, err := New(cfg, spec, campaign.NewSink(&buf), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if _, err := c.Run(context.Background(), spec, campaign.NewSink(&buf), nil); err != nil {
+	if _, err := c.Run(context.Background()); err != nil {
 		t.Fatalf("authenticated run: %v", err)
 	}
 	if stripWall(buf.Bytes()) != stripWall(want.Bytes()) {
@@ -48,11 +48,11 @@ func TestDispatchCarriesAPIKey(t *testing.T) {
 
 	noKey := fastConfig(ts.URL)
 	noKey.MaxAttempts = 2
-	c2, err := New(noKey)
+	c2, err := New(noKey, spec, campaign.NewSink(&bytes.Buffer{}), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = c2.Run(context.Background(), spec, campaign.NewSink(&bytes.Buffer{}), nil)
+	_, err = c2.Run(context.Background())
 	if err == nil {
 		t.Fatal("keyless run succeeded against a multi-tenant worker")
 	}

@@ -31,13 +31,17 @@
 //     retries, hedges, reassignments, dedup drops, chosen shard sizes and
 //     per-worker latency histograms in Prometheus text format
 //
-// The scheduling state machine behind all of this is exported as Core, and
-// every time read goes through an injectable Clock, so the fleetsim
-// package can drive the identical decision logic on virtual time.
+// A Coordinator drives one run. New compiles the spec and builds the
+// run's scheduling state machine, Core, through NewCore; Run probes the
+// fleet, starts each live worker's lease slots and waits. fleetsim builds
+// its Core through the same NewCore, and every time read goes through an
+// injectable Clock, so it drives the identical decision logic on virtual
+// time.
 package cluster
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"net/http"
@@ -208,46 +212,49 @@ type Stats struct {
 	WorkerShards map[string]int64
 }
 
-// Coordinator runs distributed campaigns over a fleet that may change
-// while a run is active: Join admits a worker (spawning its lease slots
+// Coordinator drives one distributed campaign over a fleet that may change
+// while the run is live: Join admits a worker (spawning its lease slots
 // mid-run), Evict removes one (its leases requeue immediately and its
 // in-flight dispatches are cancelled), SetDraining stops new leases
-// without disturbing held ones. Construct with New; Metrics may be served
-// concurrently with Run.
+// without disturbing held ones. Construct with New and call Run once;
+// Metrics may be served concurrently with Run.
 type Coordinator struct {
-	cfg   Config
-	fleet *fleet
-	m     *coordMetrics
-	rng   *lockedRand
+	cfg  Config
+	spec *campaign.Spec
+	core *Core
 
 	mu  sync.Mutex
-	cur *activeRun // nil between runs; read by the metrics renderer
-}
-
-// activeRun is the coordinator's handle on one Run: the scheduling core,
-// the spec being executed, and the machinery Join and Evict need to spawn
-// and tear down per-worker slot loops mid-run. Guarded by Coordinator.mu.
-type activeRun struct {
-	core *Core
-	spec *campaign.Spec
-	ctx  context.Context
-	wg   sync.WaitGroup
+	ran bool
+	// live is Run's context while Run is live and nil otherwise: Join
+	// spawns slots only into a live run.
+	live  context.Context
+	slots sync.WaitGroup
 	// cancels aborts a worker's in-flight dispatches on eviction, keyed by
-	// worker index (indexes are stable; a rejoin gets a fresh index).
-	cancels map[int]context.CancelFunc
+	// worker URL (a live URL has exactly one index).
+	cancels map[string]context.CancelFunc
 }
 
-// New validates the fleet configuration and builds a coordinator. No
-// network traffic happens until Probe or Run.
-func New(cfg Config) (*Coordinator, error) {
-	cfg = cfg.withDefaults()
-	c := &Coordinator{cfg: cfg, m: newMetrics(), rng: newLockedRand(cfg.Seed)}
-	fl, err := newFleet(&c.cfg, c.m, c.rng)
+// New validates and compiles spec and builds the coordinator for one run
+// of it over the fleet in cfg, merging into store — a JSONL Sink flushing
+// in unit-index order, or a warehouse depositing through its WAL. done
+// marks unit keys already present in a resumed artifact; those units are
+// nil-deposited now, exactly like a local resume, and never dispatched.
+// The run's scheduling Core comes from NewCore, the constructor fleetsim
+// uses. No network traffic happens until Probe or Run.
+func New(cfg Config, spec *campaign.Spec, store campaign.Store, done map[string]bool) (*Coordinator, error) {
+	if err := spec.Validate(); err != nil {
+		return nil, err
+	}
+	units := spec.Units()
+	doneIdx := make([]bool, len(units))
+	for i, u := range units {
+		doneIdx[i] = done[u.Key()]
+	}
+	core, err := NewCore(cfg, len(units), doneIdx, store)
 	if err != nil {
 		return nil, err
 	}
-	c.fleet = fl
-	return c, nil
+	return &Coordinator{cfg: core.Config(), spec: spec, core: core, cancels: make(map[string]context.CancelFunc)}, nil
 }
 
 // Probe health-checks every worker. It succeeds when at least one worker
@@ -257,7 +264,7 @@ func New(cfg Config) (*Coordinator, error) {
 // path once the run is underway.
 func (c *Coordinator) Probe(ctx context.Context) error {
 	local := catalog.Fingerprint()
-	workers := c.fleet.snapshot()
+	workers := c.core.fleet.snapshot()
 	var wg sync.WaitGroup
 	for _, w := range workers {
 		if w.isGone() {
@@ -303,45 +310,33 @@ func (c *Coordinator) Probe(ctx context.Context) error {
 	return nil
 }
 
-// Run executes the spec across the fleet, streaming merged records into
-// the store — a JSONL Sink flushing in unit-index order, or a warehouse
-// depositing through its WAL. done marks unit keys already present in a
-// resumed artifact; those units are skipped (nil-deposited) exactly like a
-// local resume and never dispatched. Run returns when every unit has
-// merged, the context is cancelled, or a shard exhausts its attempt
-// budget.
-func (c *Coordinator) Run(ctx context.Context, spec *campaign.Spec, sink campaign.Store, done map[string]bool) (Stats, error) {
-	if err := spec.Validate(); err != nil {
-		return Stats{}, err
+// Run probes the fleet, starts the lease slots of every live worker, and
+// returns when every unit has merged, the context is cancelled, or a
+// shard exhausts its attempt budget. A Coordinator runs once: a second
+// call fails.
+func (c *Coordinator) Run(ctx context.Context) (Stats, error) {
+	c.mu.Lock()
+	ran := c.ran
+	c.ran = true
+	c.mu.Unlock()
+	if ran {
+		return Stats{}, errors.New("cluster: Run called twice; a Coordinator drives one run")
 	}
 	if err := c.Probe(ctx); err != nil {
 		return Stats{}, err
 	}
-	units := spec.Units()
-	doneIdx := make([]bool, len(units))
-	for i, u := range units {
-		if done[u.Key()] {
-			doneIdx[i] = true
-			if err := sink.Deposit(i, nil); err != nil {
-				return Stats{}, err
-			}
-		}
-	}
-
-	st := newRunState(&c.cfg, c.m, c.fleet.liveCount(), len(units), doneIdx, sink)
-	core := &Core{cfg: c.cfg, m: c.m, st: st, fleet: c.fleet}
+	core := c.core
 	c.cfg.Logf("cluster: %s %s: %d units (%d to run, %d resumed) across %d workers, %d-%d units/shard",
-		spec.Name, spec.Hash(), len(units), st.unitsLeft, st.skipped, c.fleet.liveCount(),
+		c.spec.Name, c.spec.Hash(), core.st.units, core.Backlog(), core.st.skipped, core.LiveWorkers(),
 		c.cfg.MinShardSize, c.cfg.MaxShardSize)
 
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	ar := &activeRun{core: core, spec: spec, ctx: runCtx, cancels: make(map[int]context.CancelFunc)}
 	c.mu.Lock()
-	c.cur = ar
-	for i := 0; i < c.fleet.size(); i++ {
-		if !c.fleet.get(i).isGone() {
-			c.spawnSlotsLocked(ar, i)
+	c.live = runCtx
+	for i := 0; i < core.Workers(); i++ {
+		if !core.WorkerGone(i) {
+			c.spawnSlotsLocked(i)
 		}
 	}
 	c.mu.Unlock()
@@ -351,91 +346,76 @@ func (c *Coordinator) Run(ctx context.Context, spec *campaign.Spec, sink campaig
 	// cancel so in-flight dispatches (hedge losers, doomed retries) tear
 	// down immediately instead of waiting out their leases.
 	select {
-	case <-st.doneCh:
+	case <-core.st.doneCh:
 	case <-runCtx.Done():
 	}
 	c.mu.Lock()
-	c.cur = nil
+	c.live = nil
 	c.mu.Unlock()
 	cancel()
-	ar.wg.Wait()
+	c.slots.Wait()
 
 	stats := core.Stats()
-	if err := st.err(); err != nil {
+	if err := core.Err(); err != nil {
 		return stats, err
 	}
-	if err := ctx.Err(); err != nil {
-		return stats, err
-	}
-	return stats, nil
+	return stats, ctx.Err()
 }
 
-// spawnSlotsLocked launches worker i's lease slots into the active run,
-// with its own cancel so an eviction can abort the worker's in-flight
-// dispatches without touching the rest of the fleet. Callers hold c.mu.
-func (c *Coordinator) spawnSlotsLocked(ar *activeRun, i int) {
-	wctx, wcancel := context.WithCancel(ar.ctx)
-	ar.cancels[i] = wcancel
+// spawnSlotsLocked launches worker i's lease slots into the live run, with
+// its own cancel so an eviction can abort the worker's in-flight
+// dispatches without touching the rest of the fleet. Callers hold c.mu
+// with c.live set.
+func (c *Coordinator) spawnSlotsLocked(i int) {
+	ctx, cancel := context.WithCancel(c.live)
+	c.cancels[c.core.fleet.get(i).url] = cancel
 	for s := 0; s < c.cfg.Slots; s++ {
-		ar.wg.Add(1)
+		c.slots.Add(1)
 		go func() {
-			defer ar.wg.Done()
-			c.slotLoop(wctx, ar.core, i, ar.spec)
+			defer c.slots.Done()
+			c.slotLoop(ctx, i)
 		}()
 	}
 }
 
-// Join admits a worker to the fleet, spawning its lease slots mid-run when
-// a campaign is active. Joining a name that is already live revives it in
-// place (breaker closed, drain cleared); a previously evicted name rejoins
-// under a fresh index with fresh scheduling state.
+// Join admits a worker to the fleet through Core.AddWorker. While Run is
+// live the worker's lease slots start at once; a worker joined before Run
+// starts with the founders. Joining a name that is already live revives
+// it in place (breaker closed, drain cleared); a previously evicted name
+// rejoins under a fresh index with fresh scheduling state.
 func (c *Coordinator) Join(url string) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	ar := c.cur
-	if ar == nil {
-		_, _, added, err := c.fleet.add(url)
-		if added {
-			c.cfg.Logf("cluster: worker %s joined", url)
-		}
+	i, added, err := c.core.AddWorker(url)
+	if err != nil || !added {
 		return err
 	}
-	i, added, err := ar.core.AddWorker(url)
-	if err != nil {
-		return err
+	if c.live == nil {
+		c.cfg.Logf("cluster: worker %s joined", url)
+		return nil
 	}
-	if added {
-		c.cfg.Logf("cluster: worker %s joined mid-run", url)
-		c.spawnSlotsLocked(ar, i)
-	}
+	c.cfg.Logf("cluster: worker %s joined mid-run", url)
+	c.spawnSlotsLocked(i)
 	return nil
 }
 
-// Evict removes a worker from the fleet: every lease it holds requeues
-// immediately (no lease-timeout wait), its in-flight dispatches are
-// cancelled, and its scheduling state (EWMA, histograms) retires with it.
-// It reports how many leases requeued and whether the name was a live
-// member.
+// Evict removes a worker from the fleet through Core.DropWorker: every
+// lease it holds requeues immediately (no lease-timeout wait), its
+// in-flight dispatches are cancelled, and its scheduling state (EWMA,
+// histograms) retires with it. It reports how many leases requeued and
+// whether the name was a live member.
 func (c *Coordinator) Evict(url string) (requeued int, ok bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	w, i, found := c.fleet.byURL(url)
-	if !found || w.isGone() {
+	if requeued, ok = c.core.DropWorker(url); !ok {
 		return 0, false
 	}
-	if ar := c.cur; ar != nil {
-		requeued, _ = ar.core.DropWorker(url)
-		if cancel := ar.cancels[i]; cancel != nil {
-			cancel()
-			delete(ar.cancels, i)
-		}
-		c.cfg.Logf("cluster: worker %s evicted, %d leases requeued", url, requeued)
-		return requeued, true
+	if cancel := c.cancels[url]; cancel != nil {
+		cancel()
+		delete(c.cancels, url)
 	}
-	c.fleet.drop(url)
-	c.m.retire(url)
-	c.cfg.Logf("cluster: worker %s evicted", url)
-	return 0, true
+	c.cfg.Logf("cluster: worker %s evicted, %d leases requeued", url, requeued)
+	return requeued, true
 }
 
 // SetDraining marks a live worker as draining — it keeps the leases it
@@ -443,41 +423,21 @@ func (c *Coordinator) Evict(url string) (requeued int, ok bool) {
 // heartbeat path drives this when a worker's health probe answers with a
 // draining status instead of going silent.
 func (c *Coordinator) SetDraining(url string, draining bool) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if ar := c.cur; ar != nil {
-		return ar.core.SetWorkerDraining(url, draining)
-	}
-	w, _, ok := c.fleet.byURL(url)
-	if !ok || w.isGone() {
-		return false
-	}
-	w.setDraining(draining)
-	return true
+	return c.core.SetWorkerDraining(url, draining)
 }
 
-// LiveWorkers is the number of current fleet members (static and joined,
-// evictions excluded).
-func (c *Coordinator) LiveWorkers() int { return c.fleet.liveCount() }
+// Core returns the run's scheduling core, for its signals: Backlog and
+// MeanUnitSeconds feed the autoscaling advisor. Admit and evict workers
+// through Join and Evict, which also start and stop their slot loops.
+func (c *Coordinator) Core() *Core { return c.core }
 
-// RunSignals reports the active run's autoscaling inputs: the runnable
-// unit backlog and the live fleet's mean per-unit service time from the
-// adaptive sizer. active is false between runs.
-func (c *Coordinator) RunSignals() (backlog int, meanUnitSeconds float64, active bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if ar := c.cur; ar != nil {
-		return ar.core.Backlog(), ar.core.MeanUnitSeconds(), true
-	}
-	return 0, 0, false
-}
-
-// slotLoop is one lease slot on one worker: it acquires the next runnable
+// slotLoop is one lease slot on worker i: it acquires the next runnable
 // shard from the core (requeued work first, then fresh carves, then hedge
 // candidates), dispatches it over HTTP under the lease deadline, and
 // reports the outcome back. The loop exits when the run finishes, fails,
 // the worker is evicted, or the context is cancelled.
-func (c *Coordinator) slotLoop(ctx context.Context, core *Core, i int, spec *campaign.Spec) {
+func (c *Coordinator) slotLoop(ctx context.Context, i int) {
+	core := c.core
 	st, w := core.st, core.fleet.get(i)
 	for {
 		if core.Finished() || ctx.Err() != nil || w.isGone() {
@@ -498,7 +458,7 @@ func (c *Coordinator) slotLoop(ctx context.Context, core *Core, i int, spec *cam
 		}
 		dispatchCtx, cancel := context.WithTimeout(ctx, c.cfg.LeaseTimeout)
 		start := c.cfg.Clock.Now()
-		batches, err := w.dispatch(dispatchCtx, spec, l.Shard)
+		batches, err := w.dispatch(dispatchCtx, c.spec, l.Shard)
 		cancel()
 		elapsed := c.cfg.Clock.Now().Sub(start)
 		if err != nil {

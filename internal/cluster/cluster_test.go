@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"regexp"
@@ -104,6 +105,12 @@ func fastConfig(workers ...string) Config {
 	}
 }
 
+// newQuick builds a coordinator for the quick spec merging into a
+// discarded JSONL sink, for tests that only look at the fleet.
+func newQuick(cfg Config) (*Coordinator, error) {
+	return New(cfg, campaign.QuickSpec(), campaign.NewSink(io.Discard), nil)
+}
+
 func TestDistributedMatchesLocal(t *testing.T) {
 	spec := campaign.QuickSpec()
 	want := localRun(t, spec, nil)
@@ -112,12 +119,12 @@ func TestDistributedMatchesLocal(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		urls = append(urls, newWorkerServer(t, nil).URL)
 	}
-	c, err := New(fastConfig(urls...))
+	var buf bytes.Buffer
+	c, err := New(fastConfig(urls...), spec, campaign.NewSink(&buf), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	stats, err := c.Run(context.Background(), spec, campaign.NewSink(&buf), nil)
+	stats, err := c.Run(context.Background())
 	if err != nil {
 		t.Fatalf("distributed run: %v", err)
 	}
@@ -151,12 +158,12 @@ func TestAdaptiveDistributedMatchesLocal(t *testing.T) {
 	cfg.MinShardSize = 2
 	cfg.MaxShardSize = 16
 	cfg.TargetShardDuration = 50 * time.Millisecond
-	c, err := New(cfg)
+	var buf bytes.Buffer
+	c, err := New(cfg, spec, campaign.NewSink(&buf), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	stats, err := c.Run(context.Background(), spec, campaign.NewSink(&buf), nil)
+	stats, err := c.Run(context.Background())
 	if err != nil {
 		t.Fatalf("adaptive distributed run: %v", err)
 	}
@@ -192,7 +199,7 @@ func TestTwoCoordinatorsShareWorkers(t *testing.T) {
 		cfg := fastConfig(urls...)
 		cfg.MinShardSize, cfg.MaxShardSize = 2, 2
 		cfg.Slots = slots
-		c, err := New(cfg)
+		c, err := New(cfg, r.spec, r.sink, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -206,7 +213,7 @@ func TestTwoCoordinatorsShareWorkers(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_, r.err = r.coord.Run(context.Background(), r.spec, r.sink, nil)
+			_, r.err = r.coord.Run(context.Background())
 			first.Do(func() {
 				t.Logf("campaign %d finished first; units merged then: %d at 1 slot, %d at 3 slots",
 					i, runs[0].sink.Flushed(), runs[1].sink.Flushed())
@@ -234,12 +241,12 @@ func TestResumeSkipsDoneUnits(t *testing.T) {
 	want := localRun(t, spec, done)
 
 	ts := newWorkerServer(t, nil)
-	c, err := New(fastConfig(ts.URL))
+	var buf bytes.Buffer
+	c, err := New(fastConfig(ts.URL), spec, campaign.NewSink(&buf), done)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	stats, err := c.Run(context.Background(), spec, campaign.NewSink(&buf), done)
+	stats, err := c.Run(context.Background())
 	if err != nil {
 		t.Fatalf("resumed run: %v", err)
 	}
@@ -280,8 +287,9 @@ func TestWorkerKilledMidCampaign(t *testing.T) {
 	})
 	survivors := []*httptest.Server{newWorkerServer(t, nil), newWorkerServer(t, nil)}
 
+	var buf bytes.Buffer
 	cfg := fastConfig(victim.URL, survivors[0].URL, survivors[1].URL)
-	c, err := New(cfg)
+	c, err := New(cfg, spec, campaign.NewSink(&buf), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,8 +301,7 @@ func TestWorkerKilledMidCampaign(t *testing.T) {
 		victim.Close()
 	}()
 
-	var buf bytes.Buffer
-	stats, err := c.Run(context.Background(), spec, campaign.NewSink(&buf), nil)
+	stats, err := c.Run(context.Background())
 	if err != nil {
 		t.Fatalf("run with killed worker: %v", err)
 	}
@@ -372,12 +379,12 @@ func TestRetriesShedWorker(t *testing.T) {
 	})
 	cfg := fastConfig(ts.URL)
 	cfg.BreakerThreshold = 5 // stay below the breaker so plain retry drives recovery
-	c, err := New(cfg)
+	var buf bytes.Buffer
+	c, err := New(cfg, spec, campaign.NewSink(&buf), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	stats, err := c.Run(context.Background(), spec, campaign.NewSink(&buf), nil)
+	stats, err := c.Run(context.Background())
 	if err != nil {
 		t.Fatalf("run against shedding worker: %v", err)
 	}
@@ -546,13 +553,13 @@ func TestHedgedStraggler(t *testing.T) {
 	cfg := fastConfig(slow.URL, fast.URL)
 	cfg.MinShardSize, cfg.MaxShardSize = 16, 16 // two shards: one straggles, one runs normally
 	cfg.HedgeAfter = 30 * time.Millisecond
-	c, err := New(cfg)
+	var buf bytes.Buffer
+	c, err := New(cfg, spec, campaign.NewSink(&buf), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
 	start := time.Now()
-	stats, err := c.Run(context.Background(), spec, campaign.NewSink(&buf), nil)
+	stats, err := c.Run(context.Background())
 	if err != nil {
 		t.Fatalf("hedged run: %v", err)
 	}
@@ -623,7 +630,7 @@ func TestProbeRejectsCatalogSkew(t *testing.T) {
 	}))
 	defer skewed.Close()
 
-	c, err := New(fastConfig(skewed.URL))
+	c, err := newQuick(fastConfig(skewed.URL))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -633,7 +640,7 @@ func TestProbeRejectsCatalogSkew(t *testing.T) {
 
 	cfg := fastConfig(skewed.URL)
 	cfg.AllowSkew = true
-	c, err = New(cfg)
+	c, err = newQuick(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -649,7 +656,7 @@ func TestProbeRequiresOneWorkerUp(t *testing.T) {
 
 	cfg := fastConfig(url)
 	cfg.ProbeTimeout = 500 * time.Millisecond
-	c, err := New(cfg)
+	c, err := newQuick(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -672,22 +679,26 @@ func TestRunFailsAfterMaxAttempts(t *testing.T) {
 	cfg.MaxAttempts = 2
 	cfg.BreakerThreshold = 10 // let plain retries exhaust the budget
 	cfg.AllowSkew = true      // the stub reports no fingerprint
-	c, err := New(cfg)
+	c, err := newQuick(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	_, err = c.Run(context.Background(), campaign.QuickSpec(), campaign.NewSink(&buf), nil)
+	_, err = c.Run(context.Background())
 	if err == nil || !strings.Contains(err.Error(), "failed 2 times") {
 		t.Fatalf("Run = %v, want attempt-budget failure", err)
+	}
+	// A Coordinator drives one run: a second Run fails instead of picking
+	// the failed run back up.
+	if _, err := c.Run(context.Background()); err == nil || !strings.Contains(err.Error(), "called twice") {
+		t.Fatalf("second Run = %v, want the single-run error", err)
 	}
 }
 
 func TestNewRejectsBadFleets(t *testing.T) {
-	if _, err := New(Config{}); err == nil {
+	if _, err := newQuick(Config{}); err == nil {
 		t.Fatal("New accepted an empty fleet")
 	}
-	if _, err := New(Config{Workers: []string{"http://a", "http://a"}}); err == nil {
+	if _, err := newQuick(Config{Workers: []string{"http://a", "http://a"}}); err == nil {
 		t.Fatal("New accepted duplicate worker URLs")
 	}
 }

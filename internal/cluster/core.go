@@ -42,13 +42,15 @@ type Lease struct {
 	w *worker
 }
 
-// NewCore builds a standalone scheduling core over a simulated or
-// otherwise caller-managed fleet: cfg.Workers supplies the founding worker
-// names (no network traffic happens; all workers start healthy; the list
-// may be empty when cfg.Elastic, with members arriving via AddWorker),
-// totalUnits is the compiled unit count, and done — nil, or one flag per
-// unit — marks units satisfied by a resume, which are nil-deposited into
-// the sink exactly like a local resume and never leased.
+// NewCore builds the scheduling core of one run; New calls it for the
+// HTTP coordinator and fleetsim for its simulated fleet. cfg.Workers
+// supplies the founding worker names (no network traffic happens; all
+// workers start marked up, which Coordinator.Run's Probe overwrites before
+// the first lease; the list may be empty when cfg.Elastic, with members
+// arriving via AddWorker), totalUnits is the compiled unit count, and
+// done — nil, or one flag per unit — marks units satisfied by a resume,
+// which are nil-deposited into the sink exactly like a local resume and
+// never leased.
 func NewCore(cfg Config, totalUnits int, done []bool, sink campaign.Store) (*Core, error) {
 	cfg = cfg.withDefaults()
 	if done != nil && len(done) != totalUnits {
@@ -90,18 +92,15 @@ func (c *Core) Workers() int { return c.fleet.size() }
 // LiveWorkers is the number of current members (joined and not evicted).
 func (c *Core) LiveWorkers() int { return c.fleet.liveCount() }
 
-// WorkerName returns the configured name (URL) of worker i.
-func (c *Core) WorkerName(i int) string { return c.fleet.get(i).url }
-
 // WorkerGone reports whether worker i has been evicted from the fleet.
 func (c *Core) WorkerGone(i int) bool { return c.fleet.get(i).isGone() }
 
-// AddWorker admits a member to the fleet mid-run and returns its index. A
-// name that is already live is revived in place (failure state reset,
-// drain cleared) and reports added=false; a departed name gets a fresh
-// index with fresh scheduling state.
+// AddWorker admits a member to the fleet, before or during the run, and
+// returns its index. A name that is already live is revived in place
+// (failure state reset, drain cleared) and reports added=false; a departed
+// name gets a fresh index with fresh scheduling state.
 func (c *Core) AddWorker(name string) (index int, added bool, err error) {
-	_, index, added, err = c.fleet.add(name)
+	index, added, err = c.fleet.add(name)
 	if err != nil {
 		return 0, false, err
 	}
@@ -116,7 +115,7 @@ func (c *Core) AddWorker(name string) (index int, added bool, err error) {
 // stays bounded by live membership. It reports how many shards requeued
 // and whether the name was a live member.
 func (c *Core) DropWorker(name string) (requeued int, ok bool) {
-	w, _, ok := c.fleet.drop(name)
+	w, ok := c.fleet.drop(name)
 	if !ok {
 		return 0, false
 	}
@@ -132,7 +131,7 @@ func (c *Core) DropWorker(name string) (requeued int, ok bool) {
 // gets no new ones) or clears the drain. It reports whether the name was a
 // live member.
 func (c *Core) SetWorkerDraining(name string, draining bool) bool {
-	w, _, ok := c.fleet.byURL(name)
+	w, ok := c.fleet.byURL(name)
 	if !ok || w.isGone() {
 		return false
 	}
@@ -219,9 +218,6 @@ func (c *Core) Finished() bool { return c.st.finished() }
 
 // Err returns the run's fatal error, if any.
 func (c *Core) Err() error { return c.st.err() }
-
-// Done returns a channel closed when the run finishes or fails.
-func (c *Core) Done() <-chan struct{} { return c.st.doneCh }
 
 // HedgeHorizon reports the earliest instant at which some in-flight shard
 // becomes hedge-eligible (false when hedging is disabled or nothing is in

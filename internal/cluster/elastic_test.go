@@ -135,6 +135,37 @@ func TestMembershipChurnBoundsWorkerState(t *testing.T) {
 	}
 }
 
+// TestJoinBeforeRun admits a worker through Join before Run starts, as
+// oracleherd -listen does when a worker registers before the campaign
+// begins: Run must give the joined worker lease slots, and the artifact
+// must equal the local run.
+func TestJoinBeforeRun(t *testing.T) {
+	spec := campaign.QuickSpec()
+	want := localRun(t, spec, nil)
+	ts := newWorkerServer(t, nil)
+
+	cfg := fastConfig() // no founders
+	cfg.Elastic = true
+	var buf bytes.Buffer
+	c, err := New(cfg, spec, campaign.NewSink(&buf), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Join(ts.URL); err != nil {
+		t.Fatalf("pre-run join: %v", err)
+	}
+	stats, err := c.Run(context.Background())
+	if err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	if stripWall(buf.Bytes()) != stripWall(want.Bytes()) {
+		t.Fatalf("artifact differs from local run\ngot:\n%s\nwant:\n%s", buf.String(), want.String())
+	}
+	if n := stats.WorkerShards[ts.URL]; n == 0 {
+		t.Fatalf("worker joined before Run completed 0 shards; WorkerShards = %v", stats.WorkerShards)
+	}
+}
+
 // TestMixedStaticDynamicFleet runs a campaign on two static founders while
 // two more workers join dynamically mid-run; one of the joiners is killed
 // (and evicted, as the membership TTL sweep would) while holding a lease.
@@ -182,7 +213,8 @@ func TestMixedStaticDynamicFleet(t *testing.T) {
 
 	cfg := fastConfig(staticA.URL, staticB.URL)
 	cfg.MinShardSize, cfg.MaxShardSize = 1, 1 // many shards, so joiners find work
-	c, err := New(cfg)
+	var buf bytes.Buffer
+	c, err := New(cfg, spec, campaign.NewSink(&buf), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,8 +238,7 @@ func TestMixedStaticDynamicFleet(t *testing.T) {
 		}
 	}()
 
-	var buf bytes.Buffer
-	stats, err := c.Run(context.Background(), spec, campaign.NewSink(&buf), nil)
+	stats, err := c.Run(context.Background())
 	close(runDone)
 	if err != nil {
 		t.Fatalf("mixed-fleet run: %v", err)

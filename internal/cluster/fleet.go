@@ -55,11 +55,11 @@ func newFleet(cfg *Config, m *coordMetrics, rng *lockedRand) (*fleet, error) {
 
 // add registers a new live worker and returns its index. If the name is
 // already live the existing worker is revived (failure state reset) and
-// returned with added=false; a name whose previous holder departed gets a
+// reported with added=false; a name whose previous holder departed gets a
 // fresh entry.
-func (f *fleet) add(name string) (w *worker, index int, added bool, err error) {
+func (f *fleet) add(name string) (index int, added bool, err error) {
 	if name == "" {
-		return nil, 0, false, fmt.Errorf("cluster: empty worker URL")
+		return 0, false, fmt.Errorf("cluster: empty worker URL")
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -69,34 +69,34 @@ func (f *fleet) add(name string) (w *worker, index int, added bool, err error) {
 			w.ok()
 			w.markUp()
 			w.setDraining(false)
-			return w, i, false, nil
+			return i, false, nil
 		}
 	}
-	w = newWorker(name, f.cfg, f.m, f.rng)
+	w := newWorker(name, f.cfg, f.m, f.rng)
 	w.markUp()
 	index = len(f.workers)
 	f.workers = append(f.workers, w)
 	f.byName[name] = index
 	f.live++
-	return w, index, true, nil
+	return index, true, nil
 }
 
 // drop marks the named worker gone. It reports the worker and whether it
 // was live; the caller requeues its leases and retires its run state.
-func (f *fleet) drop(name string) (*worker, int, bool) {
+func (f *fleet) drop(name string) (*worker, bool) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	i, ok := f.byName[name]
 	if !ok {
-		return nil, 0, false
+		return nil, false
 	}
 	w := f.workers[i]
 	if w.isGone() {
-		return nil, 0, false
+		return nil, false
 	}
 	w.retire()
 	f.live--
-	return w, i, true
+	return w, true
 }
 
 // get returns worker i. Indexes are stable for the fleet's lifetime.
@@ -107,14 +107,14 @@ func (f *fleet) get(i int) *worker {
 }
 
 // byURL looks a live-or-gone worker up by name.
-func (f *fleet) byURL(name string) (*worker, int, bool) {
+func (f *fleet) byURL(name string) (*worker, bool) {
 	f.mu.RLock()
 	defer f.mu.RUnlock()
 	i, ok := f.byName[name]
 	if !ok {
-		return nil, 0, false
+		return nil, false
 	}
-	return f.workers[i], i, true
+	return f.workers[i], true
 }
 
 // size is the total number of slots ever allocated (tombstones included);

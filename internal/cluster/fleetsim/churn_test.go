@@ -276,7 +276,7 @@ func TestJitterIsDeterministic(t *testing.T) {
 // backlog and the sizer's per-unit estimate mid-run, recommends a fleet
 // for the target makespan, and the scenario's spawn hook joins clones
 // until the fleet matches — the fleetsim analogue of -target-makespan
-// plus -spawn-cmd.
+// with an external provisioner acting on the advice.
 func TestAutoscaleGrowsFleetToTarget(t *testing.T) {
 	spec := bigSpec(15) // 240 units
 	want := localCanon(t, spec)

@@ -1,14 +1,15 @@
 // Package fleetsim is a deterministic, in-process fleet simulator for the
 // oracleherd coordinator. It drives the real scheduling core —
-// cluster.Core, the same carver, adaptive sizer, lease ledger, backoff
-// gates and circuit breakers that Coordinator.Run drives over HTTP — with
-// a single-threaded discrete-event loop on virtual time. Worker models
-// declare per-unit service time, fixed dispatch overhead, crash windows,
-// 503-storm windows, bounded service capacity with a finite queue, and
-// fleet churn: joining mid-campaign, leaving gracefully, or going silent
-// until the membership TTL evicts them. Shard results are computed with
-// the real campaign.RunShard, so the merged artifact a simulation produces
-// obeys the same byte-identity contract as a production run.
+// cluster.Core, built by the same cluster.NewCore as a Coordinator's, with
+// the carver, adaptive sizer, lease ledger, backoff gates and circuit
+// breakers that Coordinator.Run drives over HTTP — with a single-threaded
+// discrete-event loop on virtual time. Worker models declare per-unit
+// service time, fixed dispatch overhead, crash windows, 503-storm windows,
+// bounded service capacity with a finite queue, and fleet churn: joining
+// mid-campaign, leaving gracefully, or going silent until the membership
+// TTL evicts them. Shard results are computed with the real
+// campaign.RunShard, so the merged artifact a simulation produces obeys
+// the same byte-identity contract as a production run.
 //
 // Because nothing sleeps and every scheduling input (clock, jitter RNG,
 // hedge selection, event order) is deterministic, tests can assert

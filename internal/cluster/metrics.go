@@ -71,38 +71,19 @@ func (m *coordMetrics) retire(worker string) {
 // handleMetrics renders the coordinator's Prometheus text page.
 func (c *Coordinator) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", metrics.ContentType)
-	m, p := c.m, metrics.NewPage(w)
+	st, m, p := c.core.st, c.core.m, metrics.NewPage(w)
 
 	// live is the current fleet minus tombstones; per-worker gauges render
 	// one row per live member, so departed workers age out of the page.
 	var live []*worker
-	for _, wk := range c.fleet.snapshot() {
+	for _, wk := range c.core.fleet.snapshot() {
 		if !wk.isGone() {
 			live = append(live, wk)
 		}
 	}
 
-	var pending, inflight, done, carved, deduped int
-	var sizeMin, sizeMedian, sizeMax int
-	var perUnit map[string]float64
-	var whStats *warehouse.Stats
-	c.mu.Lock()
-	if ar := c.cur; ar != nil {
-		st := ar.core.st
-		pending, inflight, done, carved = st.counts()
-		deduped = st.sink.Deduped()
-		sizeMin, sizeMedian, sizeMax = st.sizeSummary()
-		perUnit = make(map[string]float64, len(live))
-		for _, wk := range live {
-			perUnit[wk.url] = st.sizer.perUnit(wk.url)
-		}
-		if wh, ok := st.sink.(*warehouse.Warehouse); ok {
-			s := wh.Stats()
-			whStats = &s
-		}
-	}
-	c.mu.Unlock()
-
+	pending, inflight, done, carved := st.counts()
+	sizeMin, sizeMedian, sizeMax := st.sizeSummary()
 	p.Gauge("oracleherd_shards_total", "Shards carved so far in the active run (not known in advance under adaptive sizing).", int64(carved))
 	p.Gauge("oracleherd_shards_done", "Shards merged so far in the active run.", int64(done))
 	p.Gauge("oracleherd_shards_inflight", "Shards currently leased to workers.", int64(inflight))
@@ -110,17 +91,18 @@ func (c *Coordinator) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	p.Counter("oracleherd_retries_total", "Failed shard dispatches that were requeued.", m.retries.Load())
 	p.Counter("oracleherd_hedges_total", "Speculative re-dispatches of straggling shards.", m.hedges.Load())
 	p.Counter("oracleherd_reassignments_total", "Requeued shards whose next lease went to a different worker.", m.reassignments.Load())
-	p.Counter("oracleherd_dedup_dropped_records_total", "Records dropped by the idempotent merge (hedge losers, resumed units).", int64(deduped))
+	p.Counter("oracleherd_dedup_dropped_records_total", "Records dropped by the idempotent merge (hedge losers, resumed units).", int64(st.sink.Deduped()))
 	p.Family("oracleherd_shard_size_units", "gauge", "Carved shard sizes in the active run, by summary statistic.")
 	p.Int("oracleherd_shard_size_units", int64(sizeMin), "stat", "min")
 	p.Int("oracleherd_shard_size_units", int64(sizeMedian), "stat", "median")
 	p.Int("oracleherd_shard_size_units", int64(sizeMax), "stat", "max")
 	p.Family("oracleherd_worker_unit_seconds", "gauge", "EWMA of per-unit service time the adaptive sizer holds for each worker (0 before the first sample).")
 	for _, wk := range live {
-		p.Float("oracleherd_worker_unit_seconds", perUnit[wk.url], "worker", wk.url)
+		p.Float("oracleherd_worker_unit_seconds", st.sizer.perUnit(wk.url), "worker", wk.url)
 	}
 
-	if whStats != nil {
+	if wh, ok := st.sink.(*warehouse.Warehouse); ok {
+		whStats := wh.Stats()
 		p.Gauge("oracleherd_warehouse_segments", "Committed segments in the merge warehouse.", int64(whStats.Segments))
 		p.Gauge("oracleherd_warehouse_wal_bytes", "Bytes in the warehouse's uncompacted write-ahead logs.", whStats.WALBytes)
 		p.Counter("oracleherd_warehouse_compactions_total", "Segment commits since the warehouse was opened.", whStats.Compactions)

@@ -23,7 +23,7 @@ func scrapeCoordinator(t *testing.T, c *Coordinator) string {
 // draining, with ok and failed shards and one shard past the last
 // latency bucket.
 func TestMetricsExposition(t *testing.T) {
-	c, err := New(Config{Elastic: true})
+	c, err := newQuick(Config{Elastic: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,15 +33,16 @@ func TestMetricsExposition(t *testing.T) {
 		}
 	}
 	c.SetDraining("http://10.0.0.2:8082", true)
-	c.m.retries.Add(2)
-	c.m.hedges.Add(1)
-	c.m.reassignments.Add(1)
+	m := c.core.m
+	m.retries.Add(2)
+	m.hedges.Add(1)
+	m.reassignments.Add(1)
 	// Durations are dyadic fractions of a second, so their sums are exact
 	// however the histogram accumulates them.
-	c.m.observeShard("http://10.0.0.1:8081", true, 62500*time.Microsecond)
-	c.m.observeShard("http://10.0.0.1:8081", true, 3*time.Second)
-	c.m.observeShard("http://10.0.0.1:8081", false, 150*time.Second) // past the last bucket
-	c.m.observeShard("http://10.0.0.2:8082", false, 7812500*time.Nanosecond)
+	m.observeShard("http://10.0.0.1:8081", true, 62500*time.Microsecond)
+	m.observeShard("http://10.0.0.1:8081", true, 3*time.Second)
+	m.observeShard("http://10.0.0.1:8081", false, 150*time.Second) // past the last bucket
+	m.observeShard("http://10.0.0.2:8082", false, 7812500*time.Nanosecond)
 
 	compareGolden(t, "testdata/metrics.golden", scrapeCoordinator(t, c))
 }
@@ -51,7 +52,7 @@ func TestMetricsExposition(t *testing.T) {
 // label value, so a tab stays a raw byte and a quote or backslash is
 // escaped — Go's %q quoting produced \t, which scrapers reject.
 func TestMetricsLabelEscaping(t *testing.T) {
-	c, err := New(Config{Elastic: true})
+	c, err := newQuick(Config{Elastic: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,10 +26,6 @@ func TestDistributedWarehouseMatchesLocal(t *testing.T) {
 	}
 
 	urls := []string{newWorkerServer(t, nil).URL, newWorkerServer(t, nil).URL}
-	c, err := New(fastConfig(urls...))
-	if err != nil {
-		t.Fatal(err)
-	}
 	// A tiny CompactAt forces WAL rotations and background segment builds
 	// while shards are still merging.
 	wh, err := warehouse.Open(t.TempDir(), warehouse.Options{SpecHash: spec.Hash(), CompactAt: 1})
@@ -37,8 +33,12 @@ func TestDistributedWarehouseMatchesLocal(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer wh.Close()
+	c, err := New(fastConfig(urls...), spec, wh, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 
-	stats, err := c.Run(context.Background(), spec, wh, nil)
+	stats, err := c.Run(context.Background())
 	if err != nil {
 		t.Fatalf("distributed warehouse run: %v", err)
 	}
@@ -86,11 +86,11 @@ func TestWarehouseResumeSkipsDoneUnits(t *testing.T) {
 	}
 
 	ts := newWorkerServer(t, nil)
-	c, err := New(fastConfig(ts.URL))
+	c, err := New(fastConfig(ts.URL), spec, wh, wh.SeenUnits())
 	if err != nil {
 		t.Fatal(err)
 	}
-	stats, err := c.Run(context.Background(), spec, wh, wh.SeenUnits())
+	stats, err := c.Run(context.Background())
 	if err != nil {
 		t.Fatalf("resumed run: %v", err)
 	}

@@ -15,9 +15,8 @@
 //
 // On top of the same signals rides the autoscaling advisor: Recommend maps
 // (unit backlog, mean unit service time, target makespan) to a fleet size,
-// exposed via GET /v1/fleet, the oracleherd_fleet_recommended_workers
-// gauge, and — optionally — a Spawner that launches and stops local
-// oracled processes to track the recommendation.
+// exposed via GET /v1/fleet and the oracleherd_fleet_recommended_workers
+// gauge for an external provisioner to act on.
 //
 // The package is transport-light on purpose: the Table is pure state with
 // an injectable clock, so fleetsim and tests drive churn on virtual time,

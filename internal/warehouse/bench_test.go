@@ -10,7 +10,7 @@ import (
 )
 
 // benchUnits sizes the synthetic resume artifact. Large enough that the
-// full-decode, streaming-scan and index-lookup costs separate cleanly.
+// streaming-scan and index-lookup costs separate cleanly.
 const benchUnits = 5000
 
 // benchRecord builds one synthetic task record.
@@ -105,23 +105,6 @@ func BenchmarkResumeScanDoneFile(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		done, _, _, err := campaign.ScanDoneFile(path)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(done) != benchUnits {
-			b.Fatalf("done set holds %d units", len(done))
-		}
-	}
-}
-
-// BenchmarkResumeLoadDoneFile is the original full-decode resume path,
-// kept as the baseline the two fast paths are measured against.
-func BenchmarkResumeLoadDoneFile(b *testing.B) {
-	path := benchJSONL(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		done, _, _, err := campaign.LoadDoneFile(path)
 		if err != nil {
 			b.Fatal(err)
 		}
