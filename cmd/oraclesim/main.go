@@ -2,8 +2,9 @@
 // oracle and prints the oracle size, message count, and verdicts — a
 // command-line microscope for the paper's constructions and this
 // repository's extensions. All names (families, tasks, oracles/schemes,
-// schedulers) resolve through internal/catalog, the same registry behind
-// cmd/campaign and the oracled service.
+// engines, schedulers) resolve through internal/catalog, and the run goes
+// through catalog.Resolve and Run.Execute, the same path behind cmd/campaign
+// and the oracled service's /v1/run.
 //
 // Examples:
 //
@@ -27,7 +28,6 @@ import (
 	"oraclesize/internal/graph"
 	"oraclesize/internal/oracle"
 	"oraclesize/internal/scheme"
-	"oraclesize/internal/sim"
 )
 
 func main() {
@@ -51,6 +51,10 @@ func run(args []string, out, errOut io.Writer) int {
 		return 2
 	}
 
+	run, err := catalog.Resolve(*task, *oracleName, *engine, *schedName, *seed)
+	if err != nil {
+		return fail(errOut, err)
+	}
 	fam, err := catalog.FamilyByName(*familyName)
 	if err != nil {
 		return fail(errOut, err)
@@ -63,57 +67,22 @@ func run(args []string, out, errOut io.Writer) int {
 		return fail(errOut, fmt.Errorf("source %d out of range [0,%d)", *source, g.N()))
 	}
 	src := graph.NodeID(*source)
-
-	td, err := catalog.TaskByName(*task)
+	advice, err := run.Scheme.NewOracle(src).Advise(g, src)
 	if err != nil {
 		return fail(errOut, err)
 	}
-	sc, err := td.SchemeByName(*oracleName)
+	res, err := run.Execute(g, src, advice)
 	if err != nil {
 		return fail(errOut, err)
-	}
-	advice, err := sc.NewOracle(src).Advise(g, src)
-	if err != nil {
-		return fail(errOut, err)
-	}
-
-	var res *sim.Result
-	switch *engine {
-	case "queue":
-		sched, err := catalog.SchedulerByName(*schedName, *seed)
-		if err != nil {
-			return fail(errOut, err)
-		}
-		opts := sim.Options{
-			Scheduler:     sched,
-			EnforceWakeup: td.EnforceWakeup,
-			RetainNodes:   true,
-			// Election by max-label flooding legitimately costs O(n·m).
-			MaxMessages: catalog.MessageBudget(g),
-		}
-		res, err = sim.Run(g, src, sc.Algo, advice, opts)
-		if err != nil {
-			return fail(errOut, err)
-		}
-	case "goroutines":
-		if td.NeedsNodes {
-			return fail(errOut, fmt.Errorf("%s verification needs -engine queue", *task))
-		}
-		res, err = sim.RunConcurrent(g, src, sc.Algo, advice, catalog.MessageBudget(g))
-		if err != nil {
-			return fail(errOut, err)
-		}
-	default:
-		return fail(errOut, fmt.Errorf("unknown engine %q", *engine))
 	}
 
 	// Completion criterion is task-specific: dissemination tasks require
 	// every node informed; election requires a valid unanimous decision.
-	complete := td.Check(res) == nil
+	complete := run.Task.Check(res) == nil
 
 	stats := oracle.Stats(advice)
 	fmt.Fprintf(out, "network      %s  n=%d m=%d maxdeg=%d\n", *familyName, g.N(), g.M(), g.MaxDegree())
-	fmt.Fprintf(out, "task         %s  (algorithm %s)\n", *task, sc.Algo.Name())
+	fmt.Fprintf(out, "task         %s  (algorithm %s)\n", *task, run.Scheme.Algo.Name())
 	fmt.Fprintf(out, "oracle       %s  size=%d bits  max-node=%d bits  nonempty-nodes=%d\n",
 		*oracleName, stats.TotalBits, stats.MaxNodeBits, stats.NonEmptyNodes)
 	fmt.Fprintf(out, "engine       %s/%s\n", *engine, *schedName)

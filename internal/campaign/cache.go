@@ -7,20 +7,22 @@ import (
 
 	"oraclesize/internal/graph"
 	"oraclesize/internal/graphgen"
-	"oraclesize/internal/oracle"
-	"oraclesize/internal/sim"
 )
 
-// instanceCache shares generated graph instances — and each oracle's advice
-// on them — across the trials × schemes × tasks fan-out. Units that agree
-// on (family, n, trial) run on one immutable instance instead of
+// Cache shares generated graph instances across the trials × schemes ×
+// tasks fan-out, and in oracled across requests and campaigns. Units that
+// agree on (family, n, seed) run on one immutable graph instead of
 // regenerating it per unit, which both removes the dominant per-unit cost
-// and puts competing schemes on the exact same input.
+// and puts competing schemes on the exact same input. It holds graphs
+// only and each run builds its own advice: a probe of the benchmark
+// traffic found per-instance advice reused only for the flooding
+// baseline's empty advice.
 //
 // The cache is bounded: entries are evicted in insertion (FIFO) order once
 // the capacity is exceeded. A unit that misses after eviction simply
 // regenerates the instance from its seed, so cache state never affects
-// results — only speed.
+// results — only speed. A nil *Cache is valid and generates every graph
+// afresh.
 //
 // The key space is partitioned by hash into independently locked shards so
 // concurrent lookups — the oracled serving path runs one per request —
@@ -29,7 +31,7 @@ import (
 // therefore evict an entry a single-shard cache of the same total capacity
 // would have kept (and vice versa), which by the regeneration contract
 // above is a speed difference, never a correctness one.
-type instanceCache struct {
+type Cache struct {
 	shards []cacheShard
 	mask   uint64
 	hits   atomic.Int64
@@ -70,20 +72,29 @@ func (k instanceKey) hash() uint64 {
 // order = order[1:] idiom pinned every appended backing array forever).
 type cacheShard struct {
 	mu      sync.Mutex
-	entries map[instanceKey]*instanceEntry
+	entries map[instanceKey]*cacheEntry
 	order   []instanceKey
 	head    int
 	cap     int
 }
 
-func newInstanceCache(capacity int) *instanceCache {
-	return newShardedInstanceCache(capacity, 1)
+// cacheEntry is one cached graph. It is generated at most once: workers
+// that race on a fresh entry block on the Once. The graph is immutable
+// after construction, so concurrent units may share it freely.
+type cacheEntry struct {
+	once sync.Once
+	g    *graph.Graph
+	err  error
 }
 
-// newShardedInstanceCache spreads capacity over the given shard count,
-// rounded up to a power of two and capped so every shard holds at least
-// one entry.
-func newShardedInstanceCache(capacity, shards int) *instanceCache {
+// NewCache returns a cache bounded to capacity instances (minimum 1),
+// evicted FIFO, with its key space split over the given number of
+// independently locked shards (rounded up to a power of two, at most
+// capacity) and the capacity divided evenly across them. One shard suits
+// a worker pool that looks instances up once per unit; concurrent servers
+// use several. Sharding changes which entries survive eviction pressure,
+// never any record contents.
+func NewCache(capacity, shards int) *Cache {
 	if capacity < 1 {
 		capacity = 1
 	}
@@ -98,51 +109,33 @@ func newShardedInstanceCache(capacity, shards int) *instanceCache {
 		n <<= 1
 	}
 	per := (capacity + n - 1) / n
-	c := &instanceCache{shards: make([]cacheShard, n), mask: uint64(n - 1)}
+	c := &Cache{shards: make([]cacheShard, n), mask: uint64(n - 1)}
 	for i := range c.shards {
-		c.shards[i].entries = make(map[instanceKey]*instanceEntry, per)
+		c.shards[i].entries = make(map[instanceKey]*cacheEntry, per)
 		c.shards[i].cap = per
 	}
 	return c
 }
 
-// instanceEntry is one cached instance. The graph is generated at most once
-// (workers that race on a fresh entry block on the Once); advice is
-// computed at most once per (oracle name, source). The advice map is
-// copy-on-write: readers load it with a single atomic and never lock, and
-// the rare writer clones it under adviceMu. Both the graph and the advice
-// values are immutable after construction, so concurrent units may share
-// them freely.
-type instanceEntry struct {
-	genOnce sync.Once
-	g       *graph.Graph
-	genErr  error
-
-	advice   atomic.Pointer[map[adviceKey]adviceResult]
-	adviceMu sync.Mutex // serializes advice writers
-}
-
-// adviceKey identifies one memoized advice computation. Oracles are
-// deterministic in (graph, source), so the pair fully identifies the
-// result; campaign units always use source 0, the serving path varies it.
-type adviceKey struct {
-	oracle string
-	source graph.NodeID
-}
-
-type adviceResult struct {
-	advice sim.Advice
-	err    error
-}
-
-// lookup returns the entry stored under key, generating the graph on first
-// use from the key's seed.
-func (c *instanceCache) lookup(key instanceKey, fam graphgen.Family) (*instanceEntry, error) {
+// Graph returns the instance of fam at the requested size and seed,
+// generating it on first use; a nil cache generates it afresh. Callers
+// must treat the graph as immutable; it remains valid after eviction.
+//
+// The key carries the seed rather than a trial index: a cache shared
+// across specs — oracled keeps one alive across campaign submissions —
+// must not hand a unit from one spec a graph generated under another
+// spec's seed. Campaign units (keyed by InstanceSeed) and direct service
+// requests that agree on (family, n, seed) therefore share one graph.
+func (c *Cache) Graph(fam graphgen.Family, n int, seed int64) (*graph.Graph, error) {
+	if c == nil {
+		return fam.Generate(n, rand.New(rand.NewSource(seed)))
+	}
+	key := instanceKey{family: fam.Name, n: n, seed: seed}
 	s := &c.shards[key.hash()&c.mask]
 	s.mu.Lock()
 	e, ok := s.entries[key]
 	if !ok {
-		e = &instanceEntry{}
+		e = &cacheEntry{}
 		s.entries[key] = e
 		s.order = append(s.order, key)
 		if len(s.order)-s.head > s.cap {
@@ -152,8 +145,8 @@ func (c *instanceCache) lookup(key instanceKey, fam graphgen.Family) (*instanceE
 			s.order[s.head] = instanceKey{} // drop the family string reference
 			s.head++
 			if s.head > s.cap {
-				n := copy(s.order, s.order[s.head:])
-				s.order = s.order[:n]
+				live := copy(s.order, s.order[s.head:])
+				s.order = s.order[:live]
 				s.head = 0
 			}
 		}
@@ -164,59 +157,10 @@ func (c *instanceCache) lookup(key instanceKey, fam graphgen.Family) (*instanceE
 	} else {
 		c.misses.Add(1)
 	}
-	e.genOnce.Do(func() {
-		rng := rand.New(rand.NewSource(key.seed))
-		e.g, e.genErr = fam.Generate(key.n, rng)
+	e.once.Do(func() {
+		e.g, e.err = fam.Generate(n, rand.New(rand.NewSource(seed)))
 	})
-	return e, e.genErr
-}
-
-// instance returns the entry for u's graph instance, generating the graph
-// on first use from the unit's instance seed. The cache key carries the
-// seed rather than the trial index: within one spec the two are equivalent
-// (InstanceSeed is a function of the spec seed and InstanceKey), but a
-// cache shared across specs — the oracled service keeps one alive across
-// campaign submissions — must not hand a unit from one spec a graph
-// generated under another spec's seed, or cached runs would silently stop
-// reproducing. The key matches Cache.Instance, so campaign units and
-// direct service requests that agree on (family, n, seed) share too.
-func (c *instanceCache) instance(u Unit, fam graphgen.Family) (*instanceEntry, error) {
-	return c.lookup(instanceKey{family: u.Family, n: u.N, seed: u.InstanceSeed}, fam)
-}
-
-// advise returns o's advice for the entry's graph, computed once per
-// (oracle name, source). The read path is a single atomic load plus a map
-// lookup — no lock — so steady-state serving never contends here.
-func (e *instanceEntry) advise(o oracle.Oracle, source graph.NodeID) (sim.Advice, error) {
-	key := adviceKey{oracle: o.Name(), source: source}
-	if m := e.advice.Load(); m != nil {
-		if r, ok := (*m)[key]; ok {
-			return r.advice, r.err
-		}
-	}
-	e.adviceMu.Lock()
-	defer e.adviceMu.Unlock()
-	old := e.advice.Load()
-	if old != nil {
-		if r, ok := (*old)[key]; ok {
-			return r.advice, r.err
-		}
-	}
-	var r adviceResult
-	r.advice, r.err = o.Advise(e.g, source)
-	size := 1
-	if old != nil {
-		size += len(*old)
-	}
-	next := make(map[adviceKey]adviceResult, size)
-	if old != nil {
-		for k, v := range *old {
-			next[k] = v
-		}
-	}
-	next[key] = r
-	e.advice.Store(&next)
-	return r.advice, r.err
+	return e.g, e.err
 }
 
 // CacheStats is a point-in-time snapshot of instance-cache effectiveness.
@@ -243,57 +187,7 @@ func (s CacheStats) Sub(earlier CacheStats) CacheStats {
 	return CacheStats{Hits: s.Hits - earlier.Hits, Misses: s.Misses - earlier.Misses}
 }
 
-// Cache is the exported handle on a bounded instance cache, for callers
-// that keep one alive across many executions (the oracled service shares
-// one between its request handlers and its campaign runs). The zero value
-// is not usable; construct with NewCache or NewShardedCache.
-type Cache struct {
-	c *instanceCache
-}
-
-// NewCache returns a cache bounded to the given number of instances
-// (minimum 1), evicted FIFO, with a single lock — the right shape for a
-// worker pool that looks instances up once per unit. Concurrent servers
-// should use NewShardedCache.
-func NewCache(capacity int) *Cache {
-	return &Cache{c: newInstanceCache(capacity)}
-}
-
-// NewShardedCache returns a cache whose key space is partitioned into the
-// given number of independently locked shards (rounded up to a power of
-// two, at most capacity), with total capacity divided evenly across them.
-// Sharding changes which entries survive eviction pressure, never any
-// record contents.
-func NewShardedCache(capacity, shards int) *Cache {
-	return &Cache{c: newShardedInstanceCache(capacity, shards)}
-}
-
 // Stats snapshots the cumulative hit/miss counters.
 func (c *Cache) Stats() CacheStats {
-	return CacheStats{Hits: c.c.hits.Load(), Misses: c.c.misses.Load()}
-}
-
-// Instance resolves the cached instance of fam at the requested size and
-// seed, generating it on first use. The returned Instance shares immutable
-// state; it remains valid after eviction.
-func (c *Cache) Instance(fam graphgen.Family, n int, seed int64) (*Instance, error) {
-	e, err := c.c.lookup(instanceKey{family: fam.Name, n: n, seed: seed}, fam)
-	if err != nil {
-		return nil, err
-	}
-	return &Instance{e: e}, nil
-}
-
-// Instance is one cached graph plus its memoized per-oracle advice.
-type Instance struct {
-	e *instanceEntry
-}
-
-// Graph returns the generated graph. Callers must treat it as immutable.
-func (i *Instance) Graph() *graph.Graph { return i.e.g }
-
-// Advice returns o's advice on the instance from the given source,
-// computing it at most once per (oracle name, source).
-func (i *Instance) Advice(o oracle.Oracle, source graph.NodeID) (sim.Advice, error) {
-	return i.e.advise(o, source)
+	return CacheStats{Hits: c.hits.Load(), Misses: c.misses.Load()}
 }

@@ -7,8 +7,8 @@ import (
 	"oraclesize/internal/graphgen"
 )
 
-// taskUnits returns the quick spec's task units (the ones the instance
-// cache serves).
+// taskUnits returns the quick spec's task units (the ones the graph cache
+// serves).
 func taskUnits(t *testing.T) (*Spec, []Unit) {
 	t.Helper()
 	spec := QuickSpec()
@@ -27,18 +27,19 @@ func taskUnits(t *testing.T) (*Spec, []Unit) {
 // TestCacheDoesNotChangeRecords is the cache-transparency contract: every
 // task unit must produce identical records (modulo WallNS) with a shared
 // cache, with a cold cache, and with no cache at all — the cache is pure
-// memoization of a deterministic function of InstanceSeed.
+// memoization of a deterministic function of InstanceSeed, and the
+// uncached run is the reference.
 func TestCacheDoesNotChangeRecords(t *testing.T) {
 	spec, units := taskUnits(t)
 	hash := spec.Hash()
-	shared := newInstanceCache(len(units))
+	shared := NewCache(len(units), 1)
 	for _, u := range units {
 		variants := []struct {
 			label string
-			cache *instanceCache
+			cache *Cache
 		}{
 			{"uncached", nil},
-			{"cold", newInstanceCache(1)},
+			{"cold", NewCache(1, 1)},
 			{"shared", shared},
 		}
 		var want []Record
@@ -72,7 +73,7 @@ func TestSharedCacheAcrossSpecSeeds(t *testing.T) {
 	specA := QuickSpec()
 	specB := QuickSpec()
 	specB.Seed = specA.Seed + 1
-	shared := newInstanceCache(256)
+	shared := NewCache(256, 1)
 	for _, spec := range []*Spec{specA, specB} {
 		hash := spec.Hash()
 		for _, u := range spec.Units() {
@@ -102,13 +103,13 @@ func TestSharedCacheAcrossSpecSeeds(t *testing.T) {
 }
 
 // TestShardedCacheDoesNotChangeRecords extends the transparency contract
-// to the sharded constructor the oracled service uses: task units run
+// to the sharded cache the oracled service uses: task units run
 // against a many-shard cache must produce exactly the records an
 // unsharded (and an uncached) run would.
 func TestShardedCacheDoesNotChangeRecords(t *testing.T) {
 	spec, units := taskUnits(t)
 	hash := spec.Hash()
-	sharded := newShardedInstanceCache(len(units), 8)
+	sharded := NewCache(len(units), 8)
 	for _, u := range units {
 		got, err := runUnit(spec, hash, u, sharded)
 		if err != nil {
@@ -134,7 +135,7 @@ func TestShardedCacheDoesNotChangeRecords(t *testing.T) {
 // TestShardedCacheSpreadsKeys sanity-checks the partitioning: distinct
 // seeds land in more than one shard, and total capacity is preserved.
 func TestShardedCacheSpreadsKeys(t *testing.T) {
-	c := newShardedInstanceCache(64, 8)
+	c := NewCache(64, 8)
 	if len(c.shards) != 8 {
 		t.Fatalf("shards = %d, want 8", len(c.shards))
 	}
@@ -143,7 +144,7 @@ func TestShardedCacheSpreadsKeys(t *testing.T) {
 		t.Fatal(err)
 	}
 	for seed := int64(0); seed < 64; seed++ {
-		if _, err := c.lookup(instanceKey{family: "random-sparse", n: 8, seed: seed}, fam); err != nil {
+		if _, err := c.Graph(fam, 8, seed); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -162,10 +163,10 @@ func TestShardedCacheSpreadsKeys(t *testing.T) {
 		t.Errorf("sharded cache holds %d entries, capacity 64", total)
 	}
 	// Shard counts round up to a power of two and never exceed capacity.
-	if got := len(newShardedInstanceCache(4, 100).shards); got != 4 {
+	if got := len(NewCache(4, 100).shards); got != 4 {
 		t.Errorf("shards(cap=4, want 100) = %d, want 4", got)
 	}
-	if got := len(newShardedInstanceCache(64, 5).shards); got != 8 {
+	if got := len(NewCache(64, 5).shards); got != 8 {
 		t.Errorf("shards(cap=64, want 5) = %d, want 8 (next power of two)", got)
 	}
 }
@@ -177,13 +178,13 @@ func TestShardedCacheSpreadsKeys(t *testing.T) {
 // order slice's backing array bounded by the capacity, not the history.
 func TestEvictionOrderDoesNotLeak(t *testing.T) {
 	const capacity = 4
-	c := newInstanceCache(capacity)
+	c := NewCache(capacity, 1)
 	fam, err := graphgen.FamilyByName("path")
 	if err != nil {
 		t.Fatal(err)
 	}
 	for seed := int64(0); seed < 10_000; seed++ {
-		if _, err := c.lookup(instanceKey{family: "path", n: 4, seed: seed}, fam); err != nil {
+		if _, err := c.Graph(fam, 4, seed); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -208,7 +209,7 @@ func TestEvictionOrderDoesNotLeak(t *testing.T) {
 func TestCacheHitMissAccounting(t *testing.T) {
 	spec, units := taskUnits(t)
 	hash := spec.Hash()
-	cache := newInstanceCache(len(units))
+	cache := NewCache(len(units), 1)
 	seen := map[string]bool{}
 	wantMisses := 0
 	for _, u := range units {
@@ -220,7 +221,8 @@ func TestCacheHitMissAccounting(t *testing.T) {
 			t.Fatalf("%s: %v", u.Key(), err)
 		}
 	}
-	hits, misses := cache.hits.Load(), cache.misses.Load()
+	st := cache.Stats()
+	hits, misses := st.Hits, st.Misses
 	if int(misses) != wantMisses {
 		t.Errorf("misses = %d, want %d (one per distinct instance)", misses, wantMisses)
 	}

@@ -53,7 +53,7 @@ type Spec struct {
 	Experiments []string `json:"experiments,omitempty"`
 	// Quick selects reduced sweeps for replayed experiments.
 	Quick bool `json:"quick,omitempty"`
-	// MaxMessages caps per-run sends; 0 selects the simulator default.
+	// MaxMessages caps per-run sends; 0 selects catalog.MessageBudget.
 	MaxMessages int `json:"max_messages,omitempty"`
 }
 

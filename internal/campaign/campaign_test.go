@@ -159,22 +159,6 @@ func TestUnitSeedsIndependent(t *testing.T) {
 	}
 }
 
-func TestTaskRegistry(t *testing.T) {
-	names := Tasks()
-	if len(names) < 2 {
-		t.Fatalf("want at least wakeup+broadcast, got %v", names)
-	}
-	for _, name := range names {
-		schemes, err := Schemes(name)
-		if err != nil || len(schemes) == 0 {
-			t.Errorf("task %s: schemes=%v err=%v", name, schemes, err)
-		}
-	}
-	if _, err := Schemes("nonesuch"); err == nil {
-		t.Error("unknown task accepted")
-	}
-}
-
 func TestRunTaskUnitWakeupTreeExact(t *testing.T) {
 	spec := QuickSpec()
 	units := spec.Units()
@@ -188,7 +172,7 @@ func TestRunTaskUnitWakeupTreeExact(t *testing.T) {
 	if !found {
 		t.Fatal("expected unit not compiled")
 	}
-	recs, err := runUnit(spec, spec.Hash(), unit, newInstanceCache(4))
+	recs, err := runUnit(spec, spec.Hash(), unit, NewCache(4, 1))
 	if err != nil {
 		t.Fatalf("runUnit: %v", err)
 	}

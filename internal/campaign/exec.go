@@ -13,7 +13,7 @@ type RunOptions struct {
 	// Done marks unit keys already present in the sink; those units are
 	// skipped (resume semantics). Nil means run everything.
 	Done map[string]bool
-	// Cache, if non-nil, is a shared instance cache to run against (the
+	// Cache, if non-nil, is a shared graph cache to run against (the
 	// oracled service pools one across campaigns and request handlers). Nil
 	// means a private, appropriately sized cache per execution.
 	Cache *Cache
@@ -59,7 +59,7 @@ func Run(spec *Spec, sink Store, opts RunOptions) (Stats, error) {
 	// the scheme fan-out at a ~100% hit rate without unbounded growth.
 	cache := opts.Cache
 	if cache == nil {
-		cache = NewCache(spec.Trials + 2*workers + 8)
+		cache = NewCache(spec.Trials+2*workers+8, 1)
 	}
 	before := cache.Stats()
 	var executed, skipped atomic.Int64
@@ -71,7 +71,7 @@ func Run(spec *Spec, sink Store, opts RunOptions) (Stats, error) {
 				return err
 			}
 		} else {
-			recs, err := runUnit(spec, specHash, u, cache.c)
+			recs, err := runUnit(spec, specHash, u, cache)
 			if err != nil {
 				return fmt.Errorf("campaign: unit %s: %w", u.Key(), err)
 			}

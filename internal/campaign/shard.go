@@ -24,9 +24,9 @@ func (sh Shard) String() string {
 
 // RunShard executes the shard's units sequentially and returns one record
 // batch per unit, in unit order. The caller supplies the compiled unit list
-// (compile once, run many shards) and optionally a shared instance cache;
-// a nil cache regenerates instances from their seeds, which changes speed
-// but never record contents. The worker-pool layer above decides how many
+// (compile once, run many shards) and optionally a shared graph cache; a
+// nil cache regenerates graphs from their seeds, which changes speed but
+// never record contents. The worker-pool layer above decides how many
 // shards run at once — a shard itself stays single-threaded so a bounded
 // queue slot costs exactly one core.
 func RunShard(spec *Spec, units []Unit, sh Shard, cache *Cache) ([][]Record, error) {
@@ -34,13 +34,9 @@ func RunShard(spec *Spec, units []Unit, sh Shard, cache *Cache) ([][]Record, err
 		return nil, fmt.Errorf("campaign: %v out of range for %d units", sh, len(units))
 	}
 	specHash := spec.Hash()
-	var ic *instanceCache
-	if cache != nil {
-		ic = cache.c
-	}
 	out := make([][]Record, sh.Len())
 	for i := sh.Start; i < sh.End; i++ {
-		recs, err := runUnit(spec, specHash, units[i], ic)
+		recs, err := runUnit(spec, specHash, units[i], cache)
 		if err != nil {
 			return nil, fmt.Errorf("campaign: unit %s: %w", units[i].Key(), err)
 		}

@@ -25,7 +25,7 @@ func TestRunShardMatchesRun(t *testing.T) {
 
 		var buf bytes.Buffer
 		sink := NewSink(&buf)
-		cache := NewCache(16)
+		cache := NewCache(16, 1)
 		for _, sh := range shards {
 			batches, err := RunShard(spec, units, sh, cache)
 			if err != nil {

@@ -2,14 +2,11 @@ package campaign
 
 import (
 	"fmt"
-	"math/rand"
 	"time"
 
 	"oraclesize/internal/catalog"
 	"oraclesize/internal/experiments"
-	"oraclesize/internal/graph"
 	"oraclesize/internal/graphgen"
-	"oraclesize/internal/sim"
 )
 
 // taskByName resolves a task through the shared catalog registry, the same
@@ -22,21 +19,10 @@ func taskByName(name string) (catalog.Task, error) {
 	return td, nil
 }
 
-// Tasks lists the registered task names.
-func Tasks() []string { return catalog.TaskNames() }
-
-// Schemes lists the registered canonical scheme names for a task.
-func Schemes(task string) ([]string, error) {
-	td, err := taskByName(task)
-	if err != nil {
-		return nil, err
-	}
-	return td.SchemeNames(), nil
-}
-
 // runUnit executes one unit and returns its records (one for task units,
-// one per table row for experiment units).
-func runUnit(s *Spec, specHash string, u Unit, cache *instanceCache) ([]Record, error) {
+// one per table row for experiment units). Task units draw their graph
+// from cache; a nil cache generates it afresh.
+func runUnit(s *Spec, specHash string, u Unit, cache *Cache) ([]Record, error) {
 	switch u.Kind {
 	case KindTask:
 		rec, err := runTaskUnit(s, specHash, u, cache)
@@ -51,55 +37,26 @@ func runUnit(s *Spec, specHash string, u Unit, cache *instanceCache) ([]Record, 
 	}
 }
 
-func runTaskUnit(s *Spec, specHash string, u Unit, cache *instanceCache) (Record, error) {
-	td, err := taskByName(u.Task)
-	if err != nil {
-		return Record{}, err
-	}
-	sc, err := td.SchemeByName(u.Scheme)
+func runTaskUnit(s *Spec, specHash string, u Unit, cache *Cache) (Record, error) {
+	run, err := catalog.Resolve(u.Task, u.Scheme, "", "", u.Seed)
 	if err != nil {
 		return Record{}, fmt.Errorf("campaign: %w", err)
 	}
-	orc := sc.NewOracle(0)
+	run.MaxMessages = s.MaxMessages
 	fam, err := graphgen.FamilyByName(u.Family)
 	if err != nil {
 		return Record{}, err
 	}
-	var g *graph.Graph
-	var advice sim.Advice
-	if cache != nil {
-		e, err := cache.instance(u, fam)
-		if err != nil {
-			return Record{}, fmt.Errorf("campaign: generating %s n=%d: %w", u.Family, u.N, err)
-		}
-		g = e.g
-		advice, err = e.advise(orc, 0)
-		if err != nil {
-			return Record{}, fmt.Errorf("campaign: advising %s/%s: %w", u.Task, u.Scheme, err)
-		}
-	} else {
-		rng := rand.New(rand.NewSource(u.InstanceSeed))
-		g, err = fam.Generate(u.N, rng)
-		if err != nil {
-			return Record{}, fmt.Errorf("campaign: generating %s n=%d: %w", u.Family, u.N, err)
-		}
-		advice, err = orc.Advise(g, 0)
-		if err != nil {
-			return Record{}, fmt.Errorf("campaign: advising %s/%s: %w", u.Task, u.Scheme, err)
-		}
+	g, err := cache.Graph(fam, u.N, u.InstanceSeed)
+	if err != nil {
+		return Record{}, fmt.Errorf("campaign: generating %s n=%d: %w", u.Family, u.N, err)
 	}
-	maxMessages := s.MaxMessages
-	if maxMessages == 0 {
-		// The simulator's default is linear in m+n; superlinear-but-correct
-		// schemes (election by flooding) need the catalog's generous cap.
-		maxMessages = catalog.MessageBudget(g)
+	advice, err := run.Scheme.NewOracle(0).Advise(g, 0)
+	if err != nil {
+		return Record{}, fmt.Errorf("campaign: advising %s/%s: %w", u.Task, u.Scheme, err)
 	}
 	start := time.Now()
-	res, err := sim.Run(g, 0, sc.Algo, advice, sim.Options{
-		EnforceWakeup: td.EnforceWakeup,
-		RetainNodes:   td.NeedsNodes,
-		MaxMessages:   maxMessages,
-	})
+	res, err := run.Execute(g, 0, advice)
 	if err != nil {
 		return Record{}, fmt.Errorf("campaign: running %s: %w", u.Key(), err)
 	}
@@ -119,7 +76,7 @@ func runTaskUnit(s *Spec, specHash string, u Unit, cache *instanceCache) (Record
 		Messages:    res.Messages,
 		MessageBits: res.MessageBits,
 		Rounds:      res.Rounds,
-		Complete:    td.Check(res) == nil,
+		Complete:    run.Task.Check(res) == nil,
 		WallNS:      time.Since(start).Nanoseconds(),
 	}, nil
 }

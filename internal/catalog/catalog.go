@@ -1,10 +1,18 @@
 // Package catalog is the single source of truth for the names that select
 // this repository's moving parts: distributed tasks, their oracle/algorithm
-// scheme pairings, graph families, and delivery schedulers. The CLIs
-// (oraclesim, campaign) and the oracled service all resolve user-facing
-// names through this registry, so one name means the same configuration
-// everywhere — a spec written for the campaign CLI selects the exact
-// schemes the HTTP API serves.
+// scheme pairings, graph families, delivery schedulers and engines. The
+// CLIs (oraclesim, campaign) and the oracled service all resolve
+// user-facing names through this registry, so one name means the same
+// configuration everywhere — a spec written for the campaign CLI selects
+// the exact schemes the HTTP API serves.
+//
+// It also owns the one path from a scheme to the simulator. Resolve checks
+// a run's task, scheme, engine and scheduler names before any work is
+// done, and Run.Execute simulates the resolved run on a graph under a
+// given advice: it alone picks the engine, builds the scheduler, applies
+// the task's wakeup constraint and node retention, and fills in the
+// default message budget. oraclesim, campaign units and oracled's /v1/run
+// each keep their own admission and output around that one call.
 //
 // Scheme names come in two historical dialects: campaign records use
 // construction names ("tree", "light-tree", "flooding") while oraclesim's
@@ -222,9 +230,9 @@ func Fingerprint() string {
 	return fmt.Sprintf("%x", h.Sum(nil)[:8])
 }
 
-// MessageBudget is the generous per-run send cap used when a caller does
-// not set one: election by max-label flooding legitimately costs O(n·m),
-// so the linear default of the simulator is too tight for a shared grid.
+// MessageBudget is the generous per-run send cap Execute uses when a run
+// sets none: election by max-label flooding legitimately costs O(n·m), so
+// the linear default of the simulator is too tight for a shared grid.
 func MessageBudget(g *graph.Graph) int { return 4*g.N()*g.M() + 1024 }
 
 // FamilyByName resolves a graph family. graphgen owns the registry; this
@@ -271,13 +279,13 @@ func SchedulerNames() []string {
 	return names
 }
 
-// SchedulerByName builds a fresh scheduler of the named kind; randomized
+// schedulerFactory looks up the named scheduler kind; randomized
 // schedulers derive their stream from seed.
-func SchedulerByName(name string, seed int64) (sim.Scheduler, error) {
+func schedulerFactory(name string, seed int64) (sim.SchedulerFactory, error) {
 	factory, ok := sim.Schedulers(seed)[name]
 	if !ok {
 		return nil, fmt.Errorf("catalog: unknown scheduler %q (have %s)",
 			name, strings.Join(SchedulerNames(), " | "))
 	}
-	return factory(), nil
+	return factory, nil
 }

@@ -322,7 +322,7 @@ func Run(sc Scenario) (*Result, error) {
 		cfg:   core.Config(),
 		spec:  sc.Spec,
 		units: units,
-		cache: campaign.NewCache(sc.Spec.Trials + 16),
+		cache: campaign.NewCache(sc.Spec.Trials+16, 1),
 		jrng:  rand.New(rand.NewSource(core.Config().Seed + 0x5eed)),
 		sc:    &sc,
 		res:   &Result{},

@@ -19,7 +19,7 @@ func benchServe(b *testing.B, path string, body map[string]any) {
 		b.Fatal(err)
 	}
 	h := s.Handler()
-	// Warm instance and advice caches.
+	// Warm the graph and response caches.
 	req := httptest.NewRequest("POST", path, bytes.NewReader(data))
 	w := httptest.NewRecorder()
 	h.ServeHTTP(w, req)

@@ -92,19 +92,34 @@ func (s *Server) handleCampaignSubmit(w http.ResponseWriter, r *http.Request, ts
 	if err := s.decodeBody(w, r, &spec, ts); err != nil {
 		return nil, err
 	}
-	if err := spec.Validate(); err != nil {
-		return nil, badRequest("%v", err)
-	}
-	// Count arithmetically before compiling: Units() materializes the full
-	// cross product, so an over-cap spec must be rejected without it — a
-	// small body requesting billions of trials would otherwise allocate
-	// billions of Unit structs before the cap check. The cap is the server
-	// limit tightened by the tenant's own unit quota.
-	units := spec.UnitCount()
-	if limit := s.unitLimit(ts); units > int64(limit) {
-		return nil, badRequest("campaign compiles to %d units, cap is %d", units, limit)
+	units, err := s.admitSpec(&spec, ts)
+	if err != nil {
+		return nil, err
 	}
 	return s.campaigns.submit(ts, &spec, int(units))
+}
+
+// admitSpec is the spec admission shared by /v1/campaign and /v1/shard: it
+// validates the spec, requires every size within MaxNodes, and returns the
+// unit count once it is within the tenant's unit limit. It counts
+// arithmetically before compiling: Units() materializes the full cross
+// product, so an over-cap spec must be rejected without it — a small body
+// requesting billions of trials would otherwise allocate billions of Unit
+// structs before the cap check.
+func (s *Server) admitSpec(spec *campaign.Spec, ts *tenantState) (int64, error) {
+	if err := spec.Validate(); err != nil {
+		return 0, badRequest("%v", err)
+	}
+	for _, n := range spec.Sizes {
+		if n > s.cfg.MaxNodes {
+			return 0, badRequest("spec size n=%d exceeds cap %d", n, s.cfg.MaxNodes)
+		}
+	}
+	units := spec.UnitCount()
+	if limit := s.unitLimit(ts); units > int64(limit) {
+		return 0, badRequest("spec compiles to %d units, cap is %d", units, limit)
+	}
+	return units, nil
 }
 
 // submit registers the campaign and starts it, enforcing the concurrent

@@ -12,11 +12,9 @@ import (
 	"sync"
 	"time"
 
-	"oraclesize/internal/campaign"
 	"oraclesize/internal/catalog"
 	"oraclesize/internal/graph"
 	"oraclesize/internal/oracle"
-	"oraclesize/internal/sim"
 )
 
 func (s *Server) routes() *http.ServeMux {
@@ -240,27 +238,26 @@ type instanceParams struct {
 }
 
 // instance validates the parameters against the server's size caps and
-// returns the (cached) instance and its graph.
-func (s *Server) instance(p instanceParams) (*graph.Graph, *campaign.Instance, error) {
+// returns the (cached) graph.
+func (s *Server) instance(p instanceParams) (*graph.Graph, error) {
 	if p.N < 2 || p.N > s.cfg.MaxNodes {
-		return nil, nil, badRequest("n %d out of range [2,%d]", p.N, s.cfg.MaxNodes)
+		return nil, badRequest("n %d out of range [2,%d]", p.N, s.cfg.MaxNodes)
 	}
 	fam, err := catalog.FamilyByName(p.Family)
 	if err != nil {
-		return nil, nil, badRequest("%v", err)
+		return nil, badRequest("%v", err)
 	}
-	inst, err := s.cache.Instance(fam, p.N, p.Seed)
+	g, err := s.cache.Graph(fam, p.N, p.Seed)
 	if err != nil {
-		return nil, nil, badRequest("generating %s n=%d: %v", p.Family, p.N, err)
+		return nil, badRequest("generating %s n=%d: %v", p.Family, p.N, err)
 	}
-	g := inst.Graph()
 	if g.M() > s.cfg.MaxEdges {
-		return nil, nil, badRequest("instance has m=%d edges, cap is %d", g.M(), s.cfg.MaxEdges)
+		return nil, badRequest("instance has m=%d edges, cap is %d", g.M(), s.cfg.MaxEdges)
 	}
 	if p.Source < 0 || p.Source >= g.N() {
-		return nil, nil, badRequest("source %d out of range [0,%d)", p.Source, g.N())
+		return nil, badRequest("source %d out of range [0,%d)", p.Source, g.N())
 	}
-	return g, inst, nil
+	return g, nil
 }
 
 // requestContext applies the server's request deadline.
@@ -350,12 +347,11 @@ func (s *Server) handleAdvice(w http.ResponseWriter, r *http.Request, ts *tenant
 		}
 		s.metrics.respMisses.Add(1)
 	}
-	td, sc, err := resolveScheme(req.Task, req.Scheme)
+	run, err := catalog.Resolve(req.Task, req.Scheme, "", "", req.Seed)
 	if err != nil {
-		return nil, err
+		return nil, badRequest("%v", err)
 	}
-	_ = td
-	g, h, err := s.instance(req.instanceParams)
+	g, err := s.instance(req.instanceParams)
 	if err != nil {
 		return nil, err
 	}
@@ -364,8 +360,8 @@ func (s *Server) handleAdvice(w http.ResponseWriter, r *http.Request, ts *tenant
 	src := graph.NodeID(req.Source)
 	body, err := s.execute(ctx, ts, func() (any, error) {
 		start := time.Now()
-		orc := sc.NewOracle(src)
-		advice, err := h.Advice(orc, src)
+		orc := run.Scheme.NewOracle(src)
+		advice, err := orc.Advise(g, src)
 		if err != nil {
 			return nil, badRequest("advising: %v", err)
 		}
@@ -376,7 +372,7 @@ func (s *Server) handleAdvice(w http.ResponseWriter, r *http.Request, ts *tenant
 			Edges:         g.M(),
 			MaxDegree:     g.MaxDegree(),
 			Task:          req.Task,
-			Scheme:        sc.Name,
+			Scheme:        run.Scheme.Name,
 			Oracle:        orc.Name(),
 			TotalBits:     stats.TotalBits,
 			MaxNodeBits:   stats.MaxNodeBits,
@@ -494,75 +490,34 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request, ts *tenantSta
 		}
 		s.metrics.respMisses.Add(1)
 	}
-	td, sc, err := resolveScheme(req.Task, req.Scheme)
+	run, err := catalog.Resolve(req.Task, req.Scheme, req.Engine, req.Scheduler, req.Seed)
+	if err != nil {
+		return nil, badRequest("%v", err)
+	}
+	g, err := s.instance(req.instanceParams)
 	if err != nil {
 		return nil, err
 	}
-	engine := req.Engine
-	if engine == "" {
-		engine = "queue"
+	// The catalog budget, lowered by the request's own cap and clamped to
+	// the server's ceiling.
+	run.MaxMessages = catalog.MessageBudget(g)
+	if req.MaxMessages > 0 && req.MaxMessages < run.MaxMessages {
+		run.MaxMessages = req.MaxMessages
 	}
-	if engine != "queue" && engine != "goroutines" {
-		return nil, badRequest("unknown engine %q (queue | goroutines)", req.Engine)
-	}
-	if engine == "goroutines" && td.NeedsNodes {
-		return nil, badRequest("%s verification needs the queue engine", td.Name)
-	}
-	schedName := req.Scheduler
-	if schedName == "" {
-		schedName = "fifo"
-	}
-	if engine == "queue" {
-		if _, err := catalog.SchedulerByName(schedName, req.Seed); err != nil {
-			return nil, badRequest("%v", err)
-		}
-	}
-	g, h, err := s.instance(req.instanceParams)
-	if err != nil {
-		return nil, err
-	}
-	budget := req.MaxMessages
-	if budget <= 0 || budget > catalog.MessageBudget(g) {
-		budget = catalog.MessageBudget(g)
-	}
-	if budget > s.cfg.maxMessageCeiling() {
-		budget = s.cfg.maxMessageCeiling()
-	}
+	run.MaxMessages = min(run.MaxMessages, s.cfg.MaxMessageBudget)
 	ctx, cancel := s.requestContext(r)
 	defer cancel()
 	src := graph.NodeID(req.Source)
 	body, err := s.execute(ctx, ts, func() (any, error) {
 		start := time.Now()
-		advice, err := h.Advice(sc.NewOracle(src), src)
+		orc := run.Scheme.NewOracle(src)
+		advice, err := orc.Advise(g, src)
 		if err != nil {
 			return nil, badRequest("advising: %v", err)
 		}
-		var res *sim.Result
-		if engine == "queue" {
-			sched, err := catalog.SchedulerByName(schedName, req.Seed)
-			if err != nil {
-				return nil, badRequest("%v", err)
-			}
-			// The default FIFO scheduler is allocation-free inside the
-			// pooled engine; passing it explicitly would cost a fresh
-			// queue per request.
-			if schedName == "fifo" {
-				sched = nil
-			}
-			res, err = sim.Run(g, src, sc.Algo, advice, sim.Options{
-				Scheduler:     sched,
-				EnforceWakeup: td.EnforceWakeup,
-				RetainNodes:   td.NeedsNodes,
-				MaxMessages:   budget,
-			})
-			if err != nil {
-				return nil, badRequest("run: %v", err)
-			}
-		} else {
-			res, err = sim.RunConcurrent(g, src, sc.Algo, advice, budget)
-			if err != nil {
-				return nil, badRequest("run: %v", err)
-			}
+		res, err := run.Execute(g, src, advice)
+		if err != nil {
+			return nil, badRequest("run: %v", err)
 		}
 		informed := 0
 		for _, inf := range res.Informed {
@@ -575,10 +530,11 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request, ts *tenantSta
 			Nodes:        g.N(),
 			Edges:        g.M(),
 			Task:         req.Task,
-			Scheme:       sc.Name,
-			Oracle:       sc.NewOracle(src).Name(),
-			Algorithm:    sc.Algo.Name(),
-			Engine:       engine,
+			Scheme:       run.Scheme.Name,
+			Oracle:       orc.Name(),
+			Algorithm:    run.Scheme.Algo.Name(),
+			Engine:       run.Engine,
+			Scheduler:    run.Scheduler,
 			AdviceBits:   advice.SizeBits(),
 			Messages:     res.Messages,
 			MessageBits:  res.MessageBits,
@@ -587,10 +543,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request, ts *tenantSta
 			Informed:     informed,
 			WallNS:       time.Since(start).Nanoseconds(),
 		}
-		if engine == "queue" {
-			resp.Scheduler = schedName
-		}
-		if err := td.Check(res); err != nil {
+		if err := run.Task.Check(res); err != nil {
 			resp.CheckError = err.Error()
 		} else {
 			resp.Complete = true
@@ -612,22 +565,6 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request, ts *tenantSta
 	enc := encodeResponse(make([]byte, 0, 512), body)
 	s.responses.put(scr.key, enc)
 	return rawJSON(enc), nil
-}
-
-// resolveScheme resolves task and scheme names through the catalog.
-func resolveScheme(task, schemeName string) (catalog.Task, catalog.Scheme, error) {
-	td, err := catalog.TaskByName(task)
-	if err != nil {
-		return catalog.Task{}, catalog.Scheme{}, badRequest("%v", err)
-	}
-	if schemeName == "" {
-		return td, td.DefaultScheme(), nil
-	}
-	sc, err := td.SchemeByName(schemeName)
-	if err != nil {
-		return catalog.Task{}, catalog.Scheme{}, badRequest("%v", err)
-	}
-	return td, sc, nil
 }
 
 // ---- GET /healthz ----

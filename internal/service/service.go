@@ -9,10 +9,13 @@
 //	GET  /healthz          liveness and load snapshot
 //	GET  /metrics          Prometheus text-format metrics
 //
-// The serving path reuses the batch machinery end to end: package sim's
-// pooled engines execute runs, a shared campaign.Cache memoizes graph
-// instances and per-oracle advice across requests, and campaigns run on the
-// campaign worker pool.
+// The serving path reuses the batch machinery end to end: names resolve and
+// runs execute through catalog.Resolve and Run.Execute (the path oraclesim
+// and campaign units take) on package sim's pooled engines, a shared
+// campaign.Cache keeps generated graphs across requests and campaigns, and
+// campaigns run on the campaign worker pool. The cache holds graphs only;
+// advice is rebuilt for every executed request, and repeats of a whole
+// request are answered from the response cache.
 //
 // Load is explicitly bounded. Simulation requests pass through a bounded
 // work queue executed by a fixed worker set; when the queue is full the
@@ -152,8 +155,6 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-func (c Config) maxMessageCeiling() int { return c.MaxMessageBudget }
-
 // cacheShards partitions the instance and response caches into
 // independently locked shards (at most one per cached entry), so
 // concurrent requests do not serialize on one mutex.
@@ -222,7 +223,7 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:       cfg,
 		metrics:   &serverMetrics{endpoints: make(map[string]*endpointMetrics)},
-		cache:     campaign.NewShardedCache(cfg.CacheCapacity, cacheShards),
+		cache:     campaign.NewCache(cfg.CacheCapacity, cacheShards),
 		sched:     tenant.NewScheduler[*job](cfg.QueueDepth),
 		store:     cfg.TenantStore,
 		now:       time.Now,

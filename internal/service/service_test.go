@@ -132,6 +132,50 @@ func TestRunEndpoint(t *testing.T) {
 	}
 }
 
+// TestRunMatchesCampaignRecord checks that /v1/run and campaign units
+// share one run path: for every registered task × scheme on two families,
+// the /v1/run response for a unit's instance (seed = its InstanceSeed,
+// source 0) agrees with the unit's record on advice bits, messages,
+// message bits, rounds and completion.
+func TestRunMatchesCampaignRecord(t *testing.T) {
+	s := newTestServer(t, Config{})
+	spec := &campaign.Spec{Name: "agree", Seed: 5, Trials: 1,
+		Families: []string{"random-sparse", "random-dense"}, Sizes: []int{24}}
+	schemes := 0
+	for _, name := range catalog.TaskNames() {
+		spec.Tasks = append(spec.Tasks, campaign.TaskSpec{Task: name}) // every registered scheme
+		task, err := catalog.TaskByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		schemes += len(task.Schemes)
+	}
+	units := spec.Units()
+	if len(units) != 2*schemes {
+		t.Fatalf("spec compiles to %d units, want %d (two families × %d schemes)", len(units), 2*schemes, schemes)
+	}
+	batches, err := campaign.RunShard(spec, units, campaign.Shard{End: len(units)}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, u := range units {
+		rec := batches[i][0]
+		w := postJSON(t, s.Handler(), "/v1/run", map[string]any{
+			"family": u.Family, "n": u.N, "seed": u.InstanceSeed, "task": u.Task, "scheme": u.Scheme,
+		})
+		if w.Code != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", u.Key(), w.Code, w.Body.String())
+		}
+		resp := decode[runResponse](t, w)
+		got := [5]any{resp.AdviceBits, resp.Messages, resp.MessageBits, resp.Rounds, resp.Complete}
+		want := [5]any{rec.AdviceBits, rec.Messages, rec.MessageBits, rec.Rounds, rec.Complete}
+		if got != want {
+			t.Errorf("%s: /v1/run (advice_bits, messages, message_bits, rounds, complete) = %v, record %v",
+				u.Key(), got, want)
+		}
+	}
+}
+
 func TestValidationErrors(t *testing.T) {
 	s := newTestServer(t, Config{MaxNodes: 64})
 	for name, body := range map[string]map[string]any{
@@ -440,10 +484,10 @@ func TestHealthzAndMetrics(t *testing.T) {
 }
 
 // TestSteadyStateRunAllocations is the service-level allocation budget:
-// once the instance and advice are cached, serving /v1/run must add only
-// bounded per-request overhead (JSON, context, job plumbing) on top of the
-// simulation engine's own per-run budget — no per-request graph builds or
-// engine allocations.
+// once the first request has warmed the graph and response caches,
+// serving /v1/run must add only bounded per-request overhead (JSON,
+// context, job plumbing) on top of the simulation engine's own per-run
+// budget — no per-request graph builds or engine allocations.
 func TestSteadyStateRunAllocations(t *testing.T) {
 	const n = 256
 	s := newTestServer(t, Config{Workers: 1})

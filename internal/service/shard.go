@@ -16,8 +16,9 @@ import (
 // so the coordinator pays HTTP overhead per shard rather than per unit.
 // A shard occupies exactly one slot of the bounded work queue — the same
 // backpressure (503 + Retry-After) and deadline (504) rules as /v1/run
-// apply, and the per-request unit count is capped by MaxShardUnits so a
-// worker slot is held for a bounded batch.
+// apply. The spec is admitted exactly as /v1/campaign admits it (sizes,
+// the tenant's unit limit), and the per-request unit count is capped by
+// MaxShardUnits so a worker slot is held for a bounded batch.
 
 type shardRequest struct {
 	Spec campaign.Spec `json:"spec"`
@@ -76,19 +77,9 @@ func (s *Server) handleShard(w http.ResponseWriter, r *http.Request, ts *tenantS
 		return nil, err
 	}
 	spec := &req.Spec
-	if err := spec.Validate(); err != nil {
-		return nil, badRequest("%v", err)
-	}
-	for _, n := range spec.Sizes {
-		if n > s.cfg.MaxNodes {
-			return nil, badRequest("spec size n=%d exceeds cap %d", n, s.cfg.MaxNodes)
-		}
-	}
-	// Like /v1/campaign, bound the compiled cross product arithmetically
-	// before materializing it.
-	total := spec.UnitCount()
-	if total > int64(s.cfg.MaxCampaignUnits) {
-		return nil, badRequest("spec compiles to %d units, cap is %d", total, s.cfg.MaxCampaignUnits)
+	total, err := s.admitSpec(spec, ts)
+	if err != nil {
+		return nil, err
 	}
 	if req.Start < 0 || req.End <= req.Start || int64(req.End) > total {
 		return nil, badRequest("shard [%d,%d) out of range for %d units", req.Start, req.End, total)

@@ -296,6 +296,39 @@ func TestTenantCampaignQuotas(t *testing.T) {
 	}
 }
 
+// TestSpecAdmission pins the admission /v1/campaign and /v1/shard share:
+// each row's spec must be refused with 400 on both endpoints, whether a
+// size exceeds MaxNodes or the unit count exceeds the tenant's
+// max_campaign_units.
+func TestSpecAdmission(t *testing.T) {
+	st := testStore(t, tenant.Spec{Name: "capped", Key: "capped-key-00", MaxCampaignUnits: 2})
+	s := newTestServer(t, Config{MaxNodes: 64, TenantStore: st})
+	spec := func(sizes ...int) map[string]any {
+		return map[string]any{"name": "t", "trials": 1, "seed": 1,
+			"tasks":    []map[string]any{{"task": "broadcast", "schemes": []string{"flooding"}}},
+			"families": []string{"cycle"}, "sizes": sizes}
+	}
+	for _, tc := range []struct {
+		name string
+		spec map[string]any
+		want string
+	}{
+		{"size over max-nodes", spec(65), "n=65 exceeds cap 64"},
+		{"units over tenant cap", spec(8, 12, 16, 20), "4 units, cap is 2"},
+	} {
+		for _, path := range []string{"/v1/campaign", "/v1/shard"} {
+			var body any = tc.spec
+			if path == "/v1/shard" {
+				body = map[string]any{"spec": tc.spec, "start": 0, "end": 1}
+			}
+			w := postJSONKey(t, s.Handler(), path, "capped-key-00", body)
+			if w.Code != http.StatusBadRequest || !strings.Contains(w.Body.String(), tc.want) {
+				t.Errorf("%s on %s: status %d, want 400 with %q: %s", tc.name, path, w.Code, tc.want, w.Body.String())
+			}
+		}
+	}
+}
+
 // TestTenantMetricsCardinality floods the server with distinct bogus keys
 // and verifies they all collapse into the single reserved "unknown" label —
 // the per-tenant series count stays bounded by the registry size.

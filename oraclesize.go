@@ -26,6 +26,7 @@ import (
 	"math/rand"
 
 	"oraclesize/internal/broadcast"
+	"oraclesize/internal/catalog"
 	"oraclesize/internal/explore"
 	"oraclesize/internal/gossip"
 	"oraclesize/internal/graph"
@@ -79,29 +80,38 @@ type Report struct {
 // messages. The run is validated against the wakeup constraint (no node
 // other than the source transmits before being woken).
 func Wakeup(g *Graph, source NodeID) (Report, error) {
-	advice, err := wakeup.Oracle{}.Advise(g, source)
-	if err != nil {
-		return Report{}, fmt.Errorf("oraclesize: wakeup oracle: %w", err)
-	}
-	res, err := sim.Run(g, source, wakeup.Algorithm{}, advice, sim.Options{EnforceWakeup: true})
-	if err != nil {
-		return Report{}, fmt.Errorf("oraclesize: wakeup run: %w", err)
-	}
-	return report(advice, res), nil
+	return runPaper("wakeup", g, source)
 }
 
 // Broadcast runs the Theorem 3.1 construction on g: the light-spanning-tree
 // oracle of O(n) bits and Scheme B, completing with at most 3(n-1) messages.
 func Broadcast(g *Graph, source NodeID) (Report, error) {
-	advice, err := broadcast.Oracle{}.Advise(g, source)
+	return runPaper("broadcast", g, source)
+}
+
+// runPaper runs the task's default catalog scheme (the paper's
+// construction) through the same catalog.Resolve/Execute path as oraclesim,
+// campaign units and oracled, under FIFO delivery and the catalog's
+// message budget.
+func runPaper(task string, g *Graph, source NodeID) (Report, error) {
+	run, err := catalog.Resolve(task, "", "", "", 0)
 	if err != nil {
-		return Report{}, fmt.Errorf("oraclesize: broadcast oracle: %w", err)
+		return Report{}, fmt.Errorf("oraclesize: %w", err)
 	}
-	res, err := sim.Run(g, source, broadcast.Algorithm{}, advice, sim.Options{})
+	advice, err := run.Scheme.NewOracle(source).Advise(g, source)
 	if err != nil {
-		return Report{}, fmt.Errorf("oraclesize: broadcast run: %w", err)
+		return Report{}, fmt.Errorf("oraclesize: %s oracle: %w", task, err)
 	}
-	return report(advice, res), nil
+	res, err := run.Execute(g, source, advice)
+	if err != nil {
+		return Report{}, fmt.Errorf("oraclesize: %s run: %w", task, err)
+	}
+	return Report{
+		OracleBits: advice.SizeBits(),
+		Messages:   res.Messages,
+		Complete:   res.AllInformed,
+		Rounds:     res.Rounds,
+	}, nil
 }
 
 // WakeupAdvice exposes the Theorem 2.1 oracle on its own.
@@ -186,13 +196,4 @@ func FullMapAdviceSize(g *Graph) (int, error) {
 		return 0, err
 	}
 	return advice.SizeBits(), nil
-}
-
-func report(advice Advice, res *sim.Result) Report {
-	return Report{
-		OracleBits: advice.SizeBits(),
-		Messages:   res.Messages,
-		Complete:   res.AllInformed,
-		Rounds:     res.Rounds,
-	}
 }
