@@ -226,18 +226,12 @@ func run(args []string, out, errOut io.Writer) int {
 		if id == "" {
 			id = advertiseFromAddr(*addr, scheme)
 		}
-		b := service.Build()
 		agent = &membership.Agent{
 			Coordinator: strings.TrimRight(*joinURL, "/"),
 			ID:          id,
 			Fingerprint: catalog.Fingerprint(),
-			Build: membership.BuildInfo{
-				GoVersion:     b.GoVersion,
-				ModuleVersion: b.ModuleVersion,
-				Revision:      b.Revision,
-				Dirty:         b.Dirty,
-			},
-			Interval: *heartbeat,
+			Build:       service.Build(),
+			Interval:    *heartbeat,
 			Report: func() membership.Heartbeat {
 				depth, unitSec, draining := svc.FleetReport()
 				return membership.Heartbeat{

@@ -18,13 +18,15 @@
 // its weight.
 //
 // With -listen the fleet is elastic: oracled workers self-register over
-// POST /v1/fleet/join (oracled -join) and heartbeat; joins admit workers
-// before or during the campaign, heartbeat loss evicts them after
-// -member-ttl with their leases requeued immediately, and a draining
-// worker keeps its leases but is handed no new ones. -workers may then be
-// empty — the run waits for members. GET /v1/fleet lists members plus the
-// autoscaling advice for -target-makespan, for an external provisioner to
-// act on. See docs/FLEET.md.
+// POST /v1/fleet/join (oracled -join) and heartbeat into the coordinator's
+// own fleet, the one table that both lists members and hands out leases.
+// Joins admit workers before or during the campaign; a member silent past
+// -member-ttl is probed over /healthz and, unless it answers, evicted with
+// its leases requeued immediately; a draining worker keeps its leases but
+// is handed no new ones. -workers may then be empty — the run waits for
+// members. GET /v1/fleet lists members plus the autoscaling advice for
+// -target-makespan, for an external provisioner to act on. See
+// docs/FLEET.md.
 //
 // Multi-tenant fleets (oracled -keyfile) meter the coordinator like any
 // other tenant: -api-key rides every dispatch and fleet call as X-API-Key.
@@ -67,7 +69,6 @@ import (
 	"time"
 
 	"oraclesize/internal/campaign"
-	"oraclesize/internal/catalog"
 	"oraclesize/internal/cluster"
 	"oraclesize/internal/membership"
 	"oraclesize/internal/tenant"
@@ -137,21 +138,18 @@ func run(args []string, out, errOut io.Writer) int {
 		}
 	}
 
-	// One transport serves every worker-bound call (dispatch and probes):
-	// plain HTTP by default, mTLS when the certificate flags are set. The
-	// probe client carries its own 5s ceiling so probes never hang a slot,
-	// while dispatches are bounded per-call by lease contexts instead.
+	// One client serves every worker-bound call (dispatches and /healthz
+	// probes): plain HTTP by default, mTLS when the certificate flags are
+	// set. Each call is bounded by its own context (lease or probe
+	// timeout), so the client sets no global timeout.
 	httpClient := &http.Client{}
-	probeClient := &http.Client{Timeout: 5 * time.Second}
 	if *tlsCA != "" || *tlsCert != "" {
 		clientCfg, err := tenant.ClientTLS(*tlsCert, *tlsKey, *tlsCA)
 		if err != nil {
 			fmt.Fprintf(errOut, "oracleherd: %v\n", err)
 			return 2
 		}
-		tr := &http.Transport{TLSClientConfig: clientCfg}
-		httpClient.Transport = tr
-		probeClient.Transport = tr
+		httpClient.Transport = &http.Transport{TLSClientConfig: clientCfg}
 	}
 
 	var spec *campaign.Spec
@@ -207,6 +205,7 @@ func run(args []string, out, errOut io.Writer) int {
 		LeaseTimeout:        *lease,
 		HedgeAfter:          *hedgeAfter,
 		MaxAttempts:         *retries,
+		MemberTTL:           *memberTTL,
 		AllowSkew:           *allowSkew,
 		Client:              httpClient,
 		APIKey:              *apiKey,
@@ -218,45 +217,17 @@ func run(args []string, out, errOut io.Writer) int {
 	}
 
 	// The elastic fleet endpoint: workers self-register over
-	// POST /v1/fleet/join and heartbeat; the membership table's events feed
-	// the coordinator (join -> admit mid-run, drain -> no new leases,
-	// leave/evict -> requeue leases immediately), a sweeper evicts members
-	// whose heartbeats stop, and the advisor recommends a fleet size for
-	// -target-makespan, for an external provisioner to act on.
+	// POST /v1/fleet/join and heartbeat straight into the coordinator's
+	// fleet (a join admits the worker mid-run, a draining report stops new
+	// leases, a leave requeues its leases at once), a sweeper evicts
+	// members whose heartbeats stop, and the advisor recommends a fleet
+	// size for -target-makespan, for an external provisioner to act on.
 	fleetCtx, fleetStop := context.WithCancel(context.Background())
 	defer fleetStop()
 	if *listen != "" {
-		table := membership.NewTable(membership.Config{
-			TTL:         *memberTTL,
-			Fingerprint: catalog.Fingerprint(),
-			AllowSkew:   *allowSkew,
-			Probe: func(id string) membership.ProbeResult {
-				return membership.ProbeWorker(fleetCtx, probeClient, id, 3*time.Second)
-			},
-			OnEvent: func(ev membership.Event) {
-				switch ev.Kind {
-				case membership.EventJoin:
-					if err := coord.Join(ev.Member.ID); err != nil {
-						fmt.Fprintf(errOut, "oracleherd: admitting %s: %v\n", ev.Member.ID, err)
-					}
-				case membership.EventLeave, membership.EventEvict:
-					coord.Evict(ev.Member.ID)
-				case membership.EventDrain:
-					coord.SetDraining(ev.Member.ID, true)
-				case membership.EventActivate:
-					coord.SetDraining(ev.Member.ID, false)
-				}
-			},
-			Logf: func(format string, a ...any) { fmt.Fprintf(errOut, format+"\n", a...) },
-		})
 		advise := func() membership.Advice {
 			core := coord.Core()
 			backlog, unitSec := core.Backlog(), core.MeanUnitSeconds()
-			if unitSec <= 0 {
-				// Before the sizer has samples, fall back to what the
-				// workers themselves report in heartbeats.
-				unitSec = table.MeanUnitSeconds()
-			}
 			a := membership.Advice{BacklogUnits: backlog, UnitSeconds: unitSec}
 			if *targetSpan > 0 {
 				a.TargetSeconds = targetSpan.Seconds()
@@ -264,7 +235,7 @@ func run(args []string, out, errOut io.Writer) int {
 			}
 			return a
 		}
-		fleetSrv := &membership.Server{Table: table, Advise: advise}
+		fleetSrv := &membership.Server{Fleet: coord, Advise: advise}
 		if *tenantDir != "" {
 			// The coordinator is the fleet's tenant-policy beacon: every
 			// join/heartbeat ack carries the store's current generation, and
@@ -336,7 +307,7 @@ func run(args []string, out, errOut io.Writer) int {
 				case <-fleetCtx.Done():
 					return
 				case <-t.C:
-					table.Sweep()
+					coord.Sweep(fleetCtx)
 				}
 			}
 		}()

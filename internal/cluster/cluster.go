@@ -37,6 +37,11 @@
 // its Core through the same NewCore, and every time read goes through an
 // injectable Clock, so it drives the identical decision logic on virtual
 // time.
+//
+// The Coordinator is also the elastic fleet's member table
+// (membership.Fleet): workers that join through oracleherd's fleet
+// endpoint live in the same fleet that hands out leases, and Sweep evicts
+// the ones whose heartbeats stop.
 package cluster
 
 import (
@@ -45,11 +50,13 @@ import (
 	"fmt"
 	"math/rand"
 	"net/http"
+	"sort"
 	"sync"
 	"time"
 
 	"oraclesize/internal/campaign"
 	"oraclesize/internal/catalog"
+	"oraclesize/internal/membership"
 )
 
 // Config describes the fleet and the coordinator's robustness envelope.
@@ -59,10 +66,11 @@ type Config struct {
 	// At least one worker must pass the initial health probe, unless the
 	// fleet is Elastic.
 	Workers []string
-	// Elastic admits a fleet with no configured workers: members join (and
-	// leave) a running campaign through Coordinator.Join/Evict, typically
-	// driven by the membership subsystem. An elastic Probe tolerates zero
-	// reachable workers — the run blocks until joined members finish it.
+	// Elastic admits a fleet with no configured workers: members join a
+	// running campaign through Coordinator.Join and leave it through Leave
+	// or Sweep, driven by oracleherd's fleet endpoint. An elastic Probe
+	// tolerates zero reachable workers — the run blocks until joined
+	// members finish it.
 	Elastic bool
 	// MinShardSize is the adaptive floor (default 4): the first lease to a
 	// worker with no latency history, and the smallest shard the tail
@@ -104,6 +112,9 @@ type Config struct {
 	BreakerCooldown  time.Duration
 	// ProbeTimeout bounds one /healthz probe (default 5s).
 	ProbeTimeout time.Duration
+	// MemberTTL is how long a joined member may go without a heartbeat
+	// before Sweep probes it (default 10s).
+	MemberTTL time.Duration
 	// AllowSkew admits fleets whose catalog fingerprints disagree with the
 	// coordinator's. Off by default: skew breaks the byte-identical-merge
 	// contract, so mismatches fail Probe unless explicitly allowed.
@@ -167,6 +178,9 @@ func (c Config) withDefaults() Config {
 	if c.ProbeTimeout <= 0 {
 		c.ProbeTimeout = 5 * time.Second
 	}
+	if c.MemberTTL <= 0 {
+		c.MemberTTL = 10 * time.Second
+	}
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
@@ -214,10 +228,11 @@ type Stats struct {
 
 // Coordinator drives one distributed campaign over a fleet that may change
 // while the run is live: Join admits a worker (spawning its lease slots
-// mid-run), Evict removes one (its leases requeue immediately and its
-// in-flight dispatches are cancelled), SetDraining stops new leases
-// without disturbing held ones. Construct with New and call Run once;
-// Metrics may be served concurrently with Run.
+// mid-run), Beat records its heartbeats (a draining one gets no new leases
+// but keeps those it holds), and Leave and Sweep remove it (its leases
+// requeue immediately and its in-flight dispatches are cancelled).
+// Construct with New and call Run once; Metrics and the fleet methods may
+// be served concurrently with Run.
 type Coordinator struct {
 	cfg  Config
 	spec *campaign.Spec
@@ -378,57 +393,121 @@ func (c *Coordinator) spawnSlotsLocked(i int) {
 	}
 }
 
-// Join admits a worker to the fleet through Core.AddWorker. While Run is
-// live the worker's lease slots start at once; a worker joined before Run
-// starts with the founders. Joining a name that is already live revives
-// it in place (breaker closed, drain cleared); a previously evicted name
-// rejoins under a fresh index with fresh scheduling state.
-func (c *Coordinator) Join(url string) error {
+// Join admits a worker that registered through the fleet endpoint. A
+// catalog fingerprint other than the coordinator's is refused with a
+// *membership.FingerprintError unless AllowSkew; Core.Join does the rest.
+// A fresh index gets its lease slots at once while Run is live, or starts
+// with the founders when it joins before Run.
+func (c *Coordinator) Join(req membership.JoinRequest) (membership.Member, error) {
+	if req.ID == "" {
+		return membership.Member{}, errors.New("membership: join with empty id")
+	}
+	if want := catalog.Fingerprint(); req.Fingerprint != want && !c.cfg.AllowSkew {
+		return membership.Member{}, &membership.FingerprintError{ID: req.ID, Got: req.Fingerprint, Want: want}
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	i, added, err := c.core.AddWorker(url)
+	i, added, m, err := c.core.Join(req)
 	if err != nil || !added {
-		return err
+		return m, err
 	}
 	if c.live == nil {
-		c.cfg.Logf("cluster: worker %s joined", url)
-		return nil
+		c.cfg.Logf("cluster: worker %s joined", req.ID)
+		return m, nil
 	}
-	c.cfg.Logf("cluster: worker %s joined mid-run", url)
+	c.cfg.Logf("cluster: worker %s joined mid-run", req.ID)
 	c.spawnSlotsLocked(i)
-	return nil
+	return m, nil
 }
 
-// Evict removes a worker from the fleet through Core.DropWorker: every
-// lease it holds requeues immediately (no lease-timeout wait), its
-// in-flight dispatches are cancelled, and its scheduling state (EWMA,
-// histograms) retires with it. It reports how many leases requeued and
-// whether the name was a live member.
-func (c *Coordinator) Evict(url string) (requeued int, ok bool) {
+// Beat records a member's heartbeat through Core.Beat.
+func (c *Coordinator) Beat(id string, hb membership.Heartbeat) (membership.Member, error) {
+	return c.core.Beat(id, hb)
+}
+
+// Members lists the live members through Core.Members.
+func (c *Coordinator) Members() []membership.Member { return c.core.Members() }
+
+// Counters reports the membership totals through Core.Counters.
+func (c *Coordinator) Counters() (joins, leaves, evictions int64) { return c.core.Counters() }
+
+// Leave evicts a member that announced its departure (see evictLocked).
+// It reports whether id was a live member; a -workers founder that never
+// joined is not one.
+func (c *Coordinator) Leave(id string) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if requeued, ok = c.core.DropWorker(url); !ok {
-		return 0, false
+	if _, _, ok := c.core.fleet.member(id); !ok {
+		return false
+	}
+	c.core.m.leaves.Add(1)
+	c.cfg.Logf("membership: %s left", id)
+	c.evictLocked(id)
+	return true
+}
+
+// Sweep evicts members whose heartbeats stopped. Each member past its
+// deadline (last heartbeat plus MemberTTL) gets one /healthz probe, in ID
+// order and outside every lock:
+//
+//   - unreachable: evicted (see evictLocked);
+//   - draining: handed no new leases and held max(MemberTTL, Retry-After)
+//     more, since a drain promises that held leases are still being
+//     finished;
+//   - healthy: heartbeats lost but the service alive, held one more
+//     MemberTTL.
+//
+// oracleherd runs it on a ticker.
+func (c *Coordinator) Sweep(ctx context.Context) {
+	now := c.cfg.Clock.Now()
+	var due []*worker
+	for _, w := range c.core.fleet.snapshot() {
+		if w.overdue(now) {
+			due = append(due, w)
+		}
+	}
+	sort.Slice(due, func(i, j int) bool { return due[i].url < due[j].url })
+	for _, w := range due {
+		up, draining, retryAfter := w.probe(ctx)
+		c.mu.Lock()
+		switch {
+		case !w.overdue(now):
+			// Left, evicted, or a heartbeat landed while probing.
+		case up && draining:
+			grace := max(c.cfg.MemberTTL, retryAfter)
+			w.extend(now.Add(grace))
+			c.cfg.Logf("membership: %s silent but draining, %s grace", w.url, grace)
+		case up:
+			w.extend(now.Add(c.cfg.MemberTTL))
+			c.cfg.Logf("membership: %s missed heartbeats but answers /healthz, keeping", w.url)
+		default:
+			c.core.m.evictions.Add(1)
+			c.cfg.Logf("membership: %s evicted (silent past TTL)", w.url)
+			c.evictLocked(w.url)
+		}
+		c.mu.Unlock()
+	}
+}
+
+// evictLocked removes a worker from the fleet through Core.DropWorker:
+// every lease it holds requeues immediately (no lease-timeout wait, no
+// attempt charged), its in-flight dispatches are cancelled, and its
+// scheduling state (EWMA, histograms) retires with it. Callers hold c.mu.
+func (c *Coordinator) evictLocked(url string) {
+	requeued, ok := c.core.DropWorker(url)
+	if !ok {
+		return
 	}
 	if cancel := c.cancels[url]; cancel != nil {
 		cancel()
 		delete(c.cancels, url)
 	}
 	c.cfg.Logf("cluster: worker %s evicted, %d leases requeued", url, requeued)
-	return requeued, true
-}
-
-// SetDraining marks a live worker as draining — it keeps the leases it
-// holds but is handed no new ones — or clears the drain. The membership
-// heartbeat path drives this when a worker's health probe answers with a
-// draining status instead of going silent.
-func (c *Coordinator) SetDraining(url string, draining bool) bool {
-	return c.core.SetWorkerDraining(url, draining)
 }
 
 // Core returns the run's scheduling core, for its signals: Backlog and
-// MeanUnitSeconds feed the autoscaling advisor. Admit and evict workers
-// through Join and Evict, which also start and stop their slot loops.
+// MeanUnitSeconds feed the autoscaling advisor. The fleet changes through
+// Join, Leave and Sweep, which also start and stop slot loops.
 func (c *Coordinator) Core() *Core { return c.core }
 
 // slotLoop is one lease slot on worker i: it acquires the next runnable

@@ -17,6 +17,8 @@ import (
 	"time"
 
 	"oraclesize/internal/campaign"
+	"oraclesize/internal/catalog"
+	"oraclesize/internal/membership"
 	"oraclesize/internal/service"
 )
 
@@ -103,6 +105,12 @@ func fastConfig(workers ...string) Config {
 		BreakerCooldown:  time.Minute,
 		ProbeTimeout:     5 * time.Second,
 	}
+}
+
+// joinAs is the join request a worker of the coordinator's build sends
+// from url.
+func joinAs(url string) membership.JoinRequest {
+	return membership.JoinRequest{ID: url, Fingerprint: catalog.Fingerprint()}
 }
 
 // newQuick builds a coordinator for the quick spec merging into a

@@ -2,9 +2,11 @@ package cluster
 
 import (
 	"fmt"
+	"sort"
 	"time"
 
 	"oraclesize/internal/campaign"
+	"oraclesize/internal/membership"
 )
 
 // Core is the coordinator's scheduling state machine with the transport
@@ -18,7 +20,9 @@ import (
 // The fleet is elastic: AddWorker admits a member mid-run, DropWorker
 // evicts one — its leases requeue immediately (no lease-timeout wait) and
 // its scheduling state (EWMA, breaker, histograms) retires with it.
-// Results a departed worker delivers late are dropped.
+// Results a departed worker delivers late are dropped. The fleet is also
+// the member table of the fleet endpoint: Join and Beat keep a joined
+// worker's registration on the same entry whose gate decides its leases.
 //
 // The protocol per worker slot is: Gate → Acquire → run the shard however
 // the caller likes → Complete or Fail. All methods are safe for concurrent
@@ -127,19 +131,71 @@ func (c *Core) DropWorker(name string) (requeued int, ok bool) {
 	return requeued, true
 }
 
-// SetWorkerDraining marks a live member as draining (holds its leases,
-// gets no new ones) or clears the drain. It reports whether the name was a
-// live member.
-func (c *Core) SetWorkerDraining(name string, draining bool) bool {
-	w, ok := c.fleet.byURL(name)
-	if !ok || w.isGone() {
-		return false
+// Join registers a worker that joined through the fleet endpoint and
+// returns its index and fleet row. A name that is not a live member goes
+// through AddWorker: added reports a fresh index, and a -workers founder
+// is revived in place. A live member's re-join refreshes its registration
+// in place and keeps its breaker and backoff. Either way the join's drain
+// flag sets the gate.
+func (c *Core) Join(req membership.JoinRequest) (index int, added bool, m membership.Member, err error) {
+	index, w, ok := c.fleet.member(req.ID)
+	if !ok {
+		if index, added, err = c.AddWorker(req.ID); err != nil {
+			return 0, false, membership.Member{}, err
+		}
+		w = c.fleet.get(index)
 	}
-	w.setDraining(draining)
-	if !draining {
+	m, fresh := w.register(req, c.cfg.Clock.Now())
+	if fresh {
+		c.m.joins.Add(1)
+		c.cfg.Logf("membership: %s joined (catalog %s, go %s)", req.ID, req.Fingerprint, req.Build.GoVersion)
+	}
+	if !req.Draining {
 		c.st.wakeAll()
 	}
-	return true
+	return index, added, m, nil
+}
+
+// Beat records one heartbeat of a live member: its load signals, a fresh
+// deadline, and its drain flag, which closes or opens its gate. A worker
+// that is not a live member fails with membership.ErrUnknownMember, which
+// tells its agent to re-join.
+func (c *Core) Beat(id string, hb membership.Heartbeat) (membership.Member, error) {
+	_, w, ok := c.fleet.member(id)
+	if !ok {
+		return membership.Member{}, membership.ErrUnknownMember
+	}
+	m, wasDraining, ok := w.beat(hb, c.cfg.Clock.Now())
+	if !ok {
+		return membership.Member{}, membership.ErrUnknownMember
+	}
+	switch {
+	case hb.Draining && !wasDraining:
+		c.cfg.Logf("membership: %s draining", id)
+	case !hb.Draining && wasDraining:
+		c.cfg.Logf("membership: %s active again", id)
+		c.st.wakeAll()
+	}
+	return m, nil
+}
+
+// Members lists the live members, sorted by ID. A -workers founder that
+// never joined is not one.
+func (c *Core) Members() []membership.Member {
+	var out []membership.Member
+	for _, w := range c.fleet.snapshot() {
+		if m, ok := w.asMember(); ok {
+			out = append(out, m)
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+	return out
+}
+
+// Counters reports the monotonic totals of joins, departures announced
+// through Coordinator.Leave, and evictions by Coordinator.Sweep.
+func (c *Core) Counters() (joins, leaves, evictions int64) {
+	return c.m.joins.Load(), c.m.leaves.Load(), c.m.evictions.Load()
 }
 
 // Backlog is the number of runnable units not yet merged — the autoscaling
@@ -150,10 +206,27 @@ func (c *Core) Backlog() int {
 	return c.st.unitsLeft
 }
 
-// MeanUnitSeconds is the live fleet's mean per-unit service time from the
-// adaptive sizer's EWMAs (0 before the first sample) — the autoscaling
-// advisor's rate signal.
-func (c *Core) MeanUnitSeconds() float64 { return c.st.sizer.meanPerUnit() }
+// MeanUnitSeconds is the live fleet's mean per-unit service time — the
+// autoscaling advisor's rate signal. It comes from the adaptive sizer's
+// EWMAs; before their first sample, from the rates members report in
+// heartbeats; before either, it is 0.
+func (c *Core) MeanUnitSeconds() float64 {
+	if mean := c.st.sizer.meanPerUnit(); mean > 0 {
+		return mean
+	}
+	var sum float64
+	n := 0
+	for _, m := range c.Members() {
+		if m.UnitSeconds > 0 {
+			sum += m.UnitSeconds
+			n++
+		}
+	}
+	if n == 0 {
+		return 0
+	}
+	return sum / float64(n)
+}
 
 // Gate reports whether worker i may be handed a dispatch now; when not,
 // it returns how long to wait before asking again (backoff, Retry-After,

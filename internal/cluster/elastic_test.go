@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -151,7 +152,7 @@ func TestJoinBeforeRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Join(ts.URL); err != nil {
+	if _, err := c.Join(joinAs(ts.URL)); err != nil {
 		t.Fatalf("pre-run join: %v", err)
 	}
 	stats, err := c.Run(context.Background())
@@ -168,7 +169,8 @@ func TestJoinBeforeRun(t *testing.T) {
 
 // TestMixedStaticDynamicFleet runs a campaign on two static founders while
 // two more workers join dynamically mid-run; one of the joiners is killed
-// (and evicted, as the membership TTL sweep would) while holding a lease.
+// while holding a lease and evicted by a Sweep, whose /healthz probe finds
+// it unreachable.
 // The merged artifact must still match the single-machine run byte for
 // byte, with the surviving joiner contributing shards.
 func TestMixedStaticDynamicFleet(t *testing.T) {
@@ -213,27 +215,31 @@ func TestMixedStaticDynamicFleet(t *testing.T) {
 
 	cfg := fastConfig(staticA.URL, staticB.URL)
 	cfg.MinShardSize, cfg.MaxShardSize = 1, 1 // many shards, so joiners find work
+	cfg.MemberTTL = time.Nanosecond           // every member is overdue by the time the test sweeps
 	var buf bytes.Buffer
 	c, err := New(cfg, spec, campaign.NewSink(&buf), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	runDone := make(chan struct{})
+	runDone, swept := make(chan struct{}), make(chan struct{})
 	joinErrs := make(chan error, 2)
 	go func() {
+		defer close(swept)
 		<-started // the campaign is live: join the dynamic pair
-		joinErrs <- c.Join(keeper.URL)
-		joinErrs <- c.Join(victim.URL)
+		for _, ts := range []*httptest.Server{keeper, victim} {
+			_, err := c.Join(joinAs(ts.URL))
+			joinErrs <- err
+		}
 		select {
 		case <-victimStarted:
-			// The victim holds a lease: kill the process and evict it the
-			// way a lapsed membership TTL would.
+			// The victim holds a lease: kill the process, then sweep. The
+			// keeper answers its probe and stays; the victim is evicted.
 			dead.Store(true)
 			close(gate)
 			victim.CloseClientConnections()
 			victim.Close()
-			c.Evict(victim.URL)
+			c.Sweep(context.Background())
 		case <-runDone:
 		}
 	}()
@@ -252,6 +258,13 @@ func TestMixedStaticDynamicFleet(t *testing.T) {
 	case <-victimStarted:
 	default:
 		t.Fatal("the doomed dynamic worker never received a lease; the kill path went untested")
+	}
+	<-swept
+	if _, _, evictions := c.Counters(); evictions != 1 {
+		t.Fatalf("evictions = %d, want the killed worker's", evictions)
+	}
+	if m := c.Members(); len(m) != 1 || m[0].ID != keeper.URL {
+		t.Fatalf("members after the sweep = %+v, want the keeper alone", m)
 	}
 
 	if stripWall(buf.Bytes()) != stripWall(want.Bytes()) {

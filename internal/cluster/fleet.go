@@ -106,15 +106,19 @@ func (f *fleet) get(i int) *worker {
 	return f.workers[i]
 }
 
-// byURL looks a live-or-gone worker up by name.
-func (f *fleet) byURL(name string) (*worker, bool) {
+// member looks a live member up by name. A -workers founder that never
+// joined and a departed member are not members.
+func (f *fleet) member(name string) (index int, w *worker, ok bool) {
 	f.mu.RLock()
 	defer f.mu.RUnlock()
-	i, ok := f.byName[name]
-	if !ok {
-		return nil, false
+	i, known := f.byName[name]
+	if !known {
+		return 0, nil, false
 	}
-	return f.workers[i], true
+	if _, ok := f.workers[i].asMember(); !ok {
+		return 0, nil, false
+	}
+	return i, f.workers[i], true
 }
 
 // size is the total number of slots ever allocated (tombstones included);

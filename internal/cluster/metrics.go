@@ -32,6 +32,9 @@ type coordMetrics struct {
 	retries       atomic.Int64
 	hedges        atomic.Int64
 	reassignments atomic.Int64
+	// joins, leaves and evictions count the fleet endpoint's membership
+	// churn for oracleherd's fleet metrics.
+	joins, leaves, evictions atomic.Int64
 
 	mu       sync.Mutex
 	byWorker map[string]*workerMetrics

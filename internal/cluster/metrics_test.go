@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"oraclesize/internal/membership"
 )
 
 func scrapeCoordinator(t *testing.T, c *Coordinator) string {
@@ -28,11 +30,13 @@ func TestMetricsExposition(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, url := range []string{"http://10.0.0.1:8081", "http://10.0.0.2:8082"} {
-		if err := c.Join(url); err != nil {
+		if _, err := c.Join(joinAs(url)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	c.SetDraining("http://10.0.0.2:8082", true)
+	if _, err := c.Beat("http://10.0.0.2:8082", membership.Heartbeat{Draining: true}); err != nil {
+		t.Fatal(err)
+	}
 	m := c.core.m
 	m.retries.Add(2)
 	m.hedges.Add(1)
@@ -57,7 +61,7 @@ func TestMetricsLabelEscaping(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, url := range []string{"http://b\t:2", `http://c"\:3`} {
-		if err := c.Join(url); err != nil {
+		if _, err := c.Join(joinAs(url)); err != nil {
 			t.Fatal(err)
 		}
 	}

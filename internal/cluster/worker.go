@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"oraclesize/internal/campaign"
+	"oraclesize/internal/membership"
 )
 
 // shardRequest and shardResponse mirror the oracled /v1/shard JSON wire
@@ -29,17 +30,11 @@ type shardResponse struct {
 	Units    [][]campaign.Record `json:"units"`
 }
 
-// workerBuild is the slice of the /healthz payload the coordinator logs.
-type workerBuild struct {
-	GoVersion     string `json:"go_version"`
-	ModuleVersion string `json:"module_version"`
-	Revision      string `json:"vcs_revision"`
-}
-
+// workerHealthz is the slice of the /healthz payload the coordinator reads.
 type workerHealthz struct {
-	Status             string      `json:"status"`
-	Build              workerBuild `json:"build"`
-	CatalogFingerprint string      `json:"catalog_fingerprint"`
+	Status             string               `json:"status"`
+	Build              membership.BuildInfo `json:"build"`
+	CatalogFingerprint string               `json:"catalog_fingerprint"`
 }
 
 // DispatchError is a failed shard dispatch, carrying the HTTP status and
@@ -57,9 +52,10 @@ type DispatchError struct {
 func (e *DispatchError) Error() string { return e.Err.Error() }
 func (e *DispatchError) Unwrap() error { return e.Err }
 
-// worker is one fleet member: its HTTP client plus the failure bookkeeping
-// — backoff gate and circuit breaker — that decides when it may be handed
-// work.
+// worker is one fleet member: its HTTP client, the failure bookkeeping —
+// backoff gate and circuit breaker — that decides when it may be handed
+// work, and, for a worker that joined through the fleet endpoint, its
+// registration.
 type worker struct {
 	url string
 	cfg *Config
@@ -73,16 +69,25 @@ type worker struct {
 	// up / probeErr / build / fingerprint reflect the latest health probe.
 	up          bool
 	probeErr    error
-	build       workerBuild
+	build       membership.BuildInfo
 	fingerprint string
 	// gone marks a worker evicted from the fleet: its struct stays behind
 	// as a tombstone so slot loops racing the eviction read a flag instead
 	// of a nil, but it is never gated work again and its index is retired.
 	gone bool
-	// draining marks a worker that answered its health probe with a
-	// draining status: it keeps its leases but is handed no new ones, and
-	// flips back to active if a later heartbeat clears the drain.
+	// draining marks a worker that answered its health probe, join or
+	// heartbeat with a draining status: it keeps its leases but is handed
+	// no new ones, and flips back to active if a later report clears the
+	// drain. A member's listed Status is read off this same bit.
 	draining bool
+	// member is the registration of a worker that joined through the
+	// fleet endpoint — its latest load signals, join and last-seen times
+	// and heartbeat count — and nil for a -workers founder that never
+	// joined, which stays out of the member list. deadline is the instant
+	// after which Sweep probes it: the last heartbeat plus MemberTTL,
+	// pushed further by a probe that finds it alive.
+	member   *membership.Member
+	deadline time.Time
 	// consecFails drives both backoff growth and the breaker; notBefore is
 	// the earliest next dispatch (backoff or Retry-After); openUntil is the
 	// breaker cooldown deadline; trialInFlight limits the half-open state
@@ -179,7 +184,7 @@ func (w *worker) breakerOpen() bool {
 type healthSnapshot struct {
 	up          bool
 	err         error
-	build       workerBuild
+	build       membership.BuildInfo
 	fingerprint string
 }
 
@@ -198,12 +203,13 @@ func (w *worker) markUp() {
 }
 
 // retire turns the worker into a tombstone: evicted from the fleet, never
-// gated work again.
+// gated work again, its registration dropped.
 func (w *worker) retire() {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	w.gone = true
 	w.up = false
+	w.member = nil
 }
 
 func (w *worker) isGone() bool {
@@ -212,8 +218,7 @@ func (w *worker) isGone() bool {
 	return w.gone
 }
 
-// setDraining flips the no-new-leases flag driven by draining health
-// probes and heartbeats.
+// setDraining flips the no-new-leases flag.
 func (w *worker) setDraining(v bool) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -228,12 +233,14 @@ func (w *worker) isDraining() bool {
 
 // probe GETs /healthz and records the outcome. An unreachable worker
 // starts with its breaker open, so dispatch skips it until a half-open
-// trial readmits it.
-func (w *worker) probe(ctx context.Context) {
+// trial readmits it. It reports whether the worker answered, whether it
+// answered "draining", and the Retry-After hint that bounds how long a
+// draining worker's in-flight work may still take.
+func (w *worker) probe(ctx context.Context) (up, draining bool, retryAfter time.Duration) {
 	ctx, cancel := context.WithTimeout(ctx, w.cfg.ProbeTimeout)
 	defer cancel()
 	var h workerHealthz
-	err := w.getJSON(ctx, w.url+"/healthz", &h)
+	header, err := w.getJSON(ctx, w.url+"/healthz", &h)
 	now := w.cfg.Clock.Now()
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -244,7 +251,7 @@ func (w *worker) probe(ctx context.Context) {
 			w.consecFails = w.cfg.BreakerThreshold
 		}
 		w.openUntil = now.Add(w.cfg.BreakerCooldown)
-		return
+		return false, false, 0
 	}
 	w.up = true
 	w.probeErr = nil
@@ -254,28 +261,110 @@ func (w *worker) probe(ctx context.Context) {
 	// fleet but is handed no new leases until a later probe or heartbeat
 	// clears the drain.
 	w.draining = h.Status == "draining"
+	return true, w.draining, parseRetryAfter(header.Get("Retry-After"))
 }
 
-func (w *worker) getJSON(ctx context.Context, url string, dst any) error {
+// getJSON GETs url into dst and returns the response header.
+func (w *worker) getJSON(ctx context.Context, url string, dst any) (http.Header, error) {
 	req, err := http.NewRequestWithContext(ctx, "GET", url, nil)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if w.cfg.APIKey != "" {
 		req.Header.Set("X-API-Key", w.cfg.APIKey)
 	}
 	resp, err := w.cfg.Client.Do(req)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	defer func() {
 		io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
 	}()
 	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("cluster: GET %s: status %d", url, resp.StatusCode)
+		return nil, fmt.Errorf("cluster: GET %s: status %d", url, resp.StatusCode)
 	}
-	return json.NewDecoder(resp.Body).Decode(dst)
+	return resp.Header, json.NewDecoder(resp.Body).Decode(dst)
+}
+
+// register records a join through the fleet endpoint: a worker without a
+// registration gets one (fresh), a live member refreshes its own in place.
+// Either way the join's load signals replace the old ones, its drain flag
+// sets the gate, and the deadline restarts.
+func (w *worker) register(req membership.JoinRequest, now time.Time) (m membership.Member, fresh bool) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.member == nil {
+		w.member = &membership.Member{ID: w.url, JoinedAt: now}
+		fresh = true
+	}
+	w.member.Fingerprint = req.Fingerprint
+	w.member.Build = req.Build
+	w.reportLocked(req.Heartbeat, now)
+	return w.memberLocked(), fresh
+}
+
+// beat records one heartbeat of a live member. ok is false when the
+// worker has departed or never joined; wasDraining is the drain flag the
+// beat replaced.
+func (w *worker) beat(hb membership.Heartbeat, now time.Time) (m membership.Member, wasDraining, ok bool) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.gone || w.member == nil {
+		return membership.Member{}, false, false
+	}
+	wasDraining = w.draining
+	w.reportLocked(hb, now)
+	w.member.Heartbeats++
+	return w.memberLocked(), wasDraining, true
+}
+
+// reportLocked applies a join's or heartbeat's signals. Callers hold w.mu
+// and have checked w.member.
+func (w *worker) reportLocked(hb membership.Heartbeat, now time.Time) {
+	w.member.QueueDepth = hb.QueueDepth
+	w.member.UnitSeconds = hb.UnitSeconds
+	w.member.TenantGen = hb.TenantGen
+	w.member.LastSeen = now
+	w.draining = hb.Draining
+	w.deadline = now.Add(w.cfg.MemberTTL)
+}
+
+// memberLocked copies the registration, with its Status read off the
+// drain flag that also closes the gate. Callers hold w.mu.
+func (w *worker) memberLocked() membership.Member {
+	m := *w.member
+	m.Status = membership.StatusActive
+	if w.draining {
+		m.Status = membership.StatusDraining
+	}
+	return m
+}
+
+// asMember snapshots the worker's fleet row; ok is false for a departed
+// worker and for a -workers founder that never joined.
+func (w *worker) asMember() (m membership.Member, ok bool) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.gone || w.member == nil {
+		return membership.Member{}, false
+	}
+	return w.memberLocked(), true
+}
+
+// overdue reports whether w is a live member whose deadline passed
+// before now.
+func (w *worker) overdue(now time.Time) bool {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return !w.gone && w.member != nil && now.After(w.deadline)
+}
+
+// extend moves a member's deadline, for a probe that found it alive.
+func (w *worker) extend(deadline time.Time) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	w.deadline = deadline
 }
 
 // dispatch POSTs one shard and returns its per-unit record batches. All

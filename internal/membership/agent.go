@@ -124,27 +124,16 @@ func (a *Agent) Run(ctx context.Context) error {
 
 // Join registers the worker once.
 func (a *Agent) Join(ctx context.Context) error {
-	hb := a.report()
 	return a.post(ctx, "/v1/fleet/join", JoinRequest{
 		ID:          a.ID,
 		Fingerprint: a.Fingerprint,
 		Build:       a.Build,
-		QueueDepth:  hb.QueueDepth,
-		UnitSeconds: hb.UnitSeconds,
-		TenantGen:   hb.TenantGen,
-		Draining:    hb.Draining,
+		Heartbeat:   a.report(),
 	})
 }
 
 func (a *Agent) beat(ctx context.Context) error {
-	hb := a.report()
-	return a.post(ctx, "/v1/fleet/heartbeat", heartbeatRequest{
-		ID:          a.ID,
-		QueueDepth:  hb.QueueDepth,
-		UnitSeconds: hb.UnitSeconds,
-		TenantGen:   hb.TenantGen,
-		Draining:    hb.Draining,
-	})
+	return a.post(ctx, "/v1/fleet/heartbeat", heartbeatRequest{ID: a.ID, Heartbeat: a.report()})
 }
 
 // Leave announces a voluntary departure — best effort, bounded by ctx; a

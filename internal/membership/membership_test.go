@@ -1,230 +1,295 @@
-package membership
+package membership_test
 
 import (
+	"context"
+	"errors"
 	"fmt"
+	"io"
+	"net/http"
+	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"oraclesize/internal/campaign"
+	"oraclesize/internal/catalog"
+	"oraclesize/internal/cluster"
+	"oraclesize/internal/membership"
 )
 
-// tableClock is a manually advanced clock for driving TTL sweeps.
-type tableClock struct {
+// The fleet table these tests drive is the coordinator's own
+// (cluster.Coordinator implements membership.Fleet), built on a manual
+// clock with /healthz probes answered by a probes RoundTripper, so no
+// test touches the network unless it starts its own httptest worker.
+
+// fakeClock is a manually advanced cluster.Clock whose timers never fire;
+// no test here calls Run.
+type fakeClock struct {
 	mu  sync.Mutex
 	now time.Time
 }
 
-func newTableClock() *tableClock {
-	return &tableClock{now: time.Unix(1000, 0)}
-}
+func newClock() *fakeClock { return &fakeClock{now: time.Unix(1000, 0).UTC()} }
 
-func (c *tableClock) Now() time.Time {
+func (c *fakeClock) Now() time.Time {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.now
 }
 
-func (c *tableClock) Advance(d time.Duration) {
+func (c *fakeClock) Advance(d time.Duration) {
 	c.mu.Lock()
 	c.now = c.now.Add(d)
 	c.mu.Unlock()
 }
 
+func (c *fakeClock) NewTimer(time.Duration) cluster.Timer { return idleTimer{} }
+
+type idleTimer struct{}
+
+func (idleTimer) C() <-chan time.Time { return nil }
+func (idleTimer) Stop() bool          { return true }
+
+// probes answers the coordinator's /healthz probes, keyed by worker URL:
+// the status a worker reports plus its Retry-After header. A worker with
+// no entry is unreachable.
+type probes map[string]probe
+
+type probe struct{ status, retryAfter string }
+
+func (p probes) RoundTrip(req *http.Request) (*http.Response, error) {
+	a, ok := p[req.URL.Scheme+"://"+req.URL.Host]
+	if !ok {
+		return nil, errors.New("connection refused")
+	}
+	header := http.Header{}
+	if a.retryAfter != "" {
+		header.Set("Retry-After", a.retryAfter)
+	}
+	return &http.Response{
+		StatusCode: http.StatusOK,
+		Header:     header,
+		Body:       io.NopCloser(strings.NewReader(`{"status":"` + a.status + `"}`)),
+		Request:    req,
+	}, nil
+}
+
+func (p probes) client() *http.Client { return &http.Client{Transport: p} }
+
+// newFleet builds an elastic coordinator for the quick spec with no
+// founders and the default 10s member TTL.
+func newFleet(t *testing.T, cfg cluster.Config) *cluster.Coordinator {
+	t.Helper()
+	cfg.Elastic = true
+	c, err := cluster.New(cfg, campaign.QuickSpec(), campaign.NewSink(io.Discard), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// joinAs is the join request a worker of the coordinator's build sends.
+func joinAs(id string, hb membership.Heartbeat) membership.JoinRequest {
+	return membership.JoinRequest{ID: id, Fingerprint: catalog.Fingerprint(), Heartbeat: hb}
+}
+
+func memberIDs(ms []membership.Member) []string {
+	ids := make([]string, len(ms))
+	for i, m := range ms {
+		ids[i] = m.ID
+	}
+	return ids
+}
+
 func TestTableLifecycle(t *testing.T) {
-	clk := newTableClock()
-	var events []Event
-	tab := NewTable(Config{
-		TTL:     10 * time.Second,
-		Now:     clk.Now,
-		OnEvent: func(ev Event) { events = append(events, ev) },
+	clk := newClock()
+	var logs []string
+	fleet := newFleet(t, cluster.Config{
+		Clock: clk,
+		Logf:  func(format string, args ...any) { logs = append(logs, fmt.Sprintf(format, args...)) },
 	})
 
-	m, err := tab.Join(JoinRequest{ID: "http://a", Fingerprint: "f", UnitSeconds: 0.5})
+	m, err := fleet.Join(joinAs("http://a", membership.Heartbeat{UnitSeconds: 0.5}))
 	if err != nil {
 		t.Fatalf("join: %v", err)
 	}
-	if m.Status != StatusActive || m.UnitSeconds != 0.5 {
+	if m.Status != membership.StatusActive || m.UnitSeconds != 0.5 {
 		t.Fatalf("joined member = %+v", m)
 	}
-	if _, err := tab.Join(JoinRequest{ID: "http://b", Fingerprint: "f"}); err != nil {
+	if _, err := fleet.Join(joinAs("http://b", membership.Heartbeat{})); err != nil {
 		t.Fatalf("join b: %v", err)
 	}
-	if tab.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", tab.Len())
+	if n := len(fleet.Members()); n != 2 {
+		t.Fatalf("%d members, want 2", n)
 	}
 
 	// A re-join refreshes in place: no duplicate member, no second join
-	// counter tick, no second join event.
-	if _, err := tab.Join(JoinRequest{ID: "http://a", Fingerprint: "f"}); err != nil {
+	// counter tick, no second join log line.
+	if _, err := fleet.Join(joinAs("http://a", membership.Heartbeat{})); err != nil {
 		t.Fatalf("re-join: %v", err)
 	}
-	if joins, _, _ := tab.Counters(); joins != 2 {
+	if joins, _, _ := fleet.Counters(); joins != 2 {
 		t.Fatalf("joins = %d, want 2", joins)
 	}
 
 	clk.Advance(3 * time.Second)
-	m, err = tab.Beat("http://a", Heartbeat{QueueDepth: 7, UnitSeconds: 0.25})
+	m, err = fleet.Beat("http://a", membership.Heartbeat{QueueDepth: 7, UnitSeconds: 0.25})
 	if err != nil {
 		t.Fatalf("beat: %v", err)
 	}
-	if m.QueueDepth != 7 || m.UnitSeconds != 0.25 || m.Heartbeats != 1 {
+	if m.QueueDepth != 7 || m.UnitSeconds != 0.25 || m.Heartbeats != 1 || !m.LastSeen.Equal(clk.Now()) {
 		t.Fatalf("after beat: %+v", m)
 	}
-	if _, err := tab.Beat("http://nobody", Heartbeat{}); err != ErrUnknownMember {
+	if _, err := fleet.Beat("http://nobody", membership.Heartbeat{}); !errors.Is(err, membership.ErrUnknownMember) {
 		t.Fatalf("beat unknown: err = %v, want ErrUnknownMember", err)
 	}
 
-	// Drain transition events fire on the flag's edges, not every beat.
-	tab.Beat("http://a", Heartbeat{Draining: true})
-	tab.Beat("http://a", Heartbeat{Draining: true})
-	tab.Beat("http://a", Heartbeat{})
-	if !tab.Leave("http://b") {
+	// Every beat sets the drain status; only its edges are logged.
+	for _, draining := range []bool{true, true, false} {
+		m, err := fleet.Beat("http://a", membership.Heartbeat{Draining: draining})
+		if err != nil || (m.Status == membership.StatusDraining) != draining {
+			t.Fatalf("beat draining=%v: %+v, %v", draining, m, err)
+		}
+	}
+	if !fleet.Leave("http://b") {
 		t.Fatal("leave b reported absent")
 	}
-	if tab.Leave("http://b") {
+	if fleet.Leave("http://b") {
 		t.Fatal("second leave reported present")
 	}
-
-	kinds := make([]EventKind, len(events))
-	for i, ev := range events {
-		kinds[i] = ev.Kind
+	if joins, leaves, evictions := fleet.Counters(); joins != 2 || leaves != 1 || evictions != 0 {
+		t.Fatalf("counters = %d/%d/%d, want 2 joins, 1 leave", joins, leaves, evictions)
 	}
-	want := []EventKind{EventJoin, EventJoin, EventDrain, EventActivate, EventLeave}
-	if fmt.Sprint(kinds) != fmt.Sprint(want) {
-		t.Fatalf("event kinds = %v, want %v", kinds, want)
+	if ids := memberIDs(fleet.Members()); fmt.Sprint(ids) != "[http://a]" {
+		t.Fatalf("members = %v, want [http://a]", ids)
+	}
+
+	fp := catalog.Fingerprint()
+	want := []string{
+		"membership: http://a joined (catalog " + fp + ", go )",
+		"cluster: worker http://a joined",
+		"membership: http://b joined (catalog " + fp + ", go )",
+		"cluster: worker http://b joined",
+		"membership: http://a draining",
+		"membership: http://a active again",
+		"membership: http://b left",
+		"cluster: worker http://b evicted, 0 leases requeued",
+	}
+	if strings.Join(logs, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("log lines:\n%s\nwant:\n%s", strings.Join(logs, "\n"), strings.Join(want, "\n"))
 	}
 }
 
 func TestJoinRejectsFingerprintSkew(t *testing.T) {
-	tab := NewTable(Config{Fingerprint: "good"})
-	if _, err := tab.Join(JoinRequest{ID: "http://a", Fingerprint: "bad"}); err == nil {
-		t.Fatal("skewed join accepted")
-	} else if _, ok := err.(*FingerprintError); !ok {
-		t.Fatalf("err = %T, want *FingerprintError", err)
+	fleet := newFleet(t, cluster.Config{})
+	skewed := membership.JoinRequest{ID: "http://a", Fingerprint: "bad"}
+	var fe *membership.FingerprintError
+	if _, err := fleet.Join(skewed); !errors.As(err, &fe) {
+		t.Fatalf("skewed join: err = %v, want *FingerprintError", err)
 	}
-	skewOK := NewTable(Config{Fingerprint: "good", AllowSkew: true})
-	if _, err := skewOK.Join(JoinRequest{ID: "http://a", Fingerprint: "bad"}); err != nil {
+	if _, err := newFleet(t, cluster.Config{AllowSkew: true}).Join(skewed); err != nil {
 		t.Fatalf("AllowSkew join: %v", err)
 	}
-	if _, err := tab.Join(JoinRequest{ID: "", Fingerprint: "good"}); err == nil {
+	if _, err := fleet.Join(joinAs("", membership.Heartbeat{})); err == nil {
 		t.Fatal("empty-id join accepted")
+	}
+	if n := len(fleet.Members()); n != 0 {
+		t.Fatalf("%d members after refused joins", n)
 	}
 }
 
 func TestSweepEvictsSilentMembers(t *testing.T) {
-	clk := newTableClock()
-	var events []Event
-	tab := NewTable(Config{
-		TTL:     10 * time.Second,
-		Now:     clk.Now,
-		OnEvent: func(ev Event) { events = append(events, ev) },
-	})
-	tab.Join(JoinRequest{ID: "http://quiet"})
-	tab.Join(JoinRequest{ID: "http://chatty"})
+	clk := newClock()
+	fleet := newFleet(t, cluster.Config{Clock: clk, Client: probes{}.client()})
+	for _, id := range []string{"http://quiet", "http://chatty"} {
+		if _, err := fleet.Join(joinAs(id, membership.Heartbeat{})); err != nil {
+			t.Fatal(err)
+		}
+	}
 
 	clk.Advance(8 * time.Second)
-	tab.Beat("http://chatty", Heartbeat{})
-	if got := tab.Sweep(); len(got) != 0 {
-		t.Fatalf("sweep before TTL evicted %v", got)
+	if _, err := fleet.Beat("http://chatty", membership.Heartbeat{}); err != nil {
+		t.Fatal(err)
+	}
+	fleet.Sweep(context.Background())
+	if _, _, evictions := fleet.Counters(); evictions != 0 {
+		t.Fatalf("sweep before the TTL evicted %d", evictions)
 	}
 	clk.Advance(3 * time.Second) // quiet is 11s silent, chatty 3s
-	evicted := tab.Sweep()
-	if len(evicted) != 1 || evicted[0].ID != "http://quiet" {
-		t.Fatalf("sweep evicted %v, want just http://quiet", evicted)
+	fleet.Sweep(context.Background())
+	if ids := memberIDs(fleet.Members()); fmt.Sprint(ids) != "[http://chatty]" {
+		t.Fatalf("members after the sweep = %v, want just http://chatty", ids)
 	}
-	if tab.Len() != 1 {
-		t.Fatalf("Len = %d after eviction, want 1", tab.Len())
-	}
-	if _, _, evictions := tab.Counters(); evictions != 1 {
+	if _, _, evictions := fleet.Counters(); evictions != 1 {
 		t.Fatalf("evictions = %d, want 1", evictions)
-	}
-	last := events[len(events)-1]
-	if last.Kind != EventEvict || last.Member.ID != "http://quiet" {
-		t.Fatalf("last event = %+v, want evict of http://quiet", last)
 	}
 	// An evicted worker's next beat is rejected — that is what makes the
 	// agent re-join.
-	if _, err := tab.Beat("http://quiet", Heartbeat{}); err != ErrUnknownMember {
+	if _, err := fleet.Beat("http://quiet", membership.Heartbeat{}); !errors.Is(err, membership.ErrUnknownMember) {
 		t.Fatalf("beat after eviction: %v, want ErrUnknownMember", err)
 	}
 }
 
 // TestSweepProbeDrainingGetsGrace is the Retry-After propagation contract:
 // a silent member whose pre-eviction /healthz probe answers "draining" is
-// demoted to draining — no new leases — with max(TTL, Retry-After) grace,
-// instead of being evicted.
+// listed draining — no new leases — and held max(TTL, Retry-After)
+// instead of being evicted, and one that answers "ok" is held one more
+// TTL as active, whatever its last heartbeat said.
 func TestSweepProbeDrainingGetsGrace(t *testing.T) {
-	clk := newTableClock()
-	probes := map[string]ProbeResult{
-		"http://draining": {Reachable: true, Draining: true, RetryAfter: 30 * time.Second},
-		"http://alive":    {Reachable: true},
-		"http://dead":     {},
+	clk := newClock()
+	answers := probes{
+		"http://draining": {status: "draining", retryAfter: "30"},
+		"http://alive":    {status: "ok"},
 	}
-	var events []Event
-	tab := NewTable(Config{
-		TTL:     10 * time.Second,
-		Now:     clk.Now,
-		Probe:   func(id string) ProbeResult { return probes[id] },
-		OnEvent: func(ev Event) { events = append(events, ev) },
-	})
-	for id := range probes {
-		tab.Join(JoinRequest{ID: id})
+	fleet := newFleet(t, cluster.Config{Clock: clk, Client: answers.client()})
+	for id, draining := range map[string]bool{"http://draining": false, "http://alive": true, "http://dead": false} {
+		if _, err := fleet.Join(joinAs(id, membership.Heartbeat{Draining: draining})); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	clk.Advance(11 * time.Second)
-	evicted := tab.Sweep()
-	if len(evicted) != 1 || evicted[0].ID != "http://dead" {
-		t.Fatalf("sweep evicted %v, want just http://dead", evicted)
+	fleet.Sweep(context.Background())
+	status := map[string]membership.Status{}
+	for _, m := range fleet.Members() {
+		status[m.ID] = m.Status
 	}
-	m, ok := tab.Get("http://draining")
-	if !ok || m.Status != StatusDraining {
-		t.Fatalf("draining member = %+v ok=%v, want kept with StatusDraining", m, ok)
-	}
-	if m, ok := tab.Get("http://alive"); !ok || m.Status != StatusActive {
-		t.Fatalf("alive member = %+v ok=%v, want kept active", m, ok)
+	if len(status) != 2 || status["http://draining"] != membership.StatusDraining || status["http://alive"] != membership.StatusActive {
+		t.Fatalf("members after the first sweep = %v, want draining held as draining and alive as active", status)
 	}
 
 	// The grace is Retry-After (30s) — longer than another TTL. 20s later
 	// the draining member is still held; 31s after the probe it is gone.
 	clk.Advance(20 * time.Second)
-	for _, ev := range tab.Sweep() {
-		if ev.ID == "http://draining" {
-			t.Fatal("draining member evicted inside its Retry-After grace")
-		}
+	fleet.Sweep(context.Background())
+	if n := len(fleet.Members()); n != 2 {
+		t.Fatalf("%d members 20s into the grace, want 2", n)
 	}
-	probes["http://draining"] = ProbeResult{} // now truly gone
-	probes["http://alive"] = ProbeResult{}
+	delete(answers, "http://draining") // now truly gone
+	delete(answers, "http://alive")
 	clk.Advance(11 * time.Second)
-	evictedIDs := map[string]bool{}
-	for _, m := range tab.Sweep() {
-		evictedIDs[m.ID] = true
+	fleet.Sweep(context.Background())
+	if ids := memberIDs(fleet.Members()); len(ids) != 0 {
+		t.Fatalf("members %v survived after their grace lapsed", ids)
 	}
-	if !evictedIDs["http://draining"] {
-		t.Fatalf("draining member not evicted after its grace lapsed; evicted %v", evictedIDs)
-	}
-	if tab.Len() != 0 {
-		t.Fatalf("Len = %d at the end, want 0", tab.Len())
-	}
-
-	sawDrain := false
-	for _, ev := range events {
-		if ev.Kind == EventDrain && ev.Member.ID == "http://draining" {
-			sawDrain = true
-		}
-	}
-	if !sawDrain {
-		t.Fatal("no drain event for the probed draining member")
+	if _, _, evictions := fleet.Counters(); evictions != 3 {
+		t.Fatalf("evictions = %d, want 3", evictions)
 	}
 }
 
+// TestMeanUnitSeconds: before the adaptive sizer has a sample, the
+// advisor's rate signal is the mean of the members' reported rates.
 func TestMeanUnitSeconds(t *testing.T) {
-	tab := NewTable(Config{})
-	if got := tab.MeanUnitSeconds(); got != 0 {
+	fleet := newFleet(t, cluster.Config{})
+	if got := fleet.Core().MeanUnitSeconds(); got != 0 {
 		t.Fatalf("empty mean = %v, want 0", got)
 	}
-	tab.Join(JoinRequest{ID: "a", UnitSeconds: 0.2})
-	tab.Join(JoinRequest{ID: "b", UnitSeconds: 0.4})
-	tab.Join(JoinRequest{ID: "c"}) // no sample yet; excluded
-	if got := tab.MeanUnitSeconds(); got < 0.299 || got > 0.301 {
+	for id, rate := range map[string]float64{"http://a": 0.2, "http://b": 0.4, "http://c": 0} { // c has no sample yet
+		if _, err := fleet.Join(joinAs(id, membership.Heartbeat{UnitSeconds: rate})); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := fleet.Core().MeanUnitSeconds(); got < 0.299 || got > 0.301 {
 		t.Fatalf("mean = %v, want 0.3", got)
 	}
 }
@@ -254,78 +319,9 @@ func TestRecommend(t *testing.T) {
 		{0, 0, time.Second, 0, 0, 1},
 	}
 	for _, c := range cases {
-		if got := Recommend(c.backlog, c.unitSec, c.target, c.min, c.max); got != c.want {
+		if got := membership.Recommend(c.backlog, c.unitSec, c.target, c.min, c.max); got != c.want {
 			t.Errorf("Recommend(%d, %v, %v, %d, %d) = %d, want %d",
 				c.backlog, c.unitSec, c.target, c.min, c.max, got, c.want)
 		}
 	}
-}
-
-// FuzzMemberTable drives random join/beat/leave/sweep/advance scripts
-// through a table and checks the invariants that keep the coordinator
-// sane: counters are consistent with membership, every surviving member
-// was seen within TTL+grace, and snapshots stay sorted and duplicate-free.
-func FuzzMemberTable(f *testing.F) {
-	f.Add([]byte{0, 1, 2, 3, 4, 5})
-	f.Add([]byte{0, 0, 0, 16, 4, 16, 4, 1, 1, 2})
-	f.Add([]byte{5, 0, 5, 1, 5, 2, 16, 16, 16, 4, 4})
-	f.Fuzz(func(t *testing.T, script []byte) {
-		clk := newTableClock()
-		const ttl = 10 * time.Second
-		tab := NewTable(Config{TTL: ttl, Fingerprint: "f", Now: clk.Now})
-		ids := []string{"http://w0", "http://w1", "http://w2", "http://w3"}
-		events := 0
-		tab.cfg.OnEvent = func(Event) { events++ }
-
-		for i := 0; i < len(script); i++ {
-			op := script[i] % 8
-			id := ids[int(script[i]/8)%len(ids)]
-			switch op {
-			case 0, 1:
-				if _, err := tab.Join(JoinRequest{ID: id, Fingerprint: "f"}); err != nil {
-					t.Fatalf("join %s: %v", id, err)
-				}
-			case 2, 3:
-				if _, err := tab.Beat(id, Heartbeat{QueueDepth: int(script[i]), Draining: op == 3}); err != nil && err != ErrUnknownMember {
-					t.Fatalf("beat %s: %v", id, err)
-				}
-			case 4:
-				tab.Leave(id)
-			case 5:
-				tab.Sweep()
-			case 6:
-				clk.Advance(time.Duration(script[i]) * time.Second / 4)
-			case 7:
-				clk.Advance(ttl + time.Second)
-			}
-
-			members := tab.Members()
-			if len(members) != tab.Len() {
-				t.Fatalf("Members() has %d entries, Len() says %d", len(members), tab.Len())
-			}
-			for j, m := range members {
-				if j > 0 && members[j-1].ID >= m.ID {
-					t.Fatalf("members not strictly sorted: %q then %q", members[j-1].ID, m.ID)
-				}
-				if clk.Now().Sub(m.LastSeen) > ttl+time.Second {
-					// Allowed until the next sweep runs; force one and
-					// verify it clears.
-					tab.Sweep()
-					if got, ok := tab.Get(m.ID); ok && clk.Now().Sub(got.LastSeen) > ttl+time.Second {
-						t.Fatalf("member %s survived a sweep %v past LastSeen", m.ID, clk.Now().Sub(got.LastSeen))
-					}
-				}
-			}
-			joins, leaves, evictions := tab.Counters()
-			if joins < 0 || leaves < 0 || evictions < 0 {
-				t.Fatalf("negative counters: %d %d %d", joins, leaves, evictions)
-			}
-			if int64(tab.Len()) > joins {
-				t.Fatalf("%d members but only %d joins", tab.Len(), joins)
-			}
-			if leaves+evictions > joins {
-				t.Fatalf("departures %d exceed joins %d", leaves+evictions, joins)
-			}
-		}
-	})
 }

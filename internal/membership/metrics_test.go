@@ -1,11 +1,15 @@
-package membership
+package membership_test
 
 import (
 	"bytes"
+	"context"
 	"os"
 	"strings"
 	"testing"
 	"time"
+
+	"oraclesize/internal/cluster"
+	"oraclesize/internal/membership"
 )
 
 // TestMetricsExposition pins the fleet section of oracleherd's /metrics
@@ -13,34 +17,35 @@ import (
 // one leave, one eviction, a draining member, a member behind the
 // coordinator's tenant generation, and the advisor's recommendation.
 func TestMetricsExposition(t *testing.T) {
-	clk := newTableClock()
-	tab := NewTable(Config{TTL: 10 * time.Second, Now: clk.Now})
-	srv := &Server{
-		Table: tab,
-		Advise: func() Advice {
-			return Advice{BacklogUnits: 120, UnitSeconds: 0.375, TargetSeconds: 30, RecommendedWorkers: 2}
+	clk := newClock()
+	fleet := newFleet(t, cluster.Config{Clock: clk, Client: probes{}.client()})
+	srv := &membership.Server{
+		Fleet: fleet,
+		Advise: func() membership.Advice {
+			return membership.Advice{BacklogUnits: 120, UnitSeconds: 0.375, TargetSeconds: 30, RecommendedWorkers: 2}
 		},
 		TenantGen: func() uint64 { return 7 },
 	}
 	for _, id := range []string{"http://w1:1", "http://w2:2", "http://w3:3"} {
-		if _, err := tab.Join(JoinRequest{ID: id, TenantGen: 7}); err != nil {
+		if _, err := fleet.Join(joinAs(id, membership.Heartbeat{TenantGen: 7})); err != nil {
 			t.Fatal(err)
 		}
 	}
-	tab.Leave("http://w3:3")
-	if _, err := tab.Join(JoinRequest{ID: "http://silent:4"}); err != nil {
+	fleet.Leave("http://w3:3")
+	if _, err := fleet.Join(joinAs("http://silent:4", membership.Heartbeat{})); err != nil {
 		t.Fatal(err)
 	}
 	clk.Advance(8 * time.Second)
-	if _, err := tab.Beat("http://w1:1", Heartbeat{TenantGen: 7, Draining: true}); err != nil {
+	if _, err := fleet.Beat("http://w1:1", membership.Heartbeat{TenantGen: 7, Draining: true}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tab.Beat("http://w2:2", Heartbeat{TenantGen: 5}); err != nil {
+	if _, err := fleet.Beat("http://w2:2", membership.Heartbeat{TenantGen: 5}); err != nil {
 		t.Fatal(err)
 	}
 	clk.Advance(5 * time.Second)
-	if evicted := tab.Sweep(); len(evicted) != 1 {
-		t.Fatalf("swept %d members, want the silent one", len(evicted))
+	fleet.Sweep(context.Background())
+	if _, _, evictions := fleet.Counters(); evictions != 1 {
+		t.Fatalf("swept %d members, want the silent one", evictions)
 	}
 
 	var buf bytes.Buffer

@@ -10,7 +10,7 @@ import (
 	"oraclesize/internal/metrics"
 )
 
-// Server is the coordinator-side HTTP skin over a Table:
+// Server is the coordinator-side HTTP skin over a Fleet:
 //
 //	POST /v1/fleet/join       register a worker (409 on catalog skew)
 //	POST /v1/fleet/heartbeat  refresh a member's TTL and load signals (404 unknown)
@@ -20,7 +20,7 @@ import (
 // Register it on a mux with Routes; oracleherd serves it from -listen next
 // to the combined /metrics page.
 type Server struct {
-	Table *Table
+	Fleet Fleet
 	// Advise, when set, supplies the autoscaling recommendation rendered
 	// into GET /v1/fleet and the fleet metrics.
 	Advise func() Advice
@@ -31,7 +31,7 @@ type Server struct {
 	TenantGen func() uint64
 }
 
-// memberAck is the join/heartbeat response: the member's table row plus the
+// memberAck is the join/heartbeat response: the member's fleet row plus the
 // coordinator's tenant-policy generation. A worker seeing a generation
 // ahead of its own syncs its tenant store and reloads.
 type memberAck struct {
@@ -81,7 +81,7 @@ func (s *Server) handleJoin(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "decoding join: %v", err)
 		return
 	}
-	m, err := s.Table.Join(req)
+	m, err := s.Fleet.Join(req)
 	if err != nil {
 		var fe *FingerprintError
 		if errors.As(err, &fe) {
@@ -99,11 +99,8 @@ func (s *Server) handleJoin(w http.ResponseWriter, r *http.Request) {
 // heartbeatRequest is the wire shape of one beat: the member ID plus the
 // Heartbeat payload, flattened.
 type heartbeatRequest struct {
-	ID          string  `json:"id"`
-	QueueDepth  int     `json:"queue_depth"`
-	UnitSeconds float64 `json:"unit_seconds"`
-	TenantGen   uint64  `json:"tenant_generation,omitempty"`
-	Draining    bool    `json:"draining,omitempty"`
+	ID string `json:"id"`
+	Heartbeat
 }
 
 func (s *Server) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
@@ -112,12 +109,7 @@ func (s *Server) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "decoding heartbeat: %v", err)
 		return
 	}
-	m, err := s.Table.Beat(req.ID, Heartbeat{
-		QueueDepth:  req.QueueDepth,
-		UnitSeconds: req.UnitSeconds,
-		TenantGen:   req.TenantGen,
-		Draining:    req.Draining,
-	})
+	m, err := s.Fleet.Beat(req.ID, req.Heartbeat)
 	if err != nil {
 		if errors.Is(err, ErrUnknownMember) {
 			// 404 tells the agent to re-join: it was evicted (or the
@@ -141,7 +133,7 @@ func (s *Server) handleLeave(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "decoding leave: %v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]bool{"left": s.Table.Leave(req.ID)})
+	writeJSON(w, http.StatusOK, map[string]bool{"left": s.Fleet.Leave(req.ID)})
 }
 
 // fleetResponse is the GET /v1/fleet body.
@@ -151,7 +143,7 @@ type fleetResponse struct {
 }
 
 func (s *Server) handleFleet(w http.ResponseWriter, _ *http.Request) {
-	resp := fleetResponse{Members: s.Table.Members()}
+	resp := fleetResponse{Members: s.Fleet.Members()}
 	if resp.Members == nil {
 		resp.Members = []Member{}
 	}
@@ -166,8 +158,8 @@ func (s *Server) handleFleet(w http.ResponseWriter, _ *http.Request) {
 // format — appended to oracleherd's combined /metrics page after the
 // cluster metrics.
 func (s *Server) WriteMetrics(w io.Writer) {
-	members := s.Table.Members()
-	joins, leaves, evictions := s.Table.Counters()
+	members := s.Fleet.Members()
+	joins, leaves, evictions := s.Fleet.Counters()
 	draining := 0
 	for _, m := range members {
 		if m.Status == StatusDraining {

@@ -1,90 +1,101 @@
-package membership
+package membership_test
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
+
+	"oraclesize/internal/catalog"
+	"oraclesize/internal/cluster"
+	"oraclesize/internal/membership"
 )
 
-func postJSON(t *testing.T, url string, body any) *http.Response {
+// serve starts the fleet endpoint for srv.
+func serve(t *testing.T, srv *membership.Server) *httptest.Server {
 	t.Helper()
-	b, err := json.Marshal(body)
-	if err != nil {
-		t.Fatalf("marshal: %v", err)
-	}
-	resp, err := http.Post(url, "application/json", bytes.NewReader(b))
-	if err != nil {
-		t.Fatalf("POST %s: %v", url, err)
-	}
-	return resp
-}
-
-func TestServerEndpoints(t *testing.T) {
-	clk := newTableClock()
-	tab := NewTable(Config{TTL: 10 * time.Second, Fingerprint: "fp", Now: clk.Now})
-	srv := &Server{Table: tab, Advise: func() Advice {
-		return Advice{BacklogUnits: 120, UnitSeconds: 0.5, TargetSeconds: 30, RecommendedWorkers: 2}
-	}}
 	mux := http.NewServeMux()
 	srv.Routes(mux)
 	ts := httptest.NewServer(mux)
-	defer ts.Close()
+	t.Cleanup(ts.Close)
+	return ts
+}
 
-	resp := postJSON(t, ts.URL+"/v1/fleet/join", JoinRequest{ID: "http://w1", Fingerprint: "fp"})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("join status = %d", resp.StatusCode)
+// post sends a raw JSON body and returns the response body after checking
+// its status.
+func post(t *testing.T, url, body string, wantStatus int) string {
+	t.Helper()
+	resp, err := http.Post(url, "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatalf("POST %s: %v", url, err)
 	}
-	var m Member
-	if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
-		t.Fatalf("decode join: %v", err)
+	defer resp.Body.Close()
+	got, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
 	}
-	resp.Body.Close()
-	if m.ID != "http://w1" || m.Status != StatusActive {
-		t.Fatalf("joined member = %+v", m)
+	if resp.StatusCode != wantStatus {
+		t.Fatalf("POST %s: status %d, want %d: %s", url, resp.StatusCode, wantStatus, got)
+	}
+	return string(got)
+}
+
+// TestServerEndpoints pins the fleet endpoint's wire bytes: requests,
+// acks, status codes and the GET /v1/fleet body.
+func TestServerEndpoints(t *testing.T) {
+	srv := &membership.Server{
+		Fleet: newFleet(t, cluster.Config{Clock: newClock()}),
+		Advise: func() membership.Advice {
+			return membership.Advice{BacklogUnits: 120, UnitSeconds: 0.5, TargetSeconds: 30, RecommendedWorkers: 2}
+		},
+	}
+	ts := serve(t, srv)
+	fp := catalog.Fingerprint()
+	row := func(queue int, unitSec float64, beats int) string {
+		return fmt.Sprintf(`{"id":"http://w1","catalog_fingerprint":"%s",`+
+			`"build":{"go_version":"go1.22.0","module_version":"(devel)","vcs_revision":"abc123"},`+
+			`"queue_depth":%d,"unit_seconds":%v,"status":"active",`+
+			`"joined_at":"1970-01-01T00:16:40Z","last_seen":"1970-01-01T00:16:40Z","heartbeats":%d}`,
+			fp, queue, unitSec, beats)
 	}
 
+	got := post(t, ts.URL+"/v1/fleet/join", `{"id":"http://w1","catalog_fingerprint":"`+fp+
+		`","build":{"go_version":"go1.22.0","module_version":"(devel)","vcs_revision":"abc123"},"queue_depth":0,"unit_seconds":0}`, http.StatusOK)
+	if want := row(0, 0, 0) + "\n"; got != want {
+		t.Fatalf("join ack:\n got %s\nwant %s", got, want)
+	}
 	// Catalog skew is a 409 — the agent treats it as fatal.
-	resp = postJSON(t, ts.URL+"/v1/fleet/join", JoinRequest{ID: "http://w2", Fingerprint: "other"})
-	if resp.StatusCode != http.StatusConflict {
-		t.Fatalf("skewed join status = %d, want 409", resp.StatusCode)
-	}
-	resp.Body.Close()
+	post(t, ts.URL+"/v1/fleet/join", `{"id":"http://w2","catalog_fingerprint":"other"}`, http.StatusConflict)
+	post(t, ts.URL+"/v1/fleet/join", `{"id":"http://w2","bogus":1}`, http.StatusBadRequest)
 
-	resp = postJSON(t, ts.URL+"/v1/fleet/heartbeat", heartbeatRequest{ID: "http://w1", QueueDepth: 3, UnitSeconds: 0.5})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("heartbeat status = %d", resp.StatusCode)
+	got = post(t, ts.URL+"/v1/fleet/heartbeat", `{"id":"http://w1","queue_depth":3,"unit_seconds":0.5}`, http.StatusOK)
+	if want := row(3, 0.5, 1) + "\n"; got != want {
+		t.Fatalf("heartbeat ack:\n got %s\nwant %s", got, want)
 	}
-	resp.Body.Close()
-	resp = postJSON(t, ts.URL+"/v1/fleet/heartbeat", heartbeatRequest{ID: "http://stranger"})
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("unknown heartbeat status = %d, want 404", resp.StatusCode)
-	}
-	resp.Body.Close()
+	post(t, ts.URL+"/v1/fleet/heartbeat", `{"id":"http://stranger"}`, http.StatusNotFound)
 
-	fleet, err := http.Get(ts.URL + "/v1/fleet")
+	resp, err := http.Get(ts.URL + "/v1/fleet")
 	if err != nil {
 		t.Fatalf("GET /v1/fleet: %v", err)
 	}
-	var fr fleetResponse
-	if err := json.NewDecoder(fleet.Body).Decode(&fr); err != nil {
-		t.Fatalf("decode fleet: %v", err)
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
 	}
-	fleet.Body.Close()
-	if len(fr.Members) != 1 || fr.Members[0].QueueDepth != 3 {
-		t.Fatalf("fleet members = %+v", fr.Members)
-	}
-	if fr.Advice == nil || fr.Advice.RecommendedWorkers != 2 {
-		t.Fatalf("fleet advice = %+v", fr.Advice)
+	want := `{"members":[` + row(3, 0.5, 1) + `],"advice":{"backlog_units":120,"unit_seconds":0.5,"target_seconds":30,"recommended_workers":2}}` + "\n"
+	if string(body) != want {
+		t.Fatalf("GET /v1/fleet:\n got %s\nwant %s", body, want)
 	}
 
-	var buf bytes.Buffer
+	var buf strings.Builder
 	srv.WriteMetrics(&buf)
-	metrics := buf.String()
 	for _, want := range []string{
 		"oracleherd_fleet_members 1",
 		"oracleherd_fleet_joins_total 1",
@@ -92,39 +103,33 @@ func TestServerEndpoints(t *testing.T) {
 		"oracleherd_fleet_recommended_workers 2",
 		"oracleherd_fleet_backlog_units 120",
 	} {
-		if !strings.Contains(metrics, want) {
-			t.Errorf("metrics missing %q:\n%s", want, metrics)
+		if !strings.Contains(buf.String(), want) {
+			t.Errorf("metrics missing %q:\n%s", want, buf.String())
 		}
 	}
 
-	resp = postJSON(t, ts.URL+"/v1/fleet/leave", leaveRequest{ID: "http://w1"})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("leave status = %d", resp.StatusCode)
+	if got := post(t, ts.URL+"/v1/fleet/leave", `{"id":"http://w1"}`, http.StatusOK); got != `{"left":true}`+"\n" {
+		t.Fatalf("leave ack = %s", got)
 	}
-	resp.Body.Close()
-	if tab.Len() != 0 {
-		t.Fatalf("Len = %d after leave, want 0", tab.Len())
+	if got := post(t, ts.URL+"/v1/fleet/leave", `{"id":"http://w1"}`, http.StatusOK); got != `{"left":false}`+"\n" {
+		t.Fatalf("second leave ack = %s", got)
 	}
 }
 
-// TestAgentLifecycle runs a real Agent against a real Server: it must join,
-// heartbeat with the Report signals, re-join automatically after an
-// eviction, and deregister on Leave.
+// TestAgentLifecycle runs a real Agent against a real coordinator's fleet
+// endpoint: it must join, heartbeat with the Report signals, re-join
+// automatically after a Sweep evicts it, and deregister on Leave.
 func TestAgentLifecycle(t *testing.T) {
-	clk := newTableClock()
-	tab := NewTable(Config{TTL: 10 * time.Second, Fingerprint: "fp", Now: clk.Now})
-	srv := &Server{Table: tab}
-	mux := http.NewServeMux()
-	srv.Routes(mux)
-	ts := httptest.NewServer(mux)
-	defer ts.Close()
+	clk := newClock()
+	fleet := newFleet(t, cluster.Config{Clock: clk, Client: probes{}.client()})
+	ts := serve(t, &membership.Server{Fleet: fleet})
 
-	ag := &Agent{
+	ag := &membership.Agent{
 		Coordinator: ts.URL,
 		ID:          "http://worker-1",
-		Fingerprint: "fp",
+		Fingerprint: catalog.Fingerprint(),
 		Interval:    5 * time.Millisecond,
-		Report:      func() Heartbeat { return Heartbeat{QueueDepth: 4, UnitSeconds: 0.125} },
+		Report:      func() membership.Heartbeat { return membership.Heartbeat{QueueDepth: 4, UnitSeconds: 0.125} },
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -143,20 +148,23 @@ func TestAgentLifecycle(t *testing.T) {
 	}
 
 	waitFor("join + first heartbeat", func() bool {
-		m, ok := tab.Get("http://worker-1")
-		return ok && m.Heartbeats >= 1 && m.QueueDepth == 4
+		ms := fleet.Members()
+		return len(ms) == 1 && ms[0].Heartbeats >= 1 && ms[0].QueueDepth == 4
 	})
 
-	// Evict it behind the agent's back; the next heartbeat's 404 must
-	// trigger an immediate re-join.
-	clk.Advance(11 * time.Second)
-	tab.Sweep()
-	if tab.Len() != 0 {
-		t.Fatal("manual sweep did not evict")
-	}
+	// Evict it behind the agent's back: its /healthz is unreachable, so a
+	// sweep past the TTL evicts it (a heartbeat landing between the
+	// advance and the sweep restarts the TTL, hence the retry). The next
+	// heartbeat's 404 must trigger an immediate re-join.
+	waitFor("a Sweep eviction", func() bool {
+		clk.Advance(11 * time.Second)
+		fleet.Sweep(ctx)
+		_, _, evictions := fleet.Counters()
+		return evictions == 1
+	})
 	waitFor("automatic re-join after eviction", func() bool {
-		_, ok := tab.Get("http://worker-1")
-		return ok
+		joins, _, _ := fleet.Counters()
+		return joins == 2 && len(fleet.Members()) == 1
 	})
 
 	cancel()
@@ -166,10 +174,10 @@ func TestAgentLifecycle(t *testing.T) {
 	if err := ag.Leave(context.Background()); err != nil {
 		t.Fatalf("leave: %v", err)
 	}
-	if tab.Len() != 0 {
-		t.Fatalf("Len = %d after Leave, want 0", tab.Len())
+	if ms := fleet.Members(); len(ms) != 0 {
+		t.Fatalf("members after Leave = %+v", ms)
 	}
-	if _, leaves, _ := tab.Counters(); leaves != 1 {
+	if _, leaves, _ := fleet.Counters(); leaves != 1 {
 		t.Fatalf("leaves = %d, want 1", leaves)
 	}
 }
@@ -177,53 +185,66 @@ func TestAgentLifecycle(t *testing.T) {
 // TestAgentConflictIsFatal: a fingerprint-skewed worker must not retry
 // forever — Run returns the 409 as a hard error.
 func TestAgentConflictIsFatal(t *testing.T) {
-	tab := NewTable(Config{Fingerprint: "fp"})
-	srv := &Server{Table: tab}
-	mux := http.NewServeMux()
-	srv.Routes(mux)
-	ts := httptest.NewServer(mux)
-	defer ts.Close()
-
-	ag := &Agent{Coordinator: ts.URL, ID: "http://w", Fingerprint: "stale", Interval: time.Millisecond}
+	ts := serve(t, &membership.Server{Fleet: newFleet(t, cluster.Config{})})
+	ag := &membership.Agent{Coordinator: ts.URL, ID: "http://w", Fingerprint: "stale", Interval: time.Millisecond}
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	err := ag.Run(ctx)
-	if err == nil || !isConflict(err) {
+	if err := ag.Run(ctx); err == nil || !strings.Contains(err.Error(), "status 409") {
 		t.Fatalf("Run = %v, want 409 conflict error", err)
 	}
 }
 
+// TestProbeWorker drives the pre-eviction /healthz probe over real HTTP:
+// an "ok" answer holds a silent member one more TTL, "draining" holds it
+// for its Retry-After, no answer evicts it, and every probe carries the
+// coordinator's API key.
 func TestProbeWorker(t *testing.T) {
-	state := struct {
-		status     string
-		retryAfter string
-	}{status: "ok"}
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	var mu sync.Mutex
+	status, retryAfter, keys := "ok", "", map[string]int{}
+	worker := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		defer mu.Unlock()
+		keys[r.Header.Get("X-API-Key")]++
 		if r.URL.Path != "/healthz" {
 			http.NotFound(w, r)
 			return
 		}
-		if state.retryAfter != "" {
-			w.Header().Set("Retry-After", state.retryAfter)
+		if retryAfter != "" {
+			w.Header().Set("Retry-After", retryAfter)
 		}
-		json.NewEncoder(w).Encode(map[string]string{"status": state.status})
+		json.NewEncoder(w).Encode(map[string]string{"status": status})
 	}))
-	defer ts.Close()
-	client := ts.Client()
+	defer worker.Close()
+	clk := newClock()
+	fleet := newFleet(t, cluster.Config{Clock: clk, APIKey: "probe-key-0001"})
+	if _, err := fleet.Join(joinAs(worker.URL, membership.Heartbeat{})); err != nil {
+		t.Fatal(err)
+	}
+	sweepAfter := func(d time.Duration) []membership.Member {
+		clk.Advance(d)
+		fleet.Sweep(context.Background())
+		return fleet.Members()
+	}
 
-	pr := ProbeWorker(context.Background(), client, ts.URL, time.Second)
-	if !pr.Reachable || pr.Draining || pr.RetryAfter != 0 {
-		t.Fatalf("healthy probe = %+v", pr)
+	if ms := sweepAfter(11 * time.Second); len(ms) != 1 || ms[0].Status != membership.StatusActive {
+		t.Fatalf("members after an ok probe = %+v, want one active", ms)
 	}
-	state.status = "draining"
-	state.retryAfter = "45"
-	pr = ProbeWorker(context.Background(), client, ts.URL, time.Second)
-	if !pr.Reachable || !pr.Draining || pr.RetryAfter != 45*time.Second {
-		t.Fatalf("draining probe = %+v", pr)
+	mu.Lock()
+	status, retryAfter = "draining", "45"
+	mu.Unlock()
+	if ms := sweepAfter(11 * time.Second); len(ms) != 1 || ms[0].Status != membership.StatusDraining {
+		t.Fatalf("members after a draining probe = %+v, want one draining", ms)
 	}
-	ts.Close()
-	pr = ProbeWorker(context.Background(), client, ts.URL, time.Second)
-	if pr.Reachable {
-		t.Fatalf("probe of a dead server = %+v, want unreachable", pr)
+	if ms := sweepAfter(40 * time.Second); len(ms) != 1 {
+		t.Fatal("draining member evicted inside its 45s Retry-After grace")
+	}
+	worker.Close()
+	if ms := sweepAfter(6 * time.Second); len(ms) != 0 {
+		t.Fatalf("members after an unanswered probe = %+v, want none", ms)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(keys) != 1 || keys["probe-key-0001"] != 2 {
+		t.Fatalf("probes by API key = %v, want 2 carrying the coordinator's", keys)
 	}
 }

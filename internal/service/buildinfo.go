@@ -3,29 +3,15 @@ package service
 import (
 	"runtime"
 	"runtime/debug"
-)
 
-// BuildInfo identifies the running worker build. A cluster coordinator logs
-// it per worker — "which build served this shard" is the first question
-// asked when a distributed run stops reproducing — and it travels in the
-// /healthz payload so no extra endpoint or auth is needed to read it.
-type BuildInfo struct {
-	// GoVersion is the toolchain that built the binary.
-	GoVersion string `json:"go_version"`
-	// ModuleVersion is the main module's version ("(devel)" for builds
-	// outside a released module).
-	ModuleVersion string `json:"module_version"`
-	// Revision is the VCS commit the binary was built from, when stamped.
-	Revision string `json:"vcs_revision,omitempty"`
-	// Dirty marks builds from a modified working tree.
-	Dirty bool `json:"vcs_dirty,omitempty"`
-}
+	"oraclesize/internal/membership"
+)
 
 // buildInfo is read once; the answer cannot change while the process runs.
 var buildInfo = readBuildInfo()
 
-func readBuildInfo() BuildInfo {
-	b := BuildInfo{GoVersion: runtime.Version(), ModuleVersion: "(devel)"}
+func readBuildInfo() membership.BuildInfo {
+	b := membership.BuildInfo{GoVersion: runtime.Version(), ModuleVersion: "(devel)"}
 	info, ok := debug.ReadBuildInfo()
 	if !ok {
 		return b
@@ -44,5 +30,6 @@ func readBuildInfo() BuildInfo {
 	return b
 }
 
-// Build returns the server binary's build identification.
-func Build() BuildInfo { return buildInfo }
+// Build returns the server binary's build identification, the block
+// /healthz reports and an elastic worker joins with.
+func Build() membership.BuildInfo { return buildInfo }

@@ -14,6 +14,7 @@ import (
 
 	"oraclesize/internal/catalog"
 	"oraclesize/internal/graph"
+	"oraclesize/internal/membership"
 	"oraclesize/internal/oracle"
 )
 
@@ -580,8 +581,8 @@ type healthResponse struct {
 	// registry it resolves specs against; a cluster coordinator reads both
 	// to log which build served each shard and to refuse fleets whose
 	// catalogs disagree.
-	Build              BuildInfo `json:"build"`
-	CatalogFingerprint string    `json:"catalog_fingerprint"`
+	Build              membership.BuildInfo `json:"build"`
+	CatalogFingerprint string               `json:"catalog_fingerprint"`
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request, _ *tenantState) (any, error) {
