@@ -3,11 +3,14 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
+
+	"oraclesize/internal/campaign"
 )
 
 var wallField = regexp.MustCompile(`"wall_ns":\d+`)
@@ -198,6 +201,40 @@ func TestValidateRejectsCorruptRecords(t *testing.T) {
 	_, errOut, code := runCLI(t, "validate", "-in", in)
 	if code != 1 || !strings.Contains(errOut, "invalid") {
 		t.Errorf("exit %d, stderr: %s", code, errOut)
+	}
+
+	// A well-formed quick artifact whose first wakeup/tree record claims n
+	// messages, one more than Theorem 2.1 allows.
+	out, errOut, code := runCLI(t, "run", "-quick")
+	if code != 0 {
+		t.Fatalf("run -quick: exit %d, stderr: %s", code, errOut)
+	}
+	lines := strings.SplitAfter(out, "\n")
+	var raised campaign.Record
+	for i, line := range lines {
+		var r campaign.Record
+		if err := json.Unmarshal([]byte(line), &r); err != nil || r.Task != "wakeup" || r.Scheme != "tree" {
+			continue
+		}
+		r.Messages = r.Nodes
+		data, err := json.Marshal(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines[i], raised = string(data)+"\n", r
+		break
+	}
+	if raised.Unit == "" {
+		t.Fatal("quick artifact has no wakeup/tree record")
+	}
+	over := filepath.Join(dir, "over.jsonl")
+	if err := os.WriteFile(over, []byte(strings.Join(lines, "")), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, errOut, code = runCLI(t, "validate", "-in", over)
+	bound := fmt.Sprintf("%d messages exceed the wakeup/tree bound %d at n=%d", raised.Nodes, raised.Nodes-1, raised.Nodes)
+	if code != 1 || !strings.Contains(errOut, raised.Unit) || !strings.Contains(errOut, bound) {
+		t.Errorf("over-bound artifact: exit %d, stderr: %s", code, errOut)
 	}
 }
 

@@ -1,10 +1,11 @@
 // Command oraclesim runs one distributed task on one network under one
-// oracle and prints the oracle size, message count, and verdicts — a
-// command-line microscope for the paper's constructions and this
-// repository's extensions. All names (families, tasks, oracles/schemes,
-// engines, schedulers) resolve through internal/catalog, and the run goes
-// through catalog.Resolve and Run.Execute, the same path behind cmd/campaign
-// and the oracled service's /v1/run.
+// oracle and prints the oracle size, message count, the scheme's proven
+// bound and verdicts — a command-line microscope for the paper's
+// constructions and this repository's extensions. It exits 1 when the run
+// is incomplete or exceeds the bound. All names (families, tasks,
+// oracles/schemes, engines, schedulers) resolve through internal/catalog,
+// and the run goes through catalog.Resolve and Run.Execute, the same path
+// behind cmd/campaign and the oracled service's /v1/run.
 //
 // Examples:
 //
@@ -94,9 +95,19 @@ func run(args []string, out, errOut io.Writer) int {
 	}
 	fmt.Fprintln(out)
 	fmt.Fprintf(out, "bandwidth    %d bits total  max-node-sends=%d\n", res.MessageBits, res.MaxNodeSends)
-	fmt.Fprintf(out, "reference    n-1=%d  2m=%d  3(n-1)=%d\n", g.N()-1, 2*g.M(), 3*(g.N()-1))
+	within := true
+	if run.Scheme.Bound == nil {
+		fmt.Fprintln(out, "bound        none")
+	} else {
+		messages, adviceBits := run.Scheme.Bound(g.N())
+		fmt.Fprintf(out, "bound        messages<=%d advice<=%d bits\n", messages, adviceBits)
+		within = res.Messages <= messages && stats.TotalBits <= adviceBits
+	}
 	fmt.Fprintf(out, "complete     %v  (rounds=%d)\n", complete, res.Rounds)
-	if !complete {
+	if !within {
+		fmt.Fprintf(errOut, "oraclesim: %s/%s run exceeds its bound at n=%d\n", run.Task.Name, run.Scheme.Name, g.N())
+	}
+	if !complete || !within {
 		return 1
 	}
 	return 0

@@ -7,22 +7,24 @@ import (
 )
 
 func TestTaskMatrix(t *testing.T) {
+	// bounded marks the schemes whose catalog bound oraclesim prints.
 	cases := []struct {
-		name string
-		args []string
+		name    string
+		args    []string
+		bounded bool
 	}{
-		{"wakeup-paper", []string{"-family", "grid", "-n", "36", "-task", "wakeup"}},
-		{"wakeup-none", []string{"-family", "grid", "-n", "36", "-task", "wakeup", "-oracle", "none"}},
-		{"wakeup-fullmap", []string{"-family", "cycle", "-n", "24", "-task", "wakeup", "-oracle", "full-map"}},
-		{"broadcast-paper", []string{"-family", "hypercube", "-n", "32", "-task", "broadcast"}},
-		{"broadcast-none", []string{"-family", "complete", "-n", "16", "-task", "broadcast", "-oracle", "none"}},
-		{"broadcast-lifo", []string{"-family", "complete", "-n", "16", "-task", "broadcast", "-scheduler", "lifo"}},
-		{"broadcast-delay", []string{"-family", "grid", "-n", "25", "-task", "broadcast", "-scheduler", "delay"}},
-		{"gossip", []string{"-family", "torus", "-n", "36", "-task", "gossip"}},
-		{"election-tree", []string{"-family", "cycle", "-n", "24", "-task", "election"}},
-		{"election-none", []string{"-family", "cycle", "-n", "24", "-task", "election", "-oracle", "none"}},
-		{"election-mark", []string{"-family", "cycle", "-n", "24", "-task", "election", "-oracle", "mark"}},
-		{"goroutines", []string{"-family", "grid", "-n", "25", "-task", "broadcast", "-engine", "goroutines"}},
+		{"wakeup-paper", []string{"-family", "grid", "-n", "36", "-task", "wakeup"}, true},
+		{"wakeup-none", []string{"-family", "grid", "-n", "36", "-task", "wakeup", "-oracle", "none"}, false},
+		{"wakeup-fullmap", []string{"-family", "cycle", "-n", "24", "-task", "wakeup", "-oracle", "full-map"}, false},
+		{"broadcast-paper", []string{"-family", "hypercube", "-n", "32", "-task", "broadcast"}, true},
+		{"broadcast-none", []string{"-family", "complete", "-n", "16", "-task", "broadcast", "-oracle", "none"}, false},
+		{"broadcast-lifo", []string{"-family", "complete", "-n", "16", "-task", "broadcast", "-scheduler", "lifo"}, true},
+		{"broadcast-delay", []string{"-family", "grid", "-n", "25", "-task", "broadcast", "-scheduler", "delay"}, true},
+		{"gossip", []string{"-family", "torus", "-n", "36", "-task", "gossip"}, true},
+		{"election-tree", []string{"-family", "cycle", "-n", "24", "-task", "election"}, true},
+		{"election-none", []string{"-family", "cycle", "-n", "24", "-task", "election", "-oracle", "none"}, false},
+		{"election-mark", []string{"-family", "cycle", "-n", "24", "-task", "election", "-oracle", "mark"}, false},
+		{"goroutines", []string{"-family", "grid", "-n", "25", "-task", "broadcast", "-engine", "goroutines"}, true},
 	}
 	for _, tc := range cases {
 		tc := tc
@@ -33,6 +35,13 @@ func TestTaskMatrix(t *testing.T) {
 			}
 			if !strings.Contains(out.String(), "complete     true") {
 				t.Errorf("run did not complete:\n%s", out.String())
+			}
+			wantBound := "bound        none"
+			if tc.bounded {
+				wantBound = "bound        messages<="
+			}
+			if !strings.Contains(out.String(), wantBound) {
+				t.Errorf("no %q line:\n%s", wantBound, out.String())
 			}
 		})
 	}
@@ -62,5 +71,11 @@ func TestExactWakeupCount(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "messages     19 total") {
 		t.Errorf("wakeup on P20 should use exactly 19 messages:\n%s", out.String())
+	}
+	// Rooted at an end, the path meets Theorem 2.1's advice bound exactly:
+	// 19 internal nodes, each a 5-bit port field and an 8-bit header.
+	if !strings.Contains(out.String(), "size=247 bits") ||
+		!strings.Contains(out.String(), "bound        messages<=19 advice<=247 bits") {
+		t.Errorf("wakeup on P20 should print and meet the bound 19/247:\n%s", out.String())
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"log"
 
 	"oraclesize"
+	"oraclesize/internal/broadcast"
 )
 
 // The quickest path through the library: build a network, run the paper's
@@ -23,7 +24,8 @@ func Example() {
 		log.Fatal(err)
 	}
 	fmt.Printf("wakeup: %d messages, complete=%v\n", w.Messages, w.Complete)
-	fmt.Printf("broadcast within 3(n-1): %v, complete=%v\n", b.Messages <= 3*127, b.Complete)
+	bound, _ := broadcast.Bound(g.N())
+	fmt.Printf("broadcast within 3(n-1): %v, complete=%v\n", b.Messages <= bound, b.Complete)
 	fmt.Printf("wakeup needs more advice: %v\n", w.OracleBits > b.OracleBits)
 	// Output:
 	// wakeup: 127 messages, complete=true

@@ -25,7 +25,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	bound := 3 * (g.N() - 1)
+	bound, _ := broadcast.Bound(g.N())
 	fmt.Printf("network: n=%d m=%d; oracle: %d bits; message bound 3(n-1)=%d\n\n",
 		g.N(), g.M(), advice.SizeBits(), bound)
 

@@ -49,8 +49,9 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
+		bound, _ := gossip.Bound(g.N())
 		fmt.Printf("%-10s %6d %8d %12d %10d %8d %v\n",
-			b.name, g.N(), g.M(), advice.SizeBits(), res.Messages, 2*(g.N()-1), verified)
+			b.name, g.N(), g.M(), advice.SizeBits(), res.Messages, bound, verified)
 	}
 
 	fmt.Println()

@@ -11,6 +11,7 @@ import (
 
 	"oraclesize/internal/bfstree"
 	"oraclesize/internal/broadcast"
+	"oraclesize/internal/catalog"
 	"oraclesize/internal/election"
 	"oraclesize/internal/explore"
 	"oraclesize/internal/gossip"
@@ -75,7 +76,7 @@ func main() {
 
 	// Election ladder.
 	eRes, err := sim.Run(g, 0, election.MaxLabelFlood{}, nil,
-		sim.Options{RetainNodes: true, MaxMessages: 4*n*m + 1024})
+		sim.Options{RetainNodes: true, MaxMessages: catalog.MessageBudget(g)})
 	if err != nil {
 		log.Fatal(err)
 	}

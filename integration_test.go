@@ -52,7 +52,8 @@ func TestPropertyWakeupExact(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return res.AllInformed && res.Messages == g.N()-1
+		want, _ := wakeup.Bound(g.N())
+		return res.AllInformed && res.Messages == want
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
@@ -82,11 +83,12 @@ func TestPropertyBroadcastBounds(t *testing.T) {
 			return false
 		}
 		n := g.N()
+		messages, adviceBits := broadcast.Bound(n)
 		return res.AllInformed &&
-			res.Messages <= 3*(n-1) &&
+			res.Messages <= messages &&
 			res.ByKind[scheme.KindM] <= 2*(n-1) &&
 			res.ByKind[scheme.KindHello] <= n-1 &&
-			advice.SizeBits() <= 10*n
+			advice.SizeBits() <= adviceBits
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
@@ -100,7 +102,8 @@ func TestPropertyGossipExact(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return verified && res.Messages == 2*(g.N()-1)
+		want, _ := gossip.Bound(g.N())
+		return verified && res.Messages == want
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
@@ -186,7 +189,7 @@ func TestAllCodecsInteroperateEndToEnd(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if !res.AllInformed || res.Messages > 3*(g.N()-1) {
+		if bound, _ := broadcast.Bound(g.N()); !res.AllInformed || res.Messages > bound {
 			t.Errorf("%s: complete=%v messages=%d", name, res.AllInformed, res.Messages)
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"oraclesize/internal/bitstring"
+	"oraclesize/internal/catalog"
 	"oraclesize/internal/graph"
 	"oraclesize/internal/graphgen"
 	"oraclesize/internal/sim"
@@ -57,7 +58,7 @@ func TestFloodCorrectUnderAdversarialOrders(t *testing.T) {
 		res, err := sim.Run(g, 3, Flood{}, nil, sim.Options{
 			Scheduler:   factory(),
 			RetainNodes: true,
-			MaxMessages: 4*g.N()*g.M() + 1024,
+			MaxMessages: catalog.MessageBudget(g),
 		})
 		if err != nil {
 			t.Errorf("%s: %v", name, err)
@@ -80,7 +81,7 @@ func TestAsynchronyCostsMessages(t *testing.T) {
 	lifo, err := sim.Run(g, 0, Flood{}, nil, sim.Options{
 		Scheduler:   sim.NewLIFO(),
 		RetainNodes: true,
-		MaxMessages: 4*g.N()*g.M() + 1024,
+		MaxMessages: catalog.MessageBudget(g),
 	})
 	if err != nil {
 		t.Fatal(err)

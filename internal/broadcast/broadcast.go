@@ -52,6 +52,18 @@ type Oracle struct {
 	Tree TreeKind
 }
 
+// Bound is Theorem 3.1 as this encoding meets it on n nodes. Scheme B
+// sends at most 3(n-1) messages over any spanning tree (Claim 3.2: M
+// crosses each tree edge at most twice, hello at most once). Oracle{}
+// advice, the light tree under the doubled-bit code, spends 2·#2(w)+2
+// bits on each tree edge's weight w, exactly 2·Σ#2(w(e)) + 2(n-1) bits,
+// so Claim 3.1 bounds it by 2·spantree.ContributionBound(n) + 2(n-1) =
+// 10n-2. The advice bound does not cover other codecs, the BFS tree or
+// BudgetedOracle.
+func Bound(n int) (messages, adviceBits int) {
+	return 3 * (n - 1), 2*spantree.ContributionBound(n) + 2*(n-1)
+}
+
 // Name implements oracle.Oracle.
 func (o Oracle) Name() string { return "broadcast-light-tree" }
 

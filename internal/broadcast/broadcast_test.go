@@ -111,8 +111,8 @@ func TestBroadcastCompletesLinearMessages(t *testing.T) {
 		}
 		// Claim 3.2: M crosses each tree edge at most twice, hello at most
 		// once: <= 3(n-1) messages.
-		if res.Messages > 3*(n-1) {
-			t.Errorf("%s: %d messages > 3(n-1) = %d", name, res.Messages, 3*(n-1))
+		if bound, _ := Bound(n); res.Messages > bound {
+			t.Errorf("%s: %d messages > 3(n-1) = %d", name, res.Messages, bound)
 		}
 		if res.ByKind[scheme.KindM] > 2*(n-1) {
 			t.Errorf("%s: %d M-messages > 2(n-1)", name, res.ByKind[scheme.KindM])
@@ -126,15 +126,14 @@ func TestBroadcastCompletesLinearMessages(t *testing.T) {
 func TestBroadcastOracleSizeLinear(t *testing.T) {
 	// Theorem 3.1: the oracle has size O(n); with the doubled code each
 	// weight w costs 2#2(w)+2 bits and Claim 3.1 gives Σ#2 <= 4n, so the
-	// size is at most 2·4n + 2(n-1) <= 10n.
+	// size is at most 2·4n + 2(n-1) = 10n-2.
 	for name, g := range testGraphs(t) {
 		advice, err := Oracle{}.Advise(g, 0)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		n := g.N()
-		if got := advice.SizeBits(); got > 10*n {
-			t.Errorf("%s: oracle size %d > 10n = %d", name, got, 10*n)
+		if _, bound := Bound(g.N()); advice.SizeBits() > bound {
+			t.Errorf("%s: oracle size %d > 10n-2 = %d", name, advice.SizeBits(), bound)
 		}
 	}
 }
@@ -198,7 +197,7 @@ func TestBroadcastAllSchedulers(t *testing.T) {
 		if !res.AllInformed {
 			t.Errorf("%s: incomplete", name)
 		}
-		if res.Messages > 3*(g.N()-1) {
+		if bound, _ := Bound(g.N()); res.Messages > bound {
 			t.Errorf("%s: %d messages > 3(n-1)", name, res.Messages)
 		}
 	}
@@ -218,7 +217,7 @@ func TestBroadcastConcurrent(t *testing.T) {
 		if !res.AllInformed {
 			t.Fatalf("run %d incomplete", i)
 		}
-		if res.Messages > 3*(g.N()-1) {
+		if bound, _ := Bound(g.N()); res.Messages > bound {
 			t.Fatalf("run %d: %d messages > 3(n-1)", i, res.Messages)
 		}
 	}
@@ -240,7 +239,7 @@ func TestBroadcastEveryCodec(t *testing.T) {
 			if !res.AllInformed {
 				t.Error("incomplete")
 			}
-			if res.Messages > 3*(g.N()-1) {
+			if bound, _ := Bound(g.N()); res.Messages > bound {
 				t.Errorf("%d messages > 3(n-1)", res.Messages)
 			}
 		})
@@ -263,7 +262,7 @@ func TestBroadcastEverySource(t *testing.T) {
 		if !res.AllInformed {
 			t.Errorf("source %d: incomplete", src)
 		}
-		if res.Messages > 3*(g.N()-1) {
+		if bound, _ := Bound(g.N()); res.Messages > bound {
 			t.Errorf("source %d: %d messages", src, res.Messages)
 		}
 	}
@@ -327,8 +326,8 @@ func TestBudgetedFullBudgetMatchesSchemeB(t *testing.T) {
 	if !res.AllInformed {
 		t.Fatal("incomplete")
 	}
-	if res.Messages > 3*(g.N()-1) {
-		t.Errorf("full budget: %d messages > 3(n-1) = %d", res.Messages, 3*(g.N()-1))
+	if bound, _ := Bound(g.N()); res.Messages > bound {
+		t.Errorf("full budget: %d messages > 3(n-1) = %d", res.Messages, bound)
 	}
 }
 
@@ -349,7 +348,7 @@ func TestBudgetedZeroBudgetStillCompletes(t *testing.T) {
 		t.Error("incomplete")
 	}
 	// With zero advice every node brute-forces: far more than 3(n-1).
-	if res.Messages <= 3*(g.N()-1) {
+	if bound, _ := Bound(g.N()); res.Messages <= bound {
 		t.Errorf("zero advice run suspiciously cheap: %d messages", res.Messages)
 	}
 }
@@ -385,7 +384,7 @@ func TestBudgetedSweepCompletesEverywhere(t *testing.T) {
 		}
 		prev = res.Messages
 	}
-	if prev > 3*(g.N()-1) {
+	if bound, _ := Bound(g.N()); prev > bound {
 		t.Errorf("full budget: %d messages > 3(n-1)", prev)
 	}
 }
@@ -458,7 +457,7 @@ func TestBFSTreeBroadcastFasterButCostlier(t *testing.T) {
 	}
 	// Both stay within the linear message bound.
 	for name, res := range map[string]*sim.Result{"light": lightRes, "bfs": bfsRes} {
-		if res.Messages > 3*(g.N()-1) {
+		if bound, _ := Bound(g.N()); res.Messages > bound {
 			t.Errorf("%s: %d messages > 3(n-1)", name, res.Messages)
 		}
 	}
@@ -475,7 +474,7 @@ func TestBFSTreeBroadcastAllFamilies(t *testing.T) {
 			t.Errorf("%s: %v", name, err)
 			continue
 		}
-		if !res.AllInformed || res.Messages > 3*(g.N()-1) {
+		if bound, _ := Bound(g.N()); !res.AllInformed || res.Messages > bound {
 			t.Errorf("%s: complete=%v messages=%d", name, res.AllInformed, res.Messages)
 		}
 	}

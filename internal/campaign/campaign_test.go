@@ -4,6 +4,8 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"oraclesize/internal/wakeup"
 )
 
 func TestQuickSpecValidates(t *testing.T) {
@@ -181,7 +183,7 @@ func TestRunTaskUnitWakeupTreeExact(t *testing.T) {
 	}
 	r := recs[0]
 	// Theorem 2.1: the wakeup tree scheme uses exactly n-1 messages.
-	if r.Messages != 15 || !r.Complete || r.Nodes != 16 {
+	if want, _ := wakeup.Bound(r.Nodes); r.Messages != want || !r.Complete || r.Nodes != 16 {
 		t.Errorf("wakeup/tree on path n=16: %+v", r)
 	}
 	if err := r.Validate(); err != nil {

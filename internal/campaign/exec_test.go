@@ -7,6 +7,8 @@ import (
 	"regexp"
 	"strings"
 	"testing"
+
+	"oraclesize/internal/catalog"
 )
 
 var wallField = regexp.MustCompile(`"wall_ns":\d+`)
@@ -238,6 +240,33 @@ func TestSinkOrdersOutOfOrderDeposits(t *testing.T) {
 	}
 }
 
+// TestEveryFamilyWithinBounds runs every graph family under every bounded
+// catalog scheme through the campaign unit path. Validate accepting each
+// record means every run completed within its scheme's bound.
+func TestEveryFamilyWithinBounds(t *testing.T) {
+	spec := &Spec{Name: "bounds", Seed: 5, Trials: 2, Families: catalog.FamilyNames(), Sizes: []int{16, 64}}
+	for _, task := range catalog.Tasks() {
+		for _, sc := range task.Schemes {
+			if sc.Bound != nil {
+				spec.Tasks = append(spec.Tasks, TaskSpec{Task: task.Name, Schemes: []string{sc.Name}})
+			}
+		}
+	}
+	buf, stats := runToBuffer(t, spec, RunOptions{Workers: 2})
+	recs, err := DecodeRecords(buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := len(spec.Families) * len(spec.Tasks) * 2 * 2; len(recs) != want || stats.Records != want {
+		t.Fatalf("%d records (stats %d), want %d", len(recs), stats.Records, want)
+	}
+	for _, r := range recs {
+		if err := r.Validate(); err != nil {
+			t.Error(err)
+		}
+	}
+}
+
 func TestRecordValidateRejections(t *testing.T) {
 	good := Record{
 		SpecHash: "h", Unit: "task/x", Kind: KindTask,
@@ -247,23 +276,49 @@ func TestRecordValidateRejections(t *testing.T) {
 	if err := good.Validate(); err != nil {
 		t.Fatalf("good record rejected: %v", err)
 	}
+	// wakeup/tree at n=16 is bounded by 15 messages and 180 advice bits.
 	cases := []struct {
 		name   string
 		mutate func(*Record)
+		want   string // substring of the error; empty accepts any
 	}{
-		{"no hash", func(r *Record) { r.SpecHash = "" }},
-		{"no unit", func(r *Record) { r.Unit = "" }},
-		{"bad kind", func(r *Record) { r.Kind = "mystery" }},
-		{"no family", func(r *Record) { r.Family = "" }},
-		{"disconnected", func(r *Record) { r.Edges = 3 }},
-		{"negative wall", func(r *Record) { r.WallNS = -1 }},
-		{"negative messages", func(r *Record) { r.Messages = -1 }},
+		{"no hash", func(r *Record) { r.SpecHash = "" }, ""},
+		{"no unit", func(r *Record) { r.Unit = "" }, ""},
+		{"bad kind", func(r *Record) { r.Kind = "mystery" }, ""},
+		{"no family", func(r *Record) { r.Family = "" }, ""},
+		{"disconnected", func(r *Record) { r.Edges = 3 }, ""},
+		{"negative wall", func(r *Record) { r.WallNS = -1 }, ""},
+		{"negative messages", func(r *Record) { r.Messages = -1 }, ""},
+		{"messages over bound", func(r *Record) { r.Messages = 16 },
+			"task/x: 16 messages exceed the wakeup/tree bound 15 at n=16"},
+		{"advice over bound", func(r *Record) { r.AdviceBits = 181 },
+			"task/x: 181 advice bits exceed the wakeup/tree bound 180 at n=16"},
+		{"incomplete bounded run", func(r *Record) { r.Complete = false }, "wakeup/tree run incomplete"},
+		{"unknown scheme", func(r *Record) { r.Scheme = "psychic" }, "unknown task/scheme wakeup/psychic"},
+		{"unknown task", func(r *Record) { r.Task = "teleport" }, "unknown task/scheme teleport/tree"},
 	}
 	for _, tc := range cases {
 		r := good
 		tc.mutate(&r)
 		if err := r.Validate(); err == nil {
 			t.Errorf("%s: accepted", tc.name)
+		} else if !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %q does not contain %q", tc.name, err, tc.want)
+		}
+	}
+	accepted := []struct {
+		name   string
+		mutate func(*Record)
+	}{
+		{"at the bound", func(r *Record) { r.Messages, r.AdviceBits = 15, 180 }},
+		{"scheme alias", func(r *Record) { r.Scheme = "paper" }},
+		{"baseline has no bound", func(r *Record) { r.Scheme, r.Messages = "flooding", 10000 }},
+	}
+	for _, tc := range accepted {
+		r := good
+		tc.mutate(&r)
+		if err := r.Validate(); err != nil {
+			t.Errorf("%s: rejected: %v", tc.name, err)
 		}
 	}
 	expBad := Record{SpecHash: "h", Unit: "experiment/E5/t0", Kind: KindExperiment}

@@ -14,6 +14,10 @@
 // default message budget. oraclesim, campaign units and oracled's /v1/run
 // each keep their own admission and output around that one call.
 //
+// Each scheme a theorem covers lists its proven bound (Scheme.Bound): the
+// construction packages write every formula once, and tests, experiments,
+// oraclesim and `campaign validate` all check runs against it.
+//
 // Scheme names come in two historical dialects: campaign records use
 // construction names ("tree", "light-tree", "flooding") while oraclesim's
 // -oracle flag used knowledge names ("paper", "none", "full-map", "mark").
@@ -49,6 +53,10 @@ type Scheme struct {
 	NewOracle func(source graph.NodeID) oracle.Oracle
 	// Algo is the node-automaton algorithm consuming the advice.
 	Algo scheme.Algorithm
+	// Bound is the scheme's proven cost on n generated nodes: a run sends
+	// at most messages and NewOracle's advice holds at most adviceBits
+	// bits. It is nil for the baselines, which no theorem bounds.
+	Bound func(n int) (messages, adviceBits int)
 }
 
 // Task is one distributed task: its legality constraint, its completion
@@ -130,7 +138,8 @@ func Tasks() []Task {
 			check:         allInformed,
 			Schemes: []Scheme{
 				{Name: "tree", Aliases: []string{"paper"},
-					NewOracle: fixedOracle(wakeup.Oracle{}), Algo: wakeup.Algorithm{}},
+					NewOracle: fixedOracle(wakeup.Oracle{}), Algo: wakeup.Algorithm{},
+					Bound: wakeup.Bound},
 				{Name: "flooding", Aliases: []string{"none"},
 					NewOracle: fixedOracle(oracle.Empty{}), Algo: wakeup.Flooding{}},
 				{Name: "full-map",
@@ -142,7 +151,8 @@ func Tasks() []Task {
 			check: allInformed,
 			Schemes: []Scheme{
 				{Name: "light-tree", Aliases: []string{"paper"},
-					NewOracle: fixedOracle(broadcast.Oracle{}), Algo: broadcast.Algorithm{}},
+					NewOracle: fixedOracle(broadcast.Oracle{}), Algo: broadcast.Algorithm{},
+					Bound: broadcast.Bound},
 				{Name: "flooding", Aliases: []string{"none"},
 					NewOracle: fixedOracle(oracle.Empty{}), Algo: broadcast.Flooding{}},
 				{Name: "full-map",
@@ -155,7 +165,8 @@ func Tasks() []Task {
 			Schemes: []Scheme{
 				{Name: "tree", Aliases: []string{"paper"},
 					NewOracle: func(source graph.NodeID) oracle.Oracle { return gossip.Oracle{Root: source} },
-					Algo:      gossip.Algorithm{}},
+					Algo:      gossip.Algorithm{},
+					Bound:     gossip.Bound},
 			},
 		},
 		{
@@ -166,7 +177,8 @@ func Tasks() []Task {
 			},
 			Schemes: []Scheme{
 				{Name: "marked-tree", Aliases: []string{"paper"},
-					NewOracle: fixedOracle(election.TreeOracle{}), Algo: election.MarkedTree{}},
+					NewOracle: fixedOracle(election.TreeOracle{}), Algo: election.MarkedTree{},
+					Bound: election.TreeBound},
 				{Name: "max-label-flood", Aliases: []string{"none", "flooding"},
 					NewOracle: fixedOracle(oracle.Empty{}), Algo: election.MaxLabelFlood{}},
 				{Name: "marked-flood", Aliases: []string{"mark"},

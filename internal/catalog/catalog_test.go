@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"oraclesize/internal/graph"
 	"oraclesize/internal/graphgen"
 	"oraclesize/internal/sim"
 )
@@ -13,7 +14,7 @@ import (
 // TestEverySchemeCompletes runs each registered task×scheme pairing on a
 // small random graph through Resolve and Execute and checks the task's own
 // completion criterion — the registry must only hand out pairings that
-// actually work together.
+// actually work together — and, for a bounded scheme, its bound.
 func TestEverySchemeCompletes(t *testing.T) {
 	g, err := graphgen.RandomConnected(48, 96, rand.New(rand.NewSource(7)))
 	if err != nil {
@@ -37,7 +38,83 @@ func TestEverySchemeCompletes(t *testing.T) {
 				if err := task.Check(res); err != nil {
 					t.Errorf("completion check: %v", err)
 				}
+				if sc.Bound == nil {
+					return
+				}
+				if messages, adviceBits := sc.Bound(g.N()); res.Messages > messages || advice.SizeBits() > adviceBits {
+					t.Errorf("%d messages, %d advice bits exceed the bound (%d, %d)",
+						res.Messages, advice.SizeBits(), messages, adviceBits)
+				}
 			})
+		}
+	}
+}
+
+// TestBounds pins the bound table: hand-computed (messages, advice bits)
+// at n=16 and n=1024, no bound on the six baselines, and equality where a
+// formula is exact, so a bound that drifts loose fails here.
+func TestBounds(t *testing.T) {
+	want := map[string][2][2]int{
+		"wakeup/tree":          {{15, 180}, {1023, 20460}},
+		"broadcast/light-tree": {{45, 158}, {3069, 10238}},
+		"gossip/tree":          {{30, 264}, {2046, 31724}},
+		"election/marked-tree": {{15, 196}, {1023, 21484}},
+	}
+	baselines := 0
+	for _, task := range Tasks() {
+		for _, sc := range task.Schemes {
+			key := task.Name + "/" + sc.Name
+			w, bounded := want[key]
+			switch {
+			case !bounded && sc.Bound != nil:
+				t.Errorf("%s: baseline has a bound", key)
+			case !bounded:
+				baselines++
+			case sc.Bound == nil:
+				t.Errorf("%s: no bound", key)
+			default:
+				for i, n := range []int{16, 1024} {
+					if m, a := sc.Bound(n); m != w[i][0] || a != w[i][1] {
+						t.Errorf("%s at n=%d: bound (%d, %d), want (%d, %d)", key, n, m, a, w[i][0], w[i][1])
+					}
+				}
+			}
+		}
+	}
+	if baselines != 6 {
+		t.Errorf("%d unbounded schemes, want the 6 baselines", baselines)
+	}
+
+	// Tightness: rooted at an end of a path every node but the last has
+	// one child, so the wakeup and election advice meet their bounds; the
+	// gossip advice meets its bound on every graph.
+	exact := func(task string, g *graph.Graph) {
+		t.Helper()
+		run, err := Resolve(task, "", "", "", 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		advice, err := run.Scheme.NewOracle(0).Advise(g, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, bound := run.Scheme.Bound(g.N()); advice.SizeBits() != bound {
+			t.Errorf("%s on %d nodes: %d advice bits, bound %d", task, g.N(), advice.SizeBits(), bound)
+		}
+	}
+	for _, name := range FamilyNames() {
+		fam, err := FamilyByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, err := fam.Generate(64, rand.New(rand.NewSource(1)))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		exact("gossip", g)
+		if name == "path" {
+			exact("wakeup", g)
+			exact("election", g)
 		}
 	}
 }

@@ -186,6 +186,14 @@ func (nd *markedFloodNode) Receive(msg scheme.Message, port int) []scheme.Send {
 // Θ(n log n) oracle bits (one marker bit per node plus the tree advice).
 type TreeOracle struct{}
 
+// TreeBound is the MarkedTree scheme's cost on n nodes: the announcement
+// crosses each tree edge once, n-1 messages, and TreeOracle advice is the
+// Theorem 2.1 advice of wakeup.Bound plus one marker bit per node.
+func TreeBound(n int) (messages, adviceBits int) {
+	messages, treeBits := wakeup.Bound(n)
+	return messages, n + treeBits
+}
+
 // Name implements oracle.Oracle.
 func (TreeOracle) Name() string { return "election-tree" }
 

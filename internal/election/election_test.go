@@ -112,8 +112,8 @@ func TestMarkedTreeExactlyNMinus1(t *testing.T) {
 			t.Errorf("%s: %v", name, err)
 			continue
 		}
-		if res.Messages != g.N()-1 {
-			t.Errorf("%s: %d messages, want n-1 = %d", name, res.Messages, g.N()-1)
+		if want, _ := TreeBound(g.N()); res.Messages != want {
+			t.Errorf("%s: %d messages, want n-1 = %d", name, res.Messages, want)
 		}
 	}
 }
@@ -145,7 +145,7 @@ func TestElectionLadderMonotone(t *testing.T) {
 		t.Errorf("ladder broken: flood=%d marked=%d tree=%d",
 			flood.Messages, marked.Messages, tree.Messages)
 	}
-	if tree.Messages != g.N()-1 {
+	if want, _ := TreeBound(g.N()); tree.Messages != want {
 		t.Errorf("tree election used %d messages", tree.Messages)
 	}
 }
@@ -186,7 +186,7 @@ func TestElectionUnderSchedulers(t *testing.T) {
 		if err := Verify(res.Nodes); err != nil {
 			t.Errorf("%s: %v", name, err)
 		}
-		if res.Messages != g.N()-1 {
+		if want, _ := TreeBound(g.N()); res.Messages != want {
 			t.Errorf("%s: %d messages", name, res.Messages)
 		}
 	}
@@ -221,7 +221,7 @@ func BenchmarkMarkedTreeElection(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if res.Messages != g.N()-1 {
+		if want, _ := TreeBound(g.N()); res.Messages != want {
 			b.Fatal("wrong message count")
 		}
 	}

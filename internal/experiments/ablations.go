@@ -49,10 +49,11 @@ func E9Gossip(cfg Config) (*Table, error) {
 				return nil, fmt.Errorf("E9 %s n=%d: %w", fname, n, err)
 			}
 			nn := g.N()
+			bound, _ := gossip.Bound(nn)
 			t.AddRow(
 				fname, nn, g.M(), advice.SizeBits(),
 				res.ByKind[scheme.KindUp], res.ByKind[scheme.KindDown],
-				res.Messages, 2*(nn-1), boolMark(verified),
+				res.Messages, bound, boolMark(verified),
 			)
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"oraclesize/internal/bfstree"
+	"oraclesize/internal/catalog"
 	"oraclesize/internal/graph"
 	"oraclesize/internal/graphgen"
 	"oraclesize/internal/sim"
@@ -34,7 +35,7 @@ func E16BFSTree(cfg Config) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			budget := 4*g.N()*g.M() + 1024
+			budget := catalog.MessageBudget(g)
 			for _, sched := range []struct {
 				name    string
 				factory sim.SchedulerFactory

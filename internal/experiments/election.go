@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"oraclesize/internal/catalog"
 	"oraclesize/internal/election"
 	"oraclesize/internal/graph"
 	"oraclesize/internal/graphgen"
@@ -58,18 +59,19 @@ func E13Election(cfg Config) (*Table, error) {
 				{name: "marked-flood", algo: election.MarkedFlood{}, advice: markAdvice},
 				{name: "marked-tree", algo: election.MarkedTree{}, advice: treeAdvice},
 			}
+			bound, _ := election.TreeBound(g.N())
 			for _, r := range rungs {
 				// Max-label flooding legitimately costs up to O(n·m)
 				// messages (e.g. ~n²/2 on a cycle with adversarial label
 				// order); give it the budget the theory predicts.
-				opts := sim.Options{RetainNodes: true, MaxMessages: 4*g.N()*g.M() + 1024}
+				opts := sim.Options{RetainNodes: true, MaxMessages: catalog.MessageBudget(g)}
 				res, err := sim.Run(g, leader, r.algo, r.advice, opts)
 				if err != nil {
 					return nil, fmt.Errorf("E13 %s/%s: %w", fname, r.name, err)
 				}
 				valid := election.Verify(res.Nodes) == nil
 				t.AddRow(fname, g.N(), g.M(), r.name, r.advice.SizeBits(),
-					res.Messages, g.N()-1, boolMark(valid))
+					res.Messages, bound, boolMark(valid))
 			}
 		}
 	}

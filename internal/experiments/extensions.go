@@ -86,10 +86,11 @@ func E6Subdivision(cfg Config) (*Table, error) {
 			}
 			nn := g.N()
 			logN := float64(oracle.FieldWidth(nn))
+			bound, _ := wakeup.Bound(nn)
 			t.AddRow(
 				c, base, nn, hidden, advice.SizeBits(),
 				float64(advice.SizeBits())/(float64(nn)*logN),
-				res.Messages, nn-1, boolMark(res.AllInformed),
+				res.Messages, bound, boolMark(res.AllInformed),
 			)
 		}
 	}

@@ -208,9 +208,10 @@ func E4aBudgetedBroadcast(cfg Config) (*Table, error) {
 				return nil, fmt.Errorf("E4a n=%d k=%d frac=%v: %w", gc.n, gc.k, frac, err)
 			}
 			nn := g.N()
+			bound, _ := broadcast.Bound(nn)
 			t.AddRow(
 				gc.n, gc.k, nn, g.M(), frac, advice.SizeBits(), res.Messages,
-				float64(res.Messages)/float64(3*(nn-1)), boolMark(res.AllInformed),
+				float64(res.Messages)/float64(bound), boolMark(res.AllInformed),
 			)
 		}
 	}

@@ -51,10 +51,11 @@ func E1WakeupUpper(cfg Config) (*Table, error) {
 			}
 			nn := g.N()
 			ref := nn * oracle.FieldWidth(nn)
+			bound, _ := wakeup.Bound(nn)
 			t.AddRow(
 				fname, nn, g.M(), advice.SizeBits(), ref,
 				float64(advice.SizeBits())/float64(ref),
-				res.Messages, nn-1, boolMark(res.AllInformed), boolMark(legal),
+				res.Messages, bound, boolMark(res.AllInformed), boolMark(legal),
 			)
 		}
 	}
@@ -102,11 +103,12 @@ func E3BroadcastUpper(cfg Config) (*Table, error) {
 				return nil, fmt.Errorf("E3 %s n=%d: %w", fname, n, err)
 			}
 			nn := g.N()
+			bound, _ := broadcast.Bound(nn)
 			t.AddRow(
-				fname, nn, g.M(), contrib, 4*nn, advice.SizeBits(),
+				fname, nn, g.M(), contrib, spantree.ContributionBound(nn), advice.SizeBits(),
 				float64(advice.SizeBits())/float64(nn),
 				res.Messages, res.ByKind[scheme.KindM], res.ByKind[scheme.KindHello],
-				3*(nn-1), boolMark(res.AllInformed),
+				bound, boolMark(res.AllInformed),
 			)
 		}
 	}

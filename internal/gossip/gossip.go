@@ -36,6 +36,16 @@ type Oracle struct {
 	Root graph.NodeID
 }
 
+// Bound is the gossip scheme's cost on n nodes, which every run meets
+// exactly: Algorithm sends 2(n-1) messages, one up and one down each tree
+// edge, and Oracle advice is n·(2·#2(w)+3) + 2(n-1)·w bits, where w =
+// oracle.FieldWidth(n): every node holds a header β(w) and a root-marker
+// bit, and each tree edge's port is written at both of its endpoints.
+func Bound(n int) (messages, adviceBits int) {
+	w := oracle.FieldWidth(n)
+	return 2 * (n - 1), n*(2*bitstring.Num2(uint64(w))+3) + 2*(n-1)*w
+}
+
 // Name implements oracle.Oracle.
 func (o Oracle) Name() string { return "gossip-tree" }
 

@@ -88,7 +88,7 @@ func TestGossipExactly2NMinus2Messages(t *testing.T) {
 		if !verified {
 			t.Errorf("%s: some node missed values", name)
 		}
-		want := 2 * (g.N() - 1)
+		want, _ := Bound(g.N())
 		if res.Messages != want {
 			t.Errorf("%s: %d messages, want exactly %d", name, res.Messages, want)
 		}
@@ -110,7 +110,7 @@ func TestGossipAllSchedulers(t *testing.T) {
 		if !verified {
 			t.Errorf("%s: incomplete value sets", name)
 		}
-		if res.Messages != 2*(g.N()-1) {
+		if want, _ := Bound(g.N()); res.Messages != want {
 			t.Errorf("%s: %d messages", name, res.Messages)
 		}
 	}
@@ -147,6 +147,9 @@ func TestGossipOracleSizeThetaNLogN(t *testing.T) {
 		ref := n * oracle.FieldWidth(n)
 		if advice.SizeBits() < ref/2 || advice.SizeBits() > 5*ref {
 			t.Errorf("n=%d: gossip oracle %d bits vs reference %d", n, advice.SizeBits(), ref)
+		}
+		if _, want := Bound(g.N()); advice.SizeBits() != want {
+			t.Errorf("n=%d: gossip oracle %d bits, Bound says exactly %d", n, advice.SizeBits(), want)
 		}
 	}
 }
@@ -198,8 +201,8 @@ func TestGossipConcurrent(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Messages != 2*(g.N()-1) {
-			t.Fatalf("run %d: %d messages, want %d", i, res.Messages, 2*(g.N()-1))
+		if want, _ := Bound(g.N()); res.Messages != want {
+			t.Fatalf("run %d: %d messages, want %d", i, res.Messages, want)
 		}
 	}
 }
@@ -234,7 +237,7 @@ func TestGossipCorruptAdviceDoesNotPanic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Messages > 2*(g.N()-1) {
+	if bound, _ := Bound(g.N()); res.Messages > bound {
 		t.Errorf("corrupt run sent %d messages", res.Messages)
 	}
 }

@@ -12,6 +12,7 @@ package oracle
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 
 	"oraclesize/internal/bitstring"
@@ -115,11 +116,10 @@ func (Neighborhood) Advise(g *graph.Graph, _ graph.NodeID) (sim.Advice, error) {
 
 // FieldWidth returns the number of bits needed to index n items (at least 1).
 func FieldWidth(n int) int {
-	w := 1
-	for (1 << uint(w)) < n {
-		w++
+	if n <= 2 {
+		return 1
 	}
-	return w
+	return bits.Len(uint(n - 1))
 }
 
 // EncodeGraph serializes a labeled port-numbered graph into a bit string:

@@ -1,6 +1,7 @@
 package oracle
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -171,7 +172,8 @@ func TestNeighborhoodOracle(t *testing.T) {
 
 func TestFieldWidth(t *testing.T) {
 	tests := []struct{ n, want int }{
-		{1, 1}, {2, 1}, {3, 2}, {4, 2}, {5, 3}, {8, 3}, {9, 4}, {1024, 10}, {1025, 11},
+		{0, 1}, {1, 1}, {2, 1}, {3, 2}, {4, 2}, {5, 3}, {8, 3}, {9, 4}, {1024, 10}, {1025, 11},
+		{1 << 62, 62}, {1<<62 + 1, 63}, {math.MaxInt, 63},
 	}
 	for _, tc := range tests {
 		if got := FieldWidth(tc.n); got != tc.want {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"oraclesize/internal/bitstring"
+	"oraclesize/internal/broadcast"
 	"oraclesize/internal/graph"
 	"oraclesize/internal/graphgen"
 	"oraclesize/internal/sim"
@@ -60,10 +61,10 @@ func TestLightTreeSelectsSpanningTree(t *testing.T) {
 		if out.Stretch < 1 {
 			t.Errorf("%s: stretch %v < 1", name, out.Stretch)
 		}
-		// The advice is O(n) bits.
+		// The advice is O(n) bits: Theorem 3.1's 10n-2.
 		var a sim.Advice = advice
-		if a.SizeBits() > 10*g.N() {
-			t.Errorf("%s: advice %d bits > 10n", name, a.SizeBits())
+		if _, bound := broadcast.Bound(g.N()); a.SizeBits() > bound {
+			t.Errorf("%s: advice %d bits > 10n-2 = %d", name, a.SizeBits(), bound)
 		}
 	}
 }

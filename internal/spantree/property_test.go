@@ -29,7 +29,7 @@ func TestLightAlwaysSpansWithBoundedContribution(t *testing.T) {
 		if _, err := Rooted(g, edges, 0); err != nil {
 			return false
 		}
-		return TotalContribution(edges) <= 4*n
+		return TotalContribution(edges) <= ContributionBound(g.N())
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)

@@ -27,6 +27,10 @@ func Contribution(e graph.Edge) int {
 	return bitstring.Num2(uint64(Weight(e)))
 }
 
+// ContributionBound is Claim 3.1's bound on the total contribution of
+// Light's tree on n nodes: Σ #2(w(e)) <= 4n.
+func ContributionBound(n int) int { return 4 * n }
+
 // TotalContribution sums Contribution over the edge set.
 func TotalContribution(edges []graph.Edge) int {
 	total := 0

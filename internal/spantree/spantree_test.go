@@ -216,8 +216,8 @@ func TestLightContributionBound(t *testing.T) {
 			continue
 		}
 		c := TotalContribution(edges)
-		if c > 4*tc.g.N() {
-			t.Errorf("%s: contribution %d exceeds 4n = %d", tc.name, c, 4*tc.g.N())
+		if bound := ContributionBound(tc.g.N()); c > bound {
+			t.Errorf("%s: contribution %d exceeds 4n = %d", tc.name, c, bound)
 		}
 	}
 }
@@ -235,8 +235,8 @@ func TestLightShuffledPortsStillBounded(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if c := TotalContribution(edges); c > 4*g.N() {
-			t.Errorf("trial %d: contribution %d > 4n = %d", trial, c, 4*g.N())
+		if c, bound := TotalContribution(edges), ContributionBound(g.N()); c > bound {
+			t.Errorf("trial %d: contribution %d > 4n = %d", trial, c, bound)
 		}
 	}
 }

@@ -49,6 +49,17 @@ type Oracle struct {
 	Tree TreeKind
 }
 
+// Bound is Theorem 2.1 as this encoding meets it on n nodes, for every
+// tree kind: Algorithm sends exactly n-1 messages, and Oracle advice costs
+// at most (n-1)·(w + 2·#2(w) + 2) bits, where w = oracle.FieldWidth(n).
+// Each of the n-1 tree edges costs one w-bit port field, and each of the
+// at most n-1 internal nodes one (2·#2(w)+2)-bit header β(w): that is
+// n·⌈log n⌉ + O(n log log n). A path rooted at an end meets it exactly.
+func Bound(n int) (messages, adviceBits int) {
+	w := oracle.FieldWidth(n)
+	return n - 1, (n - 1) * (w + 2*bitstring.Num2(uint64(w)) + 2)
+}
+
 // Name implements oracle.Oracle.
 func (o Oracle) Name() string { return "wakeup-tree" }
 

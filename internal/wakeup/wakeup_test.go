@@ -109,25 +109,22 @@ func TestWakeupExactlyNMinus1Messages(t *testing.T) {
 		if !res.AllInformed {
 			t.Errorf("%s: wakeup incomplete", name)
 		}
-		if res.Messages != g.N()-1 {
-			t.Errorf("%s: %d messages, want exactly n-1 = %d", name, res.Messages, g.N()-1)
+		if want, _ := Bound(g.N()); res.Messages != want {
+			t.Errorf("%s: %d messages, want exactly n-1 = %d", name, res.Messages, want)
 		}
 	}
 }
 
 func TestWakeupOracleSizeBound(t *testing.T) {
-	// Theorem 2.1: size <= n·ceil(log n) + O(n log log n). Concretely the
-	// encoding spends width bits per tree edge plus a (2·#2(width)+2)-bit
-	// header per internal node.
+	// Theorem 2.1: size <= n·ceil(log n) + O(n log log n), in the exact
+	// form Bound states for this encoding.
 	for name, g := range testGraphs(t) {
 		advice, err := Oracle{}.Advise(g, 0)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		n := g.N()
-		width := oracle.FieldWidth(n)
-		header := 2*bitstring.Num2(uint64(width)) + 2
-		bound := (n-1)*width + n*header
+		_, bound := Bound(n)
 		if got := advice.SizeBits(); got > bound {
 			t.Errorf("%s: oracle size %d exceeds bound %d", name, got, bound)
 		}
@@ -182,7 +179,7 @@ func TestWakeupAllTreeKinds(t *testing.T) {
 			t.Errorf("kind %d: %v", kind, err)
 			continue
 		}
-		if !res.AllInformed || res.Messages != g.N()-1 {
+		if want, _ := Bound(g.N()); !res.AllInformed || res.Messages != want {
 			t.Errorf("kind %d: complete=%v messages=%d", kind, res.AllInformed, res.Messages)
 		}
 	}
@@ -200,7 +197,7 @@ func TestWakeupUnderAllSchedulers(t *testing.T) {
 			t.Errorf("%s: %v", name, err)
 			continue
 		}
-		if !res.AllInformed || res.Messages != g.N()-1 {
+		if want, _ := Bound(g.N()); !res.AllInformed || res.Messages != want {
 			t.Errorf("%s: complete=%v messages=%d", name, res.AllInformed, res.Messages)
 		}
 	}
@@ -217,7 +214,7 @@ func TestWakeupConcurrent(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !res.AllInformed || res.Messages != g.N()-1 {
+		if want, _ := Bound(g.N()); !res.AllInformed || res.Messages != want {
 			t.Fatalf("run %d: complete=%v messages=%d", i, res.AllInformed, res.Messages)
 		}
 	}
@@ -246,7 +243,7 @@ func TestWakeupIsAnonymous(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.AllInformed || res.Messages != g.N()-1 {
+	if want, _ := Bound(g.N()); !res.AllInformed || res.Messages != want {
 		t.Errorf("complete=%v messages=%d", res.AllInformed, res.Messages)
 	}
 }
@@ -284,8 +281,8 @@ func TestBudgetedOracleFullBudgetMatchesExact(t *testing.T) {
 	if !res.AllInformed {
 		t.Fatal("incomplete")
 	}
-	if res.Messages != g.N()-1 {
-		t.Errorf("full budget: %d messages, want n-1 = %d", res.Messages, g.N()-1)
+	if want, _ := Bound(g.N()); res.Messages != want {
+		t.Errorf("full budget: %d messages, want n-1 = %d", res.Messages, want)
 	}
 }
 
@@ -305,7 +302,7 @@ func TestBudgetedOracleZeroBudgetFloods(t *testing.T) {
 	if !res.AllInformed {
 		t.Error("incomplete")
 	}
-	if res.Messages <= g.N()-1 {
+	if exact, _ := Bound(g.N()); res.Messages <= exact {
 		t.Errorf("zero advice used only %d messages on K_12", res.Messages)
 	}
 }
@@ -342,8 +339,8 @@ func TestBudgetedMessagesMonotone(t *testing.T) {
 		}
 		prevAtFull = res.Messages
 	}
-	if prevAtFull != g.N()-1 {
-		t.Errorf("full budget run used %d messages, want %d", prevAtFull, g.N()-1)
+	if want, _ := Bound(g.N()); prevAtFull != want {
+		t.Errorf("full budget run used %d messages, want %d", prevAtFull, want)
 	}
 }
 
@@ -400,8 +397,8 @@ func TestWakeupOnSubdividedFamilyFindsHiddenNodes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !res.AllInformed || res.Messages != g.N()-1 {
-			t.Errorf("trial %d: complete=%v messages=%d n-1=%d", trial, res.AllInformed, res.Messages, g.N()-1)
+		if want, _ := Bound(g.N()); !res.AllInformed || res.Messages != want {
+			t.Errorf("trial %d: complete=%v messages=%d n-1=%d", trial, res.AllInformed, res.Messages, want)
 		}
 	}
 }

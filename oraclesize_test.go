@@ -3,6 +3,10 @@ package oraclesize
 import (
 	"math"
 	"testing"
+
+	"oraclesize/internal/broadcast"
+	"oraclesize/internal/gossip"
+	"oraclesize/internal/wakeup"
 )
 
 func TestPublicWakeupAndBroadcast(t *testing.T) {
@@ -14,14 +18,14 @@ func TestPublicWakeupAndBroadcast(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !w.Complete || w.Messages != g.N()-1 {
+	if want, _ := wakeup.Bound(g.N()); !w.Complete || w.Messages != want {
 		t.Errorf("wakeup: %+v", w)
 	}
 	b, err := Broadcast(g, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !b.Complete || b.Messages > 3*(g.N()-1) {
+	if bound, _ := broadcast.Bound(g.N()); !b.Complete || b.Messages > bound {
 		t.Errorf("broadcast: %+v", b)
 	}
 	// The separation: wakeup needs strictly more bits.
@@ -102,7 +106,7 @@ func TestPublicGossipAndExplore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !gr.Complete || gr.Messages != 2*(g.N()-1) {
+	if want, _ := gossip.Bound(g.N()); !gr.Complete || gr.Messages != want {
 		t.Errorf("gossip: %+v", gr)
 	}
 	blind, err := ExploreBlind(g, 0)
