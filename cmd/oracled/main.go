@@ -1,19 +1,24 @@
 // Command oracled serves this repository's oracle constructions and
 // simulation engines as a long-running HTTP/JSON daemon:
 //
-//	POST /v1/advice        generate an instance, run an oracle, report advice sizes
-//	POST /v1/run           one task/oracle/scheduler simulation (oraclesim as an API)
-//	POST /v1/campaign      submit an async campaign (JSONL artifact on disk)
-//	GET  /v1/campaign/{id} poll a submitted campaign
-//	POST /v1/shard         execute a contiguous unit range of a campaign spec
-//	GET  /healthz          liveness and load snapshot
-//	GET  /metrics          Prometheus text-format metrics
+//	POST /v1/advice                generate an instance, run an oracle, report advice sizes
+//	POST /v1/run                   one task/oracle/scheduler simulation (oraclesim as an API)
+//	POST /v1/shard                 execute a contiguous unit range of a campaign spec
+//	POST /v1/admin/tenants/reload  rebuild the tenant table from its store (admin key)
+//	GET  /v1/admin/tenants         the live tenant table and usage ledgers (admin key)
+//	GET  /healthz                  liveness and load snapshot
+//	GET  /metrics                  Prometheus text-format metrics
+//
+// To run a whole campaign on one daemon, point oracleherd at it
+// (oracleherd -workers URL); the merged artifact is resumable and equals
+// a local `campaign run` after `campaign canon`.
 //
 // Load is bounded end to end: simulation requests pass through a fixed-size
 // work queue (full queue: 503 + Retry-After), every request carries a
 // deadline (expiry: 504), and request sizes are capped. On SIGINT/SIGTERM
-// the daemon stops accepting connections, drains in-flight requests up to
-// -drain, then waits for running campaigns before exiting.
+// the daemon stops accepting connections and drains in-flight requests up
+// to -drain before exiting. Tenant policy reloads on SIGHUP or
+// POST /v1/admin/tenants/reload.
 //
 // With -pprof addr, net/http/pprof is served on a separate listener (keep
 // it on localhost) so serve-path profiles can be captured under load
@@ -73,7 +78,6 @@ func run(args []string, out, errOut io.Writer) int {
 		maxNodes    = fs.Int("max-nodes", 4096, "largest accepted n")
 		maxEdges    = fs.Int("max-edges", 1<<20, "largest accepted instance edge count")
 		cache       = fs.Int("cache", 128, "instance cache capacity (entries)")
-		artifact    = fs.String("artifacts", "", "campaign artifact directory (default: OS temp dir)")
 		shardUnits  = fs.Int("max-shard-units", 1<<10, "largest unit batch accepted by POST /v1/shard")
 		batchMax    = fs.Int("batch-max", 0, "max queued requests one worker drains per wakeup (0 = default 16)")
 		respCache   = fs.Int("response-cache", 0, "response cache capacity in entries (0 = default 4096, negative disables)")
@@ -82,7 +86,7 @@ func run(args []string, out, errOut io.Writer) int {
 		advertise   = fs.String("advertise", "", "base URL the coordinator should dispatch to (default derived from -addr)")
 		heartbeat   = fs.Duration("heartbeat", 2*time.Second, "membership heartbeat cadence when -join is set")
 		keyfile     = fs.String("keyfile", "", "tenant keyfile (JSON), held in memory and re-read by SIGHUP and POST /v1/admin/tenants/reload; enables API-key auth, per-tenant quotas, and weighted-fair scheduling")
-		tenantDir   = fs.String("tenant-store", "", "durable tenant store directory (snapshot + WAL): persistent usage ledgers, key rotation, and policy shared with oracletenant and the fleet; SIGHUP and POST /v1/admin/tenants/reload fold in its changes. With -keyfile, an empty store is seeded from the keyfile once.")
+		tenantDir   = fs.String("tenant-store", "", "durable tenant store directory (snapshot + WAL): persistent usage ledgers, key rotation, and policy shared with oracletenant; SIGHUP and POST /v1/admin/tenants/reload fold in its changes. With -keyfile, an empty store is seeded from the keyfile once.")
 		tlsCert     = fs.String("tls-cert", "", "serve TLS with this certificate (PEM); also presented as client identity to the coordinator")
 		tlsKey      = fs.String("tls-key", "", "private key for -tls-cert")
 		tlsClientCA = fs.String("tls-client-ca", "", "require client certificates signed by this CA (mutual TLS)")
@@ -131,7 +135,6 @@ func run(args []string, out, errOut io.Writer) int {
 		MaxNodes:              *maxNodes,
 		MaxEdges:              *maxEdges,
 		CacheCapacity:         *cache,
-		ArtifactDir:           *artifact,
 		MaxShardUnits:         *shardUnits,
 		BatchMax:              *batchMax,
 		ResponseCacheCapacity: *respCache,
@@ -237,29 +240,10 @@ func run(args []string, out, errOut io.Writer) int {
 				return membership.Heartbeat{
 					QueueDepth:  depth,
 					UnitSeconds: unitSec,
-					TenantGen:   svc.TenantGeneration(),
 					Draining:    draining,
 				}
 			},
 			Logf: func(format string, a ...any) { fmt.Fprintf(errOut, format+"\n", a...) },
-		}
-		if *tenantDir != "" {
-			// Heartbeat acks carry the coordinator's tenant-policy
-			// generation; falling behind triggers a store sync + reload, so
-			// a policy change on the coordinator reaches every fleet member
-			// within one heartbeat interval. Only a durable store shares its
-			// generations with the coordinator's.
-			agent.OnTenantGen = func(gen uint64) {
-				if gen <= svc.TenantGeneration() {
-					return
-				}
-				g, n, err := svc.ReloadFromStore()
-				if err != nil {
-					fmt.Fprintf(errOut, "oracled: fleet-driven tenant reload: %v\n", err)
-					return
-				}
-				fmt.Fprintf(out, "oracled: fleet-driven tenant reload: %d tenants, generation %d\n", n, g)
-			}
 		}
 		if *tlsCA != "" || *tlsCert != "" {
 			// Joining an mTLS coordinator: trust its CA and present our own
@@ -283,8 +267,8 @@ func run(args []string, out, errOut io.Writer) int {
 		// Graceful drain: advertise the drain first so heartbeats and
 		// health probes flip to draining (the coordinator stops handing us
 		// leases instead of evicting us), then stop accepting connections,
-		// let in-flight requests finish, retire the worker set, wait for
-		// campaigns, and finally deregister from the fleet.
+		// let in-flight requests finish, retire the worker set, and finally
+		// deregister from the fleet.
 		fmt.Fprintf(out, "oracled: signal received, draining (budget %s)\n", *drain)
 		svc.BeginDrain()
 		shutdownCtx, cancel := context.WithTimeout(context.Background(), *drain)
@@ -293,7 +277,6 @@ func run(args []string, out, errOut io.Writer) int {
 			fmt.Fprintf(errOut, "oracled: drain incomplete: %v\n", err)
 		}
 		svc.Stop()
-		ok := svc.CampaignWait(*drain)
 		if agent != nil {
 			leaveCtx, leaveCancel := context.WithTimeout(context.Background(), 5*time.Second)
 			if err := agent.Leave(leaveCtx); err != nil {
@@ -302,10 +285,6 @@ func run(args []string, out, errOut io.Writer) int {
 			leaveCancel()
 			agentStop()
 			<-agentDone
-		}
-		if !ok {
-			fmt.Fprintln(errOut, "oracled: exiting with campaigns still running")
-			return 1
 		}
 		fmt.Fprintln(out, "oracled: drained cleanly")
 		return 0

@@ -33,7 +33,12 @@
 // With -tls-cert/-tls-key the coordinator presents a client certificate to
 // mTLS workers (trusting -tls-ca) and, under -listen, serves the fleet
 // endpoint over TLS — add -tls-client-ca to require joining workers to
-// present certificates of their own. See docs/TENANCY.md.
+// present certificates of their own. Each worker reloads its own tenant
+// policy (SIGHUP or POST /v1/admin/tenants/reload); the coordinator does
+// not distribute it. See docs/TENANCY.md.
+//
+// To run a campaign on a single oracled, pass that daemon alone as
+// -workers; the artifact is the same as a local `campaign run` writes.
 //
 // Shard sizes adapt by default: the coordinator tracks an EWMA of each
 // worker's per-unit service time and carves leases aiming at -shard-target
@@ -99,7 +104,6 @@ func run(args []string, out, errOut io.Writer) int {
 		metrics     = fs.String("metrics", "", "serve coordinator Prometheus metrics on this address")
 		listen      = fs.String("listen", "", "serve the elastic fleet endpoints (/v1/fleet*, combined /metrics) on this address; workers join with oracled -join")
 		memberTTL   = fs.Duration("member-ttl", 10*time.Second, "evict a fleet member this long after its last heartbeat")
-		tenantDir   = fs.String("tenant-store", "", "with -listen: watch this tenant store and push its generation to workers in join/heartbeat acks, so the fleet converges on one policy")
 		targetSpan  = fs.Duration("target-makespan", 0, "autoscaling advisor target for the remaining campaign (0 disables the recommendation)")
 		apiKey      = fs.String("api-key", "", "tenant API key sent as X-API-Key on every worker call (multi-tenant oracled)")
 		tlsCert     = fs.String("tls-cert", "", "client certificate presented to mTLS workers; with -listen, also serves the fleet endpoint over TLS")
@@ -120,7 +124,7 @@ func run(args []string, out, errOut io.Writer) int {
 		return 2
 	}
 	if *listen == "" {
-		for _, name := range []string{"member-ttl", "target-makespan", "tenant-store", "tls-client-ca"} {
+		for _, name := range []string{"member-ttl", "target-makespan", "tls-client-ca"} {
 			if set[name] {
 				fmt.Fprintf(errOut, "oracleherd: -%s requires -listen\n", name)
 				return 2
@@ -236,35 +240,6 @@ func run(args []string, out, errOut io.Writer) int {
 			return a
 		}
 		fleetSrv := &membership.Server{Fleet: coord, Advise: advise}
-		if *tenantDir != "" {
-			// The coordinator is the fleet's tenant-policy beacon: every
-			// join/heartbeat ack carries the store's current generation, and
-			// a periodic Sync (on the sweep cadence) folds in mutations the
-			// admin CLI appends, so a reload propagates fleet-wide within
-			// one heartbeat interval of the next sweep.
-			tst, err := tenant.OpenStore(*tenantDir)
-			if err != nil {
-				fmt.Fprintf(errOut, "oracleherd: %v\n", err)
-				return 2
-			}
-			defer tst.Close()
-			fleetSrv.TenantGen = tst.Generation
-			go func() {
-				t := time.NewTicker(time.Second)
-				defer t.Stop()
-				for {
-					select {
-					case <-fleetCtx.Done():
-						return
-					case <-t.C:
-						if _, err := tst.Sync(); err != nil {
-							fmt.Fprintf(errOut, "oracleherd: tenant store sync: %v\n", err)
-						}
-					}
-				}
-			}()
-			fmt.Fprintf(errOut, "oracleherd: pushing tenant generation from %s (currently %d)\n", *tenantDir, tst.Generation())
-		}
 		mux := http.NewServeMux()
 		fleetSrv.Routes(mux)
 		mux.Handle("GET /metrics", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {

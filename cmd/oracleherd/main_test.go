@@ -19,7 +19,7 @@ func startWorkers(t *testing.T) string {
 	t.Helper()
 	var urls []string
 	for i := 0; i < 2; i++ {
-		srv, err := service.New(service.Config{Workers: 2, QueueDepth: 32, ArtifactDir: t.TempDir()})
+		srv, err := service.New(service.Config{Workers: 2, QueueDepth: 32})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -174,7 +174,7 @@ func TestFlagErrors(t *testing.T) {
 		{"spawn-cmd", []string{"-workers", w, "-quick", "-out", out, "-spawn-cmd", "true"}, "flag provided but not defined: -spawn-cmd"},
 		{"member-ttl", []string{"-workers", w, "-quick", "-out", out, "-member-ttl", "5s"}, "-member-ttl requires -listen"},
 		{"target-makespan", []string{"-workers", w, "-quick", "-out", out, "-target-makespan", "1m"}, "-target-makespan requires -listen"},
-		{"tenant-store", []string{"-workers", w, "-quick", "-out", out, "-tenant-store", filepath.Join(dir, "ts")}, "-tenant-store requires -listen"},
+		{"tenant-store", []string{"-workers", w, "-quick", "-out", out, "-tenant-store", filepath.Join(dir, "ts")}, "flag provided but not defined: -tenant-store"},
 		{"tls-client-ca", []string{"-workers", w, "-quick", "-out", out, "-tls-client-ca", filepath.Join(dir, "missing.pem")}, "-tls-client-ca requires -listen"},
 	} {
 		errOut, code := runHerd(t, tc.args...)

@@ -9,7 +9,6 @@
 //	           [-o BENCH_serve.json] [-api-key KEY] [-keyfile tenants.json]
 //	oracleload -rate 20000 [...same flags]
 //	oracleload -shard [-shard-units 8] [-scheme flooding] [...same flags]
-//	oracleload -shard -shard-target 50ms [-shard-min 1] [-shard-max 64]
 //	oracleload -mixed [...same flags]
 //
 // With no -url, oracleload spins up an in-process oracled (no network) and
@@ -39,12 +38,9 @@
 // (CI uses it to hold the serve path at or above the recorded baseline);
 // under -mixed the gate applies to the interactive tenant.
 //
-// With -shard-target, each client sizes its shard requests the way the
-// oracleherd coordinator does: an EWMA of observed per-unit latency picks
-// the unit count whose service time lands near the target, clamped to
-// [-shard-min, -shard-max]. The entry then records the chosen sizes'
-// min/median/max, so the serve trajectory shows what the controller
-// actually asked for.
+// Adaptive shard sizing is timed where it runs, in oracleherd's
+// coordinator (perfbench's sweep-fleet workload); oracleload sends fixed
+// -shard-units batches.
 package main
 
 import (
@@ -83,9 +79,10 @@ type Entry struct {
 	// /v1/run, "open-loop" is /v1/run under a fixed-interval arrival clock
 	// at OfferedPerSec, "shard" is /v1/shard with ShardUnits units per
 	// request, "mixed" is one tenant's stream of the two-tenant isolation
-	// scenario (Tenant names which). Under adaptive sizing (-shard-target)
-	// ShardUnits is 0 and the chosen per-request sizes are summarized by
-	// ShardUnitsMin/Median/Max.
+	// scenario (Tenant names which). ShardTargetSec and
+	// ShardUnitsMin/Median/Max are read back from entries recorded by an
+	// earlier adaptive shard mode (ShardUnits 0) and written out unchanged,
+	// so appending never drops them; no current mode sets them.
 	Mode             string  `json:"mode,omitempty"`
 	Tenant           string  `json:"tenant,omitempty"`
 	OfferedPerSec    float64 `json:"offered_per_sec,omitempty"`
@@ -136,9 +133,6 @@ func run(args []string, out, errOut io.Writer) int {
 		outPath     = fs.String("o", "BENCH_serve.json", "serve trajectory file to append to")
 		shard       = fs.Bool("shard", false, "drive POST /v1/shard batches instead of /v1/run")
 		shardUnits  = fs.Int("shard-units", 8, "units per shard request (with -shard)")
-		shardTarget = fs.Duration("shard-target", 0, "size shard requests adaptively toward this service time (with -shard; 0 keeps -shard-units fixed)")
-		shardMin    = fs.Int("shard-min", 1, "adaptive sizing floor (with -shard-target)")
-		shardMax    = fs.Int("shard-max", 64, "adaptive sizing ceiling (with -shard-target)")
 		scheme      = fs.String("scheme", "flooding", "scheme for shard-mode specs")
 		rate        = fs.Float64("rate", 0, "open-loop offered arrival rate in req/s (0: closed-loop)")
 		minTput     = fs.Float64("min-throughput", 0, "fail (exit 1) if completed req/s lands below this floor")
@@ -165,11 +159,6 @@ func run(args []string, out, errOut io.Writer) int {
 	}
 	if *shard && *shardUnits < 1 {
 		fmt.Fprintln(errOut, "oracleload: -shard-units must be >= 1")
-		return 2
-	}
-	adaptive := *shard && *shardTarget > 0
-	if adaptive && (*shardMin < 1 || *shardMax < *shardMin) {
-		fmt.Fprintln(errOut, "oracleload: need 1 <= -shard-min <= -shard-max")
 		return 2
 	}
 	if *keyfile != "" && *baseURL != "" {
@@ -217,11 +206,8 @@ func run(args []string, out, errOut io.Writer) int {
 
 	// Build the rotating request bodies: /v1/run varies the instance seed,
 	// /v1/shard varies the spec seed so each body compiles distinct units.
-	// Adaptive shard mode keeps the specs instead and marshals per request,
-	// since the unit count changes as the client's size estimate moves.
 	endpoint := url + "/v1/run"
 	bodies := make([][]byte, *seeds)
-	var specs []*campaign.Spec
 	type shardReq struct {
 		Spec  *campaign.Spec `json:"spec"`
 		Start int            `json:"start"`
@@ -229,16 +215,11 @@ func run(args []string, out, errOut io.Writer) int {
 	}
 	if *shard {
 		endpoint = url + "/v1/shard"
-		ceiling := *shardUnits
-		if adaptive {
-			ceiling = *shardMax
-		}
-		specs = make([]*campaign.Spec, *seeds)
-		for i := range specs {
+		for i := range bodies {
 			spec := &campaign.Spec{
 				Name:     "oracleload-shard",
 				Seed:     int64(i + 1),
-				Trials:   ceiling,
+				Trials:   *shardUnits,
 				Families: []string{*family},
 				Sizes:    []int{*n},
 				Tasks:    []campaign.TaskSpec{{Task: *task, Schemes: []string{*scheme}}},
@@ -248,11 +229,7 @@ func run(args []string, out, errOut io.Writer) int {
 				fmt.Fprintln(errOut, err)
 				return 1
 			}
-			specs[i] = spec
-			// Fixed mode reuses this body for every request; adaptive mode
-			// only warms up with it, covering the whole unit range so the
-			// measured window starts with a hot instance cache.
-			b, err := json.Marshal(shardReq{Spec: spec, Start: 0, End: ceiling})
+			b, err := json.Marshal(shardReq{Spec: spec, Start: 0, End: *shardUnits})
 			if err != nil {
 				fmt.Fprintln(errOut, err)
 				return 1
@@ -294,7 +271,6 @@ func run(args []string, out, errOut io.Writer) int {
 		throttled atomic.Int64
 		latMu     sync.Mutex
 		lats      []time.Duration
-		sizes     []int
 	)
 	var offered int64
 	if *rate > 0 {
@@ -361,26 +337,9 @@ func run(args []string, out, errOut io.Writer) int {
 			go func() {
 				defer wg.Done()
 				local := make([]time.Duration, 0, 4096)
-				var localSizes []int
-				// Per-client latency EWMA, same controller shape as oracleherd:
-				// first request probes at the floor, then each response steers
-				// the next size toward the target service time.
-				const alpha = 0.4
-				ewma := 0.0 // seconds per unit; 0 = no sample yet
-				size := *shardMin
 				for i := 0; time.Now().Before(deadline); i++ {
-					body := bodies[(c+i)%len(bodies)]
-					if adaptive {
-						var err error
-						body, err = json.Marshal(shardReq{Spec: specs[(c+i)%len(specs)], Start: 0, End: size})
-						if err != nil {
-							errs.Add(1)
-							continue
-						}
-						localSizes = append(localSizes, size)
-					}
 					start := time.Now()
-					resp, err := post(body)
+					resp, err := post(bodies[(c+i)%len(bodies)])
 					elapsed := time.Since(start)
 					requests.Add(1)
 					if err == nil {
@@ -390,21 +349,6 @@ func run(args []string, out, errOut io.Writer) int {
 					switch classify(resp, err) {
 					case outcomeOK:
 						local = append(local, elapsed)
-						if adaptive {
-							per := elapsed.Seconds() / float64(size)
-							if ewma == 0 {
-								ewma = per
-							} else {
-								ewma = alpha*per + (1-alpha)*ewma
-							}
-							size = int(shardTarget.Seconds() / ewma)
-							if size < *shardMin {
-								size = *shardMin
-							}
-							if size > *shardMax {
-								size = *shardMax
-							}
-						}
 					case outcomeShed:
 						shed.Add(1)
 					case outcomeThrottled:
@@ -415,7 +359,6 @@ func run(args []string, out, errOut io.Writer) int {
 				}
 				latMu.Lock()
 				lats = append(lats, local...)
-				sizes = append(sizes, localSizes...)
 				latMu.Unlock()
 			}()
 		}
@@ -425,10 +368,7 @@ func run(args []string, out, errOut io.Writer) int {
 	mode := ""
 	units := 0
 	if *shard {
-		mode = "shard"
-		if !adaptive {
-			units = *shardUnits
-		}
+		mode, units = "shard", *shardUnits
 	}
 	if *rate > 0 {
 		mode = "open-loop"
@@ -454,15 +394,6 @@ func run(args []string, out, errOut io.Writer) int {
 	if !fillLatency(&entry, lats, *dur) {
 		fmt.Fprintln(errOut, "oracleload: no successful requests")
 		return 1
-	}
-	if adaptive && len(sizes) > 0 {
-		sort.Ints(sizes)
-		entry.ShardTargetSec = shardTarget.Seconds()
-		entry.ShardUnitsMin = sizes[0]
-		entry.ShardUnitsMedian = sizes[len(sizes)/2]
-		entry.ShardUnitsMax = sizes[len(sizes)-1]
-		fmt.Fprintf(out, "adaptive shard sizes: min %d  median %d  max %d (target %s)\n",
-			entry.ShardUnitsMin, entry.ShardUnitsMedian, entry.ShardUnitsMax, *shardTarget)
 	}
 	if *rate > 0 {
 		entry.OfferedPerSec = *rate

@@ -1,8 +1,13 @@
 package main
 
 import (
+	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
+	"os"
+	"path/filepath"
+	"reflect"
 	"testing"
 )
 
@@ -40,5 +45,47 @@ func TestClassifyByStatusOnly(t *testing.T) {
 				t.Errorf("classify(%v, %v) = %d, want %d", tc.resp, tc.err, got, tc.want)
 			}
 		})
+	}
+}
+
+// TestAppendKeepsRecordedEntries: appendEntries rewrites the whole serve
+// file, so every field of every recorded entry — including the adaptive
+// shard row's shard_target_sec and shard_units_min/median/max, which no
+// current mode writes — must survive an append unchanged.
+func TestAppendKeepsRecordedEntries(t *testing.T) {
+	orig, err := os.ReadFile(filepath.Join("..", "..", "BENCH_serve.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "BENCH_serve.json")
+	if err := os.WriteFile(path, orig, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	entries := func(data []byte) []map[string]any {
+		t.Helper()
+		var doc struct {
+			Entries []map[string]any `json:"entries"`
+		}
+		if err := json.Unmarshal(data, &doc); err != nil {
+			t.Fatal(err)
+		}
+		return doc.Entries
+	}
+	before := entries(orig)
+	if code := appendEntries(path, []Entry{{Label: "appended", Mode: "shard", ShardUnits: 8}}, io.Discard, io.Discard); code != 0 {
+		t.Fatalf("appendEntries exit %d", code)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	after := entries(got)
+	if len(after) != len(before)+1 || after[len(before)]["label"] != "appended" {
+		t.Fatalf("%d entries after the append, want %d ending with the new one", len(after), len(before)+1)
+	}
+	for i, e := range before {
+		if !reflect.DeepEqual(after[i], e) {
+			t.Errorf("entry %d changed by the append:\n got %v\nwant %v", i, after[i], e)
+		}
 	}
 }

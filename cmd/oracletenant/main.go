@@ -13,10 +13,11 @@
 //
 // Every mutating subcommand appends to the store's write-ahead log with an
 // fsync, so a concurrently running oracled picks the change up on its next
-// reload (SIGHUP, POST /v1/admin/tenants/reload, or a coordinator-pushed
-// generation). Pass -reload URL -api-key KEY to any mutating subcommand to
-// trigger that reload immediately over the admin endpoint — the key must
-// belong to a tenant with "admin": true.
+// reload (SIGHUP or POST /v1/admin/tenants/reload). Pass -reload URL
+// -api-key KEY to any mutating subcommand to trigger that reload
+// immediately over the admin endpoint — the key must belong to a tenant
+// with "admin": true. Every oracled serving from the store reloads on its
+// own; nothing propagates a reload between daemons.
 //
 // "rotate" keeps the old key valid for -overlap (default 15m): both keys
 // authenticate inside the window, then the old one stops — clients migrate
@@ -152,13 +153,12 @@ func (rf *reloadFlags) trigger(out, errOut io.Writer) {
 // quotaFlags registers the spec limit flags; set tracks which were passed
 // explicitly so set-quota changes only those.
 type quotaFlags struct {
-	weight       int
-	rate, burst  float64
-	maxBody      int64
-	maxUnits     int
-	maxCampaigns int
-	maxSlots     int
-	admin        bool
+	weight      int
+	rate, burst float64
+	maxBody     int64
+	maxUnits    int
+	maxSlots    int
+	admin       bool
 }
 
 func (qf *quotaFlags) register(fs *flag.FlagSet) {
@@ -166,8 +166,7 @@ func (qf *quotaFlags) register(fs *flag.FlagSet) {
 	fs.Float64Var(&qf.rate, "rate", 0, "admission tokens per second (0 = unlimited)")
 	fs.Float64Var(&qf.burst, "burst", 0, "token bucket burst (0 = one second of rate)")
 	fs.Int64Var(&qf.maxBody, "max-body", 0, "request body byte cap (0 = server cap alone)")
-	fs.IntVar(&qf.maxUnits, "max-units", 0, "campaign unit cap (0 = server cap alone)")
-	fs.IntVar(&qf.maxCampaigns, "max-campaigns", 0, "concurrent campaign cap (0 = server cap alone)")
+	fs.IntVar(&qf.maxUnits, "max-units", 0, "spec unit cap per /v1/shard request (0 = server cap alone)")
 	fs.IntVar(&qf.maxSlots, "max-slots", 0, "work queue slot cap (0 = unlimited)")
 	fs.BoolVar(&qf.admin, "admin", false, "grant the admin endpoints (reload, tenant report)")
 }
@@ -186,8 +185,6 @@ func (qf *quotaFlags) apply(fs *flag.FlagSet, sp *tenant.Spec) {
 			sp.MaxBodyBytes = qf.maxBody
 		case "max-units":
 			sp.MaxCampaignUnits = qf.maxUnits
-		case "max-campaigns":
-			sp.MaxCampaigns = qf.maxCampaigns
 		case "max-slots":
 			sp.MaxQueueSlots = qf.maxSlots
 		case "admin":
@@ -223,9 +220,6 @@ func cmdShow(args []string, out, errOut io.Writer) int {
 		}
 		if sp.MaxCampaignUnits > 0 {
 			limits = append(limits, fmt.Sprintf("max-units=%d", sp.MaxCampaignUnits))
-		}
-		if sp.MaxCampaigns > 0 {
-			limits = append(limits, fmt.Sprintf("max-campaigns=%d", sp.MaxCampaigns))
 		}
 		if sp.MaxQueueSlots > 0 {
 			limits = append(limits, fmt.Sprintf("max-slots=%d", sp.MaxQueueSlots))

@@ -10,7 +10,7 @@ import (
 )
 
 // Cache shares generated graph instances across the trials × schemes ×
-// tasks fan-out, and in oracled across requests and campaigns. Units that
+// tasks fan-out, and in oracled across requests and shards. Units that
 // agree on (family, n, seed) run on one immutable graph instead of
 // regenerating it per unit, which both removes the dominant per-unit cost
 // and puts competing schemes on the exact same input. It holds graphs
@@ -180,11 +180,6 @@ func (s CacheStats) HitRatio() float64 {
 		return float64(s.Hits) / float64(total)
 	}
 	return 0
-}
-
-// Sub returns the stats accumulated since an earlier snapshot.
-func (s CacheStats) Sub(earlier CacheStats) CacheStats {
-	return CacheStats{Hits: s.Hits - earlier.Hits, Misses: s.Misses - earlier.Misses}
 }
 
 // Stats snapshots the cumulative hit/miss counters.

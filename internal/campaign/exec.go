@@ -13,13 +13,6 @@ type RunOptions struct {
 	// Done marks unit keys already present in the sink; those units are
 	// skipped (resume semantics). Nil means run everything.
 	Done map[string]bool
-	// Cache, if non-nil, is a shared graph cache to run against (the
-	// oracled service pools one across campaigns and request handlers). Nil
-	// means a private, appropriately sized cache per execution.
-	Cache *Cache
-	// Progress, if non-nil, is called after each unit flushes or is
-	// skipped, with the number of handled units and the total.
-	Progress func(done, total int)
 }
 
 // Stats summarizes a completed execution.
@@ -57,11 +50,7 @@ func Run(spec *Spec, sink Store, opts RunOptions) (Stats, error) {
 	// The unit order revisits an instance across schemes after at most
 	// Trials intervening units, so Trials entries plus in-flight slack keeps
 	// the scheme fan-out at a ~100% hit rate without unbounded growth.
-	cache := opts.Cache
-	if cache == nil {
-		cache = NewCache(spec.Trials+2*workers+8, 1)
-	}
-	before := cache.Stats()
+	cache := NewCache(spec.Trials+2*workers+8, 1)
 	var executed, skipped atomic.Int64
 	err := Pool{Workers: opts.Workers}.Run(len(units), func(i int) error {
 		u := units[i]
@@ -80,20 +69,16 @@ func Run(spec *Spec, sink Store, opts RunOptions) (Stats, error) {
 				return err
 			}
 		}
-		if opts.Progress != nil {
-			opts.Progress(sink.Flushed(), len(units))
-		}
 		return nil
 	})
-	// Report this execution's share of the (possibly shared) cache counters.
-	delta := cache.Stats().Sub(before)
+	cs := cache.Stats()
 	stats := Stats{
 		Units:       len(units),
 		Executed:    int(executed.Load()),
 		Skipped:     int(skipped.Load()),
 		Records:     sink.Written(),
-		CacheHits:   delta.Hits,
-		CacheMisses: delta.Misses,
+		CacheHits:   cs.Hits,
+		CacheMisses: cs.Misses,
 	}
 	return stats, err
 }

@@ -21,7 +21,7 @@ func TestDispatchCarriesAPIKey(t *testing.T) {
 	if _, err := st.PutKey(tenant.Spec{Name: "herd", Key: "herd-key-1234"}); err != nil {
 		t.Fatal(err)
 	}
-	srv, err := service.New(service.Config{Workers: 2, QueueDepth: 32, ArtifactDir: t.TempDir(), TenantStore: st})
+	srv, err := service.New(service.Config{Workers: 2, QueueDepth: 32, TenantStore: st})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -44,7 +44,7 @@ func localRun(t *testing.T, spec *campaign.Spec, done map[string]bool) *bytes.Bu
 // wrapped to inject faults.
 func newWorkerServer(t *testing.T, wrap func(http.Handler) http.Handler) *httptest.Server {
 	t.Helper()
-	srv, err := service.New(service.Config{Workers: 2, QueueDepth: 32, ArtifactDir: t.TempDir()})
+	srv, err := service.New(service.Config{Workers: 2, QueueDepth: 32})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -324,7 +324,6 @@ func (w *worker) beat(hb membership.Heartbeat, now time.Time) (m membership.Memb
 func (w *worker) reportLocked(hb membership.Heartbeat, now time.Time) {
 	w.member.QueueDepth = hb.QueueDepth
 	w.member.UnitSeconds = hb.UnitSeconds
-	w.member.TenantGen = hb.TenantGen
 	w.member.LastSeen = now
 	w.draining = hb.Draining
 	w.deadline = now.Add(w.cfg.MemberTTL)

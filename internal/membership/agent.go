@@ -28,12 +28,6 @@ type Agent struct {
 	Interval time.Duration
 	// Report supplies the per-beat load signals; nil reports zeros.
 	Report func() Heartbeat
-	// OnTenantGen, when set, receives the coordinator's tenant-policy
-	// generation from each join/heartbeat ack. The oracled glue compares it
-	// against the local generation and syncs + reloads when behind — how a
-	// reload on the coordinator propagates to the whole fleet within one
-	// heartbeat interval.
-	OnTenantGen func(gen uint64)
 	// Client is the HTTP client (default: 5s timeout).
 	Client *http.Client
 	// Logf, when set, receives agent progress lines.
@@ -183,15 +177,6 @@ func (a *Agent) post(ctx context.Context, path string, payload any) error {
 	if resp.StatusCode != http.StatusOK {
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
 		return &statusError{status: resp.StatusCode, body: string(bytes.TrimSpace(msg))}
-	}
-	if a.OnTenantGen != nil {
-		// Join and heartbeat acks carry the coordinator's tenant-policy
-		// generation; a leave ack decodes with a zero gen and is skipped.
-		var ack memberAck
-		if err := json.NewDecoder(io.LimitReader(resp.Body, maxFleetBody)).Decode(&ack); err == nil &&
-			ack.CoordinatorTenantGen > 0 {
-			a.OnTenantGen(ack.CoordinatorTenantGen)
-		}
 	}
 	return nil
 }

@@ -68,24 +68,18 @@ type Member struct {
 	Build       BuildInfo `json:"build"`
 	// QueueDepth and UnitSeconds are the latest heartbeat's load signals:
 	// the worker's bounded-queue depth and its EWMA per-unit service time.
-	QueueDepth  int     `json:"queue_depth"`
-	UnitSeconds float64 `json:"unit_seconds"`
-	// TenantGen is the tenant-policy generation the worker last reported
-	// serving; the coordinator compares it against its own to surface
-	// fleet-wide config skew.
-	TenantGen  uint64    `json:"tenant_generation,omitempty"`
-	Status     Status    `json:"status"`
-	JoinedAt   time.Time `json:"joined_at"`
-	LastSeen   time.Time `json:"last_seen"`
-	Heartbeats int64     `json:"heartbeats"`
+	QueueDepth  int       `json:"queue_depth"`
+	UnitSeconds float64   `json:"unit_seconds"`
+	Status      Status    `json:"status"`
+	JoinedAt    time.Time `json:"joined_at"`
+	LastSeen    time.Time `json:"last_seen"`
+	Heartbeats  int64     `json:"heartbeats"`
 }
 
 // Heartbeat is the per-beat payload a member reports.
 type Heartbeat struct {
 	QueueDepth  int     `json:"queue_depth"`
 	UnitSeconds float64 `json:"unit_seconds"`
-	// TenantGen is the tenant-policy generation the worker is serving.
-	TenantGen uint64 `json:"tenant_generation,omitempty"`
 	// Draining marks a member shutting down gracefully: it is kept in the
 	// fleet with StatusDraining instead of being handed new leases.
 	Draining bool `json:"draining,omitempty"`

@@ -14,8 +14,8 @@ import (
 
 // TestMetricsExposition pins the fleet section of oracleherd's /metrics
 // page for a fixed state against testdata/metrics.golden: three joins,
-// one leave, one eviction, a draining member, a member behind the
-// coordinator's tenant generation, and the advisor's recommendation.
+// one leave, one eviction, a draining member, and the advisor's
+// recommendation.
 func TestMetricsExposition(t *testing.T) {
 	clk := newClock()
 	fleet := newFleet(t, cluster.Config{Clock: clk, Client: probes{}.client()})
@@ -24,10 +24,9 @@ func TestMetricsExposition(t *testing.T) {
 		Advise: func() membership.Advice {
 			return membership.Advice{BacklogUnits: 120, UnitSeconds: 0.375, TargetSeconds: 30, RecommendedWorkers: 2}
 		},
-		TenantGen: func() uint64 { return 7 },
 	}
 	for _, id := range []string{"http://w1:1", "http://w2:2", "http://w3:3"} {
-		if _, err := fleet.Join(joinAs(id, membership.Heartbeat{TenantGen: 7})); err != nil {
+		if _, err := fleet.Join(joinAs(id, membership.Heartbeat{})); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -36,10 +35,10 @@ func TestMetricsExposition(t *testing.T) {
 		t.Fatal(err)
 	}
 	clk.Advance(8 * time.Second)
-	if _, err := fleet.Beat("http://w1:1", membership.Heartbeat{TenantGen: 7, Draining: true}); err != nil {
+	if _, err := fleet.Beat("http://w1:1", membership.Heartbeat{Draining: true}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := fleet.Beat("http://w2:2", membership.Heartbeat{TenantGen: 5}); err != nil {
+	if _, err := fleet.Beat("http://w2:2", membership.Heartbeat{}); err != nil {
 		t.Fatal(err)
 	}
 	clk.Advance(5 * time.Second)

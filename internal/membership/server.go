@@ -24,27 +24,6 @@ type Server struct {
 	// Advise, when set, supplies the autoscaling recommendation rendered
 	// into GET /v1/fleet and the fleet metrics.
 	Advise func() Advice
-	// TenantGen, when set, supplies the coordinator's current tenant-policy
-	// generation. Join and heartbeat acks carry it back to the worker — the
-	// advice-distribution path that converges an elastic fleet on one
-	// policy — and the fleet metrics report the skew.
-	TenantGen func() uint64
-}
-
-// memberAck is the join/heartbeat response: the member's fleet row plus the
-// coordinator's tenant-policy generation. A worker seeing a generation
-// ahead of its own syncs its tenant store and reloads.
-type memberAck struct {
-	Member
-	CoordinatorTenantGen uint64 `json:"coordinator_tenant_generation,omitempty"`
-}
-
-func (s *Server) ack(m Member) memberAck {
-	a := memberAck{Member: m}
-	if s.TenantGen != nil {
-		a.CoordinatorTenantGen = s.TenantGen()
-	}
-	return a
 }
 
 // maxFleetBody caps registration payloads; fleet messages are tiny.
@@ -93,7 +72,7 @@ func (s *Server) handleJoin(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, s.ack(m))
+	writeJSON(w, http.StatusOK, m)
 }
 
 // heartbeatRequest is the wire shape of one beat: the member ID plus the
@@ -120,7 +99,7 @@ func (s *Server) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, s.ack(m))
+	writeJSON(w, http.StatusOK, m)
 }
 
 type leaveRequest struct {
@@ -172,17 +151,6 @@ func (s *Server) WriteMetrics(w io.Writer) {
 	p.Counter("oracleherd_fleet_joins_total", "Workers that registered since the coordinator started.", joins)
 	p.Counter("oracleherd_fleet_leaves_total", "Voluntary departures since the coordinator started.", leaves)
 	p.Counter("oracleherd_fleet_evictions_total", "Members evicted after going silent past the TTL.", evictions)
-	if s.TenantGen != nil {
-		gen := s.TenantGen()
-		skew := 0
-		for _, m := range members {
-			if m.TenantGen < gen {
-				skew++
-			}
-		}
-		p.Gauge("oracleherd_fleet_tenant_generation", "Tenant-policy generation the coordinator is pushing to the fleet.", int64(gen))
-		p.Gauge("oracleherd_fleet_tenant_gen_skew", "Members serving a tenant-policy generation older than the coordinator's.", int64(skew))
-	}
 	if s.Advise != nil {
 		a := s.Advise()
 		p.Gauge("oracleherd_fleet_recommended_workers", "Fleet size the autoscaling advisor recommends for the target makespan.", int64(a.RecommendedWorkers))

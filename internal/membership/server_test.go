@@ -73,12 +73,22 @@ func TestServerEndpoints(t *testing.T) {
 	// Catalog skew is a 409 — the agent treats it as fatal.
 	post(t, ts.URL+"/v1/fleet/join", `{"id":"http://w2","catalog_fingerprint":"other"}`, http.StatusConflict)
 	post(t, ts.URL+"/v1/fleet/join", `{"id":"http://w2","bogus":1}`, http.StatusBadRequest)
+	// Workers that still report a tenant-policy generation (the removed
+	// coordinator push) are refused with the field named.
+	if got := post(t, ts.URL+"/v1/fleet/join", `{"id":"http://w2","catalog_fingerprint":"`+fp+
+		`","tenant_generation":3}`, http.StatusBadRequest); !strings.Contains(got, `unknown field \"tenant_generation\"`) {
+		t.Fatalf("join with tenant_generation: %s", got)
+	}
 
 	got = post(t, ts.URL+"/v1/fleet/heartbeat", `{"id":"http://w1","queue_depth":3,"unit_seconds":0.5}`, http.StatusOK)
 	if want := row(3, 0.5, 1) + "\n"; got != want {
 		t.Fatalf("heartbeat ack:\n got %s\nwant %s", got, want)
 	}
 	post(t, ts.URL+"/v1/fleet/heartbeat", `{"id":"http://stranger"}`, http.StatusNotFound)
+	if got := post(t, ts.URL+"/v1/fleet/heartbeat", `{"id":"http://w1","queue_depth":3,"unit_seconds":0.5,"tenant_generation":3}`,
+		http.StatusBadRequest); !strings.Contains(got, `unknown field \"tenant_generation\"`) {
+		t.Fatalf("heartbeat with tenant_generation: %s", got)
+	}
 
 	resp, err := http.Get(ts.URL + "/v1/fleet")
 	if err != nil {

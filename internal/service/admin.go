@@ -52,7 +52,6 @@ type adminTenant struct {
 	Burst        float64       `json:"burst,omitempty"`
 	MaxBodyBytes int64         `json:"max_body_bytes,omitempty"`
 	MaxUnits     int           `json:"max_campaign_units,omitempty"`
-	MaxCampaigns int           `json:"max_campaigns,omitempty"`
 	MaxSlots     int           `json:"max_queue_slots,omitempty"`
 	Admin        bool          `json:"admin,omitempty"`
 	Usage        tenant.Ledger `json:"usage"`
@@ -84,7 +83,6 @@ func (s *Server) handleTenantsShow(_ http.ResponseWriter, _ *http.Request, ts *t
 			Burst:        sp.Burst,
 			MaxBodyBytes: sp.MaxBodyBytes,
 			MaxUnits:     sp.MaxCampaignUnits,
-			MaxCampaigns: sp.MaxCampaigns,
 			MaxSlots:     sp.MaxQueueSlots,
 			Admin:        sp.Admin,
 			Usage:        st.ledger.totals(),

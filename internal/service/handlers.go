@@ -23,8 +23,6 @@ func (s *Server) routes() *http.ServeMux {
 	mux.Handle("POST /v1/advice", s.instrument("/v1/advice", s.handleAdvice))
 	mux.Handle("POST /v1/run", s.instrument("/v1/run", s.handleRun))
 	mux.Handle("POST /v1/shard", s.instrument("/v1/shard", s.handleShard))
-	mux.Handle("POST /v1/campaign", s.instrument("/v1/campaign", s.handleCampaignSubmit))
-	mux.Handle("GET /v1/campaign/{id}", s.instrument("/v1/campaign/{id}", s.handleCampaignGet))
 	// Admin surface: live tenant-table reload and inspection. The handlers
 	// themselves enforce the admin grant (403 for ordinary tenants).
 	mux.Handle("POST /v1/admin/tenants/reload", s.instrument("/v1/admin/tenants/reload", s.handleTenantsReload))
@@ -202,8 +200,8 @@ func (scr *reqScratch) decode(dst any) error {
 }
 
 // decodeBody parses a size-capped JSON request body into dst. The cold
-// endpoints (/v1/shard, /v1/campaign) use it; the hot endpoints go through
-// the pooled reqScratch instead.
+// endpoint /v1/shard uses it; the hot endpoints go through the pooled
+// reqScratch instead.
 func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, dst any, ts *tenantState) error {
 	r.Body = http.MaxBytesReader(w, r.Body, s.bodyLimit(ts))
 	dec := json.NewDecoder(r.Body)
@@ -571,12 +569,11 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request, ts *tenantSta
 // ---- GET /healthz ----
 
 type healthResponse struct {
-	Status           string `json:"status"`
-	QueueDepth       int64  `json:"queue_depth"`
-	QueueCapacity    int    `json:"queue_capacity"`
-	Executing        int64  `json:"executing"`
-	Inflight         int64  `json:"inflight"`
-	CampaignsRunning int64  `json:"campaigns_running"`
+	Status        string `json:"status"`
+	QueueDepth    int64  `json:"queue_depth"`
+	QueueCapacity int    `json:"queue_capacity"`
+	Executing     int64  `json:"executing"`
+	Inflight      int64  `json:"inflight"`
 	// Build identifies the worker binary and CatalogFingerprint the name
 	// registry it resolves specs against; a cluster coordinator reads both
 	// to log which build served each shard and to refuse fleets whose
@@ -601,7 +598,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request, _ *tenant
 		QueueCapacity:      s.cfg.QueueDepth,
 		Executing:          s.metrics.executing.Load(),
 		Inflight:           s.metrics.inflight.Load(),
-		CampaignsRunning:   s.campaigns.running(),
 		Build:              buildInfo,
 		CatalogFingerprint: catalog.Fingerprint(),
 	}, nil

@@ -11,7 +11,7 @@ import (
 )
 
 // latencyBuckets are the request latency histogram bounds, in seconds.
-// They span sub-millisecond cache hits through multi-second campaigns.
+// They span sub-millisecond cache hits through multi-second shards.
 var latencyBuckets = metrics.Bounds{
 	0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05,
 	0.1, 0.25, 0.5, 1, 2.5, 5, 10,
@@ -94,8 +94,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	p.Counter("oracled_instance_cache_misses_total", "Instance cache misses.", cs.Misses)
 	p.GaugeFloat("oracled_instance_cache_hit_ratio", "Fraction of instance lookups served from cache.", cs.HitRatio())
 
-	p.Gauge("oracled_campaigns_running", "Campaigns currently executing.", s.campaigns.running())
-
 	names := make([]string, 0, len(m.endpoints))
 	for name := range m.endpoints {
 		names = append(names, name)
@@ -174,9 +172,6 @@ func (s *Server) writeTenantMetrics(p *metrics.Page) {
 	for _, name := range names {
 		p.Int("oracled_tenant_queue_depth", int64(depths[name]), "tenant", name)
 	}
-
-	perTenant("oracled_tenant_campaigns_running", "gauge", "Campaigns currently executing by tenant.",
-		func(ts *tenantState) int64 { return ts.campaigns.Load() })
 
 	// Usage ledger totals: cumulative across restarts when a tenant store is
 	// attached (seeded from it at boot), process-lifetime counters otherwise.

@@ -58,7 +58,6 @@ func TestMetricsExposition(t *testing.T) {
 	interactive.ledger.units.Add(5)
 	interactive.ledger.queueNanos.Add(1500 * int64(time.Millisecond))
 	interactive.ledger.bytes.Add(1234)
-	interactive.campaigns.Add(1)
 	bulk.ledger.units.Add(40)
 	bulk.ledger.bytes.Add(99)
 	s.anonymous.ledger.queueNanos.Add(250 * int64(time.Microsecond)) // perfbench scrapes this series

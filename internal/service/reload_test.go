@@ -187,7 +187,7 @@ func TestRotationOverlapWindow(t *testing.T) {
 // resetting.
 func TestLedgerSurvivesRestart(t *testing.T) {
 	st := openTestStore(t, tenant.Spec{Name: "meter", Key: "meter-key-0000"})
-	cfg := Config{TenantStore: st, ArtifactDir: t.TempDir()}
+	cfg := Config{TenantStore: st}
 	s1 := mustNew(t, cfg)
 	var stop1 sync.Once
 	t.Cleanup(func() { stop1.Do(s1.Stop) })
@@ -420,7 +420,8 @@ func TestKeyfileStoreReload(t *testing.T) {
 	}
 
 	for name, doc := range map[string]string{
-		"unknown field": `{"tenants": [{"name": "root", "key": "root-key-00000", "admin": true, "rate_per_second": 5}]}`,
+		"unknown field":         `{"tenants": [{"name": "root", "key": "root-key-00000", "admin": true, "rate_per_second": 5}]}`,
+		"removed max_campaigns": `{"tenants": [{"name": "root", "key": "root-key-00000", "admin": true, "max_campaigns": 2}]}`,
 		"duplicate key": `{"tenants": [{"name": "root", "key": "root-key-00000", "admin": true},
 			{"name": "twin", "key": "root-key-00000"}]}`,
 	} {
@@ -444,7 +445,7 @@ func TestNewRefusesUnbuildableStore(t *testing.T) {
 		tenant.Spec{Name: "one", Key: "shared-key-000"},
 		tenant.Spec{Name: "two", Key: "shared-key-000"},
 	)
-	s, err := New(Config{TenantStore: st, ArtifactDir: t.TempDir()})
+	s, err := New(Config{TenantStore: st})
 	if err == nil {
 		s.Stop()
 		t.Fatal("New accepted a store whose tenants share a key digest")

@@ -2,20 +2,24 @@
 // HTTP/JSON front end over this repository's oracle constructions and
 // simulation engines. It serves
 //
-//	POST /v1/advice        generate an instance, run an oracle, report advice
-//	POST /v1/run           one task/oracle/scheduler simulation (oraclesim as an API)
-//	POST /v1/campaign      submit an async campaign over internal/campaign
-//	GET  /v1/campaign/{id} poll a submitted campaign
-//	GET  /healthz          liveness and load snapshot
-//	GET  /metrics          Prometheus text-format metrics
+//	POST /v1/advice                generate an instance, run an oracle, report advice
+//	POST /v1/run                   one task/oracle/scheduler simulation (oraclesim as an API)
+//	POST /v1/shard                 execute a contiguous unit range of a campaign spec
+//	POST /v1/admin/tenants/reload  rebuild the tenant table from its store (admin key)
+//	GET  /v1/admin/tenants         the live tenant table and usage ledgers (admin key)
+//	GET  /healthz                  liveness and load snapshot
+//	GET  /metrics                  Prometheus text-format metrics
+//
+// A whole campaign is driven from outside: oracleherd leases /v1/shard
+// ranges to one or more daemons and merges the records into a resumable
+// artifact.
 //
 // The serving path reuses the batch machinery end to end: names resolve and
 // runs execute through catalog.Resolve and Run.Execute (the path oraclesim
-// and campaign units take) on package sim's pooled engines, a shared
-// campaign.Cache keeps generated graphs across requests and campaigns, and
-// campaigns run on the campaign worker pool. The cache holds graphs only;
-// advice is rebuilt for every executed request, and repeats of a whole
-// request are answered from the response cache.
+// and campaign units take) on package sim's pooled engines, and a shared
+// campaign.Cache keeps generated graphs across requests and shards. The
+// cache holds graphs only; advice is rebuilt for every executed request,
+// and repeats of a whole request are answered from the response cache.
 //
 // Load is explicitly bounded. Simulation requests pass through a bounded
 // work queue executed by a fixed worker set; when the queue is full the
@@ -23,8 +27,8 @@
 // without bound. Every queued request carries a deadline — expiry returns
 // 504 whether the request is still queued or already executing (an
 // executing run's result is then discarded). Request sizes are capped
-// (body bytes, n, m, message budget) so a single request cannot occupy a
-// worker indefinitely.
+// (body bytes, n, m, message budget, spec units) so a single request
+// cannot occupy a worker indefinitely.
 package service
 
 import (
@@ -65,23 +69,12 @@ type Config struct {
 	MaxMessageBudget int
 	// CacheCapacity bounds the shared instance cache (default 128 entries).
 	CacheCapacity int
-	// MaxCampaigns bounds concurrently running campaigns (default 1);
-	// submissions beyond it are shed with 503.
-	MaxCampaigns int
-	// MaxCampaignUnits caps a submitted campaign's compiled unit count
-	// (default 65536).
+	// MaxCampaignUnits caps the compiled unit count of a spec sent to
+	// POST /v1/shard (default 65536).
 	MaxCampaignUnits int
 	// MaxShardUnits caps the unit count of one POST /v1/shard request
 	// (default 1024), bounding how long a batch holds a queue worker.
 	MaxShardUnits int
-	// CampaignHistory bounds how many finished campaign statuses stay
-	// pollable (default 32). Older finished runs are evicted — their IDs
-	// answer 404 — so periodic submissions cannot grow the status map
-	// without bound; artifacts on disk are unaffected.
-	CampaignHistory int
-	// ArtifactDir is where campaign JSONL artifacts are written (default
-	// the OS temp dir).
-	ArtifactDir string
 	// BatchMax caps how many queued requests one worker drains per wakeup
 	// (default 16). Under load the queue/channel hand-off and scheduler
 	// wakeup are amortized across the batch; a solo request still executes
@@ -134,17 +127,11 @@ func (c Config) withDefaults() Config {
 	if c.CacheCapacity <= 0 {
 		c.CacheCapacity = 128
 	}
-	if c.MaxCampaigns <= 0 {
-		c.MaxCampaigns = 1
-	}
 	if c.MaxCampaignUnits <= 0 {
 		c.MaxCampaignUnits = 1 << 16
 	}
 	if c.MaxShardUnits <= 0 {
 		c.MaxShardUnits = 1 << 10
-	}
-	if c.CampaignHistory <= 0 {
-		c.CampaignHistory = 32
 	}
 	if c.BatchMax <= 0 {
 		c.BatchMax = 16
@@ -170,7 +157,6 @@ type Server struct {
 	cache     *campaign.Cache
 	responses *respCache // nil when ResponseCacheCapacity < 0
 	units     unitsCache
-	campaigns *campaignManager
 
 	// store is the tenant control plane the table is built from.
 	store *tenant.Store
@@ -238,7 +224,6 @@ func New(cfg Config) (*Server, error) {
 	if cfg.ResponseCacheCapacity > 0 {
 		s.responses = newRespCache(cfg.ResponseCacheCapacity, cacheShards)
 	}
-	s.campaigns = newCampaignManager(s)
 	s.mux = s.routes()
 	s.workers.Add(cfg.Workers + 1)
 	for i := 0; i < cfg.Workers; i++ {
@@ -253,8 +238,7 @@ func (s *Server) Handler() http.Handler { return s.mux }
 
 // Stop closes the work queue and joins the workers. Call it only after the
 // HTTP listener has stopped delivering requests (http.Server.Shutdown);
-// later submissions are shed with 503. Stop does not cancel running
-// campaigns — use CampaignWait for those.
+// later submissions are shed with 503.
 func (s *Server) Stop() {
 	s.draining.Store(true)
 	s.sched.Close()
@@ -262,12 +246,6 @@ func (s *Server) Stop() {
 	s.workers.Wait()
 	// Final flush so ledger totals survive the restart byte-exactly.
 	s.FlushLedgers()
-}
-
-// CampaignWait blocks until every submitted campaign has finished, up to
-// the given timeout. It reports whether all campaigns completed.
-func (s *Server) CampaignWait(timeout time.Duration) bool {
-	return s.campaigns.wait(timeout)
 }
 
 // job is one queued simulation request. The worker publishes exactly one

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"regexp"
 	"strings"
 	"sync"
@@ -22,9 +21,6 @@ import (
 // test ends or Stop will hang.
 func newTestServer(t *testing.T, cfg Config) *Server {
 	t.Helper()
-	if cfg.ArtifactDir == "" {
-		cfg.ArtifactDir = t.TempDir()
-	}
 	s := mustNew(t, cfg)
 	t.Cleanup(s.Stop)
 	return s
@@ -286,7 +282,7 @@ func TestDeadlineReturns504(t *testing.T) {
 // TestStopDrainsQueuedWork verifies graceful shutdown: jobs admitted
 // before Stop all produce responses, and submissions after Stop shed.
 func TestStopDrainsQueuedWork(t *testing.T) {
-	s := mustNew(t, Config{Workers: 1, QueueDepth: 8, ArtifactDir: t.TempDir()})
+	s := mustNew(t, Config{Workers: 1, QueueDepth: 8})
 	entered := make(chan struct{}, 8)
 	gate := make(chan struct{})
 	s.testHook = func() {
@@ -329,106 +325,28 @@ func TestStopDrainsQueuedWork(t *testing.T) {
 	}
 }
 
-func TestCampaignLifecycle(t *testing.T) {
-	dir := t.TempDir()
-	s := newTestServer(t, Config{ArtifactDir: dir})
-	spec := map[string]any{
-		"name": "svc-test", "seed": 11, "trials": 2,
-		"families": []string{"random-sparse"}, "sizes": []int{16},
-		"tasks": []map[string]any{{"task": "wakeup", "schemes": []string{"tree"}}},
-	}
-	w := postJSON(t, s.Handler(), "/v1/campaign", spec)
-	if w.Code != http.StatusOK {
-		t.Fatalf("submit: status %d: %s", w.Code, w.Body.String())
-	}
-	sub := decode[campaignSubmitResponse](t, w)
-	if sub.ID == "" || sub.Units != 2 {
-		t.Fatalf("submit response: %+v", sub)
-	}
-
-	var status campaignStatusResponse
-	waitFor(t, "campaign completion", func() bool {
-		w := getPath(t, s.Handler(), "/v1/campaign/"+sub.ID)
-		if w.Code != http.StatusOK {
-			t.Fatalf("poll: status %d: %s", w.Code, w.Body.String())
-		}
-		status = decode[campaignStatusResponse](t, w)
-		return status.Status != "running"
-	})
-	if status.Status != "done" {
-		t.Fatalf("campaign failed: %+v", status)
-	}
-	if status.Records != 2 || status.Executed != 2 {
-		t.Errorf("records=%d executed=%d, want 2/2", status.Records, status.Executed)
-	}
-	data, err := os.ReadFile(sub.Artifact)
-	if err != nil {
-		t.Fatalf("reading artifact: %v", err)
-	}
-	if lines := bytes.Count(bytes.TrimSpace(data), []byte("\n")) + 1; lines != 2 {
-		t.Errorf("artifact has %d lines, want 2", lines)
-	}
-
-	if w := getPath(t, s.Handler(), "/v1/campaign/nope"); w.Code != http.StatusNotFound {
-		t.Errorf("unknown campaign: status %d, want 404", w.Code)
-	}
-}
-
+// TestCampaignConcurrencyCap pins the server-wide campaign unit cap on
+// /v1/shard in anonymous mode, where no tenant policy narrows it.
 func TestCampaignConcurrencyCap(t *testing.T) {
-	s := newTestServer(t, Config{MaxCampaigns: 1, MaxCampaignUnits: 4})
-	// A spec over the unit cap is rejected outright.
-	big := map[string]any{
-		"name": "big", "seed": 1, "trials": 5,
-		"families": []string{"random-sparse"}, "sizes": []int{16},
-		"tasks": []map[string]any{{"task": "wakeup"}},
+	s := newTestServer(t, Config{MaxCampaignUnits: 4})
+	shard := func(trials int, sizes ...int) map[string]any {
+		return map[string]any{"start": 0, "end": 1, "spec": map[string]any{
+			"name": "cap", "seed": 1, "trials": trials,
+			"families": []string{"random-sparse"}, "sizes": sizes,
+			"tasks": []map[string]any{{"task": "wakeup", "schemes": []string{"tree"}}},
+		}}
 	}
-	if w := postJSON(t, s.Handler(), "/v1/campaign", big); w.Code != http.StatusBadRequest {
-		t.Errorf("oversized campaign: status %d, want 400: %s", w.Code, w.Body.String())
+	// A spec over the unit cap is rejected outright.
+	if w := postJSON(t, s.Handler(), "/v1/shard", shard(5, 16)); w.Code != http.StatusBadRequest ||
+		!strings.Contains(w.Body.String(), "5 units, cap is 4") {
+		t.Errorf("oversized spec: status %d, want 400: %s", w.Code, w.Body.String())
 	}
 	// A tiny body requesting an astronomical unit count is rejected by
 	// arithmetic alone — compiling it first would allocate billions of
 	// units before the cap check.
-	huge := map[string]any{
-		"name": "huge", "seed": 1, "trials": 1_000_000_000,
-		"families": []string{"random-sparse"}, "sizes": []int{16},
-		"tasks": []map[string]any{{"task": "wakeup"}},
-	}
-	if w := postJSON(t, s.Handler(), "/v1/campaign", huge); w.Code != http.StatusBadRequest {
-		t.Errorf("huge campaign: status %d, want 400: %s", w.Code, w.Body.String())
-	}
-}
-
-// TestCampaignHistoryEviction verifies that finished campaign statuses are
-// bounded: with CampaignHistory 1, finishing a second campaign evicts the
-// first, whose ID then polls as 404.
-func TestCampaignHistoryEviction(t *testing.T) {
-	s := newTestServer(t, Config{CampaignHistory: 1})
-	spec := map[string]any{
-		"name": "evict", "seed": 1, "trials": 1,
-		"families": []string{"path"}, "sizes": []int{8},
-		"tasks": []map[string]any{{"task": "wakeup", "schemes": []string{"tree"}}},
-	}
-	submit := func(seed int) string {
-		spec["seed"] = seed
-		w := postJSON(t, s.Handler(), "/v1/campaign", spec)
-		if w.Code != http.StatusOK {
-			t.Fatalf("submit: status %d: %s", w.Code, w.Body.String())
-		}
-		id := decode[campaignSubmitResponse](t, w).ID
-		waitFor(t, "campaign "+id, func() bool {
-			w := getPath(t, s.Handler(), "/v1/campaign/"+id)
-			return w.Code == http.StatusOK &&
-				decode[campaignStatusResponse](t, w).Status != "running"
-		})
-		return id
-	}
-	first := submit(1)
-	second := submit(2)
-	waitFor(t, "first campaign eviction", func() bool {
-		return getPath(t, s.Handler(), "/v1/campaign/"+first).Code == http.StatusNotFound
-	})
-	if w := getPath(t, s.Handler(), "/v1/campaign/"+second); w.Code != http.StatusOK {
-		t.Errorf("second campaign evicted too: status %d", w.Code)
+	if w := postJSON(t, s.Handler(), "/v1/shard", shard(1_000_000_000, 16)); w.Code != http.StatusBadRequest ||
+		!strings.Contains(w.Body.String(), "1000000000 units, cap is 4") {
+		t.Errorf("huge spec: status %d, want 400: %s", w.Code, w.Body.String())
 	}
 }
 
@@ -473,7 +391,6 @@ func TestHealthzAndMetrics(t *testing.T) {
 		"oracled_engine_pool_hit_ratio",
 		"oracled_instance_cache_hits_total",
 		"oracled_instance_cache_hit_ratio",
-		"oracled_campaigns_running",
 		`oracled_requests_total{endpoint="/v1/run",code="200"} 1`,
 		`oracled_request_duration_seconds_count{endpoint="/v1/run"} 1`,
 	} {
@@ -573,9 +490,7 @@ func TestConfigDefaults(t *testing.T) {
 		{"MaxBodyBytes", c.MaxBodyBytes, int64(1 << 20)},
 		{"MaxMessageBudget", c.MaxMessageBudget, 1 << 24},
 		{"CacheCapacity", c.CacheCapacity, 128},
-		{"MaxCampaigns", c.MaxCampaigns, 1},
 		{"MaxCampaignUnits", c.MaxCampaignUnits, 1 << 16},
-		{"CampaignHistory", c.CampaignHistory, 32},
 		{"BatchMax", c.BatchMax, 16},
 		{"ResponseCacheCapacity", c.ResponseCacheCapacity, 4096},
 	}

@@ -16,9 +16,9 @@ import (
 // so the coordinator pays HTTP overhead per shard rather than per unit.
 // A shard occupies exactly one slot of the bounded work queue — the same
 // backpressure (503 + Retry-After) and deadline (504) rules as /v1/run
-// apply. The spec is admitted exactly as /v1/campaign admits it (sizes,
-// the tenant's unit limit), and the per-request unit count is capped by
-// MaxShardUnits so a worker slot is held for a bounded batch.
+// apply. The spec passes admitSpec (sizes, the tenant's unit limit), and
+// the per-request unit count is capped by MaxShardUnits so a worker slot
+// is held for a bounded batch.
 
 type shardRequest struct {
 	Spec campaign.Spec `json:"spec"`
@@ -69,6 +69,29 @@ func (c *unitsCache) units(spec *campaign.Spec) []campaign.Unit {
 		c.order = c.order[1:]
 	}
 	return units
+}
+
+// admitSpec is /v1/shard's spec admission: it validates the spec,
+// requires every size within MaxNodes, and returns the unit count once it
+// is within the tenant's unit limit. It counts arithmetically before
+// compiling: Units() materializes the full cross product, so an over-cap
+// spec must be rejected without it — a small body requesting billions of
+// trials would otherwise allocate billions of Unit structs before the cap
+// check.
+func (s *Server) admitSpec(spec *campaign.Spec, ts *tenantState) (int64, error) {
+	if err := spec.Validate(); err != nil {
+		return 0, badRequest("%v", err)
+	}
+	for _, n := range spec.Sizes {
+		if n > s.cfg.MaxNodes {
+			return 0, badRequest("spec size n=%d exceeds cap %d", n, s.cfg.MaxNodes)
+		}
+	}
+	units := spec.UnitCount()
+	if limit := s.unitLimit(ts); units > int64(limit) {
+		return 0, badRequest("spec compiles to %d units, cap is %d", units, limit)
+	}
+	return units, nil
 }
 
 func (s *Server) handleShard(w http.ResponseWriter, r *http.Request, ts *tenantState) (any, error) {

@@ -27,10 +27,9 @@ import (
 // changes.
 //
 // The 429/503 split is deliberate and load-bearing for clients: 429 means
-// *this tenant* is over its own quota (rate, queue slots, concurrent
-// campaigns) and should back off while others proceed; 503 means the
-// *server* is saturated (global queue, global campaign cap) and everyone
-// should back off.
+// *this tenant* is over its own quota (rate, queue slots) and should back
+// off while others proceed; 503 means the *server* is saturated (global
+// queue) and everyone should back off.
 
 // tenantTable is one immutable generation of the tenant control plane.
 // Reloads build a fresh table and swap the Server's pointer; the table
@@ -86,7 +85,6 @@ type tenantState struct {
 	spec   atomic.Pointer[tenant.Spec]
 	bucket tenant.Bucket
 
-	campaigns atomic.Int64 // this tenant's running campaigns
 	// codes counts finished requests by HTTP status, same layout as
 	// endpointMetrics.codes; throttled/shed break out the two rejection
 	// classes for direct alerting.
@@ -117,8 +115,7 @@ func (s *Server) newTenantState(name string) *tenantState {
 func (s *Server) table() *tenantTable { return s.tenants.Load() }
 
 // TenantGeneration is the policy version currently serving — the store
-// generation behind the last reload. Heartbeats carry it so fleet-wide
-// config skew is observable.
+// generation behind the last reload.
 func (s *Server) TenantGeneration() uint64 { return s.table().gen }
 
 // initTenancy builds the initial tenant table from the store, seeding the
@@ -310,7 +307,8 @@ func (s *Server) bodyLimit(ts *tenantState) int64 {
 	return limit
 }
 
-// unitLimit is the effective campaign-unit cap for the tenant.
+// unitLimit is the effective /v1/shard spec-unit cap for the tenant: the
+// server cap, tightened by the tenant's own cap when one is set.
 func (s *Server) unitLimit(ts *tenantState) int {
 	limit := s.cfg.MaxCampaignUnits
 	if max := ts.spec.Load().MaxCampaignUnits; max > 0 && max < limit {

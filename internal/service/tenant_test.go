@@ -256,75 +256,37 @@ func TestTenantBodyLimit(t *testing.T) {
 	}
 }
 
-func TestTenantCampaignQuotas(t *testing.T) {
-	st := testStore(t,
-		tenant.Spec{Name: "small", Key: "small-key-000", MaxCampaignUnits: 2, MaxCampaigns: 1},
-		tenant.Spec{Name: "big", Key: "big-key-00000"},
-	)
-	s := newTestServer(t, Config{MaxCampaigns: 4, TenantStore: st})
-	spec := map[string]any{
-		"name": "t", "trials": 1, "seed": 1,
-		"tasks":    []map[string]any{{"task": "broadcast", "schemes": []string{"flooding"}}},
-		"families": []string{"cycle"}, "sizes": []int{8, 12, 16},
-	}
-
-	// 3 units exceed small's cap of 2 but not the server cap.
-	w := postJSONKey(t, s.Handler(), "/v1/campaign", "small-key-000", spec)
-	if w.Code != http.StatusBadRequest || !strings.Contains(w.Body.String(), "cap is 2") {
-		t.Fatalf("over-unit-quota: status %d: %s", w.Code, w.Body.String())
-	}
-	// big has no tenant cap; the server cap applies alone.
-	w = postJSONKey(t, s.Handler(), "/v1/campaign", "big-key-00000", spec)
-	if w.Code != http.StatusOK {
-		t.Fatalf("big submit: status %d: %s", w.Code, w.Body.String())
-	}
-
-	// Concurrent-campaign quota: with small's counter held at its cap, a
-	// submit throttles with 429 — distinct from the global 503.
-	small := s.table().states["small"]
-	small.campaigns.Add(1)
-	w = postJSONKey(t, s.Handler(), "/v1/campaign", "small-key-000",
-		map[string]any{"name": "t", "trials": 1, "seed": 1,
-			"tasks":    []map[string]any{{"task": "broadcast", "schemes": []string{"flooding"}}},
-			"families": []string{"cycle"}, "sizes": []int{8}})
-	small.campaigns.Add(-1)
-	if w.Code != http.StatusTooManyRequests {
-		t.Fatalf("over-campaign-quota: status %d, want 429: %s", w.Code, w.Body.String())
-	}
-	if !s.CampaignWait(10 * time.Second) {
-		t.Fatal("campaigns did not finish")
-	}
-}
-
-// TestSpecAdmission pins the admission /v1/campaign and /v1/shard share:
-// each row's spec must be refused with 400 on both endpoints, whether a
-// size exceeds MaxNodes or the unit count exceeds the tenant's
-// max_campaign_units.
+// TestSpecAdmission pins /v1/shard's spec admission: each row's spec must
+// be refused with 400 whether a size exceeds MaxNodes or the unit count
+// exceeds the tenant's max_campaign_units or, for a tenant without one,
+// the server's MaxCampaignUnits. The unit count is arithmetic, so the
+// billion-trial row is refused without compiling its units.
 func TestSpecAdmission(t *testing.T) {
-	st := testStore(t, tenant.Spec{Name: "capped", Key: "capped-key-00", MaxCampaignUnits: 2})
-	s := newTestServer(t, Config{MaxNodes: 64, TenantStore: st})
-	spec := func(sizes ...int) map[string]any {
-		return map[string]any{"name": "t", "trials": 1, "seed": 1,
+	st := testStore(t,
+		tenant.Spec{Name: "capped", Key: "capped-key-00", MaxCampaignUnits: 2},
+		tenant.Spec{Name: "open", Key: "open-key-0000"},
+	)
+	s := newTestServer(t, Config{MaxNodes: 64, MaxCampaignUnits: 4, TenantStore: st})
+	spec := func(trials int, sizes ...int) map[string]any {
+		return map[string]any{"name": "t", "trials": trials, "seed": 1,
 			"tasks":    []map[string]any{{"task": "broadcast", "schemes": []string{"flooding"}}},
 			"families": []string{"cycle"}, "sizes": sizes}
 	}
 	for _, tc := range []struct {
 		name string
+		key  string
 		spec map[string]any
 		want string
 	}{
-		{"size over max-nodes", spec(65), "n=65 exceeds cap 64"},
-		{"units over tenant cap", spec(8, 12, 16, 20), "4 units, cap is 2"},
+		{"size over max-nodes", "capped-key-00", spec(1, 65), "n=65 exceeds cap 64"},
+		{"units over tenant cap", "capped-key-00", spec(1, 8, 12, 16, 20), "4 units, cap is 2"},
+		{"units over server cap", "open-key-0000", spec(1, 8, 12, 16, 20, 24), "5 units, cap is 4"},
+		{"billion trials", "open-key-0000", spec(1_000_000_000, 16), "1000000000 units, cap is 4"},
 	} {
-		for _, path := range []string{"/v1/campaign", "/v1/shard"} {
-			var body any = tc.spec
-			if path == "/v1/shard" {
-				body = map[string]any{"spec": tc.spec, "start": 0, "end": 1}
-			}
-			w := postJSONKey(t, s.Handler(), path, "capped-key-00", body)
-			if w.Code != http.StatusBadRequest || !strings.Contains(w.Body.String(), tc.want) {
-				t.Errorf("%s on %s: status %d, want 400 with %q: %s", tc.name, path, w.Code, tc.want, w.Body.String())
-			}
+		body := map[string]any{"spec": tc.spec, "start": 0, "end": 1}
+		w := postJSONKey(t, s.Handler(), "/v1/shard", tc.key, body)
+		if w.Code != http.StatusBadRequest || !strings.Contains(w.Body.String(), tc.want) {
+			t.Errorf("%s: status %d, want 400 with %q: %s", tc.name, w.Code, tc.want, w.Body.String())
 		}
 	}
 }

@@ -74,8 +74,8 @@ type StoredSpec struct {
 type Ledger struct {
 	// Requests counts finished HTTP requests attributed to the tenant.
 	Requests int64 `json:"requests"`
-	// Units counts simulation units executed for the tenant: shard units,
-	// campaign units, and individual /v1/run simulations.
+	// Units counts simulation units executed for the tenant: /v1/shard
+	// units and individual /v1/run simulations.
 	Units int64 `json:"units"`
 	// QueueNanos accumulates time the tenant's admitted jobs spent waiting
 	// in the work queue before a worker picked them up.

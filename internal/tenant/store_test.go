@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -187,6 +188,82 @@ func TestStoreCompactAndSnapshot(t *testing.T) {
 	}
 	if l := st2.Ledger("alpha"); l.Requests != 9 {
 		t.Fatalf("ledger lost through compaction: %+v", l)
+	}
+}
+
+// TestStoreOpensRemovedMaxCampaigns: stores written while tenants had a
+// concurrent-campaign cap carry "max_campaigns" in snapshot specs and WAL
+// put entries. Stores replay leniently, so such a store opens with the
+// same tenants and generation, and its next Compact drops the field. The
+// snapshot and the put entry are the bytes oracletenant wrote then
+// (add alpha -max-campaigns 2 -max-units 8, compact, add beta
+// -max-campaigns 2).
+func TestStoreOpensRemovedMaxCampaigns(t *testing.T) {
+	dir := t.TempDir()
+	snapshot := `{
+  "format": "oraclesize/tenantstore/v1",
+  "seq": 1,
+  "gen": 1,
+  "tenants": [
+    {
+      "spec": {
+        "name": "alpha",
+        "key": "",
+        "weight": 1,
+        "max_campaign_units": 8,
+        "max_campaigns": 2,
+        "key_digest": "15ec6ec75f5b1b27da2307bbd282187c080c73e93b27ee8e7ce90c8c1446b2dd",
+        "prev_key_expiry": "0001-01-01T00:00:00Z"
+      },
+      "seq": 1
+    }
+  ],
+  "ledgers": null
+}
+`
+	put := `{"seq":2,"op":"put","spec":{"name":"beta","key":"","weight":1,"max_campaigns":2,` +
+		`"key_digest":"598ecc5afd24dad150f848fede72d1a748e2ec16a70bac2363788364c7ddcb77",` +
+		`"prev_key_expiry":"0001-01-01T00:00:00Z"}}`
+	if err := os.WriteFile(filepath.Join(dir, storeSnapName), []byte(snapshot), 0o600); err != nil {
+		t.Fatal(err)
+	}
+	frame := wal.AppendFrame(nil, func(b []byte) []byte { return append(b, put...) })
+	if err := os.WriteFile(filepath.Join(dir, storeWALName), frame, 0o600); err != nil {
+		t.Fatal(err)
+	}
+
+	st := openTestStore(t, dir)
+	if g, n := st.Generation(), st.Len(); g != 2 || n != 2 {
+		t.Fatalf("generation %d with %d tenants, want 2 with 2", g, n)
+	}
+	alpha, _ := st.Get("alpha")
+	beta, _ := st.Get("beta")
+	if alpha.MaxCampaignUnits != 8 || alpha.KeyDigest != DigestKey("alpha-secret-01") ||
+		beta.KeyDigest != DigestKey("beta-secret-001") {
+		t.Fatalf("specs read back as %+v and %+v", alpha, beta)
+	}
+	reg, _, err := st.Registry()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tn, ok := reg.Authenticate("beta-secret-001", time.Now()); !ok || tn.Name != "beta" {
+		t.Fatal("beta's key does not authenticate")
+	}
+	want := stateOf(st)
+
+	if err := st.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(filepath.Join(dir, storeSnapName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(string(data), "max_campaigns") {
+		t.Fatalf("compacted snapshot still carries max_campaigns:\n%s", data)
+	}
+	st.Close()
+	if got := stateOf(openTestStore(t, dir)); !statesEqual(got, want) {
+		t.Fatalf("state after compaction:\n got %+v\nwant %+v", got, want)
 	}
 }
 

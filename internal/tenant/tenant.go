@@ -11,7 +11,7 @@
 //
 // Quotas are enforced at admission. Each tenant carries a token-bucket
 // rate limit (RatePerSec/Burst) plus resource caps: request body bytes,
-// compiled campaign units, concurrent campaigns, and work-queue slots.
+// compiled spec units per /v1/shard request, and work-queue slots.
 // Quota rejections are distinct from capacity rejections — a tenant over
 // its own limits is throttled (HTTP 429 + Retry-After) while a full
 // server still sheds (503) — so clients can tell "slow down" from "the
@@ -67,11 +67,9 @@ type Spec struct {
 	Burst      float64 `json:"burst,omitempty"`
 	// MaxBodyBytes caps one request body, tightening the server-wide cap.
 	MaxBodyBytes int64 `json:"max_body_bytes,omitempty"`
-	// MaxCampaignUnits caps one submitted campaign's compiled unit count,
-	// tightening the server-wide cap.
+	// MaxCampaignUnits caps the compiled unit count of a spec sent to
+	// /v1/shard, tightening the server-wide cap.
 	MaxCampaignUnits int `json:"max_campaign_units,omitempty"`
-	// MaxCampaigns caps the tenant's concurrently running campaigns.
-	MaxCampaigns int `json:"max_campaigns,omitempty"`
 	// MaxQueueSlots caps the tenant's admitted-but-not-executing work
 	// queue entries; beyond it the tenant is throttled (429) while other
 	// tenants' slots and the global queue stay available.
@@ -139,7 +137,7 @@ func normalizeSpec(sp Spec) (Spec, error) {
 		return sp, fmt.Errorf("tenant: name %q is reserved", sp.Name)
 	}
 	if sp.Weight < 0 || sp.RatePerSec < 0 || sp.Burst < 0 || sp.MaxBodyBytes < 0 ||
-		sp.MaxCampaignUnits < 0 || sp.MaxCampaigns < 0 || sp.MaxQueueSlots < 0 {
+		sp.MaxCampaignUnits < 0 || sp.MaxQueueSlots < 0 {
 		return sp, fmt.Errorf("tenant %q: negative limit", sp.Name)
 	}
 	if sp.Weight == 0 {

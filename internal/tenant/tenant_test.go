@@ -158,15 +158,26 @@ func TestLoadKeyfile(t *testing.T) {
 	}
 }
 
+// TestLoadKeyfileRejectsUnknownFields: a keyfile field the Spec does not
+// have fails the load with an error naming it — a typoed limit, and
+// max_campaigns, the per-tenant campaign cap of the removed
+// /v1/campaign endpoint.
 func TestLoadKeyfileRejectsUnknownFields(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "keys.json")
-	doc := `{"tenants": [{"name": "a", "key": "long-enough", "rate_per_second": 5}]}`
-	if err := os.WriteFile(path, []byte(doc), 0o600); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := OpenKeyfile(path); err == nil {
-		t.Fatal("typoed field accepted; want unknown-field error")
+	for _, tc := range []struct {
+		name, field string
+	}{
+		{"typo", "rate_per_second"},
+		{"removed max_campaigns", "max_campaigns"},
+	} {
+		path := filepath.Join(t.TempDir(), "keys.json")
+		doc := `{"tenants": [{"name": "a", "key": "long-enough", "` + tc.field + `": 5}]}`
+		if err := os.WriteFile(path, []byte(doc), 0o600); err != nil {
+			t.Fatal(err)
+		}
+		want := `json: unknown field "` + tc.field + `"`
+		if _, err := OpenKeyfile(path); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: OpenKeyfile = %v, want an error containing %s", tc.name, err, want)
+		}
 	}
 }
 
