@@ -99,7 +99,7 @@ func run(args []string, out, errOut io.Writer) int {
 		slots       = fs.Int("slots", 2, "shards leased to one worker at a time; concurrent campaigns split the fleet in proportion to their -slots")
 		lease       = fs.Duration("lease", 2*time.Minute, "per-shard lease; an expired lease is reassigned")
 		hedgeAfter  = fs.Duration("hedge-after", 30*time.Second, "re-dispatch a shard in flight this long (negative disables)")
-		retries     = fs.Int("retries", 8, "per-shard dispatch attempts before the run fails")
+		retries     = fs.Int("retries", 8, "per-shard failed dispatches before the run fails; 503 and 429 sheds are not counted")
 		allowSkew   = fs.Bool("allow-skew", false, "accept workers whose catalog fingerprint differs")
 		metrics     = fs.String("metrics", "", "serve coordinator Prometheus metrics on this address")
 		listen      = fs.String("listen", "", "serve the elastic fleet endpoints (/v1/fleet*, combined /metrics) on this address; workers join with oracled -join")

@@ -21,7 +21,7 @@
 //   - every dispatch carries a lease deadline; a crashed or hung worker's
 //     shard is reassigned when the lease expires
 //   - failed dispatches retry with exponential backoff plus jitter,
-//     honoring Retry-After on 503/504 shed responses
+//     honoring Retry-After on 503 and 429 shed responses
 //   - workers that fail repeatedly are circuit-broken and re-admitted
 //     through a half-open trial after a cooldown
 //   - stragglers are hedged: a shard in flight longer than HedgeAfter is
@@ -97,7 +97,9 @@ type Config struct {
 	// result wins; the loser's records dedup away in the sink.
 	HedgeAfter time.Duration
 	// MaxAttempts is the per-shard dispatch budget (default 8). A shard
-	// failing this many times fails the run.
+	// failing this many times fails the run. Every failure is charged
+	// except a shed (503 or 429): a fleet that only sheds makes the run
+	// wait, not fail.
 	MaxAttempts int
 	// BackoffBase and BackoffMax bound the per-worker retry backoff
 	// (defaults 100ms and 5s). The delay doubles per consecutive failure,
@@ -110,8 +112,6 @@ type Config struct {
 	// how long the circuit stays open before one half-open trial.
 	BreakerThreshold int
 	BreakerCooldown  time.Duration
-	// ProbeTimeout bounds one /healthz probe (default 5s).
-	ProbeTimeout time.Duration
 	// MemberTTL is how long a joined member may go without a heartbeat
 	// before Sweep probes it (default 10s).
 	MemberTTL time.Duration
@@ -174,9 +174,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.BreakerCooldown <= 0 {
 		c.BreakerCooldown = 10 * time.Second
-	}
-	if c.ProbeTimeout <= 0 {
-		c.ProbeTimeout = 5 * time.Second
 	}
 	if c.MemberTTL <= 0 {
 		c.MemberTTL = 10 * time.Second
@@ -275,8 +272,8 @@ func New(cfg Config, spec *campaign.Spec, store campaign.Store, done map[string]
 // Probe health-checks every worker. It succeeds when at least one worker
 // is reachable and every reachable worker's catalog fingerprint matches
 // the coordinator's (unless AllowSkew). Unreachable workers stay in the
-// fleet with their circuit open, so they are retried via the half-open
-// path once the run is underway.
+// fleet, charged one failure like a failed dispatch, so the run retries
+// them once their backoff lapses.
 func (c *Coordinator) Probe(ctx context.Context) error {
 	local := catalog.Fingerprint()
 	workers := c.core.fleet.snapshot()

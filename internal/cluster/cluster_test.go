@@ -103,7 +103,6 @@ func fastConfig(workers ...string) Config {
 		BackoffMax:       10 * time.Millisecond,
 		BreakerThreshold: 2,
 		BreakerCooldown:  time.Minute,
-		ProbeTimeout:     5 * time.Second,
 	}
 }
 
@@ -373,7 +372,8 @@ func TestRetriesShedWorker(t *testing.T) {
 	want := localRun(t, spec, nil)
 
 	// The worker sheds its first two shard requests the way oracled does
-	// under backpressure: 503 plus Retry-After.
+	// under backpressure: 503 plus Retry-After. Both land on the first
+	// shard, and a shed spends none of its two attempts.
 	var calls atomic.Int64
 	ts := newWorkerServer(t, func(next http.Handler) http.Handler {
 		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -387,6 +387,7 @@ func TestRetriesShedWorker(t *testing.T) {
 	})
 	cfg := fastConfig(ts.URL)
 	cfg.BreakerThreshold = 5 // stay below the breaker so plain retry drives recovery
+	cfg.MaxAttempts = 2
 	var buf bytes.Buffer
 	c, err := New(cfg, spec, campaign.NewSink(&buf), nil)
 	if err != nil {
@@ -657,19 +658,41 @@ func TestProbeRejectsCatalogSkew(t *testing.T) {
 	}
 }
 
+// TestProbeRequiresOneWorkerUp: a fleet with no reachable worker fails
+// Probe; one live worker is enough, and a dead one beside it is charged
+// one failure, so the run retries it once BackoffBase has passed.
 func TestProbeRequiresOneWorkerUp(t *testing.T) {
 	ts := httptest.NewServer(http.NotFoundHandler())
-	url := ts.URL
-	ts.Close()
+	dead := ts.URL
+	ts.Close() // a closed port refuses at once
 
-	cfg := fastConfig(url)
-	cfg.ProbeTimeout = 500 * time.Millisecond
-	c, err := newQuick(cfg)
+	c, err := newQuick(fastConfig(dead))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Probe(context.Background()); err == nil || !strings.Contains(err.Error(), "no worker") {
 		t.Fatalf("Probe = %v, want no-worker error", err)
+	}
+
+	clock := newFakeClock()
+	cfg := fastConfig(newWorkerServer(t, nil).URL, dead)
+	cfg.Clock = clock
+	if c, err = newQuick(cfg); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Probe(context.Background()); err != nil {
+		t.Fatalf("Probe with one live worker: %v", err)
+	}
+	if _, ok := c.core.Gate(0); !ok {
+		t.Fatal("live worker's gate closed after Probe")
+	}
+	wait, ok := c.core.Gate(1)
+	if ok || wait <= 0 || wait > cfg.BackoffBase {
+		t.Fatalf("dead worker's gate = (%v, %v), want closed for at most BackoffBase %v", wait, ok, cfg.BackoffBase)
+	}
+	clock.Advance(cfg.BackoffBase)
+	if _, ok := c.core.Gate(1); !ok {
+		t.Fatal("dead worker's gate still closed after BackoffBase")
 	}
 }
 

@@ -269,9 +269,10 @@ func (c *Core) Complete(l Lease, batches [][]campaign.Record, elapsed time.Durat
 // Fail charges a failed dispatch: the worker backs off (honoring any
 // Retry-After carried by a *DispatchError) and the shard requeues unless a
 // hedge sibling still carries it — or the attempt budget is spent, which
-// fails the run. A failure arriving after the worker was evicted is
-// dropped without effect (its lease already requeued). It reports whether
-// the shard went back on the queue and how many attempts it has burned.
+// fails the run. A shed (503 or 429) spends no attempt. A failure arriving
+// after the worker was evicted is dropped without effect (its lease
+// already requeued). It reports whether the shard went back on the queue
+// and how many attempts it has burned.
 func (c *Core) Fail(l Lease, err error, elapsed time.Duration) (requeued bool, attempts int) {
 	requeued, attempts, live := c.st.release(l.s, l.w, err)
 	if !live {

@@ -171,6 +171,11 @@ type Result struct {
 	// Joins and Evictions count membership churn: mid-campaign
 	// registrations and departures (graceful or TTL-evicted).
 	Joins, Evictions int
+	// Failed counts failed dispatches; MaxAttempts is the most attempts
+	// charged to any one shard, as Core.Fail reports them. Wasted counts
+	// unit executions that began service but did not deliver their shard
+	// first: hedge losers, and crashes, hangs and expiries mid-service.
+	Failed, MaxAttempts, Wasted int
 	// Advice holds the advisor samples when Scenario.Autoscale is set.
 	Advice []AdvicePoint
 }
@@ -535,7 +540,7 @@ func (s *sim) try(slot int) {
 func (s *sim) settleFail(slot, wi int, l cluster.Lease, dispatched time.Time, after time.Duration, err error, freeServer bool) {
 	at := s.clock.now.Add(after)
 	s.schedule(at, func() {
-		s.core.Fail(l, err, at.Sub(dispatched))
+		s.fail(l, err, at.Sub(dispatched))
 		if freeServer {
 			s.finish(wi)
 		}
@@ -610,12 +615,19 @@ func (s *sim) expireQueued(slot, wi int, j *job) {
 			break
 		}
 	}
-	s.core.Fail(j.lease, &cluster.DispatchError{
+	s.fail(j.lease, &cluster.DispatchError{
 		Err: fmt.Errorf("fleetsim: %v on %s: lease expired after %v in queue",
 			j.lease.Shard, w.model.Name, s.cfg.LeaseTimeout),
 	}, s.cfg.LeaseTimeout)
 	s.scheduleTry(s.clock.now, slot)
 	s.wakeIdle()
+}
+
+// fail charges a failed dispatch to the core and tallies it.
+func (s *sim) fail(l cluster.Lease, err error, elapsed time.Duration) {
+	_, attempts := s.core.Fail(l, err, elapsed)
+	s.res.Failed++
+	s.res.MaxAttempts = max(s.res.MaxAttempts, attempts)
 }
 
 // finish frees one server on a bounded worker and starts the next queued
@@ -648,6 +660,9 @@ func (s *sim) serve(slot, wi int, l cluster.Lease, dispatched time.Time, bounded
 	w := s.fleet[wi]
 	m := w.model
 	rel := s.clock.now.Sub(s.start)
+	// Every unit that starts service counts as wasted until its shard is
+	// delivered first.
+	s.res.Wasted += l.Shard.Len()
 
 	service := m.Overhead + m.UnitTime*time.Duration(l.Shard.Len())
 	if m.Jitter > 0 {
@@ -701,8 +716,12 @@ func (s *sim) serve(slot, wi int, l cluster.Lease, dispatched time.Time, bounded
 	}
 	at := s.clock.now.Add(service)
 	s.schedule(at, func() {
-		if _, err := s.core.Complete(l, batches, at.Sub(dispatched)); err != nil {
+		first, err := s.core.Complete(l, batches, at.Sub(dispatched))
+		if err != nil {
 			return // sink error is fatal; the core records it
+		}
+		if first {
+			s.res.Wasted -= l.Shard.Len()
 		}
 		if bounded {
 			s.finish(wi)

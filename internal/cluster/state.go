@@ -2,7 +2,9 @@ package cluster
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"net/http"
 	"sort"
 	"sync"
 	"time"
@@ -70,8 +72,8 @@ type shardState struct {
 	// hedged marks that a speculative second dispatch was issued in this
 	// lease generation; it resets if the shard is requeued.
 	hedged bool
-	// failures counts failed dispatches over the shard's lifetime, charged
-	// against Config.MaxAttempts.
+	// failures counts failed dispatches over the shard's lifetime, sheds
+	// excepted, charged against Config.MaxAttempts.
 	failures int
 	// holders are the workers currently running the shard, so a hedge
 	// never lands on the worker already holding it.
@@ -223,10 +225,11 @@ func (st *runState) hedgeHorizon(hedgeAfter time.Duration) (time.Time, bool) {
 
 // release records a failed dispatch. The shard is requeued once no sibling
 // dispatch is still running and the shard has not completed meanwhile; a
-// shard out of attempts fails the whole run. It reports whether the shard
-// went back on the queue and its failure count so far; live is false when
-// the dispatch had already been settled by a membership eviction, in which
-// case nothing is charged.
+// shard out of attempts fails the whole run. A shed (503 or 429) says the
+// worker is busy, not that the shard is bad, so it spends no attempt. It
+// reports whether the shard went back on the queue and its failure count
+// so far; live is false when the dispatch had already been settled by a
+// membership eviction, in which case nothing is charged.
 func (st *runState) release(s *shardState, w *worker, err error) (requeued bool, attempts int, live bool) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -239,7 +242,10 @@ func (st *runState) release(s *shardState, w *worker, err error) (requeued bool,
 	s.inflight--
 	delete(s.holders, w)
 	s.lastFailed = w
-	s.failures++
+	var de *DispatchError
+	if !errors.As(err, &de) || (de.Status != http.StatusServiceUnavailable && de.Status != http.StatusTooManyRequests) {
+		s.failures++
+	}
 	if s.inflight == 0 {
 		delete(st.inflight, s)
 	}

@@ -98,6 +98,9 @@ type worker struct {
 	trialInFlight bool
 }
 
+// probeTimeout bounds one /healthz probe.
+const probeTimeout = 5 * time.Second
+
 func newWorker(url string, cfg *Config, m *coordMetrics, rng *lockedRand) *worker {
 	return &worker{url: url, cfg: cfg, m: m, rng: rng}
 }
@@ -134,13 +137,19 @@ func (w *worker) gate() (wait time.Duration, ok bool) {
 	return 0, true
 }
 
-// fail charges one dispatch failure: exponential backoff with jitter
-// (overridden upward by a Retry-After hint), and breaker opening at the
-// threshold — including re-opening when a half-open trial fails.
+// fail charges one dispatch failure (see failLocked).
 func (w *worker) fail(err error) {
 	now := w.cfg.Clock.Now()
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	w.failLocked(err, now)
+}
+
+// failLocked charges one failure, of a dispatch or of a health probe:
+// exponential backoff with jitter (overridden upward by a Retry-After
+// hint), and breaker opening at the threshold — including re-opening when
+// a half-open trial fails. Callers hold w.mu.
+func (w *worker) failLocked(err error, now time.Time) {
 	w.trialInFlight = false
 	w.consecFails++
 	shift := w.consecFails - 1
@@ -231,13 +240,13 @@ func (w *worker) isDraining() bool {
 	return w.draining
 }
 
-// probe GETs /healthz and records the outcome. An unreachable worker
-// starts with its breaker open, so dispatch skips it until a half-open
-// trial readmits it. It reports whether the worker answered, whether it
-// answered "draining", and the Retry-After hint that bounds how long a
-// draining worker's in-flight work may still take.
+// probe GETs /healthz and records the outcome. An unreachable worker is
+// charged one failure, like a failed dispatch. It reports whether the
+// worker answered, whether it answered "draining", and the Retry-After
+// hint that bounds how long a draining worker's in-flight work may still
+// take.
 func (w *worker) probe(ctx context.Context) (up, draining bool, retryAfter time.Duration) {
-	ctx, cancel := context.WithTimeout(ctx, w.cfg.ProbeTimeout)
+	ctx, cancel := context.WithTimeout(ctx, probeTimeout)
 	defer cancel()
 	var h workerHealthz
 	header, err := w.getJSON(ctx, w.url+"/healthz", &h)
@@ -247,10 +256,7 @@ func (w *worker) probe(ctx context.Context) (up, draining bool, retryAfter time.
 	if err != nil {
 		w.up = false
 		w.probeErr = err
-		if w.consecFails < w.cfg.BreakerThreshold {
-			w.consecFails = w.cfg.BreakerThreshold
-		}
-		w.openUntil = now.Add(w.cfg.BreakerCooldown)
+		w.failLocked(err, now)
 		return false, false, 0
 	}
 	w.up = true
