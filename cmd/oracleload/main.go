@@ -63,10 +63,12 @@ import (
 	"oraclesize/internal/tenant"
 )
 
-// File is the BENCH_serve.json document.
+// File is the BENCH_serve.json document. Entries stay raw, so appending
+// rewrites every recorded entry byte for byte, including fields no current
+// mode writes.
 type File struct {
-	Schema  string  `json:"schema"`
-	Entries []Entry `json:"entries"`
+	Schema  string            `json:"schema"`
+	Entries []json.RawMessage `json:"entries"`
 }
 
 // Entry is one oracleload invocation.
@@ -79,26 +81,19 @@ type Entry struct {
 	// /v1/run, "open-loop" is /v1/run under a fixed-interval arrival clock
 	// at OfferedPerSec, "shard" is /v1/shard with ShardUnits units per
 	// request, "mixed" is one tenant's stream of the two-tenant isolation
-	// scenario (Tenant names which). ShardTargetSec and
-	// ShardUnitsMin/Median/Max are read back from entries recorded by an
-	// earlier adaptive shard mode (ShardUnits 0) and written out unchanged,
-	// so appending never drops them; no current mode sets them.
-	Mode             string  `json:"mode,omitempty"`
-	Tenant           string  `json:"tenant,omitempty"`
-	OfferedPerSec    float64 `json:"offered_per_sec,omitempty"`
-	ShardUnits       int     `json:"shard_units,omitempty"`
-	ShardTargetSec   float64 `json:"shard_target_sec,omitempty"`
-	ShardUnitsMin    int     `json:"shard_units_min,omitempty"`
-	ShardUnitsMedian int     `json:"shard_units_median,omitempty"`
-	ShardUnitsMax    int     `json:"shard_units_max,omitempty"`
-	Task             string  `json:"task"`
-	Family           string  `json:"family"`
-	Nodes            int     `json:"nodes"`
-	Seeds            int     `json:"seeds"`
-	Clients          int     `json:"clients"`
-	DurationSec      float64 `json:"duration_sec"`
-	Requests         int64   `json:"requests"`
-	Errors           int64   `json:"errors"`
+	// scenario (Tenant names which).
+	Mode          string  `json:"mode,omitempty"`
+	Tenant        string  `json:"tenant,omitempty"`
+	OfferedPerSec float64 `json:"offered_per_sec,omitempty"`
+	ShardUnits    int     `json:"shard_units,omitempty"`
+	Task          string  `json:"task"`
+	Family        string  `json:"family"`
+	Nodes         int     `json:"nodes"`
+	Seeds         int     `json:"seeds"`
+	Clients       int     `json:"clients"`
+	DurationSec   float64 `json:"duration_sec"`
+	Requests      int64   `json:"requests"`
+	Errors        int64   `json:"errors"`
 	// Shed counts capacity rejections (503, the server protecting itself);
 	// Throttled counts tenant-quota rejections (429, the server protecting
 	// other tenants). The distinction mirrors the service's error model.
@@ -519,7 +514,14 @@ func appendEntries(path string, entries []Entry, out, errOut io.Writer) int {
 		fmt.Fprintln(errOut, err)
 		return 1
 	}
-	doc.Entries = append(doc.Entries, entries...)
+	for _, e := range entries {
+		raw, err := json.Marshal(e)
+		if err != nil {
+			fmt.Fprintln(errOut, err)
+			return 1
+		}
+		doc.Entries = append(doc.Entries, raw)
+	}
 
 	data, err := json.MarshalIndent(doc, "", "  ")
 	if err != nil {

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"io"
@@ -87,5 +88,33 @@ func TestAppendKeepsRecordedEntries(t *testing.T) {
 		if !reflect.DeepEqual(after[i], e) {
 			t.Errorf("entry %d changed by the append:\n got %v\nwant %v", i, after[i], e)
 		}
+	}
+}
+
+// TestAppendKeepsEntryBytes: the recorded entries stay raw JSON, so an
+// append must leave their bytes exactly as they were — the file up to the
+// end of its last entry is a prefix of the file after the append.
+func TestAppendKeepsEntryBytes(t *testing.T) {
+	orig, err := os.ReadFile(filepath.Join("..", "..", "BENCH_serve.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "BENCH_serve.json")
+	if err := os.WriteFile(path, orig, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if code := appendEntries(path, []Entry{{Label: "appended"}}, io.Discard, io.Discard); code != 0 {
+		t.Fatalf("appendEntries exit %d", code)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	end := bytes.LastIndex(orig, []byte("\n  ]"))
+	if end < 0 {
+		t.Fatal("BENCH_serve.json has no closing entries bracket")
+	}
+	if want := append(orig[:end:end], ','); !bytes.HasPrefix(got, want) {
+		t.Errorf("the append rewrote recorded entries; want the first %d bytes unchanged", len(want))
 	}
 }

@@ -4,21 +4,15 @@ import (
 	"bytes"
 	"encoding/json"
 	"net/http"
-	"sort"
 	"strconv"
 	"sync"
 )
 
-// This file is the serving path's encoder: append-style writers for the two
-// fixed-shape hot responses (/v1/advice, /v1/run) plus a pooled buffer so a
-// response costs zero steady-state heap allocations and exactly one
-// ResponseWriter.Write.
-//
-// The contract — pinned by TestFastEncodersMatchStdlib — is byte-identity
-// with what the pre-fast-lane code produced: json.NewEncoder(w).Encode(v),
-// i.e. encoding/json with HTML escaping on and a trailing newline. Field
-// order follows the struct declarations, omitempty fields drop when empty,
-// and map keys sort bytewise, exactly as encoding/json does.
+// This file is the serving path's response writer. Every body is what
+// json.NewEncoder(w).Encode(v) produces — encoding/json with HTML escaping
+// on and a trailing newline — built in a pooled buffer and sent with
+// Content-Length in exactly one ResponseWriter.Write. A response-cache hit
+// never reaches the encoder: it writes the bytes stored on its miss.
 
 // rawJSON is a fully encoded response body (trailing newline included).
 // Handlers return it when the bytes already exist — a response-cache hit,
@@ -33,9 +27,9 @@ var encPool = sync.Pool{
 }
 
 // writeJSON encodes body and writes it with Content-Length set, buffering
-// through a pooled scratch so the encoder never allocates and the response
-// goes out in one Write. It returns the body's byte length — the usage
-// ledger charges response bytes to the tenant.
+// through a pooled scratch so the response goes out in one Write. It
+// returns the body's byte length — the usage ledger charges response bytes
+// to the tenant.
 func writeJSON(w http.ResponseWriter, status int, body any) int {
 	if raw, ok := body.(rawJSON); ok {
 		return writeBody(w, status, raw)
@@ -56,150 +50,11 @@ func writeBody(w http.ResponseWriter, status int, body []byte) int {
 	return len(body)
 }
 
-// encodeResponse appends body's encoding to b: the fast path for the two
-// fixed-shape responses, encoding/json for everything else (campaign
-// status, health, error objects). Both paths end with the Encoder's
-// trailing newline.
+// encodeResponse appends body's encoding to b: a /v1/advice or /v1/run
+// response on a miss, a shard batch, health, an admin body or an error
+// object, each with the Encoder's trailing newline.
 func encodeResponse(b []byte, body any) []byte {
-	switch v := body.(type) {
-	case *adviceResponse:
-		return append(appendAdviceResponse(b, v), '\n')
-	case *runResponse:
-		return append(appendRunResponse(b, v), '\n')
-	default:
-		buf := bytes.NewBuffer(b)
-		enc := json.NewEncoder(buf)
-		_ = enc.Encode(body)
-		return buf.Bytes()
-	}
-}
-
-// appendJSONString appends s as a JSON string. ASCII without escapes — every
-// name, scheme, and bit string this server emits — is copied directly; any
-// byte that needs escaping punts to encoding/json, whose output (HTML
-// escaping included) is the identity target.
-func appendJSONString(b []byte, s string) []byte {
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		if c < 0x20 || c >= 0x7f || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
-			enc, err := json.Marshal(s)
-			if err != nil {
-				enc = []byte(`""`)
-			}
-			return append(b, enc...)
-		}
-	}
-	b = append(b, '"')
-	b = append(b, s...)
-	return append(b, '"')
-}
-
-func appendAdviceResponse(b []byte, r *adviceResponse) []byte {
-	b = append(b, `{"family":`...)
-	b = appendJSONString(b, r.Family)
-	b = append(b, `,"nodes":`...)
-	b = strconv.AppendInt(b, int64(r.Nodes), 10)
-	b = append(b, `,"edges":`...)
-	b = strconv.AppendInt(b, int64(r.Edges), 10)
-	b = append(b, `,"max_degree":`...)
-	b = strconv.AppendInt(b, int64(r.MaxDegree), 10)
-	b = append(b, `,"task":`...)
-	b = appendJSONString(b, r.Task)
-	b = append(b, `,"scheme":`...)
-	b = appendJSONString(b, r.Scheme)
-	b = append(b, `,"oracle":`...)
-	b = appendJSONString(b, r.Oracle)
-	b = append(b, `,"total_bits":`...)
-	b = strconv.AppendInt(b, int64(r.TotalBits), 10)
-	b = append(b, `,"max_node_bits":`...)
-	b = strconv.AppendInt(b, int64(r.MaxNodeBits), 10)
-	b = append(b, `,"nonempty_nodes":`...)
-	b = strconv.AppendInt(b, int64(r.NonEmptyNodes), 10)
-	b = append(b, `,"wall_ns":`...)
-	b = strconv.AppendInt(b, r.WallNS, 10)
-	if len(r.Advice) > 0 {
-		b = append(b, `,"advice":[`...)
-		for i := range r.Advice {
-			if i > 0 {
-				b = append(b, ',')
-			}
-			a := &r.Advice[i]
-			b = append(b, `{"node":`...)
-			b = strconv.AppendInt(b, int64(a.Node), 10)
-			b = append(b, `,"label":`...)
-			b = strconv.AppendInt(b, a.Label, 10)
-			b = append(b, `,"bits":`...)
-			b = strconv.AppendInt(b, int64(a.Bits), 10)
-			b = append(b, `,"s":`...)
-			b = appendJSONString(b, a.S)
-			b = append(b, '}')
-		}
-		b = append(b, ']')
-	}
-	return append(b, '}')
-}
-
-func appendRunResponse(b []byte, r *runResponse) []byte {
-	b = append(b, `{"family":`...)
-	b = appendJSONString(b, r.Family)
-	b = append(b, `,"nodes":`...)
-	b = strconv.AppendInt(b, int64(r.Nodes), 10)
-	b = append(b, `,"edges":`...)
-	b = strconv.AppendInt(b, int64(r.Edges), 10)
-	b = append(b, `,"task":`...)
-	b = appendJSONString(b, r.Task)
-	b = append(b, `,"scheme":`...)
-	b = appendJSONString(b, r.Scheme)
-	b = append(b, `,"oracle":`...)
-	b = appendJSONString(b, r.Oracle)
-	b = append(b, `,"algorithm":`...)
-	b = appendJSONString(b, r.Algorithm)
-	b = append(b, `,"engine":`...)
-	b = appendJSONString(b, r.Engine)
-	if r.Scheduler != "" {
-		b = append(b, `,"scheduler":`...)
-		b = appendJSONString(b, r.Scheduler)
-	}
-	b = append(b, `,"advice_bits":`...)
-	b = strconv.AppendInt(b, int64(r.AdviceBits), 10)
-	b = append(b, `,"messages":`...)
-	b = strconv.AppendInt(b, int64(r.Messages), 10)
-	b = append(b, `,"message_bits":`...)
-	b = strconv.AppendInt(b, int64(r.MessageBits), 10)
-	if len(r.ByKind) > 0 {
-		b = append(b, `,"by_kind":{`...)
-		keys := make([]string, 0, len(r.ByKind))
-		for k := range r.ByKind {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for i, k := range keys {
-			if i > 0 {
-				b = append(b, ',')
-			}
-			b = appendJSONString(b, k)
-			b = append(b, ':')
-			b = strconv.AppendInt(b, int64(r.ByKind[k]), 10)
-		}
-		b = append(b, '}')
-	}
-	b = append(b, `,"max_node_sends":`...)
-	b = strconv.AppendInt(b, int64(r.MaxNodeSends), 10)
-	b = append(b, `,"rounds":`...)
-	b = strconv.AppendInt(b, int64(r.Rounds), 10)
-	b = append(b, `,"informed":`...)
-	b = strconv.AppendInt(b, int64(r.Informed), 10)
-	b = append(b, `,"complete":`...)
-	if r.Complete {
-		b = append(b, `true`...)
-	} else {
-		b = append(b, `false`...)
-	}
-	if r.CheckError != "" {
-		b = append(b, `,"check_error":`...)
-		b = appendJSONString(b, r.CheckError)
-	}
-	b = append(b, `,"wall_ns":`...)
-	b = strconv.AppendInt(b, r.WallNS, 10)
-	return append(b, '}')
+	buf := bytes.NewBuffer(b)
+	_ = json.NewEncoder(buf).Encode(body)
+	return buf.Bytes()
 }

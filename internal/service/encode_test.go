@@ -6,13 +6,16 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
+	"strings"
 	"sync"
 	"testing"
+
+	"oraclesize/internal/catalog"
 )
 
-// stdlibEncode is the identity target: what writeJSON produced before the
-// fast encoders existed (json.NewEncoder with HTML escaping and a trailing
-// newline).
+// stdlibEncode is the identity target: json.NewEncoder with HTML escaping
+// and a trailing newline.
 func stdlibEncode(t *testing.T, v any) []byte {
 	t.Helper()
 	var buf bytes.Buffer
@@ -22,52 +25,69 @@ func stdlibEncode(t *testing.T, v any) []byte {
 	return buf.Bytes()
 }
 
-// TestFastEncodersMatchStdlib is the golden byte-identity contract for the
-// append-style encoders: for every response shape — omitempty fields
-// present and absent, strings that need escaping, multi-key maps —
-// encodeResponse must produce exactly the bytes the stdlib encoder does.
-func TestFastEncodersMatchStdlib(t *testing.T) {
-	advice := []*adviceResponse{
-		{Family: "random-sparse", Nodes: 256, Edges: 700, MaxDegree: 9,
-			Task: "broadcast", Scheme: "light-tree", Oracle: "light-tree",
-			TotalBits: 1234, MaxNodeBits: 12, NonEmptyNodes: 200, WallNS: 987654},
-		{Family: "cycle", Nodes: 2, Task: "wakeup", WallNS: -1,
-			Advice: []nodeAdvice{
-				{Node: 0, Label: 17, Bits: 3, S: "101"},
-				{Node: 1, Label: -9, Bits: 0, S: ""},
-			}},
-		// Escaping fallback: quotes, backslashes, HTML characters, UTF-8,
-		// and control bytes must round through encoding/json verbatim.
-		{Family: `qu"ote\back`, Task: "<b>&amp;</b>", Scheme: "päth", Oracle: "a\x01b",
-			Advice: []nodeAdvice{{S: "bits<>&\"\\ ok"}}},
-	}
-	for i, r := range advice {
-		got := encodeResponse(nil, r)
-		want := stdlibEncode(t, r)
-		if !bytes.Equal(got, want) {
-			t.Errorf("advice[%d]:\nfast:   %s\nstdlib: %s", i, got, want)
-		}
-	}
+// wallNS matches the one response field that is not a function of the
+// request.
+var wallNS = regexp.MustCompile(`"wall_ns":\d+`)
 
-	runs := []*runResponse{
-		{Family: "random-sparse", Nodes: 256, Edges: 700, Task: "broadcast",
-			Scheme: "light-tree", Oracle: "light-tree", Algorithm: "tree-broadcast",
-			Engine: "queue", Scheduler: "fifo", AdviceBits: 555, Messages: 255,
-			MessageBits: 4096, ByKind: map[string]int{"token": 255, "ack": 12, "probe": 1},
-			MaxNodeSends: 9, Rounds: 17, Informed: 256, Complete: true, WallNS: 123456},
-		// goroutines engine: no scheduler, no by_kind, a check error.
-		{Family: "cycle", Nodes: 4, Edges: 4, Task: "wakeup", Scheme: "tree",
-			Oracle: "tree", Algorithm: "wakeup", Engine: "goroutines",
-			CheckError: `only 3 of 4 woke ("late" <node>)`, WallNS: 1},
-		{},
+// TestResponseBytesGolden pins the exact bytes oracled serves on a miss,
+// wall_ns masked, against testdata/responses.golden: the 200 bodies of
+// /v1/run for every canonical scheme of every task under each scheduler
+// and for each alias under fifo, /v1/advice for every canonical scheme
+// with and without include_advice, and three 400 bodies. The unknown names
+// carry '<', '>' and '&', so the golden also pins encoding/json's HTML
+// escaping; every body ends in the encoder's trailing newline, so the
+// next request line would join the body's line without it.
+func TestResponseBytesGolden(t *testing.T) {
+	s := newTestServer(t, Config{})
+	var out strings.Builder
+	serve := func(path string, body map[string]any, wantCode int) {
+		t.Helper()
+		data, err := json.Marshal(body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := httptest.NewRecorder()
+		s.Handler().ServeHTTP(w, httptest.NewRequest("POST", path, bytes.NewReader(data)))
+		if w.Code != wantCode {
+			t.Fatalf("%s %s: status %d, want %d: %s", path, data, w.Code, wantCode, w.Body.String())
+		}
+		fmt.Fprintf(&out, "POST %s %s -> %d\n", path, data, w.Code)
+		out.Write(wallNS.ReplaceAll(w.Body.Bytes(), []byte(`"wall_ns":<masked>`)))
 	}
-	for i, r := range runs {
-		got := encodeResponse(nil, r)
-		want := stdlibEncode(t, r)
-		if !bytes.Equal(got, want) {
-			t.Errorf("run[%d]:\nfast:   %s\nstdlib: %s", i, got, want)
+	run := func(task, scheme, scheduler string) map[string]any {
+		return map[string]any{"family": "random-sparse", "n": 32, "seed": 1,
+			"task": task, "scheme": scheme, "scheduler": scheduler}
+	}
+	tasks := catalog.Tasks()
+	for _, task := range tasks {
+		for _, sc := range task.Schemes {
+			for _, sched := range catalog.SchedulerNames() {
+				serve("/v1/run", run(task.Name, sc.Name, sched), http.StatusOK)
+			}
 		}
 	}
+	for _, task := range tasks {
+		for _, sc := range task.Schemes {
+			for _, alias := range sc.Aliases {
+				serve("/v1/run", run(task.Name, alias, "fifo"), http.StatusOK)
+			}
+		}
+	}
+	for _, task := range tasks {
+		for _, sc := range task.Schemes {
+			for _, include := range []bool{false, true} {
+				serve("/v1/advice", map[string]any{"family": "random-sparse", "n": 16, "seed": 1,
+					"task": task.Name, "scheme": sc.Name, "include_advice": include}, http.StatusOK)
+			}
+		}
+	}
+	serve("/v1/run", run("wakeup", "<none>", "fifo"), http.StatusBadRequest)
+	serve("/v1/run", map[string]any{"family": "random&sparse", "n": 32, "seed": 1, "task": "wakeup"},
+		http.StatusBadRequest)
+	capped := run("wakeup", "flooding", "fifo")
+	capped["max_messages"] = 5
+	serve("/v1/run", capped, http.StatusBadRequest)
+	compareGolden(t, "testdata/responses.golden", out.String())
 }
 
 // TestServedBytesMatchStdlibRoundtrip checks byte identity end to end: the

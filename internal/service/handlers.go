@@ -140,8 +140,9 @@ func retrySeconds(d time.Duration) int64 {
 	return secs
 }
 
-// reqScratch is the pooled per-request decode state for the hot endpoints:
-// the slurped body, a reusable reader, the request structs, and the
+// reqScratch is the pooled per-request decode state of the endpoints that
+// take a body (/v1/advice, /v1/run, /v1/shard): the slurped body, a
+// reusable reader, the hot endpoints' request structs, and the
 // response-cache key buffer. A scratch never outlives its handler call —
 // the executed closure captures a value copy of the request, not the
 // scratch — so handlers release it with a simple defer.
@@ -187,33 +188,12 @@ func (s *Server) readBody(w http.ResponseWriter, r *http.Request, scr *reqScratc
 	}
 }
 
-// decode parses the slurped body into dst with the same strictness as
-// decodeBody (unknown fields rejected).
+// decode parses the slurped body into dst, rejecting unknown fields.
 func (scr *reqScratch) decode(dst any) error {
 	scr.rdr.Reset(scr.body)
 	dec := json.NewDecoder(&scr.rdr)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(dst); err != nil {
-		return badRequest("decoding request: %v", err)
-	}
-	return nil
-}
-
-// decodeBody parses a size-capped JSON request body into dst. The cold
-// endpoint /v1/shard uses it; the hot endpoints go through the pooled
-// reqScratch instead.
-func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, dst any, ts *tenantState) error {
-	r.Body = http.MaxBytesReader(w, r.Body, s.bodyLimit(ts))
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(dst); err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			return &apiError{
-				status: http.StatusRequestEntityTooLarge,
-				msg:    fmt.Sprintf("request body exceeds %d bytes", mbe.Limit),
-			}
-		}
 		return badRequest("decoding request: %v", err)
 	}
 	return nil

@@ -310,7 +310,7 @@ func (s *Server) worker() {
 		s.metrics.dispatched.Add(int64(len(batch)))
 		for i, j := range batch {
 			s.runJob(j)
-			batch[i] = nil // the job may be pooled again; drop our reference
+			batch[i] = nil // buf outlives the batch; let the finished job be collected
 		}
 		buf = batch // keep any capacity growth for the next round
 	}
@@ -337,33 +337,18 @@ func (s *Server) runJob(j *job) {
 	j.done <- jobResult{value: value, err: err}
 }
 
-// jobPool recycles job structs (and their buffered done channels) across
-// requests. A job is returned to the pool only by the handler that owns it,
-// and only after the result hand-off completed — an abandoned job (deadline
-// fired first) is left for the GC because the worker may still be about to
-// send on its channel.
-var jobPool = sync.Pool{
-	New: func() any { return &job{done: make(chan jobResult, 1)} },
-}
-
 // execute queues work for the tenant and waits for its result or the
 // request deadline. The done channel is buffered so a worker finishing
 // after deadline expiry never blocks.
 func (s *Server) execute(ctx ctxDone, ts *tenantState, work func() (any, error)) (any, error) {
-	j := jobPool.Get().(*job)
-	j.ctx, j.work = ctx, work
+	j := &job{ctx: ctx, work: work, done: make(chan jobResult, 1)}
 	if err := s.enqueue(ts, j); err != nil {
-		j.ctx, j.work, j.ts = nil, nil, nil
-		jobPool.Put(j)
 		return nil, err
 	}
 	select {
 	case r := <-j.done:
-		j.ctx, j.work, j.ts = nil, nil, nil
-		jobPool.Put(j)
 		return r.value, r.err
 	case <-ctx.Done():
-		// Do NOT pool j: the worker may still execute it and send on done.
 		return nil, errDeadline
 	}
 }

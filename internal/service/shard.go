@@ -95,8 +95,13 @@ func (s *Server) admitSpec(spec *campaign.Spec, ts *tenantState) (int64, error) 
 }
 
 func (s *Server) handleShard(w http.ResponseWriter, r *http.Request, ts *tenantState) (any, error) {
+	scr := scratchPool.Get().(*reqScratch)
+	defer scratchPool.Put(scr)
+	if err := s.readBody(w, r, scr, ts); err != nil {
+		return nil, err
+	}
 	var req shardRequest
-	if err := s.decodeBody(w, r, &req, ts); err != nil {
+	if err := scr.decode(&req); err != nil {
 		return nil, err
 	}
 	spec := &req.Spec
