@@ -13,6 +13,10 @@
 //	engine-wakeup      reused sim.Engine, advice precomputed: simulation only
 //	engine-broadcast   reused sim.Engine, advice precomputed: simulation only
 //	graph-build        RandomNetwork: generator + CSR construction per op
+//
+// The four scheme benchmarks also record the advice bits and messages of
+// one untimed call, so a speedup that changes the science shows in the
+// entry.
 package main
 
 import (
@@ -31,9 +35,11 @@ import (
 )
 
 // File is the BENCH_sim.json document: a schema tag plus the entry series.
+// Entries stay raw, so appending rewrites every recorded entry byte for
+// byte.
 type File struct {
-	Schema  string  `json:"schema"`
-	Entries []Entry `json:"entries"`
+	Schema  string            `json:"schema"`
+	Entries []json.RawMessage `json:"entries"`
 }
 
 // Entry is one benchjson invocation.
@@ -54,6 +60,8 @@ type Benchmark struct {
 	NsPerOp     float64 `json:"ns_per_op"`
 	BytesPerOp  int64   `json:"bytes_per_op"`
 	AllocsPerOp int64   `json:"allocs_per_op"`
+	AdviceBits  int     `json:"advice_bits,omitempty"`
+	Messages    int     `json:"messages,omitempty"`
 }
 
 const schema = "oraclesize/bench/v1"
@@ -92,47 +100,37 @@ func run(args []string, out, errOut io.Writer) int {
 		return 1
 	}
 
+	wakeupEngine, broadcastEngine := sim.NewEngine(), sim.NewEngine()
+	// graph-build runs no scheme: its advice bits and messages are zero.
 	benches := []struct {
 		name string
-		fn   func(b *testing.B)
+		op   func() (adviceBits, messages int, err error)
 	}{
-		{"public-wakeup", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := oraclesize.Wakeup(g, 0); err != nil {
-					b.Fatal(err)
-				}
-			}
+		{"public-wakeup", func() (int, int, error) {
+			r, err := oraclesize.Wakeup(g, 0)
+			return r.OracleBits, r.Messages, err
 		}},
-		{"public-broadcast", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := oraclesize.Broadcast(g, 0); err != nil {
-					b.Fatal(err)
-				}
-			}
+		{"public-broadcast", func() (int, int, error) {
+			r, err := oraclesize.Broadcast(g, 0)
+			return r.OracleBits, r.Messages, err
 		}},
-		{"engine-wakeup", func(b *testing.B) {
-			e := sim.NewEngine()
-			opts := sim.Options{EnforceWakeup: true}
-			for i := 0; i < b.N; i++ {
-				if _, err := e.Run(g, 0, wakeup.Algorithm{}, wakeupAdvice, opts); err != nil {
-					b.Fatal(err)
-				}
+		{"engine-wakeup", func() (int, int, error) {
+			res, err := wakeupEngine.Run(g, 0, wakeup.Algorithm{}, wakeupAdvice, sim.Options{EnforceWakeup: true})
+			if err != nil {
+				return 0, 0, err
 			}
+			return wakeupAdvice.SizeBits(), res.Messages, nil
 		}},
-		{"engine-broadcast", func(b *testing.B) {
-			e := sim.NewEngine()
-			for i := 0; i < b.N; i++ {
-				if _, err := e.Run(g, 0, broadcast.Algorithm{}, broadcastAdvice, sim.Options{}); err != nil {
-					b.Fatal(err)
-				}
+		{"engine-broadcast", func() (int, int, error) {
+			res, err := broadcastEngine.Run(g, 0, broadcast.Algorithm{}, broadcastAdvice, sim.Options{})
+			if err != nil {
+				return 0, 0, err
 			}
+			return broadcastAdvice.SizeBits(), res.Messages, nil
 		}},
-		{"graph-build", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := oraclesize.RandomNetwork(*n, *m, *seed); err != nil {
-					b.Fatal(err)
-				}
-			}
+		{"graph-build", func() (int, int, error) {
+			_, err := oraclesize.RandomNetwork(*n, *m, *seed)
+			return 0, 0, err
 		}},
 	}
 
@@ -145,10 +143,19 @@ func run(args []string, out, errOut io.Writer) int {
 		Edges:  g.M(),
 	}
 	for _, bench := range benches {
-		fn := bench.fn
+		op := bench.op
+		bits, msgs, err := op()
+		if err != nil {
+			fmt.Fprintf(errOut, "benchjson: %s: %v\n", bench.name, err)
+			return 1
+		}
 		r := testing.Benchmark(func(b *testing.B) {
 			b.ReportAllocs()
-			fn(b)
+			for i := 0; i < b.N; i++ {
+				if _, _, err := op(); err != nil {
+					b.Fatal(err)
+				}
+			}
 		})
 		entry.Benchmarks = append(entry.Benchmarks, Benchmark{
 			Name:        bench.name,
@@ -156,37 +163,48 @@ func run(args []string, out, errOut io.Writer) int {
 			NsPerOp:     float64(r.T.Nanoseconds()) / float64(r.N),
 			BytesPerOp:  r.AllocedBytesPerOp(),
 			AllocsPerOp: r.AllocsPerOp(),
+			AdviceBits:  bits,
+			Messages:    msgs,
 		})
-		fmt.Fprintf(out, "%-18s %10d iters  %12.0f ns/op  %10d B/op  %8d allocs/op\n",
+		fmt.Fprintf(out, "%-18s %10d iters  %12.0f ns/op  %10d B/op  %8d allocs/op  %6d advice bits  %6d messages\n",
 			bench.name, r.N, float64(r.T.Nanoseconds())/float64(r.N),
-			r.AllocedBytesPerOp(), r.AllocsPerOp())
+			r.AllocedBytesPerOp(), r.AllocsPerOp(), bits, msgs)
 	}
+	return appendEntry(*outPath, entry, out, errOut)
+}
 
+// appendEntry loads (or creates) the trajectory file and appends entry.
+func appendEntry(path string, entry Entry, out, errOut io.Writer) int {
 	doc := File{Schema: schema}
-	if data, err := os.ReadFile(*outPath); err == nil {
+	if data, err := os.ReadFile(path); err == nil {
 		if err := json.Unmarshal(data, &doc); err != nil {
-			fmt.Fprintf(errOut, "benchjson: %s exists but is not a bench file: %v\n", *outPath, err)
+			fmt.Fprintf(errOut, "benchjson: %s exists but is not a bench file: %v\n", path, err)
 			return 1
 		}
 		if doc.Schema != schema {
-			fmt.Fprintf(errOut, "benchjson: %s has schema %q, want %q\n", *outPath, doc.Schema, schema)
+			fmt.Fprintf(errOut, "benchjson: %s has schema %q, want %q\n", path, doc.Schema, schema)
 			return 1
 		}
 	} else if !os.IsNotExist(err) {
 		fmt.Fprintln(errOut, err)
 		return 1
 	}
-	doc.Entries = append(doc.Entries, entry)
+	raw, err := json.Marshal(entry)
+	if err != nil {
+		fmt.Fprintln(errOut, err)
+		return 1
+	}
+	doc.Entries = append(doc.Entries, raw)
 
 	data, err := json.MarshalIndent(doc, "", "  ")
 	if err != nil {
 		fmt.Fprintln(errOut, err)
 		return 1
 	}
-	if err := os.WriteFile(*outPath, append(data, '\n'), 0o644); err != nil {
+	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
 		fmt.Fprintln(errOut, err)
 		return 1
 	}
-	fmt.Fprintf(out, "wrote entry %q to %s (%d entries)\n", *label, *outPath, len(doc.Entries))
+	fmt.Fprintf(out, "wrote entry %q to %s (%d entries)\n", entry.Label, path, len(doc.Entries))
 	return 0
 }

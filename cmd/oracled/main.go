@@ -80,7 +80,7 @@ func run(args []string, out, errOut io.Writer) int {
 		cache       = fs.Int("cache", 128, "instance cache capacity (entries)")
 		shardUnits  = fs.Int("max-shard-units", 1<<10, "largest unit batch accepted by POST /v1/shard")
 		batchMax    = fs.Int("batch-max", 0, "max queued requests one worker drains per wakeup (0 = default 16)")
-		respCache   = fs.Int("response-cache", 0, "response cache capacity in entries (0 = default 4096, negative disables)")
+		respCap     = fs.Int("response-cache", 0, "response cache capacity in entries (0 = default 4096, negative disables)")
 		pprofAddr   = fs.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060; empty = off)")
 		joinURL     = fs.String("join", "", "register with this oracleherd fleet endpoint (its -listen address) and heartbeat until shutdown")
 		advertise   = fs.String("advertise", "", "base URL the coordinator should dispatch to (default derived from -addr)")
@@ -137,7 +137,7 @@ func run(args []string, out, errOut io.Writer) int {
 		CacheCapacity:         *cache,
 		MaxShardUnits:         *shardUnits,
 		BatchMax:              *batchMax,
-		ResponseCacheCapacity: *respCache,
+		ResponseCacheCapacity: *respCap,
 		TenantStore:           store,
 	})
 	if err != nil {

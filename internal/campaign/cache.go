@@ -1,10 +1,12 @@
 package campaign
 
 import (
+	"encoding/binary"
 	"math/rand"
 	"sync"
 	"sync/atomic"
 
+	"oraclesize/internal/fifo"
 	"oraclesize/internal/graph"
 	"oraclesize/internal/graphgen"
 )
@@ -24,58 +26,16 @@ import (
 // results — only speed. A nil *Cache is valid and generates every graph
 // afresh.
 //
-// The key space is partitioned by hash into independently locked shards so
-// concurrent lookups — the oracled serving path runs one per request —
-// do not serialize on a single mutex. Capacity is divided evenly across
-// shards and each shard evicts FIFO on its own; a sharded cache may
-// therefore evict an entry a single-shard cache of the same total capacity
-// would have kept (and vice versa), which by the regeneration contract
-// above is a speed difference, never a correctness one.
+// Entries live in a fifo.Cache split over independently locked shards, so
+// concurrent lookups — the oracled serving path runs one per request — do
+// not serialize on a single mutex. Each shard evicts on its own; a sharded
+// cache may therefore evict an entry a single-shard cache of the same total
+// capacity would have kept (and vice versa), which by the regeneration
+// contract above is a speed difference, never a correctness one.
 type Cache struct {
-	shards []cacheShard
-	mask   uint64
-	hits   atomic.Int64
-	misses atomic.Int64
-}
-
-// instanceKey identifies one cached instance without string formatting:
-// the triple is the generation function's full input. The textual form
-// "instance/<family>/n<n>/s<seed>" used in logs corresponds 1:1.
-type instanceKey struct {
-	family string
-	n      int
-	seed   int64
-}
-
-// hash is FNV-1a over the key's fields, used for shard selection.
-func (k instanceKey) hash() uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for i := 0; i < len(k.family); i++ {
-		h ^= uint64(k.family[i])
-		h *= prime64
-	}
-	h ^= uint64(k.n)
-	h *= prime64
-	h ^= uint64(k.seed)
-	h *= prime64
-	return h
-}
-
-// cacheShard is one independently locked slice of the key space. Eviction
-// order is tracked as order[head:]; evicting advances head instead of
-// re-slicing, and the dead prefix is periodically compacted in place so
-// the backing array stays bounded by ~2× the shard capacity (the old
-// order = order[1:] idiom pinned every appended backing array forever).
-type cacheShard struct {
-	mu      sync.Mutex
-	entries map[instanceKey]*cacheEntry
-	order   []instanceKey
-	head    int
-	cap     int
+	entries *fifo.Cache[*cacheEntry]
+	hits    atomic.Int64
+	misses  atomic.Int64
 }
 
 // cacheEntry is one cached graph. It is generated at most once: workers
@@ -95,26 +55,7 @@ type cacheEntry struct {
 // use several. Sharding changes which entries survive eviction pressure,
 // never any record contents.
 func NewCache(capacity, shards int) *Cache {
-	if capacity < 1 {
-		capacity = 1
-	}
-	if shards < 1 {
-		shards = 1
-	}
-	if shards > capacity {
-		shards = capacity
-	}
-	n := 1
-	for n < shards {
-		n <<= 1
-	}
-	per := (capacity + n - 1) / n
-	c := &Cache{shards: make([]cacheShard, n), mask: uint64(n - 1)}
-	for i := range c.shards {
-		c.shards[i].entries = make(map[instanceKey]*cacheEntry, per)
-		c.shards[i].cap = per
-	}
-	return c
+	return &Cache{entries: fifo.New[*cacheEntry](capacity, shards)}
 }
 
 // Graph returns the instance of fam at the requested size and seed,
@@ -130,29 +71,24 @@ func (c *Cache) Graph(fam graphgen.Family, n int, seed int64) (*graph.Graph, err
 	if c == nil {
 		return fam.Generate(n, rand.New(rand.NewSource(seed)))
 	}
-	key := instanceKey{family: fam.Name, n: n, seed: seed}
-	s := &c.shards[key.hash()&c.mask]
-	s.mu.Lock()
-	e, ok := s.entries[key]
-	if !ok {
-		e = &cacheEntry{}
-		s.entries[key] = e
-		s.order = append(s.order, key)
-		if len(s.order)-s.head > s.cap {
-			// Evicting an entry another worker still holds is safe: their
-			// pointer stays valid, the instance just stops being shared.
-			delete(s.entries, s.order[s.head])
-			s.order[s.head] = instanceKey{} // drop the family string reference
-			s.head++
-			if s.head > s.cap {
-				live := copy(s.order, s.order[s.head:])
-				s.order = s.order[:live]
-				s.head = 0
-			}
-		}
+	// The key is the generation function's full input: the length-prefixed
+	// family name, n and seed.
+	var buf [64]byte
+	key := binary.AppendUvarint(buf[:0], uint64(len(fam.Name)))
+	key = append(key, fam.Name...)
+	key = binary.AppendVarint(key, int64(n))
+	key = binary.AppendVarint(key, seed)
+	e, hit := c.entries.Get(key)
+	if !hit {
+		// A racing Add returns the first entry, so each graph is still
+		// generated once. Evicting an entry another worker still holds is
+		// safe: their pointer stays valid, the instance just stops being
+		// shared.
+		var added bool
+		e, added = c.entries.Add(key, &cacheEntry{})
+		hit = !added
 	}
-	s.mu.Unlock()
-	if ok {
+	if hit {
 		c.hits.Add(1)
 	} else {
 		c.misses.Add(1)

@@ -132,74 +132,35 @@ func TestShardedCacheDoesNotChangeRecords(t *testing.T) {
 	}
 }
 
-// TestShardedCacheSpreadsKeys sanity-checks the partitioning: distinct
-// seeds land in more than one shard, and total capacity is preserved.
-func TestShardedCacheSpreadsKeys(t *testing.T) {
-	c := NewCache(64, 8)
-	if len(c.shards) != 8 {
-		t.Fatalf("shards = %d, want 8", len(c.shards))
-	}
-	fam, err := graphgen.FamilyByName("random-sparse")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for seed := int64(0); seed < 64; seed++ {
-		if _, err := c.Graph(fam, 8, seed); err != nil {
-			t.Fatal(err)
-		}
-	}
-	populated := 0
-	total := 0
-	for i := range c.shards {
-		if n := len(c.shards[i].entries); n > 0 {
-			populated++
-			total += n
-		}
-	}
-	if populated < 2 {
-		t.Errorf("64 distinct keys landed in %d shard(s); hash is not spreading", populated)
-	}
-	if total > 64 {
-		t.Errorf("sharded cache holds %d entries, capacity 64", total)
-	}
-	// Shard counts round up to a power of two and never exceed capacity.
-	if got := len(NewCache(4, 100).shards); got != 4 {
-		t.Errorf("shards(cap=4, want 100) = %d, want 4", got)
-	}
-	if got := len(NewCache(64, 5).shards); got != 8 {
-		t.Errorf("shards(cap=64, want 5) = %d, want 8 (next power of two)", got)
-	}
-}
-
-// TestEvictionOrderDoesNotLeak is the regression test for the FIFO order
-// slice: the old order = order[1:] idiom let the backing array grow with
-// every insertion ever made. Churning far more distinct instances than
-// the capacity through the cache must leave both the entry map and the
-// order slice's backing array bounded by the capacity, not the history.
+// TestEvictionOrderDoesNotLeak: churning far more distinct instances than
+// the capacity through the cache must leave only the newest capacity
+// instances resident, so its footprint follows the capacity, not the
+// history. The newest are probed first because a hit evicts nothing; every
+// older instance must then miss and regenerate. The order slice's own
+// bound is pinned by the fifo package's test of the same name.
 func TestEvictionOrderDoesNotLeak(t *testing.T) {
-	const capacity = 4
+	const capacity, churn = 4, 10_000
 	c := NewCache(capacity, 1)
 	fam, err := graphgen.FamilyByName("path")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for seed := int64(0); seed < 10_000; seed++ {
+	for seed := int64(0); seed < churn; seed++ {
 		if _, err := c.Graph(fam, 4, seed); err != nil {
 			t.Fatal(err)
 		}
 	}
-	s := &c.shards[0]
-	if len(s.entries) > capacity {
-		t.Errorf("entries = %d, want <= %d", len(s.entries), capacity)
+	if st := c.Stats(); st.Hits != 0 || st.Misses != churn {
+		t.Fatalf("churn: hits, misses = %d, %d; want 0, %d", st.Hits, st.Misses, churn)
 	}
-	// Compaction keeps the live window plus a bounded dead prefix; 4× the
-	// capacity is generous headroom over the ~2× the implementation aims
-	// for, while the old idiom would have accumulated thousands.
-	if got := cap(s.order); got > 4*capacity {
-		t.Errorf("order backing array holds %d slots after 10k insertions, want <= %d", got, 4*capacity)
+	for seed := int64(churn - 1); seed >= 0; seed-- {
+		if _, err := c.Graph(fam, 4, seed); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if live := len(s.order) - s.head; live > capacity {
-		t.Errorf("live order window = %d, want <= %d", live, capacity)
+	if st := c.Stats(); st.Hits != capacity || st.Misses != 2*churn-capacity {
+		t.Errorf("probe: hits, misses = %d, %d; want %d, %d (only the newest %d resident)",
+			st.Hits, st.Misses, capacity, 2*churn-capacity, capacity)
 	}
 }
 

@@ -23,22 +23,24 @@ func (sh Shard) String() string {
 }
 
 // RunShard executes the shard's units sequentially and returns one record
-// batch per unit, in unit order. The caller supplies the compiled unit list
-// (compile once, run many shards) and optionally a shared graph cache; a
-// nil cache regenerates graphs from their seeds, which changes speed but
-// never record contents. The worker-pool layer above decides how many
-// shards run at once — a shard itself stays single-threaded so a bounded
-// queue slot costs exactly one core.
-func RunShard(spec *Spec, units []Unit, sh Shard, cache *Cache) ([][]Record, error) {
-	if sh.Start < 0 || sh.End > len(units) || sh.Start >= sh.End {
-		return nil, fmt.Errorf("campaign: %v out of range for %d units", sh, len(units))
+// batch per unit, in unit order. It decodes only the shard's own units
+// from the spec, and optionally shares a graph cache; a nil cache
+// regenerates graphs from their seeds, which changes speed but never
+// record contents. The worker-pool layer above decides how many shards
+// run at once — a shard itself stays single-threaded so a bounded queue
+// slot costs exactly one core.
+func RunShard(spec *Spec, sh Shard, cache *Cache) ([][]Record, error) {
+	if total := spec.UnitCount(); sh.Start < 0 || int64(sh.End) > total || sh.Start >= sh.End {
+		return nil, fmt.Errorf("campaign: %v out of range for %d units", sh, total)
 	}
 	specHash := spec.Hash()
+	schemes := spec.schemeLists()
 	out := make([][]Record, sh.Len())
 	for i := sh.Start; i < sh.End; i++ {
-		recs, err := runUnit(spec, specHash, units[i], cache)
+		u := spec.unit(schemes, i)
+		recs, err := runUnit(spec, specHash, u, cache)
 		if err != nil {
-			return nil, fmt.Errorf("campaign: unit %s: %w", units[i].Key(), err)
+			return nil, fmt.Errorf("campaign: unit %s: %w", u.Key(), err)
 		}
 		out[i-sh.Start] = recs
 	}

@@ -27,7 +27,7 @@ func TestRunShardMatchesRun(t *testing.T) {
 		sink := NewSink(&buf)
 		cache := NewCache(16, 1)
 		for _, sh := range shards {
-			batches, err := RunShard(spec, units, sh, cache)
+			batches, err := RunShard(spec, sh, cache)
 			if err != nil {
 				t.Fatalf("size %d: RunShard(%v): %v", size, sh, err)
 			}
@@ -41,7 +41,7 @@ func TestRunShardMatchesRun(t *testing.T) {
 			}
 			// A hedged duplicate of the same shard must merge to nothing.
 			if sh.Index%2 == 0 {
-				dup, err := RunShard(spec, units, sh, nil)
+				dup, err := RunShard(spec, sh, nil)
 				if err != nil {
 					t.Fatalf("size %d: duplicate RunShard(%v): %v", size, sh, err)
 				}
@@ -68,7 +68,7 @@ func TestRunShardRejectsBadRange(t *testing.T) {
 		{Start: -1, End: 1}, {Start: 0, End: 0}, {Start: 2, End: 1},
 		{Start: 0, End: len(units) + 1},
 	} {
-		if _, err := RunShard(spec, units, sh, nil); err == nil {
+		if _, err := RunShard(spec, sh, nil); err == nil {
 			t.Errorf("RunShard accepted %v over %d units", sh, len(units))
 		}
 	}

@@ -82,6 +82,29 @@ func satAdd(a, b int64) int64 {
 	return a + b
 }
 
+// schemeLists returns each task's scheme list, in spec order: the named
+// schemes, else every registered scheme of the task. An unknown task,
+// which Validate rejects, gets none and so compiles to no units.
+func (s *Spec) schemeLists() [][]string {
+	lists := make([][]string, len(s.Tasks))
+	for i, ts := range s.Tasks {
+		lists[i] = ts.Schemes
+		if len(ts.Schemes) == 0 {
+			if td, err := taskByName(ts.Task); err == nil {
+				lists[i] = td.SchemeNames()
+			}
+		}
+	}
+	return lists
+}
+
+// gridSize is the unit count of one task's grid, families × sizes ×
+// schemes × trials, saturating at math.MaxInt64.
+func (s *Spec) gridSize(schemes int) int64 {
+	return satMul(satMul(int64(len(s.Families)), int64(len(s.Sizes))),
+		satMul(int64(schemes), int64(s.Trials)))
+}
+
 // UnitCount returns len(s.Units()) without materializing the list, so
 // callers can enforce a unit cap before compiling a spec whose cross
 // product is enormous — a tiny JSON body can request billions of units.
@@ -89,63 +112,46 @@ func satAdd(a, b int64) int64 {
 // first (negative trials would make the count meaningless).
 func (s *Spec) UnitCount() int64 {
 	var total int64
-	for _, ts := range s.Tasks {
-		schemes := int64(len(ts.Schemes))
-		if schemes == 0 {
-			td, err := taskByName(ts.Task)
-			if err != nil {
-				continue // Validate rejects this spec; keep the count consistent with Units
-			}
-			schemes = int64(len(td.SchemeNames()))
-		}
-		grid := satMul(satMul(int64(len(s.Families)), int64(len(s.Sizes))),
-			satMul(schemes, int64(s.Trials)))
-		total = satAdd(total, grid)
+	for _, schemes := range s.schemeLists() {
+		total = satAdd(total, s.gridSize(len(schemes)))
 	}
 	return satAdd(total, int64(len(s.Experiments)))
+}
+
+// unit decodes the unit at index i of the compiled list, 0 <= i <
+// UnitCount(), walking the task grids by gridSize as UnitCount does.
+// schemes is s.schemeLists().
+func (s *Spec) unit(schemes [][]string, i int) Unit {
+	j := int64(i)
+	for t, sc := range schemes {
+		if grid := s.gridSize(len(sc)); j >= grid {
+			j -= grid
+			continue
+		}
+		u := Unit{Index: i, Kind: KindTask, Task: s.Tasks[t].Task}
+		u.Trial = int(j % int64(s.Trials))
+		j /= int64(s.Trials)
+		u.Scheme = sc[j%int64(len(sc))]
+		j /= int64(len(sc))
+		u.N = s.Sizes[j%int64(len(s.Sizes))]
+		u.Family = s.Families[j/int64(len(s.Sizes))]
+		u.Seed = unitSeed(s.Seed, u.Key())
+		u.InstanceSeed = unitSeed(s.Seed, u.InstanceKey())
+		return u
+	}
+	u := Unit{Index: i, Kind: KindExperiment, Experiment: s.Experiments[j]}
+	u.Seed = unitSeed(s.Seed, u.Key())
+	return u
 }
 
 // Units compiles the spec into its deterministic unit list: tasks in spec
 // order, then families, sizes, schemes and trials; experiment replays
 // follow the grid. Callers must Validate the spec first.
 func (s *Spec) Units() []Unit {
-	var units []Unit
-	add := func(u Unit) {
-		u.Index = len(units)
-		u.Seed = unitSeed(s.Seed, u.Key())
-		if u.Kind == KindTask {
-			u.InstanceSeed = unitSeed(s.Seed, u.InstanceKey())
-		}
-		units = append(units, u)
-	}
-	for _, ts := range s.Tasks {
-		schemes := ts.Schemes
-		if len(schemes) == 0 {
-			td, err := taskByName(ts.Task)
-			if err != nil {
-				continue // Validate rejects this spec; keep Units total
-			}
-			schemes = td.SchemeNames()
-		}
-		for _, fname := range s.Families {
-			for _, n := range s.Sizes {
-				for _, sc := range schemes {
-					for trial := 0; trial < s.Trials; trial++ {
-						add(Unit{
-							Kind:   KindTask,
-							Task:   ts.Task,
-							Scheme: sc,
-							Family: fname,
-							N:      n,
-							Trial:  trial,
-						})
-					}
-				}
-			}
-		}
-	}
-	for _, id := range s.Experiments {
-		add(Unit{Kind: KindExperiment, Experiment: id})
+	schemes := s.schemeLists()
+	units := make([]Unit, s.UnitCount())
+	for i := range units {
+		units[i] = s.unit(schemes, i)
 	}
 	return units
 }

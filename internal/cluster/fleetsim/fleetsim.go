@@ -250,7 +250,6 @@ type sim struct {
 	core    *cluster.Core
 	cfg     cluster.Config // resolved
 	spec    *campaign.Spec
-	units   []campaign.Unit
 	cache   *campaign.Cache
 	fleet   []*wsim // by core worker index
 	slotOf  []int   // slot id -> worker index
@@ -312,10 +311,9 @@ func Run(sc Scenario) (*Result, error) {
 		cfg.Elastic = true
 	}
 
-	units := sc.Spec.Units()
 	var buf bytes.Buffer
 	sink := campaign.NewSink(&buf)
-	core, err := cluster.NewCore(cfg, len(units), sc.Done, sink)
+	core, err := cluster.NewCore(cfg, int(sc.Spec.UnitCount()), sc.Done, sink)
 	if err != nil {
 		return nil, err
 	}
@@ -326,7 +324,6 @@ func Run(sc Scenario) (*Result, error) {
 		core:  core,
 		cfg:   core.Config(),
 		spec:  sc.Spec,
-		units: units,
 		cache: campaign.NewCache(sc.Spec.Trials+16, 1),
 		jrng:  rand.New(rand.NewSource(core.Config().Seed + 0x5eed)),
 		sc:    &sc,
@@ -701,7 +698,7 @@ func (s *sim) serve(slot, wi int, l cluster.Lease, dispatched time.Time, bounded
 		return
 	}
 
-	batches, err := campaign.RunShard(s.spec, s.units, l.Shard, s.cache)
+	batches, err := campaign.RunShard(s.spec, l.Shard, s.cache)
 	if err != nil {
 		s.runErr = fmt.Errorf("fleetsim: computing %v: %w", l.Shard, err)
 		return

@@ -91,9 +91,9 @@ func TestResponseBytesGolden(t *testing.T) {
 }
 
 // TestServedBytesMatchStdlibRoundtrip checks byte identity end to end: the
-// body the handler tree serves (fast encoder, miss path) and the body a
-// repeat request gets (cache hit) must both equal the stdlib encoding of
-// the decoded response — i.e. exactly what the pre-fast-lane server sent.
+// body the handler tree serves on a miss and the body a repeat request
+// gets (cache hit) must both equal the stdlib encoding of the decoded
+// response.
 func TestServedBytesMatchStdlibRoundtrip(t *testing.T) {
 	s := newTestServer(t, Config{})
 	cases := []struct {
@@ -186,25 +186,133 @@ func TestResponseCacheDisabled(t *testing.T) {
 	}
 }
 
-// TestRespCacheEvictionBounded mirrors the instance cache's leak
-// regression: churning far more keys than capacity through a shard must
-// leave both the map and the order slice's backing array bounded, and
-// oversized bodies must not be stored.
+// TestResponseCacheKeysOnBody pins the response cache's key, the endpoint
+// plus the body bytes as sent, and what counts as a miss: a storable
+// request that reached execution.
+func TestResponseCacheKeysOnBody(t *testing.T) {
+	s := newTestServer(t, Config{})
+	post := func(path, body string) *httptest.ResponseRecorder {
+		t.Helper()
+		w := httptest.NewRecorder()
+		s.Handler().ServeHTTP(w, httptest.NewRequest("POST", path, strings.NewReader(body)))
+		return w
+	}
+	var hits, misses, dispatched int64
+	expect := func(step string, dh, dm, dd int64) {
+		t.Helper()
+		hits, misses, dispatched = hits+dh, misses+dm, dispatched+dd
+		if h, m, d := s.metrics.respHits.Load(), s.metrics.respMisses.Load(), s.metrics.dispatched.Load(); h != hits || m != misses || d != dispatched {
+			t.Errorf("%s: hits, misses, dispatched = %d, %d, %d; want %d, %d, %d", step, h, m, d, hits, misses, dispatched)
+		}
+	}
+	ok := func(step string, w *httptest.ResponseRecorder) []byte {
+		t.Helper()
+		if w.Code != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", step, w.Code, w.Body.String())
+		}
+		return wallNS.ReplaceAll(w.Body.Bytes(), []byte(`"wall_ns":0`))
+	}
+
+	const body = `{"family":"random-sparse","n":32,"seed":3,"task":"broadcast"}`
+	first := post("/v1/run", body)
+	want := ok("first", first)
+	expect("first", 0, 1, 1)
+	if hit := post("/v1/run", body); !bytes.Equal(hit.Body.Bytes(), first.Body.Bytes()) {
+		t.Errorf("repeat: status %d, body differs from the first:\n%s\n%s", hit.Code, hit.Body.Bytes(), first.Body.Bytes())
+	}
+	expect("same bytes", 1, 0, 0)
+
+	for _, spelling := range []string{
+		`{"task":"broadcast","seed":3,"n":32,"family":"random-sparse"}`,
+		`{"family": "random-sparse", "n": 32, "seed": 3, "task": "broadcast"}`,
+	} {
+		if got := ok(spelling, post("/v1/run", spelling)); !bytes.Equal(got, want) {
+			t.Errorf("%s: answer differs beyond wall_ns:\n%s\n%s", spelling, got, want)
+		}
+		expect(spelling, 0, 1, 1)
+		ok(spelling+" again", post("/v1/run", spelling))
+		expect(spelling+" again", 1, 0, 0)
+	}
+
+	// The endpoint tag keeps /v1/advice apart from /v1/run.
+	ok("advice", post("/v1/advice", body))
+	expect("advice with a run body", 0, 1, 1)
+
+	padded := strings.Replace(body, ",", ","+strings.Repeat(" ", maxCachedRequest), 1)
+	for i := 0; i < 2; i++ {
+		if got := ok("padded", post("/v1/run", padded)); !bytes.Equal(got, want) {
+			t.Errorf("padded body: answer differs beyond wall_ns:\n%s\n%s", got, want)
+		}
+		expect("padded body", 0, 0, 1)
+	}
+
+	// Responses over maxCachedResponse execute every time.
+	big := `{"family":"random-sparse","n":1024,"seed":3,"task":"broadcast","include_advice":true}`
+	for i := 0; i < 2; i++ {
+		if n := len(ok("big", post("/v1/advice", big))); n <= maxCachedResponse {
+			t.Fatalf("include_advice body is %d bytes, not over the %d-byte bound", n, maxCachedResponse)
+		}
+		expect("oversized response", 0, 1, 1)
+	}
+
+	conc := `{"family":"random-sparse","n":32,"seed":3,"task":"broadcast","engine":"goroutines"}`
+	for i := 0; i < 2; i++ {
+		ok("goroutines", post("/v1/run", conc))
+		expect("goroutines engine", 0, 0, 1)
+	}
+
+	for _, bad := range []string{
+		`{"family":"random-sparse","n":32,`,
+		`{"family":"random-sparse","n":32,"seed":3,"task":"broadcast","scheme":"psychic"}`,
+	} {
+		for i := 0; i < 2; i++ {
+			if w := post("/v1/run", bad); w.Code != http.StatusBadRequest {
+				t.Fatalf("%s: status %d, want 400", bad, w.Code)
+			}
+			expect(bad, 0, 0, 0)
+		}
+	}
+}
+
+// TestRespCacheEvictionBounded: churning far more stored responses than
+// the capacity through storeResponse must leave at most the capacity
+// resident, the newest among them, and a response over maxCachedResponse
+// must be answered but not stored.
 func TestRespCacheEvictionBounded(t *testing.T) {
-	c := newRespCache(4, 1)
-	for i := 0; i < 10_000; i++ {
-		c.put([]byte(fmt.Sprintf("key-%d", i)), []byte("{}"))
+	const capacity, churn = 4, 10_000
+	s := newTestServer(t, Config{ResponseCacheCapacity: capacity})
+	key := func(i int) []byte { return fmt.Appendf(nil, "r{\"seed\":%d}", i) }
+	for i := 0; i < churn; i++ {
+		if _, err := s.storeResponse(&reqScratch{key: key(i)}, map[string]int{"seed": i}, nil); err != nil {
+			t.Fatal(err)
+		}
 	}
-	sh := &c.shards[0]
-	if len(sh.entries) > 4 {
-		t.Errorf("entries = %d, want <= 4", len(sh.entries))
+	resident := 0
+	for i := 0; i < churn; i++ {
+		if _, ok := s.responses.Get(key(i)); ok {
+			resident++
+		}
 	}
-	if got := cap(sh.order); got > 16 {
-		t.Errorf("order backing array holds %d slots after 10k puts, want <= 16", got)
+	if resident > capacity {
+		t.Errorf("%d of %d stored responses resident, want <= %d", resident, churn, capacity)
 	}
-	c.put([]byte("big"), make([]byte, maxCachedResponse+1))
-	if c.get([]byte("big")) != nil {
+	if _, ok := s.responses.Get(key(churn - 1)); !ok {
+		t.Error("newest stored response was evicted")
+	}
+
+	big := []byte("a{\"big\"}")
+	enc, err := s.storeResponse(&reqScratch{key: big}, strings.Repeat("x", maxCachedResponse), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(enc.(rawJSON)); n <= maxCachedResponse {
+		t.Fatalf("encoded body is %d bytes, not over the %d-byte bound", n, maxCachedResponse)
+	}
+	if _, ok := s.responses.Get(big); ok {
 		t.Error("oversized body was cached")
+	}
+	if got := s.metrics.respMisses.Load(); got != churn+1 {
+		t.Errorf("respMisses = %d, want %d", got, churn+1)
 	}
 }
 
@@ -269,14 +377,14 @@ func postAllocs(t *testing.T, h http.Handler, path string, body map[string]any) 
 	})
 }
 
-// TestAllocBudgetHotPaths pins the steady-state allocation budget of the
-// /v1/advice and /v1/run fast lanes. The measured number includes ~25
-// allocations of httptest harness per request; the handler path itself
-// (read, decode, key, cache lookup, write) holds the rest. Before the fast
-// lane the same measurement was ~90 allocations and ~114 KB per request.
+// TestAllocBudgetHotPaths pins the steady-state allocation budget of a
+// /v1/advice and /v1/run response-cache hit. The measured number includes
+// 20 allocations of httptest harness per request; the handler path itself
+// (read, key, cache lookup, write) holds the rest, 24 in all at n = 64 and
+// 256. Decoding the request would cost about 10 more.
 func TestAllocBudgetHotPaths(t *testing.T) {
 	s := newTestServer(t, Config{})
-	const budget = 45
+	const budget = 30
 	for _, tc := range []struct {
 		path string
 		body map[string]any

@@ -143,7 +143,7 @@ func retrySeconds(d time.Duration) int64 {
 // reqScratch is the pooled per-request decode state of the endpoints that
 // take a body (/v1/advice, /v1/run, /v1/shard): the slurped body, a
 // reusable reader, the hot endpoints' request structs, and the
-// response-cache key buffer. A scratch never outlives its handler call —
+// response-cache body key. A scratch never outlives its handler call —
 // the executed closure captures a value copy of the request, not the
 // scratch — so handlers release it with a simple defer.
 type reqScratch struct {
@@ -199,12 +199,63 @@ func (scr *reqScratch) decode(dst any) error {
 	return nil
 }
 
-// appendKeyString length-prefixes s into a response-cache key, so
-// concatenated free-form fields can never collide across field boundaries.
-func appendKeyString(b []byte, s string) []byte {
-	b = strconv.AppendInt(b, int64(len(s)), 10)
-	b = append(b, ':')
-	return append(b, s...)
+// maxCachedRequest bounds the request body a response is stored under.
+// The body is the key, and a body may be up to MaxBodyBytes, so without
+// it padded bodies could pin the cache's capacity times 1 MiB of keys. A
+// /v1/run body with every field set is about 180 bytes; a longer body is
+// answered, never stored.
+const maxCachedRequest = 1 << 10
+
+// maxCachedResponse bounds the size of one stored response. Typical
+// /v1/run and /v1/advice responses are a few hundred bytes; include_advice
+// responses for large n blow past this and simply are not stored.
+const maxCachedResponse = 16 << 10
+
+// cachedResponse is the fast lane of /v1/advice and /v1/run, run right
+// after readBody. Advice and queue-engine runs (schedulers draw from the
+// request seed) are pure functions of the request, so a repeat is answered
+// with the bytes stored on its first execution. The key is the endpoint
+// tag plus the body as sent, so a hit skips decoding too: the identical
+// bytes were decoded, validated and answered 200 before, and instrument
+// has already authenticated the request and spent its rate token. A body
+// spelled differently is its own entry. A stored response replays its
+// first execution's wall_ns, the cost of the simulation that produced the
+// numbers; a hit ran none.
+//
+// On a miss it leaves the key in scr.key when the response may be stored:
+// the cache is on, the server is not stopped and the body is within
+// maxCachedRequest. Handlers clear the key for requests that must not be
+// stored and pass their result through storeResponse.
+func (s *Server) cachedResponse(scr *reqScratch, endpoint byte) (rawJSON, bool) {
+	scr.key = scr.key[:0]
+	if s.responses == nil || s.draining.Load() || len(scr.body) > maxCachedRequest {
+		return nil, false
+	}
+	scr.key = append(append(scr.key, endpoint), scr.body...)
+	body, ok := s.responses.Get(scr.key)
+	if ok {
+		s.metrics.respHits.Add(1)
+	}
+	return body, ok
+}
+
+// storeResponse finishes an executed request whose key cachedResponse
+// left in scr.key: it counts the miss, encodes a 200 body once and stores
+// it, and returns the encoded bytes so the miss writes exactly what later
+// hits replay. Racing misses on one key keep the first stored body.
+func (s *Server) storeResponse(scr *reqScratch, body any, err error) (any, error) {
+	if len(scr.key) == 0 {
+		return body, err
+	}
+	s.metrics.respMisses.Add(1)
+	if err != nil {
+		return body, err
+	}
+	enc := encodeResponse(make([]byte, 0, 512), body)
+	if len(enc) <= maxCachedResponse {
+		s.responses.Add(scr.key, rawJSON(enc))
+	}
+	return rawJSON(enc), nil
 }
 
 // instanceParams selects a cached graph instance; shared by advice and run
@@ -278,54 +329,20 @@ type adviceResponse struct {
 	Advice        []nodeAdvice `json:"advice,omitempty"`
 }
 
-// adviceCacheKey builds the response-cache key for an advice request: every
-// response-affecting request field, plus a distinct endpoint tag.
-func adviceCacheKey(b []byte, req *adviceRequest) []byte {
-	b = append(b, 'a', 0)
-	b = appendKeyString(b, req.Family)
-	b = append(b, 0)
-	b = strconv.AppendInt(b, int64(req.N), 10)
-	b = append(b, 0)
-	b = strconv.AppendInt(b, req.Seed, 10)
-	b = append(b, 0)
-	b = strconv.AppendInt(b, int64(req.Source), 10)
-	b = append(b, 0)
-	b = appendKeyString(b, req.Task)
-	b = append(b, 0)
-	b = appendKeyString(b, req.Scheme)
-	b = append(b, 0)
-	if req.IncludeAdvice {
-		return append(b, 1)
-	}
-	return append(b, 0)
-}
-
 func (s *Server) handleAdvice(w http.ResponseWriter, r *http.Request, ts *tenantState) (any, error) {
 	scr := scratchPool.Get().(*reqScratch)
 	defer scratchPool.Put(scr)
 	if err := s.readBody(w, r, scr, ts); err != nil {
 		return nil, err
 	}
+	if body, ok := s.cachedResponse(scr, 'a'); ok {
+		return body, nil
+	}
 	scr.advice = adviceRequest{}
 	if err := scr.decode(&scr.advice); err != nil {
 		return nil, err
 	}
 	req := scr.advice
-	// Fast lane: oracle advice is a pure function of the request, so a
-	// repeat request is answered with the previously encoded bytes without
-	// touching the work queue. A key can only hit if the identical request
-	// succeeded before, so validation is not bypassed — it already ran; and
-	// authentication/rate admission ran in instrument before this handler,
-	// so a cached body is never handed to an unauthorized request.
-	cacheable := s.responses != nil && !s.draining.Load()
-	if cacheable {
-		scr.key = adviceCacheKey(scr.key[:0], &req)
-		if body := s.responses.get(scr.key); body != nil {
-			s.metrics.respHits.Add(1)
-			return rawJSON(body), nil
-		}
-		s.metrics.respMisses.Add(1)
-	}
 	run, err := catalog.Resolve(req.Task, req.Scheme, "", "", req.Seed)
 	if err != nil {
 		return nil, badRequest("%v", err)
@@ -372,12 +389,7 @@ func (s *Server) handleAdvice(w http.ResponseWriter, r *http.Request, ts *tenant
 		}
 		return resp, nil
 	})
-	if err != nil || !cacheable {
-		return body, err
-	}
-	enc := encodeResponse(make([]byte, 0, 512), body)
-	s.responses.put(scr.key, enc)
-	return rawJSON(enc), nil
+	return s.storeResponse(scr, body, err)
 }
 
 // ---- POST /v1/run ----
@@ -419,55 +431,22 @@ type runResponse struct {
 	WallNS       int64          `json:"wall_ns"`
 }
 
-// runCacheKey builds the response-cache key for a run request. Every
-// response-affecting field participates; the engine field is included even
-// though only queue-engine requests are cacheable, so the "" and "queue"
-// spellings get (equally correct) separate entries.
-func runCacheKey(b []byte, req *runRequest) []byte {
-	b = append(b, 'r', 0)
-	b = appendKeyString(b, req.Family)
-	b = append(b, 0)
-	b = strconv.AppendInt(b, int64(req.N), 10)
-	b = append(b, 0)
-	b = strconv.AppendInt(b, req.Seed, 10)
-	b = append(b, 0)
-	b = strconv.AppendInt(b, int64(req.Source), 10)
-	b = append(b, 0)
-	b = appendKeyString(b, req.Task)
-	b = append(b, 0)
-	b = appendKeyString(b, req.Scheme)
-	b = append(b, 0)
-	b = appendKeyString(b, req.Scheduler)
-	b = append(b, 0)
-	b = appendKeyString(b, req.Engine)
-	b = append(b, 0)
-	return strconv.AppendInt(b, int64(req.MaxMessages), 10)
-}
-
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request, ts *tenantState) (any, error) {
 	scr := scratchPool.Get().(*reqScratch)
 	defer scratchPool.Put(scr)
 	if err := s.readBody(w, r, scr, ts); err != nil {
 		return nil, err
 	}
+	if body, ok := s.cachedResponse(scr, 'r'); ok {
+		return body, nil
+	}
 	scr.run = runRequest{}
 	if err := scr.decode(&scr.run); err != nil {
 		return nil, err
 	}
 	req := scr.run
-	// Fast lane: a queue-engine run is deterministic in the request tuple
-	// (schedulers draw from the request seed), so repeats replay the first
-	// execution's encoded response. The goroutines engine races real
-	// goroutines and is never cached.
-	cacheable := s.responses != nil && !s.draining.Load() &&
-		(req.Engine == "" || req.Engine == "queue")
-	if cacheable {
-		scr.key = runCacheKey(scr.key[:0], &req)
-		if body := s.responses.get(scr.key); body != nil {
-			s.metrics.respHits.Add(1)
-			return rawJSON(body), nil
-		}
-		s.metrics.respMisses.Add(1)
+	if req.Engine != "" && req.Engine != "queue" {
+		scr.key = scr.key[:0] // the goroutines engine races real goroutines: never stored
 	}
 	run, err := catalog.Resolve(req.Task, req.Scheme, req.Engine, req.Scheduler, req.Seed)
 	if err != nil {
@@ -538,12 +517,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request, ts *tenantSta
 		ts.ledger.units.Add(1)
 		return resp, nil
 	})
-	if err != nil || !cacheable {
-		return body, err
-	}
-	enc := encodeResponse(make([]byte, 0, 512), body)
-	s.responses.put(scr.key, enc)
-	return rawJSON(enc), nil
+	return s.storeResponse(scr, body, err)
 }
 
 // ---- GET /healthz ----

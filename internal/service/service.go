@@ -40,6 +40,7 @@ import (
 	"time"
 
 	"oraclesize/internal/campaign"
+	"oraclesize/internal/fifo"
 	"oraclesize/internal/tenant"
 )
 
@@ -142,10 +143,10 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// cacheShards partitions the instance and response caches into
+// lockShards partitions the instance and response caches into
 // independently locked shards (at most one per cached entry), so
 // concurrent requests do not serialize on one mutex.
-const cacheShards = 8
+const lockShards = 8
 
 // Server is one oracled instance: a handler tree plus the worker set behind
 // the bounded queue. Construct with New, serve s.Handler(), and Stop when
@@ -155,8 +156,7 @@ type Server struct {
 	mux       *http.ServeMux
 	metrics   *serverMetrics
 	cache     *campaign.Cache
-	responses *respCache // nil when ResponseCacheCapacity < 0
-	units     unitsCache
+	responses *fifo.Cache[rawJSON] // by body key (cachedResponse); nil when ResponseCacheCapacity < 0
 
 	// store is the tenant control plane the table is built from.
 	store *tenant.Store
@@ -209,7 +209,7 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:       cfg,
 		metrics:   &serverMetrics{endpoints: make(map[string]*endpointMetrics)},
-		cache:     campaign.NewCache(cfg.CacheCapacity, cacheShards),
+		cache:     campaign.NewCache(cfg.CacheCapacity, lockShards),
 		sched:     tenant.NewScheduler[*job](cfg.QueueDepth),
 		store:     cfg.TenantStore,
 		now:       time.Now,
@@ -222,7 +222,7 @@ func New(cfg Config) (*Server, error) {
 		return nil, err
 	}
 	if cfg.ResponseCacheCapacity > 0 {
-		s.responses = newRespCache(cfg.ResponseCacheCapacity, cacheShards)
+		s.responses = fifo.New[rawJSON](cfg.ResponseCacheCapacity, lockShards)
 	}
 	s.mux = s.routes()
 	s.workers.Add(cfg.Workers + 1)

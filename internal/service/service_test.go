@@ -150,7 +150,7 @@ func TestRunMatchesCampaignRecord(t *testing.T) {
 	if len(units) != 2*schemes {
 		t.Fatalf("spec compiles to %d units, want %d (two families × %d schemes)", len(units), 2*schemes, schemes)
 	}
-	batches, err := campaign.RunShard(spec, units, campaign.Shard{End: len(units)}, nil)
+	batches, err := campaign.RunShard(spec, campaign.Shard{End: len(units)}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

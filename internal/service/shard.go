@@ -2,7 +2,6 @@ package service
 
 import (
 	"net/http"
-	"sync"
 	"time"
 
 	"oraclesize/internal/campaign"
@@ -11,9 +10,10 @@ import (
 // ---- POST /v1/shard ----
 //
 // The shard endpoint is the batch execution path a cluster coordinator
-// drives: one request executes a contiguous range of a campaign spec's
-// compiled units synchronously and returns every record, grouped per unit,
-// so the coordinator pays HTTP overhead per shard rather than per unit.
+// drives: one request decodes a contiguous range of a campaign spec's
+// units, executes them synchronously and returns every record, grouped
+// per unit, so the coordinator pays HTTP overhead per shard rather than
+// per unit.
 // A shard occupies exactly one slot of the bounded work queue — the same
 // backpressure (503 + Retry-After) and deadline (504) rules as /v1/run
 // apply. The spec passes admitSpec (sizes, the tenant's unit limit), and
@@ -38,46 +38,10 @@ type shardResponse struct {
 	WallNS int64               `json:"wall_ns"`
 }
 
-// unitsCache memoizes compiled unit lists by spec hash, so a coordinator
-// fanning hundreds of shard requests for one spec at a worker does not pay
-// the full cross-product compilation per request. A handful of entries
-// suffices — a worker serves very few distinct specs at once — and entries
-// are evicted FIFO.
-type unitsCache struct {
-	mu      sync.Mutex
-	entries map[string][]campaign.Unit
-	order   []string
-}
-
-const unitsCacheCap = 4
-
-func (c *unitsCache) units(spec *campaign.Spec) []campaign.Unit {
-	hash := spec.Hash()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.entries == nil {
-		c.entries = make(map[string][]campaign.Unit, unitsCacheCap)
-	}
-	if units, ok := c.entries[hash]; ok {
-		return units
-	}
-	units := spec.Units()
-	c.entries[hash] = units
-	c.order = append(c.order, hash)
-	if len(c.order) > unitsCacheCap {
-		delete(c.entries, c.order[0])
-		c.order = c.order[1:]
-	}
-	return units
-}
-
 // admitSpec is /v1/shard's spec admission: it validates the spec,
 // requires every size within MaxNodes, and returns the unit count once it
-// is within the tenant's unit limit. It counts arithmetically before
-// compiling: Units() materializes the full cross product, so an over-cap
-// spec must be rejected without it — a small body requesting billions of
-// trials would otherwise allocate billions of Unit structs before the cap
-// check.
+// is within the tenant's unit limit. The count is arithmetic, so a small
+// body requesting billions of trials is rejected without decoding a unit.
 func (s *Server) admitSpec(spec *campaign.Spec, ts *tenantState) (int64, error) {
 	if err := spec.Validate(); err != nil {
 		return 0, badRequest("%v", err)
@@ -120,8 +84,7 @@ func (s *Server) handleShard(w http.ResponseWriter, r *http.Request, ts *tenantS
 	sh := campaign.Shard{Start: req.Start, End: req.End}
 	return s.execute(ctx, ts, func() (any, error) {
 		start := time.Now()
-		units := s.units.units(spec)
-		batches, err := campaign.RunShard(spec, units, sh, s.cache)
+		batches, err := campaign.RunShard(spec, sh, s.cache)
 		if err != nil {
 			return nil, badRequest("%v", err)
 		}
