@@ -13,6 +13,8 @@
 //	engine-wakeup      reused sim.Engine, advice precomputed: simulation only
 //	engine-broadcast   reused sim.Engine, advice precomputed: simulation only
 //	graph-build        RandomNetwork: generator + CSR construction per op
+//	graph-build-random-sparse, graph-build-random-regular, graph-build-grid
+//	                   that graphgen family at the entry's n and seed per op
 //
 // The four scheme benchmarks also record the advice bits and messages of
 // one untimed call, so a speedup that changes the science shows in the
@@ -24,12 +26,14 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math/rand"
 	"os"
 	"runtime"
 	"testing"
 
 	"oraclesize"
 	"oraclesize/internal/broadcast"
+	"oraclesize/internal/graphgen"
 	"oraclesize/internal/sim"
 	"oraclesize/internal/wakeup"
 )
@@ -101,11 +105,13 @@ func run(args []string, out, errOut io.Writer) int {
 	}
 
 	wakeupEngine, broadcastEngine := sim.NewEngine(), sim.NewEngine()
-	// graph-build runs no scheme: its advice bits and messages are zero.
-	benches := []struct {
+	type bench struct {
 		name string
 		op   func() (adviceBits, messages int, err error)
-	}{
+	}
+	// The graph-build rows run no scheme: their advice bits and messages
+	// are zero.
+	benches := []bench{
 		{"public-wakeup", func() (int, int, error) {
 			r, err := oraclesize.Wakeup(g, 0)
 			return r.OracleBits, r.Messages, err
@@ -132,6 +138,17 @@ func run(args []string, out, errOut io.Writer) int {
 			_, err := oraclesize.RandomNetwork(*n, *m, *seed)
 			return 0, 0, err
 		}},
+	}
+	for _, name := range []string{"random-sparse", "random-regular", "grid"} {
+		fam, err := graphgen.FamilyByName(name)
+		if err != nil {
+			fmt.Fprintln(errOut, err)
+			return 1
+		}
+		benches = append(benches, bench{"graph-build-" + name, func() (int, int, error) {
+			_, err := fam.Generate(*n, rand.New(rand.NewSource(*seed)))
+			return 0, 0, err
+		}})
 	}
 
 	entry := Entry{
@@ -166,7 +183,7 @@ func run(args []string, out, errOut io.Writer) int {
 			AdviceBits:  bits,
 			Messages:    msgs,
 		})
-		fmt.Fprintf(out, "%-18s %10d iters  %12.0f ns/op  %10d B/op  %8d allocs/op  %6d advice bits  %6d messages\n",
+		fmt.Fprintf(out, "%-26s %10d iters  %12.0f ns/op  %10d B/op  %8d allocs/op  %6d advice bits  %6d messages\n",
 			bench.name, r.N, float64(r.T.Nanoseconds())/float64(r.N),
 			r.AllocedBytesPerOp(), r.AllocsPerOp(), bits, msgs)
 	}

@@ -50,11 +50,14 @@ func TestEntryRecordsScience(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := map[string][2]int{
-		"public-wakeup":    {wakeup.OracleBits, wakeup.Messages},
-		"engine-wakeup":    {wakeup.OracleBits, wakeup.Messages},
-		"public-broadcast": {broadcast.OracleBits, broadcast.Messages},
-		"engine-broadcast": {broadcast.OracleBits, broadcast.Messages},
-		"graph-build":      {0, 0},
+		"public-wakeup":              {wakeup.OracleBits, wakeup.Messages},
+		"engine-wakeup":              {wakeup.OracleBits, wakeup.Messages},
+		"public-broadcast":           {broadcast.OracleBits, broadcast.Messages},
+		"engine-broadcast":           {broadcast.OracleBits, broadcast.Messages},
+		"graph-build":                {0, 0},
+		"graph-build-random-sparse":  {0, 0},
+		"graph-build-random-regular": {0, 0},
+		"graph-build-grid":           {0, 0},
 	}
 	if wakeup.Messages != g.N()-1 || wakeup.OracleBits == 0 || broadcast.OracleBits == 0 {
 		t.Fatalf("public API on the test graph: wakeup %+v, broadcast %+v", wakeup, broadcast)

@@ -49,8 +49,8 @@ type cacheEntry struct {
 
 // NewCache returns a cache bounded to capacity instances (minimum 1),
 // evicted FIFO, with its key space split over the given number of
-// independently locked shards (rounded up to a power of two, at most
-// capacity) and the capacity divided evenly across them. One shard suits
+// independently locked shards (rounded down to a power of two, at most
+// capacity) and the capacity divided across them. One shard suits
 // a worker pool that looks instances up once per unit; concurrent servers
 // use several. Sharding changes which entries survive eviction pressure,
 // never any record contents.

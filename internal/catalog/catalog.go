@@ -28,6 +28,7 @@ package catalog
 import (
 	"crypto/sha256"
 	"fmt"
+	"slices"
 	"strings"
 
 	"oraclesize/internal/broadcast"
@@ -128,9 +129,15 @@ func fixedOracle(o oracle.Oracle) func(graph.NodeID) oracle.Oracle {
 	return func(graph.NodeID) oracle.Oracle { return o }
 }
 
+// tasks is the registry TaskByName and Resolve read, built once; the Task
+// values they return share its Schemes slices, which nothing writes.
+var tasks = registry()
+
 // Tasks returns the registered tasks. The slice and its entries are fresh
 // on every call; callers may reorder or filter freely.
-func Tasks() []Task {
+func Tasks() []Task { return registry() }
+
+func registry() []Task {
 	return []Task{
 		{
 			Name:          "wakeup",
@@ -190,7 +197,6 @@ func Tasks() []Task {
 
 // TaskNames lists the registered task names in registry order.
 func TaskNames() []string {
-	tasks := Tasks()
 	names := make([]string, len(tasks))
 	for i, t := range tasks {
 		names[i] = t.Name
@@ -200,7 +206,7 @@ func TaskNames() []string {
 
 // TaskByName resolves a task name.
 func TaskByName(name string) (Task, error) {
-	for _, t := range Tasks() {
+	for _, t := range tasks {
 		if t.Name == name {
 			return t, nil
 		}
@@ -227,7 +233,7 @@ func Fingerprint() string {
 		}
 		h.Write([]byte{'\n'})
 	}
-	for _, t := range Tasks() {
+	for _, t := range tasks {
 		field("task", t.Name)
 		for _, sc := range t.Schemes {
 			field(append([]string{"scheme", t.Name, sc.Name}, sc.Aliases...)...)
@@ -291,13 +297,23 @@ func SchedulerNames() []string {
 	return names
 }
 
+// schedulerNames is SchedulerNames, listed once: Resolve checks a name
+// against it without building sim.Schedulers' factories.
+var schedulerNames = SchedulerNames()
+
+func checkScheduler(name string) error {
+	if !slices.Contains(schedulerNames, name) {
+		return fmt.Errorf("catalog: unknown scheduler %q (have %s)",
+			name, strings.Join(schedulerNames, " | "))
+	}
+	return nil
+}
+
 // schedulerFactory looks up the named scheduler kind; randomized
 // schedulers derive their stream from seed.
 func schedulerFactory(name string, seed int64) (sim.SchedulerFactory, error) {
-	factory, ok := sim.Schedulers(seed)[name]
-	if !ok {
-		return nil, fmt.Errorf("catalog: unknown scheduler %q (have %s)",
-			name, strings.Join(SchedulerNames(), " | "))
+	if err := checkScheduler(name); err != nil {
+		return nil, err
 	}
-	return factory, nil
+	return sim.Schedulers(seed)[name], nil
 }

@@ -170,6 +170,30 @@ func TestResolve(t *testing.T) {
 	}
 }
 
+// TestResolveDoesNotAllocate pins the name check every /v1/run and
+// /v1/advice miss, campaign unit and root Wakeup/Broadcast call pays: the
+// task table is built once, and scheduler names are checked without
+// building the scheduler factories.
+func TestResolveDoesNotAllocate(t *testing.T) {
+	for _, args := range [][4]string{{"wakeup", "", "", ""}, {"election", "mark", EngineQueue, "delay"}} {
+		allocs := testing.AllocsPerRun(100, func() {
+			if _, err := Resolve(args[0], args[1], args[2], args[3], 0); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("Resolve%q allocates %.0f times, want 0", args, allocs)
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		if _, err := graphgen.FamilyByName("random-regular"); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("FamilyByName allocates %.0f times, want 0", allocs)
+	}
+}
+
 // TestExecuteBudget checks Execute's message cap. A zero MaxMessages means
 // MessageBudget(g): max-label flooding on a 256-node star sends more than
 // the simulator's own default of 64(m+n)+1024 and must still finish. A set

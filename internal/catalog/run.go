@@ -58,7 +58,7 @@ func Resolve(task, scheme, engine, scheduler string, seed int64) (Run, error) {
 		if r.Scheduler == "" {
 			r.Scheduler = "fifo"
 		}
-		if _, err := schedulerFactory(r.Scheduler, seed); err != nil {
+		if err := checkScheduler(r.Scheduler); err != nil {
 			return Run{}, err
 		}
 	case EngineGoroutines:

@@ -8,11 +8,12 @@ import "sync"
 
 // Cache maps byte-string keys to values of type V. The key space is split
 // by hash over independently locked shards, so concurrent lookups do not
-// serialize on one mutex. Capacity is divided evenly across the shards and
-// each shard evicts its oldest entry once it holds more than its share; a
-// sharded cache may therefore evict an entry a single shard of the same
-// total capacity would have kept. A stored value is never replaced: the
-// first Add of a key wins until the key is evicted.
+// serialize on one mutex. Capacity is divided across the shards, the
+// remainder one entry each to the first shards, and each shard evicts its
+// oldest entry once it holds more than its share, so the cache never holds
+// more than its capacity; a sharded cache may therefore evict an entry a
+// single shard of the same total capacity would have kept. A stored value
+// is never replaced: the first Add of a key wins until the key is evicted.
 type Cache[V any] struct {
 	shards []shard[V]
 	mask   uint64
@@ -26,18 +27,22 @@ type shard[V any] struct {
 }
 
 // New returns a cache bounded to capacity entries (minimum 1) over the
-// given number of shards, capped at capacity and rounded up to a power of
-// two. Each shard holds capacity/shards entries, rounded up.
+// given number of shards, rounded down to a power of two no larger than
+// the capacity. Each shard holds capacity/shards entries, and the first
+// capacity%shards shards one more.
 func New[V any](capacity, shards int) *Cache[V] {
 	capacity = max(capacity, 1)
 	shards = min(max(shards, 1), capacity)
 	n := 1
-	for n < shards {
-		n <<= 1
+	for n*2 <= shards {
+		n *= 2
 	}
-	per := (capacity + n - 1) / n
 	c := &Cache[V]{shards: make([]shard[V], n), mask: uint64(n - 1)}
 	for i := range c.shards {
+		per := capacity / n
+		if i < capacity%n {
+			per++
+		}
 		c.shards[i].entries = make(map[string]V, per)
 		c.shards[i].cap = per
 	}

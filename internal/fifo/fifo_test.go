@@ -62,7 +62,7 @@ func TestEvictionOrderDoesNotLeak(t *testing.T) {
 
 // TestShardedCacheSpreadsKeys sanity-checks the partitioning: distinct
 // keys land in more than one shard, total capacity is preserved, and
-// shard counts are capped at the capacity and rounded up to a power of
+// shard counts are capped at the capacity and rounded down to a power of
 // two.
 func TestShardedCacheSpreadsKeys(t *testing.T) {
 	c := New[int](64, 8)
@@ -87,11 +87,29 @@ func TestShardedCacheSpreadsKeys(t *testing.T) {
 	if got := len(New[int](4, 100).shards); got != 4 {
 		t.Errorf("shards(cap=4, want 100) = %d, want 4", got)
 	}
-	if got := len(New[int](64, 5).shards); got != 8 {
-		t.Errorf("shards(cap=64, want 5) = %d, want 8 (next power of two)", got)
+	if got := len(New[int](64, 5).shards); got != 4 {
+		t.Errorf("shards(cap=64, want 5) = %d, want 4 (power of two below)", got)
+	}
+	if got := len(New[int](5, 8).shards); got != 4 {
+		t.Errorf("shards(cap=5, want 8) = %d, want 4 (power of two below the capacity)", got)
 	}
 	if got := len(New[int](0, 0).shards); got != 1 {
 		t.Errorf("shards(cap=0, want 0) = %d, want 1", got)
+	}
+}
+
+// TestCapacityIsABound: churning far more keys than the capacity through
+// a sharded cache fills every shard to its share, and the shares sum to
+// the capacity exactly, also when it does not divide by the shard count.
+func TestCapacityIsABound(t *testing.T) {
+	for _, capacity := range []int{5, 4097, 128} {
+		c := New[int](capacity, 8)
+		for i := 0; i < 100_000; i++ {
+			c.Add(strconv.AppendInt(nil, int64(i), 10), i)
+		}
+		if n := c.len(); n != capacity {
+			t.Errorf("New(%d, 8) holds %d entries after 100k adds, want %d", capacity, n, capacity)
+		}
 	}
 }
 

@@ -10,7 +10,6 @@
 package graph
 
 import (
-	"errors"
 	"fmt"
 	"slices"
 	"sync"
@@ -57,6 +56,7 @@ type Graph struct {
 	halves []Half
 	// offsets has n+1 entries; offsets[v+1]-offsets[v] is deg(v).
 	offsets []int32
+	// byLabel maps each label to the first node carrying it.
 	byLabel map[int64]NodeID
 	m       int
 
@@ -295,24 +295,27 @@ func (g *Graph) Diameter() int {
 // labels. Builders validate on construction; Validate exists for tests and
 // for graphs produced by transformation code.
 func (g *Graph) Validate() error {
-	seen := make(map[int64]NodeID, g.N())
-	for v := NodeID(0); int(v) < g.N(); v++ {
-		if prev, dup := seen[g.labels[v]]; dup {
-			return fmt.Errorf("graph: duplicate label %d on nodes %d and %d", g.labels[v], prev, v)
+	n := g.N()
+	// stamp[u] == v+1 marks u as already met among v's ports, so one slice
+	// serves every node's parallel-edge check.
+	stamp := make([]int32, n)
+	for v := NodeID(0); int(v) < n; v++ {
+		// byLabel holds each label's first node; a later node carrying the
+		// same label finds that one instead of itself.
+		if first := g.byLabel[g.labels[v]]; first != v {
+			return fmt.Errorf("graph: duplicate label %d on nodes %d and %d", g.labels[v], first, v)
 		}
-		seen[g.labels[v]] = v
-		neighbors := make(map[NodeID]bool, g.Degree(v))
 		for p, h := range g.Ports(v) {
 			if h.To == v {
 				return fmt.Errorf("graph: self-loop at node %d port %d", v, p)
 			}
-			if h.To < 0 || int(h.To) >= g.N() {
+			if h.To < 0 || int(h.To) >= n {
 				return fmt.Errorf("graph: node %d port %d points to invalid node %d", v, p, h.To)
 			}
-			if neighbors[h.To] {
+			if stamp[h.To] == int32(v)+1 {
 				return fmt.Errorf("graph: parallel edge between %d and %d", v, h.To)
 			}
-			neighbors[h.To] = true
+			stamp[h.To] = int32(v) + 1
 			if h.ToPort < 0 || h.ToPort >= g.Degree(h.To) {
 				return fmt.Errorf("graph: node %d port %d has reverse port %d out of range at node %d", v, p, h.ToPort, h.To)
 			}
@@ -331,10 +334,17 @@ func (g *Graph) Validate() error {
 
 // Builder assembles a Graph. Nodes are created up front; edges are attached
 // either at explicit ports or at the next free port of each endpoint.
+//
+// Building takes two passes: AddEdge and AddEdgeAuto only log each edge
+// with its ports, and Graph counts every node's degree from the log, sizes
+// the CSR arrays once and places both halves of every edge.
 type Builder struct {
 	labels []int64
-	adj    [][]Half
-	err    error
+	edges  []Edge // in call order, with the ports as given
+	// next[v] is one past the highest port assigned at v so far: the port
+	// AddEdgeAuto takes next.
+	next []int
+	err  error
 }
 
 // NewBuilder creates a builder for n nodes, labeled 1..n by default
@@ -342,7 +352,7 @@ type Builder struct {
 func NewBuilder(n int) *Builder {
 	b := &Builder{
 		labels: make([]int64, n),
-		adj:    make([][]Half, n),
+		next:   make([]int, n),
 	}
 	for v := range b.labels {
 		b.labels[v] = int64(v) + 1
@@ -350,12 +360,14 @@ func NewBuilder(n int) *Builder {
 	return b
 }
 
+func (b *Builder) has(v NodeID) bool { return v >= 0 && int(v) < len(b.labels) }
+
 // SetLabel overrides the label of v.
 func (b *Builder) SetLabel(v NodeID, label int64) {
 	if b.err != nil {
 		return
 	}
-	if int(v) >= len(b.labels) {
+	if !b.has(v) {
 		b.err = fmt.Errorf("graph: SetLabel on invalid node %d", v)
 		return
 	}
@@ -364,10 +376,11 @@ func (b *Builder) SetLabel(v NodeID, label int64) {
 
 // AddEdgeAuto connects u and v using the next free port at each endpoint.
 func (b *Builder) AddEdgeAuto(u, v NodeID) {
-	if b.err != nil {
-		return
+	pu, pv := 0, 0
+	if b.has(u) && b.has(v) {
+		pu, pv = b.next[u], b.next[v]
 	}
-	b.AddEdge(u, len(b.adj[u]), v, len(b.adj[v]))
+	b.AddEdge(u, pu, v, pv)
 }
 
 // AddEdge connects u (at port pu) and v (at port pv). Ports may be assigned
@@ -377,75 +390,78 @@ func (b *Builder) AddEdge(u NodeID, pu int, v NodeID, pv int) {
 	if b.err != nil {
 		return
 	}
-	if u == v {
+	switch {
+	case u == v:
 		b.err = fmt.Errorf("graph: self-loop at node %d", u)
-		return
-	}
-	if int(u) >= len(b.adj) || int(v) >= len(b.adj) || u < 0 || v < 0 {
+	case !b.has(u) || !b.has(v):
 		b.err = fmt.Errorf("graph: AddEdge on invalid nodes %d, %d", u, v)
-		return
-	}
-	b.growPorts(u, pu)
-	b.growPorts(v, pv)
-	if b.err != nil {
-		return
-	}
-	if b.adj[u][pu].To != -1 {
-		b.err = fmt.Errorf("graph: port %d at node %d already in use", pu, u)
-		return
-	}
-	if b.adj[v][pv].To != -1 {
-		b.err = fmt.Errorf("graph: port %d at node %d already in use", pv, v)
-		return
-	}
-	b.adj[u][pu] = Half{To: v, ToPort: pv}
-	b.adj[v][pv] = Half{To: u, ToPort: pu}
-}
-
-func (b *Builder) growPorts(v NodeID, p int) {
-	if p < 0 {
-		b.err = fmt.Errorf("graph: negative port %d at node %d", p, v)
-		return
-	}
-	for len(b.adj[v]) <= p {
-		b.adj[v] = append(b.adj[v], Half{To: -1})
+	case pu < 0:
+		b.err = fmt.Errorf("graph: negative port %d at node %d", pu, u)
+	case pv < 0:
+		b.err = fmt.Errorf("graph: negative port %d at node %d", pv, v)
+	default:
+		b.edges = append(b.edges, Edge{U: u, V: v, PU: pu, PV: pv})
+		b.next[u] = max(b.next[u], pu+1)
+		b.next[v] = max(b.next[v], pv+1)
 	}
 }
 
-// Graph validates and returns the built graph.
+// Graph validates and returns the built graph. A port used twice or left
+// unused below a node's highest port is an error.
 func (b *Builder) Graph() (*Graph, error) {
 	if b.err != nil {
 		return nil, b.err
 	}
-	m := 0
-	for v := range b.adj {
-		for p, h := range b.adj[v] {
-			if h.To == -1 {
-				return nil, fmt.Errorf("graph: unused port %d at node %d (ports must be contiguous)", p, v)
+	n := len(b.labels)
+	// Pass 1: degrees, summed into offsets.
+	offsets := make([]int32, n+1)
+	for _, e := range b.edges {
+		offsets[e.U+1]++
+		offsets[e.V+1]++
+	}
+	for v := 0; v < n; v++ {
+		offsets[v+1] += offsets[v]
+	}
+	// Pass 2: both halves of every edge, at their ports. A port at or past
+	// its node's degree is not placed: it leaves a lower port of that node
+	// unused, which the scan below reports.
+	halves := make([]Half, 2*len(b.edges))
+	for i := range halves {
+		halves[i].To = -1
+	}
+	placed := 0
+	for _, e := range b.edges {
+		for _, s := range [2]Edge{e, {U: e.V, V: e.U, PU: e.PV, PV: e.PU}} {
+			if s.PU >= int(offsets[s.U+1]-offsets[s.U]) {
+				continue
+			}
+			h := &halves[int(offsets[s.U])+s.PU]
+			if h.To != -1 {
+				return nil, fmt.Errorf("graph: port %d at node %d already in use", s.PU, s.U)
+			}
+			*h = Half{To: s.V, ToPort: s.PV}
+			placed++
+		}
+	}
+	if placed < len(halves) {
+		for v := 0; v < n; v++ {
+			for p, h := range halves[offsets[v]:offsets[v+1]] {
+				if h.To == -1 {
+					return nil, fmt.Errorf("graph: unused port %d at node %d (ports must be contiguous)", p, v)
+				}
 			}
 		}
-		m += len(b.adj[v])
 	}
-	if m%2 != 0 {
-		return nil, errors.New("graph: internal error: odd half-edge count")
-	}
-	// Flatten the builder's per-node slices into CSR form.
-	halves := make([]Half, 0, m)
-	offsets := make([]int32, len(b.adj)+1)
-	for v := range b.adj {
-		offsets[v] = int32(len(halves))
-		halves = append(halves, b.adj[v]...)
-	}
-	offsets[len(b.adj)] = int32(len(halves))
 	g := &Graph{
 		labels:  b.labels,
 		halves:  halves,
 		offsets: offsets,
-		byLabel: make(map[int64]NodeID, len(b.labels)),
-		m:       m / 2,
+		byLabel: make(map[int64]NodeID, n),
+		m:       len(b.edges),
 	}
-	for v, l := range b.labels {
-		g.byLabel[l] = NodeID(v)
+	// Backwards, so each label keeps its first node (Validate relies on it).
+	for v := n - 1; v >= 0; v-- {
+		g.byLabel[b.labels[v]] = NodeID(v)
 	}
 	if err := g.Validate(); err != nil {
 		return nil, err

@@ -90,6 +90,25 @@ func TestBuilderRejectsSelfLoop(t *testing.T) {
 	}
 }
 
+// TestBuilderRejectsInvalidNodes: an out-of-range node is an error from
+// every Builder method, AddEdgeAuto and a negative SetLabel included,
+// never an index panic.
+func TestBuilderRejectsInvalidNodes(t *testing.T) {
+	for name, build := range map[string]func(b *Builder){
+		"AddEdgeAuto past n":  func(b *Builder) { b.AddEdgeAuto(0, 2) },
+		"AddEdgeAuto below 0": func(b *Builder) { b.AddEdgeAuto(-1, 1) },
+		"AddEdge past n":      func(b *Builder) { b.AddEdge(0, 0, 2, 0) },
+		"SetLabel below 0":    func(b *Builder) { b.SetLabel(-1, 5) },
+	} {
+		b := NewBuilder(2)
+		build(b)
+		b.AddEdgeAuto(0, 1)
+		if _, err := b.Graph(); err == nil {
+			t.Errorf("%s accepted", name)
+		}
+	}
+}
+
 func TestBuilderRejectsPortReuse(t *testing.T) {
 	b := NewBuilder(3)
 	b.AddEdge(0, 0, 1, 0)

@@ -51,3 +51,13 @@ func BenchmarkCliqueGadget(b *testing.B) {
 		}
 	}
 }
+
+func BenchmarkRandomRegular(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := RandomRegular(256, 4, rng); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -3,6 +3,7 @@ package graphgen
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"oraclesize/internal/graph"
 )
@@ -64,47 +65,93 @@ func RandomRegular(n, d int, rng *rand.Rand) (*graph.Graph, error) {
 	// The pairing model succeeds with probability ~exp(-(d²-1)/4), so the
 	// attempt budget must grow with d²; 50000 covers d <= 7 comfortably.
 	const maxAttempts = 50000
+	p := pairing{
+		d:     d,
+		stubs: make([]int32, n*d),
+		nbr:   make([]int32, n*d),
+		back:  make([]int32, n*d),
+		deg:   make([]int32, n),
+	}
 	for attempt := 0; attempt < maxAttempts; attempt++ {
-		g, ok := tryPairing(n, d, rng)
-		if ok && g.Connected() {
-			return ShufflePorts(g, rng)
+		if p.try(rng) && p.connected() {
+			return p.graph(rng)
 		}
 	}
 	return nil, fmt.Errorf("graphgen: failed to sample a connected %d-regular graph on %d nodes", d, n)
 }
 
-// tryPairing runs one round of the configuration model: stubs are paired
+// pairing is the configuration model's scratch, reused across attempts.
+// Node v's k-th edge in pairing order leads to nbr[v*d+k], where it is
+// that node's back[v*d+k]-th edge; deg counts each node's edges so far.
+type pairing struct {
+	d                int
+	stubs, nbr, back []int32
+	deg              []int32
+}
+
+// try runs one round of the configuration model: stubs are paired
 // uniformly; the attempt fails on self-loops or parallel edges.
-func tryPairing(n, d int, rng *rand.Rand) (*graph.Graph, bool) {
-	stubs := make([]int, 0, n*d)
-	for v := 0; v < n; v++ {
-		for i := 0; i < d; i++ {
-			stubs = append(stubs, v)
+func (p *pairing) try(rng *rand.Rand) bool {
+	stubs, d := p.stubs, int32(p.d)
+	for v := range p.deg {
+		for k := v * p.d; k < (v+1)*p.d; k++ {
+			stubs[k] = int32(v)
 		}
 	}
 	rng.Shuffle(len(stubs), func(i, j int) { stubs[i], stubs[j] = stubs[j], stubs[i] })
-	type pair struct{ u, v int }
-	seen := make(map[pair]bool, n*d/2)
-	b := graph.NewBuilder(n)
+	clear(p.deg)
 	for i := 0; i < len(stubs); i += 2 {
 		u, v := stubs[i], stubs[i+1]
-		if u == v {
-			return nil, false
+		if u == v || slices.Contains(p.nbr[u*d:u*d+p.deg[u]], v) {
+			return false
 		}
-		if u > v {
-			u, v = v, u
-		}
-		if seen[pair{u, v}] {
-			return nil, false
-		}
-		seen[pair{u, v}] = true
-		b.AddEdgeAuto(graph.NodeID(u), graph.NodeID(v))
+		pu, pv := p.deg[u], p.deg[v]
+		p.nbr[u*d+pu], p.back[u*d+pu] = v, pv
+		p.nbr[v*d+pv], p.back[v*d+pv] = u, pu
+		p.deg[u]++
+		p.deg[v]++
 	}
-	g, err := b.Graph()
-	if err != nil {
-		return nil, false
+	return true
+}
+
+// connected reports whether the last successful pairing is connected, by
+// a breadth-first search that queues nodes in stubs (free until the next
+// try) and marks them in deg.
+func (p *pairing) connected() bool {
+	queue, seen := p.stubs[:1], p.deg
+	queue[0] = 0
+	clear(seen)
+	seen[0] = 1
+	for i := 0; i < len(queue); i++ {
+		u := queue[i]
+		for _, v := range p.nbr[u*int32(p.d) : (u+1)*int32(p.d)] {
+			if seen[v] == 0 {
+				seen[v] = 1
+				queue = append(queue, v)
+			}
+		}
 	}
-	return g, true
+	return len(queue) == len(seen)
+}
+
+// graph builds the last pairing with every node's ports shuffled, drawing
+// the permutations ShufflePorts would draw on it.
+func (p *pairing) graph(rng *rand.Rand) (*graph.Graph, error) {
+	n, d := len(p.deg), p.d
+	off := make([]int32, n+1)
+	for v := range off {
+		off[v] = int32(v * d)
+	}
+	perm := portPerms(off, rng)
+	b := graph.NewBuilder(n)
+	for u := 0; u < n; u++ {
+		for k := u * d; k < (u+1)*d; k++ {
+			if v := int(p.nbr[k]); u < v {
+				b.AddEdge(graph.NodeID(u), int(perm[k]), graph.NodeID(v), int(perm[v*d+int(p.back[k])]))
+			}
+		}
+	}
+	return b.Graph()
 }
 
 // ShuffleLabels returns a copy of g whose node labels are a uniformly
@@ -119,11 +166,13 @@ func ShuffleLabels(g *graph.Graph, rng *rand.Rand) (*graph.Graph, error) {
 	}
 	rng.Shuffle(n, func(i, j int) { labels[i], labels[j] = labels[j], labels[i] })
 	b := graph.NewBuilder(n)
-	for v := 0; v < n; v++ {
-		b.SetLabel(graph.NodeID(v), labels[v])
-	}
-	for _, e := range g.Edges() {
-		b.AddEdge(e.U, e.PU, e.V, e.PV)
+	for v := graph.NodeID(0); int(v) < n; v++ {
+		b.SetLabel(v, labels[v])
+		for p, h := range g.Ports(v) {
+			if v < h.To {
+				b.AddEdge(v, p, h.To, h.ToPort)
+			}
+		}
 	}
 	return b.Graph()
 }

@@ -19,7 +19,7 @@ type Family struct {
 }
 
 // Families returns the standard battery of families used by experiments
-// E1, E3, E5 and E8.
+// E1, E3, E5 and E8. The slice is fresh on every call.
 func Families() []Family {
 	return []Family{
 		{Name: "path", Generate: func(n int, _ *rand.Rand) (*graph.Graph, error) { return Path(n) }},
@@ -129,9 +129,12 @@ func Families() []Family {
 	}
 }
 
+// families is the registry FamilyByName searches, built once.
+var families = Families()
+
 // FamilyByName returns the named family.
 func FamilyByName(name string) (Family, error) {
-	for _, f := range Families() {
+	for _, f := range families {
 		if f.Name == name {
 			return f, nil
 		}

@@ -11,7 +11,7 @@ package graphgen
 import (
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"oraclesize/internal/graph"
 )
@@ -333,49 +333,69 @@ func RandomConnected(n, m int, rng *rand.Rand) (*graph.Graph, error) {
 	if m < n-1 || m > maxM {
 		return nil, fmt.Errorf("graphgen: m = %d out of range [%d, %d]", m, n-1, maxM)
 	}
-	type pair struct{ u, v graph.NodeID }
-	used := make(map[pair]bool, m)
-	addPair := func(u, v graph.NodeID) bool {
+	// Edge {u,v} with u < v is the key u<<32 | v.
+	keys := make([]uint64, 0, m)
+	used := make(map[uint64]struct{}, m)
+	add := func(u, v int) {
 		if u > v {
 			u, v = v, u
 		}
-		if u == v || used[pair{u, v}] {
-			return false
+		k := uint64(u)<<32 | uint64(v)
+		if _, dup := used[k]; u == v || dup {
+			return
 		}
-		used[pair{u, v}] = true
-		return true
+		used[k] = struct{}{}
+		keys = append(keys, k)
 	}
 	// Random recursive tree.
 	for i := 1; i < n; i++ {
-		addPair(graph.NodeID(rng.Intn(i)), graph.NodeID(i))
+		add(rng.Intn(i), i)
 	}
-	for len(used) < m {
-		addPair(graph.NodeID(rng.Intn(n)), graph.NodeID(rng.Intn(n)))
+	for len(keys) < m {
+		add(rng.Intn(n), rng.Intn(n))
 	}
-	// Deterministic edge order from the map would be random anyway; collect
-	// and shuffle for clean seeding semantics.
-	edges := make([]pair, 0, m)
-	for p := range used {
-		edges = append(edges, p)
+	// The shuffle starts from (u, v) order, as it always has; starting
+	// from draw order would give other graphs for the same seeds.
+	slices.Sort(keys)
+	rng.Shuffle(len(keys), func(i, j int) { keys[i], keys[j] = keys[j], keys[i] })
+	// In shuffled order each edge takes the next insertion port at both
+	// endpoints; that port then goes through its node's permutation.
+	off := make([]int32, n+1)
+	for _, k := range keys {
+		off[k>>32+1]++
+		off[uint32(k)+1]++
 	}
-	// Map iteration order is nondeterministic; impose one before shuffling
-	// so identical seeds give identical graphs.
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].u != edges[j].u {
-			return edges[i].u < edges[j].u
-		}
-		return edges[i].v < edges[j].v
-	})
-	rng.Shuffle(len(edges), func(i, j int) { edges[i], edges[j] = edges[j], edges[i] })
+	for v := 0; v < n; v++ {
+		off[v+1] += off[v]
+	}
+	perm := portPerms(off, rng)
 	b := graph.NewBuilder(n)
-	for _, e := range edges {
-		b.AddEdgeAuto(e.u, e.v)
+	for _, k := range keys {
+		u, v := k>>32, uint64(uint32(k))
+		b.AddEdge(graph.NodeID(u), int(perm[off[u]]), graph.NodeID(v), int(perm[off[v]]))
+		off[u]++
+		off[v]++
 	}
-	g, err := b.Graph()
-	if err != nil {
-		return nil, err
+	return b.Graph()
+}
+
+// portPerms draws every node's port permutation in node order, each
+// exactly as rng.Perm(deg) would (the same Intn(i+1) loop), into one
+// buffer: node v's port p becomes port perm[off[v]+p], where off holds
+// the n+1 prefix sums of the degrees. Generators that build a graph with
+// its ports already shuffled draw the same numbers as building it first
+// and calling ShufflePorts.
+func portPerms(off []int32, rng *rand.Rand) []int32 {
+	perm := make([]int32, off[len(off)-1])
+	for v := 0; v+1 < len(off); v++ {
+		p := perm[off[v]:off[v+1]]
+		for i := range p {
+			j := rng.Intn(i + 1)
+			p[i] = p[j]
+			p[j] = int32(i)
+		}
 	}
-	return ShufflePorts(g, rng)
+	return perm
 }
 
 // ShufflePorts returns a copy of g in which every node's port numbering is
@@ -383,16 +403,19 @@ func RandomConnected(n, m int, rng *rand.Rand) (*graph.Graph, error) {
 // preserved; only the local port-to-neighbor maps change.
 func ShufflePorts(g *graph.Graph, rng *rand.Rand) (*graph.Graph, error) {
 	n := g.N()
-	perm := make([][]int, n) // perm[v][oldPort] = newPort
+	off := make([]int32, n+1)
 	for v := 0; v < n; v++ {
-		perm[v] = rng.Perm(g.Degree(graph.NodeID(v)))
+		off[v+1] = off[v] + int32(g.Degree(graph.NodeID(v)))
 	}
+	perm := portPerms(off, rng)
 	b := graph.NewBuilder(n)
-	for v := 0; v < n; v++ {
-		b.SetLabel(graph.NodeID(v), g.Label(graph.NodeID(v)))
-	}
-	for _, e := range g.Edges() {
-		b.AddEdge(e.U, perm[e.U][e.PU], e.V, perm[e.V][e.PV])
+	for v := graph.NodeID(0); int(v) < n; v++ {
+		b.SetLabel(v, g.Label(v))
+		for p, h := range g.Ports(v) {
+			if v < h.To {
+				b.AddEdge(v, int(perm[int(off[v])+p]), h.To, int(perm[int(off[h.To])+h.ToPort]))
+			}
+		}
 	}
 	return b.Graph()
 }
