@@ -5,7 +5,7 @@
 // writes — byte-identical apart from wall_ns.
 //
 //	oracleherd -workers http://a:8080,http://b:8080 (-quick | -spec spec.json)
-//	           (-out results.jsonl | -warehouse dir) [-resume] [-seed S]
+//	           -out results.jsonl [-resume] [-seed S]
 //	           [-shard-min 4] [-shard-max 512] [-shard-target 2s]
 //	           [-slots 2] [-lease 2m] [-hedge-after 30s]
 //	           [-retries 8] [-allow-skew] [-metrics :9090]
@@ -52,11 +52,9 @@
 // with duplicate results dropped by the idempotent merge. With -metrics,
 // the coordinator serves its own Prometheus page while the run is active.
 //
-// With -warehouse the merge deposits into an embedded warehouse (see
-// internal/warehouse) instead of flat JSONL, with the same
-// idempotent-dedup guarantee; `campaign export` recovers the canonical
-// JSONL byte for byte. -resume opens either artifact through the same
-// helpers `campaign resume` uses (campaign.OpenJSONL, warehouse.OpenRun).
+// Finished units waiting for a lower-indexed one are journaled to
+// results.jsonl.pending (see campaign.Sink). -resume opens the artifact
+// and its journal through campaign.OpenJSONL, as `campaign resume` does.
 package main
 
 import (
@@ -77,7 +75,6 @@ import (
 	"oraclesize/internal/cluster"
 	"oraclesize/internal/membership"
 	"oraclesize/internal/tenant"
-	"oraclesize/internal/warehouse"
 )
 
 func main() {
@@ -90,7 +87,6 @@ func run(args []string, out, errOut io.Writer) int {
 	var (
 		workers     = fs.String("workers", "", "comma-separated oracled base URLs (optional with -listen)")
 		quick       = fs.Bool("quick", false, "use the built-in quick smoke spec")
-		whDir       = fs.String("warehouse", "", "merge into this warehouse directory instead of JSONL")
 		resume      = fs.Bool("resume", false, "resume the artifact: dispatch only the units it is missing")
 		seed        = fs.Int64("seed", 0, "override the spec seed")
 		shardMin    = fs.Int("shard-min", 4, "adaptive sizing: smallest shard carved (also the first probe lease); equal to -shard-max pins a fixed size")
@@ -113,7 +109,7 @@ func run(args []string, out, errOut io.Writer) int {
 	)
 	var specPath, outPath string
 	fs.Func("spec", "campaign spec file (JSON)", setOnce(&specPath))
-	fs.Func("out", "merged results JSONL file (-out or -warehouse required)", setOnce(&outPath))
+	fs.Func("out", "merged results JSONL file (required)", setOnce(&outPath))
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -131,8 +127,8 @@ func run(args []string, out, errOut io.Writer) int {
 			}
 		}
 	}
-	if (outPath == "") == (*whDir == "") {
-		fmt.Fprintln(errOut, "oracleherd: exactly one of -out and -warehouse is required")
+	if outPath == "" {
+		fmt.Fprintln(errOut, "oracleherd: -out is required")
 		return 2
 	}
 	var urls []string
@@ -176,28 +172,14 @@ func run(args []string, out, errOut io.Writer) int {
 	}
 
 	// The artifact opens exactly as under `campaign run|resume`: the same
-	// helpers load the done set, refuse another spec's artifact, and drop
-	// a torn JSONL tail or refuse a fresh run into a non-empty warehouse.
-	var store campaign.Store
-	var wh *warehouse.Warehouse
-	var done map[string]bool
-	if *whDir != "" {
-		var err error
-		if wh, done, err = warehouse.OpenRun(*whDir, spec, *resume); err != nil {
-			fmt.Fprintln(errOut, err)
-			return 1
-		}
-		defer wh.Close()
-		store = wh
-	} else {
-		f, d, err := campaign.OpenJSONL(outPath, spec, *resume)
-		if err != nil {
-			fmt.Fprintln(errOut, err)
-			return 1
-		}
-		defer f.Close()
-		store, done = campaign.NewSink(f), d
+	// helper loads the done set and the journaled units, refuses another
+	// spec's artifact, and drops a torn tail.
+	sink, done, err := campaign.OpenJSONL(outPath, spec, *resume)
+	if err != nil {
+		fmt.Fprintln(errOut, err)
+		return 1
 	}
+	defer sink.Close()
 
 	coord, err := cluster.New(cluster.Config{
 		Workers:             urls,
@@ -214,7 +196,7 @@ func run(args []string, out, errOut io.Writer) int {
 		Client:              httpClient,
 		APIKey:              *apiKey,
 		Logf:                func(format string, a ...any) { fmt.Fprintf(errOut, format+"\n", a...) },
-	}, spec, store, done)
+	}, spec, sink, done)
 	if err != nil {
 		fmt.Fprintln(errOut, err)
 		return 1
@@ -306,16 +288,14 @@ func run(args []string, out, errOut io.Writer) int {
 
 	start := time.Now()
 	stats, err := coord.Run(ctx)
+	if err == nil {
+		err = sink.Close()
+	}
 	if err != nil {
-		// The artifact still holds a valid prefix; -resume completes it.
+		// The artifact still holds a valid prefix, and the journal the
+		// finished units after it; -resume completes it.
 		fmt.Fprintln(errOut, err)
 		return 1
-	}
-	if wh != nil {
-		if err := wh.Close(); err != nil {
-			fmt.Fprintln(errOut, err)
-			return 1
-		}
 	}
 	fmt.Fprintf(errOut, "oracleherd %s %s: %d units in %d shards (%d resumed), sizes %d/%d/%d min/med/max, %d records, %d retries, %d hedges, %d reassignments, %d dedup drops, wall %v\n",
 		spec.Name, spec.Hash(), stats.Units, stats.Shards, stats.Skipped,
@@ -329,11 +309,6 @@ func run(args []string, out, errOut io.Writer) int {
 	sort.Strings(names)
 	for _, u := range names {
 		fmt.Fprintf(out, "  %s: %d shards\n", u, stats.WorkerShards[u])
-	}
-	if wh != nil {
-		s := wh.Stats()
-		fmt.Fprintf(errOut, "warehouse: %d units, %d records (%d in %d segments, %d in WAL), WAL %d bytes, %d compactions\n",
-			s.Units, s.Records, s.SegmentRecords, s.Segments, s.WALRecords, s.WALBytes, s.Compactions)
 	}
 	return 0
 }

@@ -46,8 +46,8 @@ func (c *aggCell) add(r Record) {
 func (c *aggCell) mean(sum float64) float64 { return sum / float64(c.trials) }
 
 // Aggregator folds records into summary tables one record at a time, so
-// callers can stream an artifact (StreamRecords, a warehouse Scan)
-// through it without ever holding the record list. Task records reduce
+// callers can stream an artifact (StreamRecords) through it without ever
+// holding the record list. Task records reduce
 // to O(grid) running cells; experiment replays are the one part that
 // must be retained, because their table cells are reproduced verbatim.
 type Aggregator struct {

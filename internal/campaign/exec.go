@@ -33,11 +33,12 @@ type Stats struct {
 }
 
 // Run validates the spec, compiles its units, executes the ones not
-// already Done on a bounded pool, and deposits records into the store —
-// a JSONL Sink flushing in unit order, or a warehouse. On error the
-// store still holds a consistent subset of units, so a later Run with
-// Done loaded from it completes exactly the missing units.
-func Run(spec *Spec, sink Store, opts RunOptions) (Stats, error) {
+// already Done on a bounded pool, and deposits records into the sink,
+// which writes them in unit order. On error the artifact (with its
+// journal, for a Sink from OpenJSONL) still holds a consistent subset of
+// units, so a later Run with Done loaded from it completes exactly the
+// missing units.
+func Run(spec *Spec, sink *Sink, opts RunOptions) (Stats, error) {
 	if err := spec.Validate(); err != nil {
 		return Stats{}, err
 	}

@@ -218,8 +218,8 @@ func TestSinkOrdersOutOfOrderDeposits(t *testing.T) {
 	if err := s.Deposit(1, nil); err != nil { // skipped unit
 		t.Fatal(err)
 	}
-	if s.Flushed() != 3 || s.Written() != 2 {
-		t.Errorf("flushed=%d written=%d", s.Flushed(), s.Written())
+	if s.Written() != 2 {
+		t.Errorf("written=%d, want 2", s.Written())
 	}
 	gotOrder := []string{}
 	recs, err := DecodeRecords(bytes.NewReader(buf.Bytes()))

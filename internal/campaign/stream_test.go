@@ -3,7 +3,6 @@ package campaign
 import (
 	"bytes"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -122,6 +121,31 @@ func TestScanDoneStopsAtMalformedLine(t *testing.T) {
 	}
 }
 
+// TestScanDoneDropsPartialExperimentUnit ends a stream inside an
+// experiment unit on a line boundary: the unit is left out of the done
+// set, and the valid prefix ends at its first row.
+func TestScanDoneDropsPartialExperimentUnit(t *testing.T) {
+	_, data := streamFixture(t, 3)
+	rows := make([]Record, 3)
+	for i := range rows {
+		rows[i] = Record{SpecHash: "hash", Unit: "experiment/E5/t0", Kind: KindExperiment, Row: i}
+	}
+	var tail bytes.Buffer
+	if err := EncodeRecords(&tail, rows); err != nil {
+		t.Fatal(err)
+	}
+	done, _, validLen, err := ScanDone(bytes.NewReader(append(append([]byte(nil), data...), tail.Bytes()...)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(done) != 3 || done["experiment/E5/t0"] {
+		t.Errorf("done = %v, want the 3 task units only", done)
+	}
+	if validLen != int64(len(data)) {
+		t.Errorf("validLen = %d, want %d (the experiment unit's first row)", validLen, len(data))
+	}
+}
+
 func TestScanDoneFileMissingReadsEmpty(t *testing.T) {
 	done, specHash, validLen, err := ScanDoneFile(t.TempDir() + "/absent.jsonl")
 	if err != nil || len(done) != 0 || specHash != "" || validLen != 0 {
@@ -132,7 +156,7 @@ func TestScanDoneFileMissingReadsEmpty(t *testing.T) {
 // TestOpenJSONL pins the one open path `campaign run|resume` and
 // oracleherd share: a fresh run starts the file over, a resume keeps the
 // valid prefix and drops a torn final line, and another spec's artifact
-// is refused. The file is always positioned at its end.
+// is refused. The Sink appends after the kept prefix.
 func TestOpenJSONL(t *testing.T) {
 	spec := QuickSpec()
 	var buf bytes.Buffer
@@ -141,40 +165,55 @@ func TestOpenJSONL(t *testing.T) {
 	}
 	data := buf.Bytes()
 	path := filepath.Join(t.TempDir(), "r.jsonl")
-	open := func(content []byte, s *Spec, resume bool) (map[string]bool, int64, error) {
+	open := func(content []byte, s *Spec, resume bool) (*Sink, map[string]bool, int64, error) {
 		t.Helper()
 		if err := os.WriteFile(path, content, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		f, done, err := OpenJSONL(path, s, resume)
+		sink, done, err := OpenJSONL(path, s, resume)
 		if err != nil {
-			return nil, 0, err
+			return nil, nil, 0, err
 		}
-		defer f.Close()
-		off, err := f.Seek(0, io.SeekCurrent)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fi, err := f.Stat()
+		fi, err := os.Stat(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if fi.Size() != off {
-			t.Fatalf("positioned at %d, but the file holds %d bytes", off, fi.Size())
-		}
-		return done, off, nil
+		return sink, done, fi.Size(), nil
 	}
 
-	if done, off, err := open(append(append([]byte(nil), data...), data...), spec, false); err != nil || len(done) != 0 || off != 0 {
-		t.Errorf("fresh open: %d done, offset %d, err %v; want an empty file", len(done), off, err)
+	sink, done, size, err := open(append(append([]byte(nil), data...), data...), spec, false)
+	if err != nil || len(done) != 0 || size != 0 {
+		t.Fatalf("fresh open: %d done, %d bytes, err %v; want an empty file", len(done), size, err)
 	}
+	sink.Close()
 	torn := append(append([]byte(nil), data...), data[:25]...)
-	if done, off, err := open(torn, spec, true); err != nil || len(done) != len(spec.Units()) || off != int64(len(data)) {
-		t.Errorf("resume: %d done, offset %d, err %v; want %d done at %d", len(done), off, err, len(spec.Units()), len(data))
+	sink, done, size, err = open(torn, spec, true)
+	if err != nil || len(done) != len(spec.Units()) || size != int64(len(data)) {
+		t.Fatalf("resume: %d done, %d bytes, err %v; want %d done in %d bytes", len(done), size, err, len(spec.Units()), len(data))
 	}
+	sink.Close()
+
+	// A resume from half the lines plus a torn one appends the rest after
+	// the kept prefix.
+	lines := bytes.SplitAfter(data, []byte("\n"))
+	half := bytes.Join(lines[:len(lines)/2], nil)
+	sink, done, _, err = open(append(append([]byte(nil), half...), lines[len(lines)/2][:10]...), spec, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Run(spec, sink, RunOptions{Workers: 2, Done: done}); err != nil {
+		t.Fatal(err)
+	}
+	if err := sink.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := os.ReadFile(path); err != nil || stripWall(got) != stripWall(data) {
+		t.Errorf("resumed artifact differs from an uninterrupted run (err %v)", err)
+	}
+
 	other := QuickSpec()
 	other.Seed = 77
-	if _, _, err := open(data, other, true); err == nil || !strings.Contains(err.Error(), "refusing to resume") {
+	if _, _, _, err := open(data, other, true); err == nil || !strings.Contains(err.Error(), "refusing to resume") {
 		t.Errorf("resume under another seed: err %v", err)
 	}
 }
@@ -207,5 +246,27 @@ func TestStreamingAllocBudget(t *testing.T) {
 	})
 	if per := streamAllocs / n; per > 24 {
 		t.Errorf("StreamRecords allocates %.1f objects per record, budget 24", per)
+	}
+}
+
+// BenchmarkResumeScanDoneFile is the resume path's scan: one pass over a
+// 5,000-record artifact decoding only (spec_hash, unit) per line.
+func BenchmarkResumeScanDoneFile(b *testing.B) {
+	const units = 5000
+	_, data := streamFixture(b, units)
+	path := filepath.Join(b.TempDir(), "results.jsonl")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		done, _, _, err := ScanDoneFile(path)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(done) != units {
+			b.Fatalf("done set holds %d units", len(done))
+		}
 	}
 }

@@ -247,13 +247,13 @@ type Coordinator struct {
 }
 
 // New validates and compiles spec and builds the coordinator for one run
-// of it over the fleet in cfg, merging into store — a JSONL Sink flushing
-// in unit-index order, or a warehouse depositing through its WAL. done
-// marks unit keys already present in a resumed artifact; those units are
-// nil-deposited now, exactly like a local resume, and never dispatched.
+// of it over the fleet in cfg, merging into sink, which writes the JSONL
+// artifact in unit-index order. done marks unit keys already present in a
+// resumed artifact or its journal; those units are nil-deposited now,
+// exactly like a local resume, and never dispatched.
 // The run's scheduling Core comes from NewCore, the constructor fleetsim
 // uses. No network traffic happens until Probe or Run.
-func New(cfg Config, spec *campaign.Spec, store campaign.Store, done map[string]bool) (*Coordinator, error) {
+func New(cfg Config, spec *campaign.Spec, sink *campaign.Sink, done map[string]bool) (*Coordinator, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
@@ -262,7 +262,7 @@ func New(cfg Config, spec *campaign.Spec, store campaign.Store, done map[string]
 	for i, u := range units {
 		doneIdx[i] = done[u.Key()]
 	}
-	core, err := NewCore(cfg, len(units), doneIdx, store)
+	core, err := NewCore(cfg, len(units), doneIdx, sink)
 	if err != nil {
 		return nil, err
 	}

@@ -222,8 +222,8 @@ func TestTwoCoordinatorsShareWorkers(t *testing.T) {
 			defer wg.Done()
 			_, r.err = r.coord.Run(context.Background())
 			first.Do(func() {
-				t.Logf("campaign %d finished first; units merged then: %d at 1 slot, %d at 3 slots",
-					i, runs[0].sink.Flushed(), runs[1].sink.Flushed())
+				t.Logf("campaign %d finished first; records merged then: %d at 1 slot, %d at 3 slots",
+					i, runs[0].sink.Written(), runs[1].sink.Written())
 			})
 		}()
 	}

@@ -55,7 +55,7 @@ type Lease struct {
 // done — nil, or one flag per unit — marks units satisfied by a resume,
 // which are nil-deposited into the sink exactly like a local resume and
 // never leased.
-func NewCore(cfg Config, totalUnits int, done []bool, sink campaign.Store) (*Core, error) {
+func NewCore(cfg Config, totalUnits int, done []bool, sink *campaign.Sink) (*Core, error) {
 	cfg = cfg.withDefaults()
 	if done != nil && len(done) != totalUnits {
 		return nil, fmt.Errorf("cluster: done has %d flags for %d units", len(done), totalUnits)

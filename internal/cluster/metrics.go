@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"oraclesize/internal/metrics"
-	"oraclesize/internal/warehouse"
 )
 
 // shardBuckets are the latency histogram bounds for shard dispatches, in
@@ -104,15 +103,6 @@ func (c *Coordinator) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		p.Float("oracleherd_worker_unit_seconds", st.sizer.perUnit(wk.url), "worker", wk.url)
 	}
 
-	if wh, ok := st.sink.(*warehouse.Warehouse); ok {
-		whStats := wh.Stats()
-		p.Gauge("oracleherd_warehouse_segments", "Committed segments in the merge warehouse.", int64(whStats.Segments))
-		p.Gauge("oracleherd_warehouse_wal_bytes", "Bytes in the warehouse's uncompacted write-ahead logs.", whStats.WALBytes)
-		p.Counter("oracleherd_warehouse_compactions_total", "Segment commits since the warehouse was opened.", whStats.Compactions)
-		p.Gauge("oracleherd_warehouse_records", "Records resting in the warehouse (segments plus WAL).", int64(whStats.Records))
-		p.GaugeFloat("oracleherd_warehouse_index_hit_rate", "Fraction of query blocks skipped via the sparse index.", indexHitRate(whStats.IndexSkips, whStats.IndexReads))
-	}
-
 	perWorker := func(name, help string, on func(*worker) bool) {
 		p.Family(name, "gauge", help)
 		for _, wk := range live {
@@ -148,12 +138,4 @@ func (c *Coordinator) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	for _, name := range names {
 		p.Histogram("oracleherd_shard_duration_seconds", m.byWorker[name].latency, "worker", name)
 	}
-}
-
-// indexHitRate is skips/(skips+reads), 0 before the first query.
-func indexHitRate(skips, reads int64) float64 {
-	if skips+reads == 0 {
-		return 0
-	}
-	return float64(skips) / float64(skips+reads)
 }

@@ -90,7 +90,7 @@ type shardState struct {
 // the in-flight set, and completion accounting. Slot goroutines contend on
 // mu briefly per dispatch; the metrics renderer reads the same counters.
 type runState struct {
-	sink  campaign.Store
+	sink  *campaign.Sink
 	m     *coordMetrics
 	clock Clock
 
@@ -119,7 +119,7 @@ type runState struct {
 	doneClosed bool
 }
 
-func newRunState(cfg *Config, m *coordMetrics, workers int, totalUnits int, done []bool, sink campaign.Store) *runState {
+func newRunState(cfg *Config, m *coordMetrics, workers int, totalUnits int, done []bool, sink *campaign.Sink) *runState {
 	cv := newCarver(totalUnits, done)
 	st := &runState{
 		sink:        sink,

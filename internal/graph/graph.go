@@ -452,8 +452,10 @@ func (b *Builder) Graph() (*Graph, error) {
 			}
 		}
 	}
+	// The graph gets its own labels, so a later SetLabel on the builder
+	// cannot change a built graph.
 	g := &Graph{
-		labels:  b.labels,
+		labels:  slices.Clone(b.labels),
 		halves:  halves,
 		offsets: offsets,
 		byLabel: make(map[int64]NodeID, n),

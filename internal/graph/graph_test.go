@@ -168,6 +168,21 @@ func TestNodeByLabel(t *testing.T) {
 	}
 }
 
+// TestBuiltGraphOwnsItsLabels relabels a node on the builder after
+// Graph: the built graph must keep both its label and its label lookup.
+func TestBuiltGraphOwnsItsLabels(t *testing.T) {
+	b := NewBuilder(2)
+	b.AddEdgeAuto(0, 1)
+	g := b.MustGraph()
+	b.SetLabel(0, 99)
+	if got := g.Label(0); got != 1 {
+		t.Errorf("Label(0) = %d after a SetLabel on the builder, want 1", got)
+	}
+	if v, ok := g.NodeByLabel(1); !ok || v != 0 || g.Label(v) != 1 {
+		t.Errorf("NodeByLabel(1) = %d,%v with label %d", v, ok, g.Label(v))
+	}
+}
+
 func TestEdgesCanonical(t *testing.T) {
 	g := buildCycle(t, 4)
 	edges := g.Edges()

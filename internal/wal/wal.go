@@ -1,6 +1,5 @@
-// Package wal is the CRC-framed, append-only log format shared by the
-// results warehouse and the tenant store, plus the atomic file commit
-// both use for their segments, manifests and snapshots.
+// Package wal is the tenant store's CRC-framed, append-only log format,
+// plus the atomic file commit it uses for its snapshots.
 //
 // A log is a sequence of frames:
 //
@@ -97,6 +96,8 @@ func ReplayFile(path string, maxPayload uint32, decode func(payload []byte) bool
 // Commit writes data to path atomically: a temp file in the same
 // directory, fsync, rename. A crash leaves the old file or the new one,
 // plus at worst a stray path+".tmp" that the next Commit overwrites.
+// It fsyncs the temp file but not the directory after the rename, so the
+// rename itself may not survive a power loss; power loss is out of scope.
 func Commit(path string, data []byte, perm os.FileMode) error {
 	tmp := path + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, perm)
