@@ -17,8 +17,12 @@
 // work queue (full queue: 503 + Retry-After), every request carries a
 // deadline (expiry: 504), and request sizes are capped. On SIGINT/SIGTERM
 // the daemon stops accepting connections and drains in-flight requests up
-// to -drain before exiting. Tenant policy reloads on SIGHUP or
-// POST /v1/admin/tenants/reload.
+// to -drain before exiting.
+//
+// Without -tenant-store the daemon serves anonymously. With -tenant-store
+// DIR it serves the tenants of a durable store that oracletenant
+// administers (a JSON keyfile moves in with `oracletenant import`), and
+// tenant policy reloads on SIGHUP or POST /v1/admin/tenants/reload.
 //
 // With -pprof addr, net/http/pprof is served on a separate listener (keep
 // it on localhost) so serve-path profiles can be captured under load
@@ -79,14 +83,12 @@ func run(args []string, out, errOut io.Writer) int {
 		maxEdges    = fs.Int("max-edges", 1<<20, "largest accepted instance edge count")
 		cache       = fs.Int("cache", 128, "instance cache capacity (entries)")
 		shardUnits  = fs.Int("max-shard-units", 1<<10, "largest unit batch accepted by POST /v1/shard")
-		batchMax    = fs.Int("batch-max", 0, "max queued requests one worker drains per wakeup (0 = default 16)")
 		respCap     = fs.Int("response-cache", 0, "response cache capacity in entries (0 = default 4096, negative disables)")
 		pprofAddr   = fs.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060; empty = off)")
 		joinURL     = fs.String("join", "", "register with this oracleherd fleet endpoint (its -listen address) and heartbeat until shutdown")
 		advertise   = fs.String("advertise", "", "base URL the coordinator should dispatch to (default derived from -addr)")
 		heartbeat   = fs.Duration("heartbeat", 2*time.Second, "membership heartbeat cadence when -join is set")
-		keyfile     = fs.String("keyfile", "", "tenant keyfile (JSON), held in memory and re-read by SIGHUP and POST /v1/admin/tenants/reload; enables API-key auth, per-tenant quotas, and weighted-fair scheduling")
-		tenantDir   = fs.String("tenant-store", "", "durable tenant store directory (snapshot + WAL): persistent usage ledgers, key rotation, and policy shared with oracletenant; SIGHUP and POST /v1/admin/tenants/reload fold in its changes. With -keyfile, an empty store is seeded from the keyfile once.")
+		tenantDir   = fs.String("tenant-store", "", "durable tenant store directory (snapshot + WAL), administered with oracletenant: API-key auth, per-tenant quotas, weighted-fair scheduling, key rotation and persistent usage ledgers; SIGHUP and POST /v1/admin/tenants/reload fold in its changes (empty = serve anonymously)")
 		tlsCert     = fs.String("tls-cert", "", "serve TLS with this certificate (PEM); also presented as client identity to the coordinator")
 		tlsKey      = fs.String("tls-key", "", "private key for -tls-cert")
 		tlsClientCA = fs.String("tls-client-ca", "", "require client certificates signed by this CA (mutual TLS)")
@@ -96,35 +98,16 @@ func run(args []string, out, errOut io.Writer) int {
 		return 2
 	}
 
-	// Tenancy is one store: -tenant-store opens a durable one (seeded once
-	// from -keyfile while empty), -keyfile alone loads the file into memory,
-	// and with neither the store is empty and the daemon serves anonymously.
+	// Tenancy is one store: -tenant-store opens a durable one; without it
+	// the store is empty and in memory, and the daemon serves anonymously.
 	store := tenant.NewMemStore()
-	switch {
-	case *tenantDir != "":
+	if *tenantDir != "" {
 		st, err := tenant.OpenStore(*tenantDir)
 		if err != nil {
 			fmt.Fprintf(errOut, "oracled: %v\n", err)
 			return 2
 		}
 		defer st.Close()
-		store = st
-		if *keyfile != "" && st.Len() == 0 {
-			// One-time migration: seed the empty store from the keyfile.
-			// A populated store is authoritative and the keyfile is ignored.
-			n, err := st.ImportKeyfile(*keyfile)
-			if err != nil {
-				fmt.Fprintf(errOut, "oracled: %v\n", err)
-				return 2
-			}
-			fmt.Fprintf(out, "oracled: seeded tenant store %s with %d tenants from %s\n", *tenantDir, n, *keyfile)
-		}
-	case *keyfile != "":
-		st, err := tenant.OpenKeyfile(*keyfile)
-		if err != nil {
-			fmt.Fprintf(errOut, "oracled: %v\n", err)
-			return 2
-		}
 		store = st
 	}
 
@@ -136,7 +119,6 @@ func run(args []string, out, errOut io.Writer) int {
 		MaxEdges:              *maxEdges,
 		CacheCapacity:         *cache,
 		MaxShardUnits:         *shardUnits,
-		BatchMax:              *batchMax,
 		ResponseCacheCapacity: *respCap,
 		TenantStore:           store,
 	})
@@ -151,8 +133,8 @@ func run(args []string, out, errOut io.Writer) int {
 	}
 
 	// SIGHUP hot-reloads tenant policy without dropping in-flight requests:
-	// the store folds in what other processes appended, or re-reads its
-	// keyfile. Errors keep the running table untouched.
+	// the store folds in what other processes appended. Errors keep the
+	// running table untouched.
 	hup := make(chan os.Signal, 1)
 	signal.Notify(hup, syscall.SIGHUP)
 	defer signal.Stop(hup)

@@ -28,7 +28,7 @@
 // -target-makespan, for an external provisioner to act on. See
 // docs/FLEET.md.
 //
-// Multi-tenant fleets (oracled -keyfile) meter the coordinator like any
+// Multi-tenant fleets (oracled -tenant-store) meter the coordinator like any
 // other tenant: -api-key rides every dispatch and fleet call as X-API-Key.
 // With -tls-cert/-tls-key the coordinator presents a client certificate to
 // mTLS workers (trusting -tls-ca) and, under -listen, serves the fleet

@@ -6,7 +6,7 @@
 //
 //	oracleload [-url http://host:8080] [-c 8] [-d 5s] [-task broadcast]
 //	           [-family random] [-n 256] [-seeds 8] [-label current]
-//	           [-o BENCH_serve.json] [-api-key KEY] [-keyfile tenants.json]
+//	           [-o BENCH_serve.json] [-api-key KEY]
 //	oracleload -rate 20000 [...same flags]
 //	oracleload -shard [-shard-units 8] [-scheme flooding] [...same flags]
 //	oracleload -mixed [...same flags]
@@ -18,8 +18,8 @@
 // tracks both paths.
 //
 // Multi-tenant servers are first-class: -api-key rides every request as
-// X-API-Key, -keyfile puts the in-process server itself into multi-tenant
-// mode, and responses shed for tenant quota reasons (429) are counted as
+// X-API-Key (point -url at an oracled started with -tenant-store), and
+// responses shed for tenant quota reasons (429) are counted as
 // "throttled", separately from capacity sheds (503). -mixed runs the
 // two-tenant isolation scenario against an in-process multi-tenant server:
 // a bulk tenant (weight 1, rate-capped) floods with -c clients while an
@@ -134,7 +134,6 @@ func run(args []string, out, errOut io.Writer) int {
 		noRespCache = fs.Bool("no-response-cache", false, "disable the in-process server's response cache (every request simulates; with no -url only)")
 		maxInflight = fs.Int("max-inflight", 512, "open-loop cap on outstanding requests; arrivals beyond it count as errors (with -rate)")
 		apiKey      = fs.String("api-key", "", "tenant API key sent as X-API-Key on every request")
-		keyfile     = fs.String("keyfile", "", "run the in-process server in multi-tenant mode with this tenant keyfile (no -url only)")
 		mixed       = fs.Bool("mixed", false, "two-tenant isolation scenario against an in-process multi-tenant server (see package doc)")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -156,12 +155,8 @@ func run(args []string, out, errOut io.Writer) int {
 		fmt.Fprintln(errOut, "oracleload: -shard-units must be >= 1")
 		return 2
 	}
-	if *keyfile != "" && *baseURL != "" {
-		fmt.Fprintln(errOut, "oracleload: -keyfile configures the in-process server; with -url pass -api-key instead")
-		return 2
-	}
-	if *mixed && (*baseURL != "" || *shard || *rate > 0 || *keyfile != "" || *apiKey != "") {
-		fmt.Fprintln(errOut, "oracleload: -mixed is a self-contained scenario; drop -url/-shard/-rate/-keyfile/-api-key")
+	if *mixed && (*baseURL != "" || *shard || *rate > 0 || *apiKey != "") {
+		fmt.Fprintln(errOut, "oracleload: -mixed is a self-contained scenario; drop -url/-shard/-rate/-api-key")
 		return 2
 	}
 	if *mixed {
@@ -178,14 +173,6 @@ func run(args []string, out, errOut io.Writer) int {
 		cfg := service.Config{}
 		if *noRespCache {
 			cfg.ResponseCacheCapacity = -1
-		}
-		if *keyfile != "" {
-			st, err := tenant.OpenKeyfile(*keyfile)
-			if err != nil {
-				fmt.Fprintf(errOut, "oracleload: %v\n", err)
-				return 1
-			}
-			cfg.TenantStore = st
 		}
 		svc, err := service.New(cfg)
 		if err != nil {

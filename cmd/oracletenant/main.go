@@ -19,6 +19,11 @@
 // with "admin": true. Every oracled serving from the store reloads on its
 // own; nothing propagates a reload between daemons.
 //
+// "import" reads a JSON keyfile ({"tenants": [...]}, see docs/TENANCY.md)
+// and writes nothing unless the whole file builds a registry: no short
+// key, duplicate name or duplicate key. It is how a keyfile deployment
+// moves onto a store: import, then start oracled -tenant-store DIR.
+//
 // "rotate" keeps the old key valid for -overlap (default 15m): both keys
 // authenticate inside the window, then the old one stops — clients migrate
 // without a hard cut-over. "report" prints the persisted usage ledgers
@@ -50,7 +55,7 @@ const usage = `usage: oracletenant <show|add|import|set-quota|rotate|del|report|
 subcommands:
   show       list stored tenants and the current policy generation
   add        register a tenant (raw key digested immediately, never stored)
-  import     seed the store from a JSON keyfile (oracled -keyfile format)
+  import     add every tenant of a JSON keyfile, or none if any is invalid
   set-quota  change a stored tenant's limits (only flags you pass change)
   rotate     install a new key, keeping the old one valid for -overlap
   del        remove a tenant (its usage ledger is kept)
@@ -272,7 +277,7 @@ func cmdImport(args []string, out, errOut io.Writer) int {
 	fs := flag.NewFlagSet("oracletenant import", flag.ContinueOnError)
 	fs.SetOutput(errOut)
 	dir := fs.String("store", "", "tenant store directory")
-	keyfile := fs.String("keyfile", "", "JSON keyfile to import (oracled -keyfile format)")
+	keyfile := fs.String("keyfile", "", `JSON keyfile to import: {"tenants": [{"name": ..., "key": ..., quota fields}]}`)
 	var rf reloadFlags
 	rf.register(fs)
 	if err := fs.Parse(args); err != nil {

@@ -240,6 +240,34 @@ func TestSinkOrdersOutOfOrderDeposits(t *testing.T) {
 	}
 }
 
+// TestSinkDedupCountsRecords: Deduped counts the records duplicate
+// deposits carried, not the deposits. A 3-row unit deposited twice drops
+// 3 records; the nil re-deposit of a unit skipped on resume drops none.
+func TestSinkDedupCountsRecords(t *testing.T) {
+	var buf bytes.Buffer
+	s := NewSink(&buf)
+	unit := []Record{
+		{SpecHash: "h", Unit: "experiment/E5", Kind: KindExperiment, Row: 0},
+		{SpecHash: "h", Unit: "experiment/E5", Kind: KindExperiment, Row: 1},
+		{SpecHash: "h", Unit: "experiment/E5", Kind: KindExperiment, Row: 2},
+	}
+	if err := s.Deposit(0, unit); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Deposit(0, nil); err != nil {
+		t.Fatal(err)
+	}
+	if s.Deduped() != 0 {
+		t.Errorf("a nil re-deposit counted %d dropped records, want 0", s.Deduped())
+	}
+	if err := s.Deposit(0, unit); err != nil {
+		t.Fatal(err)
+	}
+	if s.Deduped() != 3 || s.Written() != 3 {
+		t.Errorf("after a 3-row unit deposited twice: deduped=%d written=%d, want 3 and 3", s.Deduped(), s.Written())
+	}
+}
+
 // TestEveryFamilyWithinBounds runs every graph family under every bounded
 // catalog scheme through the campaign unit path. Validate accepting each
 // record means every run completed within its scheme's bound.

@@ -33,7 +33,7 @@ type Sink struct {
 	next    int
 	pending map[int][]Record
 	written int
-	deduped int
+	deduped int // records of dropped duplicate deposits
 
 	file        *os.File // the artifact OpenJSONL opened
 	journalPath string   // "" for a Sink without a journal
@@ -55,14 +55,14 @@ func NewSink(w io.Writer) *Sink {
 // Deposits are idempotent: a second deposit for an index already pending or
 // already flushed — as produced by hedged shard dispatch, a reassigned
 // lease whose original holder completed anyway, or a resumed run replaying
-// a unit — is dropped and counted (see Deduped). The first deposit wins;
-// units are deterministic in (spec, seed), so dropped duplicates carry the
-// same payload apart from wall-time fields.
+// a unit — is dropped and its records counted (see Deduped). The first
+// deposit wins; units are deterministic in (spec, seed), so dropped
+// duplicates carry the same payload apart from wall-time fields.
 func (s *Sink) Deposit(index int, recs []Record) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, dup := s.pending[index]; dup || index < s.next {
-		s.deduped++
+		s.deduped += len(recs)
 		return nil
 	}
 	if recs == nil {
@@ -194,7 +194,9 @@ func (s *Sink) Written() int {
 	return s.written
 }
 
-// Deduped reports how many duplicate deposits have been dropped so far.
+// Deduped reports how many records duplicate deposits have carried and
+// the sink has dropped so far. A nil re-deposit of a unit skipped on
+// resume carries none.
 func (s *Sink) Deduped() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()

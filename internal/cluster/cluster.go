@@ -127,8 +127,8 @@ type Config struct {
 	// call).
 	Client *http.Client
 	// APIKey, when non-empty, is sent as X-API-Key on every worker call so
-	// multi-tenant workers (oracled -keyfile) can authenticate and meter
-	// the coordinator like any other tenant.
+	// multi-tenant workers (oracled -tenant-store) can authenticate and
+	// meter the coordinator like any other tenant.
 	APIKey string
 	// Clock abstracts time for backoff, breakers, hedging and latency
 	// observation (default: the real time package). Tests and fleetsim
@@ -217,7 +217,8 @@ type Stats struct {
 	Hedges        int64
 	Reassignments int64
 	// DedupDropped counts records the sink dropped as duplicates (hedge
-	// losers and re-runs of already-done units).
+	// losers and re-runs of already-done units); a unit skipped on resume
+	// drops none.
 	DedupDropped int64
 	// WorkerShards counts successful shard completions per worker URL.
 	WorkerShards map[string]int64

@@ -93,7 +93,7 @@ func (c *Coordinator) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	p.Counter("oracleherd_retries_total", "Failed shard dispatches that were requeued.", m.retries.Load())
 	p.Counter("oracleherd_hedges_total", "Speculative re-dispatches of straggling shards.", m.hedges.Load())
 	p.Counter("oracleherd_reassignments_total", "Requeued shards whose next lease went to a different worker.", m.reassignments.Load())
-	p.Counter("oracleherd_dedup_dropped_records_total", "Records dropped by the idempotent merge (hedge losers, resumed units).", int64(st.sink.Deduped()))
+	p.Counter("oracleherd_dedup_dropped_records_total", "Records dropped by the idempotent merge (hedge losers, reassigned duplicates).", int64(st.sink.Deduped()))
 	p.Family("oracleherd_shard_size_units", "gauge", "Carved shard sizes in the active run, by summary statistic.")
 	p.Int("oracleherd_shard_size_units", int64(sizeMin), "stat", "min")
 	p.Int("oracleherd_shard_size_units", int64(sizeMedian), "stat", "median")

@@ -8,7 +8,6 @@ import (
 	"net/http/httptest"
 	"regexp"
 	"strings"
-	"sync"
 	"testing"
 
 	"oraclesize/internal/catalog"
@@ -313,44 +312,6 @@ func TestRespCacheEvictionBounded(t *testing.T) {
 	}
 	if got := s.metrics.respMisses.Load(); got != churn+1 {
 		t.Errorf("respMisses = %d, want %d", got, churn+1)
-	}
-}
-
-// TestBatchedDispatchDrainsQueue: with a worker parked and a backlog
-// queued, releasing the worker must drain the backlog in one wakeup —
-// observable as two batches (the solo first job, then the drained four).
-func TestBatchedDispatchDrainsQueue(t *testing.T) {
-	s := newTestServer(t, Config{Workers: 1, QueueDepth: 8, BatchMax: 4, ResponseCacheCapacity: -1})
-	entered := make(chan struct{}, 8)
-	gate := make(chan struct{})
-	s.testHook = func() {
-		entered <- struct{}{}
-		<-gate
-	}
-	body := map[string]any{"family": "random-sparse", "n": 16, "seed": 1, "task": "wakeup"}
-	var wg sync.WaitGroup
-	post := func() {
-		defer wg.Done()
-		if w := postJSON(t, s.Handler(), "/v1/run", body); w.Code != http.StatusOK {
-			t.Errorf("status %d: %s", w.Code, w.Body.String())
-		}
-	}
-	wg.Add(1)
-	go post()
-	<-entered // worker parked inside job 1
-	const backlog = 4
-	wg.Add(backlog)
-	for i := 0; i < backlog; i++ {
-		go post()
-	}
-	waitFor(t, "backlog queued", func() bool { return s.metrics.queued.Load() == backlog })
-	close(gate)
-	wg.Wait()
-	if got := s.metrics.batches.Load(); got != 2 {
-		t.Errorf("batches = %d, want 2 (solo job, then one drained batch)", got)
-	}
-	if got := s.metrics.dispatched.Load(); got != backlog+1 {
-		t.Errorf("dispatched = %d, want %d", got, backlog+1)
 	}
 }
 

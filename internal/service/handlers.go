@@ -206,6 +206,11 @@ func (scr *reqScratch) decode(dst any) error {
 // answered, never stored.
 const maxCachedRequest = 1 << 10
 
+// maxMessageBudget caps the per-run message budget regardless of what the
+// request asks for, so one run cannot hold a worker for an unbounded
+// message count.
+const maxMessageBudget = 1 << 24
+
 // maxCachedResponse bounds the size of one stored response. Typical
 // /v1/run and /v1/advice responses are a few hundred bytes; include_advice
 // responses for large n blow past this and simply are not stored.
@@ -462,7 +467,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request, ts *tenantSta
 	if req.MaxMessages > 0 && req.MaxMessages < run.MaxMessages {
 		run.MaxMessages = req.MaxMessages
 	}
-	run.MaxMessages = min(run.MaxMessages, s.cfg.MaxMessageBudget)
+	run.MaxMessages = min(run.MaxMessages, maxMessageBudget)
 	ctx, cancel := s.requestContext(r)
 	defer cancel()
 	src := graph.NodeID(req.Source)

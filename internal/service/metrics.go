@@ -44,8 +44,7 @@ type serverMetrics struct {
 	shed       atomic.Int64 // requests answered 503 for backpressure
 	throttled  atomic.Int64 // requests answered 429 for per-tenant quota
 	shardUnits atomic.Int64 // campaign units executed via POST /v1/shard
-	batches    atomic.Int64 // dispatcher wakeups that executed >= 1 job
-	dispatched atomic.Int64 // jobs executed across all batches
+	dispatched atomic.Int64 // jobs workers took off the queue
 	respHits   atomic.Int64 // requests served from the response cache
 	respMisses atomic.Int64 // cacheable requests that executed
 	reloads    atomic.Int64 // tenant control-plane swaps since boot
@@ -79,8 +78,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	p.Counter("oracled_throttled_total", "Requests answered 429 for per-tenant quota.", m.throttled.Load())
 	p.Counter("oracled_dropped_jobs_total", "Queued jobs discarded because their deadline lapsed before execution.", m.dropped.Load())
 	p.Counter("oracled_shard_units_total", "Campaign units executed through POST /v1/shard.", m.shardUnits.Load())
-	p.Counter("oracled_dispatch_batches_total", "Worker wakeups that drained at least one queued job.", m.batches.Load())
-	p.Counter("oracled_dispatch_jobs_total", "Jobs executed across all dispatch batches.", m.dispatched.Load())
+	p.Counter("oracled_dispatch_jobs_total", "Jobs workers took off the work queue, one per dequeue.", m.dispatched.Load())
 	p.Counter("oracled_response_cache_hits_total", "Requests served from the deterministic response cache.", m.respHits.Load())
 	p.Counter("oracled_response_cache_misses_total", "Cacheable requests that executed because no cached response existed.", m.respMisses.Load())
 

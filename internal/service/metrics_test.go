@@ -62,7 +62,6 @@ func TestMetricsExposition(t *testing.T) {
 	bulk.ledger.bytes.Add(99)
 	s.anonymous.ledger.queueNanos.Add(250 * int64(time.Microsecond)) // perfbench scrapes this series
 	s.metrics.shardUnits.Add(40)
-	s.metrics.batches.Add(3)
 	s.metrics.dispatched.Add(5)
 	s.metrics.respHits.Add(7)
 	s.metrics.respMisses.Add(2)

@@ -4,8 +4,9 @@ package service
 // drops nothing (run with -race), concurrent reloads publish each
 // generation with its own policy, key rotation honors the overlap window
 // exactly, usage ledgers survive a daemon restart byte-exactly, the admin
-// endpoints enforce the admin bit, a keyfile store reloads like a durable
-// one, and a store that cannot build a registry fails closed.
+// endpoints enforce the admin bit, a store seeded from a keyfile reloads
+// another handle's edits, and a store that cannot build a registry fails
+// closed.
 
 import (
 	"net/http"
@@ -368,25 +369,32 @@ func TestConcurrentReloadsPublishOwnGeneration(t *testing.T) {
 	wg.Wait()
 }
 
-// TestKeyfileStoreReload drives a server over tenant.OpenKeyfile through
-// a keyfile edit and the admin reload: a removed key is refused, an added
-// key serves and a tightened quota applies. An invalid edit is a 409 that
-// leaves the old table serving.
+// TestKeyfileStoreReload drives a durable store seeded from a keyfile
+// import through edits from a second handle (as oracletenant makes them)
+// and the admin reload: a removed key is refused, an added key serves and
+// a tightened quota applies. An edit that cannot build a registry is a
+// 409 that leaves the old table serving.
 func TestKeyfileStoreReload(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "tenants.json")
-	write := func(doc string) {
-		t.Helper()
-		if err := os.WriteFile(path, []byte(doc), 0o600); err != nil {
-			t.Fatal(err)
-		}
-	}
-	write(`{"tenants": [
+	dir := t.TempDir()
+	path := filepath.Join(dir, "tenants.json")
+	if err := os.WriteFile(path, []byte(`{"tenants": [
 		{"name": "root", "key": "root-key-00000", "admin": true},
 		{"name": "gone", "key": "gone-key-00000"},
 		{"name": "tight", "key": "tight-key-0000"}
-	]}`)
-	st, err := tenant.OpenKeyfile(path)
-	if err != nil {
+	]}`), 0o600); err != nil {
+		t.Fatal(err)
+	}
+	open := func() *tenant.Store {
+		t.Helper()
+		st, err := tenant.OpenStore(filepath.Join(dir, "store"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { st.Close() })
+		return st
+	}
+	st := open()
+	if _, err := st.ImportKeyfile(path); err != nil {
 		t.Fatal(err)
 	}
 	s := newTestServer(t, Config{TenantStore: st})
@@ -400,17 +408,25 @@ func TestKeyfileStoreReload(t *testing.T) {
 		}
 	}
 
-	write(`{"tenants": [
-		{"name": "root", "key": "root-key-00000", "admin": true},
-		{"name": "tight", "key": "tight-key-0000", "max_body_bytes": 16},
-		{"name": "added", "key": "added-key-0000"}
-	]}`)
+	admin := open()
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	must(admin.Delete("gone"))
+	tight, _ := admin.Get("tight")
+	tight.MaxBodyBytes = 16
+	must(admin.Put(tight))
+	_, err := admin.PutKey(tenant.Spec{Name: "added", Key: "added-key-0000"})
+	must(err)
 	w := reqKey(t, s.Handler(), "POST", "/v1/admin/tenants/reload", "root-key-00000")
 	if w.Code != http.StatusOK {
 		t.Fatalf("admin reload: status %d: %s", w.Code, w.Body.String())
 	}
-	if ack := decode[reloadResponse](t, w); ack.Tenants != 3 || ack.Generation != st.Generation() {
-		t.Errorf("reload ack %+v, want 3 tenants at generation %d", ack, st.Generation())
+	if ack := decode[reloadResponse](t, w); ack.Tenants != 3 || ack.Generation != admin.Generation() {
+		t.Errorf("reload ack %+v, want 3 tenants at generation %d", ack, admin.Generation())
 	}
 	after := map[string]int{"gone-key-00000": 401, "added-key-0000": 200, "tight-key-0000": 413}
 	for key, want := range after {
@@ -419,21 +435,30 @@ func TestKeyfileStoreReload(t *testing.T) {
 		}
 	}
 
-	for name, doc := range map[string]string{
-		"unknown field":         `{"tenants": [{"name": "root", "key": "root-key-00000", "admin": true, "rate_per_second": 5}]}`,
-		"removed max_campaigns": `{"tenants": [{"name": "root", "key": "root-key-00000", "admin": true, "max_campaigns": 2}]}`,
-		"duplicate key": `{"tenants": [{"name": "root", "key": "root-key-00000", "admin": true},
-			{"name": "twin", "key": "root-key-00000"}]}`,
+	for _, tc := range []struct {
+		name       string
+		edit, undo func()
+	}{
+		{"duplicate key", func() {
+			_, err := admin.PutKey(tenant.Spec{Name: "twin", Key: "root-key-00000"})
+			must(err)
+		}, func() { must(admin.Delete("twin")) }},
+		{"no tenants left", func() {
+			for _, name := range []string{"root", "tight", "added"} {
+				must(admin.Delete(name))
+			}
+		}, func() {}},
 	} {
-		write(doc)
+		tc.edit()
 		if w := reqKey(t, s.Handler(), "POST", "/v1/admin/tenants/reload", "root-key-00000"); w.Code != http.StatusConflict {
-			t.Errorf("%s: reload status %d, want 409: %s", name, w.Code, w.Body.String())
+			t.Errorf("%s: reload status %d, want 409: %s", tc.name, w.Code, w.Body.String())
 		}
 		for key, want := range after {
 			if got := status(key); got != want {
-				t.Errorf("%s: key %s status %d, want %d from the old table", name, key, got, want)
+				t.Errorf("%s: key %s status %d, want %d from the old table", tc.name, key, got, want)
 			}
 		}
+		tc.undo()
 	}
 }
 

@@ -64,10 +64,6 @@ type Config struct {
 	MaxEdges int
 	// MaxBodyBytes caps request bodies (default 1 MiB).
 	MaxBodyBytes int64
-	// MaxMessageBudget caps the per-run message budget regardless of what
-	// the request asks for (default 1<<24), so one run cannot hold a
-	// worker for an unbounded message count.
-	MaxMessageBudget int
 	// CacheCapacity bounds the shared instance cache (default 128 entries).
 	CacheCapacity int
 	// MaxCampaignUnits caps the compiled unit count of a spec sent to
@@ -76,27 +72,21 @@ type Config struct {
 	// MaxShardUnits caps the unit count of one POST /v1/shard request
 	// (default 1024), bounding how long a batch holds a queue worker.
 	MaxShardUnits int
-	// BatchMax caps how many queued requests one worker drains per wakeup
-	// (default 16). Under load the queue/channel hand-off and scheduler
-	// wakeup are amortized across the batch; a solo request still executes
-	// on the first (blocking) receive, so unloaded latency is unchanged.
-	// 1 restores strict one-job-per-wakeup dispatch.
-	BatchMax int
 	// ResponseCacheCapacity bounds the deterministic response cache, which
 	// memoizes encoded 200 responses for repeatable /v1/advice and /v1/run
 	// requests (queue engine only) and serves repeats without touching the
 	// work queue. Default 4096 entries; negative disables the cache.
 	ResponseCacheCapacity int
 	// TenantStore is the tenant control plane: a durable store
-	// (tenant.OpenStore) or a memory store (tenant.OpenKeyfile,
-	// tenant.NewMemStore). With tenants in it, requests must authenticate
-	// with a registered API key, per-tenant quotas apply at admission, and
-	// the work queue drains tenants in weighted-fair order; with none (nil
-	// means an empty memory store) the server serves anonymously with no
-	// auth or quota work on the request path. Usage ledgers are seeded from
-	// it at boot and flushed back to it periodically, and ReloadFromStore
-	// rebuilds the registry from its current contents. The Server does not
-	// own the store — the caller closes it after Stop.
+	// (tenant.OpenStore) or a memory store (tenant.NewMemStore). With
+	// tenants in it, requests must authenticate with a registered API key,
+	// per-tenant quotas apply at admission, and the work queue drains
+	// tenants in weighted-fair order; with none (nil means an empty memory
+	// store) the server serves anonymously with no auth or quota work on
+	// the request path. Usage ledgers are seeded from it at boot and
+	// flushed back to it periodically, and ReloadFromStore rebuilds the
+	// registry from its current contents. The Server does not own the
+	// store — the caller closes it after Stop.
 	TenantStore *tenant.Store
 }
 
@@ -122,9 +112,6 @@ func (c Config) withDefaults() Config {
 	if c.MaxBodyBytes <= 0 {
 		c.MaxBodyBytes = 1 << 20
 	}
-	if c.MaxMessageBudget <= 0 {
-		c.MaxMessageBudget = 1 << 24
-	}
 	if c.CacheCapacity <= 0 {
 		c.CacheCapacity = 128
 	}
@@ -133,9 +120,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxShardUnits <= 0 {
 		c.MaxShardUnits = 1 << 10
-	}
-	if c.BatchMax <= 0 {
-		c.BatchMax = 16
 	}
 	if c.ResponseCacheCapacity == 0 {
 		c.ResponseCacheCapacity = 4096
@@ -180,8 +164,8 @@ type Server struct {
 	flushStop chan struct{}
 
 	// sched is the bounded work queue: per-tenant FIFOs drained by weighted
-	// deficit-round-robin. With one active tenant it degrades to the plain
-	// batched FIFO of the serve-path fast lane.
+	// deficit-round-robin, one job per dequeue. With one active tenant it
+	// degrades to a plain FIFO.
 	sched *tenant.Scheduler[*job]
 	// draining mirrors stopped for lock-free reads: the response-cache fast
 	// lane consults it so a stopped server sheds repeats like any other
@@ -293,26 +277,19 @@ func (s *Server) enqueue(ts *tenantState, j *job) error {
 
 var errBusy = fmt.Errorf("service: work queue full")
 
-// worker runs the batched dispatch loop: block for a batch of up to
-// BatchMax jobs in weighted-fair order and execute it before touching the
-// scheduler again. Under load this amortizes scheduler wakeups across the
-// batch; an idle server executes the solo job straight off the blocking
-// dequeue, so single-request latency is the same as unbatched dispatch.
+// worker runs the dispatch loop: take the next job in weighted-fair
+// order, count it, run it. A worker holds one job at a time, so a job
+// queued for a tenant with no backlog waits behind at most one quantum of
+// each other tenant plus the jobs already running.
 func (s *Server) worker() {
 	defer s.workers.Done()
-	buf := make([]*job, 0, s.cfg.BatchMax)
 	for {
-		batch := s.sched.DequeueBatch(buf[:0], s.cfg.BatchMax)
-		if batch == nil {
+		j, ok := s.sched.Dequeue()
+		if !ok {
 			return // closed and drained
 		}
-		s.metrics.batches.Add(1)
-		s.metrics.dispatched.Add(int64(len(batch)))
-		for i, j := range batch {
-			s.runJob(j)
-			batch[i] = nil // buf outlives the batch; let the finished job be collected
-		}
-		buf = batch // keep any capacity growth for the next round
+		s.metrics.dispatched.Add(1)
+		s.runJob(j)
 	}
 }
 

@@ -487,10 +487,8 @@ func TestConfigDefaults(t *testing.T) {
 		{"MaxNodes", c.MaxNodes, 4096},
 		{"MaxEdges", c.MaxEdges, 1 << 20},
 		{"MaxBodyBytes", c.MaxBodyBytes, int64(1 << 20)},
-		{"MaxMessageBudget", c.MaxMessageBudget, 1 << 24},
 		{"CacheCapacity", c.CacheCapacity, 128},
 		{"MaxCampaignUnits", c.MaxCampaignUnits, 1 << 16},
-		{"BatchMax", c.BatchMax, 16},
 		{"ResponseCacheCapacity", c.ResponseCacheCapacity, 4096},
 	}
 	for _, tc := range checks {

@@ -386,7 +386,7 @@ func TestServiceFairnessUnderBulkLoad(t *testing.T) {
 		tenant.Spec{Name: "bulkload", Key: "bulkload-key0", Weight: 1},
 		tenant.Spec{Name: "inter", Key: "inter-key-000", Weight: 4},
 	)
-	s := newTestServer(t, Config{Workers: 1, QueueDepth: 64, BatchMax: 4, TenantStore: st})
+	s := newTestServer(t, Config{Workers: 1, QueueDepth: 64, TenantStore: st})
 
 	var mu sync.Mutex
 	var order []string
@@ -436,5 +436,66 @@ func TestServiceFairnessUnderBulkLoad(t *testing.T) {
 	// admitted completed despite the mixed backlog.
 	if got := s.metrics.dispatched.Load(); got != 14 {
 		t.Errorf("dispatched = %d, want 14", got)
+	}
+}
+
+// TestServiceFairnessMidDrain: one worker, a bulk tenant (weight 1) with
+// 20 queued jobs, and an interactive request (weight 4) that arrives only
+// after the worker has taken its next work. The interactive job must be
+// the next job dequeued: it waits for the job already running and no
+// other, as the scheduler's one-quantum bound promises.
+func TestServiceFairnessMidDrain(t *testing.T) {
+	st := testStore(t,
+		tenant.Spec{Name: "bulkload", Key: "bulkload-key0", Weight: 1},
+		tenant.Spec{Name: "inter", Key: "inter-key-000", Weight: 4},
+	)
+	// No response cache: the requests share one body, and every one must
+	// queue.
+	s := newTestServer(t, Config{Workers: 1, QueueDepth: 64, ResponseCacheCapacity: -1, TenantStore: st})
+
+	entered := make(chan struct{}, 64)
+	step := make(chan struct{})
+	var wg sync.WaitGroup
+	defer wg.Wait()
+	var release sync.Once
+	defer release.Do(func() { close(step) })
+	s.testHook = func() {
+		entered <- struct{}{}
+		<-step
+	}
+	post := func(key string) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if w := postJSONKey(t, s.Handler(), "/v1/run", key, tenantRunBody); w.Code != http.StatusOK {
+				t.Errorf("status %d: %s", w.Code, w.Body.String())
+			}
+		}()
+	}
+
+	// Park the worker on one bulk job and queue 20 more behind it.
+	post("bulkload-key0")
+	<-entered
+	for i := 0; i < 20; i++ {
+		post("bulkload-key0")
+	}
+	waitFor(t, "bulk backlog", func() bool { return s.sched.Len() == 20 })
+	// The worker finishes that job and takes its next work; only then does
+	// the interactive request arrive.
+	step <- struct{}{}
+	<-entered
+	post("inter-key-000")
+	waitFor(t, "interactive job queued", func() bool { return s.sched.Depths()["inter"] == 1 })
+
+	// Release one job at a time until the interactive job leaves the
+	// queue; 20 jobs are left to run, so the loop cannot wait forever.
+	ran := 0
+	for ran < 20 && s.sched.Depths()["inter"] == 1 {
+		step <- struct{}{}
+		<-entered
+		ran++
+	}
+	if ran != 1 {
+		t.Errorf("the interactive job waited for %d jobs, want 1 (the one already running)", ran)
 	}
 }

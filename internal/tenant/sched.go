@@ -15,16 +15,17 @@ var ErrFull = errors.New("tenant: queue full")
 var ErrTenantFull = errors.New("tenant: tenant queue slots exhausted")
 
 // Scheduler is a weighted deficit-round-robin work queue: items enqueue
-// into per-tenant FIFO queues and dequeue in weight-proportional rotation
-// across the tenants that currently have backlog. With one active tenant
-// it degrades to a plain batched FIFO — the single-tenant fast path costs
-// one mutex acquisition per batch, like the channel it replaces.
+// into per-tenant FIFO queues and dequeue one at a time in
+// weight-proportional rotation across the tenants that currently have
+// backlog. With one active tenant it degrades to a plain FIFO.
 //
 // Fairness invariant: while tenants A (weight a) and B (weight b) both
 // have backlog, any window of dequeues contains items from both in ratio
 // a:b (±one quantum), so the queueing delay of an item from A is bounded
 // by its own backlog plus a weight-proportional share of everyone
-// else's — never by the absolute length of another tenant's queue.
+// else's — never by the absolute length of another tenant's queue. An
+// item enqueued for a tenant with no backlog is dequeued after at most one
+// quantum of each other active tenant.
 type Scheduler[T any] struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
@@ -126,62 +127,41 @@ func (s *Scheduler[T]) Enqueue(id string, weight, slots int, item T) error {
 	return nil
 }
 
-// DequeueBatch blocks until at least one item is available (or the
-// scheduler is closed and drained), then appends up to max items to buf
-// in DRR order and returns it. A nil return means closed-and-drained —
-// the worker should exit. Passing buf[:0] across calls makes the batch
-// allocation-free.
-func (s *Scheduler[T]) DequeueBatch(buf []T, max int) []T {
-	if max < 1 {
-		max = 1
-	}
+// Dequeue blocks until an item is available, then removes and returns
+// the next one in DRR order. It returns false once the scheduler is closed
+// and drained — the worker should exit.
+func (s *Scheduler[T]) Dequeue() (T, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for s.size == 0 {
 		if s.closed {
-			return nil
+			var zero T
+			return zero, false
 		}
 		s.cond.Wait()
 	}
-	n := 0
-	for n < max && s.size > 0 {
-		if s.cur >= len(s.active) {
-			s.cur = 0
-		}
-		q := s.active[s.cur]
-		if q.deficit <= 0 {
-			// A fresh visit in this rotation: grant the tenant's quantum.
-			q.deficit = q.weight
-		}
-		take := q.deficit
-		if l := q.len(); take > l {
-			take = l
-		}
-		if r := max - n; take > r {
-			take = r
-		}
-		for i := 0; i < take; i++ {
-			buf = append(buf, q.pop())
-		}
-		n += take
-		s.size -= take
-		q.deficit -= take
-		switch {
-		case q.len() == 0:
-			// Drained: leave the rotation and forfeit leftover deficit,
-			// so an idle tenant cannot bank credit while away.
-			q.deficit = 0
-			q.active = false
-			s.active = append(s.active[:s.cur], s.active[s.cur+1:]...)
-		case q.deficit <= 0:
-			s.cur++
-		default:
-			// Batch filled mid-quantum; the remaining deficit carries to
-			// the next batch so rotation stays weight-exact.
-			return buf
-		}
+	if s.cur >= len(s.active) {
+		s.cur = 0
 	}
-	return buf
+	q := s.active[s.cur]
+	if q.deficit <= 0 {
+		// A fresh visit in this rotation: grant the tenant's quantum.
+		q.deficit = q.weight
+	}
+	item := q.pop()
+	s.size--
+	q.deficit--
+	switch {
+	case q.len() == 0:
+		// Drained: leave the rotation and forfeit leftover deficit,
+		// so an idle tenant cannot bank credit while away.
+		q.deficit = 0
+		q.active = false
+		s.active = append(s.active[:s.cur], s.active[s.cur+1:]...)
+	case q.deficit == 0:
+		s.cur++
+	}
+	return item, true
 }
 
 // Close wakes all blocked dequeuers. Items already queued still drain;

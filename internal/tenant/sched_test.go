@@ -6,9 +6,15 @@ import (
 	"testing"
 )
 
+// drain dequeues up to max items, stopping early (without blocking) when
+// the queue is empty.
 func drain[T any](s *Scheduler[T], max int) []T {
-	buf := make([]T, 0, max)
-	return s.DequeueBatch(buf, max)
+	var out []T
+	for len(out) < max && s.Len() > 0 {
+		v, _ := s.Dequeue()
+		out = append(out, v)
+	}
+	return out
 }
 
 func TestSchedulerSingleTenantFIFO(t *testing.T) {
@@ -75,19 +81,21 @@ func TestSchedulerCloseDrains(t *testing.T) {
 	if len(got) != 5 {
 		t.Fatalf("drained %d queued items after close, want 5", len(got))
 	}
-	if got := drain(s, 16); got != nil {
-		t.Fatalf("closed-and-drained dequeue = %v, want nil", got)
+	if v, ok := s.Dequeue(); ok {
+		t.Fatalf("closed-and-drained dequeue = %v, want none", v)
 	}
 }
 
 func TestSchedulerBlocksUntilWork(t *testing.T) {
 	s := NewScheduler[int](8)
-	done := make(chan []int)
-	go func() { done <- drain(s, 4) }()
+	done := make(chan int)
+	go func() {
+		v, _ := s.Dequeue()
+		done <- v
+	}()
 	s.Enqueue("a", 1, 0, 42)
-	got := <-done
-	if len(got) != 1 || got[0] != 42 {
-		t.Fatalf("blocked dequeue = %v, want [42]", got)
+	if got := <-done; got != 42 {
+		t.Fatalf("blocked dequeue = %v, want 42", got)
 	}
 }
 
@@ -110,28 +118,19 @@ func TestSchedulerWeightedFairness(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Drain in batches of 16 (the serve-path BatchMax) and record how many
-	// items dequeue before the interactive one.
-	pos, seen := 0, false
-	for !seen {
-		batch := drain(s, 16)
-		if batch == nil {
-			t.Fatal("scheduler drained without yielding the interactive item")
+	// Record how many items dequeue before the interactive one.
+	pos := 0
+	for _, v := range drain(s, bulkBacklog+1) {
+		if v == "interactive" {
+			break
 		}
-		for _, v := range batch {
-			if v == "interactive" {
-				seen = true
-				break
-			}
-			pos++
-		}
+		pos++
 	}
 	// With weights 1:4 the rotation owes bulk at most one quantum (its
-	// weight, 1) before visiting interactive, plus whatever was already
-	// committed in the in-flight batch. Anything beyond one batch's worth
-	// means the backlog leaked into the interactive tenant's latency.
-	if pos > 16 {
-		t.Fatalf("interactive item waited behind %d bulk items; want <= 16 despite a %d-deep bulk backlog", pos, bulkBacklog)
+	// weight, 1) before visiting interactive. Anything more means the
+	// backlog leaked into the interactive tenant's latency.
+	if pos > 1 {
+		t.Fatalf("interactive item waited behind %d bulk items; want <= 1 despite a %d-deep bulk backlog", pos, bulkBacklog)
 	}
 }
 
@@ -148,15 +147,9 @@ func TestSchedulerWeightRatio(t *testing.T) {
 	}
 	counts := map[string]int{}
 	// Sample the first 400 dequeues: both tenants still have backlog
-	// throughout, so the ratio must hold at 3:1 (+/- one quantum per batch
-	// boundary).
-	for sampled := 0; sampled < 400; {
-		for _, v := range drain(s, 16) {
-			if sampled < 400 {
-				counts[v]++
-			}
-			sampled++
-		}
+	// throughout, so the ratio must hold at 3:1 (+/- one quantum).
+	for _, v := range drain(s, 400) {
+		counts[v]++
 	}
 	if h, l := counts["heavy"], counts["light"]; h < 290 || h > 310 || h+l != 400 {
 		t.Fatalf("window of 400 dequeues carried heavy=%d light=%d, want ~300:100", h, l)
@@ -233,14 +226,12 @@ func TestSchedulerConcurrentProducersConsumers(t *testing.T) {
 		go func() {
 			defer consumed.Done()
 			n := 0
-			buf := make([]int, 0, 16)
 			for {
-				batch := s.DequeueBatch(buf[:0], 16)
-				if batch == nil {
+				if _, ok := s.Dequeue(); !ok {
 					total <- n
 					return
 				}
-				n += len(batch)
+				n++
 			}
 		}()
 	}
@@ -275,7 +266,7 @@ func TestSchedulerHeadCompaction(t *testing.T) {
 		}
 	}
 	// Drain the remainder and confirm nothing was lost or reordered.
-	want := 10*300 - 10*208 // each round drained 208 (13 batches of 16)
+	want := 10*300 - 10*208 // each round drained 208 (13 drains of 16)
 	left := 0
 	for s.Len() > 0 {
 		left += len(drain(s, 16))

@@ -38,12 +38,11 @@ import (
 // the other appended. Compact rewrites the directory and is an exclusive
 // administrative operation.
 //
-// A memory store (NewMemStore, OpenKeyfile) has no directory: writes only
-// update its state.
+// A memory store (NewMemStore) has no directory: writes only update its
+// state.
 type Store struct {
-	mu      sync.Mutex
-	dir     string
-	keyfile string // the file a memory store's Sync re-reads, if any
+	mu  sync.Mutex
+	dir string
 
 	w       *os.File // O_APPEND write handle; nil for a memory store
 	r       *os.File // read handle for Sync; offset tracks replayed bytes
@@ -189,40 +188,6 @@ func NewMemStore() *Store {
 		tombs:   make(map[string]uint64),
 		ledgers: make(map[string]*ledgerAt),
 	}
-}
-
-// OpenKeyfile loads a JSON keyfile into a memory store whose Sync
-// re-reads the file, so an edit reaches a running server through the
-// same reload as a durable store's change.
-func OpenKeyfile(path string) (*Store, error) {
-	st := NewMemStore()
-	st.keyfile = path
-	if _, err := st.Sync(); err != nil {
-		return nil, err
-	}
-	return st, nil
-}
-
-// syncKeyfile replaces a memory store's tenants with its keyfile's, as
-// one new generation. The whole file must build a registry first, so an
-// invalid edit (a typoed field, a duplicate key) changes nothing.
-func (st *Store) syncKeyfile() (bool, error) {
-	specs, err := readKeyfile(st.keyfile)
-	if err != nil {
-		return false, err
-	}
-	if _, err := NewRegistry(specs); err != nil {
-		return false, fmt.Errorf("%w (keyfile %s)", err, st.keyfile)
-	}
-	st.seq++
-	st.gen = st.seq
-	clear(st.specs)
-	for _, sp := range specs {
-		stored, _ := digestSpec(sp)
-		stored, _ = validateStored(stored)
-		st.specs[sp.Name] = &storedAt{spec: stored, seq: st.seq}
-	}
-	return true, nil
 }
 
 func (st *Store) loadSnapshot() error {
@@ -374,14 +339,10 @@ func (st *Store) append(e storeEntry, sync bool) error {
 
 // Sync folds in WAL frames appended by other processes (the admin CLI
 // mutating specs while a daemon holds the store, or vice versa) since the
-// last open or Sync; a keyfile store re-reads its keyfile instead. It
-// reports whether anything new was applied.
+// last open or Sync. It reports whether anything new was applied.
 func (st *Store) Sync() (changed bool, err error) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if st.keyfile != "" {
-		return st.syncKeyfile()
-	}
 	return st.syncLocked()
 }
 
@@ -537,12 +498,16 @@ func digestSpec(sp Spec) (StoredSpec, error) {
 }
 
 // ImportKeyfile upserts every tenant of a JSON keyfile into the store,
-// digesting the raw keys immediately. It returns the number imported —
-// the migration path from a keyfile deployment to the durable store.
+// digesting the raw keys immediately, and returns the number imported.
+// The whole file must build a registry first, so a short key, a duplicate
+// name or a duplicate key writes nothing.
 func (st *Store) ImportKeyfile(path string) (int, error) {
 	specs, err := readKeyfile(path)
 	if err != nil {
 		return 0, err
+	}
+	if _, err := NewRegistry(specs); err != nil {
+		return 0, fmt.Errorf("%w (keyfile %s)", err, path)
 	}
 	for _, sp := range specs {
 		if _, err := st.PutKey(sp); err != nil {

@@ -199,7 +199,6 @@ func TestStoreCompactAndSnapshot(t *testing.T) {
 // (add alpha -max-campaigns 2 -max-units 8, compact, add beta
 // -max-campaigns 2).
 func TestStoreOpensRemovedMaxCampaigns(t *testing.T) {
-	dir := t.TempDir()
 	snapshot := `{
   "format": "oraclesize/tenantstore/v1",
   "seq": 1,
@@ -224,6 +223,54 @@ func TestStoreOpensRemovedMaxCampaigns(t *testing.T) {
 	put := `{"seq":2,"op":"put","spec":{"name":"beta","key":"","weight":1,"max_campaigns":2,` +
 		`"key_digest":"598ecc5afd24dad150f848fede72d1a748e2ec16a70bac2363788364c7ddcb77",` +
 		`"prev_key_expiry":"0001-01-01T00:00:00Z"}}`
+	if alpha := openDropsRemovedField(t, "max_campaigns", snapshot, put); alpha.MaxCampaignUnits != 8 {
+		t.Fatalf("alpha read back as %+v, want max_campaign_units 8", alpha)
+	}
+}
+
+// TestStoreOpensRemovedLabels: stores that imported keyfiles with tenant
+// labels carry "labels" in snapshot specs and WAL put entries. Such a
+// store opens with the same tenants and generation, and its next Compact
+// drops the field. The bytes are what ImportKeyfile and Compact wrote
+// then (import alpha with labels, compact, import beta with labels).
+func TestStoreOpensRemovedLabels(t *testing.T) {
+	snapshot := `{
+  "format": "oraclesize/tenantstore/v1",
+  "seq": 1,
+  "gen": 1,
+  "tenants": [
+    {
+      "spec": {
+        "name": "alpha",
+        "key": "",
+        "weight": 1,
+        "labels": {
+          "team": "theory"
+        },
+        "key_digest": "15ec6ec75f5b1b27da2307bbd282187c080c73e93b27ee8e7ce90c8c1446b2dd",
+        "prev_key_expiry": "0001-01-01T00:00:00Z"
+      },
+      "seq": 1
+    }
+  ],
+  "ledgers": null
+}
+`
+	put := `{"seq":2,"op":"put","spec":{"name":"beta","key":"","weight":1,"labels":{"team":"systems"},` +
+		`"key_digest":"598ecc5afd24dad150f848fede72d1a748e2ec16a70bac2363788364c7ddcb77",` +
+		`"prev_key_expiry":"0001-01-01T00:00:00Z"}}`
+	openDropsRemovedField(t, "labels", snapshot, put)
+}
+
+// openDropsRemovedField writes an earlier release's snapshot (tenant
+// alpha, key alpha-secret-01) and one WAL put entry (tenant beta, key
+// beta-secret-001) that both carry a field Spec no longer has, and checks
+// that the store opens at generation 2 with both tenants authenticating,
+// and that Compact drops the field without changing the state. It
+// returns alpha's spec as opened.
+func openDropsRemovedField(t *testing.T, field, snapshot, put string) StoredSpec {
+	t.Helper()
+	dir := t.TempDir()
 	if err := os.WriteFile(filepath.Join(dir, storeSnapName), []byte(snapshot), 0o600); err != nil {
 		t.Fatal(err)
 	}
@@ -238,8 +285,7 @@ func TestStoreOpensRemovedMaxCampaigns(t *testing.T) {
 	}
 	alpha, _ := st.Get("alpha")
 	beta, _ := st.Get("beta")
-	if alpha.MaxCampaignUnits != 8 || alpha.KeyDigest != DigestKey("alpha-secret-01") ||
-		beta.KeyDigest != DigestKey("beta-secret-001") {
+	if alpha.KeyDigest != DigestKey("alpha-secret-01") || beta.KeyDigest != DigestKey("beta-secret-001") {
 		t.Fatalf("specs read back as %+v and %+v", alpha, beta)
 	}
 	reg, _, err := st.Registry()
@@ -258,13 +304,14 @@ func TestStoreOpensRemovedMaxCampaigns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if strings.Contains(string(data), "max_campaigns") {
-		t.Fatalf("compacted snapshot still carries max_campaigns:\n%s", data)
+	if strings.Contains(string(data), `"`+field+`"`) {
+		t.Fatalf("compacted snapshot still carries %s:\n%s", field, data)
 	}
 	st.Close()
 	if got := stateOf(openTestStore(t, dir)); !statesEqual(got, want) {
 		t.Fatalf("state after compaction:\n got %+v\nwant %+v", got, want)
 	}
+	return alpha
 }
 
 func TestStoreSyncAcrossHandles(t *testing.T) {

@@ -2,8 +2,8 @@
 // oracleherd: identity, admission quotas, and scheduling fairness.
 //
 // Identity is API-key based. A Registry is built from a Store's tenant
-// specs — a durable store, or a memory store loaded from a JSON keyfile —
-// mapping secret keys to named tenants; authentication hashes the
+// specs, mapping secret keys to named tenants; a JSON keyfile is only an
+// import format (Store.ImportKeyfile). Authentication hashes the
 // presented key with SHA-256 and compares the digest against every
 // registered tenant with a constant-time comparison, so neither the
 // lookup nor the match leaks key bytes through timing. The raw keys are
@@ -20,8 +20,7 @@
 // Fairness is a weighted deficit-round-robin Scheduler over per-tenant
 // queues: each tenant drains in proportion to its configured weight, so
 // one tenant's bulk backlog cannot starve another's interactive traffic.
-// When a single tenant is active the scheduler degrades to the plain
-// batched FIFO drain the serve-path fast lane relies on.
+// When a single tenant is active the scheduler degrades to a plain FIFO.
 //
 // The package also carries the fleet's transport identity: mTLS config
 // builders and a small certificate generator (see tlsutil.go) used by
@@ -38,15 +37,16 @@ import (
 	"time"
 )
 
-// MaxTenants bounds a keyfile: per-tenant state (queues, metrics series)
+// MaxTenants bounds a registry: per-tenant state (queues, metrics series)
 // is sized by the registry, so the registry itself must be bounded.
 const MaxTenants = 256
 
 // minKeyLength rejects trivially guessable keys at load time.
 const minKeyLength = 8
 
-// Spec is one tenant's keyfile entry. The zero value of every limit means
-// "no limit of this kind"; Weight 0 means the default weight 1.
+// Spec is one tenant's policy, in the shape of a keyfile entry. The zero
+// value of every limit means "no limit of this kind"; Weight 0 means the
+// default weight 1.
 type Spec struct {
 	// Name identifies the tenant in logs, metrics labels and scheduling.
 	// It must match [A-Za-z0-9_-]+ so it is always a safe Prometheus
@@ -77,10 +77,6 @@ type Spec struct {
 	// Admin grants access to the daemon's admin endpoints (tenant reload,
 	// tenant report). Ordinary tenants get 403 there.
 	Admin bool `json:"admin,omitempty"`
-	// Labels are free-form annotations reported on GET /healthz-adjacent
-	// surfaces and available to operators; they never become metric
-	// labels (cardinality stays bounded by tenant count alone).
-	Labels map[string]string `json:"labels,omitempty"`
 }
 
 // Tenant is one authenticated identity with its quota spec. Tenants are
@@ -97,7 +93,7 @@ type Tenant struct {
 	prevExpiry time.Time
 }
 
-// keyfile is the on-disk document shape.
+// keyfile is the import document shape (readKeyfile).
 type keyfile struct {
 	Tenants []Spec `json:"tenants"`
 }
@@ -127,8 +123,8 @@ func validName(s string) bool {
 }
 
 // normalizeSpec validates one spec's name and limits and applies the
-// weight/burst defaults. It is shared by the keyfile and store registry
-// constructors, so both load paths enforce identical rules.
+// weight/burst defaults. It is shared by NewRegistry and the store's
+// registry, so a keyfile and a store enforce identical rules.
 func normalizeSpec(sp Spec) (Spec, error) {
 	if !validName(sp.Name) {
 		return sp, fmt.Errorf("tenant: name %q is not [A-Za-z0-9_-]+", sp.Name)
@@ -154,7 +150,7 @@ func normalizeSpec(sp Spec) (Spec, error) {
 
 // NewRegistry builds a registry from tenant specs carrying raw keys: each
 // key is length-checked and digested, then NewStoredRegistry applies the
-// rules both load paths share. Raw keys are never retained.
+// rules a store's registry obeys. Raw keys are never retained.
 func NewRegistry(specs []Spec) (*Registry, error) {
 	stored := make([]StoredSpec, len(specs))
 	for i, sp := range specs {

@@ -127,29 +127,34 @@ func TestAuthenticateScansAllTenants(t *testing.T) {
 	}
 }
 
-func TestLoadKeyfile(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "keys.json")
-	doc := `{"tenants": [
-		{"name": "research", "key": "research-key-1", "weight": 4, "rate_per_sec": 100, "labels": {"team": "theory"}},
-		{"name": "ci", "key": "ci-key-00000", "max_queue_slots": 8}
-	]}`
+// writeKeyfile writes doc to a keyfile in a fresh temp dir.
+func writeKeyfile(t *testing.T, doc string) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "keys.json")
 	if err := os.WriteFile(path, []byte(doc), 0o600); err != nil {
 		t.Fatal(err)
 	}
-	st, err := OpenKeyfile(path)
-	if err != nil {
-		t.Fatal(err)
+	return path
+}
+
+func TestLoadKeyfile(t *testing.T) {
+	path := writeKeyfile(t, `{"tenants": [
+		{"name": "research", "key": "research-key-1", "weight": 4, "rate_per_sec": 100},
+		{"name": "ci", "key": "ci-key-00000", "max_queue_slots": 8}
+	]}`)
+	st := NewMemStore()
+	if n, err := st.ImportKeyfile(path); err != nil || n != 2 {
+		t.Fatalf("ImportKeyfile = %d, %v; want 2 tenants", n, err)
 	}
 	r, gen, err := st.Registry()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(r.Tenants()) != 2 || gen != 1 {
-		t.Fatalf("loaded %d tenants at generation %d, want 2 at 1", len(r.Tenants()), gen)
+	if len(r.Tenants()) != 2 || gen != 2 {
+		t.Fatalf("loaded %d tenants at generation %d, want 2 at 2", len(r.Tenants()), gen)
 	}
 	research, ok := r.Authenticate("research-key-1", time.Time{})
-	if !ok || research.Spec.Weight != 4 || research.Spec.Labels["team"] != "theory" {
+	if !ok || research.Spec.Weight != 4 || research.Spec.RatePerSec != 100 {
 		t.Fatalf("research tenant mis-loaded: %+v", research)
 	}
 	ci, ok := r.Authenticate("ci-key-00000", time.Time{})
@@ -159,31 +164,65 @@ func TestLoadKeyfile(t *testing.T) {
 }
 
 // TestLoadKeyfileRejectsUnknownFields: a keyfile field the Spec does not
-// have fails the load with an error naming it — a typoed limit, and
-// max_campaigns, the per-tenant campaign cap of the removed
-// /v1/campaign endpoint.
+// have fails the import with an error naming it, and imports nothing — a
+// typoed limit, max_campaigns (the per-tenant campaign cap of the removed
+// /v1/campaign endpoint) and labels (annotations nothing read).
 func TestLoadKeyfileRejectsUnknownFields(t *testing.T) {
 	for _, tc := range []struct {
-		name, field string
+		name, field, value string
 	}{
-		{"typo", "rate_per_second"},
-		{"removed max_campaigns", "max_campaigns"},
+		{"typo", "rate_per_second", "5"},
+		{"removed max_campaigns", "max_campaigns", "5"},
+		{"removed labels", "labels", `{"team": "theory"}`},
 	} {
-		path := filepath.Join(t.TempDir(), "keys.json")
-		doc := `{"tenants": [{"name": "a", "key": "long-enough", "` + tc.field + `": 5}]}`
-		if err := os.WriteFile(path, []byte(doc), 0o600); err != nil {
-			t.Fatal(err)
-		}
+		path := writeKeyfile(t, `{"tenants": [{"name": "a", "key": "long-enough", "`+tc.field+`": `+tc.value+`}]}`)
+		st := NewMemStore()
 		want := `json: unknown field "` + tc.field + `"`
-		if _, err := OpenKeyfile(path); err == nil || !strings.Contains(err.Error(), want) {
-			t.Errorf("%s: OpenKeyfile = %v, want an error containing %s", tc.name, err, want)
+		if _, err := st.ImportKeyfile(path); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: ImportKeyfile = %v, want an error containing %s", tc.name, err, want)
+		}
+		if st.Len() != 0 {
+			t.Errorf("%s: refused keyfile imported %d tenants", tc.name, st.Len())
 		}
 	}
 }
 
 func TestLoadKeyfileMissing(t *testing.T) {
-	if _, err := OpenKeyfile(filepath.Join(t.TempDir(), "nope.json")); err == nil {
+	if _, err := NewMemStore().ImportKeyfile(filepath.Join(t.TempDir(), "nope.json")); err == nil {
 		t.Fatal("missing keyfile accepted")
+	}
+}
+
+// TestImportKeyfileIsAtomic: a keyfile that does not build a registry as
+// a whole writes nothing, not even the valid tenants ahead of its bad
+// entry, and the store's generation stays where it was.
+func TestImportKeyfileIsAtomic(t *testing.T) {
+	for _, tc := range []struct {
+		name, doc, want string
+	}{
+		{"short key", `{"tenants":[{"name":"a","key":"aaaaaaaa-key"},{"name":"b","key":"short"}]}`,
+			"key shorter than 8 bytes"},
+		{"duplicate name", `{"tenants":[{"name":"c","key":"cccccccc-key"},{"name":"c","key":"cccccccc-key-2"}]}`,
+			`duplicate name "c"`},
+		{"duplicate key", `{"tenants":[{"name":"d","key":"shared-key-00"},{"name":"e","key":"shared-key-00"}]}`,
+			"already registered"},
+	} {
+		dir := t.TempDir()
+		st := openTestStore(t, dir)
+		if _, err := st.PutKey(Spec{Name: "kept", Key: "kept-key-0000"}); err != nil {
+			t.Fatal(err)
+		}
+		gen := st.Generation()
+		if _, err := st.ImportKeyfile(writeKeyfile(t, tc.doc)); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: ImportKeyfile = %v, want an error containing %q", tc.name, err, tc.want)
+		}
+		if g, n := st.Generation(), st.Len(); g != gen || n != 1 {
+			t.Errorf("%s: after the refused import: generation %d with %d tenants, want %d with 1", tc.name, g, n, gen)
+		}
+		st.Close()
+		if n := openTestStore(t, dir).Len(); n != 1 {
+			t.Errorf("%s: reopened store holds %d tenants, want 1", tc.name, n)
+		}
 	}
 }
 
