@@ -19,6 +19,9 @@
 // the daemon stops accepting connections and drains in-flight requests up
 // to -drain before exiting.
 //
+// With -join URL the daemon joins that oracleherd's elastic fleet and
+// re-joins every -heartbeat; each re-join is its heartbeat (docs/FLEET.md).
+//
 // Without -tenant-store the daemon serves anonymously. With -tenant-store
 // DIR it serves the tenants of a durable store that oracletenant
 // administers (a JSON keyfile moves in with `oracletenant import`), and
@@ -85,9 +88,9 @@ func run(args []string, out, errOut io.Writer) int {
 		shardUnits  = fs.Int("max-shard-units", 1<<10, "largest unit batch accepted by POST /v1/shard")
 		respCap     = fs.Int("response-cache", 0, "response cache capacity in entries (0 = default 4096, negative disables)")
 		pprofAddr   = fs.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060; empty = off)")
-		joinURL     = fs.String("join", "", "register with this oracleherd fleet endpoint (its -listen address) and heartbeat until shutdown")
+		joinURL     = fs.String("join", "", "register with this oracleherd fleet endpoint (its -listen address) and re-join every -heartbeat until shutdown")
 		advertise   = fs.String("advertise", "", "base URL the coordinator should dispatch to (default derived from -addr)")
-		heartbeat   = fs.Duration("heartbeat", 2*time.Second, "membership heartbeat cadence when -join is set")
+		heartbeat   = fs.Duration("heartbeat", 2*time.Second, "re-join cadence when -join is set: each re-join is the member's heartbeat")
 		tenantDir   = fs.String("tenant-store", "", "durable tenant store directory (snapshot + WAL), administered with oracletenant: API-key auth, per-tenant quotas, weighted-fair scheduling, key rotation and persistent usage ledgers; SIGHUP and POST /v1/admin/tenants/reload fold in its changes (empty = serve anonymously)")
 		tlsCert     = fs.String("tls-cert", "", "serve TLS with this certificate (PEM); also presented as client identity to the coordinator")
 		tlsKey      = fs.String("tls-key", "", "private key for -tls-cert")
@@ -198,10 +201,10 @@ func run(args []string, out, errOut io.Writer) int {
 	}()
 	fmt.Fprintf(out, "oracled listening on %s (%s)\n", *addr, scheme)
 
-	// With -join the daemon is an elastic fleet member: it registers with
-	// the coordinator, heartbeats its load signals, and re-joins on its own
-	// if evicted. The agent outlives the listener during shutdown so the
-	// final heartbeats carry the draining flag, then deregisters cleanly.
+	// With -join the daemon is an elastic fleet member: it joins with its
+	// load signals every -heartbeat, which also re-registers it if evicted.
+	// The agent outlives the listener during shutdown so the final joins
+	// carry the draining flag, then deregisters cleanly.
 	var agent *membership.Agent
 	agentCtx, agentStop := context.WithCancel(context.Background())
 	defer agentStop()
@@ -229,7 +232,7 @@ func run(args []string, out, errOut io.Writer) int {
 		}
 		if *tlsCA != "" || *tlsCert != "" {
 			// Joining an mTLS coordinator: trust its CA and present our own
-			// certificate as client identity on every join/heartbeat/leave.
+			// certificate as client identity on every join and leave.
 			clientCfg, err := tenant.ClientTLS(*tlsCert, *tlsKey, *tlsCA)
 			if err != nil {
 				fmt.Fprintf(errOut, "oracled: %v\n", err)
@@ -246,7 +249,7 @@ func run(args []string, out, errOut io.Writer) int {
 
 	select {
 	case <-ctx.Done():
-		// Graceful drain: advertise the drain first so heartbeats and
+		// Graceful drain: advertise the drain first so re-joins and
 		// health probes flip to draining (the coordinator stops handing us
 		// leases instead of evicting us), then stop accepting connections,
 		// let in-flight requests finish, retire the worker set, and finally

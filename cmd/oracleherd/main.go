@@ -18,8 +18,9 @@
 // its weight.
 //
 // With -listen the fleet is elastic: oracled workers self-register over
-// POST /v1/fleet/join (oracled -join) and heartbeat into the coordinator's
-// own fleet, the one table that both lists members and hands out leases.
+// POST /v1/fleet/join (oracled -join), re-joining as their heartbeat, into
+// the coordinator's own fleet, the one table that both lists members and
+// hands out leases.
 // Joins admit workers before or during the campaign; a member silent past
 // -member-ttl is probed over /healthz and, unless it answers, evicted with
 // its leases requeued immediately; a draining worker keeps its leases but
@@ -99,7 +100,7 @@ func run(args []string, out, errOut io.Writer) int {
 		allowSkew   = fs.Bool("allow-skew", false, "accept workers whose catalog fingerprint differs")
 		metrics     = fs.String("metrics", "", "serve coordinator Prometheus metrics on this address")
 		listen      = fs.String("listen", "", "serve the elastic fleet endpoints (/v1/fleet*, combined /metrics) on this address; workers join with oracled -join")
-		memberTTL   = fs.Duration("member-ttl", 10*time.Second, "evict a fleet member this long after its last heartbeat")
+		memberTTL   = fs.Duration("member-ttl", 10*time.Second, "evict a fleet member this long after its last join (its heartbeat)")
 		targetSpan  = fs.Duration("target-makespan", 0, "autoscaling advisor target for the remaining campaign (0 disables the recommendation)")
 		apiKey      = fs.String("api-key", "", "tenant API key sent as X-API-Key on every worker call (multi-tenant oracled)")
 		tlsCert     = fs.String("tls-cert", "", "client certificate presented to mTLS workers; with -listen, also serves the fleet endpoint over TLS")
@@ -203,11 +204,11 @@ func run(args []string, out, errOut io.Writer) int {
 	}
 
 	// The elastic fleet endpoint: workers self-register over
-	// POST /v1/fleet/join and heartbeat straight into the coordinator's
-	// fleet (a join admits the worker mid-run, a draining report stops new
-	// leases, a leave requeues its leases at once), a sweeper evicts
-	// members whose heartbeats stop, and the advisor recommends a fleet
-	// size for -target-makespan, for an external provisioner to act on.
+	// POST /v1/fleet/join straight into the coordinator's fleet and re-join
+	// as their heartbeat (a join admits the worker mid-run, a draining
+	// report stops new leases, a leave requeues its leases at once), a
+	// sweeper evicts members whose joins stop, and the advisor recommends a
+	// fleet size for -target-makespan, for an external provisioner.
 	fleetCtx, fleetStop := context.WithCancel(context.Background())
 	defer fleetStop()
 	if *listen != "" {

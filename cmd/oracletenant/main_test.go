@@ -85,6 +85,23 @@ func TestImportIsAllOrNothing(t *testing.T) {
 	wantLines(t, "show after the refused import", out, "generation 0, 0 tenants\n")
 }
 
+// TestAddRefusesSharedKey: a second tenant with a key the store already
+// holds is refused, as oracled would refuse to load the store, and the
+// store keeps one tenant.
+func TestAddRefusesSharedKey(t *testing.T) {
+	store := t.TempDir()
+	mustRun(t, "add", "-store", store, "-name", "root", "-key", "root-key-00000")
+	_, errOut, code := oracletenant("add", "-store", store, "-name", "twin", "-key", "root-key-00000")
+	if code != 1 || !strings.Contains(errOut, `tenant "twin": key already registered to another tenant`) {
+		t.Fatalf("twin add: exit %d, want 1 with the shared key named; stderr:\n%s", code, errOut)
+	}
+	out := mustRun(t, "show", "-store", store)
+	wantLines(t, "show after the refused add", out, "generation 1, 1 tenants\n", "  root ")
+	if strings.Contains(out, "twin") {
+		t.Fatalf("show lists the refused tenant:\n%s", out)
+	}
+}
+
 // TestRoundTrip drives every subcommand over one store and checks show
 // or report after each step.
 func TestRoundTrip(t *testing.T) {

@@ -41,7 +41,7 @@
 // The Coordinator is also the elastic fleet's member table
 // (membership.Fleet): workers that join through oracleherd's fleet
 // endpoint live in the same fleet that hands out leases, and Sweep evicts
-// the ones whose heartbeats stop.
+// the ones whose re-joins (their heartbeats) stop.
 package cluster
 
 import (
@@ -112,7 +112,7 @@ type Config struct {
 	// how long the circuit stays open before one half-open trial.
 	BreakerThreshold int
 	BreakerCooldown  time.Duration
-	// MemberTTL is how long a joined member may go without a heartbeat
+	// MemberTTL is how long a joined member may go without re-joining
 	// before Sweep probes it (default 10s).
 	MemberTTL time.Duration
 	// AllowSkew admits fleets whose catalog fingerprints disagree with the
@@ -226,9 +226,10 @@ type Stats struct {
 
 // Coordinator drives one distributed campaign over a fleet that may change
 // while the run is live: Join admits a worker (spawning its lease slots
-// mid-run), Beat records its heartbeats (a draining one gets no new leases
-// but keeps those it holds), and Leave and Sweep remove it (its leases
-// requeue immediately and its in-flight dispatches are cancelled).
+// mid-run) and takes its re-joins as heartbeats (a draining one gets no
+// new leases but keeps those it holds), and Leave and Sweep remove it
+// (its leases requeue immediately and its in-flight dispatches are
+// cancelled).
 // Construct with New and call Run once; Metrics and the fleet methods may
 // be served concurrently with Run.
 type Coordinator struct {
@@ -418,11 +419,6 @@ func (c *Coordinator) Join(req membership.JoinRequest) (membership.Member, error
 	return m, nil
 }
 
-// Beat records a member's heartbeat through Core.Beat.
-func (c *Coordinator) Beat(id string, hb membership.Heartbeat) (membership.Member, error) {
-	return c.core.Beat(id, hb)
-}
-
 // Members lists the live members through Core.Members.
 func (c *Coordinator) Members() []membership.Member { return c.core.Members() }
 
@@ -444,8 +440,8 @@ func (c *Coordinator) Leave(id string) bool {
 	return true
 }
 
-// Sweep evicts members whose heartbeats stopped. Each member past its
-// deadline (last heartbeat plus MemberTTL) gets one /healthz probe, in ID
+// Sweep evicts members whose re-joins stopped. Each member past its
+// deadline (last join plus MemberTTL) gets one /healthz probe, in ID
 // order and outside every lock:
 //
 //   - unreachable: evicted (see evictLocked);
@@ -470,7 +466,7 @@ func (c *Coordinator) Sweep(ctx context.Context) {
 		c.mu.Lock()
 		switch {
 		case !w.overdue(now):
-			// Left, evicted, or a heartbeat landed while probing.
+			// Left, evicted, or a re-join landed while probing.
 		case up && draining:
 			grace := max(c.cfg.MemberTTL, retryAfter)
 			w.extend(now.Add(grace))

@@ -134,9 +134,9 @@ func (c *Core) DropWorker(name string) (requeued int, ok bool) {
 // Join registers a worker that joined through the fleet endpoint and
 // returns its index and fleet row. A name that is not a live member goes
 // through AddWorker: added reports a fresh index, and a -workers founder
-// is revived in place. A live member's re-join refreshes its registration
-// in place and keeps its breaker and backoff. Either way the join's drain
-// flag sets the gate.
+// is revived in place. A live member's re-join is its heartbeat: it
+// refreshes the registration in place and keeps its breaker and backoff.
+// Either way the join's drain flag sets the gate; a flip is logged.
 func (c *Core) Join(req membership.JoinRequest) (index int, added bool, m membership.Member, err error) {
 	index, w, ok := c.fleet.member(req.ID)
 	if !ok {
@@ -145,38 +145,19 @@ func (c *Core) Join(req membership.JoinRequest) (index int, added bool, m member
 		}
 		w = c.fleet.get(index)
 	}
-	m, fresh := w.register(req, c.cfg.Clock.Now())
+	m, fresh, wasDraining := w.register(req, c.cfg.Clock.Now())
 	if fresh {
 		c.m.joins.Add(1)
 		c.cfg.Logf("membership: %s joined (catalog %s, go %s)", req.ID, req.Fingerprint, req.Build.GoVersion)
 	}
-	if !req.Draining {
+	switch {
+	case req.Draining && !wasDraining:
+		c.cfg.Logf("membership: %s draining", req.ID)
+	case !req.Draining && wasDraining:
+		c.cfg.Logf("membership: %s active again", req.ID)
 		c.st.wakeAll()
 	}
 	return index, added, m, nil
-}
-
-// Beat records one heartbeat of a live member: its load signals, a fresh
-// deadline, and its drain flag, which closes or opens its gate. A worker
-// that is not a live member fails with membership.ErrUnknownMember, which
-// tells its agent to re-join.
-func (c *Core) Beat(id string, hb membership.Heartbeat) (membership.Member, error) {
-	_, w, ok := c.fleet.member(id)
-	if !ok {
-		return membership.Member{}, membership.ErrUnknownMember
-	}
-	m, wasDraining, ok := w.beat(hb, c.cfg.Clock.Now())
-	if !ok {
-		return membership.Member{}, membership.ErrUnknownMember
-	}
-	switch {
-	case hb.Draining && !wasDraining:
-		c.cfg.Logf("membership: %s draining", id)
-	case !hb.Draining && wasDraining:
-		c.cfg.Logf("membership: %s active again", id)
-		c.st.wakeAll()
-	}
-	return m, nil
 }
 
 // Members lists the live members, sorted by ID. A -workers founder that
@@ -208,8 +189,8 @@ func (c *Core) Backlog() int {
 
 // MeanUnitSeconds is the live fleet's mean per-unit service time — the
 // autoscaling advisor's rate signal. It comes from the adaptive sizer's
-// EWMAs; before their first sample, from the rates members report in
-// heartbeats; before either, it is 0.
+// EWMAs; before their first sample, from the rates members report when
+// they join; before either, it is 0.
 func (c *Core) MeanUnitSeconds() float64 {
 	if mean := c.st.sizer.meanPerUnit(); mean > 0 {
 		return mean

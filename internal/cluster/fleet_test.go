@@ -14,7 +14,7 @@ import (
 
 // TestJoinWhileDrainingGetsNoLeases pins the drain bit of the one fleet
 // table: a member's listed status and its lease gate are the same state,
-// whether the drain arrives with a join, a heartbeat or a re-join. A
+// whether the drain arrives with a first join or a re-join (a heartbeat). A
 // worker that re-joins a restarted coordinator while its listener is
 // closing must get no leases, or each one comes back as a dispatch
 // failure charged to its shard's attempt budget.
@@ -44,9 +44,9 @@ func TestJoinWhileDrainingGetsNoLeases(t *testing.T) {
 	drainingJoin.Draining = true
 	m, err := c.Join(drainingJoin)
 	check("draining join", m, err, true)
-	m, err = c.Beat(id, membership.Heartbeat{Draining: true})
+	m, err = c.Join(drainingJoin)
 	check("draining heartbeat", m, err, true)
-	m, err = c.Beat(id, membership.Heartbeat{})
+	m, err = c.Join(joinAs(id))
 	check("active heartbeat", m, err, false)
 	m, err = c.Join(drainingJoin)
 	check("draining re-join of an active member", m, err, true)
@@ -125,10 +125,11 @@ func (h healthAnswers) RoundTrip(req *http.Request) (*http.Response, error) {
 	}, nil
 }
 
-// FuzzFleet drives random scripts of joins (active or draining), beats
-// (active or draining), leaves, sweeps and clock advances over four
-// worker IDs through one coordinator, with scripted /healthz answers:
-// reachable "ok", reachable "draining" with Retry-After, and unreachable.
+// FuzzFleet drives random scripts of joins (active or draining), re-joins
+// carrying a queue depth (active or draining), leaves, sweeps and clock
+// advances over four worker IDs through one coordinator, with scripted
+// /healthz answers: reachable "ok", reachable "draining" with
+// Retry-After, and unreachable.
 // After every step the member list is sorted and duplicate-free, the
 // counters are consistent with it, and each member's gate is open exactly
 // when it is listed active; after every sweep no member is left past its
@@ -161,9 +162,10 @@ func FuzzFleet(f *testing.F) {
 					t.Fatalf("join %s: %v", id, err)
 				}
 			case 2, 3:
-				_, err := c.Beat(id, membership.Heartbeat{QueueDepth: int(b), Draining: op == 3})
-				if err != nil && !errors.Is(err, membership.ErrUnknownMember) {
-					t.Fatalf("beat %s: %v", id, err)
+				req := joinAs(id)
+				req.QueueDepth, req.Draining = int(b), op == 3
+				if _, err := c.Join(req); err != nil {
+					t.Fatalf("re-join %s: %v", id, err)
 				}
 			case 4:
 				c.Leave(id)

@@ -6,8 +6,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"oraclesize/internal/membership"
 )
 
 func scrapeCoordinator(t *testing.T, c *Coordinator) string {
@@ -34,7 +32,9 @@ func TestMetricsExposition(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := c.Beat("http://10.0.0.2:8082", membership.Heartbeat{Draining: true}); err != nil {
+	draining := joinAs("http://10.0.0.2:8082")
+	draining.Draining = true
+	if _, err := c.Join(draining); err != nil {
 		t.Fatal(err)
 	}
 	m := c.core.m

@@ -75,16 +75,16 @@ type worker struct {
 	// as a tombstone so slot loops racing the eviction read a flag instead
 	// of a nil, but it is never gated work again and its index is retired.
 	gone bool
-	// draining marks a worker that answered its health probe, join or
-	// heartbeat with a draining status: it keeps its leases but is handed
-	// no new ones, and flips back to active if a later report clears the
-	// drain. A member's listed Status is read off this same bit.
+	// draining marks a worker whose health probe or latest join reported
+	// a draining status: it keeps its leases but is handed no new ones,
+	// and flips back to active if a later report clears the drain. A
+	// member's listed Status is read off this same bit.
 	draining bool
 	// member is the registration of a worker that joined through the
 	// fleet endpoint — its latest load signals, join and last-seen times
-	// and heartbeat count — and nil for a -workers founder that never
+	// and re-join count — and nil for a -workers founder that never
 	// joined, which stays out of the member list. deadline is the instant
-	// after which Sweep probes it: the last heartbeat plus MemberTTL,
+	// after which Sweep probes it: the last join plus MemberTTL,
 	// pushed further by a probe that finds it alive.
 	member   *membership.Member
 	deadline time.Time
@@ -118,7 +118,7 @@ func (w *worker) gate() (wait time.Duration, ok bool) {
 	}
 	if w.draining {
 		// No new leases while draining; poll on the breaker cadence in
-		// case a heartbeat reactivates the worker.
+		// case a re-join reactivates the worker.
 		return w.cfg.BreakerCooldown, false
 	}
 	if now.Before(w.notBefore) {
@@ -264,7 +264,7 @@ func (w *worker) probe(ctx context.Context) (up, draining bool, retryAfter time.
 	w.build = h.Build
 	w.fingerprint = h.CatalogFingerprint
 	// A worker that answers its probe with a draining status stays in the
-	// fleet but is handed no new leases until a later probe or heartbeat
+	// fleet but is handed no new leases until a later probe or join
 	// clears the drain.
 	w.draining = h.Status == "draining"
 	return true, w.draining, parseRetryAfter(header.Get("Retry-After"))
@@ -294,45 +294,28 @@ func (w *worker) getJSON(ctx context.Context, url string, dst any) (http.Header,
 }
 
 // register records a join through the fleet endpoint: a worker without a
-// registration gets one (fresh), a live member refreshes its own in place.
-// Either way the join's load signals replace the old ones, its drain flag
-// sets the gate, and the deadline restarts.
-func (w *worker) register(req membership.JoinRequest, now time.Time) (m membership.Member, fresh bool) {
+// registration gets one (fresh), and a live member's re-join, its
+// heartbeat, refreshes it in place and counts in Heartbeats. Either way the
+// join's load signals replace the old ones, its drain flag (wasDraining is
+// the one it replaced) sets the gate, and the deadline restarts.
+func (w *worker) register(req membership.JoinRequest, now time.Time) (m membership.Member, fresh, wasDraining bool) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.member == nil {
 		w.member = &membership.Member{ID: w.url, JoinedAt: now}
 		fresh = true
-	}
-	w.member.Fingerprint = req.Fingerprint
-	w.member.Build = req.Build
-	w.reportLocked(req.Heartbeat, now)
-	return w.memberLocked(), fresh
-}
-
-// beat records one heartbeat of a live member. ok is false when the
-// worker has departed or never joined; wasDraining is the drain flag the
-// beat replaced.
-func (w *worker) beat(hb membership.Heartbeat, now time.Time) (m membership.Member, wasDraining, ok bool) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.gone || w.member == nil {
-		return membership.Member{}, false, false
+	} else {
+		w.member.Heartbeats++
 	}
 	wasDraining = w.draining
-	w.reportLocked(hb, now)
-	w.member.Heartbeats++
-	return w.memberLocked(), wasDraining, true
-}
-
-// reportLocked applies a join's or heartbeat's signals. Callers hold w.mu
-// and have checked w.member.
-func (w *worker) reportLocked(hb membership.Heartbeat, now time.Time) {
-	w.member.QueueDepth = hb.QueueDepth
-	w.member.UnitSeconds = hb.UnitSeconds
+	w.member.Fingerprint = req.Fingerprint
+	w.member.Build = req.Build
+	w.member.QueueDepth = req.QueueDepth
+	w.member.UnitSeconds = req.UnitSeconds
 	w.member.LastSeen = now
-	w.draining = hb.Draining
+	w.draining = req.Draining
 	w.deadline = now.Add(w.cfg.MemberTTL)
+	return w.memberLocked(), fresh, wasDraining
 }
 
 // memberLocked copies the registration, with its Status read off the

@@ -4,17 +4,18 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"time"
 )
 
-// Agent is the worker-side half of the protocol: it registers the worker
-// with the coordinator, heartbeats on Interval, and re-joins automatically
-// when a heartbeat answers 404 (evicted while partitioned, or the
-// coordinator restarted). Run blocks until the context is cancelled;
-// Leave sends the voluntary departure during worker shutdown.
+// Agent is the worker-side half of the protocol: it joins the coordinator
+// and repeats the join on Interval, so a live member's re-join is its
+// heartbeat and an evicted worker (or one whose coordinator restarted) is
+// registered again by its next tick. Run blocks until the context is
+// cancelled; Leave sends the voluntary departure during worker shutdown.
 type Agent struct {
 	// Coordinator is the fleet endpoint base URL (oracleherd -listen).
 	Coordinator string
@@ -23,22 +24,16 @@ type Agent struct {
 	ID          string
 	Fingerprint string
 	Build       BuildInfo
-	// Interval is the heartbeat cadence (default 2s). The coordinator's
-	// TTL should be several intervals so one dropped beat is harmless.
+	// Interval is the re-join (heartbeat) cadence (default 2s). The
+	// coordinator's TTL should be several intervals so one dropped join is
+	// harmless.
 	Interval time.Duration
-	// Report supplies the per-beat load signals; nil reports zeros.
+	// Report supplies each join's load signals; nil reports zeros.
 	Report func() Heartbeat
 	// Client is the HTTP client (default: 5s timeout).
 	Client *http.Client
 	// Logf, when set, receives agent progress lines.
 	Logf func(format string, args ...any)
-}
-
-func (a *Agent) interval() time.Duration {
-	if a.Interval > 0 {
-		return a.Interval
-	}
-	return 2 * time.Second
 }
 
 func (a *Agent) client() *http.Client {
@@ -54,80 +49,45 @@ func (a *Agent) logf(format string, args ...any) {
 	}
 }
 
-func (a *Agent) report() Heartbeat {
-	if a.Report == nil {
-		return Heartbeat{}
-	}
-	return a.Report()
-}
-
-// Run joins the coordinator and heartbeats until ctx is cancelled. Join
-// failures retry on the heartbeat cadence — the coordinator may simply not
-// be up yet — except catalog-skew rejections (409), which repeat
-// identically forever and are returned as a hard error.
+// Run joins the coordinator now and on every Interval tick until ctx is
+// cancelled. A catalog-skew rejection (409) repeats identically forever
+// and is returned as a hard error; any other failure — the coordinator may
+// simply not be up yet — is logged and retried on the next tick.
 func (a *Agent) Run(ctx context.Context) error {
-	joined := false
-	if err := a.Join(ctx); err != nil {
-		if isConflict(err) {
-			return err
-		}
-		a.logf("membership: join %s: %v (will retry)", a.Coordinator, err)
-	} else {
-		joined = true
+	every := a.Interval
+	if every <= 0 {
+		every = 2 * time.Second
 	}
-	t := time.NewTicker(a.interval())
+	t := time.NewTicker(every)
 	defer t.Stop()
 	for {
+		err := a.Join(ctx)
+		var se *statusError
+		switch {
+		case err == nil:
+		case errors.As(err, &se) && se.status == http.StatusConflict:
+			return err
+		case ctx.Err() != nil:
+			return ctx.Err()
+		default:
+			a.logf("membership: join %s: %v (will retry)", a.Coordinator, err)
+		}
 		select {
 		case <-ctx.Done():
 			return ctx.Err()
 		case <-t.C:
 		}
-		if !joined {
-			if err := a.Join(ctx); err != nil {
-				if isConflict(err) {
-					return err
-				}
-				a.logf("membership: join %s: %v (will retry)", a.Coordinator, err)
-				continue
-			}
-			joined = true
-			continue
-		}
-		err := a.beat(ctx)
-		switch {
-		case err == nil:
-		case isNotFound(err):
-			// Evicted (or a fresh coordinator): register again right away.
-			a.logf("membership: heartbeat rejected, re-joining %s", a.Coordinator)
-			if err := a.Join(ctx); err != nil {
-				if isConflict(err) {
-					return err
-				}
-				joined = false
-			}
-		case ctx.Err() != nil:
-			return ctx.Err()
-		default:
-			// Transient coordinator trouble: keep beating; the TTL gives us
-			// several intervals of slack before eviction.
-			a.logf("membership: heartbeat %s: %v", a.Coordinator, err)
-		}
 	}
 }
 
-// Join registers the worker once.
+// Join sends one join: it registers the worker, or refreshes a live
+// member's registration.
 func (a *Agent) Join(ctx context.Context) error {
-	return a.post(ctx, "/v1/fleet/join", JoinRequest{
-		ID:          a.ID,
-		Fingerprint: a.Fingerprint,
-		Build:       a.Build,
-		Heartbeat:   a.report(),
-	})
-}
-
-func (a *Agent) beat(ctx context.Context) error {
-	return a.post(ctx, "/v1/fleet/heartbeat", heartbeatRequest{ID: a.ID, Heartbeat: a.report()})
+	req := JoinRequest{ID: a.ID, Fingerprint: a.Fingerprint, Build: a.Build}
+	if a.Report != nil {
+		req.Heartbeat = a.Report()
+	}
+	return a.post(ctx, "/v1/fleet/join", req)
 }
 
 // Leave announces a voluntary departure — best effort, bounded by ctx; a
@@ -144,16 +104,6 @@ type statusError struct {
 
 func (e *statusError) Error() string {
 	return fmt.Sprintf("membership: status %d: %s", e.status, e.body)
-}
-
-func isNotFound(err error) bool {
-	se, ok := err.(*statusError)
-	return ok && se.status == http.StatusNotFound
-}
-
-func isConflict(err error) bool {
-	se, ok := err.(*statusError)
-	return ok && se.status == http.StatusConflict
 }
 
 func (a *Agent) post(ctx context.Context, path string, payload any) error {

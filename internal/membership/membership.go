@@ -1,17 +1,17 @@
 // Package membership lets oracled workers join and leave a running
 // oracleherd campaign instead of being pinned in a static -workers list.
 //
-// A worker self-registers against the coordinator's fleet endpoint
-// (POST /v1/fleet/join) carrying its advertised URL, catalog fingerprint
-// and build info, then sends periodic heartbeats (POST /v1/fleet/heartbeat)
-// with its live load signals: queue depth and the EWMA per-unit service
-// time its shard endpoint observes. Server serves these endpoints over a
-// Fleet, which is the coordinator itself (cluster.Coordinator): its fleet
-// is the one member table, so the row GET /v1/fleet lists and the gate
-// that decides who gets leases are the same state. A member whose
-// heartbeats stop is probed once over /healthz and, unless it answers,
-// evicted with its leases requeued at once; a draining member keeps its
-// leases but is handed no new ones.
+// A worker joins the coordinator's fleet endpoint (POST /v1/fleet/join)
+// with its advertised URL, catalog fingerprint, build info and live load
+// signals (queue depth and its shard endpoint's EWMA per-unit service
+// time), and repeats the join on every tick: a live member's re-join is
+// its heartbeat, and one the coordinator does not know registers afresh.
+// Server serves these endpoints over a Fleet, which is the coordinator
+// itself (cluster.Coordinator): its fleet is the one member table, so the
+// row GET /v1/fleet lists and the gate that decides who gets leases are
+// the same state. A member whose joins stop is probed once over /healthz
+// and, unless it answers, evicted with its leases requeued at once; a
+// draining member keeps its leases but is handed no new ones.
 //
 // On top of the same signals rides the autoscaling advisor: Recommend maps
 // (unit backlog, mean unit service time, target makespan) to a fleet size,
@@ -23,7 +23,6 @@
 package membership
 
 import (
-	"errors"
 	"fmt"
 	"time"
 )
@@ -66,17 +65,18 @@ type Member struct {
 	// the coordinator's at join time.
 	Fingerprint string    `json:"catalog_fingerprint"`
 	Build       BuildInfo `json:"build"`
-	// QueueDepth and UnitSeconds are the latest heartbeat's load signals:
-	// the worker's bounded-queue depth and its EWMA per-unit service time.
+	// QueueDepth and UnitSeconds are the latest join's load signals: the
+	// worker's bounded-queue depth and its EWMA per-unit service time.
 	QueueDepth  int       `json:"queue_depth"`
 	UnitSeconds float64   `json:"unit_seconds"`
 	Status      Status    `json:"status"`
 	JoinedAt    time.Time `json:"joined_at"`
 	LastSeen    time.Time `json:"last_seen"`
-	Heartbeats  int64     `json:"heartbeats"`
+	// Heartbeats counts the re-joins since the member registered.
+	Heartbeats int64 `json:"heartbeats"`
 }
 
-// Heartbeat is the per-beat payload a member reports.
+// Heartbeat is the load report every join carries.
 type Heartbeat struct {
 	QueueDepth  int     `json:"queue_depth"`
 	UnitSeconds float64 `json:"unit_seconds"`
@@ -84,11 +84,6 @@ type Heartbeat struct {
 	// fleet with StatusDraining instead of being handed new leases.
 	Draining bool `json:"draining,omitempty"`
 }
-
-// ErrUnknownMember rejects a heartbeat from a worker that is not a live
-// member — typically one that was evicted while partitioned. The agent
-// answers it by re-joining.
-var ErrUnknownMember = errors.New("membership: unknown member")
 
 // FingerprintError rejects a join whose catalog fingerprint disagrees with
 // the coordinator's; version skew breaks the byte-identical-merge
@@ -104,8 +99,8 @@ func (e *FingerprintError) Error() string {
 		e.ID, e.Got, e.Want)
 }
 
-// JoinRequest is the registration payload: the worker's identity plus its
-// first heartbeat.
+// JoinRequest is the one fleet message: the worker's identity plus its
+// current load report. The agent sends it on every heartbeat tick.
 type JoinRequest struct {
 	ID          string    `json:"id"`
 	Fingerprint string    `json:"catalog_fingerprint"`
@@ -117,13 +112,10 @@ type JoinRequest struct {
 // it; it is declared here because this package cannot import cluster,
 // which imports these wire types.
 type Fleet interface {
-	// Join registers a worker, or refreshes a live member in place. A
-	// catalog fingerprint other than the coordinator's fails with a
-	// *FingerprintError.
+	// Join registers a worker, or refreshes a live member in place — a
+	// re-join is the member's heartbeat. A catalog fingerprint other than
+	// the coordinator's fails with a *FingerprintError.
 	Join(req JoinRequest) (Member, error)
-	// Beat records one heartbeat; a worker that is not a live member
-	// fails with ErrUnknownMember.
-	Beat(id string, hb Heartbeat) (Member, error)
 	// Leave removes a member that announced its departure and reports
 	// whether it was one.
 	Leave(id string) bool

@@ -132,23 +132,22 @@ func TestTableLifecycle(t *testing.T) {
 		t.Fatalf("joins = %d, want 2", joins)
 	}
 
+	// Later re-joins are the member's heartbeats: each refreshes the load
+	// signals and the deadline and is counted, the earlier one included.
 	clk.Advance(3 * time.Second)
-	m, err = fleet.Beat("http://a", membership.Heartbeat{QueueDepth: 7, UnitSeconds: 0.25})
+	m, err = fleet.Join(joinAs("http://a", membership.Heartbeat{QueueDepth: 7, UnitSeconds: 0.25}))
 	if err != nil {
-		t.Fatalf("beat: %v", err)
+		t.Fatalf("heartbeat: %v", err)
 	}
-	if m.QueueDepth != 7 || m.UnitSeconds != 0.25 || m.Heartbeats != 1 || !m.LastSeen.Equal(clk.Now()) {
-		t.Fatalf("after beat: %+v", m)
-	}
-	if _, err := fleet.Beat("http://nobody", membership.Heartbeat{}); !errors.Is(err, membership.ErrUnknownMember) {
-		t.Fatalf("beat unknown: err = %v, want ErrUnknownMember", err)
+	if m.QueueDepth != 7 || m.UnitSeconds != 0.25 || m.Heartbeats != 2 || !m.LastSeen.Equal(clk.Now()) {
+		t.Fatalf("after the heartbeat: %+v", m)
 	}
 
-	// Every beat sets the drain status; only its edges are logged.
+	// Every re-join sets the drain status; only its edges are logged.
 	for _, draining := range []bool{true, true, false} {
-		m, err := fleet.Beat("http://a", membership.Heartbeat{Draining: draining})
+		m, err := fleet.Join(joinAs("http://a", membership.Heartbeat{Draining: draining}))
 		if err != nil || (m.Status == membership.StatusDraining) != draining {
-			t.Fatalf("beat draining=%v: %+v, %v", draining, m, err)
+			t.Fatalf("re-join draining=%v: %+v, %v", draining, m, err)
 		}
 	}
 	if !fleet.Leave("http://b") {
@@ -208,7 +207,7 @@ func TestSweepEvictsSilentMembers(t *testing.T) {
 	}
 
 	clk.Advance(8 * time.Second)
-	if _, err := fleet.Beat("http://chatty", membership.Heartbeat{}); err != nil {
+	if _, err := fleet.Join(joinAs("http://chatty", membership.Heartbeat{})); err != nil {
 		t.Fatal(err)
 	}
 	fleet.Sweep(context.Background())
@@ -223,10 +222,14 @@ func TestSweepEvictsSilentMembers(t *testing.T) {
 	if _, _, evictions := fleet.Counters(); evictions != 1 {
 		t.Fatalf("evictions = %d, want 1", evictions)
 	}
-	// An evicted worker's next beat is rejected — that is what makes the
-	// agent re-join.
-	if _, err := fleet.Beat("http://quiet", membership.Heartbeat{}); !errors.Is(err, membership.ErrUnknownMember) {
-		t.Fatalf("beat after eviction: %v, want ErrUnknownMember", err)
+	// An evicted worker's next join — its agent sends one every tick —
+	// admits it again as a fresh member.
+	m, err := fleet.Join(joinAs("http://quiet", membership.Heartbeat{}))
+	if err != nil {
+		t.Fatalf("join after eviction: %v", err)
+	}
+	if joins, _, _ := fleet.Counters(); joins != 3 || m.Heartbeats != 0 || !m.JoinedAt.Equal(clk.Now()) {
+		t.Fatalf("join after eviction: %d joins, member %+v; want 3 joins and a fresh member", joins, m)
 	}
 }
 
@@ -234,7 +237,7 @@ func TestSweepEvictsSilentMembers(t *testing.T) {
 // a silent member whose pre-eviction /healthz probe answers "draining" is
 // listed draining — no new leases — and held max(TTL, Retry-After)
 // instead of being evicted, and one that answers "ok" is held one more
-// TTL as active, whatever its last heartbeat said.
+// TTL as active, whatever its last join said.
 func TestSweepProbeDrainingGetsGrace(t *testing.T) {
 	clk := newClock()
 	answers := probes{

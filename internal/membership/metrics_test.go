@@ -35,10 +35,10 @@ func TestMetricsExposition(t *testing.T) {
 		t.Fatal(err)
 	}
 	clk.Advance(8 * time.Second)
-	if _, err := fleet.Beat("http://w1:1", membership.Heartbeat{Draining: true}); err != nil {
+	if _, err := fleet.Join(joinAs("http://w1:1", membership.Heartbeat{Draining: true})); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := fleet.Beat("http://w2:2", membership.Heartbeat{}); err != nil {
+	if _, err := fleet.Join(joinAs("http://w2:2", membership.Heartbeat{})); err != nil {
 		t.Fatal(err)
 	}
 	clk.Advance(5 * time.Second)

@@ -12,10 +12,9 @@ import (
 
 // Server is the coordinator-side HTTP skin over a Fleet:
 //
-//	POST /v1/fleet/join       register a worker (409 on catalog skew)
-//	POST /v1/fleet/heartbeat  refresh a member's TTL and load signals (404 unknown)
-//	POST /v1/fleet/leave      voluntary departure
-//	GET  /v1/fleet            member list plus the autoscaling advice
+//	POST /v1/fleet/join   register a worker, or refresh a member: its heartbeat (409 on catalog skew)
+//	POST /v1/fleet/leave  voluntary departure
+//	GET  /v1/fleet        member list plus the autoscaling advice
 //
 // Register it on a mux with Routes; oracleherd serves it from -listen next
 // to the combined /metrics page.
@@ -32,7 +31,6 @@ const maxFleetBody = 1 << 16
 // Routes registers the fleet endpoints on mux.
 func (s *Server) Routes(mux *http.ServeMux) {
 	mux.HandleFunc("POST /v1/fleet/join", s.handleJoin)
-	mux.HandleFunc("POST /v1/fleet/heartbeat", s.handleHeartbeat)
 	mux.HandleFunc("POST /v1/fleet/leave", s.handleLeave)
 	mux.HandleFunc("GET /v1/fleet", s.handleFleet)
 }
@@ -67,33 +65,6 @@ func (s *Server) handleJoin(w http.ResponseWriter, r *http.Request) {
 			// 409: the worker is healthy but belongs to a different build
 			// universe; re-joining without a rebuild will keep conflicting.
 			writeError(w, http.StatusConflict, "%v", err)
-			return
-		}
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	writeJSON(w, http.StatusOK, m)
-}
-
-// heartbeatRequest is the wire shape of one beat: the member ID plus the
-// Heartbeat payload, flattened.
-type heartbeatRequest struct {
-	ID string `json:"id"`
-	Heartbeat
-}
-
-func (s *Server) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
-	var req heartbeatRequest
-	if err := s.decode(w, r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, "decoding heartbeat: %v", err)
-		return
-	}
-	m, err := s.Fleet.Beat(req.ID, req.Heartbeat)
-	if err != nil {
-		if errors.Is(err, ErrUnknownMember) {
-			// 404 tells the agent to re-join: it was evicted (or the
-			// coordinator restarted) while it was away.
-			writeError(w, http.StatusNotFound, "%v: %s", err, req.ID)
 			return
 		}
 		writeError(w, http.StatusBadRequest, "%v", err)

@@ -65,8 +65,13 @@ func TestServerEndpoints(t *testing.T) {
 			fp, queue, unitSec, beats)
 	}
 
-	got := post(t, ts.URL+"/v1/fleet/join", `{"id":"http://w1","catalog_fingerprint":"`+fp+
-		`","build":{"go_version":"go1.22.0","module_version":"(devel)","vcs_revision":"abc123"},"queue_depth":0,"unit_seconds":0}`, http.StatusOK)
+	join := func(queue int, unitSec float64) string {
+		return fmt.Sprintf(`{"id":"http://w1","catalog_fingerprint":"%s",`+
+			`"build":{"go_version":"go1.22.0","module_version":"(devel)","vcs_revision":"abc123"},`+
+			`"queue_depth":%d,"unit_seconds":%v}`, fp, queue, unitSec)
+	}
+
+	got := post(t, ts.URL+"/v1/fleet/join", join(0, 0), http.StatusOK)
 	if want := row(0, 0, 0) + "\n"; got != want {
 		t.Fatalf("join ack:\n got %s\nwant %s", got, want)
 	}
@@ -80,15 +85,15 @@ func TestServerEndpoints(t *testing.T) {
 		t.Fatalf("join with tenant_generation: %s", got)
 	}
 
-	got = post(t, ts.URL+"/v1/fleet/heartbeat", `{"id":"http://w1","queue_depth":3,"unit_seconds":0.5}`, http.StatusOK)
+	// A live member's re-join is its heartbeat: the ack carries the
+	// refreshed signals and counts the beat.
+	got = post(t, ts.URL+"/v1/fleet/join", join(3, 0.5), http.StatusOK)
 	if want := row(3, 0.5, 1) + "\n"; got != want {
-		t.Fatalf("heartbeat ack:\n got %s\nwant %s", got, want)
+		t.Fatalf("re-join ack:\n got %s\nwant %s", got, want)
 	}
-	post(t, ts.URL+"/v1/fleet/heartbeat", `{"id":"http://stranger"}`, http.StatusNotFound)
-	if got := post(t, ts.URL+"/v1/fleet/heartbeat", `{"id":"http://w1","queue_depth":3,"unit_seconds":0.5,"tenant_generation":3}`,
-		http.StatusBadRequest); !strings.Contains(got, `unknown field \"tenant_generation\"`) {
-		t.Fatalf("heartbeat with tenant_generation: %s", got)
-	}
+	// There is no heartbeat endpoint; an older agent answers this 404 by
+	// re-joining.
+	post(t, ts.URL+"/v1/fleet/heartbeat", `{"id":"http://w1","queue_depth":3,"unit_seconds":0.5}`, http.StatusNotFound)
 
 	resp, err := http.Get(ts.URL + "/v1/fleet")
 	if err != nil {
@@ -127,8 +132,9 @@ func TestServerEndpoints(t *testing.T) {
 }
 
 // TestAgentLifecycle runs a real Agent against a real coordinator's fleet
-// endpoint: it must join, heartbeat with the Report signals, re-join
-// automatically after a Sweep evicts it, and deregister on Leave.
+// endpoint: it must join, re-join on every tick with the Report signals
+// (its heartbeat), register again after a Sweep evicts it, and deregister
+// on Leave.
 func TestAgentLifecycle(t *testing.T) {
 	clk := newClock()
 	fleet := newFleet(t, cluster.Config{Clock: clk, Client: probes{}.client()})
@@ -163,9 +169,9 @@ func TestAgentLifecycle(t *testing.T) {
 	})
 
 	// Evict it behind the agent's back: its /healthz is unreachable, so a
-	// sweep past the TTL evicts it (a heartbeat landing between the
-	// advance and the sweep restarts the TTL, hence the retry). The next
-	// heartbeat's 404 must trigger an immediate re-join.
+	// sweep past the TTL evicts it (a re-join landing between the advance
+	// and the sweep restarts the TTL, hence the retry). The agent's next
+	// join must register it again.
 	waitFor("a Sweep eviction", func() bool {
 		clk.Advance(11 * time.Second)
 		fleet.Sweep(ctx)

@@ -194,7 +194,7 @@ func TestAdmissionScripts(t *testing.T) {
 				{Name: "interactive", Key: "interactive-key"},
 				{Name: "capped", Key: "capped-key-00", MaxQueueSlots: 1},
 			},
-			cfg: Config{Workers: 1, QueueDepth: 8, RetryAfter: 5 * time.Second},
+			cfg: Config{Workers: 1, QueueDepth: 8},
 			steps: []admissionStep{
 				{key: "capped-key-00", body: runBody(110), want: http.StatusOK},
 				{
@@ -229,7 +229,7 @@ func TestAdmissionScripts(t *testing.T) {
 						})
 					},
 					key: "capped-key-00", body: runBody(112),
-					want: http.StatusTooManyRequests, retryAfter: "5",
+					want: http.StatusTooManyRequests, retryAfter: "1",
 				},
 			},
 		},
@@ -237,13 +237,13 @@ func TestAdmissionScripts(t *testing.T) {
 			// Global queue exhaustion: every slot taken, so even an
 			// unlimited tenant sheds with 503 and the configured hint.
 			name: "queue-full-503",
-			cfg:  Config{Workers: 1, QueueDepth: 1, RetryAfter: 7 * time.Second},
+			cfg:  Config{Workers: 1, QueueDepth: 1},
 			steps: []admissionStep{
 				{key: "interactive-key", body: runBody(210), want: http.StatusOK},
 				{
 					prep: parkWorker(200, 1),
 					key:  "interactive-key", body: runBody(212),
-					want: http.StatusServiceUnavailable, retryAfter: "7",
+					want: http.StatusServiceUnavailable, retryAfter: "1",
 				},
 			},
 		},

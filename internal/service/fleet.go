@@ -8,14 +8,14 @@ import (
 // This file is the worker's membership surface: the drain flag a shutdown
 // raises before the listener closes, and the per-unit service-time EWMA
 // the shard path maintains — the two load signals an elastic-fleet agent
-// heartbeats to the coordinator (see internal/membership).
+// sends the coordinator with every join (see internal/membership).
 
 // unitEwmaAlpha weights the newest shard's per-unit seconds; matches the
 // coordinator-side sizer so both ends of the fleet agree on the rate.
 const unitEwmaAlpha = 0.4
 
 // BeginDrain marks the server draining without stopping it: /healthz
-// answers "draining" with a Retry-After bound, heartbeats carry the flag,
+// answers "draining" with a Retry-After bound, fleet re-joins carry the flag,
 // and the coordinator stops handing the worker new leases while in-flight
 // work finishes. Call it at the top of a graceful shutdown, before the
 // HTTP listener closes. Stop implies it.
@@ -54,7 +54,7 @@ func (s *Server) UnitSeconds() float64 {
 	return math.Float64frombits(s.unitSecBits.Load())
 }
 
-// FleetReport snapshots the signals one membership heartbeat carries:
+// FleetReport snapshots the signals one membership join carries:
 // queued work, the per-unit service-time estimate, and the drain flag.
 func (s *Server) FleetReport() (queueDepth int, unitSeconds float64, draining bool) {
 	return int(s.metrics.queued.Load()), s.UnitSeconds(), s.Draining()

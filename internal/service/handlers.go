@@ -100,7 +100,7 @@ func (s *Server) instrumented(endpoint string, fn func(w http.ResponseWriter, r 
 				w.Header().Set("Retry-After", strconv.FormatInt(retrySeconds(te.retryAfter), 10))
 			case errors.Is(err, errBusy):
 				status = http.StatusServiceUnavailable
-				w.Header().Set("Retry-After", strconv.FormatInt(retrySeconds(s.cfg.RetryAfter), 10))
+				w.Header().Set("Retry-After", strconv.FormatInt(retrySeconds(shedRetryAfter), 10))
 			case errors.Is(err, errDeadline):
 				status = http.StatusGatewayTimeout
 			default:
@@ -200,7 +200,7 @@ func (scr *reqScratch) decode(dst any) error {
 }
 
 // maxCachedRequest bounds the request body a response is stored under.
-// The body is the key, and a body may be up to MaxBodyBytes, so without
+// The body is the key, and a body may be up to maxBodyBytes, so without
 // it padded bodies could pin the cache's capacity times 1 MiB of keys. A
 // /v1/run body with every field set is about 180 bytes; a longer body is
 // answered, never stored.
@@ -210,6 +210,14 @@ const maxCachedRequest = 1 << 10
 // request asks for, so one run cannot hold a worker for an unbounded
 // message count.
 const maxMessageBudget = 1 << 24
+
+// Server-wide request caps. A tenant's max_body_bytes and
+// max_campaign_units tighten the last two.
+const (
+	shedRetryAfter   = time.Second // Retry-After on 503 and on exhausted tenant queue slots
+	maxBodyBytes     = 1 << 20     // request body bytes
+	maxCampaignUnits = 1 << 16     // units of a spec sent to /v1/shard
+)
 
 // maxCachedResponse bounds the size of one stored response. Typical
 // /v1/run and /v1/advice responses are a few hundred bytes; include_advice

@@ -408,7 +408,9 @@ func TestKeyfileStoreReload(t *testing.T) {
 		}
 	}
 
-	admin := open()
+	// stale is a second writer that has not seen the edits below, like a
+	// second oracletenant racing the first.
+	admin, stale := open(), open()
 	must := func(err error) {
 		t.Helper()
 		if err != nil {
@@ -440,9 +442,14 @@ func TestKeyfileStoreReload(t *testing.T) {
 		edit, undo func()
 	}{
 		{"duplicate key", func() {
-			_, err := admin.PutKey(tenant.Spec{Name: "twin", Key: "root-key-00000"})
+			// The store refuses a twin of a key it knows; one that stale
+			// has not seen gets through.
+			if _, err := admin.PutKey(tenant.Spec{Name: "twin", Key: "added-key-0000"}); err == nil {
+				t.Fatal("the store accepted a key another tenant holds")
+			}
+			_, err := stale.PutKey(tenant.Spec{Name: "twin", Key: "added-key-0000"})
 			must(err)
-		}, func() { must(admin.Delete("twin")) }},
+		}, func() { must(stale.Delete("twin")) }},
 		{"no tenants left", func() {
 			for _, name := range []string{"root", "tight", "added"} {
 				must(admin.Delete(name))
@@ -464,12 +471,30 @@ func TestKeyfileStoreReload(t *testing.T) {
 
 // TestNewRefusesUnbuildableStore: a store with tenants that does not
 // build a registry (here two tenants share one key) must fail New, never
-// come up serving anonymously.
+// come up serving anonymously. One store refuses a second tenant with a
+// key it holds, but two writers that do not see each other's entries can
+// still store one.
 func TestNewRefusesUnbuildableStore(t *testing.T) {
-	st := openTestStore(t,
-		tenant.Spec{Name: "one", Key: "shared-key-000"},
-		tenant.Spec{Name: "two", Key: "shared-key-000"},
-	)
+	dir := t.TempDir()
+	var writers []*tenant.Store
+	for range 2 {
+		w, err := tenant.OpenStore(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		writers = append(writers, w)
+	}
+	for i, name := range []string{"one", "two"} {
+		if _, err := writers[i].PutKey(tenant.Spec{Name: name, Key: "shared-key-000"}); err != nil {
+			t.Fatal(err)
+		}
+		writers[i].Close()
+	}
+	st, err := tenant.OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
 	s, err := New(Config{TenantStore: st})
 	if err == nil {
 		s.Stop()

@@ -54,21 +54,13 @@ type Config struct {
 	// RequestTimeout is the per-request deadline covering queue wait plus
 	// execution (default 30s). Expiry returns 504.
 	RequestTimeout time.Duration
-	// RetryAfter is the client backoff hint attached to 503 responses
-	// (default 1s, rounded up to whole seconds).
-	RetryAfter time.Duration
 	// MaxNodes caps the requested network size n (default 4096).
 	MaxNodes int
 	// MaxEdges caps the generated network's edge count m (default 1<<20).
 	// Families derive m from n, so the cap is checked after generation.
 	MaxEdges int
-	// MaxBodyBytes caps request bodies (default 1 MiB).
-	MaxBodyBytes int64
 	// CacheCapacity bounds the shared instance cache (default 128 entries).
 	CacheCapacity int
-	// MaxCampaignUnits caps the compiled unit count of a spec sent to
-	// POST /v1/shard (default 65536).
-	MaxCampaignUnits int
 	// MaxShardUnits caps the unit count of one POST /v1/shard request
 	// (default 1024), bounding how long a batch holds a queue worker.
 	MaxShardUnits int
@@ -100,23 +92,14 @@ func (c Config) withDefaults() Config {
 	if c.RequestTimeout <= 0 {
 		c.RequestTimeout = 30 * time.Second
 	}
-	if c.RetryAfter <= 0 {
-		c.RetryAfter = time.Second
-	}
 	if c.MaxNodes <= 0 {
 		c.MaxNodes = 4096
 	}
 	if c.MaxEdges <= 0 {
 		c.MaxEdges = 1 << 20
 	}
-	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = 1 << 20
-	}
 	if c.CacheCapacity <= 0 {
 		c.CacheCapacity = 128
-	}
-	if c.MaxCampaignUnits <= 0 {
-		c.MaxCampaignUnits = 1 << 16
 	}
 	if c.MaxShardUnits <= 0 {
 		c.MaxShardUnits = 1 << 10
@@ -269,7 +252,7 @@ func (s *Server) enqueue(ts *tenantState, j *job) error {
 		s.metrics.queued.Add(1)
 		return nil
 	case tenant.ErrTenantFull:
-		return &throttleError{retryAfter: s.cfg.RetryAfter, msg: "tenant queue slots exhausted"}
+		return &throttleError{retryAfter: shedRetryAfter, msg: "tenant queue slots exhausted"}
 	default:
 		return errBusy
 	}

@@ -202,9 +202,7 @@ func TestValidationErrors(t *testing.T) {
 // defining backpressure behavior: excess load is answered immediately with
 // 503 and a Retry-After hint, never queued without bound.
 func TestOverloadShedsWith503(t *testing.T) {
-	s := newTestServer(t, Config{
-		Workers: 1, QueueDepth: 1, RetryAfter: 2 * time.Second,
-	})
+	s := newTestServer(t, Config{Workers: 1, QueueDepth: 1})
 	entered := make(chan struct{}, 8)
 	gate := make(chan struct{})
 	var release sync.Once
@@ -229,8 +227,8 @@ func TestOverloadShedsWith503(t *testing.T) {
 	if w.Code != http.StatusServiceUnavailable {
 		t.Fatalf("status %d, want 503: %s", w.Code, w.Body.String())
 	}
-	if got := w.Header().Get("Retry-After"); got != "2" {
-		t.Errorf("Retry-After = %q, want %q", got, "2")
+	if got := w.Header().Get("Retry-After"); got != "1" {
+		t.Errorf("Retry-After = %q, want %q", got, "1")
 	}
 
 	// Release the workers; the two admitted requests must both succeed.
@@ -328,7 +326,7 @@ func TestStopDrainsQueuedWork(t *testing.T) {
 // TestCampaignConcurrencyCap pins the server-wide campaign unit cap on
 // /v1/shard in anonymous mode, where no tenant policy narrows it.
 func TestCampaignConcurrencyCap(t *testing.T) {
-	s := newTestServer(t, Config{MaxCampaignUnits: 4})
+	s := newTestServer(t, Config{})
 	shard := func(trials int, sizes ...int) map[string]any {
 		return map[string]any{"start": 0, "end": 1, "spec": map[string]any{
 			"name": "cap", "seed": 1, "trials": trials,
@@ -337,27 +335,29 @@ func TestCampaignConcurrencyCap(t *testing.T) {
 		}}
 	}
 	// A spec over the unit cap is rejected outright.
-	if w := postJSON(t, s.Handler(), "/v1/shard", shard(5, 16)); w.Code != http.StatusBadRequest ||
-		!strings.Contains(w.Body.String(), "5 units, cap is 4") {
+	if w := postJSON(t, s.Handler(), "/v1/shard", shard(65537, 16)); w.Code != http.StatusBadRequest ||
+		!strings.Contains(w.Body.String(), "65537 units, cap is 65536") {
 		t.Errorf("oversized spec: status %d, want 400: %s", w.Code, w.Body.String())
 	}
 	// A tiny body requesting an astronomical unit count is rejected by
 	// arithmetic alone — compiling it first would allocate billions of
 	// units before the cap check.
 	if w := postJSON(t, s.Handler(), "/v1/shard", shard(1_000_000_000, 16)); w.Code != http.StatusBadRequest ||
-		!strings.Contains(w.Body.String(), "1000000000 units, cap is 4") {
+		!strings.Contains(w.Body.String(), "1000000000 units, cap is 65536") {
 		t.Errorf("huge spec: status %d, want 400: %s", w.Code, w.Body.String())
 	}
 }
 
 // TestOversizedBodyReturns413 distinguishes "too big" from "malformed":
-// a body over MaxBodyBytes answers 413, not 400.
+// a body one byte over the 1 MiB cap answers 413, not 400.
 func TestOversizedBodyReturns413(t *testing.T) {
-	s := newTestServer(t, Config{MaxBodyBytes: 64})
-	body := map[string]any{
-		"family": "random-sparse", "n": 16, "seed": 1, "task": "wakeup",
-		"scheme": strings.Repeat("x", 256),
+	s := newTestServer(t, Config{})
+	body := map[string]any{"family": "random-sparse", "n": 16, "seed": 1, "task": "wakeup", "scheme": ""}
+	base, err := json.Marshal(body)
+	if err != nil {
+		t.Fatal(err)
 	}
+	body["scheme"] = strings.Repeat("x", maxBodyBytes+1-len(base))
 	if w := postJSON(t, s.Handler(), "/v1/run", body); w.Code != http.StatusRequestEntityTooLarge {
 		t.Errorf("oversized body: status %d, want 413: %s", w.Code, w.Body.String())
 	}
@@ -483,12 +483,9 @@ func TestConfigDefaults(t *testing.T) {
 	}{
 		{"QueueDepth", c.QueueDepth, 64},
 		{"RequestTimeout", c.RequestTimeout, 30 * time.Second},
-		{"RetryAfter", c.RetryAfter, time.Second},
 		{"MaxNodes", c.MaxNodes, 4096},
 		{"MaxEdges", c.MaxEdges, 1 << 20},
-		{"MaxBodyBytes", c.MaxBodyBytes, int64(1 << 20)},
 		{"CacheCapacity", c.CacheCapacity, 128},
-		{"MaxCampaignUnits", c.MaxCampaignUnits, 1 << 16},
 		{"ResponseCacheCapacity", c.ResponseCacheCapacity, 4096},
 	}
 	for _, tc := range checks {

@@ -300,7 +300,7 @@ func (s *Server) admit(ts *tenantState) error {
 // bodyLimit is the effective request-body cap for the tenant: the server
 // cap, tightened by the tenant's own cap when one is set.
 func (s *Server) bodyLimit(ts *tenantState) int64 {
-	limit := s.cfg.MaxBodyBytes
+	limit := int64(maxBodyBytes)
 	if max := ts.spec.Load().MaxBodyBytes; max > 0 && max < limit {
 		limit = max
 	}
@@ -310,7 +310,7 @@ func (s *Server) bodyLimit(ts *tenantState) int64 {
 // unitLimit is the effective /v1/shard spec-unit cap for the tenant: the
 // server cap, tightened by the tenant's own cap when one is set.
 func (s *Server) unitLimit(ts *tenantState) int {
-	limit := s.cfg.MaxCampaignUnits
+	limit := maxCampaignUnits
 	if max := ts.spec.Load().MaxCampaignUnits; max > 0 && max < limit {
 		limit = max
 	}

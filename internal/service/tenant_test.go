@@ -259,14 +259,14 @@ func TestTenantBodyLimit(t *testing.T) {
 // TestSpecAdmission pins /v1/shard's spec admission: each row's spec must
 // be refused with 400 whether a size exceeds MaxNodes or the unit count
 // exceeds the tenant's max_campaign_units or, for a tenant without one,
-// the server's MaxCampaignUnits. The unit count is arithmetic, so the
-// billion-trial row is refused without compiling its units.
+// the server's 65,536-unit cap. The unit count is arithmetic, so the
+// server-cap rows are refused without compiling their units.
 func TestSpecAdmission(t *testing.T) {
 	st := testStore(t,
 		tenant.Spec{Name: "capped", Key: "capped-key-00", MaxCampaignUnits: 2},
 		tenant.Spec{Name: "open", Key: "open-key-0000"},
 	)
-	s := newTestServer(t, Config{MaxNodes: 64, MaxCampaignUnits: 4, TenantStore: st})
+	s := newTestServer(t, Config{MaxNodes: 64, TenantStore: st})
 	spec := func(trials int, sizes ...int) map[string]any {
 		return map[string]any{"name": "t", "trials": trials, "seed": 1,
 			"tasks":    []map[string]any{{"task": "broadcast", "schemes": []string{"flooding"}}},
@@ -280,8 +280,8 @@ func TestSpecAdmission(t *testing.T) {
 	}{
 		{"size over max-nodes", "capped-key-00", spec(1, 65), "n=65 exceeds cap 64"},
 		{"units over tenant cap", "capped-key-00", spec(1, 8, 12, 16, 20), "4 units, cap is 2"},
-		{"units over server cap", "open-key-0000", spec(1, 8, 12, 16, 20, 24), "5 units, cap is 4"},
-		{"billion trials", "open-key-0000", spec(1_000_000_000, 16), "1000000000 units, cap is 4"},
+		{"units over server cap", "open-key-0000", spec(65537, 8), "65537 units, cap is 65536"},
+		{"billion trials", "open-key-0000", spec(1_000_000_000, 16), "1000000000 units, cap is 65536"},
 	} {
 		body := map[string]any{"spec": tc.spec, "start": 0, "end": 1}
 		w := postJSONKey(t, s.Handler(), "/v1/shard", tc.key, body)

@@ -12,8 +12,8 @@ import (
 // RunConcurrent executes algo with one goroutine per node and a mailbox per
 // node, under the Go scheduler's real interleaving. It blocks until the
 // network quiesces (no message in flight, all automata idle), then returns
-// the summary. Message counting uses atomics; automaton state is owned
-// exclusively by its node's goroutine.
+// the summary. The message total uses atomics; automaton state and the
+// per-node costs are owned by each node's goroutine and merged at the end.
 //
 // The run aborts (and still terminates cleanly) if maxMessages is exceeded,
 // returning ErrMessageBudget. A maxMessages of 0 selects the same default
@@ -33,6 +33,7 @@ func RunConcurrent(g *graph.Graph, source graph.NodeID, algo scheme.Algorithm, a
 		inflight sync.WaitGroup
 	)
 	kinds := make([]atomic.Int64, 8) // indexed by scheme.Kind; covers all kinds
+	nodeSends, nodeBits, nodeTime := make([]int, n), make([]int, n), make([]int, n)
 
 	boxes := make([]*mailbox, n)
 	informed := make([]atomic.Bool, n)
@@ -59,9 +60,11 @@ func RunConcurrent(g *graph.Graph, source graph.NodeID, algo scheme.Algorithm, a
 		if int(msg.Kind) < len(kinds) {
 			kinds[msg.Kind].Add(1)
 		}
+		nodeSends[from]++
+		nodeBits[from] += msg.SizeBits()
 		to, toPort := g.Neighbor(from, s.Port)
 		inflight.Add(1)
-		boxes[to].push(delivery{msg: msg, port: toPort})
+		boxes[to].push(delivery{msg: msg, port: toPort, time: nodeTime[from] + 1})
 		return true
 	}
 
@@ -97,6 +100,7 @@ func RunConcurrent(g *graph.Graph, source graph.NodeID, algo scheme.Algorithm, a
 				if d.msg.Informed {
 					informed[v].Store(true)
 				}
+				nodeTime[v] = max(nodeTime[v], d.time)
 				for _, s := range node.Receive(d.msg, d.port) {
 					send(v, s)
 				}
@@ -128,6 +132,9 @@ func RunConcurrent(g *graph.Graph, source graph.NodeID, algo scheme.Algorithm, a
 	}
 	res.AllInformed = true
 	for v := 0; v < n; v++ {
+		res.MessageBits += nodeBits[v]
+		res.MaxNodeSends = max(res.MaxNodeSends, nodeSends[v])
+		res.Rounds = max(res.Rounds, nodeTime[v])
 		res.Informed[v] = informed[v].Load()
 		if !res.Informed[v] {
 			res.AllInformed = false
@@ -137,10 +144,10 @@ func RunConcurrent(g *graph.Graph, source graph.NodeID, algo scheme.Algorithm, a
 	return res, nil
 }
 
-// delivery is a message arriving at a node's mailbox.
+// delivery is a message arriving at a node's mailbox, with its send time.
 type delivery struct {
-	msg  scheme.Message
-	port int
+	msg        scheme.Message
+	port, time int
 }
 
 // mailbox is an unbounded MPSC queue with blocking pop. Unbounded capacity

@@ -8,6 +8,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -458,19 +459,43 @@ func DigestKey(key string) string {
 	return hex.EncodeToString(d[:])
 }
 
-// Put upserts one tenant spec, bumping the generation. The entry is
-// fsynced before Put returns.
-func (st *Store) Put(sp StoredSpec) error {
-	sp, err := validateStored(sp)
-	if err != nil {
-		return err
-	}
+// Put upserts tenant specs, bumping the generation once per spec. Each
+// entry is fsynced before Put returns.
+func (st *Store) Put(specs ...StoredSpec) error {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if _, exists := st.specs[sp.Name]; !exists && len(st.specs) >= MaxTenants {
-		return fmt.Errorf("tenant: %d tenants already stored, cap is %d", len(st.specs), MaxTenants)
+	return st.putLocked(specs...)
+}
+
+// putLocked upserts specs once the tenants they leave stored build a
+// registry: the store refuses what a daemon would refuse to load
+// (NewStoredRegistry), such as a key another tenant holds or more than
+// MaxTenants tenants. Callers hold st.mu.
+func (st *Store) putLocked(specs ...StoredSpec) error {
+	// The stored tenants go first, so a clash names a tenant being put.
+	next := make([]StoredSpec, 0, len(st.specs)+len(specs))
+	for name, s := range st.specs {
+		if !slices.ContainsFunc(specs, func(sp StoredSpec) bool { return sp.Name == name }) {
+			next = append(next, s.spec)
+		}
 	}
-	return st.append(storeEntry{Seq: st.nextSeq(), Op: "put", Spec: &sp}, true)
+	puts := len(next)
+	for _, sp := range specs {
+		sp, err := validateStored(sp)
+		if err != nil {
+			return err
+		}
+		next = append(next, sp)
+	}
+	if _, err := NewStoredRegistry(next); err != nil {
+		return err
+	}
+	for i := puts; i < len(next); i++ {
+		if err := st.append(storeEntry{Seq: st.nextSeq(), Op: "put", Spec: &next[i]}, true); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // PutKey upserts a tenant from a spec carrying a raw key (a keyfile entry
@@ -499,22 +524,24 @@ func digestSpec(sp Spec) (StoredSpec, error) {
 
 // ImportKeyfile upserts every tenant of a JSON keyfile into the store,
 // digesting the raw keys immediately, and returns the number imported.
-// The whole file must build a registry first, so a short key, a duplicate
-// name or a duplicate key writes nothing.
+// File entries replace stored tenants of the same name, and the result
+// must build a registry first, so a short key, a duplicate name or a key
+// that a file or stored tenant already holds writes nothing.
 func (st *Store) ImportKeyfile(path string) (int, error) {
 	specs, err := readKeyfile(path)
 	if err != nil {
 		return 0, err
 	}
-	if _, err := NewRegistry(specs); err != nil {
-		return 0, fmt.Errorf("%w (keyfile %s)", err, path)
-	}
-	for _, sp := range specs {
-		if _, err := st.PutKey(sp); err != nil {
+	stored := make([]StoredSpec, len(specs))
+	for i, sp := range specs {
+		if stored[i], err = digestSpec(sp); err != nil {
 			return 0, fmt.Errorf("%w (keyfile %s)", err, path)
 		}
 	}
-	return len(specs), nil
+	if err := st.Put(stored...); err != nil {
+		return 0, fmt.Errorf("%w (keyfile %s)", err, path)
+	}
+	return len(stored), nil
 }
 
 // Rotate installs a new key for the tenant. The old key's digest stays
@@ -541,7 +568,7 @@ func (st *Store) Rotate(name, newKey string, overlap time.Duration, now time.Tim
 		sp.PrevKeyExpiry = time.Time{}
 	}
 	sp.KeyDigest = newDigest
-	if err := st.append(storeEntry{Seq: st.nextSeq(), Op: "put", Spec: &sp}, true); err != nil {
+	if err := st.putLocked(sp); err != nil {
 		return StoredSpec{}, err
 	}
 	return sp, nil

@@ -401,6 +401,77 @@ func TestStoreRegistryEmptyFails(t *testing.T) {
 	}
 }
 
+// twoTenantStore opens a durable store holding root and ops, and a check
+// that fails the test unless the store still holds exactly those two at
+// the same generation, also after a reopen.
+func twoTenantStore(t *testing.T) (*Store, func(step string)) {
+	t.Helper()
+	dir := t.TempDir()
+	st := openTestStore(t, dir)
+	for _, sp := range []Spec{{Name: "root", Key: "root-key-00000"}, {Name: "ops", Key: "ops-key-000000"}} {
+		if _, err := st.PutKey(sp); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := stateOf(st)
+	unchanged := func(step string) {
+		t.Helper()
+		if got := stateOf(st); !statesEqual(got, want) {
+			t.Errorf("%s: store at generation %d with %d tenants, want generation %d with 2", step, got.gen, len(got.specs), want.gen)
+		}
+		if got := stateOf(openTestStore(t, dir)); !statesEqual(got, want) {
+			t.Errorf("%s: reopened store at generation %d with %d tenants, want generation %d with 2", step, got.gen, len(got.specs), want.gen)
+		}
+	}
+	return st, unchanged
+}
+
+// TestStoreRefusesSharedKey: adding a tenant with a key another tenant
+// holds fails, as the daemon would fail to load the store, and writes
+// nothing.
+func TestStoreRefusesSharedKey(t *testing.T) {
+	st, unchanged := twoTenantStore(t)
+	if _, err := st.PutKey(Spec{Name: "twin", Key: "root-key-00000"}); err == nil || !strings.Contains(err.Error(), "already registered") {
+		t.Fatalf("twin add: err = %v, want a shared-key refusal", err)
+	}
+	unchanged("twin add")
+}
+
+// TestStoreRotateRefusesSharedKey: rotating one tenant onto another's key
+// fails and writes nothing.
+func TestStoreRotateRefusesSharedKey(t *testing.T) {
+	st, unchanged := twoTenantStore(t)
+	if _, err := st.Rotate("ops", "root-key-00000", time.Hour, time.Unix(0, 0)); err == nil || !strings.Contains(err.Error(), "already registered") {
+		t.Fatalf("rotation onto root's key: err = %v, want a shared-key refusal", err)
+	}
+	unchanged("rotation onto root's key")
+}
+
+// TestImportKeyfileRefusesStoredKey: a keyfile is checked merged with the
+// stored tenants, its entries replacing stored ones of the same name. A
+// file key that a stored tenant holds writes nothing; a file that swaps
+// two stored tenants' keys imports.
+func TestImportKeyfileRefusesStoredKey(t *testing.T) {
+	st, unchanged := twoTenantStore(t)
+	path := writeKeyfile(t, `{"tenants":[{"name":"new","key":"new-key-000000"},{"name":"twin","key":"ops-key-000000"}]}`)
+	if _, err := st.ImportKeyfile(path); err == nil || !strings.Contains(err.Error(), "already registered") {
+		t.Fatalf("import: err = %v, want a shared-key refusal", err)
+	}
+	unchanged("import of a stored key")
+
+	swap := writeKeyfile(t, `{"tenants":[{"name":"ops","key":"root-key-00000"},{"name":"root","key":"ops-key-000000"}]}`)
+	if n, err := st.ImportKeyfile(swap); err != nil || n != 2 {
+		t.Fatalf("import of a key swap = %d, %v; want 2 tenants", n, err)
+	}
+	reg, _, err := st.Registry()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ten, ok := reg.Authenticate("root-key-00000", time.Time{}); !ok || ten.Spec.Name != "ops" {
+		t.Fatalf("root's old key authenticates %+v, %v; want ops", ten, ok)
+	}
+}
+
 // storeState snapshots the replay-visible state for equivalence checks.
 type storeState struct {
 	gen     uint64
