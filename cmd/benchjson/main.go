@@ -1,24 +1,35 @@
 // Command benchjson runs the repository's core performance benchmarks with
 // allocation accounting and records the results in BENCH_sim.json, the
 // repo's perf trajectory file. Each invocation appends one labeled entry,
-// so successive runs (one per perf-relevant PR) form a comparable series.
+// so successive runs (one per perf-relevant change) form a comparable
+// series.
 //
 //	benchjson [-o BENCH_sim.json] [-label current] [-n 1024] [-m 4096] [-seed 1]
+//	benchjson -check BENCH_sim.json [-n 1024] [-m 4096] [-seed 1]
 //
 // The measured benchmarks mirror bench_test.go's public-API pair plus the
-// steady-state engine hot loop and raw graph construction:
+// steady-state engine hot loop, advice construction and raw graph
+// construction:
 //
 //	public-wakeup      Wakeup(g, source): oracle + simulation per op
 //	public-broadcast   Broadcast(g, source): oracle + simulation per op
 //	engine-wakeup      reused sim.Engine, advice precomputed: simulation only
 //	engine-broadcast   reused sim.Engine, advice precomputed: simulation only
+//	advice-wakeup, advice-broadcast, advice-gossip, advice-election
+//	                   the task's bounded catalog scheme's oracle on g per op
 //	graph-build        RandomNetwork: generator + CSR construction per op
 //	graph-build-random-sparse, graph-build-random-regular, graph-build-grid
-//	                   that graphgen family at the entry's n and seed per op
+//	                   that graphgen family at the entry's n per op
 //
-// The four scheme benchmarks also record the advice bits and messages of
-// one untimed call, so a speedup that changes the science shows in the
-// entry.
+// The graph-build rows cycle through graphBuildSeeds seeds from -seed on,
+// since one seed's cost can sit far from the mean (RandomRegular's
+// rejection sampling), and the entry records the count. The scheme and
+// advice rows also record the advice bits and messages of one untimed
+// call, so a speedup that changes the science shows in the entry.
+//
+// -check re-measures and compares with the file's last entry instead of
+// appending: it exits 1 when a row's advice_bits or messages differ from
+// the entry's, or its allocs/op exceed the entry's by more than 10%.
 package main
 
 import (
@@ -33,6 +44,7 @@ import (
 
 	"oraclesize"
 	"oraclesize/internal/broadcast"
+	"oraclesize/internal/catalog"
 	"oraclesize/internal/graphgen"
 	"oraclesize/internal/sim"
 	"oraclesize/internal/wakeup"
@@ -48,13 +60,16 @@ type File struct {
 
 // Entry is one benchjson invocation.
 type Entry struct {
-	Label      string      `json:"label"`
-	Go         string      `json:"go"`
-	GOOS       string      `json:"goos"`
-	GOARCH     string      `json:"goarch"`
-	Nodes      int         `json:"nodes"`
-	Edges      int         `json:"edges"`
-	Benchmarks []Benchmark `json:"benchmarks"`
+	Label  string `json:"label"`
+	Go     string `json:"go"`
+	GOOS   string `json:"goos"`
+	GOARCH string `json:"goarch"`
+	Nodes  int    `json:"nodes"`
+	Edges  int    `json:"edges"`
+	// GraphBuildSeeds is how many seeds the graph-build rows cycle
+	// through (absent before pr31: one seed).
+	GraphBuildSeeds int         `json:"graph_build_seeds,omitempty"`
+	Benchmarks      []Benchmark `json:"benchmarks"`
 }
 
 // Benchmark is one measured benchmark within an entry.
@@ -70,6 +85,14 @@ type Benchmark struct {
 
 const schema = "oraclesize/bench/v1"
 
+// graphBuildSeeds is how many consecutive seeds the graph-build rows
+// cycle through.
+const graphBuildSeeds = 64
+
+// allocSlack is how far -check lets a row's allocs/op exceed the
+// recorded entry's: 10%.
+const allocSlack = 0.10
+
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
@@ -83,6 +106,7 @@ func run(args []string, out, errOut io.Writer) int {
 		n       = fs.Int("n", 1024, "benchmark graph nodes")
 		m       = fs.Int("m", 4096, "benchmark graph edges")
 		seed    = fs.Int64("seed", 1, "benchmark graph seed")
+		check   = fs.String("check", "", "re-measure and compare with this file's last entry instead of appending")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -109,8 +133,8 @@ func run(args []string, out, errOut io.Writer) int {
 		name string
 		op   func() (adviceBits, messages int, err error)
 	}
-	// The graph-build rows run no scheme: their advice bits and messages
-	// are zero.
+	// The advice rows simulate nothing, so their messages are zero; the
+	// graph-build rows build no advice either.
 	benches := []bench{
 		{"public-wakeup", func() (int, int, error) {
 			r, err := oraclesize.Wakeup(g, 0)
@@ -134,30 +158,51 @@ func run(args []string, out, errOut io.Writer) int {
 			}
 			return broadcastAdvice.SizeBits(), res.Messages, nil
 		}},
-		{"graph-build", func() (int, int, error) {
-			_, err := oraclesize.RandomNetwork(*n, *m, *seed)
-			return 0, 0, err
-		}},
 	}
+	for _, task := range []string{"wakeup", "broadcast", "gossip", "election"} {
+		td, err := catalog.TaskByName(task)
+		if err != nil {
+			fmt.Fprintln(errOut, err)
+			return 1
+		}
+		orc := td.DefaultScheme().NewOracle(0)
+		benches = append(benches, bench{"advice-" + task, func() (int, int, error) {
+			advice, err := orc.Advise(g, 0)
+			return advice.SizeBits(), 0, err
+		}})
+	}
+	// nextSeed cycles a graph-build row through its seeds.
+	nextSeed := func(i *int64) int64 {
+		s := *seed + *i%graphBuildSeeds
+		*i++
+		return s
+	}
+	var networkOps int64
+	benches = append(benches, bench{"graph-build", func() (int, int, error) {
+		_, err := oraclesize.RandomNetwork(*n, *m, nextSeed(&networkOps))
+		return 0, 0, err
+	}})
 	for _, name := range []string{"random-sparse", "random-regular", "grid"} {
 		fam, err := graphgen.FamilyByName(name)
 		if err != nil {
 			fmt.Fprintln(errOut, err)
 			return 1
 		}
+		var ops int64
 		benches = append(benches, bench{"graph-build-" + name, func() (int, int, error) {
-			_, err := fam.Generate(*n, rand.New(rand.NewSource(*seed)))
+			_, err := fam.Generate(*n, rand.New(rand.NewSource(nextSeed(&ops))))
 			return 0, 0, err
 		}})
 	}
 
 	entry := Entry{
-		Label:  *label,
-		Go:     runtime.Version(),
-		GOOS:   runtime.GOOS,
-		GOARCH: runtime.GOARCH,
-		Nodes:  g.N(),
-		Edges:  g.M(),
+		Label:           *label,
+		Go:              runtime.Version(),
+		GOOS:            runtime.GOOS,
+		GOARCH:          runtime.GOARCH,
+		Nodes:           g.N(),
+		Edges:           g.M(),
+		GraphBuildSeeds: graphBuildSeeds,
 	}
 	for _, bench := range benches {
 		op := bench.op
@@ -187,7 +232,65 @@ func run(args []string, out, errOut io.Writer) int {
 			bench.name, r.N, float64(r.T.Nanoseconds())/float64(r.N),
 			r.AllocedBytesPerOp(), r.AllocsPerOp(), bits, msgs)
 	}
+	if *check != "" {
+		return checkEntry(*check, entry, out, errOut)
+	}
 	return appendEntry(*outPath, entry, out, errOut)
+}
+
+// checkEntry compares a fresh measurement with the last entry of the file
+// at path, row by row: advice bits and messages must be equal and
+// allocs/op at most allocSlack above the entry's. A row the entry lacks
+// is reported and passes. It returns the exit code.
+func checkEntry(path string, fresh Entry, out, errOut io.Writer) int {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		fmt.Fprintln(errOut, err)
+		return 1
+	}
+	var doc File
+	if err := json.Unmarshal(data, &doc); err != nil || doc.Schema != schema || len(doc.Entries) == 0 {
+		fmt.Fprintf(errOut, "benchjson: %s is not a bench file with entries (%v)\n", path, err)
+		return 1
+	}
+	var last Entry
+	if err := json.Unmarshal(doc.Entries[len(doc.Entries)-1], &last); err != nil {
+		fmt.Fprintf(errOut, "benchjson: %s: last entry: %v\n", path, err)
+		return 1
+	}
+	if last.Nodes != fresh.Nodes || last.Edges != fresh.Edges {
+		fmt.Fprintf(errOut, "benchjson: entry %q measured n=%d m=%d, this run n=%d m=%d\n", last.Label, last.Nodes, last.Edges, fresh.Nodes, fresh.Edges)
+		return 1
+	}
+	recorded := make(map[string]Benchmark, len(last.Benchmarks))
+	for _, b := range last.Benchmarks {
+		recorded[b.Name] = b
+	}
+	failed := 0
+	for _, b := range fresh.Benchmarks {
+		r, ok := recorded[b.Name]
+		switch {
+		case !ok:
+			fmt.Fprintf(out, "%-26s new row, not in entry %q\n", b.Name, last.Label)
+			continue
+		case b.AdviceBits != r.AdviceBits || b.Messages != r.Messages:
+			fmt.Fprintf(out, "%-26s FAIL: %d advice bits, %d messages; entry %q has %d, %d\n",
+				b.Name, b.AdviceBits, b.Messages, last.Label, r.AdviceBits, r.Messages)
+			failed++
+		case float64(b.AllocsPerOp) > float64(r.AllocsPerOp)*(1+allocSlack):
+			fmt.Fprintf(out, "%-26s FAIL: %d allocs/op; entry %q has %d (+%.0f%% allowed)\n",
+				b.Name, b.AllocsPerOp, last.Label, r.AllocsPerOp, 100*allocSlack)
+			failed++
+		default:
+			fmt.Fprintf(out, "%-26s ok: %d allocs/op (entry %d), science unchanged\n", b.Name, b.AllocsPerOp, r.AllocsPerOp)
+		}
+	}
+	if failed > 0 {
+		fmt.Fprintf(errOut, "benchjson: %d of %d rows fail against entry %q of %s\n", failed, len(fresh.Benchmarks), last.Label, path)
+		return 1
+	}
+	fmt.Fprintf(out, "all %d rows pass against entry %q of %s\n", len(fresh.Benchmarks), last.Label, path)
+	return 0
 }
 
 // appendEntry loads (or creates) the trajectory file and appends entry.

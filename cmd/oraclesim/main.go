@@ -86,7 +86,13 @@ func run(args []string, out, errOut io.Writer) int {
 	fmt.Fprintf(out, "task         %s  (algorithm %s)\n", *task, run.Scheme.Algo.Name())
 	fmt.Fprintf(out, "oracle       %s  size=%d bits  max-node=%d bits  nonempty-nodes=%d\n",
 		*oracleName, stats.TotalBits, stats.MaxNodeBits, stats.NonEmptyNodes)
-	fmt.Fprintf(out, "engine       %s/%s\n", *engine, *schedName)
+	// Only the queue engine has a scheduler; the goroutines engine's
+	// delivery order is the Go scheduler's.
+	if run.Engine == catalog.EngineQueue {
+		fmt.Fprintf(out, "engine       %s/%s\n", run.Engine, run.Scheduler)
+	} else {
+		fmt.Fprintf(out, "engine       %s\n", run.Engine)
+	}
 	fmt.Fprintf(out, "messages     %d total", res.Messages)
 	for _, k := range []scheme.Kind{scheme.KindM, scheme.KindHello, scheme.KindProbe, scheme.KindUp, scheme.KindDown} {
 		if c := res.ByKind[k]; c > 0 {

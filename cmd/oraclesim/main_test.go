@@ -47,6 +47,28 @@ func TestTaskMatrix(t *testing.T) {
 	}
 }
 
+// TestEngineLine: the engine line names the queue engine's scheduler and
+// no scheduler for the goroutines engine, which never builds one.
+func TestEngineLine(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-engine", "goroutines"}, "engine       goroutines\n"},
+		{[]string{"-engine", "queue", "-scheduler", "lifo"}, "engine       queue/lifo\n"},
+		{nil, "engine       queue/fifo\n"},
+	} {
+		args := append([]string{"-family", "random-sparse", "-n", "64", "-seed", "1", "-task", "broadcast"}, tc.args...)
+		var out, errOut bytes.Buffer
+		if code := run(args, &out, &errOut); code != 0 {
+			t.Fatalf("%v: exit %d, stderr: %s", tc.args, code, errOut.String())
+		}
+		if !strings.Contains(out.String(), tc.want) {
+			t.Errorf("%v: no %q line:\n%s", tc.args, strings.TrimSpace(tc.want), out.String())
+		}
+	}
+}
+
 func TestBadInputs(t *testing.T) {
 	cases := [][]string{
 		{"-family", "nope"},

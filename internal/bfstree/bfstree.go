@@ -106,35 +106,34 @@ func (nd *floodNode) Outcome() Outcome {
 	return Outcome{Decided: nd.dist >= 0, Dist: nd.dist, ParentPort: nd.parent}
 }
 
-func (nd *floodNode) Init() []scheme.Send {
+func (nd *floodNode) Init(out []scheme.Send) []scheme.Send {
 	if !nd.info.Source {
-		return nil
+		return out
 	}
-	return announce(nd.info.Degree, -1, 0)
+	return announce(out, nd.info.Degree, -1, 0)
 }
 
-func (nd *floodNode) Receive(msg scheme.Message, port int) []scheme.Send {
+func (nd *floodNode) Receive(msg scheme.Message, port int, out []scheme.Send) []scheme.Send {
 	heard := int(msg.Payload)
 	if nd.dist >= 0 && heard+1 >= nd.dist {
-		return nil
+		return out
 	}
 	nd.dist = heard + 1
 	nd.parent = port
-	return announce(nd.info.Degree, port, nd.dist)
+	return announce(out, nd.info.Degree, port, nd.dist)
 }
 
-func announce(degree, except, dist int) []scheme.Send {
-	sends := make([]scheme.Send, 0, degree)
+// announce appends dist on every port but except.
+func announce(out []scheme.Send, degree, except, dist int) []scheme.Send {
 	for p := 0; p < degree; p++ {
-		if p == except {
-			continue
+		if p != except {
+			out = append(out, scheme.Send{Port: p, Msg: scheme.Message{
+				Kind:    scheme.KindProbe,
+				Payload: uint64(dist),
+			}})
 		}
-		sends = append(sends, scheme.Send{Port: p, Msg: scheme.Message{
-			Kind:    scheme.KindProbe,
-			Payload: uint64(dist),
-		}})
 	}
-	return sends
+	return out
 }
 
 // Oracle writes each node's true parent port and BFS distance — Θ(n log n)
@@ -226,5 +225,5 @@ func (nd *silentNode) Outcome() Outcome {
 	return Outcome{Decided: nd.decided, Dist: nd.dist, ParentPort: nd.parent}
 }
 
-func (silentNode) Init() []scheme.Send                       { return nil }
-func (silentNode) Receive(scheme.Message, int) []scheme.Send { return nil }
+func (silentNode) Init(out []scheme.Send) []scheme.Send                             { return out }
+func (silentNode) Receive(_ scheme.Message, _ int, out []scheme.Send) []scheme.Send { return out }

@@ -14,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"slices"
 	"strings"
 )
 
@@ -162,9 +163,21 @@ func (w *Writer) WriteFixed(v uint64, width int) {
 	if width < 64 && v>>uint(width) != 0 {
 		panic(fmt.Sprintf("bitstring: value %d does not fit in %d bits", v, width))
 	}
-	for i := width - 1; i >= 0; i-- {
-		w.WriteBit(v&(1<<uint(i)) != 0)
+	if width == 0 {
+		return
 	}
+	// The field's first (most significant) bit goes lowest: reversed, v's
+	// bit width-1-j lands at bit j of chunk.
+	chunk := bits.Reverse64(v) >> uint(64-width)
+	if off := uint(w.n & 63); off == 0 {
+		w.words = append(w.words, chunk)
+	} else {
+		w.words[len(w.words)-1] |= chunk << off
+		if int(off)+width > 64 {
+			w.words = append(w.words, chunk>>(64-off))
+		}
+	}
+	w.n += width
 }
 
 // Len reports the number of bits written so far.
@@ -176,6 +189,57 @@ func (w *Writer) String() String {
 	words := make([]uint64, len(w.words))
 	copy(words, w.words)
 	return String{words: words, n: w.n}
+}
+
+// Arena writes many strings into one word array and hands them out as
+// Strings that share it: where one Writer.String snapshot per string
+// allocates once per string, an Arena allocates only as its array grows.
+// Every string starts on a word boundary, so each holds exactly the words
+// a snapshot would, and readers and decoders cannot tell them apart. The
+// zero value is ready to use.
+type Arena struct {
+	w Writer
+	// bounds holds each begun string's start bit, then its end bit once
+	// the next Begin or Strings closes it.
+	bounds []int
+}
+
+// Grow makes room for strings more strings holding at most bits bits in
+// all, so an arena sized up front allocates each of its arrays once.
+func (a *Arena) Grow(strings, bits int) {
+	a.bounds = slices.Grow(a.bounds, 2*strings)
+	// Each string may end in a partial word.
+	a.w.words = slices.Grow(a.w.words, bits/64+strings)
+}
+
+// Begin closes the string being written, if any, and returns the Writer
+// for the next one, positioned at a word boundary.
+func (a *Arena) Begin() *Writer {
+	if len(a.bounds)%2 == 1 {
+		a.bounds = append(a.bounds, a.w.n)
+	}
+	a.w.n = (a.w.n + 63) &^ 63
+	a.bounds = append(a.bounds, a.w.n)
+	return &a.w
+}
+
+// Strings closes the string being written and returns every string begun,
+// in order, appended to dst. The Strings share the arena's words; after
+// Strings the Arena must not be written to again.
+func (a *Arena) Strings(dst []String) []String {
+	if len(a.bounds)%2 == 1 {
+		a.bounds = append(a.bounds, a.w.n)
+	}
+	for i := 0; i < len(a.bounds); i += 2 {
+		start, end := a.bounds[i], a.bounds[i+1]
+		if start == end {
+			dst = append(dst, String{})
+			continue
+		}
+		lo, hi := start>>6, (end+63)>>6
+		dst = append(dst, String{words: a.w.words[lo:hi:hi], n: end - start})
+	}
+	return dst
 }
 
 // Reader consumes bits from a String front to back.
@@ -205,7 +269,7 @@ func (r *Reader) ReadBit() (bool, error) {
 	if r.pos >= r.s.n {
 		return false, ErrShortRead
 	}
-	b := r.s.Bit(r.pos)
+	b := r.s.words[r.pos>>6]&(1<<(uint(r.pos)&63)) != 0
 	r.pos++
 	return b, nil
 }
@@ -218,15 +282,18 @@ func (r *Reader) ReadFixed(width int) (uint64, error) {
 	if r.Remaining() < width {
 		return 0, ErrShortRead
 	}
-	var v uint64
-	for i := 0; i < width; i++ {
-		b, _ := r.ReadBit()
-		v <<= 1
-		if b {
-			v |= 1
-		}
+	if width == 0 {
+		return 0, nil
 	}
-	return v, nil
+	// Gather the field with its first bit lowest, then reverse it into
+	// big-endian order, as WriteFixed wrote it.
+	i, off := r.pos>>6, uint(r.pos&63)
+	chunk := r.s.words[i] >> off
+	if int(off)+width > 64 {
+		chunk |= r.s.words[i+1] << (64 - off)
+	}
+	r.pos += width
+	return bits.Reverse64(chunk) >> uint(64-width), nil
 }
 
 // Num2 is the paper's #2(w): the number of bits of the standard binary

@@ -262,3 +262,96 @@ func TestLongStringsCrossWordBoundaries(t *testing.T) {
 		}
 	}
 }
+
+// TestFixedFieldsMatchBitByBit: WriteFixed and ReadFixed move a field a
+// word at a time; at every offset and width they must agree with writing
+// and reading it one bit at a time, most significant bit first.
+func TestFixedFieldsMatchBitByBit(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 2000; trial++ {
+		var fast, slow Writer
+		lead := rng.Intn(130)
+		for i := 0; i < lead; i++ {
+			b := rng.Intn(2) == 1
+			fast.WriteBit(b)
+			slow.WriteBit(b)
+		}
+		width := rng.Intn(65)
+		v := rng.Uint64()
+		if width < 64 {
+			v &= 1<<uint(width) - 1
+		}
+		fast.WriteFixed(v, width)
+		for i := width - 1; i >= 0; i-- {
+			slow.WriteBit(v>>uint(i)&1 == 1)
+		}
+		fast.WriteBit(true) // a bit after the field lands after it
+		slow.WriteBit(true)
+		if f, s := fast.String(), slow.String(); !f.Equal(s) {
+			t.Fatalf("lead %d width %d value %d: WriteFixed wrote %s, bit by bit %s", lead, width, v, f, s)
+		}
+		r := NewReader(slow.String())
+		for i := 0; i < lead; i++ {
+			r.ReadBit()
+		}
+		if got, err := r.ReadFixed(width); err != nil || got != v {
+			t.Fatalf("lead %d width %d: ReadFixed = %d, %v; want %d", lead, width, got, err, v)
+		}
+		if b, err := r.ReadBit(); err != nil || !b {
+			t.Fatalf("lead %d width %d: the bit after the field reads %v, %v", lead, width, b, err)
+		}
+	}
+}
+
+// TestArenaStringsMatchSnapshots: strings written through an Arena equal
+// the Writer.String snapshots of the same bits, empty ones included, and
+// an arena sized by Grow allocates as often for 550 strings as for 11:
+// nothing per string.
+func TestArenaStringsMatchSnapshots(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	lengths := []int{0, 1, 63, 64, 65, 0, 0, 200, 7, 128, 0}
+	var arena Arena
+	bits := 0
+	for _, n := range lengths {
+		bits += n
+	}
+	arena.Grow(len(lengths), bits)
+	var want []String
+	for _, n := range lengths {
+		w := arena.Begin()
+		var snap Writer
+		for i := 0; i < n; i++ {
+			b := rng.Intn(2) == 1
+			w.WriteBit(b)
+			snap.WriteBit(b)
+		}
+		want = append(want, snap.String())
+	}
+	got := arena.Strings(nil)
+	if len(got) != len(want) {
+		t.Fatalf("%d strings, want %d", len(got), len(want))
+	}
+	for i := range got {
+		if !got[i].Equal(want[i]) || got[i].String() != want[i].String() {
+			t.Errorf("string %d: arena %s, snapshot %s", i, got[i], want[i])
+		}
+	}
+	grown := func(copies int) float64 {
+		var a Arena
+		return testing.AllocsPerRun(20, func() {
+			a = Arena{}
+			a.Grow(copies*len(lengths), copies*bits)
+			for c := 0; c < copies; c++ {
+				for _, n := range lengths {
+					w := a.Begin()
+					for i := 0; i < n; i++ {
+						w.WriteBit(i%3 == 0)
+					}
+				}
+			}
+		})
+	}
+	if one, many := grown(1), grown(50); one != many {
+		t.Errorf("a grown arena allocates %.0f times for %d strings but %.0f for %d", one, len(lengths), many, 50*len(lengths))
+	}
+}

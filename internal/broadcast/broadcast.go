@@ -117,9 +117,11 @@ func (o Oracle) adviseForTree(g *graph.Graph, edges []graph.Edge) (sim.Advice, e
 	// bits match the map-of-slices construction exactly.
 	n := g.N()
 	off := make([]int32, n+1)
+	bits := 0
 	for _, e := range edges {
-		x, _ := AssignedEndpoint(e)
+		x, p := AssignedEndpoint(e)
 		off[x+1]++
+		bits += codec.Len(uint64(p))
 	}
 	for v := 0; v < n; v++ {
 		off[v+1] += off[v]
@@ -132,20 +134,15 @@ func (o Oracle) adviseForTree(g *graph.Graph, edges []graph.Edge) (sim.Advice, e
 		ports[cursor[x]] = int32(p)
 		cursor[x]++
 	}
-	advice := make(sim.Advice, n)
-	var w bitstring.Writer
+	var arena bitstring.Arena
+	arena.Grow(n, bits)
 	for v := 0; v < n; v++ {
-		seg := ports[off[v]:off[v+1]]
-		if len(seg) == 0 {
-			continue
+		w := arena.Begin()
+		for _, p := range ports[off[v]:off[v+1]] {
+			codec.Append(w, uint64(p))
 		}
-		w.Reset()
-		for _, p := range seg {
-			codec.Append(&w, uint64(p))
-		}
-		advice[graph.NodeID(v)] = w.String()
 	}
-	return advice, nil
+	return arena.Strings(make(sim.Advice, 0, n)), nil
 }
 
 // AssignedEndpoint returns the endpoint x of e that receives the weight
@@ -203,37 +200,31 @@ func (a Algorithm) NewNode(info scheme.NodeInfo) scheme.Node {
 	backing := make([]uint64, 2*words)
 	nd.known = backing[:words]
 	nd.sentM = backing[words:]
-	nd.sends = make([]scheme.Send, 0, info.Degree)
 	var r bitstring.Reader
 	nd.init(&r, info, codec)
 	return nd
 }
 
-// NewNodes implements scheme.NodeBatcher: the automata, their port bitsets,
-// and their send scratch buffers are carved from three backing arrays
-// instead of per-node objects, and a single Reader serves every advice
-// decode (the indirect codec.Read call would otherwise heap-allocate one
-// Reader per node).
+// NewNodes implements scheme.NodeBatcher: the automata and their port
+// bitsets are carved from two backing arrays instead of per-node objects,
+// and a single Reader serves every advice decode (the indirect codec.Read
+// call would otherwise heap-allocate one Reader per node).
 func (a Algorithm) NewNodes(infos []scheme.NodeInfo, dst []scheme.Node) {
 	codec := Oracle{Codec: a.Codec}.codec()
 	backing := make([]node, len(infos))
-	words, degSum := 0, 0
+	words := 0
 	for _, info := range infos {
 		words += 2 * bitsetWords(info.Degree)
-		degSum += info.Degree
 	}
 	bits := make([]uint64, words)
-	sends := make([]scheme.Send, degSum)
 	var r bitstring.Reader
-	off, soff := 0, 0
+	off := 0
 	for i, info := range infos {
 		nd := &backing[i]
 		w := bitsetWords(info.Degree)
 		nd.known = bits[off : off+w]
 		nd.sentM = bits[off+w : off+2*w]
 		off += 2 * w
-		nd.sends = sends[soff : soff : soff+info.Degree]
-		soff += info.Degree
 		nd.init(&r, info, codec)
 		dst[i] = nd
 	}
@@ -255,24 +246,20 @@ func (b bitset) setAll(n int) {
 	}
 }
 
+// node keeps only what Scheme B reads after decoding its advice, so a run
+// of n automata holds no n advice strings.
 type node struct {
-	info     scheme.NodeInfo
-	informed bool
-	known    bitset // K_x
-	sentM    bitset // S_x
-	// sends is the reused output buffer (capacity Degree — no automaton
-	// step emits more). The engine consumes the returned slice before the
-	// automaton's next step, so reuse is safe in both engines: the
-	// sequential one is single-threaded and the concurrent one drives each
-	// automaton from its own goroutine.
-	sends []scheme.Send
+	degree           int
+	source, informed bool
+	known            bitset // K_x
+	sentM            bitset // S_x
 }
 
 // init decodes the advice into K_x. Malformed advice (wrong codec pairing)
 // leaves the node with no knowledge: the run stalls visibly rather than
 // panicking, exactly as the map-based decoder behaved.
 func (nd *node) init(r *bitstring.Reader, info scheme.NodeInfo, codec bitstring.Codec) {
-	nd.info = info
+	nd.degree, nd.source = info.Degree, info.Source
 	r.Reset(info.Advice)
 	for r.Remaining() > 0 {
 		p, err := codec.Read(r)
@@ -286,24 +273,23 @@ func (nd *node) init(r *bitstring.Reader, info scheme.NodeInfo, codec bitstring.
 	}
 }
 
-func (nd *node) Init() []scheme.Send {
-	if nd.info.Source {
+func (nd *node) Init(out []scheme.Send) []scheme.Send {
+	if nd.source {
 		nd.informed = true
 		// H_x ← H_x \ S_x leaves nothing: the source already sent M on
 		// every known port, so it owes no hellos.
-		return nd.flushM()
+		return nd.flushM(out)
 	}
 	// Non-source: H_x = K_x, send hello everywhere, H_x ← ∅.
-	sends := nd.sends[:0]
-	for p := 0; p < nd.info.Degree; p++ {
+	for p := 0; p < nd.degree; p++ {
 		if nd.known.get(p) {
-			sends = append(sends, scheme.Send{Port: p, Msg: scheme.Message{Kind: scheme.KindHello}})
+			out = append(out, scheme.Send{Port: p, Msg: scheme.Message{Kind: scheme.KindHello}})
 		}
 	}
-	return sends
+	return out
 }
 
-func (nd *node) Receive(msg scheme.Message, port int) []scheme.Send {
+func (nd *node) Receive(msg scheme.Message, port int, out []scheme.Send) []scheme.Send {
 	nd.known.set(port)
 	if msg.Informed {
 		// The source message transited this edge (it is appended to every
@@ -312,22 +298,21 @@ func (nd *node) Receive(msg scheme.Message, port int) []scheme.Send {
 		nd.informed = true
 	}
 	if !nd.informed {
-		return nil
+		return out
 	}
-	return nd.flushM()
+	return nd.flushM(out)
 }
 
 // flushM restores the invariant S_x = K_x: send M on all known ports it has
 // not yet transited.
-func (nd *node) flushM() []scheme.Send {
-	sends := nd.sends[:0]
-	for p := 0; p < nd.info.Degree; p++ {
+func (nd *node) flushM(out []scheme.Send) []scheme.Send {
+	for p := 0; p < nd.degree; p++ {
 		if nd.known.get(p) && !nd.sentM.get(p) {
 			nd.sentM.set(p)
-			sends = append(sends, scheme.Send{Port: p, Msg: scheme.Message{Kind: scheme.KindM}})
+			out = append(out, scheme.Send{Port: p, Msg: scheme.Message{Kind: scheme.KindM}})
 		}
 	}
-	return sends
+	return out
 }
 
 // Flooding is the zero-advice broadcast baseline (identical to wakeup
@@ -356,29 +341,28 @@ type floodNode struct {
 	informed bool
 }
 
-func (nd *floodNode) Init() []scheme.Send {
+func (nd *floodNode) Init(out []scheme.Send) []scheme.Send {
 	if !nd.info.Source {
-		return nil
+		return out
 	}
 	nd.informed = true
-	return floodAll(nd.info.Degree, -1)
+	return floodAll(out, nd.info.Degree, -1)
 }
 
-func (nd *floodNode) Receive(msg scheme.Message, port int) []scheme.Send {
+func (nd *floodNode) Receive(msg scheme.Message, port int, out []scheme.Send) []scheme.Send {
 	if nd.informed || !msg.Informed {
-		return nil
+		return out
 	}
 	nd.informed = true
-	return floodAll(nd.info.Degree, port)
+	return floodAll(out, nd.info.Degree, port)
 }
 
-func floodAll(degree, except int) []scheme.Send {
-	sends := make([]scheme.Send, 0, degree)
+// floodAll appends the source message on every port but except.
+func floodAll(out []scheme.Send, degree, except int) []scheme.Send {
 	for p := 0; p < degree; p++ {
-		if p == except {
-			continue
+		if p != except {
+			out = append(out, scheme.Send{Port: p, Msg: scheme.Message{Kind: scheme.KindM}})
 		}
-		sends = append(sends, scheme.Send{Port: p, Msg: scheme.Message{Kind: scheme.KindM}})
 	}
-	return sends
+	return out
 }

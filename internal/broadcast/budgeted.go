@@ -84,8 +84,7 @@ func (a HybridAlgorithm) NewNode(info scheme.NodeInfo) scheme.Node {
 	codec := Oracle{Codec: a.Codec}.codec()
 	words := bitsetWords(info.Degree)
 	backing := make([]uint64, 2*words)
-	nd := &node{info: info, known: backing[:words], sentM: backing[words:]}
-	nd.sends = make([]scheme.Send, 0, info.Degree)
+	nd := &node{degree: info.Degree, source: info.Source, known: backing[:words], sentM: backing[words:]}
 	if info.Advice.Empty() {
 		// Uncovered: all incident edges are candidate tree edges.
 		nd.known.setAll(info.Degree)

@@ -69,7 +69,7 @@ func NewCache(capacity, shards int) *Cache {
 // requests that agree on (family, n, seed) therefore share one graph.
 func (c *Cache) Graph(fam graphgen.Family, n int, seed int64) (*graph.Graph, error) {
 	if c == nil {
-		return fam.Generate(n, rand.New(rand.NewSource(seed)))
+		return generate(fam, n, seed)
 	}
 	// The key is the generation function's full input: the length-prefixed
 	// family name, n and seed.
@@ -94,9 +94,22 @@ func (c *Cache) Graph(fam graphgen.Family, n int, seed int64) (*graph.Graph, err
 		c.misses.Add(1)
 	}
 	e.once.Do(func() {
-		e.g, e.err = fam.Generate(n, rand.New(rand.NewSource(seed)))
+		e.g, e.err = generate(fam, n, seed)
 	})
 	return e.g, e.err
+}
+
+// rngPool holds generators for reuse: rand.NewSource allocates a 4.9 KB
+// state for every graph, and Seed refills one in place with the stream a
+// fresh source of that seed draws.
+var rngPool = sync.Pool{New: func() any { return rand.New(rand.NewSource(1)) }}
+
+// generate builds fam's instance at n from a generator seeded with seed.
+func generate(fam graphgen.Family, n int, seed int64) (*graph.Graph, error) {
+	rng := rngPool.Get().(*rand.Rand)
+	defer rngPool.Put(rng)
+	rng.Seed(seed)
+	return fam.Generate(n, rng)
 }
 
 // CacheStats is a point-in-time snapshot of instance-cache effectiveness.

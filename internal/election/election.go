@@ -100,31 +100,30 @@ func (nd *maxFloodNode) Outcome() Outcome {
 	return Outcome{Decided: true, Leader: nd.best, IsLeader: nd.best == nd.info.Label}
 }
 
-func (nd *maxFloodNode) Init() []scheme.Send {
-	return sendLabelOnAll(nd.info.Degree, -1, nd.best)
+func (nd *maxFloodNode) Init(out []scheme.Send) []scheme.Send {
+	return sendLabelOnAll(out, nd.info.Degree, -1, nd.best)
 }
 
-func (nd *maxFloodNode) Receive(msg scheme.Message, port int) []scheme.Send {
+func (nd *maxFloodNode) Receive(msg scheme.Message, port int, out []scheme.Send) []scheme.Send {
 	candidate := int64(msg.Payload)
 	if candidate <= nd.best {
-		return nil
+		return out
 	}
 	nd.best = candidate
-	return sendLabelOnAll(nd.info.Degree, port, candidate)
+	return sendLabelOnAll(out, nd.info.Degree, port, candidate)
 }
 
-func sendLabelOnAll(degree, except int, label int64) []scheme.Send {
-	sends := make([]scheme.Send, 0, degree)
+// sendLabelOnAll appends label on every port but except.
+func sendLabelOnAll(out []scheme.Send, degree, except int, label int64) []scheme.Send {
 	for p := 0; p < degree; p++ {
-		if p == except {
-			continue
+		if p != except {
+			out = append(out, scheme.Send{Port: p, Msg: scheme.Message{
+				Kind:    scheme.KindProbe,
+				Payload: uint64(label),
+			}})
 		}
-		sends = append(sends, scheme.Send{Port: p, Msg: scheme.Message{
-			Kind:    scheme.KindProbe,
-			Payload: uint64(label),
-		}})
 	}
-	return sends
+	return out
 }
 
 // MarkOracle is the one-bit oracle: the designated node (the engine's
@@ -135,8 +134,10 @@ type MarkOracle struct{}
 func (MarkOracle) Name() string { return "election-mark" }
 
 // Advise implements oracle.Oracle.
-func (MarkOracle) Advise(_ *graph.Graph, source graph.NodeID) (sim.Advice, error) {
-	return sim.Advice{source: bitstring.FromBits(1)}, nil
+func (MarkOracle) Advise(g *graph.Graph, source graph.NodeID) (sim.Advice, error) {
+	advice := make(sim.Advice, g.N())
+	advice[source] = bitstring.FromBits(1)
+	return advice, nil
 }
 
 // MarkedFlood elects the oracle-marked node, which floods its label as the
@@ -163,22 +164,22 @@ func (nd *markedFloodNode) Outcome() Outcome {
 	return Outcome{Decided: nd.decided, Leader: nd.leader, IsLeader: nd.marked}
 }
 
-func (nd *markedFloodNode) Init() []scheme.Send {
+func (nd *markedFloodNode) Init(out []scheme.Send) []scheme.Send {
 	if !nd.marked {
-		return nil
+		return out
 	}
 	nd.decided = true
 	nd.leader = nd.info.Label
-	return sendLabelOnAll(nd.info.Degree, -1, nd.info.Label)
+	return sendLabelOnAll(out, nd.info.Degree, -1, nd.info.Label)
 }
 
-func (nd *markedFloodNode) Receive(msg scheme.Message, port int) []scheme.Send {
+func (nd *markedFloodNode) Receive(msg scheme.Message, port int, out []scheme.Send) []scheme.Send {
 	if nd.decided {
-		return nil
+		return out
 	}
 	nd.decided = true
 	nd.leader = int64(msg.Payload)
-	return sendLabelOnAll(nd.info.Degree, port, nd.leader)
+	return sendLabelOnAll(out, nd.info.Degree, port, nd.leader)
 }
 
 // TreeOracle combines the leader mark with the Theorem 2.1 tree advice so
@@ -204,14 +205,16 @@ func (TreeOracle) Advise(g *graph.Graph, source graph.NodeID) (sim.Advice, error
 	if err != nil {
 		return nil, err
 	}
-	advice := make(sim.Advice, g.N())
-	for v := graph.NodeID(0); int(v) < g.N(); v++ {
-		var w bitstring.Writer
+	// One marker bit per node on top of the tree advice.
+	n := g.N()
+	var arena bitstring.Arena
+	arena.Grow(n, n+base.SizeBits())
+	for v := graph.NodeID(0); int(v) < n; v++ {
+		w := arena.Begin()
 		w.WriteBit(v == source)
 		w.WriteString(base[v])
-		advice[v] = w.String()
 	}
-	return advice, nil
+	return arena.Strings(make(sim.Advice, 0, n)), nil
 }
 
 // MarkedTree is the tree-advised election scheme.
@@ -249,34 +252,32 @@ func (nd *markedTreeNode) Outcome() Outcome {
 	return Outcome{Decided: nd.decided, Leader: nd.leader, IsLeader: nd.marked}
 }
 
-func (nd *markedTreeNode) Init() []scheme.Send {
+func (nd *markedTreeNode) Init(out []scheme.Send) []scheme.Send {
 	if !nd.marked {
-		return nil
+		return out
 	}
 	nd.decided = true
 	nd.leader = nd.info.Label
-	return nd.announce(nd.info.Label)
+	return nd.announce(out, nd.info.Label)
 }
 
-func (nd *markedTreeNode) Receive(msg scheme.Message, _ int) []scheme.Send {
+func (nd *markedTreeNode) Receive(msg scheme.Message, _ int, out []scheme.Send) []scheme.Send {
 	if nd.decided {
-		return nil
+		return out
 	}
 	nd.decided = true
 	nd.leader = int64(msg.Payload)
-	return nd.announce(nd.leader)
+	return nd.announce(out, nd.leader)
 }
 
-func (nd *markedTreeNode) announce(label int64) []scheme.Send {
-	sends := make([]scheme.Send, 0, len(nd.kids))
+func (nd *markedTreeNode) announce(out []scheme.Send, label int64) []scheme.Send {
 	for _, p := range nd.kids {
-		if p < 0 || p >= nd.info.Degree {
-			continue
+		if p >= 0 && p < nd.info.Degree {
+			out = append(out, scheme.Send{Port: p, Msg: scheme.Message{
+				Kind:    scheme.KindProbe,
+				Payload: uint64(label),
+			}})
 		}
-		sends = append(sends, scheme.Send{Port: p, Msg: scheme.Message{
-			Kind:    scheme.KindProbe,
-			Payload: uint64(label),
-		}})
 	}
-	return sends
+	return out
 }

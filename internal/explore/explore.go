@@ -73,7 +73,7 @@ func Run(g *graph.Graph, start graph.NodeID, advice sim.Advice, s Strategy, maxM
 		view := View{
 			Label:       g.Label(cur),
 			Degree:      g.Degree(cur),
-			Advice:      advice[cur],
+			Advice:      advice.Of(cur),
 			ArrivalPort: arrival,
 		}
 		port, done := s.Next(view)

@@ -56,10 +56,12 @@ func (o Oracle) Advise(g *graph.Graph, _ graph.NodeID) (sim.Advice, error) {
 	if err != nil {
 		return nil, err
 	}
-	width := oracle.FieldWidth(g.N())
-	advice := make(sim.Advice, g.N())
-	for v := graph.NodeID(0); int(v) < g.N(); v++ {
-		var w bitstring.Writer
+	n, width := g.N(), oracle.FieldWidth(g.N())
+	// n headers and root bits, and 2(n-1) fields.
+	var arena bitstring.Arena
+	arena.Grow(n, n*(bitstring.DoubledLen(uint64(width))+1)+2*n*width)
+	for v := graph.NodeID(0); int(v) < n; v++ {
+		w := arena.Begin()
 		w.AppendDoubled(uint64(width))
 		if v == o.Root {
 			w.WriteBit(true) // root marker
@@ -70,9 +72,8 @@ func (o Oracle) Advise(g *graph.Graph, _ graph.NodeID) (sim.Advice, error) {
 		for _, c := range tree.Children(v) {
 			w.WriteFixed(uint64(c.Port), width)
 		}
-		advice[v] = w.String()
 	}
-	return advice, nil
+	return arena.Strings(make(sim.Advice, 0, n)), nil
 }
 
 // Role is a node's decoded advice.
@@ -160,82 +161,80 @@ func (nd *node) Values() []int64 {
 	return out
 }
 
-func (nd *node) Init() []scheme.Send {
+func (nd *node) Init(out []scheme.Send) []scheme.Send {
 	if nd.broken {
-		return nil
+		return out
 	}
 	nd.pending = len(nd.role.ChildPorts)
 	if nd.pending > 0 {
-		return nil // wait for the subtree first
+		return out // wait for the subtree first
 	}
 	// A leaf starts the convergecast; a childless root is the whole tree.
 	if nd.role.IsRoot {
 		nd.done = true
 		nd.full = append([]int64(nil), nd.collected...)
-		return nil
+		return out
 	}
-	return []scheme.Send{{
+	return append(out, scheme.Send{
 		Port: nd.role.ParentPort,
 		Msg:  scheme.Message{Kind: scheme.KindUp, Values: nd.collected},
-	}}
+	})
 }
 
-func (nd *node) Receive(msg scheme.Message, port int) []scheme.Send {
+func (nd *node) Receive(msg scheme.Message, port int, out []scheme.Send) []scheme.Send {
 	if nd.broken {
-		return nil
+		return out
 	}
 	switch msg.Kind {
 	case scheme.KindUp:
-		return nd.receiveUp(msg, port)
+		return nd.receiveUp(msg, port, out)
 	case scheme.KindDown:
-		return nd.receiveDown(msg)
+		return nd.receiveDown(msg, out)
 	default:
-		return nil
+		return out
 	}
 }
 
-func (nd *node) receiveUp(msg scheme.Message, port int) []scheme.Send {
+func (nd *node) receiveUp(msg scheme.Message, port int, out []scheme.Send) []scheme.Send {
 	if !nd.isChildPort(port) || nd.pending == 0 {
-		return nil // not a tree child: ignore (robustness)
+		return out // not a tree child: ignore (robustness)
 	}
 	nd.collected = append(nd.collected, msg.Values...)
 	nd.pending--
 	if nd.pending > 0 {
-		return nil
+		return out
 	}
 	if !nd.role.IsRoot {
-		return []scheme.Send{{
+		return append(out, scheme.Send{
 			Port: nd.role.ParentPort,
 			Msg:  scheme.Message{Kind: scheme.KindUp, Values: nd.collected},
-		}}
+		})
 	}
 	// Root: the set is complete; flood it down.
 	nd.done = true
 	nd.full = append([]int64(nil), nd.collected...)
-	return nd.floodDown()
+	return nd.floodDown(out)
 }
 
-func (nd *node) receiveDown(msg scheme.Message) []scheme.Send {
+func (nd *node) receiveDown(msg scheme.Message, out []scheme.Send) []scheme.Send {
 	if nd.done {
-		return nil
+		return out
 	}
 	nd.done = true
 	nd.full = append([]int64(nil), msg.Values...)
-	return nd.floodDown()
+	return nd.floodDown(out)
 }
 
-func (nd *node) floodDown() []scheme.Send {
-	sends := make([]scheme.Send, 0, len(nd.role.ChildPorts))
+func (nd *node) floodDown(out []scheme.Send) []scheme.Send {
 	for _, p := range nd.role.ChildPorts {
-		if p < 0 || p >= nd.info.Degree {
-			continue
+		if p >= 0 && p < nd.info.Degree {
+			out = append(out, scheme.Send{
+				Port: p,
+				Msg:  scheme.Message{Kind: scheme.KindDown, Values: nd.full},
+			})
 		}
-		sends = append(sends, scheme.Send{
-			Port: p,
-			Msg:  scheme.Message{Kind: scheme.KindDown, Values: nd.full},
-		})
 	}
-	return sends
+	return out
 }
 
 func (nd *node) isChildPort(port int) bool {

@@ -11,6 +11,7 @@ package graph
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sync"
 )
@@ -229,12 +230,10 @@ func (g *Graph) BFS(root NodeID) *BFSResult {
 		res.Dist[v] = -1
 	}
 	res.Dist[root] = 0
-	queue := make([]NodeID, 1, n)
-	queue[0] = root
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		res.Order = append(res.Order, v)
+	// Order is the queue: a node is visited in the order it was reached.
+	res.Order = append(res.Order, root)
+	for i := 0; i < len(res.Order); i++ {
+		v := res.Order[i]
 		for p, h := range g.Ports(v) {
 			if res.Dist[h.To] >= 0 {
 				continue
@@ -243,7 +242,7 @@ func (g *Graph) BFS(root NodeID) *BFSResult {
 			res.Parent[h.To] = v
 			res.ParentPort[h.To] = h.ToPort
 			res.ChildPort[h.To] = p
-			queue = append(queue, h.To)
+			res.Order = append(res.Order, h.To)
 		}
 	}
 	return res
@@ -340,12 +339,18 @@ func (g *Graph) Validate() error {
 // the CSR arrays once and places both halves of every edge.
 type Builder struct {
 	labels []int64
-	edges  []Edge // in call order, with the ports as given
+	edges  []loggedEdge // in call order, with the ports as given
 	// next[v] is one past the highest port assigned at v so far: the port
 	// AddEdgeAuto takes next.
 	next []int
 	err  error
 }
+
+// loggedEdge is one AddEdge call in the builder's log, in half the bytes
+// of an Edge. A port past math.MaxInt32 is logged as math.MaxInt32: at or
+// past its node's degree either way, Graph leaves it unplaced and reports
+// the port it leaves unused.
+type loggedEdge struct{ u, v, pu, pv int32 }
 
 // NewBuilder creates a builder for n nodes, labeled 1..n by default
 // (the paper's convention).
@@ -358,6 +363,16 @@ func NewBuilder(n int) *Builder {
 		b.labels[v] = int64(v) + 1
 	}
 	return b
+}
+
+// Grow makes room in the builder's edge log for m more edges, like
+// strings.Builder.Grow, so a generator that knows its edge count logs
+// every edge without regrowing the log.
+func (b *Builder) Grow(m int) {
+	if m < 0 {
+		panic("graph: Builder.Grow with negative count")
+	}
+	b.edges = slices.Grow(b.edges, m)
 }
 
 func (b *Builder) has(v NodeID) bool { return v >= 0 && int(v) < len(b.labels) }
@@ -400,7 +415,7 @@ func (b *Builder) AddEdge(u NodeID, pu int, v NodeID, pv int) {
 	case pv < 0:
 		b.err = fmt.Errorf("graph: negative port %d at node %d", pv, v)
 	default:
-		b.edges = append(b.edges, Edge{U: u, V: v, PU: pu, PV: pv})
+		b.edges = append(b.edges, loggedEdge{int32(u), int32(v), int32(min(pu, math.MaxInt32)), int32(min(pv, math.MaxInt32))})
 		b.next[u] = max(b.next[u], pu+1)
 		b.next[v] = max(b.next[v], pv+1)
 	}
@@ -416,8 +431,8 @@ func (b *Builder) Graph() (*Graph, error) {
 	// Pass 1: degrees, summed into offsets.
 	offsets := make([]int32, n+1)
 	for _, e := range b.edges {
-		offsets[e.U+1]++
-		offsets[e.V+1]++
+		offsets[e.u+1]++
+		offsets[e.v+1]++
 	}
 	for v := 0; v < n; v++ {
 		offsets[v+1] += offsets[v]
@@ -431,15 +446,15 @@ func (b *Builder) Graph() (*Graph, error) {
 	}
 	placed := 0
 	for _, e := range b.edges {
-		for _, s := range [2]Edge{e, {U: e.V, V: e.U, PU: e.PV, PV: e.PU}} {
-			if s.PU >= int(offsets[s.U+1]-offsets[s.U]) {
+		for _, s := range [2]loggedEdge{e, {e.v, e.u, e.pv, e.pu}} {
+			if s.pu >= offsets[s.u+1]-offsets[s.u] {
 				continue
 			}
-			h := &halves[int(offsets[s.U])+s.PU]
+			h := &halves[offsets[s.u]+s.pu]
 			if h.To != -1 {
-				return nil, fmt.Errorf("graph: port %d at node %d already in use", s.PU, s.U)
+				return nil, fmt.Errorf("graph: port %d at node %d already in use", s.pu, s.u)
 			}
-			*h = Half{To: s.V, ToPort: s.PV}
+			*h = Half{To: NodeID(s.v), ToPort: int(s.pv)}
 			placed++
 		}
 	}
@@ -465,10 +480,30 @@ func (b *Builder) Graph() (*Graph, error) {
 	for v := n - 1; v >= 0; v-- {
 		g.byLabel[b.labels[v]] = NodeID(v)
 	}
-	if err := g.Validate(); err != nil {
-		return nil, err
+	// Placement made every half the mirror of another, with its ports in
+	// range, and AddEdge refused self-loops: of Validate's checks only
+	// distinct labels and no parallel edges can fail. When one does,
+	// Validate names the problem.
+	if len(g.byLabel) < n || g.hasParallelEdge() {
+		return nil, g.Validate()
 	}
 	return g, nil
+}
+
+// hasParallelEdge reports whether some node reaches a neighbor on two
+// ports.
+func (g *Graph) hasParallelEdge() bool {
+	// stamp[u] == v+1 marks u as met among v's ports.
+	stamp := make([]int32, g.N())
+	for v := range g.N() {
+		for _, h := range g.Ports(NodeID(v)) {
+			if stamp[h.To] == int32(v)+1 {
+				return true
+			}
+			stamp[h.To] = int32(v) + 1
+		}
+	}
+	return false
 }
 
 // MustGraph is Graph but panics on error; for generators whose inputs are

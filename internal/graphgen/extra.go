@@ -71,10 +71,15 @@ func RandomRegular(n, d int, rng *rand.Rand) (*graph.Graph, error) {
 	const maxAttempts = 50000
 	p := pairing{
 		d:     d,
+		tmpl:  make([]int32, n*d),
 		stubs: make([]int32, n*d),
 		nbr:   make([]int32, n*d),
 		back:  make([]int32, n*d),
 		deg:   make([]int32, n),
+		sig:   make([]uint64, n),
+	}
+	for k := range p.tmpl {
+		p.tmpl[k] = int32(k / d)
 	}
 	for attempt := 0; attempt < maxAttempts; attempt++ {
 		if p.try(rng) && p.connected() {
@@ -85,37 +90,109 @@ func RandomRegular(n, d int, rng *rand.Rand) (*graph.Graph, error) {
 }
 
 // pairing is the configuration model's scratch, reused across attempts.
-// Node v's k-th edge in pairing order leads to nbr[v*d+k], where it is
-// that node's back[v*d+k]-th edge; deg counts each node's edges so far.
+// tmpl holds every node's d stubs in node order, and deg counts each
+// node's edges so far. While an attempt runs, nbr[v*d:(v+1)*d] holds v's
+// neighbors so far plus one (0 marks a free slot), and sig[v] has bit
+// u&63 set for each neighbor u, so most pairs clear the repeated-edge
+// check on one word. A simple pairing then rewrites nbr: node v's k-th
+// edge in pairing order leads to nbr[v*d+k], where it is that node's
+// back[v*d+k]-th edge.
 type pairing struct {
-	d                int
-	stubs, nbr, back []int32
-	deg              []int32
+	d                      int
+	tmpl, stubs, nbr, back []int32
+	deg                    []int32
+	sig                    []uint64
 }
 
-// try runs one round of the configuration model: stubs are paired
-// uniformly; the attempt fails on self-loops or parallel edges.
+// try runs one round of the configuration model: the stubs are shuffled
+// and paired in order, and the attempt fails on a self-loop or a repeated
+// edge. It draws exactly what rng.Shuffle(len(stubs), swap) draws, but
+// inline: Fisher–Yates fixes position i at step i, from the end, so pair
+// (i, i+1) is checked as soon as step i fixes it, and on the first defect
+// the attempt only burns the draws of its remaining steps. A simple
+// pairing is then recorded again in forward pair order, so every node's
+// edges, and with them the ports, come in the order they always have.
 func (p *pairing) try(rng *rand.Rand) bool {
-	stubs, d := p.stubs, int32(p.d)
-	for v := range p.deg {
-		for k := v * p.d; k < (v+1)*p.d; k++ {
-			stubs[k] = int32(v)
+	// Locals, so the loop does not reload the slice headers through p
+	// after every store.
+	stubs, nbr, deg, sig, d := p.stubs, p.nbr, p.deg, p.sig, int32(p.d)
+	copy(stubs, p.tmpl)
+	clear(nbr)
+	clear(sig)
+	clear(deg)
+	for i := len(stubs) - 1; i > 0; i-- {
+		// j is rng.Shuffle's draw for position i, as shuffleDraw makes it;
+		// this loop and burnShuffle spell it out, because a call per draw
+		// costs as much as the draw.
+		bound := uint64(i + 1)
+		prod := uint64(rng.Uint32()) * bound
+		if uint32(prod) < uint32(bound) {
+			prod = shuffleRedraw(rng, prod, uint32(bound))
 		}
-	}
-	rng.Shuffle(len(stubs), func(i, j int) { stubs[i], stubs[j] = stubs[j], stubs[i] })
-	clear(p.deg)
-	for i := 0; i < len(stubs); i += 2 {
-		u, v := stubs[i], stubs[i+1]
-		if u == v || slices.Contains(p.nbr[u*d:u*d+p.deg[u]], v) {
+		j := prod >> 32
+		stubs[i], stubs[j] = stubs[j], stubs[i]
+		if i&1 == 1 && i > 1 {
+			continue // pair (i-1, i) is complete only after step i-1
+		}
+		// Step 1 also fixes position 0, completing pair (0, 1).
+		lo := i &^ 1
+		u, v := stubs[lo], stubs[lo+1]
+		bu, bv := uint64(1)<<(v&63), uint64(1)<<(u&63)
+		if u == v || sig[u]&bu != 0 && slices.Contains(nbr[u*d:(u+1)*d], v+1) {
+			burnShuffle(rng, i-1)
 			return false
 		}
-		pu, pv := p.deg[u], p.deg[v]
-		p.nbr[u*d+pu], p.back[u*d+pu] = v, pv
-		p.nbr[v*d+pv], p.back[v*d+pv] = u, pu
-		p.deg[u]++
-		p.deg[v]++
+		sig[u] |= bu
+		sig[v] |= bv
+		nbr[u*d+deg[u]] = v + 1
+		nbr[v*d+deg[v]] = u + 1
+		deg[u]++
+		deg[v]++
+	}
+	clear(deg)
+	back := p.back
+	for i := 0; i < len(stubs); i += 2 {
+		u, v := stubs[i], stubs[i+1]
+		pu, pv := deg[u], deg[v]
+		nbr[u*d+pu], back[u*d+pu] = v, pv
+		nbr[v*d+pv], back[v*d+pv] = u, pu
+		deg[u]++
+		deg[v]++
 	}
 	return true
+}
+
+// shuffleDraw returns the partner j in [0, i] that rng.Shuffle draws for
+// position i (for i < 2³¹-1): Lemire's multiply-shift reduction of one
+// Uint32, with the same rare rejection redraw.
+func shuffleDraw(rng *rand.Rand, i int) int {
+	bound := uint64(i + 1)
+	prod := uint64(rng.Uint32()) * bound
+	if uint32(prod) < uint32(bound) {
+		prod = shuffleRedraw(rng, prod, uint32(bound))
+	}
+	return int(prod >> 32)
+}
+
+// burnShuffle consumes the draws rng.Shuffle makes for positions i down
+// to 1, as shuffleDraw would, without using them.
+func burnShuffle(rng *rand.Rand, i int) {
+	for ; i > 0; i-- {
+		bound := uint64(i + 1)
+		if prod := uint64(rng.Uint32()) * bound; uint32(prod) < uint32(bound) {
+			shuffleRedraw(rng, prod, uint32(bound))
+		}
+	}
+}
+
+// shuffleRedraw is shuffleDraw's rejection loop: it redraws while the low
+// half of prod falls below 2³² mod n.
+func shuffleRedraw(rng *rand.Rand, prod uint64, n uint32) uint64 {
+	thresh := -n % n
+	for uint32(prod) < thresh {
+		prod = uint64(rng.Uint32()) * uint64(n)
+	}
+	return prod
 }
 
 // connected reports whether the last successful pairing is connected, by
@@ -148,6 +225,7 @@ func (p *pairing) graph(rng *rand.Rand) (*graph.Graph, error) {
 	}
 	perm := portPerms(off, rng)
 	b := graph.NewBuilder(n)
+	b.Grow(n * d / 2)
 	for u := 0; u < n; u++ {
 		for k := u * d; k < (u+1)*d; k++ {
 			if v := int(p.nbr[k]); u < v {

@@ -10,8 +10,8 @@ package graphgen
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
-	"slices"
 
 	"oraclesize/internal/graph"
 )
@@ -333,19 +333,29 @@ func RandomConnected(n, m int, rng *rand.Rand) (*graph.Graph, error) {
 	if m < n-1 || m > maxM {
 		return nil, fmt.Errorf("graphgen: m = %d out of range [%d, %d]", m, n-1, maxM)
 	}
-	// Edge {u,v} with u < v is the key u<<32 | v.
+	// Edge {u,v} with u < v is the key u<<32 | v, which is never 0, so 0
+	// marks a free slot of the open-addressed set used, at most half full.
 	keys := make([]uint64, 0, m)
-	used := make(map[uint64]struct{}, m)
+	used := make([]uint64, 1<<bits.Len(uint(2*m-1)))
+	shift := 64 - bits.Len(uint(len(used)-1))
 	add := func(u, v int) {
+		if u == v {
+			return
+		}
 		if u > v {
 			u, v = v, u
 		}
 		k := uint64(u)<<32 | uint64(v)
-		if _, dup := used[k]; u == v || dup {
-			return
+		for i := (k * 0x9e3779b97f4a7c15) >> shift; ; i = (i + 1) & uint64(len(used)-1) {
+			switch used[i] {
+			case k:
+				return
+			case 0:
+				used[i] = k
+				keys = append(keys, k)
+				return
+			}
 		}
-		used[k] = struct{}{}
-		keys = append(keys, k)
 	}
 	// Random recursive tree.
 	for i := 1; i < n; i++ {
@@ -355,9 +365,16 @@ func RandomConnected(n, m int, rng *rand.Rand) (*graph.Graph, error) {
 		add(rng.Intn(n), rng.Intn(n))
 	}
 	// The shuffle starts from (u, v) order, as it always has; starting
-	// from draw order would give other graphs for the same seeds.
-	slices.Sort(keys)
-	rng.Shuffle(len(keys), func(i, j int) { keys[i], keys[j] = keys[j], keys[i] })
+	// from draw order would give other graphs for the same seeds. Two
+	// stable counting passes sort the keys: by v, then by u, through the
+	// set's first m slots, which it no longer needs.
+	cnt := make([]int32, n+1)
+	countingPass(keys, used[:m], cnt, func(k uint64) uint64 { return uint64(uint32(k)) })
+	countingPass(used[:m], keys, cnt, func(k uint64) uint64 { return k >> 32 })
+	for i := len(keys) - 1; i > 0; i-- {
+		j := shuffleDraw(rng, i)
+		keys[i], keys[j] = keys[j], keys[i]
+	}
 	// In shuffled order each edge takes the next insertion port at both
 	// endpoints; that port then goes through its node's permutation.
 	off := make([]int32, n+1)
@@ -370,6 +387,7 @@ func RandomConnected(n, m int, rng *rand.Rand) (*graph.Graph, error) {
 	}
 	perm := portPerms(off, rng)
 	b := graph.NewBuilder(n)
+	b.Grow(m)
 	for _, k := range keys {
 		u, v := k>>32, uint64(uint32(k))
 		b.AddEdge(graph.NodeID(u), int(perm[off[u]]), graph.NodeID(v), int(perm[off[v]]))
@@ -377,6 +395,23 @@ func RandomConnected(n, m int, rng *rand.Rand) (*graph.Graph, error) {
 		off[v]++
 	}
 	return b.Graph()
+}
+
+// countingPass stably moves src into dst in ascending order of key, each
+// key below len(cnt)-1, counting in cnt.
+func countingPass(src, dst []uint64, cnt []int32, key func(uint64) uint64) {
+	clear(cnt)
+	for _, k := range src {
+		cnt[key(k)+1]++
+	}
+	for x := 1; x < len(cnt); x++ {
+		cnt[x] += cnt[x-1]
+	}
+	for _, k := range src {
+		x := key(k)
+		dst[cnt[x]] = k
+		cnt[x]++
+	}
 }
 
 // portPerms draws every node's port permutation in node order, each
@@ -409,6 +444,7 @@ func ShufflePorts(g *graph.Graph, rng *rand.Rand) (*graph.Graph, error) {
 	}
 	perm := portPerms(off, rng)
 	b := graph.NewBuilder(n)
+	b.Grow(g.M())
 	for v := graph.NodeID(0); int(v) < n; v++ {
 		b.SetLabel(v, g.Label(v))
 		for p, h := range g.Ports(v) {

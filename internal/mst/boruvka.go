@@ -314,32 +314,31 @@ type phaseNode struct {
 	done        bool
 }
 
-func (nd *phaseNode) Init() []scheme.Send {
+func (nd *phaseNode) Init(out []scheme.Send) []scheme.Send {
 	if nd.broken {
-		return nil
+		return out
 	}
 	// Step 1: identify ourselves on every port. Values: fragment id, our
 	// port number (so the receiver can compute the edge weight), our label.
-	sends := make([]scheme.Send, 0, nd.info.Degree)
 	for p := 0; p < nd.info.Degree; p++ {
-		sends = append(sends, scheme.Send{Port: p, Msg: scheme.Message{
+		out = append(out, scheme.Send{Port: p, Msg: scheme.Message{
 			Kind:   scheme.KindProbe,
 			Values: []int64{nd.frag, int64(p), nd.info.Label},
 		}})
 	}
 	// A single-node fragment with degree 0 cannot exist in a connected
 	// graph with n > 1; for n == 1 the driver never starts a phase.
-	return sends
+	return out
 }
 
-func (nd *phaseNode) Receive(msg scheme.Message, port int) []scheme.Send {
+func (nd *phaseNode) Receive(msg scheme.Message, port int, out []scheme.Send) []scheme.Send {
 	if nd.broken {
-		return nil
+		return out
 	}
 	switch msg.Kind {
 	case scheme.KindProbe:
 		if len(msg.Values) != 3 {
-			return nil
+			return out
 		}
 		nd.probesSeen++
 		nbrFrag, nbrPort, nbrLabel := msg.Values[0], int(msg.Values[1]), msg.Values[2]
@@ -366,29 +365,29 @@ func (nd *phaseNode) Receive(msg scheme.Message, port int) []scheme.Send {
 		}
 		// len 0: the child subtree had no outgoing edge.
 	default:
-		return nil
+		return out
 	}
-	return nd.maybeReport()
+	return nd.maybeReport(out)
 }
 
 // maybeReport fires the convergecast step when both counters are satisfied.
-func (nd *phaseNode) maybeReport() []scheme.Send {
+func (nd *phaseNode) maybeReport(out []scheme.Send) []scheme.Send {
 	if nd.sentUp || nd.done {
-		return nil
+		return out
 	}
 	if nd.probesSeen < nd.info.Degree || nd.reportsSeen < len(nd.children) {
-		return nil
+		return out
 	}
 	if nd.isRoot {
 		nd.done = true
-		return nil
+		return out
 	}
 	nd.sentUp = true
 	msg := scheme.Message{Kind: scheme.KindUp}
 	if nd.best.valid {
 		msg.Values = []int64{int64(nd.best.w), nd.best.lo, nd.best.hi}
 	}
-	return []scheme.Send{{Port: nd.parent, Msg: msg}}
+	return append(out, scheme.Send{Port: nd.parent, Msg: msg})
 }
 
 // dsu is a union-find over NodeIDs.

@@ -86,8 +86,8 @@ type silentNode struct {
 	parent  int
 }
 
-func (silentNode) Init() []scheme.Send                       { return nil }
-func (silentNode) Receive(scheme.Message, int) []scheme.Send { return nil }
+func (silentNode) Init(out []scheme.Send) []scheme.Send                             { return out }
+func (silentNode) Receive(_ scheme.Message, _ int, out []scheme.Send) []scheme.Send { return out }
 
 // VerifySilent checks that the retained automata's parent ports spell out
 // the exact MST.

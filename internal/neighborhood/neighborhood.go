@@ -200,31 +200,29 @@ type sparseNode struct {
 	awake bool
 }
 
-func (nd *sparseNode) Init() []scheme.Send {
+func (nd *sparseNode) Init(out []scheme.Send) []scheme.Send {
 	if !nd.info.Source {
-		return nil
+		return out
 	}
 	nd.awake = true
-	return nd.forward(-1)
+	return nd.forward(-1, out)
 }
 
-func (nd *sparseNode) Receive(msg scheme.Message, port int) []scheme.Send {
+func (nd *sparseNode) Receive(msg scheme.Message, port int, out []scheme.Send) []scheme.Send {
 	if nd.awake || !msg.Informed {
-		return nil
+		return out
 	}
 	nd.awake = true
-	return nd.forward(port)
+	return nd.forward(port, out)
 }
 
-func (nd *sparseNode) forward(arrival int) []scheme.Send {
-	sends := make([]scheme.Send, 0, len(nd.kept))
+func (nd *sparseNode) forward(arrival int, out []scheme.Send) []scheme.Send {
 	for _, p := range nd.kept {
-		if p == arrival || p < 0 || p >= nd.info.Degree {
-			continue
+		if p != arrival && p >= 0 && p < nd.info.Degree {
+			out = append(out, scheme.Send{Port: p, Msg: scheme.Message{Kind: scheme.KindM}})
 		}
-		sends = append(sends, scheme.Send{Port: p, Msg: scheme.Message{Kind: scheme.KindM}})
 	}
-	return sends
+	return out
 }
 
 // SparseEdgeCount reports how many edges survive the rule on g — the

@@ -64,8 +64,8 @@ type Empty struct{}
 func (Empty) Name() string { return "empty" }
 
 // Advise implements Oracle.
-func (Empty) Advise(*graph.Graph, graph.NodeID) (sim.Advice, error) {
-	return sim.Advice{}, nil
+func (Empty) Advise(g *graph.Graph, _ graph.NodeID) (sim.Advice, error) {
+	return make(sim.Advice, g.N()), nil
 }
 
 // FullMap is the classic "full topology knowledge" assumption expressed as

@@ -79,7 +79,7 @@ func Run(g *graph.Graph, source graph.NodeID, advice sim.Advice, p Protocol, max
 		res.Rounds = round
 		transmitting := make([]bool, n)
 		for v := 0; v < n; v++ {
-			if p.Transmits(advice[graph.NodeID(v)], g.Label(graph.NodeID(v)), informedAt[v], round) {
+			if p.Transmits(advice.Of(graph.NodeID(v)), g.Label(graph.NodeID(v)), informedAt[v], round) {
 				if informedAt[v] < 0 {
 					return nil, fmt.Errorf("radio: %q made uninformed node %d transmit", p.Name(), v)
 				}

@@ -113,14 +113,20 @@ type Send struct {
 // Implementations must not retain or mutate shared state: an automaton's
 // outputs must depend only on its NodeInfo and the sequence of
 // (message, port) deliveries, as in the paper's definition of a scheme.
+//
+// Both methods append their sends to out, a buffer the runtime owns, and
+// return the extended slice, so sending allocates nothing. The runtime
+// consumes the sends before the automaton's next step and passes the
+// buffer again, so an automaton must neither retain out nor send anything
+// but what it appends.
 type Node interface {
-	// Init returns the node's spontaneous sends. Wakeup schemes must
-	// return nil for non-source nodes (nodes other than the source cannot
+	// Init appends the node's spontaneous sends. Wakeup schemes must send
+	// nothing from non-source nodes (nodes other than the source cannot
 	// transmit before being woken).
-	Init() []Send
+	Init(out []Send) []Send
 	// Receive handles a message arriving on the given local port and
-	// returns the sends it triggers.
-	Receive(msg Message, port int) []Send
+	// appends the sends it triggers.
+	Receive(msg Message, port int, out []Send) []Send
 }
 
 // Algorithm builds node automata. One Algorithm value is shared across all

@@ -30,16 +30,16 @@ type countingNode struct {
 	received int
 }
 
-func (c *countingNode) Init() []Send {
+func (c *countingNode) Init(out []Send) []Send {
 	if !c.info.Source {
-		return nil
+		return out
 	}
-	return []Send{{Port: 0, Msg: Message{Kind: KindProbe}}}
+	return append(out, Send{Port: 0, Msg: Message{Kind: KindProbe}})
 }
 
-func (c *countingNode) Receive(Message, int) []Send {
+func (c *countingNode) Receive(_ Message, _ int, out []Send) []Send {
 	c.received++
-	return nil
+	return out
 }
 
 func TestFuncAdapter(t *testing.T) {
@@ -51,17 +51,17 @@ func TestFuncAdapter(t *testing.T) {
 		t.Errorf("Name = %q", algo.Name())
 	}
 	srcNode := algo.NewNode(NodeInfo{Source: true, Degree: 2})
-	if sends := srcNode.Init(); len(sends) != 1 || sends[0].Port != 0 {
+	if sends := srcNode.Init(nil); len(sends) != 1 || sends[0].Port != 0 {
 		t.Errorf("source Init = %v", sends)
 	}
 	other := algo.NewNode(NodeInfo{Degree: 2})
-	if sends := other.Init(); len(sends) != 0 {
+	if sends := other.Init(nil); len(sends) != 0 {
 		t.Errorf("non-source Init = %v", sends)
 	}
 	// Each NewNode call must create independent automata.
 	a := algo.NewNode(NodeInfo{Degree: 1}).(*countingNode)
 	b := algo.NewNode(NodeInfo{Degree: 1}).(*countingNode)
-	a.Receive(Message{}, 0)
+	a.Receive(Message{}, 0, nil)
 	if b.received != 0 {
 		t.Error("automata share state")
 	}

@@ -408,9 +408,7 @@ func TestKeyfileStoreReload(t *testing.T) {
 		}
 	}
 
-	// stale is a second writer that has not seen the edits below, like a
-	// second oracletenant racing the first.
-	admin, stale := open(), open()
+	admin := open()
 	must := func(err error) {
 		t.Helper()
 		if err != nil {
@@ -442,14 +440,13 @@ func TestKeyfileStoreReload(t *testing.T) {
 		edit, undo func()
 	}{
 		{"duplicate key", func() {
-			// The store refuses a twin of a key it knows; one that stale
-			// has not seen gets through.
+			// The store refuses a twin of a key it holds; a racing
+			// writer's twin gets through.
 			if _, err := admin.PutKey(tenant.Spec{Name: "twin", Key: "added-key-0000"}); err == nil {
 				t.Fatal("the store accepted a key another tenant holds")
 			}
-			_, err := stale.PutKey(tenant.Spec{Name: "twin", Key: "added-key-0000"})
-			must(err)
-		}, func() { must(stale.Delete("twin")) }},
+			racingPut(t, filepath.Join(dir, "store"), tenant.Spec{Name: "twin", Key: "added-key-0000"})
+		}, func() { must(admin.Delete("twin")) }},
 		{"no tenants left", func() {
 			for _, name := range []string{"root", "tight", "added"} {
 				must(admin.Delete(name))
@@ -469,27 +466,51 @@ func TestKeyfileStoreReload(t *testing.T) {
 	}
 }
 
+// racingPut appends to the log of dir's tenant store the put of sp as a
+// writer racing another would make it: a writer that has seen none of
+// the store's entries checks sp, and its frame lands after theirs. Each
+// writer folds in the log before it checks a put, but no lock spans
+// processes, so two appends at one instant can still store a shared key.
+func racingPut(t *testing.T, dir string, sp tenant.Spec) {
+	t.Helper()
+	other := t.TempDir()
+	w, err := tenant.OpenStore(other)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.PutKey(sp); err != nil {
+		t.Fatal(err)
+	}
+	w.Close()
+	frame, err := os.ReadFile(filepath.Join(other, "wal.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.OpenFile(filepath.Join(dir, "wal.log"), os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if _, err := f.Write(frame); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestNewRefusesUnbuildableStore: a store with tenants that does not
 // build a registry (here two tenants share one key) must fail New, never
-// come up serving anonymously. One store refuses a second tenant with a
-// key it holds, but two writers that do not see each other's entries can
-// still store one.
+// come up serving anonymously. The store refuses a second tenant with a
+// key it holds, but a racing writer can still store one.
 func TestNewRefusesUnbuildableStore(t *testing.T) {
 	dir := t.TempDir()
-	var writers []*tenant.Store
-	for range 2 {
-		w, err := tenant.OpenStore(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		writers = append(writers, w)
+	w, err := tenant.OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i, name := range []string{"one", "two"} {
-		if _, err := writers[i].PutKey(tenant.Spec{Name: name, Key: "shared-key-000"}); err != nil {
-			t.Fatal(err)
-		}
-		writers[i].Close()
+	if _, err := w.PutKey(tenant.Spec{Name: "one", Key: "shared-key-000"}); err != nil {
+		t.Fatal(err)
 	}
+	w.Close()
+	racingPut(t, dir, tenant.Spec{Name: "two", Key: "shared-key-000"})
 	st, err := tenant.OpenStore(dir)
 	if err != nil {
 		t.Fatal(err)

@@ -78,7 +78,7 @@ func RunConcurrent(g *graph.Graph, source graph.NodeID, algo scheme.Algorithm, a
 	for v := 0; v < n; v++ {
 		v := graph.NodeID(v)
 		node := algo.NewNode(scheme.NodeInfo{
-			Advice: advice[v],
+			Advice: advice.Of(v),
 			Source: v == source,
 			Label:  g.Label(v),
 			Degree: g.Degree(v),
@@ -87,8 +87,9 @@ func RunConcurrent(g *graph.Graph, source graph.NodeID, algo scheme.Algorithm, a
 			defer workers.Done()
 			// Spontaneous sends happen before processing any delivery,
 			// but concurrently with other nodes' activity — genuine
-			// asynchrony.
-			for _, s := range node.Init() {
+			// asynchrony. Each goroutine owns its send buffer.
+			out := node.Init(nil)
+			for _, s := range out {
 				send(v, s)
 			}
 			inflight.Done()
@@ -101,7 +102,8 @@ func RunConcurrent(g *graph.Graph, source graph.NodeID, algo scheme.Algorithm, a
 					informed[v].Store(true)
 				}
 				nodeTime[v] = max(nodeTime[v], d.time)
-				for _, s := range node.Receive(d.msg, d.port) {
+				out = node.Receive(d.msg, d.port, out[:0])
+				for _, s := range out {
 					send(v, s)
 				}
 				inflight.Done()

@@ -130,16 +130,18 @@ func TestMailboxBlockingPop(t *testing.T) {
 // relabelNode exercises per-kind accounting in the concurrent engine.
 type relabelNode struct{ info scheme.NodeInfo }
 
-func (r *relabelNode) Init() []scheme.Send {
+func (r *relabelNode) Init(out []scheme.Send) []scheme.Send {
 	if !r.info.Source {
-		return nil
+		return out
 	}
-	return []scheme.Send{
-		{Port: 0, Msg: scheme.Message{Kind: scheme.KindM}},
-		{Port: 0, Msg: scheme.Message{Kind: scheme.KindHello}},
-	}
+	return append(out,
+		scheme.Send{Port: 0, Msg: scheme.Message{Kind: scheme.KindM}},
+		scheme.Send{Port: 0, Msg: scheme.Message{Kind: scheme.KindHello}},
+	)
 }
-func (r *relabelNode) Receive(scheme.Message, int) []scheme.Send { return nil }
+func (r *relabelNode) Receive(_ scheme.Message, _ int, out []scheme.Send) []scheme.Send {
+	return out
+}
 
 func TestConcurrentByKind(t *testing.T) {
 	g := mustGraph(t)(graphgen.Path(2))

@@ -20,9 +20,12 @@ var ErrMessageBudget = errors.New("sim: message budget exceeded")
 // a non-source node transmitting before its first delivery.
 var ErrWakeupViolation = errors.New("sim: wakeup legality violated")
 
-// Advice maps each node to its oracle string. Missing nodes read as the
-// empty string, matching the paper's convention that f(v) may be empty.
-type Advice map[graph.NodeID]bitstring.String
+// Advice assigns each node its oracle string: advice[v] is f(v) for the
+// dense node IDs 0..n-1. Oracles build it n long, and the oracles on the
+// serving path write every node's string into one bitstring.Arena. Of
+// reads a node past the end (of a nil Advice, say) as the empty string,
+// matching the paper's convention that f(v) may be empty.
+type Advice []bitstring.String
 
 // SizeBits reports the oracle size: the total number of advice bits over
 // all nodes (the paper's size measure).
@@ -32,6 +35,14 @@ func (a Advice) SizeBits() int {
 		total += s.Len()
 	}
 	return total
+}
+
+// Of returns v's string, or the empty string past the end of a.
+func (a Advice) Of(v graph.NodeID) bitstring.String {
+	if int(v) < len(a) {
+		return a[v]
+	}
+	return bitstring.String{}
 }
 
 // Options configures a simulation run.
@@ -100,6 +111,9 @@ type Engine struct {
 	fifo      fifoScheduler
 	kindCount [256]int
 	kindsUsed []scheme.Kind
+	// out is the automata's send buffer: every Init and Receive appends
+	// to it from empty, and emit consumes it before the next step.
+	out []scheme.Send
 }
 
 // NewEngine returns a fresh engine. Buffers are grown on demand by Run and
@@ -208,7 +222,7 @@ func (e *Engine) Run(g *graph.Graph, source graph.NodeID, algo scheme.Algorithm,
 
 	for v := 0; v < n; v++ {
 		e.infos[v] = scheme.NodeInfo{
-			Advice: advice[graph.NodeID(v)],
+			Advice: advice.Of(graph.NodeID(v)),
 			Source: graph.NodeID(v) == source,
 			Label:  g.Label(graph.NodeID(v)),
 			Degree: g.Degree(graph.NodeID(v)),
@@ -283,13 +297,15 @@ func (e *Engine) Run(g *graph.Graph, source graph.NodeID, algo scheme.Algorithm,
 		}
 		e.kindsUsed = e.kindsUsed[:0]
 		// Automata may be retained by the caller; sever the engine's
-		// references either way so pooled reuse cannot alias live state.
+		// references either way so pooled reuse cannot alias live state,
+		// and drop the payloads the send buffer still points to.
 		if err == nil && opts.RetainNodes {
 			res.Nodes = e.nodes
 			e.nodes = nil
 		} else {
 			clear(e.nodes)
 		}
+		clear(e.out[:cap(e.out)])
 		if err != nil {
 			return nil, err
 		}
@@ -299,7 +315,8 @@ func (e *Engine) Run(g *graph.Graph, source graph.NodeID, algo scheme.Algorithm,
 	// Spontaneous phase: every node's Init runs before any delivery, as in
 	// the paper (schemes act on the empty history first).
 	for v := 0; v < n; v++ {
-		if err := emit(graph.NodeID(v), e.nodes[v].Init()); err != nil {
+		e.out = e.nodes[v].Init(e.out[:0])
+		if err := emit(graph.NodeID(v), e.out); err != nil {
 			return finish(err)
 		}
 	}
@@ -337,7 +354,8 @@ func (e *Engine) Run(g *graph.Graph, source graph.NodeID, algo scheme.Algorithm,
 				Msg:  p.Msg,
 			})
 		}
-		if err := emit(p.To, e.nodes[p.To].Receive(p.Msg, p.Port)); err != nil {
+		e.out = e.nodes[p.To].Receive(p.Msg, p.Port, e.out[:0])
+		if err := emit(p.To, e.out); err != nil {
 			return finish(err)
 		}
 	}

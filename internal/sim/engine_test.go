@@ -19,31 +19,29 @@ type floodNode struct {
 	informed bool
 }
 
-func (f *floodNode) Init() []scheme.Send {
+func (f *floodNode) Init(out []scheme.Send) []scheme.Send {
 	if !f.info.Source {
-		return nil
+		return out
 	}
 	f.informed = true
-	return sendOnAll(f.info.Degree, -1)
+	return sendOnAll(out, f.info.Degree, -1)
 }
 
-func (f *floodNode) Receive(msg scheme.Message, port int) []scheme.Send {
+func (f *floodNode) Receive(msg scheme.Message, port int, out []scheme.Send) []scheme.Send {
 	if !msg.Informed || f.informed {
-		return nil
+		return out
 	}
 	f.informed = true
-	return sendOnAll(f.info.Degree, port)
+	return sendOnAll(out, f.info.Degree, port)
 }
 
-func sendOnAll(degree, except int) []scheme.Send {
-	sends := make([]scheme.Send, 0, degree)
+func sendOnAll(out []scheme.Send, degree, except int) []scheme.Send {
 	for p := 0; p < degree; p++ {
-		if p == except {
-			continue
+		if p != except {
+			out = append(out, scheme.Send{Port: p, Msg: scheme.Message{Kind: scheme.KindM}})
 		}
-		sends = append(sends, scheme.Send{Port: p, Msg: scheme.Message{Kind: scheme.KindM}})
 	}
-	return sends
+	return out
 }
 
 func flooding() scheme.Algorithm {
@@ -55,8 +53,8 @@ func flooding() scheme.Algorithm {
 // silentNode never transmits; used to test non-completion reporting.
 type silentNode struct{}
 
-func (silentNode) Init() []scheme.Send                       { return nil }
-func (silentNode) Receive(scheme.Message, int) []scheme.Send { return nil }
+func (silentNode) Init(out []scheme.Send) []scheme.Send                             { return out }
+func (silentNode) Receive(_ scheme.Message, _ int, out []scheme.Send) []scheme.Send { return out }
 
 func silent() scheme.Algorithm {
 	return scheme.Func{AlgoName: "silent", New: func(scheme.NodeInfo) scheme.Node { return silentNode{} }}
@@ -66,10 +64,10 @@ func silent() scheme.Algorithm {
 // legality enforcement.
 type chattyNode struct{ info scheme.NodeInfo }
 
-func (c *chattyNode) Init() []scheme.Send {
-	return sendOnAll(c.info.Degree, -1)
+func (c *chattyNode) Init(out []scheme.Send) []scheme.Send {
+	return sendOnAll(out, c.info.Degree, -1)
 }
-func (c *chattyNode) Receive(scheme.Message, int) []scheme.Send { return nil }
+func (c *chattyNode) Receive(_ scheme.Message, _ int, out []scheme.Send) []scheme.Send { return out }
 
 func chatty() scheme.Algorithm {
 	return scheme.Func{AlgoName: "chatty", New: func(info scheme.NodeInfo) scheme.Node {
@@ -81,14 +79,14 @@ func chatty() scheme.Algorithm {
 // infinite loop used to test the message budget.
 type pingPongNode struct{ info scheme.NodeInfo }
 
-func (p *pingPongNode) Init() []scheme.Send {
+func (p *pingPongNode) Init(out []scheme.Send) []scheme.Send {
 	if !p.info.Source {
-		return nil
+		return out
 	}
-	return []scheme.Send{{Port: 0, Msg: scheme.Message{Kind: scheme.KindProbe}}}
+	return append(out, scheme.Send{Port: 0, Msg: scheme.Message{Kind: scheme.KindProbe}})
 }
-func (p *pingPongNode) Receive(_ scheme.Message, port int) []scheme.Send {
-	return []scheme.Send{{Port: port, Msg: scheme.Message{Kind: scheme.KindProbe}}}
+func (p *pingPongNode) Receive(_ scheme.Message, port int, out []scheme.Send) []scheme.Send {
+	return append(out, scheme.Send{Port: port, Msg: scheme.Message{Kind: scheme.KindProbe}})
 }
 
 func pingPong() scheme.Algorithm {
@@ -195,13 +193,15 @@ func TestInvalidPortRejected(t *testing.T) {
 
 type chattyBadPort struct{ info scheme.NodeInfo }
 
-func (c *chattyBadPort) Init() []scheme.Send {
+func (c *chattyBadPort) Init(out []scheme.Send) []scheme.Send {
 	if !c.info.Source {
-		return nil
+		return out
 	}
-	return []scheme.Send{{Port: c.info.Degree, Msg: scheme.Message{Kind: scheme.KindProbe}}}
+	return append(out, scheme.Send{Port: c.info.Degree, Msg: scheme.Message{Kind: scheme.KindProbe}})
 }
-func (c *chattyBadPort) Receive(scheme.Message, int) []scheme.Send { return nil }
+func (c *chattyBadPort) Receive(_ scheme.Message, _ int, out []scheme.Send) []scheme.Send {
+	return out
+}
 
 func TestInvalidSourceRejected(t *testing.T) {
 	g := mustGraph(t)(graphgen.Path(3))

@@ -47,7 +47,7 @@ type Output struct {
 func Build(g *graph.Graph, advice sim.Advice, sel Selector) (*Output, error) {
 	keep := make(map[graph.Edge]bool)
 	for v := graph.NodeID(0); int(v) < g.N(); v++ {
-		ports, err := sel.Keep(advice[v], g.Degree(v))
+		ports, err := sel.Keep(advice.Of(v), g.Degree(v))
 		if err != nil {
 			return nil, fmt.Errorf("spanner: node %d: %w", v, err)
 		}

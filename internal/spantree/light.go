@@ -18,26 +18,28 @@ import (
 // n/2^(k-1) of them, and each selected edge has weight at most |T|-1 < 2^k,
 // costing at most k bits — so phase k contributes at most k·n/2^(k-1) bits
 // and the total is at most 4n.
+//
+// Each phase finds every node's tree once, then picks each small tree's
+// minimum outgoing edge in one pass over the CSR ports: weight first, then
+// canonical order. In a simple graph (weight, U, V) names one edge, so the
+// pick does not depend on the order the pass meets the candidates.
 func Light(g *graph.Graph) ([]graph.Edge, error) {
 	n := g.N()
 	if n == 0 {
 		return nil, errors.New("spantree: empty graph")
-	}
-	if !g.Connected() {
-		return nil, errors.New("spantree: graph is not connected")
 	}
 	if n == 1 {
 		return nil, nil
 	}
 
 	dsu := newDSU(n)
-	// The member list of each tree is kept as an intrusive linked list
-	// (head/tail per representative, one next pointer per node), so unions
-	// concatenate in O(1) without per-tree slices.
-	members := newMemberLists(n)
+	comp := make([]graph.NodeID, n) // comp[v]: v's tree representative this phase
+	// best[r] is the lightest edge leaving r's tree found so far in this
+	// phase, valid when bestW[r] >= 0.
+	best := make([]graph.Edge, n)
+	bestW := make([]int, n)
 	treeEdges := make([]graph.Edge, 0, n-1)
-	reps := make([]graph.NodeID, 0, n)
-	var selected []graph.Edge
+	selected := make([]graph.Edge, 0, n) // phase 1 selects an edge per node
 
 	trees := n
 	for k := 1; trees > 1; k++ {
@@ -45,24 +47,36 @@ func Light(g *graph.Graph) ([]graph.Edge, error) {
 			return nil, fmt.Errorf("spantree: phase bound exceeded (n=%d)", n)
 		}
 		threshold := 1 << uint(k)
-		// Collect the current tree representatives.
-		reps = reps[:0]
-		for v := 0; v < n; v++ {
-			if dsu.find(graph.NodeID(v)) == graph.NodeID(v) {
-				reps = append(reps, graph.NodeID(v))
-			}
+		for v := range comp {
+			comp[v] = dsu.find(graph.NodeID(v))
+			bestW[v] = -1
 		}
 		// Select, for each small tree, its minimum-weight outgoing edge.
-		selected = selected[:0]
-		for _, r := range reps {
+		for v, r := range comp {
 			if dsu.size[r] >= threshold {
 				continue
 			}
-			e, ok := minOutgoing(g, dsu, members, r)
-			if !ok {
-				return nil, fmt.Errorf("spantree: tree at %d has no outgoing edge in a connected graph", r)
+			for p, h := range g.Ports(graph.NodeID(v)) {
+				w, bw := min(p, h.ToPort), bestW[r]
+				if comp[h.To] == r || (bw >= 0 && w > bw) {
+					continue
+				}
+				e := graph.Edge{U: graph.NodeID(v), V: h.To, PU: p, PV: h.ToPort}.Canonical()
+				if bw < 0 || w < bw || edgeLess(e, best[r]) {
+					best[r], bestW[r] = e, w
+				}
 			}
-			selected = append(selected, e)
+		}
+		selected = selected[:0]
+		for v, r := range comp {
+			if r != graph.NodeID(v) || dsu.size[r] >= threshold {
+				continue
+			}
+			if bestW[r] < 0 {
+				// A small tree with no edge out is a whole component.
+				return nil, errors.New("spantree: graph is not connected")
+			}
+			selected = append(selected, best[r])
 		}
 		// Deterministic merge order.
 		slices.SortFunc(selected, func(a, b graph.Edge) int {
@@ -82,68 +96,12 @@ func Light(g *graph.Graph) ([]graph.Edge, error) {
 			if ru == rv {
 				continue
 			}
-			root := dsu.union(ru, rv)
-			other := ru
-			if other == root {
-				other = rv
-			}
-			members.concat(root, other)
+			dsu.union(ru, rv)
 			treeEdges = append(treeEdges, e)
 			trees--
 		}
 	}
 	return treeEdges, nil
-}
-
-// memberLists tracks the nodes of each forest tree as intrusive linked
-// lists keyed by DSU representative.
-type memberLists struct {
-	head []int32
-	tail []int32
-	next []int32 // -1 terminates
-}
-
-func newMemberLists(n int) *memberLists {
-	m := &memberLists{
-		head: make([]int32, n),
-		tail: make([]int32, n),
-		next: make([]int32, n),
-	}
-	for v := 0; v < n; v++ {
-		m.head[v] = int32(v)
-		m.tail[v] = int32(v)
-		m.next[v] = -1
-	}
-	return m
-}
-
-// concat appends the list of other onto root's.
-func (m *memberLists) concat(root, other graph.NodeID) {
-	m.next[m.tail[root]] = m.head[other]
-	m.tail[root] = m.tail[other]
-}
-
-// minOutgoing finds a minimum-weight edge from the tree rooted at the DSU
-// representative r to the rest of the graph, breaking ties by canonical
-// edge order. ok is false when no outgoing edge exists.
-func minOutgoing(g *graph.Graph, dsu *dsu, members *memberLists, r graph.NodeID) (graph.Edge, bool) {
-	var best graph.Edge
-	bestW := -1
-	for i := members.head[r]; i >= 0; i = members.next[i] {
-		v := graph.NodeID(i)
-		for p := 0; p < g.Degree(v); p++ {
-			u, q := g.Neighbor(v, p)
-			if dsu.find(u) == r {
-				continue
-			}
-			e := graph.Edge{U: v, V: u, PU: p, PV: q}.Canonical()
-			w := Weight(e)
-			if bestW < 0 || w < bestW || (w == bestW && edgeLess(e, best)) {
-				best, bestW = e, w
-			}
-		}
-	}
-	return best, bestW >= 0
 }
 
 func edgeLess(a, b graph.Edge) bool {
@@ -176,15 +134,14 @@ func (d *dsu) find(v graph.NodeID) graph.NodeID {
 	return v
 }
 
-// union merges the trees of a and b (which must be distinct representatives)
-// and returns the surviving representative.
-func (d *dsu) union(a, b graph.NodeID) graph.NodeID {
+// union merges the trees of a and b, which must be distinct
+// representatives.
+func (d *dsu) union(a, b graph.NodeID) {
 	if d.size[a] < d.size[b] {
 		a, b = b, a
 	}
 	d.parent[b] = a
 	d.size[a] += d.size[b]
-	return a
 }
 
 // Prim builds a classical minimum-weight spanning tree under the same edge

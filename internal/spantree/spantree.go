@@ -174,14 +174,13 @@ func (t *Tree) fillChildren() {
 // BFS returns the breadth-first spanning tree of g rooted at root — the
 // paper's Theorem 2.1 uses "any spanning tree"; BFS is the canonical choice.
 func BFS(g *graph.Graph, root graph.NodeID) (*Tree, error) {
-	if !g.Connected() {
+	res := g.BFS(root)
+	if len(res.Order) != g.N() {
 		return nil, errors.New("spantree: graph is not connected")
 	}
-	res := g.BFS(root)
-	t := newTree(g.N(), root)
-	copy(t.Parent, res.Parent)
-	copy(t.ParentPort, res.ParentPort)
-	copy(t.ChildPort, res.ChildPort)
+	// The search's arrays are fresh and mark the root as the tree does
+	// (-1), so the tree takes them over.
+	t := &Tree{Root: root, Parent: res.Parent, ParentPort: res.ParentPort, ChildPort: res.ChildPort}
 	t.fillChildren()
 	return t, nil
 }

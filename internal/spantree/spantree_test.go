@@ -94,6 +94,23 @@ func TestTreesRejectDisconnected(t *testing.T) {
 	if _, err := Prim(g); err == nil {
 		t.Error("Prim accepted disconnected graph")
 	}
+	// A path on 0..5 and an edge {6, 7}: Light meets the edge's tree with
+	// nothing leaving it in phase 2, while the path's trees still merge.
+	// BFS and Light find disconnection in their own passes and must say
+	// what the up-front connectivity check said.
+	b = graph.NewBuilder(8)
+	for v := graph.NodeID(0); v < 5; v++ {
+		b.AddEdgeAuto(v, v+1)
+	}
+	b.AddEdgeAuto(6, 7)
+	g = mustGraph(t)(b.Graph())
+	const want = "spantree: graph is not connected"
+	if _, err := BFS(g, 6); err == nil || err.Error() != want {
+		t.Errorf("BFS from the small component: err = %v, want %q", err, want)
+	}
+	if _, err := Light(g); err == nil || err.Error() != want {
+		t.Errorf("Light: err = %v, want %q", err, want)
+	}
 }
 
 func TestChildrenConsistent(t *testing.T) {

@@ -470,8 +470,12 @@ func (st *Store) Put(specs ...StoredSpec) error {
 // putLocked upserts specs once the tenants they leave stored build a
 // registry: the store refuses what a daemon would refuse to load
 // (NewStoredRegistry), such as a key another tenant holds or more than
-// MaxTenants tenants. Callers hold st.mu.
+// MaxTenants tenants. It checks against the log as it stands, other
+// processes' frames folded in first. Callers hold st.mu.
 func (st *Store) putLocked(specs ...StoredSpec) error {
+	if _, err := st.syncLocked(); err != nil {
+		return err
+	}
 	// The stored tenants go first, so a clash names a tenant being put.
 	next := make([]StoredSpec, 0, len(st.specs)+len(specs))
 	for name, s := range st.specs {
@@ -554,6 +558,9 @@ func (st *Store) Rotate(name, newKey string, overlap time.Duration, now time.Tim
 	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
+	if _, err := st.syncLocked(); err != nil {
+		return StoredSpec{}, err
+	}
 	cur, ok := st.specs[name]
 	if !ok {
 		return StoredSpec{}, fmt.Errorf("tenant: no stored tenant %q", name)
@@ -579,6 +586,9 @@ func (st *Store) Rotate(name, newKey string, overlap time.Duration, now time.Tim
 func (st *Store) Delete(name string) error {
 	st.mu.Lock()
 	defer st.mu.Unlock()
+	if _, err := st.syncLocked(); err != nil {
+		return err
+	}
 	if _, ok := st.specs[name]; !ok {
 		return fmt.Errorf("tenant: no stored tenant %q", name)
 	}

@@ -437,6 +437,35 @@ func TestStoreRefusesSharedKey(t *testing.T) {
 	unchanged("twin add")
 }
 
+// TestStoreChecksAgainstOtherWriters: two handles on one directory, as an
+// oracletenant process beside a daemon. Once A has stored root's key, B's
+// put of a twin with that key and B's rotation of ops onto it both fail,
+// though B had not seen root: B folds in A's frames before it checks. B
+// then holds root and ops only, and the directory still builds a registry.
+func TestStoreChecksAgainstOtherWriters(t *testing.T) {
+	dir := t.TempDir()
+	a := openTestStore(t, dir)
+	if _, err := a.PutKey(Spec{Name: "ops", Key: "ops-key-000000"}); err != nil {
+		t.Fatal(err)
+	}
+	b := openTestStore(t, dir)
+	if _, err := a.PutKey(Spec{Name: "root", Key: "root-key-00000"}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b.PutKey(Spec{Name: "twin", Key: "root-key-00000"}); err == nil || !strings.Contains(err.Error(), "already registered") {
+		t.Errorf("B's twin put: err = %v, want a shared-key refusal", err)
+	}
+	if _, err := b.Rotate("ops", "root-key-00000", time.Hour, time.Unix(0, 0)); err == nil || !strings.Contains(err.Error(), "already registered") {
+		t.Errorf("B's rotation onto root's key: err = %v, want a shared-key refusal", err)
+	}
+	if got := b.Len(); got != 2 {
+		t.Errorf("B holds %d tenants, want root and ops", got)
+	}
+	if _, _, err := openTestStore(t, dir).Registry(); err != nil {
+		t.Errorf("reopened store builds no registry: %v", err)
+	}
+}
+
 // TestStoreRotateRefusesSharedKey: rotating one tenant onto another's key
 // fails and writes nothing.
 func TestStoreRotateRefusesSharedKey(t *testing.T) {

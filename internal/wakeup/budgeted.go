@@ -78,44 +78,42 @@ type hybridNode struct {
 	awake bool
 }
 
-func (nd *hybridNode) Init() []scheme.Send {
+func (nd *hybridNode) Init(out []scheme.Send) []scheme.Send {
 	if !nd.info.Source {
-		return nil
+		return out
 	}
 	nd.awake = true
-	return nd.forward(-1)
+	return nd.forward(-1, out)
 }
 
-func (nd *hybridNode) Receive(msg scheme.Message, port int) []scheme.Send {
+func (nd *hybridNode) Receive(msg scheme.Message, port int, out []scheme.Send) []scheme.Send {
 	if nd.awake || !msg.Informed {
-		return nil
+		return out
 	}
 	nd.awake = true
-	return nd.forward(port)
+	return nd.forward(port, out)
 }
 
-func (nd *hybridNode) forward(arrival int) []scheme.Send {
+func (nd *hybridNode) forward(arrival int, out []scheme.Send) []scheme.Send {
 	if nd.info.Advice.Empty() {
-		return floodSends(nd.info.Degree, arrival)
+		return floodSends(out, nd.info.Degree, arrival)
 	}
 	r := bitstring.NewReader(nd.info.Advice)
 	marker, err := r.ReadBit()
 	if err != nil || !marker {
-		return floodSends(nd.info.Degree, arrival)
+		return floodSends(out, nd.info.Degree, arrival)
 	}
 	rest := nd.info.Advice.Slice(1, nd.info.Advice.Len())
 	ports, err := DecodeChildPorts(rest)
 	if err != nil {
-		return floodSends(nd.info.Degree, arrival)
+		return floodSends(out, nd.info.Degree, arrival)
 	}
-	sends := make([]scheme.Send, 0, len(ports))
 	for _, p := range ports {
-		if p < 0 || p >= nd.info.Degree {
-			continue
+		if p >= 0 && p < nd.info.Degree {
+			out = append(out, scheme.Send{Port: p, Msg: scheme.Message{Kind: scheme.KindM}})
 		}
-		sends = append(sends, scheme.Send{Port: p, Msg: scheme.Message{Kind: scheme.KindM}})
 	}
-	return sends
+	return out
 }
 
 // FullMapAlgorithm consumes oracle.FullMap advice: every node decodes the
@@ -138,47 +136,44 @@ type fullMapNode struct {
 	awake bool
 }
 
-func (nd *fullMapNode) Init() []scheme.Send {
+func (nd *fullMapNode) Init(out []scheme.Send) []scheme.Send {
 	if !nd.info.Source {
-		return nil
+		return out
 	}
 	nd.awake = true
-	return nd.forward()
+	return nd.forward(out)
 }
 
-func (nd *fullMapNode) Receive(msg scheme.Message, _ int) []scheme.Send {
+func (nd *fullMapNode) Receive(msg scheme.Message, _ int, out []scheme.Send) []scheme.Send {
 	if nd.awake || !msg.Informed {
-		return nil
+		return out
 	}
 	nd.awake = true
-	return nd.forward()
+	return nd.forward(out)
 }
 
-func (nd *fullMapNode) forward() []scheme.Send {
+func (nd *fullMapNode) forward(out []scheme.Send) []scheme.Send {
 	r := bitstring.NewReader(nd.info.Advice)
 	g, err := oracle.DecodeGraphReader(r)
 	if err != nil {
-		return nil
+		return out
 	}
 	src64, err := r.ReadFixed(oracle.FieldWidth(g.N()))
 	if err != nil {
-		return nil
+		return out
 	}
 	self, ok := g.NodeByLabel(nd.info.Label)
 	if !ok {
-		return nil
+		return out
 	}
 	tree, err := spantree.BFS(g, graph.NodeID(src64))
 	if err != nil {
-		return nil
+		return out
 	}
-	kids := tree.Children(self)
-	sends := make([]scheme.Send, 0, len(kids))
-	for _, c := range kids {
-		if c.Port < 0 || c.Port >= nd.info.Degree {
-			continue
+	for _, c := range tree.Children(self) {
+		if c.Port >= 0 && c.Port < nd.info.Degree {
+			out = append(out, scheme.Send{Port: c.Port, Msg: scheme.Message{Kind: scheme.KindM}})
 		}
-		sends = append(sends, scheme.Send{Port: c.Port, Msg: scheme.Message{Kind: scheme.KindM}})
 	}
-	return sends
+	return out
 }

@@ -71,22 +71,22 @@ func (o Oracle) Advise(g *graph.Graph, source graph.NodeID) (sim.Advice, error) 
 		return nil, err
 	}
 	// Port numbers are < n; the paper uses exactly ceil(log n)-bit fields.
-	width := oracle.FieldWidth(g.N())
-	advice := make(sim.Advice, g.N())
-	var w bitstring.Writer
-	for v := graph.NodeID(0); int(v) < g.N(); v++ {
+	n, width := g.N(), oracle.FieldWidth(g.N())
+	// At most n headers and n-1 fields.
+	var arena bitstring.Arena
+	arena.Grow(n, n*(bitstring.DoubledLen(uint64(width))+width))
+	for v := graph.NodeID(0); int(v) < n; v++ {
+		w := arena.Begin()
 		kids := tree.Children(v)
 		if len(kids) == 0 {
 			continue // leaves get the empty string
 		}
-		w.Reset()
 		w.AppendDoubled(uint64(width))
 		for _, c := range kids {
 			w.WriteFixed(uint64(c.Port), width)
 		}
-		advice[v] = w.String()
 	}
-	return advice, nil
+	return arena.Strings(make(sim.Advice, 0, n)), nil
 }
 
 func (o Oracle) buildTree(g *graph.Graph, source graph.NodeID) (*spantree.Tree, error) {
@@ -159,7 +159,7 @@ func (Algorithm) Name() string { return "wakeup-tree" }
 
 // NewNode implements scheme.Algorithm.
 func (Algorithm) NewNode(info scheme.NodeInfo) scheme.Node {
-	return &node{info: info}
+	return &node{advice: info.Advice, degree: info.Degree, source: info.Source}
 }
 
 // NewNodes implements scheme.NodeBatcher: all automata of a run share one
@@ -167,58 +167,61 @@ func (Algorithm) NewNode(info scheme.NodeInfo) scheme.Node {
 func (Algorithm) NewNodes(infos []scheme.NodeInfo, dst []scheme.Node) {
 	backing := make([]node, len(infos))
 	for i, info := range infos {
-		backing[i].info = info
+		backing[i] = node{advice: info.Advice, degree: info.Degree, source: info.Source}
 		dst[i] = &backing[i]
 	}
 }
 
+// node keeps the part of its NodeInfo the scheme reads: it is anonymous,
+// so no label.
 type node struct {
-	info  scheme.NodeInfo
-	awake bool
+	advice        bitstring.String
+	degree        int
+	source, awake bool
 }
 
-func (nd *node) Init() []scheme.Send {
-	if !nd.info.Source {
-		return nil // the defining wakeup constraint
+func (nd *node) Init(out []scheme.Send) []scheme.Send {
+	if !nd.source {
+		return out // the defining wakeup constraint
 	}
 	nd.awake = true
-	return nd.forward()
+	return nd.forward(out)
 }
 
-func (nd *node) Receive(msg scheme.Message, _ int) []scheme.Send {
+func (nd *node) Receive(msg scheme.Message, _ int, out []scheme.Send) []scheme.Send {
 	if nd.awake || !msg.Informed {
-		return nil
+		return out
 	}
 	nd.awake = true
-	return nd.forward()
+	return nd.forward(out)
 }
 
-func (nd *node) forward() []scheme.Send {
+func (nd *node) forward(out []scheme.Send) []scheme.Send {
 	// Decode straight into the send list with a stack Reader; semantically
 	// DecodeChildPorts followed by the port-validity filter, without the
 	// intermediate ports slice. Malformed advice means a buggy oracle
 	// pairing — a scheme has no error channel, so it surfaces as a stalled
 	// (incomplete) run.
-	if nd.info.Advice.Empty() {
-		return nil
+	if nd.advice.Empty() {
+		return out
 	}
 	var r bitstring.Reader
-	r.Reset(nd.info.Advice)
+	r.Reset(nd.advice)
 	width64, err := r.ReadDoubled()
 	if err != nil {
-		return nil
+		return out
 	}
 	width := int(width64)
 	if width <= 0 || width > 62 || r.Remaining()%width != 0 {
-		return nil
+		return out
 	}
-	sends := make([]scheme.Send, 0, r.Remaining()/width)
+	sends := out
 	for r.Remaining() > 0 {
 		p64, err := r.ReadFixed(width)
 		if err != nil {
-			return nil
+			return out
 		}
-		if p := int(p64); p >= 0 && p < nd.info.Degree {
+		if p := int(p64); p >= 0 && p < nd.degree {
 			sends = append(sends, scheme.Send{Port: p, Msg: scheme.Message{Kind: scheme.KindM}})
 		}
 	}
@@ -252,29 +255,28 @@ type floodNode struct {
 	awake bool
 }
 
-func (nd *floodNode) Init() []scheme.Send {
+func (nd *floodNode) Init(out []scheme.Send) []scheme.Send {
 	if !nd.info.Source {
-		return nil
+		return out
 	}
 	nd.awake = true
-	return floodSends(nd.info.Degree, -1)
+	return floodSends(out, nd.info.Degree, -1)
 }
 
-func (nd *floodNode) Receive(msg scheme.Message, port int) []scheme.Send {
+func (nd *floodNode) Receive(msg scheme.Message, port int, out []scheme.Send) []scheme.Send {
 	if nd.awake || !msg.Informed {
-		return nil
+		return out
 	}
 	nd.awake = true
-	return floodSends(nd.info.Degree, port)
+	return floodSends(out, nd.info.Degree, port)
 }
 
-func floodSends(degree, except int) []scheme.Send {
-	sends := make([]scheme.Send, 0, degree)
+// floodSends appends the source message on every port but except.
+func floodSends(out []scheme.Send, degree, except int) []scheme.Send {
 	for p := 0; p < degree; p++ {
-		if p == except {
-			continue
+		if p != except {
+			out = append(out, scheme.Send{Port: p, Msg: scheme.Message{Kind: scheme.KindM}})
 		}
-		sends = append(sends, scheme.Send{Port: p, Msg: scheme.Message{Kind: scheme.KindM}})
 	}
-	return sends
+	return out
 }

@@ -45,8 +45,8 @@ type (
 	NodeID = graph.NodeID
 	// GraphBuilder assembles graphs edge by edge.
 	GraphBuilder = graph.Builder
-	// Advice maps nodes to oracle strings; its SizeBits is the paper's
-	// oracle-size measure.
+	// Advice holds every node's oracle string, indexed by NodeID; its
+	// SizeBits is the paper's oracle-size measure.
 	Advice = sim.Advice
 	// Algorithm is a distributed scheme (one automaton per node).
 	Algorithm = scheme.Algorithm

@@ -34,6 +34,43 @@ func TestPublicWakeupAndBroadcast(t *testing.T) {
 	}
 }
 
+// raceEnabled is set in -race builds (race_test.go).
+var raceEnabled bool
+
+// TestPublicRunAllocationsFlat: a whole Wakeup or Broadcast (oracle plus
+// simulation) allocates as many times at n = 1,024 as at n = 256. Advice
+// lives in one arena, sends in the engine's buffer and the automata in
+// one backing array, so a count that grows with n is a per-node
+// allocation come back.
+func TestPublicRunAllocationsFlat(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop pooled engines at random, so counts vary")
+	}
+	for _, tc := range []struct {
+		name string
+		run  func(*Graph, NodeID) (Report, error)
+	}{{"Wakeup", Wakeup}, {"Broadcast", Broadcast}} {
+		var allocs [2]float64
+		for i, n := range []int{256, 1024} {
+			g, err := RandomNetwork(n, 4*n, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			run := func() {
+				if r, err := tc.run(g, 0); err != nil || !r.Complete {
+					t.Fatalf("%s at n=%d: %+v, %v", tc.name, n, r, err)
+				}
+			}
+			run() // warm the pooled engine
+			allocs[i] = testing.AllocsPerRun(20, run)
+		}
+		t.Logf("%s: %.0f allocations at n=256, %.0f at n=1024", tc.name, allocs[0], allocs[1])
+		if allocs[0] != allocs[1] {
+			t.Errorf("%s allocates %.0f times at n=256 but %.0f at n=1024", tc.name, allocs[0], allocs[1])
+		}
+	}
+}
+
 func TestSeparationGrowsWithN(t *testing.T) {
 	var prev float64
 	for _, n := range []int{64, 256, 1024} {
