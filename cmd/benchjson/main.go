@@ -15,6 +15,9 @@
 //	public-broadcast   Broadcast(g, source): oracle + simulation per op
 //	engine-wakeup      reused sim.Engine, advice precomputed: simulation only
 //	engine-broadcast   reused sim.Engine, advice precomputed: simulation only
+//	engine-flooding    reused sim.Engine, wakeup flooding: no advice and
+//	                   2m-(n-1) messages, the baseline every campaign runs
+//	                   beside the paper's schemes
 //	advice-wakeup, advice-broadcast, advice-gossip, advice-election
 //	                   the task's bounded catalog scheme's oracle on g per op
 //	graph-build        RandomNetwork: generator + CSR construction per op
@@ -37,7 +40,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math/rand"
 	"os"
 	"runtime"
 	"testing"
@@ -128,7 +130,7 @@ func run(args []string, out, errOut io.Writer) int {
 		return 1
 	}
 
-	wakeupEngine, broadcastEngine := sim.NewEngine(), sim.NewEngine()
+	wakeupEngine, broadcastEngine, floodingEngine := sim.NewEngine(), sim.NewEngine(), sim.NewEngine()
 	type bench struct {
 		name string
 		op   func() (adviceBits, messages int, err error)
@@ -157,6 +159,13 @@ func run(args []string, out, errOut io.Writer) int {
 				return 0, 0, err
 			}
 			return broadcastAdvice.SizeBits(), res.Messages, nil
+		}},
+		{"engine-flooding", func() (int, int, error) {
+			res, err := floodingEngine.Run(g, 0, wakeup.Flooding{}, nil, sim.Options{EnforceWakeup: true})
+			if err != nil {
+				return 0, 0, err
+			}
+			return 0, res.Messages, nil
 		}},
 	}
 	for _, task := range []string{"wakeup", "broadcast", "gossip", "election"} {
@@ -190,7 +199,7 @@ func run(args []string, out, errOut io.Writer) int {
 		}
 		var ops int64
 		benches = append(benches, bench{"graph-build-" + name, func() (int, int, error) {
-			_, err := fam.Generate(*n, rand.New(rand.NewSource(nextSeed(&ops))))
+			_, err := fam.Generate(*n, nextSeed(&ops))
 			return 0, 0, err
 		}})
 	}

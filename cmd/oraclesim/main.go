@@ -21,7 +21,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math/rand"
 	"os"
 	"strings"
 
@@ -60,7 +59,7 @@ func run(args []string, out, errOut io.Writer) int {
 	if err != nil {
 		return fail(errOut, err)
 	}
-	g, err := fam.Generate(*n, rand.New(rand.NewSource(*seed)))
+	g, err := fam.Generate(*n, *seed)
 	if err != nil {
 		return fail(errOut, err)
 	}

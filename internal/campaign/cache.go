@@ -2,7 +2,6 @@ package campaign
 
 import (
 	"encoding/binary"
-	"math/rand"
 	"sync"
 	"sync/atomic"
 
@@ -69,7 +68,7 @@ func NewCache(capacity, shards int) *Cache {
 // requests that agree on (family, n, seed) therefore share one graph.
 func (c *Cache) Graph(fam graphgen.Family, n int, seed int64) (*graph.Graph, error) {
 	if c == nil {
-		return generate(fam, n, seed)
+		return fam.Generate(n, seed)
 	}
 	// The key is the generation function's full input: the length-prefixed
 	// family name, n and seed.
@@ -94,22 +93,9 @@ func (c *Cache) Graph(fam graphgen.Family, n int, seed int64) (*graph.Graph, err
 		c.misses.Add(1)
 	}
 	e.once.Do(func() {
-		e.g, e.err = generate(fam, n, seed)
+		e.g, e.err = fam.Generate(n, seed)
 	})
 	return e.g, e.err
-}
-
-// rngPool holds generators for reuse: rand.NewSource allocates a 4.9 KB
-// state for every graph, and Seed refills one in place with the stream a
-// fresh source of that seed draws.
-var rngPool = sync.Pool{New: func() any { return rand.New(rand.NewSource(1)) }}
-
-// generate builds fam's instance at n from a generator seeded with seed.
-func generate(fam graphgen.Family, n int, seed int64) (*graph.Graph, error) {
-	rng := rngPool.Get().(*rand.Rand)
-	defer rngPool.Put(rng)
-	rng.Seed(seed)
-	return fam.Generate(n, rng)
 }
 
 // CacheStats is a point-in-time snapshot of instance-cache effectiveness.

@@ -107,7 +107,7 @@ func TestBounds(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		g, err := fam.Generate(64, rand.New(rand.NewSource(1)))
+		g, err := fam.Generate(64, 1)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

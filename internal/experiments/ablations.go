@@ -36,7 +36,7 @@ func E9Gossip(cfg Config) (*Table, error) {
 			return nil, err
 		}
 		for _, n := range sizes {
-			g, err := fam.Generate(n, cfg.rng(9000+int64(n)))
+			g, err := fam.Generate(n, cfg.seed(9000+int64(n)))
 			if err != nil {
 				return nil, err
 			}
@@ -93,7 +93,7 @@ func E10TreeAblation(cfg Config) (*Table, error) {
 			return nil, err
 		}
 		for _, n := range sizes {
-			g, err := fam.Generate(n, cfg.rng(10000+int64(n)))
+			g, err := fam.Generate(n, cfg.seed(10000+int64(n)))
 			if err != nil {
 				return nil, err
 			}
@@ -137,7 +137,7 @@ func E11CodecAblation(cfg Config) (*Table, error) {
 			return nil, err
 		}
 		for _, n := range sizes {
-			g, err := fam.Generate(n, cfg.rng(11000+int64(n)))
+			g, err := fam.Generate(n, cfg.seed(11000+int64(n)))
 			if err != nil {
 				return nil, err
 			}

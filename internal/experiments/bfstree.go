@@ -85,5 +85,5 @@ func buildE16Graph(fname string, n int, cfg Config) (*graph.Graph, error) {
 	if err != nil {
 		return nil, err
 	}
-	return fam.Generate(n, cfg.rng(16000+int64(n)))
+	return fam.Generate(n, cfg.seed(16000+int64(n)))
 }

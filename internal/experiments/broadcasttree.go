@@ -41,7 +41,7 @@ func E19BroadcastTreeTradeoff(cfg Config) (*Table, error) {
 			return nil, err
 		}
 		for _, n := range sizes {
-			g, err := fam.Generate(n, cfg.rng(19000+int64(n)))
+			g, err := fam.Generate(n, cfg.seed(19000+int64(n)))
 			if err != nil {
 				return nil, err
 			}

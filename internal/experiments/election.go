@@ -36,7 +36,7 @@ func E13Election(cfg Config) (*Table, error) {
 			return nil, err
 		}
 		for _, n := range sizes {
-			g, err := fam.Generate(n, cfg.rng(13000+int64(n)))
+			g, err := fam.Generate(n, cfg.seed(13000+int64(n)))
 			if err != nil {
 				return nil, err
 			}

@@ -22,8 +22,13 @@ type Config struct {
 	Quick bool
 }
 
+// seed derives the seed of one experiment's randomness from c.Seed and a
+// per-site salt.
+func (c Config) seed(salt int64) int64 { return c.Seed*1000003 + salt }
+
+// rng returns a generator seeded with c.seed(salt).
 func (c Config) rng(salt int64) *rand.Rand {
-	return rand.New(rand.NewSource(c.Seed*1000003 + salt))
+	return rand.New(rand.NewSource(c.seed(salt)))
 }
 
 // sizes returns the experiment's n sweep.

@@ -32,7 +32,7 @@ func E12Exploration(cfg Config) (*Table, error) {
 			return nil, err
 		}
 		for _, n := range sizes {
-			g, err := fam.Generate(n, cfg.rng(12000+int64(n)))
+			g, err := fam.Generate(n, cfg.seed(12000+int64(n)))
 			if err != nil {
 				return nil, err
 			}

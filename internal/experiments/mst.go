@@ -31,7 +31,7 @@ func E17MST(cfg Config) (*Table, error) {
 			return nil, err
 		}
 		for _, n := range sizes {
-			g, err := fam.Generate(n, cfg.rng(17000+int64(n)))
+			g, err := fam.Generate(n, cfg.seed(17000+int64(n)))
 			if err != nil {
 				return nil, err
 			}

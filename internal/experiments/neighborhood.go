@@ -34,7 +34,7 @@ func E20Neighborhood(cfg Config) (*Table, error) {
 			return nil, err
 		}
 		for _, n := range sizes {
-			g, err := fam.Generate(n, cfg.rng(20000+int64(n)))
+			g, err := fam.Generate(n, cfg.seed(20000+int64(n)))
 			if err != nil {
 				return nil, err
 			}

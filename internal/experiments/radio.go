@@ -34,7 +34,7 @@ func E18Radio(cfg Config) (*Table, error) {
 			return nil, err
 		}
 		for _, n := range sizes {
-			base, err := fam.Generate(n, cfg.rng(18000+int64(n)))
+			base, err := fam.Generate(n, cfg.seed(18000+int64(n)))
 			if err != nil {
 				return nil, err
 			}

@@ -34,7 +34,7 @@ func E14Spanner(cfg Config) (*Table, error) {
 			return nil, err
 		}
 		for _, n := range sizes {
-			g, err := fam.Generate(n, cfg.rng(14000+int64(n)))
+			g, err := fam.Generate(n, cfg.seed(14000+int64(n)))
 			if err != nil {
 				return nil, err
 			}

@@ -36,7 +36,7 @@ func E1WakeupUpper(cfg Config) (*Table, error) {
 			return nil, err
 		}
 		for _, n := range sizes {
-			g, err := fam.Generate(n, cfg.rng(int64(n)))
+			g, err := fam.Generate(n, cfg.seed(int64(n)))
 			if err != nil {
 				return nil, fmt.Errorf("E1 %s n=%d: %w", fname, n, err)
 			}
@@ -85,7 +85,7 @@ func E3BroadcastUpper(cfg Config) (*Table, error) {
 			return nil, err
 		}
 		for _, n := range sizes {
-			g, err := fam.Generate(n, cfg.rng(3000+int64(n)))
+			g, err := fam.Generate(n, cfg.seed(3000+int64(n)))
 			if err != nil {
 				return nil, fmt.Errorf("E3 %s n=%d: %w", fname, n, err)
 			}
@@ -195,7 +195,7 @@ func E8Baselines(cfg Config) (*Table, error) {
 			return nil, err
 		}
 		for _, n := range sizes {
-			g, err := fam.Generate(n, cfg.rng(8000+int64(n)))
+			g, err := fam.Generate(n, cfg.seed(8000+int64(n)))
 			if err != nil {
 				return nil, err
 			}

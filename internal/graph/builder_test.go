@@ -3,7 +3,6 @@ package graph
 import (
 	"errors"
 	"fmt"
-	"maps"
 	"slices"
 	"testing"
 )
@@ -234,8 +233,17 @@ func FuzzBuilder(f *testing.F) {
 			return
 		}
 		if !slices.Equal(g.labels, want.labels) || !slices.Equal(g.offsets, want.offsets) ||
-			!slices.Equal(g.halves, want.halves) || g.m != want.m || !maps.Equal(g.byLabel, want.byLabel) {
+			!slices.Equal(g.halves, want.halves) || g.m != want.m {
 			t.Fatalf("%v\nBuilder: %+v\nreference: %+v", calls(), g, want)
+		}
+		// Every label, and two labels no node carries under the default
+		// labeling, resolve as the reference's label map resolves them.
+		for _, l := range append([]int64{0, int64(len(want.labels)) + 1}, want.labels...) {
+			v, ok := g.NodeByLabel(l)
+			wv, wok := want.NodeByLabel(l)
+			if v != wv || ok != wok {
+				t.Fatalf("%v\nNodeByLabel(%d) = %d, %v; reference %d, %v", calls(), l, v, ok, wv, wok)
+			}
 		}
 	})
 }

@@ -57,7 +57,9 @@ type Graph struct {
 	halves []Half
 	// offsets has n+1 entries; offsets[v+1]-offsets[v] is deg(v).
 	offsets []int32
-	// byLabel maps each label to the first node carrying it.
+	// byLabel maps each label to the first node carrying it. It is nil
+	// when every node carries its default label v+1, which NodeByLabel
+	// computes.
 	byLabel map[int64]NodeID
 	m       int
 
@@ -85,6 +87,12 @@ func (g *Graph) Label(v NodeID) int64 { return g.labels[v] }
 
 // NodeByLabel returns the node carrying the given label.
 func (g *Graph) NodeByLabel(label int64) (NodeID, bool) {
+	if g.byLabel == nil {
+		if label < 1 || label > int64(len(g.labels)) {
+			return 0, false
+		}
+		return NodeID(label - 1), true
+	}
 	v, ok := g.byLabel[label]
 	return v, ok
 }
@@ -299,9 +307,9 @@ func (g *Graph) Validate() error {
 	// serves every node's parallel-edge check.
 	stamp := make([]int32, n)
 	for v := NodeID(0); int(v) < n; v++ {
-		// byLabel holds each label's first node; a later node carrying the
-		// same label finds that one instead of itself.
-		if first := g.byLabel[g.labels[v]]; first != v {
+		// NodeByLabel finds each label's first node; a later node carrying
+		// the same label finds that one instead of itself.
+		if first, _ := g.NodeByLabel(g.labels[v]); first != v {
 			return fmt.Errorf("graph: duplicate label %d on nodes %d and %d", g.labels[v], first, v)
 		}
 		for p, h := range g.Ports(v) {
@@ -473,21 +481,35 @@ func (b *Builder) Graph() (*Graph, error) {
 		labels:  slices.Clone(b.labels),
 		halves:  halves,
 		offsets: offsets,
-		byLabel: make(map[int64]NodeID, n),
 		m:       len(b.edges),
 	}
-	// Backwards, so each label keeps its first node (Validate relies on it).
-	for v := n - 1; v >= 0; v-- {
-		g.byLabel[b.labels[v]] = NodeID(v)
+	// Default labels need no map. Custom ones are mapped backwards, so
+	// each label keeps its first node (Validate relies on it).
+	if !defaultLabels(b.labels) {
+		g.byLabel = make(map[int64]NodeID, n)
+		for v := n - 1; v >= 0; v-- {
+			g.byLabel[b.labels[v]] = NodeID(v)
+		}
 	}
 	// Placement made every half the mirror of another, with its ports in
 	// range, and AddEdge refused self-loops: of Validate's checks only
 	// distinct labels and no parallel edges can fail. When one does,
 	// Validate names the problem.
-	if len(g.byLabel) < n || g.hasParallelEdge() {
+	if g.byLabel != nil && len(g.byLabel) < n || g.hasParallelEdge() {
 		return nil, g.Validate()
 	}
 	return g, nil
+}
+
+// defaultLabels reports whether every node v carries its default label
+// v+1.
+func defaultLabels(labels []int64) bool {
+	for v, l := range labels {
+		if l != int64(v)+1 {
+			return false
+		}
+	}
+	return true
 }
 
 // hasParallelEdge reports whether some node reaches a neighbor on two

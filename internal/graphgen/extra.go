@@ -57,8 +57,10 @@ func Wheel(n int) (*graph.Graph, error) {
 // RandomRegular returns a connected random d-regular graph on n nodes via
 // the pairing model with rejection (n·d must be even, d < n). It retries
 // until the multigraph is simple and connected, so very small parameter
-// combinations may take a few attempts.
-func RandomRegular(n, d int, rng *rand.Rand) (*graph.Graph, error) {
+// combinations may take a few attempts. It draws from a pooled copy of
+// math/rand's source seeded with seed: the graph is the one the same
+// pairing drawing from rand.New(rand.NewSource(seed)) builds.
+func RandomRegular(n, d int, seed int64) (*graph.Graph, error) {
 	if d < 2 || d >= n || (n*d)%2 != 0 {
 		return nil, fmt.Errorf("graphgen: no %d-regular graph on %d nodes", d, n)
 	}
@@ -81,9 +83,11 @@ func RandomRegular(n, d int, rng *rand.Rand) (*graph.Graph, error) {
 	for k := range p.tmpl {
 		p.tmpl[k] = int32(k / d)
 	}
+	s := newSeeded(seed)
+	defer seededPool.Put(s)
 	for attempt := 0; attempt < maxAttempts; attempt++ {
-		if p.try(rng) && p.connected() {
-			return p.graph(rng)
+		if p.try(&s.src) && p.connected() {
+			return p.graph(s.rng)
 		}
 	}
 	return nil, fmt.Errorf("graphgen: failed to sample a connected %d-regular graph on %d nodes", d, n)
@@ -106,13 +110,14 @@ type pairing struct {
 
 // try runs one round of the configuration model: the stubs are shuffled
 // and paired in order, and the attempt fails on a self-loop or a repeated
-// edge. It draws exactly what rng.Shuffle(len(stubs), swap) draws, but
-// inline: Fisher–Yates fixes position i at step i, from the end, so pair
-// (i, i+1) is checked as soon as step i fixes it, and on the first defect
-// the attempt only burns the draws of its remaining steps. A simple
-// pairing is then recorded again in forward pair order, so every node's
-// edges, and with them the ports, come in the order they always have.
-func (p *pairing) try(rng *rand.Rand) bool {
+// edge. It draws exactly what rand.New(src).Shuffle(len(stubs), swap)
+// draws, but inline, from the concrete source: Fisher–Yates fixes
+// position i at step i, from the end, so pair (i, i+1) is checked as soon
+// as step i fixes it, and on the first defect the attempt only burns the
+// draws of its remaining steps. A simple pairing is then recorded again
+// in forward pair order, so every node's edges, and with them the ports,
+// come in the order they always have.
+func (p *pairing) try(src *source) bool {
 	// Locals, so the loop does not reload the slice headers through p
 	// after every store.
 	stubs, nbr, deg, sig, d := p.stubs, p.nbr, p.deg, p.sig, int32(p.d)
@@ -121,13 +126,13 @@ func (p *pairing) try(rng *rand.Rand) bool {
 	clear(sig)
 	clear(deg)
 	for i := len(stubs) - 1; i > 0; i-- {
-		// j is rng.Shuffle's draw for position i, as shuffleDraw makes it;
-		// this loop and burnShuffle spell it out, because a call per draw
-		// costs as much as the draw.
+		// j is rand.Shuffle's draw for position i, as shuffleDraw makes
+		// it; this loop and burnShuffle spell it out, because a call per
+		// draw costs as much as the draw.
 		bound := uint64(i + 1)
-		prod := uint64(rng.Uint32()) * bound
+		prod := uint64(src.Uint32()) * bound
 		if uint32(prod) < uint32(bound) {
-			prod = shuffleRedraw(rng, prod, uint32(bound))
+			prod = shuffleRedraw(src, prod, uint32(bound))
 		}
 		j := prod >> 32
 		stubs[i], stubs[j] = stubs[j], stubs[i]
@@ -139,7 +144,7 @@ func (p *pairing) try(rng *rand.Rand) bool {
 		u, v := stubs[lo], stubs[lo+1]
 		bu, bv := uint64(1)<<(v&63), uint64(1)<<(u&63)
 		if u == v || sig[u]&bu != 0 && slices.Contains(nbr[u*d:(u+1)*d], v+1) {
-			burnShuffle(rng, i-1)
+			burnShuffle(src, i-1)
 			return false
 		}
 		sig[u] |= bu
@@ -164,33 +169,65 @@ func (p *pairing) try(rng *rand.Rand) bool {
 
 // shuffleDraw returns the partner j in [0, i] that rng.Shuffle draws for
 // position i (for i < 2³¹-1): Lemire's multiply-shift reduction of one
-// Uint32, with the same rare rejection redraw.
+// Uint32, redrawing (rarely) while the low half of the product falls
+// below 2³² mod (i+1).
 func shuffleDraw(rng *rand.Rand, i int) int {
 	bound := uint64(i + 1)
 	prod := uint64(rng.Uint32()) * bound
 	if uint32(prod) < uint32(bound) {
-		prod = shuffleRedraw(rng, prod, uint32(bound))
+		thresh := -uint32(bound) % uint32(bound)
+		for uint32(prod) < thresh {
+			prod = uint64(rng.Uint32()) * bound
+		}
 	}
 	return int(prod >> 32)
 }
 
-// burnShuffle consumes the draws rng.Shuffle makes for positions i down
-// to 1, as shuffleDraw would, without using them.
-func burnShuffle(rng *rand.Rand, i int) {
-	for ; i > 0; i-- {
-		bound := uint64(i + 1)
-		if prod := uint64(rng.Uint32()) * bound; uint32(prod) < uint32(bound) {
-			shuffleRedraw(rng, prod, uint32(bound))
+// burnShuffle consumes the draws rand.Shuffle makes for positions i down
+// to 1, as shuffleDraw would, without using them. Until tap or feed next
+// wraps, src's draws are the plain recurrence feed[k] += tap[k] over two
+// index ranges walked downwards, so it steps them a run at a time, without
+// Uint64's per-draw wrap checks, and hands src its position back at the
+// end of the run or before a (rare) redraw.
+func burnShuffle(src *source, i int) {
+runs:
+	for i > 0 {
+		run := min(i, src.tap, src.feed)
+		if run == 0 {
+			// tap or feed wraps on this draw.
+			bound := uint64(i + 1)
+			if prod := uint64(src.Uint32()) * bound; uint32(prod) < uint32(bound) {
+				shuffleRedraw(src, prod, uint32(bound))
+			}
+			i--
+			continue
 		}
+		feed := src.vec[src.feed-run : src.feed]
+		tap := src.vec[src.tap-run : src.tap][:len(feed)]
+		for k := len(feed) - 1; k >= 0; k-- {
+			x := feed[k] + tap[k]
+			feed[k] = x
+			bound := uint64(i + 1)
+			i--
+			// x's Uint32 is its bits 31 to 62, as in source.Uint32.
+			if prod := uint64(uint32(uint64(x)>>31)) * bound; uint32(prod) < uint32(bound) {
+				src.tap -= len(feed) - k
+				src.feed -= len(feed) - k
+				shuffleRedraw(src, prod, uint32(bound))
+				continue runs
+			}
+		}
+		src.tap -= run
+		src.feed -= run
 	}
 }
 
-// shuffleRedraw is shuffleDraw's rejection loop: it redraws while the low
-// half of prod falls below 2³² mod n.
-func shuffleRedraw(rng *rand.Rand, prod uint64, n uint32) uint64 {
+// shuffleRedraw is shuffleDraw's rejection loop over a source: it redraws
+// while the low half of prod falls below 2³² mod n.
+func shuffleRedraw(src *source, prod uint64, n uint32) uint64 {
 	thresh := -n % n
 	for uint32(prod) < thresh {
-		prod = uint64(rng.Uint32()) * uint64(n)
+		prod = uint64(src.Uint32()) * uint64(n)
 	}
 	return prod
 }

@@ -5,7 +5,8 @@
 // clique-gadget graphs G_{n,S,C} of Section 3.
 //
 // All generators are deterministic given their inputs; randomized ones take
-// an explicit *rand.Rand.
+// an explicit *rand.Rand or, where they draw from their own pooled copy of
+// math/rand's source (RandomRegular, Family.Generate), a seed.
 package graphgen
 
 import (
@@ -71,6 +72,7 @@ func Grid(rows, cols int) (*graph.Graph, error) {
 		return nil, fmt.Errorf("graphgen: grid needs at least 2 nodes, got %dx%d", rows, cols)
 	}
 	b := graph.NewBuilder(rows * cols)
+	b.Grow(rows*(cols-1) + (rows-1)*cols)
 	id := func(r, c int) graph.NodeID { return graph.NodeID(r*cols + c) }
 	for r := 0; r < rows; r++ {
 		for c := 0; c < cols; c++ {

@@ -460,7 +460,7 @@ func TestFamiliesAllGenerateConnected(t *testing.T) {
 		f := f
 		t.Run(f.Name, func(t *testing.T) {
 			for _, n := range []int{8, 33, 64} {
-				g, err := f.Generate(n, rand.New(rand.NewSource(int64(n))))
+				g, err := f.Generate(n, int64(n))
 				if err != nil {
 					t.Fatalf("n=%d: %v", n, err)
 				}

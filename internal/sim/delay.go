@@ -71,7 +71,6 @@ func (h *delayHeap) Pop() interface{} {
 	old := *h
 	n := len(old)
 	item := old[n-1]
-	old[n-1] = delayItem{}
 	*h = old[:n-1]
 	return item
 }

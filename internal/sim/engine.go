@@ -114,6 +114,11 @@ type Engine struct {
 	// out is the automata's send buffer: every Init and Receive appends
 	// to it from empty, and emit consumes it before the next step.
 	out []scheme.Send
+	// values holds the Values of the messages sent this run, which only
+	// gossip and MST send: pending.Values indexes it, and its slot 0 is
+	// the nil every other message carries. A run ends by clearing it, so
+	// a pooled engine keeps no payload alive.
+	values [][]int64
 }
 
 // NewEngine returns a fresh engine. Buffers are grown on demand by Run and
@@ -204,10 +209,13 @@ func (e *Engine) Run(g *graph.Graph, source graph.NodeID, algo scheme.Algorithm,
 	if source < 0 || int(source) >= n {
 		return nil, fmt.Errorf("sim: source %d out of range [0,%d)", source, n)
 	}
+	// The engine's own FIFO, or one NewFIFO made, is driven directly (fifo
+	// non-nil); every other scheduler through the interface.
 	sched := opts.Scheduler
+	fifo, _ := sched.(*fifoScheduler)
 	if sched == nil {
 		e.fifo.reset()
-		sched = &e.fifo
+		fifo = &e.fifo
 	}
 	maxMessages := opts.MaxMessages
 	if maxMessages == 0 {
@@ -215,6 +223,7 @@ func (e *Engine) Run(g *graph.Graph, source graph.NodeID, algo scheme.Algorithm,
 	}
 
 	e.Reset(g)
+	e.values = append(e.values[:0], nil)
 	// Informed escapes with the Result, so it is the one tracking slice
 	// allocated fresh per run rather than drawn from the engine.
 	res := &Result{Informed: make([]bool, n)}
@@ -238,9 +247,16 @@ func (e *Engine) Run(g *graph.Graph, source graph.NodeID, algo scheme.Algorithm,
 
 	seq := 0
 	emit := func(from graph.NodeID, sends []scheme.Send) error {
-		for _, s := range sends {
-			if s.Port < 0 || s.Port >= g.Degree(from) {
-				return fmt.Errorf("sim: node %d sent on invalid port %d (degree %d)", from, s.Port, g.Degree(from))
+		if len(sends) == 0 {
+			return nil
+		}
+		// The step's sends share the sender's degree, its informed flag
+		// (stamped on each message) and their send time.
+		degree, informed, sendTime := g.Degree(from), res.Informed[from], e.nodeTime[from]+1
+		for i := range sends {
+			s := &sends[i]
+			if s.Port < 0 || s.Port >= degree {
+				return fmt.Errorf("sim: node %d sent on invalid port %d (degree %d)", from, s.Port, degree)
 			}
 			if opts.EnforceWakeup && from != source && !e.delivered[from] {
 				return fmt.Errorf("%w: node %d transmitted before being woken", ErrWakeupViolation, from)
@@ -248,20 +264,17 @@ func (e *Engine) Run(g *graph.Graph, source graph.NodeID, algo scheme.Algorithm,
 			if res.Messages >= maxMessages {
 				return fmt.Errorf("%w: more than %d messages", ErrMessageBudget, maxMessages)
 			}
-			msg := s.Msg
-			msg.Informed = res.Informed[from]
 			to, toPort := g.Neighbor(from, s.Port)
 			res.Messages++
-			if e.kindCount[msg.Kind] == 0 {
-				e.kindsUsed = append(e.kindsUsed, msg.Kind)
+			kind := s.Msg.Kind
+			if e.kindCount[kind] == 0 {
+				e.kindsUsed = append(e.kindsUsed, kind)
 			}
-			e.kindCount[msg.Kind]++
-			res.MessageBits += msg.SizeBits()
-			e.nodeSends[from]++
-			if e.nodeSends[from] > res.MaxNodeSends {
-				res.MaxNodeSends = e.nodeSends[from]
-			}
+			e.kindCount[kind]++
+			res.MessageBits += s.Msg.SizeBits()
 			if opts.Recorder != nil {
+				msg := s.Msg
+				msg.Informed = informed
 				opts.Recorder.Append(trace.Event{
 					Kind: trace.EventSend,
 					Node: from,
@@ -270,16 +283,29 @@ func (e *Engine) Run(g *graph.Graph, source graph.NodeID, algo scheme.Algorithm,
 					Msg:  msg,
 				})
 			}
-			sched.Push(pending{
-				To:   to,
-				From: from,
-				Port: toPort,
-				Msg:  msg,
-				Seq:  seq,
-				Time: e.nodeTime[from] + 1,
-			})
+			p := pending{
+				Payload:  s.Msg.Payload,
+				Seq:      seq,
+				Time:     sendTime,
+				To:       int32(to),
+				From:     int32(from),
+				Port:     int32(toPort),
+				Kind:     kind,
+				Informed: informed,
+			}
+			if s.Msg.Values != nil {
+				p.Values = int32(len(e.values))
+				e.values = append(e.values, s.Msg.Values)
+			}
+			if fifo != nil {
+				fifo.push(p)
+			} else {
+				sched.Push(p)
+			}
 			seq++
 		}
+		e.nodeSends[from] += len(sends)
+		res.MaxNodeSends = max(res.MaxNodeSends, e.nodeSends[from])
 		return nil
 	}
 
@@ -306,6 +332,8 @@ func (e *Engine) Run(g *graph.Graph, source graph.NodeID, algo scheme.Algorithm,
 			clear(e.nodes)
 		}
 		clear(e.out[:cap(e.out)])
+		clear(e.values)
+		e.values = e.values[:0]
 		if err != nil {
 			return nil, err
 		}
@@ -322,7 +350,13 @@ func (e *Engine) Run(g *graph.Graph, source graph.NodeID, algo scheme.Algorithm,
 	}
 
 	for {
-		p, ok := sched.Pop()
+		var p pending
+		var ok bool
+		if fifo != nil {
+			p, ok = fifo.pop()
+		} else {
+			p, ok = sched.Pop()
+		}
 		if !ok {
 			break
 		}
@@ -330,32 +364,34 @@ func (e *Engine) Run(g *graph.Graph, source graph.NodeID, algo scheme.Algorithm,
 		if p.Time > res.Rounds {
 			res.Rounds = p.Time
 		}
-		e.delivered[p.To] = true
-		if p.Msg.Informed && !res.Informed[p.To] {
-			res.Informed[p.To] = true
+		to := graph.NodeID(p.To)
+		e.delivered[to] = true
+		if p.Informed && !res.Informed[to] {
+			res.Informed[to] = true
 			if opts.Recorder != nil {
 				opts.Recorder.Append(trace.Event{
 					Kind: trace.EventInformed,
-					Node: p.To,
+					Node: to,
 					Peer: -1,
 					Port: -1,
 				})
 			}
 		}
-		if p.Time > e.nodeTime[p.To] {
-			e.nodeTime[p.To] = p.Time
+		if p.Time > e.nodeTime[to] {
+			e.nodeTime[to] = p.Time
 		}
+		msg := scheme.Message{Kind: p.Kind, Payload: p.Payload, Informed: p.Informed, Values: e.values[p.Values]}
 		if opts.Recorder != nil {
 			opts.Recorder.Append(trace.Event{
 				Kind: trace.EventDeliver,
-				Node: p.To,
-				Peer: p.From,
-				Port: p.Port,
-				Msg:  p.Msg,
+				Node: to,
+				Peer: graph.NodeID(p.From),
+				Port: int(p.Port),
+				Msg:  msg,
 			})
 		}
-		e.out = e.nodes[p.To].Receive(p.Msg, p.Port, e.out[:0])
-		if err := emit(p.To, e.out); err != nil {
+		e.out = e.nodes[to].Receive(msg, int(p.Port), e.out[:0])
+		if err := emit(to, e.out); err != nil {
 			return finish(err)
 		}
 	}

@@ -15,18 +15,25 @@ package sim
 import (
 	"math/rand"
 
-	"oraclesize/internal/graph"
 	"oraclesize/internal/scheme"
 )
 
-// pending is an undelivered message in flight toward To on its local port.
+// pending is an undelivered message in flight toward To, arriving on its
+// local port Port. It holds no pointer, so queues of it cost the garbage
+// collector nothing to scan and moving one is a plain 48-byte copy: the
+// message is kept as its fields, Informed already stamped at send, and
+// its Values as an index into the engine's values table (0 for nil).
+// Delivery rebuilds the exact scheme.Message the sender emitted.
 type pending struct {
-	To   graph.NodeID
-	From graph.NodeID
-	Port int // arrival port at To
-	Msg  scheme.Message
-	Seq  int // send order, for deterministic tie-breaking
-	Time int // logical send time: sender's wake time + 1
+	Payload  uint64
+	Seq      int // send order, for deterministic tie-breaking
+	Time     int // logical send time: sender's wake time + 1
+	To       int32
+	From     int32
+	Port     int32 // arrival port at To
+	Values   int32
+	Kind     scheme.Kind
+	Informed bool
 }
 
 // Scheduler decides the delivery order of in-flight messages. Schedulers
@@ -45,7 +52,9 @@ type Scheduler interface {
 
 // fifoScheduler delivers messages in send order: this realizes the fully
 // synchronous execution (all round-t messages are delivered before any
-// round-t+1 message is sent) and is the engine default.
+// round-t+1 message is sent) and is the engine default. The engine drives
+// its own FIFO, and one NewFIFO made, through push and pop directly rather
+// than through the Scheduler interface, so both inline into its loop.
 type fifoScheduler struct {
 	queue []pending
 	head  int
@@ -57,37 +66,42 @@ func NewFIFO() Scheduler { return &fifoScheduler{} }
 func (s *fifoScheduler) Name() string { return "fifo" }
 
 // reset empties the queue while keeping its storage, so a reusable Engine
-// can run back-to-back simulations without reallocating. Consumed entries
-// were already zeroed by Pop, so no stale references survive.
+// can run back-to-back simulations without reallocating.
 func (s *fifoScheduler) reset() {
-	for i := s.head; i < len(s.queue); i++ {
-		s.queue[i] = pending{}
-	}
 	s.queue = s.queue[:0]
 	s.head = 0
 }
 
-func (s *fifoScheduler) Push(p pending) { s.queue = append(s.queue, p) }
+func (s *fifoScheduler) Push(p pending) { s.push(p) }
 
-func (s *fifoScheduler) Pop() (pending, bool) {
-	if s.head >= len(s.queue) {
+func (s *fifoScheduler) Pop() (pending, bool) { return s.pop() }
+
+func (s *fifoScheduler) push(p pending) {
+	if len(s.queue) == cap(s.queue) && s.head > 0 {
+		s.compact()
+	}
+	s.queue = append(s.queue, p)
+}
+
+func (s *fifoScheduler) pop() (pending, bool) {
+	if s.head == len(s.queue) {
 		return pending{}, false
 	}
-	p := s.queue[s.head]
-	s.queue[s.head] = pending{} // release references
 	s.head++
-	switch {
-	case s.head == len(s.queue):
-		s.queue = s.queue[:0]
-		s.head = 0
-	case s.head > 1024 && s.head > len(s.queue)/2:
-		// Compact so long runs (millions of messages) don't retain the
-		// entire consumed prefix.
-		n := copy(s.queue, s.queue[s.head:])
-		s.queue = s.queue[:n]
-		s.head = 0
+	return s.queue[s.head-1], true
+}
+
+// compact moves the queue's live part to the front of its storage when at
+// least half of a full queue is consumed, so long runs (millions of
+// messages) keep storage in proportion to the messages in flight, not to
+// the messages sent. push calls it only when the storage is full.
+func (s *fifoScheduler) compact() {
+	if s.head < len(s.queue)/2 {
+		return
 	}
-	return p, true
+	n := copy(s.queue, s.queue[s.head:])
+	s.queue = s.queue[:n]
+	s.head = 0
 }
 
 func (s *fifoScheduler) Len() int { return len(s.queue) - s.head }
@@ -110,7 +124,6 @@ func (s *lifoScheduler) Pop() (pending, bool) {
 		return pending{}, false
 	}
 	p := s.stack[len(s.stack)-1]
-	s.stack[len(s.stack)-1] = pending{}
 	s.stack = s.stack[:len(s.stack)-1]
 	return p, true
 }
@@ -141,7 +154,6 @@ func (s *randomScheduler) Pop() (pending, bool) {
 	p := s.heap[i]
 	last := len(s.heap) - 1
 	s.heap[i] = s.heap[last]
-	s.heap[last] = pending{}
 	s.heap = s.heap[:last]
 	return p, true
 }
