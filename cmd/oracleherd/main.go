@@ -44,8 +44,11 @@
 // Shard sizes adapt by default: the coordinator tracks an EWMA of each
 // worker's per-unit service time and carves leases aiming at -shard-target
 // of work, clamped to [-shard-min, -shard-max] and shrunk near the
-// campaign tail so no worker holds a long lease while others idle. Set
-// -shard-min and -shard-max equal to pin every shard at that size.
+// campaign tail so no worker holds a long lease while others idle. When
+// every task of the spec has the same scheme count, adaptive carving also
+// hands a worker the same ranges of the later task grids, which run on
+// the instances it just built (see docs/CLUSTER.md). Set -shard-min and
+// -shard-max equal to pin every shard at that size.
 //
 // The fleet may be unreliable: failed dispatches retry with backoff
 // honoring Retry-After, repeatedly failing workers are circuit-broken,

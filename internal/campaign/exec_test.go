@@ -355,19 +355,21 @@ func TestRecordValidateRejections(t *testing.T) {
 	}
 }
 
-type failWriter struct{ after int }
+// failWriter takes room bytes and then fails every Write. It counts
+// bytes, not calls, since the Sink writes a whole flush at once.
+type failWriter struct{ room int }
 
 func (w *failWriter) Write(p []byte) (int, error) {
-	if w.after <= 0 {
+	if len(p) > w.room {
 		return 0, errors.New("disk full")
 	}
-	w.after--
+	w.room -= len(p)
 	return len(p), nil
 }
 
 func TestRunSurfacesSinkWriteError(t *testing.T) {
 	spec := QuickSpec()
-	_, err := Run(spec, NewSink(&failWriter{after: 2}), RunOptions{Workers: 2})
+	_, err := Run(spec, NewSink(&failWriter{room: 1 << 10}), RunOptions{Workers: 2})
 	if err == nil || !strings.Contains(err.Error(), "disk full") {
 		t.Errorf("write error not surfaced: %v", err)
 	}

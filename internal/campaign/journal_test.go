@@ -315,3 +315,135 @@ func TestJournalRefusesForeignSpec(t *testing.T) {
 		t.Errorf("the refused journal was changed (err %v)", err)
 	}
 }
+
+// resident counts the records s holds in memory.
+func resident(s *Sink) int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	n := 0
+	for _, u := range s.pending {
+		if u.recs != nil {
+			n += u.records
+		}
+	}
+	return n
+}
+
+// TestJournalHoldsWaitingGridOnDisk deposits the second task grid of a
+// two-grid spec before the first, in 8-unit shards, as a twin-carved
+// coordinator can: the whole second grid waits. The Sink must never hold
+// more than journalAfter records in memory, must write the bytes an
+// in-order run writes, and Close must remove the emptied journal.
+func TestJournalHoldsWaitingGridOnDisk(t *testing.T) {
+	spec := &Spec{
+		Name:     "grids",
+		Seed:     5,
+		Trials:   40,
+		Families: []string{"path"},
+		Sizes:    []int{8},
+		Tasks: []TaskSpec{
+			{Task: "wakeup", Schemes: []string{"tree", "flooding"}},
+			{Task: "broadcast", Schemes: []string{"light-tree", "flooding"}},
+		},
+	}
+	grids, size := spec.Grids()
+	if grids != 2 || size <= journalAfter {
+		t.Fatalf("spec has %d grids of %d units, want 2 of more than %d", grids, size, journalAfter)
+	}
+	_, batches := unitBatches(t, spec)
+	var want bytes.Buffer
+	inOrder := NewSink(&want)
+	for i, recs := range batches {
+		if err := inOrder.Deposit(i, recs); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	path := filepath.Join(t.TempDir(), "r.jsonl")
+	sink, _, err := OpenJSONL(path, spec, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const shard = 8
+	for _, grid := range []int{1, 0} {
+		for start := grid * size; start < (grid+1)*size; start += shard {
+			if err := sink.DepositUnits(start, batches[start:start+shard]); err != nil {
+				t.Fatal(err)
+			}
+			if n := resident(sink); n > journalAfter {
+				t.Fatalf("after the shard at %d the Sink holds %d records in memory, more than %d", start, n, journalAfter)
+			}
+		}
+	}
+	if err := sink.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, want.Bytes()) {
+		t.Errorf("artifact differs from an in-order run's bytes (err %v)", err)
+	}
+	if _, err := os.Stat(path + ".pending"); !os.IsNotExist(err) {
+		t.Errorf("Close left the journal behind (stat: %v)", err)
+	}
+}
+
+// countingWriter counts the Write calls it receives.
+type countingWriter struct {
+	bytes.Buffer
+	writes int
+}
+
+func (w *countingWriter) Write(p []byte) (int, error) {
+	w.writes++
+	return w.Buffer.Write(p)
+}
+
+// TestSinkWritesEachFlushOnce: units 1..9 wait for unit 0, which then
+// flushes all ten with one Write; a shard deposited whole is one more;
+// and a run of more than flushChunk bytes goes out in flushChunk pieces.
+func TestSinkWritesEachFlushOnce(t *testing.T) {
+	_, _, batches := quickRecords(t)
+	var want bytes.Buffer
+	inOrder := NewSink(&want)
+	for i, recs := range batches {
+		if err := inOrder.Deposit(i, recs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var w countingWriter
+	sink := NewSink(&w)
+	for i := 1; i < 10; i++ {
+		if err := sink.Deposit(i, batches[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if w.writes != 0 {
+		t.Fatalf("%d writes while unit 0 is missing", w.writes)
+	}
+	if err := sink.Deposit(0, batches[0]); err != nil {
+		t.Fatal(err)
+	}
+	if w.writes != 1 {
+		t.Fatalf("flushing units 0..9 took %d writes, want 1", w.writes)
+	}
+	if err := sink.DepositUnits(10, batches[10:]); err != nil {
+		t.Fatal(err)
+	}
+	if w.writes != 2 {
+		t.Fatalf("a shard deposited whole took %d writes, want 1", w.writes-1)
+	}
+	if !bytes.Equal(w.Bytes(), want.Bytes()) {
+		t.Error("the flushed bytes differ from a unit-by-unit run's")
+	}
+
+	half := []Record{{Unit: "half", Cells: []string{strings.Repeat("x", flushChunk/2)}}}
+	var hw countingWriter
+	halves := NewSink(&hw)
+	for i := 3; i >= 0; i-- {
+		if err := halves.Deposit(i, half); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if hw.writes != 2 || halves.Written() != 4 {
+		t.Errorf("four half-chunk units went out in %d writes (%d records), want 2 (4)", hw.writes, halves.Written())
+	}
+}

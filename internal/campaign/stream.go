@@ -89,14 +89,14 @@ type seenRecord struct {
 }
 
 // scanUnits is the reader behind resume, for the artifact and its journal
-// alike. It calls decode on each line of r's valid prefix, which ends
-// before the first torn or malformed line (decode fails on the latter),
-// and returns the prefix's length. Both files hold each unit's records on
-// consecutive lines, so a write cut short leaves at most the final unit
-// partial. A task unit is one record, whole or torn, but an experiment
+// alike. It calls decode on each line of r's valid prefix, with the line's
+// offset, and returns the prefix's length; the prefix ends before the
+// first torn or malformed line (decode fails on the latter). Both files
+// hold each unit's records on consecutive lines, so a write cut short
+// leaves at most the final unit partial. A task unit is one record, whole or torn, but an experiment
 // unit is one record per table row: when the prefix ends in one, its
 // first line ends validLen and partial names it, so the unit reruns.
-func scanUnits(r io.Reader, decode func(line []byte) (unit string, err error)) (validLen int64, partial string, err error) {
+func scanUnits(r io.Reader, decode func(line []byte, off int64) (unit string, err error)) (validLen int64, partial string, err error) {
 	ls := newLineScanner(r)
 	var last string
 	var lastStart int64
@@ -110,7 +110,7 @@ func scanUnits(r io.Reader, decode func(line []byte) (unit string, err error)) (
 			break
 		}
 		if len(line) > 0 {
-			unit, err := decode(line)
+			unit, err := decode(line, start)
 			if err != nil {
 				break
 			}
@@ -136,7 +136,7 @@ func scanUnits(r io.Reader, decode func(line []byte) (unit string, err error)) (
 // resume.
 func ScanDone(r io.Reader) (done map[string]bool, specHash string, validLen int64, err error) {
 	done = map[string]bool{}
-	validLen, partial, err := scanUnits(r, func(line []byte) (string, error) {
+	validLen, partial, err := scanUnits(r, func(line []byte, _ int64) (string, error) {
 		var rec seenRecord
 		if err := json.Unmarshal(line, &rec); err != nil {
 			return "", err
@@ -223,10 +223,11 @@ func removeJournal(path string) error {
 }
 
 // restore reads the journal by ScanDone's rules, refuses another spec's,
-// and deposits each whole unit in it that done lacks, adding its key to
-// done so Run and cluster.New skip it. The journal keeps its valid prefix,
-// so restored units are never journaled twice; one with nothing to
-// restore is removed.
+// and deposits each whole unit in it that done lacks, as a journaled unit
+// whose bytes stay in the journal, adding its key to done so Run and
+// cluster.New skip it. The journal keeps its valid prefix, so restored
+// units are never journaled twice; one with nothing to restore is
+// removed.
 func (s *Sink) restore(spec *Spec, done map[string]bool) error {
 	f, err := os.OpenFile(s.journalPath, os.O_RDWR|os.O_APPEND, 0)
 	if os.IsNotExist(err) {
@@ -235,9 +236,9 @@ func (s *Sink) restore(spec *Spec, done map[string]bool) error {
 	if err != nil {
 		return fmt.Errorf("campaign: reading journal: %w", err)
 	}
-	held := map[string][]Record{}
+	held := map[string]waitingUnit{}
 	var specHash string
-	validLen, partial, err := scanUnits(f, func(line []byte) (string, error) {
+	validLen, partial, err := scanUnits(f, func(line []byte, off int64) (string, error) {
 		var rec Record
 		if err := json.Unmarshal(line, &rec); err != nil {
 			return "", err
@@ -246,7 +247,15 @@ func (s *Sink) restore(spec *Spec, done map[string]bool) error {
 			specHash = rec.SpecHash
 		}
 		if !done[rec.Unit] {
-			held[rec.Unit] = append(held[rec.Unit], rec)
+			u, seen := held[rec.Unit]
+			if !seen {
+				u.off = off
+			} else if u.off+u.n != off {
+				return "", fmt.Errorf("campaign: journal holds unit %s twice", rec.Unit)
+			}
+			u.n = off + int64(len(line)) + 1 - u.off
+			u.records++
+			held[rec.Unit] = u
 		}
 		return rec.Unit, nil
 	})
@@ -267,8 +276,9 @@ func (s *Sink) restore(spec *Spec, done map[string]bool) error {
 	}
 	schemes := spec.schemeLists()
 	for i, n := 0, int(spec.UnitCount()); i < n && len(held) > 0; i++ {
-		if key := spec.unit(schemes, i).Key(); held[key] != nil {
-			s.pending[i], done[key] = held[key], true
+		key := spec.unit(schemes, i).Key()
+		if u, ok := held[key]; ok {
+			s.pending[i], done[key] = u, true
 			delete(held, key)
 		}
 	}

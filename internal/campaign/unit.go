@@ -105,6 +105,26 @@ func (s *Spec) gridSize(schemes int) int64 {
 		satMul(int64(schemes), int64(s.Trials)))
 }
 
+// Grids reports the layout of the spec's task grids, one per TaskSpec, in
+// unit order from index 0: their count, and the units in each when every
+// grid has the same scheme count (an empty scheme list counting as the
+// task's registered schemes). Unit j of every such grid has the same
+// family, size and trial, so all of them run on one graph instance. size
+// is 0 when the scheme counts differ. Callers must Validate the spec
+// first.
+func (s *Spec) Grids() (count, size int) {
+	lists := s.schemeLists()
+	for _, l := range lists {
+		if len(l) != len(lists[0]) {
+			return len(lists), 0
+		}
+	}
+	if len(lists) == 0 {
+		return 0, 0
+	}
+	return len(lists), int(s.gridSize(len(lists[0])))
+}
+
 // UnitCount returns len(s.Units()) without materializing the list, so
 // callers can enforce a unit cap before compiling a spec whose cross
 // product is enormous — a tiny JSON body can request billions of units.

@@ -73,6 +73,22 @@ func checkUnitsMatchReference(t *testing.T, name string, spec *Spec) {
 			t.Fatalf("%s: unit(%d) = %+v, want %+v", name, i, u, w)
 		}
 	}
+	// Aligned grids: unit j of grid t is task t's run on unit j's instance.
+	count, size := spec.Grids()
+	if count != len(spec.Tasks) {
+		t.Fatalf("%s: Grids() counts %d grids for %d tasks", name, count, len(spec.Tasks))
+	}
+	if size == 0 {
+		return
+	}
+	if count*size+len(spec.Experiments) != len(want) {
+		t.Fatalf("%s: %d grids of %d units and %d replays, but %d units", name, count, size, len(spec.Experiments), len(want))
+	}
+	for i, u := range want[:count*size] {
+		if first := want[i%size]; u.Task != spec.Tasks[i/size].Task || u.InstanceKey() != first.InstanceKey() {
+			t.Fatalf("%s: unit %d (%s) is not grid %d's twin of unit %d (%s)", name, i, u.Key(), i/size, i%size, first.Key())
+		}
+	}
 }
 
 // TestUnitsMatchReference pins the compiled unit list to the nested-loop

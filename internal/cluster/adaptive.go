@@ -22,7 +22,7 @@ const ewmaAlpha = 0.4
 //
 //   - a worker with no history yet gets MinShardSize — a cheap probe whose
 //     duration seeds the EWMA;
-//   - near the campaign tail the remaining uncarved units are spread
+//   - near the campaign tail the units not yet leased are spread
 //     across every dispatch slot (shrinking toward the MinShardSize floor)
 //     so the makespan is not set by whoever happened to grab the last big
 //     shard.
@@ -72,8 +72,8 @@ func (z *sizer) observe(worker string, units int, d time.Duration) {
 	}
 }
 
-// sizeFor picks the next lease size for worker given how many uncarved
-// runnable units remain.
+// sizeFor picks the next lease size for worker given how many runnable
+// units are not yet leased.
 func (z *sizer) sizeFor(worker string, remaining int) int {
 	z.mu.Lock()
 	per, ok := z.ewma[worker]

@@ -264,7 +264,7 @@ func New(cfg Config, spec *campaign.Spec, sink *campaign.Sink, done map[string]b
 	for i, u := range units {
 		doneIdx[i] = done[u.Key()]
 	}
-	core, err := NewCore(cfg, len(units), doneIdx, sink)
+	core, err := NewCore(cfg, spec, doneIdx, sink)
 	if err != nil {
 		return nil, err
 	}

@@ -112,6 +112,13 @@ func joinAs(url string) membership.JoinRequest {
 	return membership.JoinRequest{ID: url, Fingerprint: catalog.Fingerprint()}
 }
 
+// unitSpec is a spec of the given number of units: one task, one scheme,
+// one instance per trial.
+func unitSpec(units int) *campaign.Spec {
+	return &campaign.Spec{Name: "units", Seed: 1, Trials: units, Families: []string{"path"}, Sizes: []int{8},
+		Tasks: []campaign.TaskSpec{{Task: "wakeup", Schemes: []string{"tree"}}}}
+}
+
 // newQuick builds a coordinator for the quick spec merging into a
 // discarded JSONL sink, for tests that only look at the fleet.
 func newQuick(cfg Config) (*Coordinator, error) {
@@ -548,6 +555,13 @@ func TestHedgedStraggler(t *testing.T) {
 	slow := newWorkerServer(t, func(next http.Handler) http.Handler {
 		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			if r.URL.Path == "/v1/shard" && calls.Add(1) == 1 {
+				// net/http cancels r.Context() when the client goes away
+				// only once the handler has read the whole body.
+				body, err := io.ReadAll(r.Body)
+				if err != nil {
+					return
+				}
+				r.Body = io.NopCloser(bytes.NewReader(body))
 				select { // straggle, but honor cancellation
 				case <-time.After(10 * time.Second):
 				case <-r.Context().Done():
@@ -592,7 +606,7 @@ func TestHedgeFirstResultWins(t *testing.T) {
 	cfg := fastConfig("http://a", "http://b")
 	cfg.Clock = newFakeClock()
 	cfg = cfg.withDefaults()
-	st := newRunState(&cfg, newMetrics(), 2, 1, []bool{false}, sink)
+	st := newRunState(&cfg, newMetrics(), 2, unitSpec(1), []bool{false}, sink)
 	wA := &worker{url: "http://a"}
 	wB := &worker{url: "http://b"}
 

@@ -46,17 +46,19 @@ type Lease struct {
 	w *worker
 }
 
-// NewCore builds the scheduling core of one run; New calls it for the
-// HTTP coordinator and fleetsim for its simulated fleet. cfg.Workers
-// supplies the founding worker names (no network traffic happens; all
-// workers start marked up, which Coordinator.Run's Probe overwrites before
-// the first lease; the list may be empty when cfg.Elastic, with members
-// arriving via AddWorker), totalUnits is the compiled unit count, and
+// NewCore builds the scheduling core of one run of spec, which the caller
+// has validated; New calls it for the HTTP coordinator and fleetsim for
+// its simulated fleet. cfg.Workers supplies the founding worker names (no
+// network traffic happens; all workers start marked up, which
+// Coordinator.Run's Probe overwrites before the first lease; the list may
+// be empty when cfg.Elastic, with members arriving via AddWorker). The
+// spec fixes the unit count and the grid layout the carver twins across.
 // done — nil, or one flag per unit — marks units satisfied by a resume,
 // which are nil-deposited into the sink exactly like a local resume and
 // never leased.
-func NewCore(cfg Config, totalUnits int, done []bool, sink *campaign.Sink) (*Core, error) {
+func NewCore(cfg Config, spec *campaign.Spec, done []bool, sink *campaign.Sink) (*Core, error) {
 	cfg = cfg.withDefaults()
+	totalUnits := int(spec.UnitCount())
 	if done != nil && len(done) != totalUnits {
 		return nil, fmt.Errorf("cluster: done has %d flags for %d units", len(done), totalUnits)
 	}
@@ -74,7 +76,7 @@ func NewCore(cfg Config, totalUnits int, done []bool, sink *campaign.Sink) (*Cor
 		w.markUp()
 	}
 	core.fleet = fl
-	core.st = newRunState(&core.cfg, m, fl.liveCount(), totalUnits, done, sink)
+	core.st = newRunState(&core.cfg, m, fl.liveCount(), spec, done, sink)
 	for i, d := range done {
 		if d {
 			if err := sink.Deposit(i, nil); err != nil {
@@ -215,9 +217,9 @@ func (c *Core) MeanUnitSeconds() float64 {
 func (c *Core) Gate(i int) (wait time.Duration, ok bool) { return c.fleet.get(i).gate() }
 
 // Acquire leases worker i its next dispatch: a requeued shard first, then
-// a fresh carve sized by the adaptive controller, then — when both are
-// drained — a straggler to hedge. ok is false when nothing is runnable
-// for this worker right now.
+// one of its twins or a fresh carve sized by the adaptive controller (see
+// carver), then — when both are drained — a straggler to hedge. ok is
+// false when nothing is runnable for this worker right now.
 func (c *Core) Acquire(i int) (l Lease, ok bool) {
 	w := c.fleet.get(i)
 	s, hedge := c.st.acquire(w, c.cfg.HedgeAfter)

@@ -35,7 +35,7 @@ func TestMembershipChurnBoundsWorkerState(t *testing.T) {
 	// 2 fresh carves per churn cycle at 2 units each consumes the campaign
 	// exactly.
 	totalUnits := churns * 2 * cfg.MinShardSize
-	core, err := NewCore(cfg, totalUnits, nil, campaign.NewSink(&buf))
+	core, err := NewCore(cfg, unitSpec(totalUnits), nil, campaign.NewSink(&buf))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -313,7 +313,7 @@ func Run(sc Scenario) (*Result, error) {
 
 	var buf bytes.Buffer
 	sink := campaign.NewSink(&buf)
-	core, err := cluster.NewCore(cfg, int(sc.Spec.UnitCount()), sc.Done, sink)
+	core, err := cluster.NewCore(cfg, sc.Spec, sc.Done, sink)
 	if err != nil {
 		return nil, err
 	}

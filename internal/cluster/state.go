@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -17,47 +18,122 @@ import (
 // feedback (see sizer). A carved shard never contains a resumed unit: the
 // range ends early at the first done unit, and runs of done units are
 // skipped, so workers only ever execute units the artifact is missing.
-// Guarded by runState.mu.
+//
+// Under adaptive sizing a spec whose task grids are aligned
+// (campaign.Spec.Grids) is carved in twins. Unit j of every grid runs on
+// the same graph instance, so a fresh carve [a,b) in grid t also reserves
+// its twins [a+(u-t)G, b+(u-t)G) in every later grid u, split at units
+// already resumed or reserved, for the worker it was carved for. That
+// worker's next carves lease its twins before anything fresh, so it
+// builds each instance once. A twin still reserved once nothing else is
+// left (a slow or evicted worker's) goes to whichever worker asks. Pinned
+// sizes carve sequentially: a twin would end a shard short at each grid's
+// end. Guarded by runState.mu.
 type carver struct {
-	done  []bool // per unit index: satisfied by the resume set
-	total int
-	next  int // first unit index not yet carved
-	index int // ordinal of the next shard
-	left  int // not-done units not yet carved
+	taken []bool // per unit index: resumed, carved or reserved
+	next  int    // every unit below next is taken
+	index int    // ordinal of the next shard
+	left  int    // not-done units not yet leased, reserved twins included
+	grids int    // task grids carved in twins, or 1
+	size  int    // units per task grid when grids > 1
+	twins []twin // reserved, in carve order
 }
 
-func newCarver(total int, done []bool) *carver {
-	cv := &carver{done: done, total: total}
-	for i := 0; i < total; i++ {
-		if !done[i] {
+// twin is a reserved twin range and the worker it was carved for.
+type twin struct {
+	sh    campaign.Shard
+	owner *worker
+}
+
+// newCarver builds the carver of one run of spec, carving in twins when
+// the spec's grids are aligned and sizing is adaptive.
+func newCarver(spec *campaign.Spec, done []bool, adaptive bool) *carver {
+	cv := &carver{taken: slices.Clone(done), grids: 1}
+	if grids, size := spec.Grids(); adaptive && grids > 1 && size > 0 {
+		cv.grids, cv.size = grids, size
+	}
+	for _, d := range done {
+		if !d {
 			cv.left++
 		}
 	}
 	return cv
 }
 
-// carve returns the next shard of at most size units (size < 1 reads as
-// 1), or false when every runnable unit has been carved.
-func (cv *carver) carve(size int) (campaign.Shard, bool) {
+// carve leases w its next shard: one of w's twins, else a fresh carve of
+// at most size units (size < 1 reads as 1), else another worker's twin.
+// It returns false when every runnable unit has been leased.
+func (cv *carver) carve(w *worker, size int) (campaign.Shard, bool) {
+	pick := slices.IndexFunc(cv.twins, func(tw twin) bool { return tw.owner == w })
+	if pick < 0 {
+		if sh, ok := cv.fresh(w, size); ok {
+			return cv.lease(sh), true
+		}
+		if len(cv.twins) == 0 {
+			return campaign.Shard{}, false
+		}
+		pick = 0
+	}
+	sh := cv.twins[pick].sh
+	cv.twins = slices.Delete(cv.twins, pick, pick+1)
+	return cv.lease(sh), true
+}
+
+// fresh carves the lowest untaken range, ending at its grid's end when
+// carving in twins, and reserves its twins for w.
+func (cv *carver) fresh(w *worker, size int) (campaign.Shard, bool) {
 	if size < 1 {
 		size = 1
 	}
-	for cv.next < cv.total && cv.done[cv.next] {
+	total := len(cv.taken)
+	for cv.next < total && cv.taken[cv.next] {
 		cv.next++
 	}
-	if cv.next >= cv.total {
+	if cv.next >= total {
 		return campaign.Shard{}, false
 	}
-	start := cv.next
+	start, stop, grid := cv.next, total, cv.grids
+	if start < cv.grids*cv.size {
+		grid = start / cv.size
+		stop = (grid + 1) * cv.size
+	}
 	end := start
-	for end < cv.total && end-start < size && !cv.done[end] {
+	for end < stop && end-start < size && !cv.taken[end] {
+		cv.taken[end] = true
 		end++
 	}
-	sh := campaign.Shard{Index: cv.index, Start: start, End: end}
-	cv.index++
 	cv.next = end
+	for g := grid + 1; g < cv.grids; g++ {
+		off := (g - grid) * cv.size
+		cv.reserve(w, start+off, end+off)
+	}
+	return campaign.Shard{Start: start, End: end}, true
+}
+
+// reserve queues the untaken units of [start, end) for w as twins, one
+// per run.
+func (cv *carver) reserve(w *worker, start, end int) {
+	for start < end {
+		if cv.taken[start] {
+			start++
+			continue
+		}
+		stop := start
+		for stop < end && !cv.taken[stop] {
+			cv.taken[stop] = true
+			stop++
+		}
+		cv.twins = append(cv.twins, twin{sh: campaign.Shard{Start: start, End: stop}, owner: w})
+		start = stop
+	}
+}
+
+// lease numbers sh as the next shard and counts its units leased.
+func (cv *carver) lease(sh campaign.Shard) campaign.Shard {
+	sh.Index = cv.index
+	cv.index++
 	cv.left -= sh.Len()
-	return sh, true
+	return sh
 }
 
 // shardState tracks one shard through the lease lifecycle. Guarded by
@@ -119,8 +195,8 @@ type runState struct {
 	doneClosed bool
 }
 
-func newRunState(cfg *Config, m *coordMetrics, workers int, totalUnits int, done []bool, sink *campaign.Sink) *runState {
-	cv := newCarver(totalUnits, done)
+func newRunState(cfg *Config, m *coordMetrics, workers int, spec *campaign.Spec, done []bool, sink *campaign.Sink) *runState {
+	cv := newCarver(spec, done, cfg.MinShardSize < cfg.MaxShardSize)
 	st := &runState{
 		sink:        sink,
 		m:           m,
@@ -129,8 +205,8 @@ func newRunState(cfg *Config, m *coordMetrics, workers int, totalUnits int, done
 		carv:        cv,
 		sizer:       newSizer(cfg, workers),
 		inflight:    make(map[*shardState]bool),
-		units:       totalUnits,
-		skipped:     totalUnits - cv.left,
+		units:       len(done),
+		skipped:     len(done) - cv.left,
 		unitsLeft:   cv.left,
 		wake:        make(chan struct{}, 1),
 		doneCh:      make(chan struct{}),
@@ -150,16 +226,17 @@ func (st *runState) closeDoneLocked() {
 	}
 }
 
-// acquire hands w its next dispatch: a requeued shard first, then a fresh
-// carve sized by the controller, and — when both are drained — a straggler
-// to hedge. It returns nil when nothing is runnable for w right now.
+// acquire hands w its next dispatch: a requeued shard first, then the
+// carver's next shard for w (a twin, or a fresh carve sized by the
+// controller), and — when both are drained — a straggler to hedge. It
+// returns nil when nothing is runnable for w right now.
 func (st *runState) acquire(w *worker, hedgeAfter time.Duration) (s *shardState, hedge bool) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if len(st.pending) > 0 {
 		s = st.pending[0]
 		st.pending = st.pending[1:]
-	} else if sh, ok := st.carv.carve(st.sizer.sizeFor(w.url, st.carv.left)); ok {
+	} else if sh, ok := st.carv.carve(w, st.sizer.sizeFor(w.url, st.carv.left)); ok {
 		s = &shardState{sh: sh, holders: make(map[*worker]bool)}
 		st.carved++
 		st.sizes = append(st.sizes, sh.Len())
@@ -330,10 +407,8 @@ func (st *runState) complete(s *shardState, w *worker, batches [][]campaign.Reco
 	}
 	st.mu.Unlock()
 
-	for off, recs := range batches {
-		if err := st.sink.Deposit(s.sh.Start+off, recs); err != nil {
-			return first, true, err
-		}
+	if err := st.sink.DepositUnits(s.sh.Start, batches); err != nil {
+		return first, true, err
 	}
 	st.wakeAll()
 	return first, true, nil

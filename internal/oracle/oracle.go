@@ -63,9 +63,10 @@ type Empty struct{}
 // Name implements Oracle.
 func (Empty) Name() string { return "empty" }
 
-// Advise implements Oracle.
-func (Empty) Advise(g *graph.Graph, _ graph.NodeID) (sim.Advice, error) {
-	return make(sim.Advice, g.N()), nil
+// Advise implements Oracle. It returns nil, which sim.Advice.Of reads as
+// the empty string at every node, so it allocates nothing.
+func (Empty) Advise(*graph.Graph, graph.NodeID) (sim.Advice, error) {
+	return nil, nil
 }
 
 // FullMap is the classic "full topology knowledge" assumption expressed as

@@ -34,6 +34,14 @@ func TestEmptyOracle(t *testing.T) {
 	if s.TotalBits != 0 || s.NonEmptyNodes != 0 || s.MaxNodeBits != 0 {
 		t.Errorf("stats = %+v", s)
 	}
+	for v := 0; v < g.N(); v++ {
+		if a := advice.Of(graph.NodeID(v)); a.Len() != 0 {
+			t.Errorf("node %d gets %d advice bits", v, a.Len())
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() { _, _ = Empty{}.Advise(g, 0) }); allocs != 0 {
+		t.Errorf("Empty.Advise allocates %v times, want 0", allocs)
+	}
 }
 
 func TestStats(t *testing.T) {

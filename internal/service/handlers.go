@@ -391,7 +391,7 @@ func (s *Server) handleAdvice(w http.ResponseWriter, r *http.Request, ts *tenant
 		if req.IncludeAdvice {
 			resp.Advice = make([]nodeAdvice, g.N())
 			for v := 0; v < g.N(); v++ {
-				a := advice[graph.NodeID(v)]
+				a := advice.Of(graph.NodeID(v))
 				resp.Advice[v] = nodeAdvice{
 					Node:  v,
 					Label: g.Label(graph.NodeID(v)),

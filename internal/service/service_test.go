@@ -91,15 +91,24 @@ func TestAdviceEndpoint(t *testing.T) {
 		t.Errorf("default broadcast scheme = %q, want light-tree", resp.Scheme)
 	}
 
-	// include_advice returns one entry per node.
-	w = postJSON(t, s.Handler(), "/v1/advice", map[string]any{
-		"family": "random-sparse", "n": 32, "seed": 3, "task": "wakeup", "include_advice": true,
-	})
-	if w.Code != http.StatusOK {
-		t.Fatalf("status %d: %s", w.Code, w.Body.String())
-	}
-	if resp := decode[adviceResponse](t, w); len(resp.Advice) != 32 {
-		t.Errorf("advice entries = %d, want 32", len(resp.Advice))
+	// include_advice returns one entry per node, also for the flooding
+	// baseline, whose oracle assigns no strings at all.
+	for _, scheme := range []string{"tree", "flooding"} {
+		w = postJSON(t, s.Handler(), "/v1/advice", map[string]any{
+			"family": "random-sparse", "n": 32, "seed": 3, "task": "wakeup", "scheme": scheme, "include_advice": true,
+		})
+		if w.Code != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", scheme, w.Code, w.Body.String())
+		}
+		resp := decode[adviceResponse](t, w)
+		if len(resp.Advice) != 32 {
+			t.Errorf("%s: advice entries = %d, want 32", scheme, len(resp.Advice))
+		}
+		for v, a := range resp.Advice {
+			if a.Node != v || (scheme == "flooding" && (a.Bits != 0 || a.S != "")) {
+				t.Errorf("%s: entry %d = %+v", scheme, v, a)
+			}
+		}
 	}
 }
 
