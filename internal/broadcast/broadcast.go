@@ -17,6 +17,8 @@ package broadcast
 
 import (
 	"fmt"
+	"slices"
+	"sync"
 
 	"oraclesize/internal/bitstring"
 	"oraclesize/internal/graph"
@@ -110,13 +112,23 @@ func (o Oracle) Advise(g *graph.Graph, source graph.NodeID) (sim.Advice, error) 
 	return o.adviseForTree(g, edges)
 }
 
+// portGroups is adviseForTree's CSR grouping storage, pooled so that only
+// the advice it returns is allocated per call.
+type portGroups struct{ off, ports, cursor []int32 }
+
+var portGroupsPool = sync.Pool{New: func() any { return new(portGroups) }}
+
 func (o Oracle) adviseForTree(g *graph.Graph, edges []graph.Edge) (sim.Advice, error) {
 	codec := o.codec()
 	// Group the assigned ports by node in CSR form (count, prefix-sum,
 	// fill), preserving edge order within each node's group so the advice
 	// bits match the map-of-slices construction exactly.
 	n := g.N()
-	off := make([]int32, n+1)
+	pg := portGroupsPool.Get().(*portGroups)
+	defer portGroupsPool.Put(pg)
+	pg.off = slices.Grow(pg.off[:0], n+1)[:n+1]
+	off := pg.off
+	clear(off)
 	bits := 0
 	for _, e := range edges {
 		x, p := AssignedEndpoint(e)
@@ -126,8 +138,9 @@ func (o Oracle) adviseForTree(g *graph.Graph, edges []graph.Edge) (sim.Advice, e
 	for v := 0; v < n; v++ {
 		off[v+1] += off[v]
 	}
-	ports := make([]int32, off[n])
-	cursor := make([]int32, n)
+	pg.ports = slices.Grow(pg.ports[:0], int(off[n]))[:off[n]]
+	pg.cursor = slices.Grow(pg.cursor[:0], n)[:n]
+	ports, cursor := pg.ports, pg.cursor
 	copy(cursor, off[:n])
 	for _, e := range edges {
 		x, p := AssignedEndpoint(e)
@@ -206,17 +219,17 @@ func (a Algorithm) NewNode(info scheme.NodeInfo) scheme.Node {
 }
 
 // NewNodes implements scheme.NodeBatcher: the automata and their port
-// bitsets are carved from two backing arrays instead of per-node objects,
-// and a single Reader serves every advice decode (the indirect codec.Read
-// call would otherwise heap-allocate one Reader per node).
-func (a Algorithm) NewNodes(infos []scheme.NodeInfo, dst []scheme.Node) {
+// bitsets are carved from two slabs of s instead of per-node objects, and
+// a single Reader serves every advice decode (the indirect codec.Read call
+// would otherwise heap-allocate one Reader per node).
+func (a Algorithm) NewNodes(infos []scheme.NodeInfo, dst []scheme.Node, s *scheme.Scratch) {
 	codec := Oracle{Codec: a.Codec}.codec()
-	backing := make([]node, len(infos))
+	backing := scheme.Slab[node](s, len(infos))
 	words := 0
 	for _, info := range infos {
 		words += 2 * bitsetWords(info.Degree)
 	}
-	bits := make([]uint64, words)
+	bits := scheme.Slab[uint64](s, words)
 	var r bitstring.Reader
 	off := 0
 	for i, info := range infos {
@@ -324,29 +337,31 @@ func (Flooding) Name() string { return "broadcast-flooding" }
 
 // NewNode implements scheme.Algorithm.
 func (Flooding) NewNode(info scheme.NodeInfo) scheme.Node {
-	return &floodNode{info: info}
+	return &floodNode{degree: info.Degree, source: info.Source}
 }
 
 // NewNodes implements scheme.NodeBatcher.
-func (Flooding) NewNodes(infos []scheme.NodeInfo, dst []scheme.Node) {
-	backing := make([]floodNode, len(infos))
+func (Flooding) NewNodes(infos []scheme.NodeInfo, dst []scheme.Node, s *scheme.Scratch) {
+	backing := scheme.Slab[floodNode](s, len(infos))
 	for i, info := range infos {
-		backing[i].info = info
+		backing[i] = floodNode{degree: info.Degree, source: info.Source}
 		dst[i] = &backing[i]
 	}
 }
 
+// floodNode keeps only its degree and flags, so its slab holds no pointer
+// for the collector to scan.
 type floodNode struct {
-	info     scheme.NodeInfo
-	informed bool
+	degree           int
+	source, informed bool
 }
 
 func (nd *floodNode) Init(out []scheme.Send) []scheme.Send {
-	if !nd.info.Source {
+	if !nd.source {
 		return out
 	}
 	nd.informed = true
-	return floodAll(out, nd.info.Degree, -1)
+	return floodAll(out, nd.degree, -1)
 }
 
 func (nd *floodNode) Receive(msg scheme.Message, port int, out []scheme.Send) []scheme.Send {
@@ -354,7 +369,7 @@ func (nd *floodNode) Receive(msg scheme.Message, port int, out []scheme.Send) []
 		return out
 	}
 	nd.informed = true
-	return floodAll(out, nd.info.Degree, port)
+	return floodAll(out, nd.degree, port)
 }
 
 // floodAll appends the source message on every port but except.

@@ -21,8 +21,9 @@ import (
 // evicts one — its leases requeue immediately (no lease-timeout wait) and
 // its scheduling state (EWMA, breaker, histograms) retires with it.
 // Results a departed worker delivers late are dropped. The fleet is also
-// the member table of the fleet endpoint: Join and Beat keep a joined
-// worker's registration on the same entry whose gate decides its leases.
+// the member table of the fleet endpoint: Join keeps a joined worker's
+// registration on the same entry whose gate decides its leases, and a
+// live member's repeated Join is its heartbeat.
 //
 // The protocol per worker slot is: Gate → Acquire → run the shard however
 // the caller likes → Complete or Fail. All methods are safe for concurrent

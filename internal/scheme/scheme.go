@@ -141,12 +141,72 @@ type Algorithm interface {
 
 // NodeBatcher is an optional Algorithm extension for allocation-conscious
 // engines. NewNodes fills dst[i] with a fresh automaton for infos[i],
-// equivalent to n NewNode calls but free to batch-allocate the automata in
-// one backing array. dst and infos have equal length; implementations must
-// not retain either slice (the engine reuses them across runs), though the
-// automata themselves live for the whole run.
+// equivalent to n NewNode calls, but carves the automata, and any arrays
+// they point into, from s with Slab instead of allocating them, so an
+// engine that passes the same Scratch run after run builds its automata in
+// the storage its last run left. dst and infos have equal length;
+// implementations must retain neither slice nor s (the engine reuses all
+// three across runs). The automata live until the engine resets s for its
+// next run, or for as long as the caller keeps them once the engine hands
+// them out with their storage (sim.Options.RetainNodes). A nil s
+// allocates fresh storage.
 type NodeBatcher interface {
-	NewNodes(infos []NodeInfo, dst []Node)
+	NewNodes(infos []NodeInfo, dst []Node, s *Scratch)
+}
+
+// Scratch is storage that outlives a run: the arrays NodeBatchers carve
+// their automata from, kept by the engine that runs them. The zero value
+// is ready to use; a Scratch is not safe for concurrent use.
+type Scratch struct {
+	slabs []slab
+}
+
+// slab is one kept array: buf holds a []T for some T, and taken marks it
+// handed out since the last Reset.
+type slab struct {
+	buf   any
+	taken bool
+}
+
+// Reset makes all of s's storage available to Slab again. The engine
+// calls it before each NewNodes, once nothing uses the automata carved
+// since the previous Reset.
+func (s *Scratch) Reset() {
+	for i := range s.slabs {
+		s.slabs[i].taken = false
+	}
+}
+
+// Slab returns n zeroed Ts. It reuses an array of Ts that s kept from an
+// earlier call and that no call since the last Reset has taken, growing it
+// when n exceeds its capacity, so two slabs of one T between Resets never
+// share storage. A nil s allocates.
+func Slab[T any](s *Scratch, n int) []T {
+	if s == nil {
+		return make([]T, n)
+	}
+	for i := range s.slabs {
+		sl := &s.slabs[i]
+		if sl.taken {
+			continue
+		}
+		buf, ok := sl.buf.([]T)
+		if !ok {
+			continue
+		}
+		sl.taken = true
+		if cap(buf) < n {
+			buf = make([]T, n)
+			sl.buf = buf
+			return buf
+		}
+		buf = buf[:n]
+		clear(buf)
+		return buf
+	}
+	buf := make([]T, n)
+	s.slabs = append(s.slabs, slab{buf: buf, taken: true})
+	return buf
 }
 
 // Func adapts plain constructor functions to the Algorithm interface.

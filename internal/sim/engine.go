@@ -95,15 +95,19 @@ type Result struct {
 }
 
 // Engine executes runs while reusing all per-run scratch state: the node
-// automaton table, delivery bookkeeping slices, the default scheduler's
-// queue storage, and the per-kind message counters. A zero Engine is ready
-// to use; an Engine is not safe for concurrent use (pool Engines per
-// worker, as the package-level Run does via a sync.Pool).
+// automaton table, the storage a scheme.NodeBatcher carves the automata
+// from, delivery bookkeeping slices, the default scheduler's queue
+// storage, and the per-kind message counters. A zero Engine is ready to
+// use; an Engine is not safe for concurrent use (pool Engines per worker,
+// as the package-level Run does via a sync.Pool).
 //
 // Engine.Run is byte-identical in results to the package-level Run: same
 // message counts, same deterministic delivery orders.
 type Engine struct {
-	nodes     []scheme.Node
+	nodes []scheme.Node
+	// scratch holds the automata a NodeBatcher builds, run after run; a
+	// RetainNodes run hands it out with them and starts a new one.
+	scratch   scheme.Scratch
 	infos     []scheme.NodeInfo
 	delivered []bool // has v received anything yet
 	nodeTime  []int  // logical time of v's latest knowledge
@@ -238,7 +242,8 @@ func (e *Engine) Run(g *graph.Graph, source graph.NodeID, algo scheme.Algorithm,
 		}
 	}
 	if nb, ok := algo.(scheme.NodeBatcher); ok {
-		nb.NewNodes(e.infos, e.nodes)
+		e.scratch.Reset()
+		nb.NewNodes(e.infos, e.nodes, &e.scratch)
 	} else {
 		for v := 0; v < n; v++ {
 			e.nodes[v] = algo.NewNode(e.infos[v])
@@ -324,10 +329,13 @@ func (e *Engine) Run(g *graph.Graph, source graph.NodeID, algo scheme.Algorithm,
 		e.kindsUsed = e.kindsUsed[:0]
 		// Automata may be retained by the caller; sever the engine's
 		// references either way so pooled reuse cannot alias live state,
-		// and drop the payloads the send buffer still points to.
+		// and drop the payloads the send buffer still points to. Retained
+		// automata keep the storage they were carved from, so the engine
+		// detaches its scratch along with them.
 		if err == nil && opts.RetainNodes {
 			res.Nodes = e.nodes
 			e.nodes = nil
+			e.scratch = scheme.Scratch{}
 		} else {
 			clear(e.nodes)
 		}

@@ -14,6 +14,10 @@ import (
 	"oraclesize/internal/graph"
 )
 
+// ErrNotConnected is what BFS, DFS, Light and Prim return for a graph
+// with more than one component.
+var ErrNotConnected = errors.New("spantree: graph is not connected")
+
 // Weight is the paper's edge weight: the smaller of the two port numbers.
 func Weight(e graph.Edge) int {
 	if e.PU < e.PV {
@@ -176,7 +180,7 @@ func (t *Tree) fillChildren() {
 func BFS(g *graph.Graph, root graph.NodeID) (*Tree, error) {
 	res := g.BFS(root)
 	if len(res.Order) != g.N() {
-		return nil, errors.New("spantree: graph is not connected")
+		return nil, ErrNotConnected
 	}
 	// The search's arrays are fresh and mark the root as the tree does
 	// (-1), so the tree takes them over.
@@ -189,7 +193,7 @@ func BFS(g *graph.Graph, root graph.NodeID) (*Tree, error) {
 // ports in increasing order.
 func DFS(g *graph.Graph, root graph.NodeID) (*Tree, error) {
 	if !g.Connected() {
-		return nil, errors.New("spantree: graph is not connected")
+		return nil, ErrNotConnected
 	}
 	t := newTree(g.N(), root)
 	visited := make([]bool, g.N())

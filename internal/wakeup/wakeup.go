@@ -19,6 +19,8 @@ package wakeup
 
 import (
 	"fmt"
+	"slices"
+	"sync"
 
 	"oraclesize/internal/bitstring"
 	"oraclesize/internal/graph"
@@ -66,6 +68,9 @@ func (o Oracle) Name() string { return "wakeup-tree" }
 // Advise implements oracle.Oracle: it encodes, for every internal node of
 // the chosen spanning tree, the ports leading to its children.
 func (o Oracle) Advise(g *graph.Graph, source graph.NodeID) (sim.Advice, error) {
+	if o.Tree == TreeBFS {
+		return adviseBFS(g, source)
+	}
 	tree, err := o.buildTree(g, source)
 	if err != nil {
 		return nil, err
@@ -87,6 +92,64 @@ func (o Oracle) Advise(g *graph.Graph, source graph.NodeID) (sim.Advice, error) 
 		}
 	}
 	return arena.Strings(make(sim.Advice, 0, n)), nil
+}
+
+// bfsScratch is adviseBFS's working storage, pooled so that only the
+// advice it returns is allocated per call.
+type bfsScratch struct {
+	visited []bool
+	queue   []graph.NodeID
+	// strs holds the strings in the order the search wrote them; it is
+	// cleared before the scratch goes back to the pool.
+	strs []bitstring.String
+}
+
+var bfsPool = sync.Pool{New: func() any { return new(bfsScratch) }}
+
+// adviseBFS is Advise on the breadth-first tree, built during its one
+// search instead of through a spantree.Tree. Scanning a node's ports in
+// increasing order, the search makes each neighbour it reaches first that
+// node's child, exactly as spantree.BFS does, and meets the children in
+// increasing port order, the order Tree.Children lists them in; so a
+// node's string is written whole when the search leaves it.
+func adviseBFS(g *graph.Graph, source graph.NodeID) (sim.Advice, error) {
+	n, width := g.N(), oracle.FieldWidth(g.N())
+	sc := bfsPool.Get().(*bfsScratch)
+	defer bfsPool.Put(sc)
+	visited := slices.Grow(sc.visited[:0], n)[:n]
+	clear(visited)
+	queue := append(slices.Grow(sc.queue[:0], n), source)
+	sc.visited, sc.queue = visited, queue
+	visited[source] = true
+	var arena bitstring.Arena
+	arena.Grow(n, n*(bitstring.DoubledLen(uint64(width))+width))
+	for i := 0; i < len(queue); i++ {
+		w := arena.Begin() // queue[i]'s string; a leaf's stays empty
+		leaf := true
+		for p, h := range g.Ports(queue[i]) {
+			if visited[h.To] {
+				continue
+			}
+			visited[h.To] = true
+			queue = append(queue, h.To)
+			if leaf {
+				w.AppendDoubled(uint64(width))
+				leaf = false
+			}
+			w.WriteFixed(uint64(p), width)
+		}
+	}
+	if len(queue) != n {
+		return nil, spantree.ErrNotConnected
+	}
+	strs := arena.Strings(sc.strs[:0])
+	advice := make(sim.Advice, n)
+	for i, v := range queue {
+		advice[v] = strs[i]
+	}
+	clear(strs)
+	sc.strs = strs
+	return advice, nil
 }
 
 func (o Oracle) buildTree(g *graph.Graph, source graph.NodeID) (*spantree.Tree, error) {
@@ -163,9 +226,9 @@ func (Algorithm) NewNode(info scheme.NodeInfo) scheme.Node {
 }
 
 // NewNodes implements scheme.NodeBatcher: all automata of a run share one
-// backing array instead of n individual heap objects.
-func (Algorithm) NewNodes(infos []scheme.NodeInfo, dst []scheme.Node) {
-	backing := make([]node, len(infos))
+// slab of s instead of n individual heap objects.
+func (Algorithm) NewNodes(infos []scheme.NodeInfo, dst []scheme.Node, s *scheme.Scratch) {
+	backing := scheme.Slab[node](s, len(infos))
 	for i, info := range infos {
 		backing[i] = node{advice: info.Advice, degree: info.Degree, source: info.Source}
 		dst[i] = &backing[i]
@@ -238,29 +301,31 @@ func (Flooding) Name() string { return "wakeup-flooding" }
 
 // NewNode implements scheme.Algorithm.
 func (Flooding) NewNode(info scheme.NodeInfo) scheme.Node {
-	return &floodNode{info: info}
+	return &floodNode{degree: info.Degree, source: info.Source}
 }
 
 // NewNodes implements scheme.NodeBatcher.
-func (Flooding) NewNodes(infos []scheme.NodeInfo, dst []scheme.Node) {
-	backing := make([]floodNode, len(infos))
+func (Flooding) NewNodes(infos []scheme.NodeInfo, dst []scheme.Node, s *scheme.Scratch) {
+	backing := scheme.Slab[floodNode](s, len(infos))
 	for i, info := range infos {
-		backing[i].info = info
+		backing[i] = floodNode{degree: info.Degree, source: info.Source}
 		dst[i] = &backing[i]
 	}
 }
 
+// floodNode keeps only its degree and flags, so its slab holds no pointer
+// for the collector to scan.
 type floodNode struct {
-	info  scheme.NodeInfo
-	awake bool
+	degree        int
+	source, awake bool
 }
 
 func (nd *floodNode) Init(out []scheme.Send) []scheme.Send {
-	if !nd.info.Source {
+	if !nd.source {
 		return out
 	}
 	nd.awake = true
-	return floodSends(out, nd.info.Degree, -1)
+	return floodSends(out, nd.degree, -1)
 }
 
 func (nd *floodNode) Receive(msg scheme.Message, port int, out []scheme.Send) []scheme.Send {
@@ -268,7 +333,7 @@ func (nd *floodNode) Receive(msg scheme.Message, port int, out []scheme.Send) []
 		return out
 	}
 	nd.awake = true
-	return floodSends(out, nd.info.Degree, port)
+	return floodSends(out, nd.degree, port)
 }
 
 // floodSends appends the source message on every port but except.
