@@ -8,7 +8,7 @@
 //	           -out results.jsonl [-resume] [-seed S]
 //	           [-shard-min 4] [-shard-max 512] [-shard-target 2s]
 //	           [-slots 2] [-lease 2m] [-hedge-after 30s]
-//	           [-retries 8] [-allow-skew] [-metrics :9090]
+//	           [-retries 8] [-metrics :9090]
 //	           [-listen :8090] [-member-ttl 10s] [-target-makespan 0]
 //	           [-api-key KEY] [-tls-cert c.pem -tls-key k.pem]
 //	           [-tls-ca ca.pem] [-tls-client-ca ca.pem]
@@ -100,7 +100,6 @@ func run(args []string, out, errOut io.Writer) int {
 		lease       = fs.Duration("lease", 2*time.Minute, "per-shard lease; an expired lease is reassigned")
 		hedgeAfter  = fs.Duration("hedge-after", 30*time.Second, "re-dispatch a shard in flight this long (negative disables)")
 		retries     = fs.Int("retries", 8, "per-shard failed dispatches before the run fails; 503 and 429 sheds are not counted")
-		allowSkew   = fs.Bool("allow-skew", false, "accept workers whose catalog fingerprint differs")
 		metrics     = fs.String("metrics", "", "serve coordinator Prometheus metrics on this address")
 		listen      = fs.String("listen", "", "serve the elastic fleet endpoints (/v1/fleet*, combined /metrics) on this address; workers join with oracled -join")
 		memberTTL   = fs.Duration("member-ttl", 10*time.Second, "evict a fleet member this long after its last join (its heartbeat)")
@@ -196,7 +195,6 @@ func run(args []string, out, errOut io.Writer) int {
 		HedgeAfter:          *hedgeAfter,
 		MaxAttempts:         *retries,
 		MemberTTL:           *memberTTL,
-		AllowSkew:           *allowSkew,
 		Client:              httpClient,
 		APIKey:              *apiKey,
 		Logf:                func(format string, a ...any) { fmt.Fprintf(errOut, format+"\n", a...) },

@@ -4,7 +4,7 @@
 // constructions and this repository's extensions. It exits 1 when the run
 // is incomplete or exceeds the bound. All names (families, tasks,
 // oracles/schemes, engines, schedulers) resolve through internal/catalog,
-// and the run goes through catalog.Resolve and Run.Execute, the same path
+// and the run goes through catalog.Resolve and Run.Do, the same path
 // behind cmd/campaign and the oracled service's /v1/run.
 //
 // Examples:
@@ -66,21 +66,13 @@ func run(args []string, out, errOut io.Writer) int {
 	if *source < 0 || *source >= g.N() {
 		return fail(errOut, fmt.Errorf("source %d out of range [0,%d)", *source, g.N()))
 	}
-	src := graph.NodeID(*source)
-	advice, err := run.Scheme.NewOracle(src).Advise(g, src)
+	done, err := run.Do(g, graph.NodeID(*source))
 	if err != nil {
 		return fail(errOut, err)
 	}
-	res, err := run.Execute(g, src, advice)
-	if err != nil {
-		return fail(errOut, err)
-	}
+	res := done.Result
 
-	// Completion criterion is task-specific: dissemination tasks require
-	// every node informed; election requires a valid unanimous decision.
-	complete := run.Task.Check(res) == nil
-
-	stats := oracle.Stats(advice)
+	stats := oracle.Stats(done.Advice)
 	fmt.Fprintf(out, "network      %s  n=%d m=%d maxdeg=%d\n", *familyName, g.N(), g.M(), g.MaxDegree())
 	fmt.Fprintf(out, "task         %s  (algorithm %s)\n", *task, run.Scheme.Algo.Name())
 	fmt.Fprintf(out, "oracle       %s  size=%d bits  max-node=%d bits  nonempty-nodes=%d\n",
@@ -100,20 +92,16 @@ func run(args []string, out, errOut io.Writer) int {
 	}
 	fmt.Fprintln(out)
 	fmt.Fprintf(out, "bandwidth    %d bits total  max-node-sends=%d\n", res.MessageBits, res.MaxNodeSends)
-	within := true
 	if run.Scheme.Bound == nil {
 		fmt.Fprintln(out, "bound        none")
 	} else {
 		messages, adviceBits := run.Scheme.Bound(g.N())
 		fmt.Fprintf(out, "bound        messages<=%d advice<=%d bits\n", messages, adviceBits)
-		within = res.Messages <= messages && stats.TotalBits <= adviceBits
 	}
-	fmt.Fprintf(out, "complete     %v  (rounds=%d)\n", complete, res.Rounds)
-	if !within {
-		fmt.Fprintf(errOut, "oraclesim: %s/%s run exceeds its bound at n=%d\n", run.Task.Name, run.Scheme.Name, g.N())
-	}
-	if !complete || !within {
-		return 1
+	// Do's verdict: the task's completion check, then the bound.
+	fmt.Fprintf(out, "complete     %v  (rounds=%d)\n", done.Check == nil, res.Rounds)
+	if done.Check != nil {
+		return fail(errOut, done.Check)
 	}
 	return 0
 }

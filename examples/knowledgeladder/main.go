@@ -14,7 +14,6 @@ import (
 	"oraclesize/internal/catalog"
 	"oraclesize/internal/election"
 	"oraclesize/internal/explore"
-	"oraclesize/internal/gossip"
 	"oraclesize/internal/graphgen"
 	"oraclesize/internal/mst"
 	"oraclesize/internal/sim"
@@ -64,15 +63,15 @@ func main() {
 	row("broadcast", "light tree (Thm 3.1)", bAdvice.SizeBits(), fmt.Sprintf("%d msgs", bRes.Messages))
 
 	// Gossip.
-	gAdvice, err := gossip.Oracle{}.Advise(g, 0)
+	gossipRun, err := catalog.Resolve("gossip", "tree", "", "", 0)
 	if err != nil {
 		log.Fatal(err)
 	}
-	gRes, verified, err := gossip.Run(g, sim.Options{})
-	if err != nil || !verified {
+	gossiped, err := gossipRun.Do(g, 0)
+	if err != nil || gossiped.Check != nil {
 		log.Fatal("gossip failed")
 	}
-	row("gossip", "tree oracle (ext.)", gAdvice.SizeBits(), fmt.Sprintf("%d msgs", gRes.Messages))
+	row("gossip", "tree oracle (ext.)", gossiped.Advice.SizeBits(), fmt.Sprintf("%d msgs", gossiped.Result.Messages))
 
 	// Election ladder.
 	eRes, err := sim.Run(g, 0, election.MaxLabelFlood{}, nil,

@@ -98,12 +98,12 @@ func TestPropertyBroadcastBounds(t *testing.T) {
 func TestPropertyGossipExact(t *testing.T) {
 	f := func(seed int64, sizeSeed, denseSeed uint8) bool {
 		g, _ := randomCase(t, seed, sizeSeed, denseSeed)
-		res, verified, err := gossip.Run(g, sim.Options{})
+		rep, err := GossipAll(g)
 		if err != nil {
 			return false
 		}
 		want, _ := gossip.Bound(g.N())
-		return verified && res.Messages == want
+		return rep.Complete && rep.Messages == want
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"sync"
 
 	"oraclesize/internal/catalog"
 )
@@ -56,21 +55,6 @@ type Record struct {
 	WallNS int64 `json:"wall_ns"`
 }
 
-// schemeBounds maps each task's scheme names and aliases to the scheme's
-// catalog bound (nil for a baseline). It is built once, so validating a
-// large artifact does not rebuild the catalog for every record.
-var schemeBounds = sync.OnceValue(func() map[[2]string]func(int) (int, int) {
-	bounds := map[[2]string]func(int) (int, int){}
-	for _, t := range catalog.Tasks() {
-		for _, sc := range t.Schemes {
-			for _, name := range append([]string{sc.Name}, sc.Aliases...) {
-				bounds[[2]string{t.Name, name}] = sc.Bound
-			}
-		}
-	}
-	return bounds
-})
-
 // Validate checks the record against the schema for its kind. A task
 // record must name a catalog task and scheme, and a record of a scheme with
 // a proven bound must be complete and within the bound at its generated
@@ -102,22 +86,15 @@ func (r Record) Validate() error {
 		if r.Messages < 0 || r.MessageBits < 0 || r.AdviceBits < 0 || r.Rounds < 0 {
 			return fmt.Errorf("campaign: task record %s: negative measurement", r.Unit)
 		}
-		bound, ok := schemeBounds()[[2]string{r.Task, r.Scheme}]
-		if !ok {
+		run, err := catalog.Resolve(r.Task, r.Scheme, "", "", 0)
+		if err != nil {
 			return fmt.Errorf("campaign: task record %s: unknown task/scheme %s/%s", r.Unit, r.Task, r.Scheme)
 		}
-		if bound != nil {
-			messages, adviceBits := bound(r.Nodes)
-			switch {
-			case !r.Complete:
-				return fmt.Errorf("campaign: task record %s: %s/%s run incomplete", r.Unit, r.Task, r.Scheme)
-			case r.Messages > messages:
-				return fmt.Errorf("campaign: task record %s: %d messages exceed the %s/%s bound %d at n=%d",
-					r.Unit, r.Messages, r.Task, r.Scheme, messages, r.Nodes)
-			case r.AdviceBits > adviceBits:
-				return fmt.Errorf("campaign: task record %s: %d advice bits exceed the %s/%s bound %d at n=%d",
-					r.Unit, r.AdviceBits, r.Task, r.Scheme, adviceBits, r.Nodes)
-			}
+		if run.Scheme.Bound != nil && !r.Complete {
+			return fmt.Errorf("campaign: task record %s: %s/%s run incomplete", r.Unit, r.Task, r.Scheme)
+		}
+		if err := run.CheckBound(r.Nodes, r.Messages, r.AdviceBits); err != nil {
+			return fmt.Errorf("campaign: task record %s: %w", r.Unit, err)
 		}
 	case KindExperiment:
 		if r.Experiment == "" {

@@ -51,15 +51,11 @@ func runTaskUnit(s *Spec, specHash string, u Unit, cache *Cache) (Record, error)
 	if err != nil {
 		return Record{}, fmt.Errorf("campaign: generating %s n=%d: %w", u.Family, u.N, err)
 	}
-	advice, err := run.Scheme.NewOracle(0).Advise(g, 0)
+	done, err := run.Do(g, 0)
 	if err != nil {
-		return Record{}, fmt.Errorf("campaign: advising %s/%s: %w", u.Task, u.Scheme, err)
+		return Record{}, fmt.Errorf("campaign: %s: %w", u.Key(), err)
 	}
-	start := time.Now()
-	res, err := run.Execute(g, 0, advice)
-	if err != nil {
-		return Record{}, fmt.Errorf("campaign: running %s: %w", u.Key(), err)
-	}
+	res := done.Result
 	return Record{
 		SpecHash:    specHash,
 		Unit:        u.Key(),
@@ -72,12 +68,12 @@ func runTaskUnit(s *Spec, specHash string, u Unit, cache *Cache) (Record, error)
 		N:           u.N,
 		Nodes:       g.N(),
 		Edges:       g.M(),
-		AdviceBits:  advice.SizeBits(),
+		AdviceBits:  done.Advice.SizeBits(),
 		Messages:    res.Messages,
 		MessageBits: res.MessageBits,
 		Rounds:      res.Rounds,
-		Complete:    run.Task.Check(res) == nil,
-		WallNS:      time.Since(start).Nanoseconds(),
+		Complete:    done.Check == nil,
+		WallNS:      done.Wall.Nanoseconds(), // the simulation's alone
 	}, nil
 }
 

@@ -6,17 +6,21 @@
 // configuration everywhere — a spec written for the campaign CLI selects
 // the exact schemes the HTTP API serves.
 //
-// It also owns the one path from a scheme to the simulator. Resolve checks
-// a run's task, scheme, engine and scheduler names before any work is
-// done, and Run.Execute simulates the resolved run on a graph under a
-// given advice: it alone picks the engine, builds the scheduler, applies
-// the task's wakeup constraint and node retention, and fills in the
-// default message budget. oraclesim, campaign units and oracled's /v1/run
-// each keep their own admission and output around that one call.
+// It also owns the one path from a scheme to a judged result. Resolve
+// checks a run's task, scheme, engine and scheduler names before any work
+// is done, and Run.Do builds the scheme's advice, simulates and judges the
+// run: the task's completion check, then the scheme's bound. oraclesim,
+// campaign units, oracled's /v1/run, the root package's runners and every
+// experiment run of a catalog scheme go through Do. Its simulation step,
+// Run.Execute, alone picks the engine, builds the scheduler, applies the
+// task's wakeup constraint and node retention, and fills in the default
+// message budget; experiments that feed a scheme's algorithm a variant
+// oracle's advice call it directly.
 //
 // Each scheme a theorem covers lists its proven bound (Scheme.Bound): the
-// construction packages write every formula once, and tests, experiments,
-// oraclesim and `campaign validate` all check runs against it.
+// construction packages write every formula once, Do holds every run to
+// it, and `campaign validate` holds artifact records to it through
+// Run.CheckBound.
 //
 // Scheme names come in two historical dialects: campaign records use
 // construction names ("tree", "light-tree", "flooding") while oraclesim's
@@ -70,7 +74,7 @@ type Task struct {
 	EnforceWakeup bool
 	// NeedsNodes marks tasks whose completion check inspects the retained
 	// automata; runs must set sim.Options.RetainNodes (election decisions
-	// live in the final node states).
+	// and the value sets gossip collects live in the final node states).
 	NeedsNodes bool
 	// Schemes lists the registered pairings, first is the paper's default.
 	Schemes []Scheme
@@ -167,8 +171,11 @@ func registry() []Task {
 			},
 		},
 		{
-			Name:  "gossip",
-			check: allInformed,
+			Name:       "gossip",
+			NeedsNodes: true,
+			check: func(res *sim.Result) error {
+				return gossip.Verify(res.Nodes)
+			},
 			Schemes: []Scheme{
 				{Name: "tree", Aliases: []string{"paper"},
 					NewOracle: func(source graph.NodeID) oracle.Oracle { return gossip.Oracle{Root: source} },

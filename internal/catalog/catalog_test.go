@@ -12,9 +12,11 @@ import (
 )
 
 // TestEverySchemeCompletes runs each registered task×scheme pairing on a
-// small random graph through Resolve and Execute and checks the task's own
-// completion criterion — the registry must only hand out pairings that
-// actually work together — and, for a bounded scheme, its bound.
+// small random graph through Resolve and Do, under every scheduler and on
+// both engines, and requires Do's verdict: the task's own completion check
+// and, for a bounded scheme, its bound — the registry must only hand out
+// pairings that work together. Election and gossip have no goroutines
+// runs: their checks read the retained automata, so Resolve refuses them.
 func TestEverySchemeCompletes(t *testing.T) {
 	g, err := graphgen.RandomConnected(48, 96, rand.New(rand.NewSource(7)))
 	if err != nil {
@@ -23,30 +25,75 @@ func TestEverySchemeCompletes(t *testing.T) {
 	for _, task := range Tasks() {
 		for _, sc := range task.Schemes {
 			t.Run(task.Name+"/"+sc.Name, func(t *testing.T) {
-				run, err := Resolve(task.Name, sc.Name, "", "", 0)
-				if err != nil {
-					t.Fatal(err)
-				}
-				advice, err := run.Scheme.NewOracle(0).Advise(g, 0)
-				if err != nil {
-					t.Fatal(err)
-				}
-				res, err := run.Execute(g, 0, advice)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := task.Check(res); err != nil {
-					t.Errorf("completion check: %v", err)
-				}
-				if sc.Bound == nil {
-					return
-				}
-				if messages, adviceBits := sc.Bound(g.N()); res.Messages > messages || advice.SizeBits() > adviceBits {
-					t.Errorf("%d messages, %d advice bits exceed the bound (%d, %d)",
-						res.Messages, advice.SizeBits(), messages, adviceBits)
+				for _, order := range append(SchedulerNames(), EngineGoroutines) {
+					engine := EngineQueue
+					if order == EngineGoroutines {
+						if task.NeedsNodes {
+							continue
+						}
+						engine = order
+					}
+					t.Run(order, func(t *testing.T) {
+						run, err := Resolve(task.Name, sc.Name, engine, order, 3)
+						if err != nil {
+							t.Fatal(err)
+						}
+						done, err := run.Do(g, 0)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if done.Check != nil {
+							t.Errorf("check: %v", done.Check)
+						}
+						if done.Result.Messages == 0 || done.Wall < 0 {
+							t.Errorf("%d messages in %v", done.Result.Messages, done.Wall)
+						}
+					})
 				}
 			})
 		}
+	}
+}
+
+// TestDoFailures pins Do's two kinds of failure: a run that finished but
+// breaks its scheme's bound reports a Check naming the bound, and a run
+// that cannot advise or simulate is an error prefixed "advising: " or
+// "run: " (oracled's /v1/run answers 400 with that text).
+func TestDoFailures(t *testing.T) {
+	g, err := graphgen.RandomConnected(48, 96, rand.New(rand.NewSource(7)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	run, err := Resolve("wakeup", "tree", "", "", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tight := run
+	tight.Scheme.Bound = func(n int) (int, int) {
+		messages, adviceBits := run.Scheme.Bound(n)
+		return messages - 1, adviceBits
+	}
+	done, err := tight.Do(g, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := "47 messages exceed the wakeup/tree bound 46 at n=48"
+	if done.Check == nil || done.Check.Error() != want {
+		t.Errorf("one message over a tightened bound: Check = %v, want %q", done.Check, want)
+	}
+
+	disconnected, err := graph.NewBuilder(2).Graph()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := run.Do(disconnected, 0); err == nil || !strings.HasPrefix(err.Error(), "advising: ") {
+		t.Errorf("disconnected graph: err = %v, want an advising: error", err)
+	}
+	capped := run
+	capped.MaxMessages = 5
+	if _, err := capped.Do(g, 0); err == nil || !strings.HasPrefix(err.Error(), "run: sim: message budget exceeded") ||
+		!errors.Is(err, sim.ErrMessageBudget) {
+		t.Errorf("5-message cap: err = %v, want a run: %v error", err, sim.ErrMessageBudget)
 	}
 }
 
@@ -139,14 +186,16 @@ func TestResolve(t *testing.T) {
 			wantScheme: "marked-flood", wantEngine: EngineQueue, wantSched: "delay"},
 		{name: "goroutines", task: "wakeup", engine: EngineGoroutines,
 			wantScheme: "tree", wantEngine: EngineGoroutines},
-		{name: "goroutines ignores scheduler", task: "gossip", engine: EngineGoroutines, scheduler: "random",
-			wantScheme: "tree", wantEngine: EngineGoroutines},
+		{name: "goroutines ignores scheduler", task: "broadcast", engine: EngineGoroutines, scheduler: "random",
+			wantScheme: "light-tree", wantEngine: EngineGoroutines},
 		{name: "unknown task", task: "teleport", wantErr: `unknown task "teleport"`},
 		{name: "unknown scheme", task: "wakeup", scheme: "psychic", wantErr: `has no scheme "psychic"`},
 		{name: "unknown scheduler", task: "wakeup", scheduler: "chaos", wantErr: `unknown scheduler "chaos"`},
 		{name: "unknown engine", task: "wakeup", engine: "quantum", wantErr: `unknown engine "quantum"`},
 		{name: "election needs queue", task: "election", engine: EngineGoroutines,
 			wantErr: "election verification needs the queue engine"},
+		{name: "gossip needs queue", task: "gossip", engine: EngineGoroutines,
+			wantErr: "gossip verification needs the queue engine"},
 	}
 	for _, tc := range cases {
 		run, err := Resolve(tc.task, tc.scheme, tc.engine, tc.scheduler, 5)

@@ -2,6 +2,7 @@ package catalog
 
 import (
 	"fmt"
+	"time"
 
 	"oraclesize/internal/graph"
 	"oraclesize/internal/sim"
@@ -19,8 +20,9 @@ const (
 
 // Run is one resolved simulation: a task, one of its schemes, an engine
 // and, for the queue engine, a scheduler, every name checked by Resolve.
-// Execute is the one path from a catalog scheme to the simulator; the
-// oraclesim CLI, campaign units and oracled's /v1/run all take it.
+// Do is the one path from a catalog scheme to a judged result; oraclesim,
+// campaign units, oracled's /v1/run, the root package's runners and the
+// experiments all take it.
 type Run struct {
 	Task   Task
 	Scheme Scheme
@@ -96,4 +98,59 @@ func (r Run) Execute(g *graph.Graph, src graph.NodeID, advice sim.Advice) (*sim.
 		opts.Scheduler = factory()
 	}
 	return sim.Run(g, src, r.Scheme.Algo, advice, opts)
+}
+
+// Outcome is one judged run of a catalog scheme.
+type Outcome struct {
+	// Advice is the scheme's advice for the run's source.
+	Advice sim.Advice
+	// Result summarizes the simulation.
+	Result *sim.Result
+	// Wall is the simulation's wall time; building the advice is not in it.
+	Wall time.Duration
+	// Check is nil only for a run that completed its task within its
+	// scheme's bound.
+	Check error
+}
+
+// Do builds the scheme's oracle for src, advises, simulates through
+// Execute and judges the run: first the task's completion check, then
+// CheckBound. Failing to advise or to simulate is an error, prefixed
+// "advising: " or "run: "; a run that finished but fails its judgement
+// reports it in Outcome.Check.
+func (r Run) Do(g *graph.Graph, src graph.NodeID) (Outcome, error) {
+	advice, err := r.Scheme.NewOracle(src).Advise(g, src)
+	if err != nil {
+		return Outcome{}, fmt.Errorf("advising: %w", err)
+	}
+	start := time.Now()
+	res, err := r.Execute(g, src, advice)
+	wall := time.Since(start)
+	if err != nil {
+		return Outcome{}, fmt.Errorf("run: %w", err)
+	}
+	check := r.Task.Check(res)
+	if check == nil {
+		check = r.CheckBound(g.N(), res.Messages, advice.SizeBits())
+	}
+	return Outcome{Advice: advice, Result: res, Wall: wall, Check: check}, nil
+}
+
+// CheckBound holds a run on n generated nodes that sent messages under
+// adviceBits bits of advice to its scheme's Bound; a baseline, which no
+// theorem bounds, always passes. The error names the bound.
+func (r Run) CheckBound(n, messages, adviceBits int) error {
+	if r.Scheme.Bound == nil {
+		return nil
+	}
+	maxMessages, maxBits := r.Scheme.Bound(n)
+	switch {
+	case messages > maxMessages:
+		return fmt.Errorf("%d messages exceed the %s/%s bound %d at n=%d",
+			messages, r.Task.Name, r.Scheme.Name, maxMessages, n)
+	case adviceBits > maxBits:
+		return fmt.Errorf("%d advice bits exceed the %s/%s bound %d at n=%d",
+			adviceBits, r.Task.Name, r.Scheme.Name, maxBits, n)
+	}
+	return nil
 }

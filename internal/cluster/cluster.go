@@ -115,10 +115,6 @@ type Config struct {
 	// MemberTTL is how long a joined member may go without re-joining
 	// before Sweep probes it (default 10s).
 	MemberTTL time.Duration
-	// AllowSkew admits fleets whose catalog fingerprints disagree with the
-	// coordinator's. Off by default: skew breaks the byte-identical-merge
-	// contract, so mismatches fail Probe unless explicitly allowed.
-	AllowSkew bool
 	// Seed drives retry jitter and nothing else; results never depend on
 	// it. Zero selects 1.
 	Seed int64
@@ -273,9 +269,9 @@ func New(cfg Config, spec *campaign.Spec, sink *campaign.Sink, done map[string]b
 
 // Probe health-checks every worker. It succeeds when at least one worker
 // is reachable and every reachable worker's catalog fingerprint matches
-// the coordinator's (unless AllowSkew). Unreachable workers stay in the
-// fleet, charged one failure like a failed dispatch, so the run retries
-// them once their backoff lapses.
+// the coordinator's. Unreachable workers stay in the fleet, charged one
+// failure like a failed dispatch; Run probes each again once its backoff
+// lapses and leases it nothing until its fingerprint matches (see vet).
 func (c *Coordinator) Probe(ctx context.Context) error {
 	local := catalog.Fingerprint()
 	workers := c.core.fleet.snapshot()
@@ -305,11 +301,7 @@ func (c *Coordinator) Probe(ctx context.Context) error {
 		c.cfg.Logf("cluster: worker %s up: go %s module %s revision %s catalog %s",
 			w.url, h.build.GoVersion, h.build.ModuleVersion, h.build.Revision, h.fingerprint)
 		if h.fingerprint != local {
-			if !c.cfg.AllowSkew {
-				return fmt.Errorf("cluster: worker %s catalog fingerprint %s != coordinator %s (version skew breaks the determinism contract; pass AllowSkew to override)",
-					w.url, h.fingerprint, local)
-			}
-			c.cfg.Logf("cluster: WARNING: worker %s catalog fingerprint %s != coordinator %s", w.url, h.fingerprint, local)
+			return fmt.Errorf("cluster: %w", &membership.FingerprintError{ID: w.url, Got: h.fingerprint, Want: local})
 		}
 	}
 	if up == 0 {
@@ -378,30 +370,78 @@ func (c *Coordinator) Run(ctx context.Context) (Stats, error) {
 
 // spawnSlotsLocked launches worker i's lease slots into the live run, with
 // its own cancel so an eviction can abort the worker's in-flight
-// dispatches without touching the rest of the fleet. Callers hold c.mu
-// with c.live set.
+// dispatches without touching the rest of the fleet. A worker whose
+// catalog fingerprint no probe or join has shown — a -workers founder
+// unreachable at launch — gets its slots only once vet passes it. Callers
+// hold c.mu with c.live set.
 func (c *Coordinator) spawnSlotsLocked(i int) {
 	ctx, cancel := context.WithCancel(c.live)
-	c.cancels[c.core.fleet.get(i).url] = cancel
-	for s := 0; s < c.cfg.Slots; s++ {
-		c.slots.Add(1)
-		go func() {
-			defer c.slots.Done()
-			c.slotLoop(ctx, i)
-		}()
+	w := c.core.fleet.get(i)
+	c.cancels[w.url] = cancel
+	start := func() {
+		for s := 0; s < c.cfg.Slots; s++ {
+			c.slots.Add(1)
+			go func() {
+				defer c.slots.Done()
+				c.slotLoop(ctx, i)
+			}()
+		}
+	}
+	if w.vetted() {
+		start()
+		return
+	}
+	c.slots.Add(1)
+	go func() {
+		defer c.slots.Done()
+		if c.vet(ctx, w) {
+			start()
+		}
+	}()
+}
+
+// vet probes an unvetted worker whenever its backoff gate opens, until a
+// probe or a join shows its catalog fingerprint. It reports whether the
+// fingerprint matches the coordinator's; a skewed worker is dropped from
+// the fleet and logged, as Join refuses a skewed join.
+func (c *Coordinator) vet(ctx context.Context, w *worker) bool {
+	for {
+		if c.core.Finished() || ctx.Err() != nil || w.isGone() {
+			return false
+		}
+		if w.vetted() {
+			return true
+		}
+		if wait, ok := w.gate(); !ok {
+			c.core.st.sleep(ctx, wait)
+			continue
+		}
+		if up, _, _ := w.probe(ctx); !up {
+			continue // charged a failure: the gate waits out its backoff
+		}
+		if h := w.health(); h.fingerprint != catalog.Fingerprint() {
+			c.mu.Lock()
+			c.cfg.Logf("cluster: worker %s dropped: %v", w.url,
+				&membership.FingerprintError{ID: w.url, Got: h.fingerprint, Want: catalog.Fingerprint()})
+			c.evictLocked(w.url)
+			c.mu.Unlock()
+			return false
+		}
+		w.ok() // clears the probe failures, and a half-open trial the gate granted
+		return true
 	}
 }
 
 // Join admits a worker that registered through the fleet endpoint. A
 // catalog fingerprint other than the coordinator's is refused with a
-// *membership.FingerprintError unless AllowSkew; Core.Join does the rest.
+// *membership.FingerprintError; Core.Join does the rest.
 // A fresh index gets its lease slots at once while Run is live, or starts
 // with the founders when it joins before Run.
 func (c *Coordinator) Join(req membership.JoinRequest) (membership.Member, error) {
 	if req.ID == "" {
 		return membership.Member{}, errors.New("membership: join with empty id")
 	}
-	if want := catalog.Fingerprint(); req.Fingerprint != want && !c.cfg.AllowSkew {
+	if want := catalog.Fingerprint(); req.Fingerprint != want {
 		return membership.Member{}, &membership.FingerprintError{ID: req.ID, Got: req.Fingerprint, Want: want}
 	}
 	c.mu.Lock()

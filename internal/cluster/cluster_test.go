@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -660,15 +661,76 @@ func TestProbeRejectsCatalogSkew(t *testing.T) {
 	if err := c.Probe(context.Background()); err == nil || !strings.Contains(err.Error(), "fingerprint") {
 		t.Fatalf("Probe = %v, want catalog fingerprint mismatch", err)
 	}
+}
 
-	cfg := fastConfig(skewed.URL)
-	cfg.AllowSkew = true
-	c, err = newQuick(cfg)
+// TestSkewedFounderGetsNoLeases: a -workers founder that is down at launch
+// escapes Probe, so the run probes it again before its first lease. This
+// one answers its first /healthz with 503, then reports a foreign catalog
+// fingerprint while serving shards correctly: it must be dropped with a
+// log line and take no shard, and the healthy worker finishes the run.
+func TestSkewedFounderGetsNoLeases(t *testing.T) {
+	spec := campaign.QuickSpec()
+	want := localRun(t, spec, nil)
+
+	var probes, shards atomic.Int64
+	skewed := newWorkerServer(t, func(next http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			switch r.URL.Path {
+			case "/healthz":
+				if probes.Add(1) == 1 {
+					http.Error(w, "starting", http.StatusServiceUnavailable)
+					return
+				}
+				json.NewEncoder(w).Encode(map[string]any{"status": "ok", "catalog_fingerprint": "deadbeefdeadbeef"})
+				return
+			case "/v1/shard":
+				shards.Add(1)
+			}
+			next.ServeHTTP(w, r)
+		})
+	})
+	// The healthy worker is slowed so the run outlasts the founder's
+	// launch backoff many times over.
+	healthy := newWorkerServer(t, func(next http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path == "/v1/shard" {
+				time.Sleep(20 * time.Millisecond)
+			}
+			next.ServeHTTP(w, r)
+		})
+	})
+
+	var (
+		mu   sync.Mutex
+		logs []string
+	)
+	cfg := fastConfig(healthy.URL, skewed.URL)
+	cfg.Logf = func(format string, args ...any) {
+		mu.Lock()
+		defer mu.Unlock()
+		logs = append(logs, fmt.Sprintf(format, args...))
+	}
+	var buf bytes.Buffer
+	c, err := New(cfg, spec, campaign.NewSink(&buf), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Probe(context.Background()); err != nil {
-		t.Fatalf("Probe with AllowSkew: %v", err)
+	stats, err := c.Run(context.Background())
+	if err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	if stripWall(buf.Bytes()) != stripWall(want.Bytes()) {
+		t.Fatalf("artifact differs from local run\ngot:\n%s\nwant:\n%s", buf.String(), want.String())
+	}
+	if n := shards.Load(); n != 0 || stats.WorkerShards[skewed.URL] != 0 {
+		t.Fatalf("skewed founder served %d shards (stats %d), want 0", n, stats.WorkerShards[skewed.URL])
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	drop := "cluster: worker " + skewed.URL + " dropped: membership: " + skewed.URL +
+		" catalog fingerprint deadbeefdeadbeef != coordinator " + catalog.Fingerprint()
+	if !slices.ContainsFunc(logs, func(l string) bool { return strings.HasPrefix(l, drop) }) {
+		t.Fatalf("no %q line in:\n%s", drop, strings.Join(logs, "\n"))
 	}
 }
 
@@ -713,7 +775,7 @@ func TestProbeRequiresOneWorkerUp(t *testing.T) {
 func TestRunFailsAfterMaxAttempts(t *testing.T) {
 	broken := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path == "/healthz" {
-			json.NewEncoder(w).Encode(map[string]any{"status": "ok"})
+			json.NewEncoder(w).Encode(map[string]any{"status": "ok", "catalog_fingerprint": catalog.Fingerprint()})
 			return
 		}
 		http.Error(w, "broken", http.StatusInternalServerError)
@@ -723,7 +785,6 @@ func TestRunFailsAfterMaxAttempts(t *testing.T) {
 	cfg := fastConfig(broken.URL)
 	cfg.MaxAttempts = 2
 	cfg.BreakerThreshold = 10 // let plain retries exhaust the budget
-	cfg.AllowSkew = true      // the stub reports no fingerprint
 	c, err := newQuick(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"oraclesize/internal/campaign"
+	"oraclesize/internal/catalog"
 	"oraclesize/internal/membership"
 )
 
@@ -66,7 +67,8 @@ type worker struct {
 	completions atomic.Int64
 
 	mu sync.Mutex
-	// up / probeErr / build / fingerprint reflect the latest health probe.
+	// up / probeErr / build reflect the latest health probe, fingerprint
+	// the catalog fingerprint of the latest probe or join.
 	up          bool
 	probeErr    error
 	build       membership.BuildInfo
@@ -221,6 +223,14 @@ func (w *worker) retire() {
 	w.member = nil
 }
 
+// vetted reports whether the latest probe or join showed the
+// coordinator's catalog fingerprint.
+func (w *worker) vetted() bool {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.fingerprint == catalog.Fingerprint()
+}
+
 func (w *worker) isGone() bool {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -308,6 +318,7 @@ func (w *worker) register(req membership.JoinRequest, now time.Time) (m membersh
 		w.member.Heartbeats++
 	}
 	wasDraining = w.draining
+	w.fingerprint = req.Fingerprint
 	w.member.Fingerprint = req.Fingerprint
 	w.member.Build = req.Build
 	w.member.QueueDepth = req.QueueDepth

@@ -5,6 +5,7 @@ import (
 
 	"oraclesize/internal/bitstring"
 	"oraclesize/internal/broadcast"
+	"oraclesize/internal/catalog"
 	"oraclesize/internal/gossip"
 	"oraclesize/internal/graphgen"
 	"oraclesize/internal/scheme"
@@ -40,20 +41,17 @@ func E9Gossip(cfg Config) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			advice, err := gossip.Oracle{}.Advise(g, 0)
-			if err != nil {
-				return nil, err
-			}
-			res, verified, err := gossip.Run(g, sim.Options{})
+			// The gossip task's check verifies every node's value set.
+			done, err := do("gossip", "tree", g, 0)
 			if err != nil {
 				return nil, fmt.Errorf("E9 %s n=%d: %w", fname, n, err)
 			}
-			nn := g.N()
+			res, nn := done.Result, g.N()
 			bound, _ := gossip.Bound(nn)
 			t.AddRow(
-				fname, nn, g.M(), advice.SizeBits(),
+				fname, nn, g.M(), done.Advice.SizeBits(),
 				res.ByKind[scheme.KindUp], res.ByKind[scheme.KindDown],
-				res.Messages, bound, boolMark(verified),
+				res.Messages, bound, boolMark(done.Check == nil),
 			)
 		}
 	}
@@ -85,6 +83,11 @@ func E10TreeAblation(cfg Config) (*Table, error) {
 		{"dfs", wakeup.TreeDFS},
 		{"light", wakeup.TreeLight},
 	}
+	// Every tree kind's advice feeds the catalog's wakeup algorithm.
+	run, err := catalog.Resolve("wakeup", "tree", "", "", 0)
+	if err != nil {
+		return nil, err
+	}
 	families := []string{"cycle", "grid", "random-sparse", "complete"}
 	sizes := cfg.sizes([]int{64, 256, 1024}, []int{64})
 	for _, fname := range families {
@@ -102,7 +105,7 @@ func E10TreeAblation(cfg Config) (*Table, error) {
 				if err != nil {
 					return nil, fmt.Errorf("E10 %s/%s: %w", fname, tr.name, err)
 				}
-				res, err := sim.Run(g, 0, wakeup.Algorithm{}, advice, sim.Options{EnforceWakeup: true})
+				res, err := run.Execute(g, 0, advice)
 				if err != nil {
 					return nil, fmt.Errorf("E10 %s/%s: %w", fname, tr.name, err)
 				}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"oraclesize/internal/broadcast"
+	"oraclesize/internal/catalog"
 	"oraclesize/internal/graphgen"
 	"oraclesize/internal/sim"
 )
@@ -26,12 +27,11 @@ func E19BroadcastTreeTradeoff(cfg Config) (*Table, error) {
 			"Scheme B works over any spanning tree; the light tree minimizes bits (Thm 3.1), the BFS tree minimizes time",
 		},
 	}
-	trees := []struct {
-		name string
-		kind broadcast.TreeKind
-	}{
-		{"light", broadcast.TreeLight},
-		{"bfs", broadcast.TreeBFS},
+	// The light tree is the catalog scheme's own oracle; the BFS tree's
+	// advice feeds the same algorithm.
+	run, err := catalog.Resolve("broadcast", "light-tree", "", "", 0)
+	if err != nil {
+		return nil, err
 	}
 	families := []string{"cycle", "grid", "random-sparse", "complete"}
 	sizes := cfg.sizes([]int{64, 256, 1024}, []int{64})
@@ -45,18 +45,26 @@ func E19BroadcastTreeTradeoff(cfg Config) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			for _, tr := range trees {
-				advice, err := broadcast.Oracle{Tree: tr.kind}.Advise(g, 0)
-				if err != nil {
-					return nil, fmt.Errorf("E19 %s/%s: %w", fname, tr.name, err)
-				}
-				res, err := sim.Run(g, 0, broadcast.Algorithm{}, advice, sim.Options{})
-				if err != nil {
-					return nil, fmt.Errorf("E19 %s/%s: %w", fname, tr.name, err)
-				}
-				t.AddRow(fname, g.N(), tr.name, advice.SizeBits(),
-					float64(advice.SizeBits())/float64(g.N()),
-					res.Rounds, res.Messages, boolMark(res.AllInformed))
+			light, err := judged(run.Do(g, 0))
+			if err != nil {
+				return nil, fmt.Errorf("E19 %s/light: %w", fname, err)
+			}
+			bfsAdvice, err := broadcast.Oracle{Tree: broadcast.TreeBFS}.Advise(g, 0)
+			if err != nil {
+				return nil, fmt.Errorf("E19 %s/bfs: %w", fname, err)
+			}
+			bfs, err := run.Execute(g, 0, bfsAdvice)
+			if err != nil {
+				return nil, fmt.Errorf("E19 %s/bfs: %w", fname, err)
+			}
+			for _, tr := range []struct {
+				name   string
+				advice sim.Advice
+				res    *sim.Result
+			}{{"light", light.Advice, light.Result}, {"bfs", bfsAdvice, bfs}} {
+				t.AddRow(fname, g.N(), tr.name, tr.advice.SizeBits(),
+					float64(tr.advice.SizeBits())/float64(g.N()),
+					tr.res.Rounds, tr.res.Messages, boolMark(tr.res.AllInformed))
 			}
 		}
 	}

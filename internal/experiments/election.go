@@ -3,12 +3,8 @@ package experiments
 import (
 	"fmt"
 
-	"oraclesize/internal/catalog"
 	"oraclesize/internal/election"
-	"oraclesize/internal/graph"
 	"oraclesize/internal/graphgen"
-	"oraclesize/internal/scheme"
-	"oraclesize/internal/sim"
 )
 
 // E13Election applies the oracle-size measure to leader election (the first
@@ -40,38 +36,22 @@ func E13Election(cfg Config) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			leader := graph.NodeID(0)
-			type rung struct {
-				name   string
-				algo   scheme.Algorithm
-				advice sim.Advice
-			}
-			markAdvice, err := election.MarkOracle{}.Advise(g, leader)
-			if err != nil {
-				return nil, err
-			}
-			treeAdvice, err := election.TreeOracle{}.Advise(g, leader)
-			if err != nil {
-				return nil, err
-			}
-			rungs := []rung{
-				{name: "max-flood", algo: election.MaxLabelFlood{}},
-				{name: "marked-flood", algo: election.MarkedFlood{}, advice: markAdvice},
-				{name: "marked-tree", algo: election.MarkedTree{}, advice: treeAdvice},
-			}
 			bound, _ := election.TreeBound(g.N())
-			for _, r := range rungs {
-				// Max-label flooding legitimately costs up to O(n·m)
-				// messages (e.g. ~n²/2 on a cycle with adversarial label
-				// order); give it the budget the theory predicts.
-				opts := sim.Options{RetainNodes: true, MaxMessages: catalog.MessageBudget(g)}
-				res, err := sim.Run(g, leader, r.algo, r.advice, opts)
+			// The catalog's message budget admits max-label flooding's
+			// O(n·m) messages (e.g. ~n²/2 on a cycle with adversarial
+			// label order), and the election task's check verifies the
+			// decisions of the retained automata.
+			for _, r := range []struct{ name, scheme string }{
+				{"max-flood", "max-label-flood"},
+				{"marked-flood", "marked-flood"},
+				{"marked-tree", "marked-tree"},
+			} {
+				done, err := do("election", r.scheme, g, 0)
 				if err != nil {
 					return nil, fmt.Errorf("E13 %s/%s: %w", fname, r.name, err)
 				}
-				valid := election.Verify(res.Nodes) == nil
-				t.AddRow(fname, g.N(), g.M(), r.name, r.advice.SizeBits(),
-					res.Messages, bound, boolMark(valid))
+				t.AddRow(fname, g.N(), g.M(), r.name, done.Advice.SizeBits(),
+					done.Result.Messages, bound, boolMark(done.Check == nil))
 			}
 		}
 	}

@@ -11,6 +11,9 @@ import (
 	"math/rand"
 	"strconv"
 	"strings"
+
+	"oraclesize/internal/catalog"
+	"oraclesize/internal/graph"
 )
 
 // Config tunes experiment scale. The zero value selects full-size sweeps;
@@ -254,4 +257,23 @@ func boolMark(ok bool) string {
 		return "yes"
 	}
 	return "NO"
+}
+
+// do runs a catalog scheme from src through catalog.Run.Do, under FIFO
+// delivery and the catalog's message budget.
+func do(task, scheme string, g *graph.Graph, src graph.NodeID) (catalog.Outcome, error) {
+	run, err := catalog.Resolve(task, scheme, "", "", 0)
+	if err != nil {
+		return catalog.Outcome{}, err
+	}
+	return judged(run.Do(g, src))
+}
+
+// judged fails an experiment on a run that did not complete its task
+// within its scheme's bound: no table reports one.
+func judged(done catalog.Outcome, err error) (catalog.Outcome, error) {
+	if err == nil {
+		err = done.Check
+	}
+	return done, err
 }

@@ -3,11 +3,10 @@ package experiments
 import (
 	"fmt"
 
-	"oraclesize/internal/broadcast"
+	"oraclesize/internal/catalog"
 	"oraclesize/internal/counting"
 	"oraclesize/internal/graphgen"
 	"oraclesize/internal/oracle"
-	"oraclesize/internal/sim"
 	"oraclesize/internal/wakeup"
 )
 
@@ -76,14 +75,11 @@ func E6Subdivision(cfg Config) (*Table, error) {
 			if !ok {
 				return nil, fmt.Errorf("E6: source label missing")
 			}
-			advice, err := wakeup.Oracle{}.Advise(g, src)
+			done, err := do("wakeup", "tree", g, src)
 			if err != nil {
-				return nil, err
+				return nil, fmt.Errorf("E6 c=%d base=%d: %w", c, base, err)
 			}
-			res, err := sim.Run(g, src, wakeup.Algorithm{}, advice, sim.Options{EnforceWakeup: true})
-			if err != nil {
-				return nil, err
-			}
+			advice, res := done.Advice, done.Result
 			nn := g.N()
 			logN := float64(oracle.FieldWidth(nn))
 			bound, _ := wakeup.Bound(nn)
@@ -121,111 +117,38 @@ func E7Asynchrony(cfg Config) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	wAdvice, err := wakeup.Oracle{}.Advise(g, 0)
-	if err != nil {
-		return nil, err
-	}
-	bAdvice, err := broadcast.Oracle{}.Advise(g, 0)
-	if err != nil {
-		return nil, err
-	}
-
-	type run struct {
-		algoName string
-		engine   string
-		exec     func(seed int64) (*sim.Result, error)
-		bound    int
-		legal    bool
-	}
-	runs := []run{
-		{
-			algoName: "thm2.1-wakeup", engine: "fifo",
-			exec: func(int64) (*sim.Result, error) {
-				return sim.Run(g, 0, wakeup.Algorithm{}, wAdvice, sim.Options{Scheduler: sim.NewFIFO(), EnforceWakeup: true})
-			},
-			bound: g.N() - 1, legal: true,
-		},
-		{
-			algoName: "thm2.1-wakeup", engine: "lifo",
-			exec: func(int64) (*sim.Result, error) {
-				return sim.Run(g, 0, wakeup.Algorithm{}, wAdvice, sim.Options{Scheduler: sim.NewLIFO(), EnforceWakeup: true})
-			},
-			bound: g.N() - 1, legal: true,
-		},
-		{
-			algoName: "thm2.1-wakeup", engine: "random",
-			exec: func(seed int64) (*sim.Result, error) {
-				return sim.Run(g, 0, wakeup.Algorithm{}, wAdvice, sim.Options{Scheduler: sim.NewRandom(seed), EnforceWakeup: true})
-			},
-			bound: g.N() - 1, legal: true,
-		},
-		{
-			algoName: "thm2.1-wakeup", engine: "delay",
-			exec: func(seed int64) (*sim.Result, error) {
-				return sim.Run(g, 0, wakeup.Algorithm{}, wAdvice, sim.Options{Scheduler: sim.NewDelay(seed, 16), EnforceWakeup: true})
-			},
-			bound: g.N() - 1, legal: true,
-		},
-		{
-			algoName: "thm2.1-wakeup", engine: "goroutines",
-			exec: func(int64) (*sim.Result, error) {
-				return sim.RunConcurrent(g, 0, wakeup.Algorithm{}, wAdvice, 0)
-			},
-			bound: g.N() - 1, legal: true,
-		},
-		{
-			algoName: "thm3.1-schemeB", engine: "fifo",
-			exec: func(int64) (*sim.Result, error) {
-				return sim.Run(g, 0, broadcast.Algorithm{}, bAdvice, sim.Options{Scheduler: sim.NewFIFO()})
-			},
-			bound: 3 * (g.N() - 1),
-		},
-		{
-			algoName: "thm3.1-schemeB", engine: "lifo",
-			exec: func(int64) (*sim.Result, error) {
-				return sim.Run(g, 0, broadcast.Algorithm{}, bAdvice, sim.Options{Scheduler: sim.NewLIFO()})
-			},
-			bound: 3 * (g.N() - 1),
-		},
-		{
-			algoName: "thm3.1-schemeB", engine: "random",
-			exec: func(seed int64) (*sim.Result, error) {
-				return sim.Run(g, 0, broadcast.Algorithm{}, bAdvice, sim.Options{Scheduler: sim.NewRandom(seed)})
-			},
-			bound: 3 * (g.N() - 1),
-		},
-		{
-			algoName: "thm3.1-schemeB", engine: "delay",
-			exec: func(seed int64) (*sim.Result, error) {
-				return sim.Run(g, 0, broadcast.Algorithm{}, bAdvice, sim.Options{Scheduler: sim.NewDelay(seed, 16)})
-			},
-			bound: 3 * (g.N() - 1),
-		},
-		{
-			algoName: "thm3.1-schemeB", engine: "goroutines",
-			exec: func(int64) (*sim.Result, error) {
-				return sim.RunConcurrent(g, 0, broadcast.Algorithm{}, bAdvice, 0)
-			},
-			bound: 3 * (g.N() - 1),
-		},
-	}
-	for _, r := range runs {
-		completions := 0
-		maxMsgs := 0
-		for i := 0; i < trials; i++ {
-			res, err := r.exec(cfg.Seed + int64(i))
+	// Every delivery order the catalog registers under the queue engine,
+	// then real goroutines, which ignore the scheduler name; the
+	// randomized schedulers draw trial i's order from Seed+i.
+	for _, s := range []struct{ name, task string }{
+		{"thm2.1-wakeup", "wakeup"},
+		{"thm3.1-schemeB", "broadcast"},
+	} {
+		for _, order := range append(catalog.SchedulerNames(), catalog.EngineGoroutines) {
+			engine := catalog.EngineQueue
+			if order == catalog.EngineGoroutines {
+				engine = order
+			}
+			run, err := catalog.Resolve(s.task, "", engine, order, 0)
 			if err != nil {
-				return nil, fmt.Errorf("E7 %s/%s: %w", r.algoName, r.engine, err)
+				return nil, err
 			}
-			if res.AllInformed {
-				completions++
+			bound, _ := run.Scheme.Bound(g.N())
+			completions, maxMsgs := 0, 0
+			for i := 0; i < trials; i++ {
+				run.Seed = cfg.Seed + int64(i)
+				done, err := judged(run.Do(g, 0))
+				if err != nil {
+					return nil, fmt.Errorf("E7 %s/%s: %w", s.name, order, err)
+				}
+				if done.Result.AllInformed {
+					completions++
+				}
+				maxMsgs = max(maxMsgs, done.Result.Messages)
 			}
-			if res.Messages > maxMsgs {
-				maxMsgs = res.Messages
-			}
+			t.AddRow(s.name, order, trials, completions, maxMsgs, bound,
+				boolMark(maxMsgs <= bound))
 		}
-		t.AddRow(r.algoName, r.engine, trials, completions, maxMsgs, r.bound,
-			boolMark(maxMsgs <= r.bound))
 	}
 	return t, nil
 }

@@ -8,7 +8,6 @@ import (
 	"oraclesize/internal/edgediscovery"
 	"oraclesize/internal/graphgen"
 	"oraclesize/internal/sim"
-	"oraclesize/internal/wakeup"
 )
 
 // E2aAdversaryGame reproduces Lemma 2.1 empirically: on fully enumerated
@@ -90,17 +89,12 @@ func E2cWakeupReduction(cfg Config) (*Table, error) {
 			if !ok {
 				return nil, fmt.Errorf("E2c: source label missing")
 			}
-			res, err := sim.Run(g, src, wakeup.Flooding{}, nil, sim.Options{EnforceWakeup: true})
+			done, err := do("wakeup", "flooding", g, src)
 			if err != nil {
-				return nil, err
+				return nil, fmt.Errorf("E2c n=%d k=%d: %w", rc.n, rc.k, err)
 			}
-			if !res.AllInformed {
-				return nil, fmt.Errorf("E2c: wakeup incomplete on an instance")
-			}
-			if res.Messages > worst {
-				worst = res.Messages
-			}
-			total += res.Messages
+			worst = max(worst, done.Result.Messages)
+			total += done.Result.Messages
 		}
 		t.AddRow(rc.n, rc.k, len(fam), bound, worst,
 			float64(total)/float64(len(fam)), boolMark(float64(worst) >= bound))

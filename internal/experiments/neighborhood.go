@@ -6,7 +6,6 @@ import (
 	"oraclesize/internal/graphgen"
 	"oraclesize/internal/neighborhood"
 	"oraclesize/internal/sim"
-	"oraclesize/internal/wakeup"
 )
 
 // E20Neighborhood puts the traditional "know your neighborhood" assumption
@@ -39,11 +38,11 @@ func E20Neighborhood(cfg Config) (*Table, error) {
 				return nil, err
 			}
 			// Rung 0: no knowledge, plain flooding.
-			flood, err := sim.Run(g, 0, wakeup.Flooding{}, nil, sim.Options{EnforceWakeup: true})
+			flood, err := do("wakeup", "flooding", g, 0)
 			if err != nil {
 				return nil, fmt.Errorf("E20 %s flooding: %w", fname, err)
 			}
-			t.AddRow(fname, g.N(), g.M(), "flooding", 0, flood.Messages, boolMark(flood.AllInformed))
+			t.AddRow(fname, g.N(), g.M(), "flooding", 0, flood.Result.Messages, boolMark(flood.Result.AllInformed))
 			// Rung 1: radius-1 balls, locally sparsified flooding.
 			ballAdvice, err := neighborhood.BallOracle{}.Advise(g, 0)
 			if err != nil {
@@ -55,15 +54,12 @@ func E20Neighborhood(cfg Config) (*Table, error) {
 			}
 			t.AddRow(fname, g.N(), g.M(), "radius-1-ball", ballAdvice.SizeBits(), ball.Messages, boolMark(ball.AllInformed))
 			// Rung 2: the paper's unstructured oracle.
-			treeAdvice, err := wakeup.Oracle{}.Advise(g, 0)
-			if err != nil {
-				return nil, err
-			}
-			tree, err := sim.Run(g, 0, wakeup.Algorithm{}, treeAdvice, sim.Options{EnforceWakeup: true})
+			tree, err := do("wakeup", "tree", g, 0)
 			if err != nil {
 				return nil, fmt.Errorf("E20 %s tree: %w", fname, err)
 			}
-			t.AddRow(fname, g.N(), g.M(), "thm2.1-oracle", treeAdvice.SizeBits(), tree.Messages, boolMark(tree.AllInformed))
+			t.AddRow(fname, g.N(), g.M(), "thm2.1-oracle", tree.Advice.SizeBits(), tree.Result.Messages,
+				boolMark(tree.Result.AllInformed))
 		}
 	}
 	return t, nil

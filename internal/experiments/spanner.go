@@ -3,12 +3,9 @@ package experiments
 import (
 	"fmt"
 
-	"oraclesize/internal/broadcast"
-	"oraclesize/internal/gossip"
 	"oraclesize/internal/graphgen"
 	"oraclesize/internal/sim"
 	"oraclesize/internal/spanner"
-	"oraclesize/internal/wakeup"
 )
 
 // E14Spanner applies the oracle-size lens to spanner construction (the
@@ -80,31 +77,17 @@ func E15Bandwidth(cfg Config) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		wAdvice, err := wakeup.Oracle{}.Advise(g, 0)
-		if err != nil {
-			return nil, err
+		for _, r := range []struct{ label, task, scheme string }{
+			{"wakeup (Thm 2.1)", "wakeup", "tree"},
+			{"broadcast (Thm 3.1)", "broadcast", "light-tree"},
+			{"gossip (ext.)", "gossip", "tree"},
+		} {
+			done, err := do(r.task, r.scheme, g, 0)
+			if err != nil {
+				return nil, fmt.Errorf("E15 %s n=%d: %w", r.task, n, err)
+			}
+			addBandwidthRow(t, r.label, g.N(), done.Result)
 		}
-		wRes, err := sim.Run(g, 0, wakeup.Algorithm{}, wAdvice, sim.Options{EnforceWakeup: true})
-		if err != nil {
-			return nil, err
-		}
-		addBandwidthRow(t, "wakeup (Thm 2.1)", g.N(), wRes)
-
-		bAdvice, err := broadcast.Oracle{}.Advise(g, 0)
-		if err != nil {
-			return nil, err
-		}
-		bRes, err := sim.Run(g, 0, broadcast.Algorithm{}, bAdvice, sim.Options{})
-		if err != nil {
-			return nil, err
-		}
-		addBandwidthRow(t, "broadcast (Thm 3.1)", g.N(), bRes)
-
-		gRes, _, err := gossip.Run(g, sim.Options{})
-		if err != nil {
-			return nil, err
-		}
-		addBandwidthRow(t, "gossip (ext.)", g.N(), gRes)
 	}
 	return t, nil
 }

@@ -8,7 +8,6 @@ import (
 	"oraclesize/internal/graphgen"
 	"oraclesize/internal/oracle"
 	"oraclesize/internal/scheme"
-	"oraclesize/internal/sim"
 	"oraclesize/internal/spantree"
 	"oraclesize/internal/wakeup"
 )
@@ -40,22 +39,19 @@ func E1WakeupUpper(cfg Config) (*Table, error) {
 			if err != nil {
 				return nil, fmt.Errorf("E1 %s n=%d: %w", fname, n, err)
 			}
-			advice, err := wakeup.Oracle{}.Advise(g, 0)
+			done, err := do("wakeup", "tree", g, 0)
 			if err != nil {
 				return nil, fmt.Errorf("E1 %s n=%d: %w", fname, n, err)
 			}
-			res, runErr := sim.Run(g, 0, wakeup.Algorithm{}, advice, sim.Options{EnforceWakeup: true})
-			legal := runErr == nil
-			if runErr != nil {
-				return nil, fmt.Errorf("E1 %s n=%d: %w", fname, n, runErr)
-			}
+			advice, res := done.Advice, done.Result
 			nn := g.N()
 			ref := nn * oracle.FieldWidth(nn)
 			bound, _ := wakeup.Bound(nn)
 			t.AddRow(
 				fname, nn, g.M(), advice.SizeBits(), ref,
 				float64(advice.SizeBits())/float64(ref),
-				res.Messages, bound, boolMark(res.AllInformed), boolMark(legal),
+				// A run that breaks the wakeup constraint fails in Do.
+				res.Messages, bound, boolMark(res.AllInformed), boolMark(true),
 			)
 		}
 	}
@@ -94,14 +90,11 @@ func E3BroadcastUpper(cfg Config) (*Table, error) {
 				return nil, fmt.Errorf("E3 %s n=%d: %w", fname, n, err)
 			}
 			contrib := spantree.TotalContribution(edges)
-			advice, err := broadcast.Oracle{}.Advise(g, 0)
+			done, err := do("broadcast", "light-tree", g, 0)
 			if err != nil {
 				return nil, fmt.Errorf("E3 %s n=%d: %w", fname, n, err)
 			}
-			res, err := sim.Run(g, 0, broadcast.Algorithm{}, advice, sim.Options{})
-			if err != nil {
-				return nil, fmt.Errorf("E3 %s n=%d: %w", fname, n, err)
-			}
+			advice, res := done.Advice, done.Result
 			nn := g.N()
 			bound, _ := broadcast.Bound(nn)
 			t.AddRow(
@@ -136,30 +129,19 @@ func E5Separation(cfg Config) (*Table, error) {
 		if err != nil {
 			return nil, fmt.Errorf("E5 n=%d: %w", n, err)
 		}
-		wAdvice, err := wakeup.Oracle{}.Advise(g, 0)
+		w, err := do("wakeup", "tree", g, 0)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("E5 n=%d: %w", n, err)
 		}
-		bAdvice, err := broadcast.Oracle{}.Advise(g, 0)
+		b, err := do("broadcast", "light-tree", g, 0)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("E5 n=%d: %w", n, err)
 		}
-		wRes, err := sim.Run(g, 0, wakeup.Algorithm{}, wAdvice, sim.Options{EnforceWakeup: true})
-		if err != nil {
-			return nil, err
-		}
-		bRes, err := sim.Run(g, 0, broadcast.Algorithm{}, bAdvice, sim.Options{})
-		if err != nil {
-			return nil, err
-		}
-		if !wRes.AllInformed || !bRes.AllInformed {
-			return nil, fmt.Errorf("E5 n=%d: incomplete dissemination", n)
-		}
+		wBits, bBits := w.Advice.SizeBits(), b.Advice.SizeBits()
 		t.AddRow(
-			n, g.M(), wAdvice.SizeBits(), bAdvice.SizeBits(),
-			float64(wAdvice.SizeBits())/float64(bAdvice.SizeBits()),
+			n, g.M(), wBits, bBits, float64(wBits)/float64(bBits),
 			math.Log2(float64(n)),
-			wRes.Messages, bRes.Messages,
+			w.Result.Messages, b.Result.Messages,
 		)
 	}
 	return t, nil
@@ -179,11 +161,13 @@ func E8Baselines(cfg Config) (*Table, error) {
 			"flooding: 0 bits, Θ(m) msgs; Thm 3.1: O(n) bits; Thm 2.1: Θ(n log n) bits; full map: Θ(n·m·log n) bits — all with linear messages except flooding",
 		},
 	}
-	type strategy struct {
-		name   string
-		algo   scheme.Algorithm
-		advice sim.Advice
-		legal  bool // run under the wakeup legality check
+	// Each strategy is a catalog scheme; the wakeup ones run under the
+	// wakeup constraint.
+	strategies := []struct{ name, task, scheme string }{
+		{"flooding", "wakeup", "flooding"},
+		{"thm3.1-broadcast", "broadcast", "light-tree"},
+		{"thm2.1-wakeup", "wakeup", "tree"},
+		{"full-map", "wakeup", "full-map"},
 	}
 	// The full-map algorithm re-decodes the whole topology at every node,
 	// so the sweep stays modest: the point is the bit counts, not scale.
@@ -199,30 +183,13 @@ func E8Baselines(cfg Config) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			bAdvice, err := broadcast.Oracle{}.Advise(g, 0)
-			if err != nil {
-				return nil, err
-			}
-			wAdvice, err := wakeup.Oracle{}.Advise(g, 0)
-			if err != nil {
-				return nil, err
-			}
-			fAdvice, err := oracle.FullMap{}.Advise(g, 0)
-			if err != nil {
-				return nil, err
-			}
-			strategies := []strategy{
-				{name: "flooding", algo: wakeup.Flooding{}, legal: true},
-				{name: "thm3.1-broadcast", algo: broadcast.Algorithm{}, advice: bAdvice},
-				{name: "thm2.1-wakeup", algo: wakeup.Algorithm{}, advice: wAdvice, legal: true},
-				{name: "full-map", algo: wakeup.FullMapAlgorithm{}, advice: fAdvice, legal: true},
-			}
 			for _, s := range strategies {
-				res, err := sim.Run(g, 0, s.algo, s.advice, sim.Options{EnforceWakeup: s.legal})
+				done, err := do(s.task, s.scheme, g, 0)
 				if err != nil {
 					return nil, fmt.Errorf("E8 %s %s: %w", fname, s.name, err)
 				}
-				t.AddRow(fname, g.N(), g.M(), s.name, s.advice.SizeBits(), res.Messages, boolMark(res.AllInformed))
+				t.AddRow(fname, g.N(), g.M(), s.name, done.Advice.SizeBits(), done.Result.Messages,
+					boolMark(done.Result.AllInformed))
 			}
 		}
 	}

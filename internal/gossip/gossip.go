@@ -20,6 +20,7 @@ package gossip
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"oraclesize/internal/bitstring"
@@ -246,44 +247,38 @@ func (nd *node) isChildPort(port int) bool {
 	return false
 }
 
-// Run executes gossip on g and verifies completion: every node must end up
-// knowing all n labels. It returns the run result and the verified flag.
-func Run(g *graph.Graph, opts sim.Options) (*sim.Result, bool, error) {
-	advice, err := Oracle{Root: 0}.Advise(g, 0)
-	if err != nil {
-		return nil, false, err
+// Verify is gossip's completion check over the retained automata of a
+// run (sim.Options.RetainNodes): every node must end up knowing all n
+// labels, each node's own label included.
+func Verify(nodes []scheme.Node) error {
+	if len(nodes) == 0 {
+		return fmt.Errorf("gossip: no nodes to verify (RetainNodes unset?)")
 	}
-	opts.RetainNodes = true
-	res, err := sim.Run(g, 0, Algorithm{}, advice, opts)
-	if err != nil {
-		return nil, false, err
-	}
-	want := make([]int64, g.N())
-	for v := 0; v < g.N(); v++ {
-		want[v] = g.Label(graph.NodeID(v))
-	}
-	sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
-	for _, n := range res.Nodes {
+	want := make([]int64, len(nodes))
+	for v, n := range nodes {
 		gn, ok := n.(*node)
 		if !ok {
-			return res, false, fmt.Errorf("gossip: unexpected automaton type %T", n)
+			return fmt.Errorf("gossip: node %d (%T) is not a gossip automaton", v, n)
 		}
-		got := gn.Values()
-		if !equalInt64(got, want) {
-			return res, false, nil
+		want[v] = gn.info.Label
+	}
+	slices.Sort(want)
+	// Nodes copy the root's set in the order it sends it, so a node whose
+	// values repeat the last verified node's sequence holds the same set
+	// and costs one comparison; only a new sequence is sorted.
+	var verified []int64
+	got := make([]int64, 0, len(want))
+	for v, n := range nodes {
+		full := n.(*node).full
+		if verified != nil && slices.Equal(full, verified) {
+			continue
 		}
-	}
-	return res, true, nil
-}
-
-func equalInt64(a, b []int64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
+		got = append(got[:0], full...)
+		slices.Sort(got)
+		if !slices.Equal(got, want) {
+			return fmt.Errorf("gossip: node %d learned %d of %d values", v, len(got), len(want))
 		}
+		verified = full
 	}
-	return true
+	return nil
 }

@@ -69,6 +69,21 @@ func TestDecodeRoleRejectsGarbage(t *testing.T) {
 	}
 }
 
+// runVerified gossips on g over the root-0 tree oracle and reports
+// whether Verify accepts every node's value set.
+func runVerified(g *graph.Graph, opts sim.Options) (*sim.Result, bool, error) {
+	advice, err := Oracle{}.Advise(g, 0)
+	if err != nil {
+		return nil, false, err
+	}
+	opts.RetainNodes = true
+	res, err := sim.Run(g, 0, Algorithm{}, advice, opts)
+	if err != nil {
+		return nil, false, err
+	}
+	return res, Verify(res.Nodes) == nil, nil
+}
+
 func TestGossipExactly2NMinus2Messages(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	graphs := map[string]*graph.Graph{
@@ -80,7 +95,7 @@ func TestGossipExactly2NMinus2Messages(t *testing.T) {
 		"complete":  mustGraph(t)(graphgen.Complete(12)),
 	}
 	for name, g := range graphs {
-		res, verified, err := Run(g, sim.Options{})
+		res, verified, err := runVerified(g, sim.Options{})
 		if err != nil {
 			t.Errorf("%s: %v", name, err)
 			continue
@@ -102,7 +117,7 @@ func TestGossipExactly2NMinus2Messages(t *testing.T) {
 func TestGossipAllSchedulers(t *testing.T) {
 	g := mustGraph(t)(graphgen.RandomConnected(30, 70, rand.New(rand.NewSource(4))))
 	for name, factory := range sim.Schedulers(11) {
-		res, verified, err := Run(g, sim.Options{Scheduler: factory()})
+		res, verified, err := runVerified(g, sim.Options{Scheduler: factory()})
 		if err != nil {
 			t.Errorf("%s: %v", name, err)
 			continue
@@ -122,7 +137,7 @@ func TestGossipSingleNode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, verified, err := Run(g, sim.Options{})
+	res, verified, err := runVerified(g, sim.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +229,7 @@ func BenchmarkGossip(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, verified, err := Run(g, sim.Options{})
+		_, verified, err := runVerified(g, sim.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -239,5 +254,11 @@ func TestGossipCorruptAdviceDoesNotPanic(t *testing.T) {
 	}
 	if bound, _ := Bound(g.N()); res.Messages > bound {
 		t.Errorf("corrupt run sent %d messages", res.Messages)
+	}
+	if err := Verify(res.Nodes); err == nil {
+		t.Error("Verify accepted a stalled run")
+	}
+	if err := Verify(nil); err == nil {
+		t.Error("Verify accepted a run without retained nodes")
 	}
 }

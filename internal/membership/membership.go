@@ -85,9 +85,9 @@ type Heartbeat struct {
 	Draining bool `json:"draining,omitempty"`
 }
 
-// FingerprintError rejects a join whose catalog fingerprint disagrees with
-// the coordinator's; version skew breaks the byte-identical-merge
-// contract.
+// FingerprintError rejects a worker whose catalog fingerprint disagrees
+// with the coordinator's, at a join or at a probe; version skew breaks the
+// byte-identical-merge contract.
 type FingerprintError struct {
 	ID   string
 	Got  string
@@ -95,7 +95,7 @@ type FingerprintError struct {
 }
 
 func (e *FingerprintError) Error() string {
-	return fmt.Sprintf("membership: %s catalog fingerprint %s != coordinator %s (version skew breaks the determinism contract; AllowSkew overrides)",
+	return fmt.Sprintf("membership: %s catalog fingerprint %s != coordinator %s (version skew breaks the determinism contract)",
 		e.ID, e.Got, e.Want)
 }
 

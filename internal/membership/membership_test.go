@@ -186,9 +186,6 @@ func TestJoinRejectsFingerprintSkew(t *testing.T) {
 	if _, err := fleet.Join(skewed); !errors.As(err, &fe) {
 		t.Fatalf("skewed join: err = %v, want *FingerprintError", err)
 	}
-	if _, err := newFleet(t, cluster.Config{AllowSkew: true}).Join(skewed); err != nil {
-		t.Fatalf("AllowSkew join: %v", err)
-	}
 	if _, err := fleet.Join(joinAs("", membership.Heartbeat{})); err == nil {
 		t.Fatal("empty-id join accepted")
 	}

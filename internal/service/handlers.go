@@ -481,15 +481,11 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request, ts *tenantSta
 	src := graph.NodeID(req.Source)
 	body, err := s.execute(ctx, ts, func() (any, error) {
 		start := time.Now()
-		orc := run.Scheme.NewOracle(src)
-		advice, err := orc.Advise(g, src)
+		done, err := run.Do(g, src)
 		if err != nil {
-			return nil, badRequest("advising: %v", err)
+			return nil, badRequest("%v", err)
 		}
-		res, err := run.Execute(g, src, advice)
-		if err != nil {
-			return nil, badRequest("run: %v", err)
-		}
+		res := done.Result
 		informed := 0
 		for _, inf := range res.Informed {
 			if inf {
@@ -502,20 +498,20 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request, ts *tenantSta
 			Edges:        g.M(),
 			Task:         req.Task,
 			Scheme:       run.Scheme.Name,
-			Oracle:       orc.Name(),
+			Oracle:       run.Scheme.NewOracle(src).Name(),
 			Algorithm:    run.Scheme.Algo.Name(),
 			Engine:       run.Engine,
 			Scheduler:    run.Scheduler,
-			AdviceBits:   advice.SizeBits(),
+			AdviceBits:   done.Advice.SizeBits(),
 			Messages:     res.Messages,
 			MessageBits:  res.MessageBits,
 			MaxNodeSends: res.MaxNodeSends,
 			Rounds:       res.Rounds,
 			Informed:     informed,
-			WallNS:       time.Since(start).Nanoseconds(),
+			WallNS:       time.Since(start).Nanoseconds(), // advice and simulation
 		}
-		if err := run.Task.Check(res); err != nil {
-			resp.CheckError = err.Error()
+		if done.Check != nil {
+			resp.CheckError = done.Check.Error()
 		} else {
 			resp.Complete = true
 		}

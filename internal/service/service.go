@@ -15,8 +15,9 @@
 // artifact.
 //
 // The serving path reuses the batch machinery end to end: names resolve and
-// runs execute through catalog.Resolve and Run.Execute (the path oraclesim
-// and campaign units take) on package sim's pooled engines, and a shared
+// runs execute through catalog.Resolve and Run.Do (the path oraclesim,
+// campaign units and the experiments take) on package sim's pooled
+// engines, and a shared
 // campaign.Cache keeps generated graphs across requests and shards. The
 // cache holds graphs only; advice is rebuilt for every executed request,
 // and repeats of a whole request are answered from the response cache.

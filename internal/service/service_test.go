@@ -443,12 +443,20 @@ func TestSteadyStateRunAllocations(t *testing.T) {
 				t.Fatalf("%s: status %d", task, code)
 			}
 		})
+		t.Logf("%s: %.1f allocations per request", task, avg)
+		// Under -race, sync.Pool drops pooled objects at random, so the
+		// count moves with the pools a request refills; only a non-race
+		// build's count (a constant 56 for wakeup, 61 for broadcast) says
+		// anything about the code.
 		const budget = 85
-		if avg > budget {
+		if !raceEnabled && avg > budget {
 			t.Errorf("steady-state %s /v1/run miss allocates %.1f per request, budget %d", task, avg, budget)
 		}
 	}
 }
+
+// raceEnabled is set in -race builds (race_test.go).
+var raceEnabled bool
 
 func TestConcurrentMixedLoad(t *testing.T) {
 	s := newTestServer(t, Config{})

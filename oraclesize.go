@@ -28,7 +28,6 @@ import (
 	"oraclesize/internal/broadcast"
 	"oraclesize/internal/catalog"
 	"oraclesize/internal/explore"
-	"oraclesize/internal/gossip"
 	"oraclesize/internal/graph"
 	"oraclesize/internal/graphgen"
 	"oraclesize/internal/oracle"
@@ -69,7 +68,8 @@ type Report struct {
 	OracleBits int
 	// Messages is the total number of transmissions.
 	Messages int
-	// Complete reports whether every node received the source message.
+	// Complete reports whether the run completed its task within the
+	// construction's proven bound.
 	Complete bool
 	// Rounds is the logical completion time under the chosen schedule.
 	Rounds int
@@ -90,7 +90,7 @@ func Broadcast(g *Graph, source NodeID) (Report, error) {
 }
 
 // runPaper runs the task's default catalog scheme (the paper's
-// construction) through the same catalog.Resolve/Execute path as oraclesim,
+// construction) through catalog.Run.Do, the same path as oraclesim,
 // campaign units and oracled, under FIFO delivery and the catalog's
 // message budget.
 func runPaper(task string, g *Graph, source NodeID) (Report, error) {
@@ -98,19 +98,15 @@ func runPaper(task string, g *Graph, source NodeID) (Report, error) {
 	if err != nil {
 		return Report{}, fmt.Errorf("oraclesize: %w", err)
 	}
-	advice, err := run.Scheme.NewOracle(source).Advise(g, source)
+	done, err := run.Do(g, source)
 	if err != nil {
-		return Report{}, fmt.Errorf("oraclesize: %s oracle: %w", task, err)
-	}
-	res, err := run.Execute(g, source, advice)
-	if err != nil {
-		return Report{}, fmt.Errorf("oraclesize: %s run: %w", task, err)
+		return Report{}, fmt.Errorf("oraclesize: %s %w", task, err)
 	}
 	return Report{
-		OracleBits: advice.SizeBits(),
-		Messages:   res.Messages,
-		Complete:   res.AllInformed,
-		Rounds:     res.Rounds,
+		OracleBits: done.Advice.SizeBits(),
+		Messages:   done.Result.Messages,
+		Complete:   done.Check == nil,
+		Rounds:     done.Result.Rounds,
 	}, nil
 }
 
@@ -128,23 +124,10 @@ func BroadcastAdvice(g *Graph, source NodeID) (Advice, error) {
 func OracleSizeBits(a Advice) int { return a.SizeBits() }
 
 // GossipAll runs the gossip extension (every node learns every node's
-// label) with the tree oracle: exactly 2(n-1) messages. Complete reports
-// the per-node verification of the learned value sets.
+// label) with the tree oracle rooted at node 0: exactly 2(n-1) messages.
+// Complete includes the per-node verification of the learned value sets.
 func GossipAll(g *Graph) (Report, error) {
-	advice, err := gossip.Oracle{}.Advise(g, 0)
-	if err != nil {
-		return Report{}, fmt.Errorf("oraclesize: gossip oracle: %w", err)
-	}
-	res, verified, err := gossip.Run(g, sim.Options{})
-	if err != nil {
-		return Report{}, fmt.Errorf("oraclesize: gossip run: %w", err)
-	}
-	return Report{
-		OracleBits: advice.SizeBits(),
-		Messages:   res.Messages,
-		Complete:   verified,
-		Rounds:     res.Rounds,
-	}, nil
+	return runPaper("gossip", g, 0)
 }
 
 // ExploreReport is the outcome of a mobile-agent exploration.
