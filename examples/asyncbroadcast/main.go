@@ -49,7 +49,7 @@ func main() {
 
 	// The concurrent engine: genuine parallelism, no global event queue.
 	for i := 1; i <= 3; i++ {
-		res, err := sim.RunConcurrent(g, 0, broadcast.Algorithm{}, advice, 0)
+		res, err := sim.RunConcurrent(g, 0, broadcast.Algorithm{}, advice, sim.Options{})
 		if err != nil {
 			log.Fatal(err)
 		}

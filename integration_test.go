@@ -161,7 +161,7 @@ func TestEnginesAgreeOnDeterministicSchemes(t *testing.T) {
 				t.Fatalf("trial %d: scheduler %s got %d messages, others %d", trial, name, res.Messages, want)
 			}
 		}
-		conc, err := sim.RunConcurrent(g, 0, wakeup.Algorithm{}, advice, 0)
+		conc, err := sim.RunConcurrent(g, 0, wakeup.Algorithm{}, advice, sim.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

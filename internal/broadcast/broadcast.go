@@ -220,8 +220,8 @@ func (a Algorithm) NewNode(info scheme.NodeInfo) scheme.Node {
 
 // NewNodes implements scheme.NodeBatcher: the automata and their port
 // bitsets are carved from two slabs of s instead of per-node objects, and
-// a single Reader serves every advice decode (the indirect codec.Read call
-// would otherwise heap-allocate one Reader per node).
+// one Reader, carved from a third, serves every advice decode: the
+// indirect codec.Read call makes any Reader it reads escape to the heap.
 func (a Algorithm) NewNodes(infos []scheme.NodeInfo, dst []scheme.Node, s *scheme.Scratch) {
 	codec := Oracle{Codec: a.Codec}.codec()
 	backing := scheme.Slab[node](s, len(infos))
@@ -230,7 +230,7 @@ func (a Algorithm) NewNodes(infos []scheme.NodeInfo, dst []scheme.Node, s *schem
 		words += 2 * bitsetWords(info.Degree)
 	}
 	bits := scheme.Slab[uint64](s, words)
-	var r bitstring.Reader
+	r := &scheme.Slab[bitstring.Reader](s, 1)[0]
 	off := 0
 	for i, info := range infos {
 		nd := &backing[i]
@@ -238,7 +238,7 @@ func (a Algorithm) NewNodes(infos []scheme.NodeInfo, dst []scheme.Node, s *schem
 		nd.known = bits[off : off+w]
 		nd.sentM = bits[off+w : off+2*w]
 		off += 2 * w
-		nd.init(&r, info, codec)
+		nd.init(r, info, codec)
 		dst[i] = nd
 	}
 }

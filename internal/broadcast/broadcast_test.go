@@ -1,6 +1,7 @@
 package broadcast
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -171,14 +172,18 @@ func TestBroadcastTrafficStaysOnTree(t *testing.T) {
 
 func TestBroadcastIsNotAValidWakeup(t *testing.T) {
 	// Scheme B's spontaneous hellos violate the wakeup constraint — the
-	// heart of the paper's separation.
+	// heart of the paper's separation — on both engines.
 	g := mustGraph(t)(graphgen.Complete(8))
 	advice, err := Oracle{}.Advise(g, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sim.Run(g, 0, Algorithm{}, advice, sim.Options{EnforceWakeup: true}); err == nil {
-		t.Error("Scheme B passed the wakeup legality check; it must not")
+	opts := sim.Options{EnforceWakeup: true}
+	if _, err := sim.Run(g, 0, Algorithm{}, advice, opts); !errors.Is(err, sim.ErrWakeupViolation) {
+		t.Errorf("queue engine: err = %v, want %v", err, sim.ErrWakeupViolation)
+	}
+	if _, err := sim.RunConcurrent(g, 0, Algorithm{}, advice, opts); !errors.Is(err, sim.ErrWakeupViolation) {
+		t.Errorf("goroutines engine: err = %v, want %v", err, sim.ErrWakeupViolation)
 	}
 }
 
@@ -203,22 +208,40 @@ func TestBroadcastAllSchedulers(t *testing.T) {
 	}
 }
 
+// TestBroadcastConcurrent holds the goroutines engine's runs to the
+// message bound and to the checks TestBroadcastTrafficStaysOnTree makes
+// of the queue engine's: traffic stays on the light tree, and neither M
+// nor a hello crosses a directed edge twice.
 func TestBroadcastConcurrent(t *testing.T) {
-	g := mustGraph(t)(graphgen.Hypercube(6))
-	advice, err := Oracle{}.Advise(g, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 8; i++ {
-		res, err := sim.RunConcurrent(g, 0, Algorithm{}, advice, 0)
+	for _, g := range []*graph.Graph{mustGraph(t)(graphgen.Hypercube(6)), mustGraph(t)(graphgen.Complete(14))} {
+		edges, err := spantree.Light(g)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !res.AllInformed {
-			t.Fatalf("run %d incomplete", i)
+		advice, err := Oracle{}.adviseForTree(g, edges)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if bound, _ := Bound(g.N()); res.Messages > bound {
-			t.Fatalf("run %d: %d messages > 3(n-1)", i, res.Messages)
+		for i := 0; i < 8; i++ {
+			rec := &trace.Recorder{}
+			res, err := sim.RunConcurrent(g, 0, Algorithm{}, advice, sim.Options{Recorder: rec})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !res.AllInformed {
+				t.Fatalf("n=%d run %d incomplete", g.N(), i)
+			}
+			if bound, _ := Bound(g.N()); res.Messages > bound {
+				t.Fatalf("n=%d run %d: %d messages > 3(n-1)", g.N(), i, res.Messages)
+			}
+			if err := trace.CheckTrafficWithinEdges(rec.Events(), edges); err != nil {
+				t.Errorf("n=%d run %d: %v", g.N(), i, err)
+			}
+			for _, kind := range []scheme.Kind{scheme.KindM, scheme.KindHello} {
+				if err := trace.CheckPerEdgeDirectionalUniqueness(rec.Events(), kind); err != nil {
+					t.Errorf("n=%d run %d: %v", g.N(), i, err)
+				}
+			}
 		}
 	}
 }

@@ -276,37 +276,14 @@ func FamilyNames() []string {
 	return names
 }
 
-// schedulerOrder fixes the display order of sim.Schedulers' map keys.
-var schedulerOrder = []string{"fifo", "lifo", "random", "delay"}
+// schedulerNames lists sim.Schedulers' names in display order, so Resolve
+// checks a name without building the factories; TestRegistriesNonEmpty
+// holds it to sim.Schedulers' keys.
+var schedulerNames = []string{"fifo", "lifo", "random", "delay"}
 
-// SchedulerNames lists the registered scheduler names.
-func SchedulerNames() []string {
-	factories := sim.Schedulers(0)
-	names := make([]string, 0, len(factories))
-	for _, name := range schedulerOrder {
-		if _, ok := factories[name]; ok {
-			names = append(names, name)
-		}
-	}
-	// Pick up schedulers sim registers beyond the known order.
-	for name := range factories {
-		known := false
-		for _, k := range schedulerOrder {
-			if k == name {
-				known = true
-				break
-			}
-		}
-		if !known {
-			names = append(names, name)
-		}
-	}
-	return names
-}
-
-// schedulerNames is SchedulerNames, listed once: Resolve checks a name
-// against it without building sim.Schedulers' factories.
-var schedulerNames = SchedulerNames()
+// SchedulerNames lists the registered scheduler names. The slice is fresh
+// on every call.
+func SchedulerNames() []string { return slices.Clone(schedulerNames) }
 
 func checkScheduler(name string) error {
 	if !slices.Contains(schedulerNames, name) {

@@ -3,11 +3,13 @@ package catalog
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
 	"oraclesize/internal/graph"
 	"oraclesize/internal/graphgen"
+	"oraclesize/internal/scheme"
 	"oraclesize/internal/sim"
 )
 
@@ -15,8 +17,7 @@ import (
 // small random graph through Resolve and Do, under every scheduler and on
 // both engines, and requires Do's verdict: the task's own completion check
 // and, for a bounded scheme, its bound — the registry must only hand out
-// pairings that work together. Election and gossip have no goroutines
-// runs: their checks read the retained automata, so Resolve refuses them.
+// pairings that work together.
 func TestEverySchemeCompletes(t *testing.T) {
 	g, err := graphgen.RandomConnected(48, 96, rand.New(rand.NewSource(7)))
 	if err != nil {
@@ -28,9 +29,6 @@ func TestEverySchemeCompletes(t *testing.T) {
 				for _, order := range append(SchedulerNames(), EngineGoroutines) {
 					engine := EngineQueue
 					if order == EngineGoroutines {
-						if task.NeedsNodes {
-							continue
-						}
 						engine = order
 					}
 					t.Run(order, func(t *testing.T) {
@@ -94,6 +92,43 @@ func TestDoFailures(t *testing.T) {
 	if _, err := capped.Do(g, 0); err == nil || !strings.HasPrefix(err.Error(), "run: sim: message budget exceeded") ||
 		!errors.Is(err, sim.ErrMessageBudget) {
 		t.Errorf("5-message cap: err = %v, want a run: %v error", err, sim.ErrMessageBudget)
+	}
+}
+
+// earlyNodes wraps an algorithm so that every node also says hello on
+// port 0 in Init, before anything is delivered to it.
+type earlyNodes struct{ scheme.Algorithm }
+
+func (a earlyNodes) NewNode(info scheme.NodeInfo) scheme.Node {
+	return earlyNode{a.Algorithm.NewNode(info)}
+}
+
+type earlyNode struct{ scheme.Node }
+
+func (nd earlyNode) Init(out []scheme.Send) []scheme.Send {
+	return nd.Node.Init(append(out, scheme.Send{Port: 0, Msg: scheme.Message{Kind: scheme.KindHello}}))
+}
+
+// TestDoEnforcesWakeupOnBothEngines runs a wakeup scheme whose every node
+// transmits before being woken: flooding still informs every node and no
+// bound covers it, so only the engine's wakeup check can fail the run, and
+// both engines must.
+func TestDoEnforcesWakeupOnBothEngines(t *testing.T) {
+	g, err := graphgen.RandomConnected(48, 96, rand.New(rand.NewSource(7)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, engine := range []string{EngineQueue, EngineGoroutines} {
+		run, err := Resolve("wakeup", "flooding", engine, "", 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		run.Scheme.Algo = earlyNodes{run.Scheme.Algo}
+		done, err := run.Do(g, 0)
+		if err == nil || !strings.HasPrefix(err.Error(), "run: sim: wakeup legality violated") ||
+			!errors.Is(err, sim.ErrWakeupViolation) {
+			t.Errorf("%s: err = %v, Check = %v; want a run: %v error", engine, err, done.Check, sim.ErrWakeupViolation)
+		}
 	}
 }
 
@@ -167,8 +202,7 @@ func TestBounds(t *testing.T) {
 }
 
 // TestResolve pins Resolve's defaults, aliases and refusals: every name
-// is checked up front, and the goroutines engine is refused for tasks
-// that need node states.
+// is checked up front, and every task runs on the goroutines engine.
 func TestResolve(t *testing.T) {
 	cases := []struct {
 		name                              string
@@ -192,10 +226,10 @@ func TestResolve(t *testing.T) {
 		{name: "unknown scheme", task: "wakeup", scheme: "psychic", wantErr: `has no scheme "psychic"`},
 		{name: "unknown scheduler", task: "wakeup", scheduler: "chaos", wantErr: `unknown scheduler "chaos"`},
 		{name: "unknown engine", task: "wakeup", engine: "quantum", wantErr: `unknown engine "quantum"`},
-		{name: "election needs queue", task: "election", engine: EngineGoroutines,
-			wantErr: "election verification needs the queue engine"},
-		{name: "gossip needs queue", task: "gossip", engine: EngineGoroutines,
-			wantErr: "gossip verification needs the queue engine"},
+		{name: "election on goroutines", task: "election", engine: EngineGoroutines,
+			wantScheme: "marked-tree", wantEngine: EngineGoroutines},
+		{name: "gossip on goroutines", task: "gossip", engine: EngineGoroutines,
+			wantScheme: "tree", wantEngine: EngineGoroutines},
 	}
 	for _, tc := range cases {
 		run, err := Resolve(tc.task, tc.scheme, tc.engine, tc.scheduler, 5)
@@ -353,8 +387,15 @@ func TestRegistriesNonEmpty(t *testing.T) {
 		t.Error("no families")
 	}
 	names := SchedulerNames()
-	if len(names) < 4 {
-		t.Errorf("schedulers = %v, want fifo/lifo/random/delay", names)
+	var registered []string
+	for name := range sim.Schedulers(3) {
+		registered = append(registered, name)
+	}
+	sorted := slices.Clone(names)
+	slices.Sort(sorted)
+	slices.Sort(registered)
+	if !slices.Equal(sorted, registered) {
+		t.Errorf("schedulers = %v, sim registers %v", names, registered)
 	}
 	for _, name := range names {
 		f, err := schedulerFactory(name, 3)

@@ -40,9 +40,8 @@ type Run struct {
 // Resolve checks every name of a run before any work is done. An empty
 // scheme, engine or scheduler selects the task's default scheme, the
 // queue engine and FIFO delivery; schemes resolve by canonical name or
-// alias. The goroutines engine ignores the scheduler name, and is refused
-// for tasks that need node states (election), which only the queue
-// engine retains.
+// alias. Every task runs on both engines; the goroutines engine ignores
+// the scheduler name.
 func Resolve(task, scheme, engine, scheduler string, seed int64) (Run, error) {
 	td, err := TaskByName(task)
 	if err != nil {
@@ -64,31 +63,28 @@ func Resolve(task, scheme, engine, scheduler string, seed int64) (Run, error) {
 			return Run{}, err
 		}
 	case EngineGoroutines:
-		if td.NeedsNodes {
-			return Run{}, fmt.Errorf("catalog: %s verification needs the %s engine", td.Name, EngineQueue)
-		}
 	default:
 		return Run{}, fmt.Errorf("catalog: unknown engine %q (have %s | %s)", engine, EngineQueue, EngineGoroutines)
 	}
 	return r, nil
 }
 
-// Execute simulates the run on g from src under advice. It picks the
-// engine, builds the scheduler unless it is FIFO (the pooled engine's own
-// queue, which costs no allocation), sets EnforceWakeup and RetainNodes
-// from the task, and turns a zero MaxMessages into MessageBudget(g).
+// Execute simulates the run on g from src under advice. It builds one
+// sim.Options for both engines: EnforceWakeup and RetainNodes from the
+// task, and MaxMessages, with a zero MaxMessages turned into
+// MessageBudget(g). The queue engine also gets the run's scheduler unless
+// it is FIFO (the pooled engine's own queue, which costs no allocation).
 func (r Run) Execute(g *graph.Graph, src graph.NodeID, advice sim.Advice) (*sim.Result, error) {
-	budget := r.MaxMessages
-	if budget == 0 {
-		budget = MessageBudget(g)
-	}
-	if r.Engine == EngineGoroutines {
-		return sim.RunConcurrent(g, src, r.Scheme.Algo, advice, budget)
-	}
 	opts := sim.Options{
 		EnforceWakeup: r.Task.EnforceWakeup,
 		RetainNodes:   r.Task.NeedsNodes,
-		MaxMessages:   budget,
+		MaxMessages:   r.MaxMessages,
+	}
+	if opts.MaxMessages == 0 {
+		opts.MaxMessages = MessageBudget(g)
+	}
+	if r.Engine == EngineGoroutines {
+		return sim.RunConcurrent(g, src, r.Scheme.Algo, advice, opts)
 	}
 	if r.Scheduler != "fifo" {
 		factory, err := schedulerFactory(r.Scheduler, r.Seed)

@@ -212,7 +212,7 @@ func TestGossipConcurrent(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {
-		res, err := sim.RunConcurrent(g, 0, Algorithm{}, advice, 0)
+		res, err := sim.RunConcurrent(g, 0, Algorithm{}, advice, sim.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -92,29 +92,6 @@ func (FullMap) Advise(g *graph.Graph, source graph.NodeID) (sim.Advice, error) {
 	return advice, nil
 }
 
-// Neighborhood gives each node the labels of its neighbors in port order —
-// the traditional "knowing your neighborhood" assumption, measured in bits.
-// No algorithm in this repository consumes it; it exists to place classical
-// knowledge assumptions on the paper's quantitative scale.
-type Neighborhood struct{}
-
-// Name implements Oracle.
-func (Neighborhood) Name() string { return "neighborhood" }
-
-// Advise implements Oracle.
-func (Neighborhood) Advise(g *graph.Graph, _ graph.NodeID) (sim.Advice, error) {
-	advice := make(sim.Advice, g.N())
-	for v := 0; v < g.N(); v++ {
-		var w bitstring.Writer
-		for p := 0; p < g.Degree(graph.NodeID(v)); p++ {
-			u, _ := g.Neighbor(graph.NodeID(v), p)
-			w.AppendGamma0(uint64(g.Label(u)))
-		}
-		advice[graph.NodeID(v)] = w.String()
-	}
-	return advice, nil
-}
-
 // FieldWidth returns the number of bits needed to index n items (at least 1).
 func FieldWidth(n int) int {
 	if n <= 2 {

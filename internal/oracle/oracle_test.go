@@ -154,30 +154,6 @@ func TestFullMapOracle(t *testing.T) {
 	}
 }
 
-func TestNeighborhoodOracle(t *testing.T) {
-	g := mustGraph(t)(graphgen.Star(6))
-	advice, err := Neighborhood{}.Advise(g, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The center's advice lists 5 labels; each leaf lists 1.
-	center := advice[0]
-	r := bitstring.NewReader(center)
-	for i := 0; i < 5; i++ {
-		label, err := r.ReadGamma0()
-		if err != nil {
-			t.Fatal(err)
-		}
-		u, _ := g.Neighbor(0, i)
-		if int64(label) != g.Label(u) {
-			t.Errorf("neighbor %d label = %d, want %d", i, label, g.Label(u))
-		}
-	}
-	if r.Remaining() != 0 {
-		t.Errorf("center advice has %d trailing bits", r.Remaining())
-	}
-}
-
 func TestFieldWidth(t *testing.T) {
 	tests := []struct{ n, want int }{
 		{0, 1}, {1, 1}, {2, 1}, {3, 2}, {4, 2}, {5, 3}, {8, 3}, {9, 4}, {1024, 10}, {1025, 11},

@@ -121,6 +121,8 @@ func TestRunEndpoint(t *testing.T) {
 		{"family": "random-sparse", "n": 48, "seed": 1, "task": "gossip"},
 		{"family": "random-sparse", "n": 48, "seed": 1, "task": "election"},
 		{"family": "random-sparse", "n": 48, "seed": 1, "task": "wakeup", "engine": "goroutines"},
+		{"family": "random-sparse", "n": 48, "seed": 1, "task": "gossip", "engine": "goroutines"},
+		{"family": "random-sparse", "n": 48, "seed": 1, "task": "election", "engine": "goroutines"},
 		{"family": "cycle", "n": 48, "seed": 1, "task": "broadcast", "scheme": "paper"},
 	} {
 		w := postJSON(t, s.Handler(), "/v1/run", tc)
@@ -192,8 +194,6 @@ func TestValidationErrors(t *testing.T) {
 		"n too large":       {"family": "random-sparse", "n": 65, "task": "wakeup"},
 		"n too small":       {"family": "random-sparse", "n": 1, "task": "wakeup"},
 		"bad source":        {"family": "random-sparse", "n": 16, "source": 99, "task": "wakeup"},
-		"election needs queue": {
-			"family": "random-sparse", "n": 16, "task": "election", "engine": "goroutines"},
 	} {
 		if w := postJSON(t, s.Handler(), "/v1/run", body); w.Code != http.StatusBadRequest {
 			t.Errorf("%s: status %d, want 400 (%s)", name, w.Code, w.Body.String())

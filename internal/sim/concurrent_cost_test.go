@@ -39,7 +39,7 @@ func TestConcurrentCountsCosts(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := sim.RunConcurrent(g, 0, wakeup.Algorithm{}, wAdvice, 0)
+		got, err := sim.RunConcurrent(g, 0, wakeup.Algorithm{}, wAdvice, sim.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -55,7 +55,7 @@ func TestConcurrentCountsCosts(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := sim.RunConcurrent(g, 0, broadcast.Algorithm{}, bAdvice, 0)
+		res, err := sim.RunConcurrent(g, 0, broadcast.Algorithm{}, bAdvice, sim.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -11,7 +11,7 @@ import (
 
 func TestConcurrentFloodingCompletes(t *testing.T) {
 	g := mustGraph(t)(graphgen.Grid(8, 8))
-	res, err := RunConcurrent(g, 0, flooding(), nil, 0)
+	res, err := RunConcurrent(g, 0, flooding(), nil, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +34,7 @@ func TestConcurrentMatchesSequentialCompletion(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		conRes, err := RunConcurrent(g, 0, flooding(), nil, 0)
+		conRes, err := RunConcurrent(g, 0, flooding(), nil, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -54,7 +54,7 @@ func TestConcurrentMatchesSequentialCompletion(t *testing.T) {
 
 func TestConcurrentSilent(t *testing.T) {
 	g := mustGraph(t)(graphgen.Path(5))
-	res, err := RunConcurrent(g, 2, silent(), nil, 0)
+	res, err := RunConcurrent(g, 2, silent(), nil, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,9 +68,31 @@ func TestConcurrentSilent(t *testing.T) {
 
 func TestConcurrentBudget(t *testing.T) {
 	g := mustGraph(t)(graphgen.Path(2))
-	_, err := RunConcurrent(g, 0, pingPong(), nil, 50)
+	_, err := RunConcurrent(g, 0, pingPong(), nil, Options{MaxMessages: 50})
 	if !errors.Is(err, ErrMessageBudget) {
 		t.Errorf("err = %v, want ErrMessageBudget", err)
+	}
+}
+
+// TestConcurrentOptions pins the rest of the goroutines engine's contract:
+// RetainNodes hands back all n automata, and a Scheduler, which the engine
+// has no use for, is an error.
+func TestConcurrentOptions(t *testing.T) {
+	g := mustGraph(t)(graphgen.Grid(4, 4))
+	res, err := RunConcurrent(g, 0, flooding(), nil, Options{RetainNodes: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Nodes) != g.N() {
+		t.Errorf("RetainNodes: %d automata, want %d", len(res.Nodes), g.N())
+	}
+	for v, nd := range res.Nodes {
+		if f, ok := nd.(*floodNode); !ok || !f.informed {
+			t.Errorf("node %d: retained automaton %#v, want an informed flooder", v, nd)
+		}
+	}
+	if _, err := RunConcurrent(g, 0, flooding(), nil, Options{Scheduler: NewFIFO()}); err == nil {
+		t.Error("a scheduler was accepted")
 	}
 }
 
@@ -80,7 +102,7 @@ func TestConcurrentStress(t *testing.T) {
 	}
 	g := mustGraph(t)(graphgen.Complete(40))
 	for i := 0; i < 20; i++ {
-		res, err := RunConcurrent(g, 0, flooding(), nil, 0)
+		res, err := RunConcurrent(g, 0, flooding(), nil, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -148,7 +170,7 @@ func TestConcurrentByKind(t *testing.T) {
 	algo := scheme.Func{AlgoName: "relabel", New: func(info scheme.NodeInfo) scheme.Node {
 		return &relabelNode{info: info}
 	}}
-	res, err := RunConcurrent(g, 0, algo, nil, 0)
+	res, err := RunConcurrent(g, 0, algo, nil, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +186,7 @@ func BenchmarkConcurrentFlooding(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := RunConcurrent(g, 0, flooding(), nil, 0)
+		res, err := RunConcurrent(g, 0, flooding(), nil, Options{})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -45,7 +45,8 @@ func (a Advice) Of(v graph.NodeID) bitstring.String {
 	return bitstring.String{}
 }
 
-// Options configures a simulation run.
+// Options configures a simulation run. Engine.Run and RunConcurrent honour
+// every field alike, except Scheduler, which RunConcurrent refuses.
 type Options struct {
 	// Scheduler orders deliveries; nil means FIFO (synchronous).
 	Scheduler Scheduler
@@ -60,6 +61,39 @@ type Options struct {
 	// RetainNodes keeps the node automata in Result.Nodes so callers can
 	// inspect final states (e.g. gossip checks the learned value sets).
 	RetainNodes bool
+}
+
+// budget is the run's message cap: MaxMessages, or the default
+// 64·(m+n)+1024 when it is 0. Both engines take it from here.
+func (o Options) budget(g *graph.Graph) int {
+	if o.MaxMessages == 0 {
+		return 64*(g.M()+g.N()) + 1024
+	}
+	return o.MaxMessages
+}
+
+// newNodes builds a run's automata, for both engines: infos[v] is v's
+// NodeInfo (its advice, source bit, label and degree) and nodes[v] its
+// automaton, carved from s, after s.Reset, when algo is a
+// scheme.NodeBatcher.
+func newNodes(g *graph.Graph, source graph.NodeID, algo scheme.Algorithm, advice Advice, infos []scheme.NodeInfo, nodes []scheme.Node, s *scheme.Scratch) {
+	for v := range infos {
+		id := graph.NodeID(v)
+		infos[v] = scheme.NodeInfo{
+			Advice: advice.Of(id),
+			Source: id == source,
+			Label:  g.Label(id),
+			Degree: g.Degree(id),
+		}
+	}
+	if nb, ok := algo.(scheme.NodeBatcher); ok {
+		s.Reset()
+		nb.NewNodes(infos, nodes, s)
+		return
+	}
+	for v, info := range infos {
+		nodes[v] = algo.NewNode(info)
+	}
 }
 
 // Result summarizes a completed run.
@@ -221,10 +255,7 @@ func (e *Engine) Run(g *graph.Graph, source graph.NodeID, algo scheme.Algorithm,
 		e.fifo.reset()
 		fifo = &e.fifo
 	}
-	maxMessages := opts.MaxMessages
-	if maxMessages == 0 {
-		maxMessages = 64*(g.M()+n) + 1024
-	}
+	maxMessages := opts.budget(g)
 
 	e.Reset(g)
 	e.values = append(e.values[:0], nil)
@@ -232,23 +263,7 @@ func (e *Engine) Run(g *graph.Graph, source graph.NodeID, algo scheme.Algorithm,
 	// allocated fresh per run rather than drawn from the engine.
 	res := &Result{Informed: make([]bool, n)}
 	res.Informed[source] = true
-
-	for v := 0; v < n; v++ {
-		e.infos[v] = scheme.NodeInfo{
-			Advice: advice.Of(graph.NodeID(v)),
-			Source: graph.NodeID(v) == source,
-			Label:  g.Label(graph.NodeID(v)),
-			Degree: g.Degree(graph.NodeID(v)),
-		}
-	}
-	if nb, ok := algo.(scheme.NodeBatcher); ok {
-		e.scratch.Reset()
-		nb.NewNodes(e.infos, e.nodes, &e.scratch)
-	} else {
-		for v := 0; v < n; v++ {
-			e.nodes[v] = algo.NewNode(e.infos[v])
-		}
-	}
+	newNodes(g, source, algo, advice, e.infos, e.nodes, &e.scratch)
 
 	seq := 0
 	emit := func(from graph.NodeID, sends []scheme.Send) error {

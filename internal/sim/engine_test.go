@@ -157,19 +157,27 @@ func TestSilentDoesNotComplete(t *testing.T) {
 	}
 }
 
+// engines lists both engines, which take the same Options.
+var engines = map[string]func(*graph.Graph, graph.NodeID, scheme.Algorithm, Advice, Options) (*Result, error){
+	"queue":      Run,
+	"goroutines": RunConcurrent,
+}
+
 func TestWakeupLegalityEnforced(t *testing.T) {
 	g := mustGraph(t)(graphgen.Cycle(5))
-	_, err := Run(g, 0, chatty(), nil, Options{EnforceWakeup: true})
-	if !errors.Is(err, ErrWakeupViolation) {
-		t.Errorf("err = %v, want ErrWakeupViolation", err)
-	}
-	// The same algorithm is legal as a broadcast.
-	if _, err := Run(g, 0, chatty(), nil, Options{}); err != nil {
-		t.Errorf("broadcast-mode run failed: %v", err)
-	}
-	// Flooding is a legal wakeup (only informed nodes transmit).
-	if _, err := Run(g, 0, flooding(), nil, Options{EnforceWakeup: true}); err != nil {
-		t.Errorf("flooding as wakeup failed: %v", err)
+	for name, run := range engines {
+		_, err := run(g, 0, chatty(), nil, Options{EnforceWakeup: true})
+		if !errors.Is(err, ErrWakeupViolation) {
+			t.Errorf("%s: err = %v, want ErrWakeupViolation", name, err)
+		}
+		// The same algorithm is legal as a broadcast.
+		if _, err := run(g, 0, chatty(), nil, Options{}); err != nil {
+			t.Errorf("%s: broadcast-mode run failed: %v", name, err)
+		}
+		// Flooding is a legal wakeup (only informed nodes transmit).
+		if _, err := run(g, 0, flooding(), nil, Options{EnforceWakeup: true}); err != nil {
+			t.Errorf("%s: flooding as wakeup failed: %v", name, err)
+		}
 	}
 }
 
@@ -186,8 +194,10 @@ func TestInvalidPortRejected(t *testing.T) {
 	bad := scheme.Func{AlgoName: "bad-port", New: func(info scheme.NodeInfo) scheme.Node {
 		return &chattyBadPort{info: info}
 	}}
-	if _, err := Run(g, 0, bad, nil, Options{}); err == nil {
-		t.Error("invalid port accepted")
+	for name, run := range engines {
+		if _, err := run(g, 0, bad, nil, Options{}); err == nil {
+			t.Errorf("%s: invalid port accepted", name)
+		}
 	}
 }
 
@@ -208,7 +218,7 @@ func TestInvalidSourceRejected(t *testing.T) {
 	if _, err := Run(g, 7, flooding(), nil, Options{}); err == nil {
 		t.Error("out-of-range source accepted")
 	}
-	if _, err := RunConcurrent(g, -1, flooding(), nil, 0); err == nil {
+	if _, err := RunConcurrent(g, -1, flooding(), nil, Options{}); err == nil {
 		t.Error("concurrent out-of-range source accepted")
 	}
 }
@@ -231,31 +241,35 @@ func TestSchedulersAllCompleteFlooding(t *testing.T) {
 }
 
 func TestTraceRecording(t *testing.T) {
-	g := mustGraph(t)(graphgen.Path(4))
-	rec := &trace.Recorder{}
-	res, err := Run(g, 0, flooding(), nil, Options{Recorder: rec})
-	if err != nil {
-		t.Fatal(err)
-	}
-	events := rec.Events()
-	sends := 0
-	informs := 0
-	for _, e := range events {
-		switch e.Kind {
-		case trace.EventSend:
-			sends++
-		case trace.EventInformed:
-			informs++
+	g := mustGraph(t)(graphgen.Grid(4, 4))
+	for name, run := range engines {
+		rec := &trace.Recorder{}
+		res, err := run(g, 0, flooding(), nil, Options{Recorder: rec})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if sends != res.Messages {
-		t.Errorf("trace sends %d != messages %d", sends, res.Messages)
-	}
-	if informs != g.N()-1 {
-		t.Errorf("trace informs %d, want %d", informs, g.N()-1)
-	}
-	if err := trace.CheckWakeupLegality(events, 0); err != nil {
-		t.Errorf("flooding trace: %v", err)
+		events := rec.Events()
+		sends, delivers, informs := 0, 0, 0
+		for _, e := range events {
+			switch e.Kind {
+			case trace.EventSend:
+				sends++
+			case trace.EventDeliver:
+				delivers++
+			case trace.EventInformed:
+				informs++
+			}
+		}
+		if sends != res.Messages || delivers != res.Deliveries {
+			t.Errorf("%s: trace sends %d, delivers %d; messages %d, deliveries %d",
+				name, sends, delivers, res.Messages, res.Deliveries)
+		}
+		if informs != g.N()-1 {
+			t.Errorf("%s: trace informs %d, want %d", name, informs, g.N()-1)
+		}
+		if err := trace.CheckWakeupLegality(events, 0); err != nil {
+			t.Errorf("%s: flooding trace: %v", name, err)
+		}
 	}
 }
 
@@ -355,7 +369,7 @@ func TestSingleNodeRun(t *testing.T) {
 	if !res.AllInformed || res.Messages != 0 {
 		t.Errorf("single node: %+v", res)
 	}
-	cres, err := RunConcurrent(g, 0, silent(), nil, 0)
+	cres, err := RunConcurrent(g, 0, silent(), nil, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -203,19 +203,37 @@ func TestWakeupUnderAllSchedulers(t *testing.T) {
 	}
 }
 
+// TestWakeupConcurrent holds the goroutines engine's runs to the checks
+// TestWakeupTrafficStaysOnTree makes of the queue engine's: every trace is
+// a legal wakeup whose messages cross only BFS tree edges, each once.
 func TestWakeupConcurrent(t *testing.T) {
 	g := mustGraph(t)(graphgen.Hypercube(6))
-	advice, err := Oracle{}.Advise(g, 0)
+	o := Oracle{}
+	advice, err := o.Advise(g, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tree, err := o.buildTree(g, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 8; i++ {
-		res, err := sim.RunConcurrent(g, 0, Algorithm{}, advice, 0)
+		rec := &trace.Recorder{}
+		res, err := sim.RunConcurrent(g, 0, Algorithm{}, advice, sim.Options{EnforceWakeup: true, Recorder: rec})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if want, _ := Bound(g.N()); !res.AllInformed || res.Messages != want {
 			t.Fatalf("run %d: complete=%v messages=%d", i, res.AllInformed, res.Messages)
+		}
+		if err := trace.CheckWakeupLegality(rec.Events(), 0); err != nil {
+			t.Errorf("run %d: %v", i, err)
+		}
+		if err := trace.CheckTrafficWithinEdges(rec.Events(), tree.Edges()); err != nil {
+			t.Errorf("run %d: %v", i, err)
+		}
+		if err := trace.CheckPerEdgeDirectionalUniqueness(rec.Events(), scheme.KindM); err != nil {
+			t.Errorf("run %d: %v", i, err)
 		}
 	}
 }
