@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"flag"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -105,7 +106,10 @@ func TestEntryRecordsScience(t *testing.T) {
 // fails when the entry's advice bits or messages differ or its allocs/op
 // sit more than 10% below the fresh count, and writes nothing. Each op
 // runs 100 times, so a one-off allocation (a pooled engine the garbage
-// collector dropped) does not move allocs/op.
+// collector dropped) does not move allocs/op. Under -race, sync.Pool
+// drops objects at random, so allocation counts mean nothing: the entry's
+// are raised out of -check's reach and only the science and the
+// file-unchanged checks run.
 func TestCheck(t *testing.T) {
 	benchIters(t, "100x")
 	path := filepath.Join(t.TempDir(), "BENCH_sim.json")
@@ -127,6 +131,9 @@ func TestCheck(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := range e.Benchmarks {
+			if raceEnabled {
+				e.Benchmarks[i].AllocsPerOp = math.MaxInt32
+			}
 			if e.Benchmarks[i].Name == "advice-broadcast" {
 				edit(&e.Benchmarks[i])
 			}
@@ -154,7 +161,9 @@ func TestCheck(t *testing.T) {
 	check("unchanged", func(*Benchmark) {}, 0)
 	check("other advice bits", func(b *Benchmark) { b.AdviceBits++ }, 1)
 	check("other messages", func(b *Benchmark) { b.Messages = 7 }, 1)
-	check("fewer recorded allocations", func(b *Benchmark) { b.AllocsPerOp = b.AllocsPerOp * 8 / 10 }, 1)
+	if !raceEnabled {
+		check("fewer recorded allocations", func(b *Benchmark) { b.AllocsPerOp = b.AllocsPerOp * 8 / 10 }, 1)
+	}
 	check("a row the entry lacks", func(b *Benchmark) { b.Name = "retired" }, 0)
 }
 

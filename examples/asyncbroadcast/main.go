@@ -53,8 +53,8 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("%-22s  %9d  %9s  %v\n",
-			fmt.Sprintf("goroutines run %d", i), res.Messages, "-", res.AllInformed)
+		fmt.Printf("%-22s  %9d  %9d  %v\n",
+			fmt.Sprintf("goroutines run %d", i), res.Messages, res.Rounds, res.AllInformed)
 	}
 
 	fmt.Printf("\nEvery schedule stayed within %d messages: Scheme B's hello/K/S\n", bound)

@@ -127,10 +127,7 @@ func (nd *floodNode) Receive(msg scheme.Message, port int, out []scheme.Send) []
 func announce(out []scheme.Send, degree, except, dist int) []scheme.Send {
 	for p := 0; p < degree; p++ {
 		if p != except {
-			out = append(out, scheme.Send{Port: p, Msg: scheme.Message{
-				Kind:    scheme.KindProbe,
-				Payload: uint64(dist),
-			}})
+			out = scheme.AppendSend(out, p, scheme.KindProbe, uint64(dist))
 		}
 	}
 	return out

@@ -25,6 +25,7 @@ import (
 	"oraclesize/internal/scheme"
 	"oraclesize/internal/sim"
 	"oraclesize/internal/spantree"
+	"oraclesize/internal/wakeup"
 )
 
 // TreeKind selects the spanning tree whose edges the oracle reveals.
@@ -214,7 +215,7 @@ func (a Algorithm) NewNode(info scheme.NodeInfo) scheme.Node {
 	nd.known = backing[:words]
 	nd.sentM = backing[words:]
 	var r bitstring.Reader
-	nd.init(&r, info, codec)
+	nd.init(&r, &info, codec)
 	return nd
 }
 
@@ -232,8 +233,8 @@ func (a Algorithm) NewNodes(infos []scheme.NodeInfo, dst []scheme.Node, s *schem
 	bits := scheme.Slab[uint64](s, words)
 	r := &scheme.Slab[bitstring.Reader](s, 1)[0]
 	off := 0
-	for i, info := range infos {
-		nd := &backing[i]
+	for i := range infos {
+		info, nd := &infos[i], &backing[i]
 		w := bitsetWords(info.Degree)
 		nd.known = bits[off : off+w]
 		nd.sentM = bits[off+w : off+2*w]
@@ -271,7 +272,7 @@ type node struct {
 // init decodes the advice into K_x. Malformed advice (wrong codec pairing)
 // leaves the node with no knowledge: the run stalls visibly rather than
 // panicking, exactly as the map-based decoder behaved.
-func (nd *node) init(r *bitstring.Reader, info scheme.NodeInfo, codec bitstring.Codec) {
+func (nd *node) init(r *bitstring.Reader, info *scheme.NodeInfo, codec bitstring.Codec) {
 	nd.degree, nd.source = info.Degree, info.Source
 	r.Reset(info.Advice)
 	for r.Remaining() > 0 {
@@ -296,7 +297,7 @@ func (nd *node) Init(out []scheme.Send) []scheme.Send {
 	// Non-source: H_x = K_x, send hello everywhere, H_x ← ∅.
 	for p := 0; p < nd.degree; p++ {
 		if nd.known.get(p) {
-			out = append(out, scheme.Send{Port: p, Msg: scheme.Message{Kind: scheme.KindHello}})
+			out = scheme.AppendSend(out, p, scheme.KindHello, 0)
 		}
 	}
 	return out
@@ -322,62 +323,16 @@ func (nd *node) flushM(out []scheme.Send) []scheme.Send {
 	for p := 0; p < nd.degree; p++ {
 		if nd.known.get(p) && !nd.sentM.get(p) {
 			nd.sentM.set(p)
-			out = append(out, scheme.Send{Port: p, Msg: scheme.Message{Kind: scheme.KindM}})
+			out = scheme.AppendSend(out, p, scheme.KindM, 0)
 		}
 	}
 	return out
 }
 
-// Flooding is the zero-advice broadcast baseline (identical to wakeup
-// flooding: spontaneity buys nothing without knowledge to encode).
-type Flooding struct{}
+// Flooding is the zero-advice broadcast baseline. It builds wakeup
+// flooding's automaton (spontaneity buys nothing without knowledge to
+// encode) under its own name, which tables and served responses carry.
+type Flooding struct{ wakeup.Flooding }
 
 // Name implements scheme.Algorithm.
 func (Flooding) Name() string { return "broadcast-flooding" }
-
-// NewNode implements scheme.Algorithm.
-func (Flooding) NewNode(info scheme.NodeInfo) scheme.Node {
-	return &floodNode{degree: info.Degree, source: info.Source}
-}
-
-// NewNodes implements scheme.NodeBatcher.
-func (Flooding) NewNodes(infos []scheme.NodeInfo, dst []scheme.Node, s *scheme.Scratch) {
-	backing := scheme.Slab[floodNode](s, len(infos))
-	for i, info := range infos {
-		backing[i] = floodNode{degree: info.Degree, source: info.Source}
-		dst[i] = &backing[i]
-	}
-}
-
-// floodNode keeps only its degree and flags, so its slab holds no pointer
-// for the collector to scan.
-type floodNode struct {
-	degree           int
-	source, informed bool
-}
-
-func (nd *floodNode) Init(out []scheme.Send) []scheme.Send {
-	if !nd.source {
-		return out
-	}
-	nd.informed = true
-	return floodAll(out, nd.degree, -1)
-}
-
-func (nd *floodNode) Receive(msg scheme.Message, port int, out []scheme.Send) []scheme.Send {
-	if nd.informed || !msg.Informed {
-		return out
-	}
-	nd.informed = true
-	return floodAll(out, nd.degree, port)
-}
-
-// floodAll appends the source message on every port but except.
-func floodAll(out []scheme.Send, degree, except int) []scheme.Send {
-	for p := 0; p < degree; p++ {
-		if p != except {
-			out = append(out, scheme.Send{Port: p, Msg: scheme.Message{Kind: scheme.KindM}})
-		}
-	}
-	return out
-}

@@ -117,10 +117,7 @@ func (nd *maxFloodNode) Receive(msg scheme.Message, port int, out []scheme.Send)
 func sendLabelOnAll(out []scheme.Send, degree, except int, label int64) []scheme.Send {
 	for p := 0; p < degree; p++ {
 		if p != except {
-			out = append(out, scheme.Send{Port: p, Msg: scheme.Message{
-				Kind:    scheme.KindProbe,
-				Payload: uint64(label),
-			}})
+			out = scheme.AppendSend(out, p, scheme.KindProbe, uint64(label))
 		}
 	}
 	return out
@@ -273,10 +270,7 @@ func (nd *markedTreeNode) Receive(msg scheme.Message, _ int, out []scheme.Send) 
 func (nd *markedTreeNode) announce(out []scheme.Send, label int64) []scheme.Send {
 	for _, p := range nd.kids {
 		if p >= 0 && p < nd.info.Degree {
-			out = append(out, scheme.Send{Port: p, Msg: scheme.Message{
-				Kind:    scheme.KindProbe,
-				Payload: uint64(label),
-			}})
+			out = scheme.AppendSend(out, p, scheme.KindProbe, uint64(label))
 		}
 	}
 	return out

@@ -219,7 +219,7 @@ func (nd *sparseNode) Receive(msg scheme.Message, port int, out []scheme.Send) [
 func (nd *sparseNode) forward(arrival int, out []scheme.Send) []scheme.Send {
 	for _, p := range nd.kept {
 		if p != arrival && p >= 0 && p < nd.info.Degree {
-			out = append(out, scheme.Send{Port: p, Msg: scheme.Message{Kind: scheme.KindM}})
+			out = scheme.AppendSend(out, p, scheme.KindM, 0)
 		}
 	}
 	return out

@@ -108,6 +108,25 @@ type Send struct {
 	Msg  Message
 }
 
+// AppendSend appends to out a send on port of a message with the given
+// kind and payload and no Values, and returns the extended slice. It
+// writes the new element's fields in out's storage, where appending a
+// Send literal builds the literal first and copies it in.
+func AppendSend(out []Send, port int, kind Kind, payload uint64) []Send {
+	if len(out) < cap(out) {
+		out = out[:len(out)+1]
+	} else {
+		out = append(out, Send{})
+	}
+	s := &out[len(out)-1]
+	s.Port = port
+	s.Msg.Kind = kind
+	s.Msg.Payload = payload
+	s.Msg.Informed = false
+	s.Msg.Values = nil
+	return out
+}
+
 // Node is a per-vertex automaton. The runtime calls Init exactly once
 // before delivering anything, then Receive once per delivered message.
 // Implementations must not retain or mutate shared state: an automaton's
@@ -118,7 +137,8 @@ type Send struct {
 // return the extended slice, so sending allocates nothing. The runtime
 // consumes the sends before the automaton's next step and passes the
 // buffer again, so an automaton must neither retain out nor send anything
-// but what it appends.
+// but what it appends. AppendSend is the way to send a message without
+// Values; only a message that carries Values needs a Send literal.
 type Node interface {
 	// Init appends the node's spontaneous sends. Wakeup schemes must send
 	// nothing from non-source nodes (nodes other than the source cannot

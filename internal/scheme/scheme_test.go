@@ -98,3 +98,34 @@ func TestMessageSizeBits(t *testing.T) {
 		}
 	}
 }
+
+// TestAppendSend: the appender equals appending the Send literal, both
+// into reused storage whose stale element carries Values and Informed and
+// past the capacity, and it allocates nothing while capacity lasts.
+func TestAppendSend(t *testing.T) {
+	stale := []Send{{Port: 9, Msg: Message{Kind: KindUp, Payload: 5, Informed: true, Values: []int64{1}}}, {}}
+	out := AppendSend(stale[:1:2], 3, KindProbe, 7)
+	want := Send{Port: 3, Msg: Message{Kind: KindProbe, Payload: 7}}
+	if len(out) != 2 || &out[1] != &stale[1] {
+		t.Fatalf("did not extend in place: len %d", len(out))
+	}
+	if got := out[1]; got.Port != want.Port || got.Msg.Kind != want.Msg.Kind || got.Msg.Payload != want.Msg.Payload ||
+		got.Msg.Informed || got.Msg.Values != nil {
+		t.Errorf("in place: %+v, want %+v", got, want)
+	}
+	stale[1] = stale[0]
+	out = AppendSend(stale[:1:2], 3, KindProbe, 7)
+	if got := out[1]; got.Msg.Informed || got.Msg.Values != nil {
+		t.Errorf("stale fields survived: %+v", got)
+	}
+	out = AppendSend(out, 0, KindM, 0)
+	if len(out) != 3 || out[2].Port != 0 || out[2].Msg.Kind != KindM || out[0].Port != 9 {
+		t.Errorf("grown: %+v", out)
+	}
+	buf := make([]Send, 0, 4)
+	if allocs := testing.AllocsPerRun(100, func() {
+		buf = AppendSend(AppendSend(buf[:0], 1, KindM, 0), 2, KindHello, 0)
+	}); allocs != 0 {
+		t.Errorf("AppendSend allocated %v times within capacity", allocs)
+	}
+}

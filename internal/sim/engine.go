@@ -3,6 +3,7 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -78,13 +79,11 @@ func (o Options) budget(g *graph.Graph) int {
 // scheme.NodeBatcher.
 func newNodes(g *graph.Graph, source graph.NodeID, algo scheme.Algorithm, advice Advice, infos []scheme.NodeInfo, nodes []scheme.Node, s *scheme.Scratch) {
 	for v := range infos {
-		id := graph.NodeID(v)
-		infos[v] = scheme.NodeInfo{
-			Advice: advice.Of(id),
-			Source: id == source,
-			Label:  g.Label(id),
-			Degree: g.Degree(id),
-		}
+		id, info := graph.NodeID(v), &infos[v]
+		info.Advice = advice.Of(id)
+		info.Source = id == source
+		info.Label = g.Label(id)
+		info.Degree = g.Degree(id)
 	}
 	if nb, ok := algo.(scheme.NodeBatcher); ok {
 		s.Reset()
@@ -150,7 +149,7 @@ type Engine struct {
 	kindCount [256]int
 	kindsUsed []scheme.Kind
 	// out is the automata's send buffer: every Init and Receive appends
-	// to it from empty, and emit consumes it before the next step.
+	// to it from empty, and the run loop consumes it before the next step.
 	out []scheme.Send
 	// values holds the Values of the messages sent this run, which only
 	// gossip and MST send: pending.Values indexes it, and its slot 0 is
@@ -248,183 +247,174 @@ func (e *Engine) Run(g *graph.Graph, source graph.NodeID, algo scheme.Algorithm,
 		return nil, fmt.Errorf("sim: source %d out of range [0,%d)", source, n)
 	}
 	// The engine's own FIFO, or one NewFIFO made, is driven directly (fifo
-	// non-nil); every other scheduler through the interface.
+	// non-nil): a send fills the queue's next slot and a delivery reads
+	// its oldest record where it lies. Every other scheduler pushes and
+	// pops through the interface.
 	sched := opts.Scheduler
 	fifo, _ := sched.(*fifoScheduler)
 	if sched == nil {
 		e.fifo.reset()
 		fifo = &e.fifo
 	}
-	maxMessages := opts.budget(g)
+	maxMessages, rec := opts.budget(g), opts.Recorder
 
 	e.Reset(g)
 	e.values = append(e.values[:0], nil)
 	// Informed escapes with the Result, so it is the one tracking slice
 	// allocated fresh per run rather than drawn from the engine.
-	res := &Result{Informed: make([]bool, n)}
-	res.Informed[source] = true
+	informed := make([]bool, n)
+	informed[source] = true
 	newNodes(g, source, algo, advice, e.infos, e.nodes, &e.scratch)
 
-	seq := 0
-	emit := func(from graph.NodeID, sends []scheme.Send) error {
-		if len(sends) == 0 {
-			return nil
+	nodes, delivered, nodeTime, nodeSends := e.nodes, e.delivered, e.nodeTime, e.nodeSends
+	var messages, bits, seq, deliveries, rounds, maxSends int
+	// spare is the record another scheduler pops into and pushes from.
+	var spare pending
+	// One step per iteration: the next node's Init while any is left, so
+	// every Init runs before the first delivery, as in the paper (schemes
+	// act on the empty history first), and then one delivery.
+	for next := 0; ; {
+		var from graph.NodeID
+		if next < n {
+			from = graph.NodeID(next)
+			next++
+			e.out = nodes[from].Init(e.out[:0])
+		} else {
+			p := &spare
+			if fifo != nil {
+				if p = fifo.next(); p == nil {
+					break
+				}
+			} else {
+				var ok bool
+				if spare, ok = sched.Pop(); !ok {
+					break
+				}
+			}
+			// Every field is read before the step's sends, which may
+			// reuse the record's slot.
+			from = graph.NodeID(p.To)
+			at, port := p.Time, int(p.Port)
+			msg := scheme.Message{Kind: p.Kind, Payload: p.Payload, Informed: p.Informed, Values: e.values[p.Values]}
+			deliveries++
+			rounds = max(rounds, at)
+			delivered[from] = true
+			if msg.Informed && !informed[from] {
+				informed[from] = true
+				if rec != nil {
+					rec.Append(trace.Event{Kind: trace.EventInformed, Node: from, Peer: -1, Port: -1})
+				}
+			}
+			nodeTime[from] = max(nodeTime[from], at)
+			if rec != nil {
+				rec.Append(trace.Event{Kind: trace.EventDeliver, Node: from, Peer: graph.NodeID(p.From), Port: port, Msg: msg})
+			}
+			e.out = nodes[from].Receive(msg, port, e.out[:0])
 		}
-		// The step's sends share the sender's degree, its informed flag
-		// (stamped on each message) and their send time.
-		degree, informed, sendTime := g.Degree(from), res.Informed[from], e.nodeTime[from]+1
+		sends := e.out
+		if len(sends) == 0 {
+			continue
+		}
+		// The step's sends share the sender's ports, its informed flag
+		// (stamped on each message), their send time and whether the
+		// sender is still unwoken.
+		ports := g.Ports(from)
+		stamp, sendTime := informed[from], nodeTime[from]+1
+		early := opts.EnforceWakeup && from != source && !delivered[from]
 		for i := range sends {
 			s := &sends[i]
-			if s.Port < 0 || s.Port >= degree {
-				return fmt.Errorf("sim: node %d sent on invalid port %d (degree %d)", from, s.Port, degree)
+			if s.Port < 0 || s.Port >= len(ports) {
+				return e.fail(fmt.Errorf("sim: node %d sent on invalid port %d (degree %d)", from, s.Port, len(ports)))
 			}
-			if opts.EnforceWakeup && from != source && !e.delivered[from] {
-				return fmt.Errorf("%w: node %d transmitted before being woken", ErrWakeupViolation, from)
+			if early {
+				return e.fail(fmt.Errorf("%w: node %d transmitted before being woken", ErrWakeupViolation, from))
 			}
-			if res.Messages >= maxMessages {
-				return fmt.Errorf("%w: more than %d messages", ErrMessageBudget, maxMessages)
+			if messages >= maxMessages {
+				return e.fail(fmt.Errorf("%w: more than %d messages", ErrMessageBudget, maxMessages))
 			}
-			to, toPort := g.Neighbor(from, s.Port)
-			res.Messages++
+			messages++
 			kind := s.Msg.Kind
 			if e.kindCount[kind] == 0 {
 				e.kindsUsed = append(e.kindsUsed, kind)
 			}
 			e.kindCount[kind]++
-			res.MessageBits += s.Msg.SizeBits()
-			if opts.Recorder != nil {
+			bits += s.Msg.SizeBits()
+			h := &ports[s.Port]
+			if rec != nil {
 				msg := s.Msg
-				msg.Informed = informed
-				opts.Recorder.Append(trace.Event{
-					Kind: trace.EventSend,
-					Node: from,
-					Peer: to,
-					Port: s.Port,
-					Msg:  msg,
-				})
+				msg.Informed = stamp
+				rec.Append(trace.Event{Kind: trace.EventSend, Node: from, Peer: h.To, Port: s.Port, Msg: msg})
 			}
-			p := pending{
-				Payload:  s.Msg.Payload,
-				Seq:      seq,
-				Time:     sendTime,
-				To:       int32(to),
-				From:     int32(from),
-				Port:     int32(toPort),
-				Kind:     kind,
-				Informed: informed,
+			slot := &spare
+			if fifo != nil {
+				slot = fifo.slot()
 			}
+			slot.Payload = s.Msg.Payload
+			slot.Seq = seq
+			slot.Time = sendTime
+			slot.To = int32(h.To)
+			slot.From = int32(from)
+			slot.Port = int32(h.ToPort)
+			slot.Values = 0
 			if s.Msg.Values != nil {
-				p.Values = int32(len(e.values))
+				slot.Values = int32(len(e.values))
 				e.values = append(e.values, s.Msg.Values)
 			}
-			if fifo != nil {
-				fifo.push(p)
-			} else {
-				sched.Push(p)
+			slot.Kind = kind
+			slot.Informed = stamp
+			if fifo == nil {
+				sched.Push(spare)
 			}
 			seq++
 		}
-		e.nodeSends[from] += len(sends)
-		res.MaxNodeSends = max(res.MaxNodeSends, e.nodeSends[from])
-		return nil
+		nodeSends[from] += len(sends)
+		maxSends = max(maxSends, nodeSends[from])
 	}
 
-	finish := func(err error) (*Result, error) {
-		// Materialize the per-kind breakdown and clear the counters so the
-		// engine is reusable even after a failed run.
-		if len(e.kindsUsed) > 0 && err == nil {
-			res.ByKind = make(map[scheme.Kind]int, len(e.kindsUsed))
-		}
+	res := &Result{
+		Messages:     messages,
+		Informed:     informed,
+		AllInformed:  !slices.Contains(informed, false),
+		Deliveries:   deliveries,
+		Rounds:       rounds,
+		MessageBits:  bits,
+		MaxNodeSends: maxSends,
+	}
+	// Materialize the per-kind breakdown; finish clears the counters.
+	if len(e.kindsUsed) > 0 {
+		res.ByKind = make(map[scheme.Kind]int, len(e.kindsUsed))
 		for _, k := range e.kindsUsed {
-			if err == nil {
-				res.ByKind[k] = e.kindCount[k]
-			}
-			e.kindCount[k] = 0
+			res.ByKind[k] = e.kindCount[k]
 		}
-		e.kindsUsed = e.kindsUsed[:0]
-		// Automata may be retained by the caller; sever the engine's
-		// references either way so pooled reuse cannot alias live state,
-		// and drop the payloads the send buffer still points to. Retained
-		// automata keep the storage they were carved from, so the engine
-		// detaches its scratch along with them.
-		if err == nil && opts.RetainNodes {
-			res.Nodes = e.nodes
-			e.nodes = nil
-			e.scratch = scheme.Scratch{}
-		} else {
-			clear(e.nodes)
-		}
-		clear(e.out[:cap(e.out)])
-		clear(e.values)
-		e.values = e.values[:0]
-		if err != nil {
-			return nil, err
-		}
-		return res, nil
 	}
+	// Retained automata keep the storage they were carved from, so the
+	// engine detaches its scratch along with them.
+	if opts.RetainNodes {
+		res.Nodes = e.nodes
+		e.nodes = nil
+		e.scratch = scheme.Scratch{}
+	}
+	e.finish()
+	return res, nil
+}
 
-	// Spontaneous phase: every node's Init runs before any delivery, as in
-	// the paper (schemes act on the empty history first).
-	for v := 0; v < n; v++ {
-		e.out = e.nodes[v].Init(e.out[:0])
-		if err := emit(graph.NodeID(v), e.out); err != nil {
-			return finish(err)
-		}
-	}
+// fail ends a run that err stopped.
+func (e *Engine) fail(err error) (*Result, error) {
+	e.finish()
+	return nil, err
+}
 
-	for {
-		var p pending
-		var ok bool
-		if fifo != nil {
-			p, ok = fifo.pop()
-		} else {
-			p, ok = sched.Pop()
-		}
-		if !ok {
-			break
-		}
-		res.Deliveries++
-		if p.Time > res.Rounds {
-			res.Rounds = p.Time
-		}
-		to := graph.NodeID(p.To)
-		e.delivered[to] = true
-		if p.Informed && !res.Informed[to] {
-			res.Informed[to] = true
-			if opts.Recorder != nil {
-				opts.Recorder.Append(trace.Event{
-					Kind: trace.EventInformed,
-					Node: to,
-					Peer: -1,
-					Port: -1,
-				})
-			}
-		}
-		if p.Time > e.nodeTime[to] {
-			e.nodeTime[to] = p.Time
-		}
-		msg := scheme.Message{Kind: p.Kind, Payload: p.Payload, Informed: p.Informed, Values: e.values[p.Values]}
-		if opts.Recorder != nil {
-			opts.Recorder.Append(trace.Event{
-				Kind: trace.EventDeliver,
-				Node: to,
-				Peer: graph.NodeID(p.From),
-				Port: int(p.Port),
-				Msg:  msg,
-			})
-		}
-		e.out = e.nodes[to].Receive(msg, int(p.Port), e.out[:0])
-		if err := emit(to, e.out); err != nil {
-			return finish(err)
-		}
+// finish leaves the engine ready for its next run, after a failed run
+// too: it clears the per-kind counters, severs the engine's references to
+// the automata, so pooled reuse cannot alias state a caller may hold, and
+// drops the payloads the send buffer and values table still point to.
+func (e *Engine) finish() {
+	for _, k := range e.kindsUsed {
+		e.kindCount[k] = 0
 	}
-
-	res.AllInformed = true
-	for _, inf := range res.Informed {
-		if !inf {
-			res.AllInformed = false
-			break
-		}
-	}
-	return finish(nil)
+	e.kindsUsed = e.kindsUsed[:0]
+	clear(e.nodes)
+	clear(e.out[:cap(e.out)])
+	clear(e.values)
+	e.values = e.values[:0]
 }

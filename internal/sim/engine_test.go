@@ -2,7 +2,9 @@ package sim
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"oraclesize/internal/bitstring"
@@ -211,6 +213,82 @@ func (c *chattyBadPort) Init(out []scheme.Send) []scheme.Send {
 }
 func (c *chattyBadPort) Receive(_ scheme.Message, _ int, out []scheme.Send) []scheme.Send {
 	return out
+}
+
+// badReplyNode sends on a port past its degree in answer to a delivery:
+// an invalid port sent from Receive rather than from Init.
+type badReplyNode struct{ info scheme.NodeInfo }
+
+func (b *badReplyNode) Init(out []scheme.Send) []scheme.Send {
+	if !b.info.Source {
+		return out
+	}
+	return append(out, scheme.Send{Port: 0, Msg: scheme.Message{Kind: scheme.KindProbe}})
+}
+func (b *badReplyNode) Receive(_ scheme.Message, _ int, out []scheme.Send) []scheme.Send {
+	return append(out, scheme.Send{Port: b.info.Degree, Msg: scheme.Message{Kind: scheme.KindProbe}})
+}
+
+// TestRunErrorPaths pins the run loop's stops on the engine's own FIFO
+// and on NewLIFO: an invalid port sent from Receive, the message budget's
+// edge (flooding needs exactly 2m-(n-1) sends under any order) and a
+// wakeup violation. Each error reads as it always has, and after each
+// failure the same engine's next run equals a fresh engine's.
+func TestRunErrorPaths(t *testing.T) {
+	path := mustGraph(t)(graphgen.Path(3))
+	grid := mustGraph(t)(graphgen.Grid(4, 4))
+	cycle := mustGraph(t)(graphgen.Cycle(5))
+	need := 2*grid.M() - (grid.N() - 1)
+	badReply := scheme.Func{AlgoName: "bad-reply", New: func(info scheme.NodeInfo) scheme.Node {
+		return &badReplyNode{info: info}
+	}}
+	failures := []struct {
+		name string
+		g    *graph.Graph
+		algo scheme.Algorithm
+		opts Options
+		want string
+		is   error // the sentinel err wraps, if any
+	}{
+		{"bad port from Receive", path, badReply, Options{},
+			"sim: node 1 sent on invalid port 2 (degree 2)", nil},
+		{"one send past the budget", grid, flooding(), Options{MaxMessages: need - 1},
+			fmt.Sprintf("sim: message budget exceeded: more than %d messages", need-1), ErrMessageBudget},
+		{"wakeup violation", cycle, chatty(), Options{EnforceWakeup: true},
+			"sim: wakeup legality violated: node 1 transmitted before being woken", ErrWakeupViolation},
+	}
+	schedulers := map[string]func() Scheduler{
+		"engine fifo": func() Scheduler { return nil },
+		"lifo":        NewLIFO,
+	}
+	for sname, sched := range schedulers {
+		e := NewEngine()
+		run := func(g *graph.Graph, algo scheme.Algorithm, opts Options) (*Result, error) {
+			opts.Scheduler = sched()
+			return e.Run(g, 0, algo, nil, opts)
+		}
+		edge, err := run(grid, flooding(), Options{MaxMessages: need})
+		if err != nil || edge.Messages != need || !edge.AllInformed {
+			t.Fatalf("%s: a run of exactly MaxMessages = %d sends: %v, %+v", sname, need, err, edge)
+		}
+		for _, f := range failures {
+			_, err := run(f.g, f.algo, f.opts)
+			if err == nil || err.Error() != f.want || (f.is != nil && !errors.Is(err, f.is)) {
+				t.Errorf("%s, %s: err = %v, want %q wrapping %v", sname, f.name, err, f.want, f.is)
+			}
+			got, err := run(grid, flooding(), Options{})
+			if err != nil {
+				t.Fatalf("%s, after %s: %v", sname, f.name, err)
+			}
+			want, err := NewEngine().Run(grid, 0, flooding(), nil, Options{Scheduler: sched()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(snap(got), snap(want)) {
+				t.Errorf("%s, after %s: reused engine %+v, fresh %+v", sname, f.name, snap(got), snap(want))
+			}
+		}
+	}
 }
 
 func TestInvalidSourceRejected(t *testing.T) {

@@ -14,6 +14,7 @@ package sim
 
 import (
 	"math/rand"
+	"slices"
 
 	"oraclesize/internal/scheme"
 )
@@ -53,8 +54,9 @@ type Scheduler interface {
 // fifoScheduler delivers messages in send order: this realizes the fully
 // synchronous execution (all round-t messages are delivered before any
 // round-t+1 message is sent) and is the engine default. The engine drives
-// its own FIFO, and one NewFIFO made, through push and pop directly rather
-// than through the Scheduler interface, so both inline into its loop.
+// its own FIFO, and one NewFIFO made, through slot and next directly
+// rather than through the Scheduler interface: a send fills the queue's
+// next record field by field, and a delivery reads its record in place.
 type fifoScheduler struct {
 	queue []pending
 	head  int
@@ -72,36 +74,47 @@ func (s *fifoScheduler) reset() {
 	s.head = 0
 }
 
-func (s *fifoScheduler) Push(p pending) { s.push(p) }
+func (s *fifoScheduler) Push(p pending) { *s.slot() = p }
 
-func (s *fifoScheduler) Pop() (pending, bool) { return s.pop() }
-
-func (s *fifoScheduler) push(p pending) {
-	if len(s.queue) == cap(s.queue) && s.head > 0 {
-		s.compact()
+func (s *fifoScheduler) Pop() (pending, bool) {
+	if p := s.next(); p != nil {
+		return *p, true
 	}
-	s.queue = append(s.queue, p)
+	return pending{}, false
 }
 
-func (s *fifoScheduler) pop() (pending, bool) {
+// slot appends a record to the queue and returns it to be filled. It may
+// hold an earlier record's fields, so the caller writes every field.
+func (s *fifoScheduler) slot() *pending {
+	if len(s.queue) == cap(s.queue) {
+		s.grow()
+	}
+	s.queue = s.queue[:len(s.queue)+1]
+	return &s.queue[len(s.queue)-1]
+}
+
+// next removes the oldest record and returns it where it lies, or nil
+// when the queue is empty. The record stays valid until the next slot.
+func (s *fifoScheduler) next() *pending {
 	if s.head == len(s.queue) {
-		return pending{}, false
+		return nil
 	}
 	s.head++
-	return s.queue[s.head-1], true
+	return &s.queue[s.head-1]
 }
 
-// compact moves the queue's live part to the front of its storage when at
-// least half of a full queue is consumed, so long runs (millions of
-// messages) keep storage in proportion to the messages in flight, not to
-// the messages sent. push calls it only when the storage is full.
-func (s *fifoScheduler) compact() {
-	if s.head < len(s.queue)/2 {
+// grow makes room for one more record in full storage. When at least half
+// of the queue is consumed it moves the live part to the front, so long
+// runs (millions of messages) keep storage in proportion to the messages
+// in flight, not to the messages sent; otherwise it grows the storage.
+func (s *fifoScheduler) grow() {
+	if s.head > 0 && s.head >= len(s.queue)/2 {
+		n := copy(s.queue, s.queue[s.head:])
+		s.queue = s.queue[:n]
+		s.head = 0
 		return
 	}
-	n := copy(s.queue, s.queue[s.head:])
-	s.queue = s.queue[:n]
-	s.head = 0
+	s.queue = slices.Grow(s.queue, 1)
 }
 
 func (s *fifoScheduler) Len() int { return len(s.queue) - s.head }

@@ -173,12 +173,12 @@ func TestFIFOCompactsConsumedPrefix(t *testing.T) {
 	var s fifoScheduler
 	const live = 100
 	for i := 0; i < 1_000_000; i++ {
-		s.push(pending{Seq: i})
+		s.slot().Seq = i
 		if i < live {
 			continue
 		}
-		if p, ok := s.pop(); !ok || p.Seq != i-live {
-			t.Fatalf("pop after push %d: seq %d, %v; want %d", i, p.Seq, ok, i-live)
+		if p := s.next(); p == nil || p.Seq != i-live {
+			t.Fatalf("next after slot %d: %+v; want seq %d", i, p, i-live)
 		}
 	}
 	if c := cap(s.queue); c > 8*live {

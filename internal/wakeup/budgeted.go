@@ -110,7 +110,7 @@ func (nd *hybridNode) forward(arrival int, out []scheme.Send) []scheme.Send {
 	}
 	for _, p := range ports {
 		if p >= 0 && p < nd.info.Degree {
-			out = append(out, scheme.Send{Port: p, Msg: scheme.Message{Kind: scheme.KindM}})
+			out = scheme.AppendSend(out, p, scheme.KindM, 0)
 		}
 	}
 	return out
@@ -172,7 +172,7 @@ func (nd *fullMapNode) forward(out []scheme.Send) []scheme.Send {
 	}
 	for _, c := range tree.Children(self) {
 		if c.Port >= 0 && c.Port < nd.info.Degree {
-			out = append(out, scheme.Send{Port: c.Port, Msg: scheme.Message{Kind: scheme.KindM}})
+			out = scheme.AppendSend(out, c.Port, scheme.KindM, 0)
 		}
 	}
 	return out

@@ -229,9 +229,10 @@ func (Algorithm) NewNode(info scheme.NodeInfo) scheme.Node {
 // slab of s instead of n individual heap objects.
 func (Algorithm) NewNodes(infos []scheme.NodeInfo, dst []scheme.Node, s *scheme.Scratch) {
 	backing := scheme.Slab[node](s, len(infos))
-	for i, info := range infos {
-		backing[i] = node{advice: info.Advice, degree: info.Degree, source: info.Source}
-		dst[i] = &backing[i]
+	for i := range infos {
+		info, nd := &infos[i], &backing[i]
+		nd.advice, nd.degree, nd.source = info.Advice, info.Degree, info.Source
+		dst[i] = nd
 	}
 }
 
@@ -285,7 +286,7 @@ func (nd *node) forward(out []scheme.Send) []scheme.Send {
 			return out
 		}
 		if p := int(p64); p >= 0 && p < nd.degree {
-			sends = append(sends, scheme.Send{Port: p, Msg: scheme.Message{Kind: scheme.KindM}})
+			sends = scheme.AppendSend(sends, p, scheme.KindM, 0)
 		}
 	}
 	return sends
@@ -307,9 +308,10 @@ func (Flooding) NewNode(info scheme.NodeInfo) scheme.Node {
 // NewNodes implements scheme.NodeBatcher.
 func (Flooding) NewNodes(infos []scheme.NodeInfo, dst []scheme.Node, s *scheme.Scratch) {
 	backing := scheme.Slab[floodNode](s, len(infos))
-	for i, info := range infos {
-		backing[i] = floodNode{degree: info.Degree, source: info.Source}
-		dst[i] = &backing[i]
+	for i := range infos {
+		nd := &backing[i]
+		nd.degree, nd.source = infos[i].Degree, infos[i].Source
+		dst[i] = nd
 	}
 }
 
@@ -340,7 +342,7 @@ func (nd *floodNode) Receive(msg scheme.Message, port int, out []scheme.Send) []
 func floodSends(out []scheme.Send, degree, except int) []scheme.Send {
 	for p := 0; p < degree; p++ {
 		if p != except {
-			out = append(out, scheme.Send{Port: p, Msg: scheme.Message{Kind: scheme.KindM}})
+			out = scheme.AppendSend(out, p, scheme.KindM, 0)
 		}
 	}
 	return out
