@@ -14,7 +14,6 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
-	"slices"
 	"strings"
 )
 
@@ -199,47 +198,51 @@ func (w *Writer) String() String {
 // zero value is ready to use.
 type Arena struct {
 	w Writer
-	// bounds holds each begun string's start bit, then its end bit once
-	// the next Begin or Strings closes it.
-	bounds []int
+	// strs holds the strings closed so far. A string is cut from the
+	// words when the next Begin or Strings closes it: no later write
+	// touches an earlier string's words, so the cut holds even when the
+	// array grows.
+	strs  []String
+	start int // the open string's first bit
+	open  bool
 }
 
-// Grow makes room for strings more strings holding at most bits bits in
-// all, so an arena sized up front allocates each of its arrays once.
-func (a *Arena) Grow(strings, bits int) {
-	a.bounds = slices.Grow(a.bounds, 2*strings)
+// NewArena returns an Arena that appends its strings to dst, with room
+// for bits bits in all across the cap(dst)-len(dst) strings dst has room
+// for, so an arena sized up front allocates its words once.
+func NewArena(dst []String, bits int) Arena {
 	// Each string may end in a partial word.
-	a.w.words = slices.Grow(a.w.words, bits/64+strings)
+	return Arena{w: Writer{words: make([]uint64, 0, bits/64+cap(dst)-len(dst))}, strs: dst}
 }
 
 // Begin closes the string being written, if any, and returns the Writer
 // for the next one, positioned at a word boundary.
 func (a *Arena) Begin() *Writer {
-	if len(a.bounds)%2 == 1 {
-		a.bounds = append(a.bounds, a.w.n)
-	}
+	a.close()
 	a.w.n = (a.w.n + 63) &^ 63
-	a.bounds = append(a.bounds, a.w.n)
+	a.start, a.open = a.w.n, true
 	return &a.w
 }
 
+func (a *Arena) close() {
+	if !a.open {
+		return
+	}
+	a.open = false
+	if a.start == a.w.n {
+		a.strs = append(a.strs, String{})
+		return
+	}
+	lo, hi := a.start>>6, (a.w.n+63)>>6
+	a.strs = append(a.strs, String{words: a.w.words[lo:hi:hi], n: a.w.n - a.start})
+}
+
 // Strings closes the string being written and returns every string begun,
-// in order, appended to dst. The Strings share the arena's words; after
-// Strings the Arena must not be written to again.
-func (a *Arena) Strings(dst []String) []String {
-	if len(a.bounds)%2 == 1 {
-		a.bounds = append(a.bounds, a.w.n)
-	}
-	for i := 0; i < len(a.bounds); i += 2 {
-		start, end := a.bounds[i], a.bounds[i+1]
-		if start == end {
-			dst = append(dst, String{})
-			continue
-		}
-		lo, hi := start>>6, (end+63)>>6
-		dst = append(dst, String{words: a.w.words[lo:hi:hi], n: end - start})
-	}
-	return dst
+// in order, after the arena's dst. The Strings share the arena's words;
+// after Strings the Arena must not be written to again.
+func (a *Arena) Strings() []String {
+	a.close()
+	return a.strs
 }
 
 // Reader consumes bits from a String front to back.

@@ -305,42 +305,43 @@ func TestFixedFieldsMatchBitByBit(t *testing.T) {
 
 // TestArenaStringsMatchSnapshots: strings written through an Arena equal
 // the Writer.String snapshots of the same bits, empty ones included, and
-// an arena sized by Grow allocates as often for 550 strings as for 11:
-// nothing per string.
+// an arena sized by NewArena allocates as often for 550 strings as for
+// 11: nothing per string.
 func TestArenaStringsMatchSnapshots(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	lengths := []int{0, 1, 63, 64, 65, 0, 0, 200, 7, 128, 0}
-	var arena Arena
 	bits := 0
 	for _, n := range lengths {
 		bits += n
 	}
-	arena.Grow(len(lengths), bits)
-	var want []String
-	for _, n := range lengths {
-		w := arena.Begin()
-		var snap Writer
-		for i := 0; i < n; i++ {
-			b := rng.Intn(2) == 1
-			w.WriteBit(b)
-			snap.WriteBit(b)
+	// The zero Arena grows its words as it goes, so the strings cut
+	// before a growth keep the old array.
+	for _, arena := range []Arena{NewArena(make([]String, 0, len(lengths)), bits), {}} {
+		var want []String
+		for _, n := range lengths {
+			w := arena.Begin()
+			var snap Writer
+			for i := 0; i < n; i++ {
+				b := rng.Intn(2) == 1
+				w.WriteBit(b)
+				snap.WriteBit(b)
+			}
+			want = append(want, snap.String())
 		}
-		want = append(want, snap.String())
-	}
-	got := arena.Strings(nil)
-	if len(got) != len(want) {
-		t.Fatalf("%d strings, want %d", len(got), len(want))
-	}
-	for i := range got {
-		if !got[i].Equal(want[i]) || got[i].String() != want[i].String() {
-			t.Errorf("string %d: arena %s, snapshot %s", i, got[i], want[i])
+		got := arena.Strings()
+		if len(got) != len(want) {
+			t.Fatalf("%d strings, want %d", len(got), len(want))
+		}
+		for i := range got {
+			if !got[i].Equal(want[i]) || got[i].String() != want[i].String() {
+				t.Errorf("string %d: arena %s, snapshot %s", i, got[i], want[i])
+			}
 		}
 	}
 	grown := func(copies int) float64 {
 		var a Arena
 		return testing.AllocsPerRun(20, func() {
-			a = Arena{}
-			a.Grow(copies*len(lengths), copies*bits)
+			a = NewArena(make([]String, 0, copies*len(lengths)), copies*bits)
 			for c := 0; c < copies; c++ {
 				for _, n := range lengths {
 					w := a.Begin()

@@ -93,11 +93,14 @@ func (o Oracle) codec() bitstring.Codec {
 // rooted at the source). With TreeBFS the tree is rooted at the source to
 // make completion time proportional to the eccentricity.
 func (o Oracle) Advise(g *graph.Graph, source graph.NodeID) (sim.Advice, error) {
+	pg := portGroupsPool.Get().(*portGroups)
+	defer portGroupsPool.Put(pg)
 	var edges []graph.Edge
 	var err error
 	switch o.Tree {
 	case TreeLight:
-		edges, err = spantree.Light(g)
+		edges, err = spantree.AppendLight(pg.edges[:0], g)
+		pg.edges = edges
 	case TreeBFS:
 		var tree *spantree.Tree
 		tree, err = spantree.BFS(g, source)
@@ -110,23 +113,25 @@ func (o Oracle) Advise(g *graph.Graph, source graph.NodeID) (sim.Advice, error) 
 	if err != nil {
 		return nil, err
 	}
-	return o.adviseForTree(g, edges)
+	return o.adviseForTree(g, edges, pg)
 }
 
-// portGroups is adviseForTree's CSR grouping storage, pooled so that only
-// the advice it returns is allocated per call.
-type portGroups struct{ off, ports, cursor []int32 }
+// portGroups is Advise's working storage, pooled so that only the advice
+// it returns is allocated per call: the light tree's edges, which the
+// oracle drops once grouped, and adviseForTree's CSR grouping.
+type portGroups struct {
+	edges              []graph.Edge
+	off, ports, cursor []int32
+}
 
 var portGroupsPool = sync.Pool{New: func() any { return new(portGroups) }}
 
-func (o Oracle) adviseForTree(g *graph.Graph, edges []graph.Edge) (sim.Advice, error) {
+func (o Oracle) adviseForTree(g *graph.Graph, edges []graph.Edge, pg *portGroups) (sim.Advice, error) {
 	codec := o.codec()
 	// Group the assigned ports by node in CSR form (count, prefix-sum,
 	// fill), preserving edge order within each node's group so the advice
 	// bits match the map-of-slices construction exactly.
 	n := g.N()
-	pg := portGroupsPool.Get().(*portGroups)
-	defer portGroupsPool.Put(pg)
 	pg.off = slices.Grow(pg.off[:0], n+1)[:n+1]
 	off := pg.off
 	clear(off)
@@ -148,15 +153,14 @@ func (o Oracle) adviseForTree(g *graph.Graph, edges []graph.Edge) (sim.Advice, e
 		ports[cursor[x]] = int32(p)
 		cursor[x]++
 	}
-	var arena bitstring.Arena
-	arena.Grow(n, bits)
+	arena := bitstring.NewArena(make(sim.Advice, 0, n), bits)
 	for v := 0; v < n; v++ {
 		w := arena.Begin()
 		for _, p := range ports[off[v]:off[v+1]] {
 			codec.Append(w, uint64(p))
 		}
 	}
-	return arena.Strings(make(sim.Advice, 0, n)), nil
+	return arena.Strings(), nil
 }
 
 // AssignedEndpoint returns the endpoint x of e that receives the weight

@@ -145,7 +145,7 @@ func TestBroadcastTrafficStaysOnTree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	advice, err := Oracle{}.adviseForTree(g, edges)
+	advice, err := Oracle{}.adviseForTree(g, edges, new(portGroups))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +218,7 @@ func TestBroadcastConcurrent(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		advice, err := Oracle{}.adviseForTree(g, edges)
+		advice, err := Oracle{}.adviseForTree(g, edges, new(portGroups))
 		if err != nil {
 			t.Fatal(err)
 		}

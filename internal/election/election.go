@@ -204,14 +204,13 @@ func (TreeOracle) Advise(g *graph.Graph, source graph.NodeID) (sim.Advice, error
 	}
 	// One marker bit per node on top of the tree advice.
 	n := g.N()
-	var arena bitstring.Arena
-	arena.Grow(n, n+base.SizeBits())
+	arena := bitstring.NewArena(make(sim.Advice, 0, n), n+base.SizeBits())
 	for v := graph.NodeID(0); int(v) < n; v++ {
 		w := arena.Begin()
 		w.WriteBit(v == source)
 		w.WriteString(base[v])
 	}
-	return arena.Strings(make(sim.Advice, 0, n)), nil
+	return arena.Strings(), nil
 }
 
 // MarkedTree is the tree-advised election scheme.

@@ -59,8 +59,7 @@ func (o Oracle) Advise(g *graph.Graph, _ graph.NodeID) (sim.Advice, error) {
 	}
 	n, width := g.N(), oracle.FieldWidth(g.N())
 	// n headers and root bits, and 2(n-1) fields.
-	var arena bitstring.Arena
-	arena.Grow(n, n*(bitstring.DoubledLen(uint64(width))+1)+2*n*width)
+	arena := bitstring.NewArena(make(sim.Advice, 0, n), n*(bitstring.DoubledLen(uint64(width))+1)+2*n*width)
 	for v := graph.NodeID(0); int(v) < n; v++ {
 		w := arena.Begin()
 		w.AppendDoubled(uint64(width))
@@ -74,7 +73,7 @@ func (o Oracle) Advise(g *graph.Graph, _ graph.NodeID) (sim.Advice, error) {
 			w.WriteFixed(uint64(c.Port), width)
 		}
 	}
-	return arena.Strings(make(sim.Advice, 0, n)), nil
+	return arena.Strings(), nil
 }
 
 // Role is a node's decoded advice.

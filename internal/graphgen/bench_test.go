@@ -61,3 +61,12 @@ func BenchmarkRandomRegular(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkSourceSeed times seeding the generators' copy of math/rand's
+// source, which every seeded graph pays.
+func BenchmarkSourceSeed(b *testing.B) {
+	var src source
+	for i := 0; i < b.N; i++ {
+		src.Seed(int64(i))
+	}
+}

@@ -55,24 +55,50 @@ func init() {
 	}
 }
 
-// seedrand is one Lehmer step, x[n+1] = 48271 * x[n] mod (2**31 - 1).
-func seedrand(x int32) int32 {
-	const (
-		A = 48271
-		Q = 44488
-		R = 3399
-	)
+// The Lehmer chain Seed draws on is x[k+1] = 48271·x[k] mod (2³¹-1), so
+// x[k] = x[0]·48271^k, and lehmerK is 48271^K mod (2³¹-1): lehmer21 takes
+// the seed to vec[0]'s first word, lehmer1 and lehmer2 take an entry's
+// first word to its other two, lehmer3 steps one entry and lehmerStride
+// steps lehmerLanes entries.
+const (
+	lehmerA     = 48271
+	lehmerLanes = 4
+)
 
-	hi := x / Q
-	lo := x % Q
-	x = A*lo - R*hi
-	if x < 0 {
-		x += int32max
+var (
+	lehmer1      = uint64(lehmerA)
+	lehmer2      = lehmerPow(2)
+	lehmer3      = lehmerPow(3)
+	lehmer21     = lehmerPow(21)
+	lehmerStride = lehmerPow(3 * lehmerLanes)
+)
+
+// lehmerPow returns 48271^k mod (2³¹-1).
+func lehmerPow(k int) uint64 {
+	x := uint64(1)
+	for range k {
+		x = mulMod31(x, lehmerA)
 	}
 	return x
 }
 
+// mulMod31 returns a·b mod (2³¹-1) for a, b < 2³¹-1. 2³¹ is 1 modulo
+// 2³¹-1, so adding the bits above 31 to those below keeps the residue.
+func mulMod31(a, b uint64) uint64 {
+	t := a * b
+	t = t&int32max + t>>31
+	t = t&int32max + t>>31
+	if t >= int32max {
+		t -= int32max
+	}
+	return t
+}
+
 // Seed puts the source in the state rand.NewSource(seed) starts in.
+// math/rand steps the chain 1,841 times in series: 20 steps, then three
+// words for each vec entry, vec[i] taking x[21+3i], x[22+3i] and x[23+3i].
+// Seed computes the same words in lehmerLanes chains that step lehmerLanes
+// entries at a time, which the processor runs side by side.
 func (s *source) Seed(seed int64) {
 	s.tap = 0
 	s.feed = srcLen - srcTap
@@ -85,18 +111,17 @@ func (s *source) Seed(seed int64) {
 		seed = 89482311
 	}
 
-	x := int32(seed)
-	for i := -20; i < srcLen; i++ {
-		x = seedrand(x)
-		if i >= 0 {
-			var u int64
-			u = int64(x) << 40
-			x = seedrand(x)
-			u ^= int64(x) << 20
-			x = seedrand(x)
-			u ^= int64(x)
-			u ^= srcCooked[i]
-			s.vec[i] = u
+	var x [lehmerLanes]uint64 // x[c] is x[21+3i] for vec entry i+c
+	x[0] = mulMod31(uint64(seed), lehmer21)
+	for c := 1; c < len(x); c++ {
+		x[c] = mulMod31(x[c-1], lehmer3)
+	}
+	for i := 0; i < srcLen; i += len(x) {
+		for c := range min(len(x), srcLen-i) {
+			a := x[c]
+			u := a<<40 ^ mulMod31(a, lehmer1)<<20 ^ mulMod31(a, lehmer2)
+			s.vec[i+c] = int64(u) ^ srcCooked[i+c]
+			x[c] = mulMod31(a, lehmerStride)
 		}
 	}
 }

@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"container/heap"
-	"math/rand"
-)
+import "math/rand"
 
 // delayScheduler models asynchronous links with latency: each message is
 // assigned a pseudo-random transit delay in [1, MaxDelay] and messages are
@@ -31,46 +28,70 @@ func (s *delayScheduler) Name() string { return "delay" }
 
 func (s *delayScheduler) Push(p pending) {
 	delay := 1 + s.rng.Float64()*float64(s.maxDelay-1)
-	heap.Push(&s.heap, delayItem{arrival: s.clock + delay, p: p})
+	s.heap.push(delayItem{arrival: s.clock + delay, p: p})
 }
 
 func (s *delayScheduler) Pop() (pending, bool) {
-	if s.heap.Len() == 0 {
+	if len(s.heap) == 0 {
 		return pending{}, false
 	}
-	item := heap.Pop(&s.heap).(delayItem)
+	item := s.heap.pop()
 	s.clock = item.arrival
 	return item.p, true
 }
 
-func (s *delayScheduler) Len() int { return s.heap.Len() }
+func (s *delayScheduler) Len() int { return len(s.heap) }
 
 type delayItem struct {
 	arrival float64
 	p       pending
 }
 
-// delayHeap is a min-heap on arrival time, tie-broken by send sequence for
-// determinism.
+// delayHeap is a binary min-heap on arrival time, tie-broken by send
+// sequence for determinism. less is a strict order (every Seq differs),
+// so any heap pops the records in the same order; this one is typed, so
+// a push or pop boxes nothing.
 type delayHeap []delayItem
 
-func (h delayHeap) Len() int { return len(h) }
-
-func (h delayHeap) Less(i, j int) bool {
+func (h delayHeap) less(i, j int) bool {
 	if h[i].arrival != h[j].arrival {
 		return h[i].arrival < h[j].arrival
 	}
 	return h[i].p.Seq < h[j].p.Seq
 }
 
-func (h delayHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *delayHeap) push(x delayItem) {
+	*h = append(*h, x)
+	a := *h
+	for i := len(a) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if !a.less(i, parent) {
+			break
+		}
+		a[i], a[parent] = a[parent], a[i]
+		i = parent
+	}
+}
 
-func (h *delayHeap) Push(x interface{}) { *h = append(*h, x.(delayItem)) }
-
-func (h *delayHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	item := old[n-1]
-	*h = old[:n-1]
-	return item
+func (h *delayHeap) pop() delayItem {
+	a := *h
+	top, last := a[0], len(a)-1
+	a[0] = a[last]
+	a = a[:last]
+	for i := 0; ; {
+		least, l := i, 2*i+1
+		if l < len(a) && a.less(l, least) {
+			least = l
+		}
+		if r := l + 1; r < len(a) && a.less(r, least) {
+			least = r
+		}
+		if least == i {
+			break
+		}
+		a[i], a[least] = a[least], a[i]
+		i = least
+	}
+	*h = a
+	return top
 }

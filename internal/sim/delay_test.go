@@ -104,3 +104,25 @@ func TestSchedulersIncludeDelay(t *testing.T) {
 		t.Error("delay scheduler not registered")
 	}
 }
+
+// TestDelaySchedulerAllocBudget pins what a flooding run on K5 under
+// NewDelay allocates on a warm engine: the five automata, the scheduler
+// and its rand source, the heap's growth and the run's Result, 18 in all.
+// A heap that boxed each record would add two allocations per message
+// (the flood sends 16).
+func TestDelaySchedulerAllocBudget(t *testing.T) {
+	g := mustGraph(t)(graphgen.Complete(5))
+	e := NewEngine()
+	run := func() {
+		if _, err := e.Run(g, 0, flooding(), nil, Options{Scheduler: NewDelay(1, 16)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run()
+	allocs := testing.AllocsPerRun(20, run)
+	t.Logf("%.0f allocations per run", allocs)
+	const budget = 20
+	if allocs > budget {
+		t.Errorf("flooding on K5 under NewDelay(1, 16): %.0f allocations, budget %d", allocs, budget)
+	}
+}

@@ -3,6 +3,8 @@ package spantree
 import (
 	"errors"
 	"fmt"
+	"math"
+	"math/bits"
 	"slices"
 	"sync"
 
@@ -10,30 +12,68 @@ import (
 )
 
 // lightScratch is Light's working storage. It holds no pointers and is
-// pooled, so a call allocates only the tree edges it returns.
+// pooled, so a call allocates only what it appends to its destination.
 type lightScratch struct {
-	dsu dsu
-	// comp[v] is v's tree representative this phase.
-	comp []graph.NodeID
-	// best[r] is the lightest edge leaving r's tree found so far in this
-	// phase, valid when bestW[r] >= 0.
-	best     []graph.Edge
-	bestW    []int
-	selected []graph.Edge
+	// label[v] is v's tree, named by one of its members. A union
+	// relabels the smaller tree, so every label is exact at all times.
+	label []int32
+	// next[v] is the member after v in its tree's circular member list.
+	next []int32
+	// size[r] is the size of the tree labelled r.
+	size []int32
+	// trees lists the labels of the current trees, and of trees merged
+	// since the phase began; live counts the current ones.
+	trees []int32
+	live  int
+	// order[cur[v].pos:cur[v].end] holds v's candidates not yet passed,
+	// each the key w<<32 | neighbour, in increasing (weight, neighbour)
+	// order. order lays the nodes out in CSR order, so v owns deg(v)
+	// words of it.
+	order []uint64
+	cur   []cursor
+	// mate[v] is v's phase-1 pick; first[u] and after[x] list the nodes
+	// above u whose pick is u, in increasing order; zero[v] is v's port-0
+	// half-edge, its ToPort<<32 | To.
+	mate, first, after []int32
+	zero               []uint64
+	// picks holds a phase's picks, each packed as (weight, U, V).
+	picks []uint64
 }
+
+// cursor is a node's place in its candidates. They are sorted up to end,
+// every candidate of weight below lim; the heavier ones are sorted in
+// only when pos, the first one not passed, reaches end.
+type cursor struct{ pos, end, lim int32 }
 
 var lightPool = sync.Pool{New: func() any { return new(lightScratch) }}
 
-// reset makes room for n nodes. Phase 1 selects an edge per node and no
-// later phase selects more, so selected never outgrows n.
-func (ls *lightScratch) reset(n int) {
-	ls.dsu.reset(n)
-	ls.comp, ls.best = slices.Grow(ls.comp[:0], n), slices.Grow(ls.best[:0], n)
-	ls.bestW, ls.selected = slices.Grow(ls.bestW[:0], n), slices.Grow(ls.selected[:0], n)
-}
+// firstLim is the weight bound of a node's first sorted batch. A node of
+// degree at most firstLim, as most in a sparse graph are, sorts all its
+// candidates at once; a node of a dense graph sorts about 2·firstLim.
+const firstLim = 8
+
+// maxLightNodes is the largest n whose (weight, U, V) keys fit one word,
+// each part being below n.
+const maxLightNodes = 1 << 21
 
 // Light builds the paper's Claim 3.1 spanning tree T0 with total
-// contribution Σ #2(w(e)) <= 4n, by the Kruskal-variant phase construction:
+// contribution Σ #2(w(e)) <= 4n, by the Kruskal-variant phase construction.
+// It is AppendLight into a new slice.
+func Light(g *graph.Graph) ([]graph.Edge, error) {
+	if g.N() < 2 {
+		return AppendLight(nil, g)
+	}
+	edges, err := AppendLight(make([]graph.Edge, 0, g.N()-1), g)
+	if err != nil {
+		return nil, err
+	}
+	return edges, nil
+}
+
+// AppendLight appends the edges of Claim 3.1's tree T0 to dst, in the
+// order Light returns them, for callers that drop the tree once read. On
+// an error it appends nothing. It refuses graphs of more than 2^21 nodes,
+// whose (weight, U, V) keys would not fit one word.
 //
 // Phase k >= 1 identifies the "small" trees (|T| < 2^k) in the current
 // forest, selects for each a minimum-weight edge leaving it, adds all
@@ -43,91 +83,246 @@ func (ls *lightScratch) reset(n int) {
 // costing at most k bits — so phase k contributes at most k·n/2^(k-1) bits
 // and the total is at most 4n.
 //
-// Each phase finds every node's tree once, then picks each small tree's
-// minimum outgoing edge in one pass over the CSR ports: weight first, then
-// canonical order. In a simple graph (weight, U, V) names one edge, so the
-// pick does not depend on the order the pass meets the candidates.
-func Light(g *graph.Graph) ([]graph.Edge, error) {
+// Edges are ordered by (weight, U, V) in canonical orientation, a strict
+// order in a simple graph, and each small tree picks its least outgoing
+// edge. Under a strict order a phase's picks form a forest apart from
+// repeated edges (a cycle of picks would make each pick lighter than the
+// next), so cycle erasure only ever drops a repeat and the merge order
+// cannot change the tree. The edges are added, and appended, in (weight,
+// U, V) order.
+//
+// A phase costs the members of its small trees, not n and their ports:
+// every label is kept exact, and each node keeps its candidates in
+// (weight, neighbour) order, which for a fixed node is the (weight, U, V)
+// order, behind a cursor that passes an edge for good once it is internal
+// (trees only merge). A node sorts its candidates in batches of doubling
+// weight bound as its cursor needs them, so a dense graph sorts few.
+// Phase 1 needs no order: every node picks an edge of weight 0.
+func AppendLight(dst []graph.Edge, g *graph.Graph) ([]graph.Edge, error) {
 	n := g.N()
 	if n == 0 {
-		return nil, errors.New("spantree: empty graph")
+		return dst, errors.New("spantree: empty graph")
 	}
 	if n == 1 {
-		return nil, nil
+		return dst, nil
 	}
-
+	if n > maxLightNodes {
+		return dst, fmt.Errorf("spantree: Light takes at most %d nodes, got %d", maxLightNodes, n)
+	}
 	ls := lightPool.Get().(*lightScratch)
 	defer lightPool.Put(ls)
-	ls.reset(n)
-	dsu, selected := &ls.dsu, ls.selected
-	// Slicing each array to n tells the compiler the three share one
-	// length, so the port loop below bounds-checks against one register;
-	// with a length per array live it spills to the stack and runs 29%
-	// slower on a 256-clique.
-	comp, best, bestW := ls.comp[:n], ls.best[:n], ls.bestW[:n]
-	treeEdges := make([]graph.Edge, 0, n-1)
-
-	trees := n
-	for k := 1; trees > 1; k++ {
-		if k > 2*n {
-			return nil, fmt.Errorf("spantree: phase bound exceeded (n=%d)", n)
-		}
-		threshold := 1 << uint(k)
-		for v := range comp {
-			comp[v] = dsu.find(graph.NodeID(v))
-			bestW[v] = -1
-		}
-		// Select, for each small tree, its minimum-weight outgoing edge.
-		for v, r := range comp {
-			if dsu.size[r] >= threshold {
+	n0 := len(dst)
+	dst, err := ls.phaseOne(dst, g)
+	if err != nil {
+		return dst, err
+	}
+	// (weight, U, V) packs into one word, as weights stay below 2^k <= n
+	// in every phase k that runs (it needs two trees of at least 2^(k-1)).
+	shift := uint(bits.Len(uint(n - 1)))
+	for k := 2; ls.live > 1; k++ {
+		threshold := int32(1) << k
+		picks, trees := ls.picks[:0], ls.trees[:0]
+		for _, r := range ls.trees {
+			if ls.label[r] != r {
+				continue // merged into another tree
+			}
+			if trees = append(trees, r); ls.size[r] >= threshold {
 				continue
 			}
-			for p, h := range g.Ports(graph.NodeID(v)) {
-				w, bw := min(p, h.ToPort), bestW[r]
-				if comp[h.To] == r || (bw >= 0 && w > bw) {
-					continue
+			best := ^uint64(0)
+			for v := r; ; {
+				if key, ok := ls.head(g, v, r); ok {
+					u := uint64(uint32(key))
+					lo, hi := min(uint64(v), u), max(uint64(v), u)
+					best = min(best, key>>32<<(2*shift)|lo<<shift|hi)
 				}
-				e := graph.Edge{U: graph.NodeID(v), V: h.To, PU: p, PV: h.ToPort}.Canonical()
-				if bw < 0 || w < bw || edgeLess(e, best[r]) {
-					best[r], bestW[r] = e, w
+				if v = ls.next[v]; v == r {
+					break
 				}
 			}
-		}
-		selected = selected[:0]
-		for v, r := range comp {
-			if r != graph.NodeID(v) || dsu.size[r] >= threshold {
-				continue
-			}
-			if bestW[r] < 0 {
+			if best == ^uint64(0) {
 				// A small tree with no edge out is a whole component.
-				return nil, ErrNotConnected
+				return dst[:n0], ErrNotConnected
 			}
-			selected = append(selected, best[r])
+			picks = append(picks, best)
 		}
-		// Deterministic merge order.
-		slices.SortFunc(selected, func(a, b graph.Edge) int {
-			if wa, wb := Weight(a), Weight(b); wa != wb {
-				return wa - wb
+		slices.Sort(picks)
+		mask := uint64(1)<<shift - 1
+		for _, e := range picks {
+			dst = ls.join(dst, g, int(e>>(2*shift)), int32(e>>shift&mask), int32(e&mask))
+		}
+		ls.picks, ls.trees = picks, trees
+	}
+	return dst, nil
+}
+
+// phaseOne resets ls for g and runs phase 1, where every tree is a single
+// node. A node's lightest edges weigh 0: its port-0 edge and every edge on
+// which the neighbour's port is 0. It picks the one to its least
+// neighbour, its mate.
+//
+// The picks need no joins. Each node points at its mate, and the only
+// cycles of picks are mutual pairs, so each new tree is the nodes whose
+// mate chain ends in one mutual pair, labelled by the pair's lower node.
+// All picks weigh 0, so (U, V) order is one pass over buckets by lower
+// endpoint U: U's own pick, if its mate is above U, is the least of its
+// bucket (every other pick there is a weight-0 edge at U), and the nodes
+// above U whose mate is U follow in increasing order.
+func (ls *lightScratch) phaseOne(dst []graph.Edge, g *graph.Graph) ([]graph.Edge, error) {
+	n := g.N()
+	ls.label = slices.Grow(ls.label[:0], n)[:n]
+	ls.next = slices.Grow(ls.next[:0], n)[:n]
+	ls.size = slices.Grow(ls.size[:0], n)[:n]
+	ls.cur = slices.Grow(ls.cur[:0], n)[:n]
+	ls.mate = slices.Grow(ls.mate[:0], n)[:n]
+	ls.first = slices.Grow(ls.first[:0], n)[:n]
+	ls.after = slices.Grow(ls.after[:0], n)[:n]
+	ls.zero = slices.Grow(ls.zero[:0], n)[:n]
+	label, next, size := ls.label, ls.next[:n], ls.size[:n]
+	mate, first, after, zero := ls.mate[:n], ls.first[:n], ls.after[:n], ls.zero[:n]
+	for v := range mate {
+		mate[v], first[v], label[v], size[v] = math.MaxInt32, -1, -1, 0
+	}
+	off := int32(0)
+	for v := range mate {
+		ports := g.Ports(graph.NodeID(v))
+		if len(ports) == 0 {
+			return dst, ErrNotConnected
+		}
+		ls.cur[v] = cursor{pos: off, end: off}
+		off += int32(len(ports))
+		t := int32(ports[0].To)
+		zero[v] = uint64(ports[0].ToPort)<<32 | uint64(t)
+		mate[v], mate[t] = min(mate[v], t), min(mate[t], int32(v))
+	}
+	ls.order = slices.Grow(ls.order[:0], int(off))[:off]
+	trees := ls.trees[:0]
+	for x := range label {
+		r := int32(x)
+		for label[r] < 0 {
+			if m := mate[r]; mate[m] == r {
+				r = min(r, m)
+				label[r], label[mate[r]], next[r] = r, r, r
+				trees = append(trees, r)
+				break
 			}
-			if a.U != b.U {
-				return int(a.U - b.U)
-			}
-			return int(a.V - b.V)
-		})
-		// Add the selected edges; an edge whose endpoints were already
-		// merged this phase would close a cycle, which the paper's step 4
-		// erases — dropping the selected edge is the canonical erasure.
-		for _, e := range selected {
-			ru, rv := dsu.find(e.U), dsu.find(e.V)
-			if ru == rv {
-				continue
-			}
-			dsu.union(ru, rv)
-			treeEdges = append(treeEdges, e)
-			trees--
+			r = mate[r]
+		}
+		r = label[r]
+		for y := int32(x); label[y] < 0; y = mate[y] {
+			label[y] = r
+		}
+		if size[r]++; int32(x) != r {
+			next[x], next[r] = next[r], int32(x)
 		}
 	}
-	return treeEdges, nil
+	ls.trees, ls.live = trees, len(trees)
+	for x := n - 1; x >= 0; x-- {
+		if u := mate[x]; u < int32(x) {
+			after[x], first[u] = first[u], int32(x)
+		}
+	}
+	for u := range n {
+		m := mate[u]
+		if m > int32(u) {
+			dst = append(dst, zeroEdge(zero, int32(u), m))
+		}
+		for x := first[u]; x >= 0; x = after[x] {
+			if x != m { // else the mutual pick, already added
+				dst = append(dst, zeroEdge(zero, int32(u), x))
+			}
+		}
+	}
+	return dst, nil
+}
+
+// head returns v's least candidate leaving tree r, the key w<<32 |
+// neighbour, moving v's cursor past the internal ones and sorting in
+// v's next batch when the cursor reaches the end of what is sorted.
+func (ls *lightScratch) head(g *graph.Graph, v, r int32) (uint64, bool) {
+	c := &ls.cur[v]
+	pos, end := c.pos, c.end
+	for {
+		for ; pos < end; pos++ {
+			if key := ls.order[pos]; ls.label[uint32(key)] != r {
+				c.pos = pos
+				return key, true
+			}
+		}
+		ports := g.Ports(graph.NodeID(v))
+		lo := int(c.lim)
+		if lo >= len(ports) {
+			c.pos = pos
+			return 0, false
+		}
+		// The batch is the external candidates of weight in [lo, hi). A
+		// weight min(p, q) is at most the port p, so ports below lo hold
+		// only lighter candidates, which earlier batches took.
+		hi := max(2*lo, firstLim)
+		for p := lo; p < len(ports); p++ {
+			h := ports[p]
+			w := min(p, h.ToPort)
+			// Writing every candidate and keeping the external ones
+			// leaves nothing for the branch predictor to miss.
+			ls.order[end] = uint64(w)<<32 | uint64(h.To)
+			keep := int32(0)
+			if ls.label[h.To] != r {
+				keep = 1
+			}
+			if h.ToPort < lo || w >= hi {
+				keep = 0
+			}
+			end += keep
+		}
+		if end-pos > 1 {
+			slices.Sort(ls.order[pos:end])
+		}
+		c.end, c.lim = end, int32(hi)
+	}
+}
+
+// join adds the edge {u, v} (u < v) of weight w unless it is a repeat,
+// whose endpoints an earlier join of the phase has already merged: it
+// merges their trees, relabelling the smaller, and appends the edge.
+func (ls *lightScratch) join(dst []graph.Edge, g *graph.Graph, w int, u, v int32) []graph.Edge {
+	a, b := ls.label[u], ls.label[v]
+	if a == b {
+		return dst
+	}
+	if ls.size[a] < ls.size[b] {
+		a, b = b, a
+	}
+	for x := b; ; {
+		ls.label[x] = a
+		if x = ls.next[x]; x == b {
+			break
+		}
+	}
+	ls.next[a], ls.next[b] = ls.next[b], ls.next[a]
+	ls.size[a] += ls.size[b]
+	ls.live--
+	return append(dst, edge(g, w, u, v))
+}
+
+// zeroEdge returns the weight-0 edge {u, v} (u < v): u's port-0 edge, or
+// else v's.
+func zeroEdge(zero []uint64, u, v int32) graph.Edge {
+	if h := zero[u]; int32(h) == v {
+		return graph.Edge{U: graph.NodeID(u), V: graph.NodeID(v), PU: 0, PV: int(h >> 32)}
+	}
+	return graph.Edge{U: graph.NodeID(u), V: graph.NodeID(v), PU: int(zero[v] >> 32), PV: 0}
+}
+
+// edge returns the edge {u, v} (u < v) of weight w, whose weight names its
+// ports: u's port w is the edge, or else v's port w is.
+func edge(g *graph.Graph, w int, u, v int32) graph.Edge {
+	e := graph.Edge{U: graph.NodeID(u), V: graph.NodeID(v), PU: w, PV: w}
+	if to, q := g.Neighbor(e.U, w); to == e.V {
+		e.PV = q
+	} else {
+		_, e.PU = g.Neighbor(e.V, w)
+	}
+	return e
 }
 
 func edgeLess(a, b graph.Edge) bool {
@@ -135,45 +330,6 @@ func edgeLess(a, b graph.Edge) bool {
 		return a.U < b.U
 	}
 	return a.V < b.V
-}
-
-// dsu is a union-find over NodeIDs with path compression and union by size.
-type dsu struct {
-	parent []graph.NodeID
-	size   []int
-}
-
-func newDSU(n int) *dsu {
-	d := &dsu{}
-	d.reset(n)
-	return d
-}
-
-// reset makes d n singleton trees, reusing its arrays.
-func (d *dsu) reset(n int) {
-	d.parent, d.size = slices.Grow(d.parent[:0], n)[:n], slices.Grow(d.size[:0], n)[:n]
-	for i := range d.parent {
-		d.parent[i] = graph.NodeID(i)
-		d.size[i] = 1
-	}
-}
-
-func (d *dsu) find(v graph.NodeID) graph.NodeID {
-	for d.parent[v] != v {
-		d.parent[v] = d.parent[d.parent[v]]
-		v = d.parent[v]
-	}
-	return v
-}
-
-// union merges the trees of a and b, which must be distinct
-// representatives.
-func (d *dsu) union(a, b graph.NodeID) {
-	if d.size[a] < d.size[b] {
-		a, b = b, a
-	}
-	d.parent[b] = a
-	d.size[a] += d.size[b]
 }
 
 // Prim builds a classical minimum-weight spanning tree under the same edge

@@ -1,6 +1,7 @@
 package spantree
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -357,6 +358,69 @@ func TestLightSingleNodeAndEdge(t *testing.T) {
 
 func BenchmarkLightComplete256(b *testing.B) {
 	g, err := graphgen.Complete(256)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Light(g); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// lightCells are the sweep's nine (family, n) cells.
+var lightCells = []struct {
+	family string
+	n      int
+}{
+	{"random-sparse", 256}, {"random-sparse", 512}, {"random-sparse", 1024},
+	{"random-regular", 256}, {"random-regular", 512}, {"random-regular", 1024},
+	{"grid", 256}, {"grid", 512}, {"grid", 1024},
+}
+
+// BenchmarkLightSweep times Light on four seeds of each of the sweep's
+// nine cells (one op is all 36 graphs), then on each cell alone.
+func BenchmarkLightSweep(b *testing.B) {
+	var all []*graph.Graph
+	cells := make([][]*graph.Graph, len(lightCells))
+	for i, c := range lightCells {
+		fam, err := graphgen.FamilyByName(c.family)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for seed := int64(1); seed <= 4; seed++ {
+			g, err := fam.Generate(c.n, seed)
+			if err != nil {
+				b.Fatal(err)
+			}
+			cells[i] = append(cells[i], g)
+		}
+		all = append(all, cells[i]...)
+	}
+	run := func(gs []*graph.Graph) func(*testing.B) {
+		return func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				for _, g := range gs {
+					if _, err := Light(g); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		}
+	}
+	b.Run("mix", run(all))
+	for i, c := range lightCells {
+		b.Run(fmt.Sprintf("%s-%d", c.family, c.n), run(cells[i]))
+	}
+}
+
+func BenchmarkLightRandomDense1024(b *testing.B) {
+	fam, err := graphgen.FamilyByName("random-dense")
+	if err != nil {
+		b.Fatal(err)
+	}
+	g, err := fam.Generate(1024, 1)
 	if err != nil {
 		b.Fatal(err)
 	}

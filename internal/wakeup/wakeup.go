@@ -78,8 +78,7 @@ func (o Oracle) Advise(g *graph.Graph, source graph.NodeID) (sim.Advice, error) 
 	// Port numbers are < n; the paper uses exactly ceil(log n)-bit fields.
 	n, width := g.N(), oracle.FieldWidth(g.N())
 	// At most n headers and n-1 fields.
-	var arena bitstring.Arena
-	arena.Grow(n, n*(bitstring.DoubledLen(uint64(width))+width))
+	arena := bitstring.NewArena(make(sim.Advice, 0, n), n*(bitstring.DoubledLen(uint64(width))+width))
 	for v := graph.NodeID(0); int(v) < n; v++ {
 		w := arena.Begin()
 		kids := tree.Children(v)
@@ -91,7 +90,7 @@ func (o Oracle) Advise(g *graph.Graph, source graph.NodeID) (sim.Advice, error) 
 			w.WriteFixed(uint64(c.Port), width)
 		}
 	}
-	return arena.Strings(make(sim.Advice, 0, n)), nil
+	return arena.Strings(), nil
 }
 
 // bfsScratch is adviseBFS's working storage, pooled so that only the
@@ -121,8 +120,7 @@ func adviseBFS(g *graph.Graph, source graph.NodeID) (sim.Advice, error) {
 	queue := append(slices.Grow(sc.queue[:0], n), source)
 	sc.visited, sc.queue = visited, queue
 	visited[source] = true
-	var arena bitstring.Arena
-	arena.Grow(n, n*(bitstring.DoubledLen(uint64(width))+width))
+	arena := bitstring.NewArena(slices.Grow(sc.strs[:0], n), n*(bitstring.DoubledLen(uint64(width))+width))
 	for i := 0; i < len(queue); i++ {
 		w := arena.Begin() // queue[i]'s string; a leaf's stays empty
 		leaf := true
@@ -142,7 +140,7 @@ func adviseBFS(g *graph.Graph, source graph.NodeID) (sim.Advice, error) {
 	if len(queue) != n {
 		return nil, spantree.ErrNotConnected
 	}
-	strs := arena.Strings(sc.strs[:0])
+	strs := arena.Strings()
 	advice := make(sim.Advice, n)
 	for i, v := range queue {
 		advice[v] = strs[i]
